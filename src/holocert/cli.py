@@ -8,8 +8,9 @@ Commands
     certify         everything; exit 0 only for verdict UNIQUE with all
                     numeric checks passing
 
-Exit codes: 0 success, 1 INCONCLUSIVE verdict or failed numeric check,
-2 input/configuration errors (including exact genericity violations).
+Exit codes: 0 success, 1 INCONCLUSIVE verdict, failed numeric check or
+numerical breakdown of the laboratory, 2 input/configuration errors
+(including exact genericity violations).
 """
 
 from __future__ import annotations
@@ -186,7 +187,11 @@ def main(argv=None) -> int:
     except (EliminationError, GenericityError) as exc:
         print(f"holocert: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MPolyError, GaussianRationalError, ODEError, ValueError) as exc:
+    except ODEError as exc:
+        # the numeric laboratory only runs at points that passed validation
+        print(f"holocert: INCONCLUSIVE: numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (MPolyError, GaussianRationalError, ValueError) as exc:
         print(f"holocert: internal failure: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

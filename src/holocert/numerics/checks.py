@@ -29,9 +29,9 @@ from .holonomy import (
     integrate_quadratures,
     integrate_variations,
 )
-from .jets import commutator, compose, invert, jet_distance
+from .jets import HolonomyJet, commutator, compose, invert, jet_distance
 from .loops import Loop, LoopSystem, build_loops, concat
-from .odepath import integrate_loop
+from .odepath import integrate_stack
 
 DEGREE_TOLERANCES = {2: 1e-6, 3: 1e-6, 4: 1e-5, 5: 1e-5, 6: 1e-4}
 A1_TOLERANCE = 1e-8
@@ -135,14 +135,20 @@ def formula_coefficients(model: FloatModel, bundle) -> dict[int, tuple[complex, 
     return {2: (a2, m2), 3: (a3, m3), 4: (a4, m4), 5: (a5, m5), 6: (a6, m6)}
 
 
-def verify_variation_formulas(model: FloatModel, loop: Loop, rtol=None, atol=None) -> list[CheckRow]:
-    """Compare the ODE jet against the bundle-assembled formulas, degree 2..6."""
+def verify_variation_formulas(
+    model: FloatModel, loop: Loop, rtol=None, atol=None, jet: HolonomyJet | None = None
+) -> list[CheckRow]:
+    """Compare the ODE jet against the bundle-assembled formulas, degree 2..6.
+
+    The loop's jet is integrated here unless the caller already holds it.
+    """
     kwargs = {}
     if rtol is not None:
         kwargs["rtol"] = rtol
     if atol is not None:
         kwargs["atol"] = atol
-    jet = integrate_variations(model, loop, **kwargs)
+    if jet is None:
+        jet = integrate_variations(model, loop, **kwargs)
     bundle = integrate_quadratures(model, loop, **kwargs)
     assembled = formula_coefficients(model, bundle)
     rows = []
@@ -181,39 +187,79 @@ _SCALE_NAMES = {
 # -- integral lemma checks -----------------------------------------------------------
 
 
-def _zeta_accumulator_rhs(u1: complex, u2: complex, P: np.ndarray):
-    def rhs(w, dw, y):
-        zeta = y[0]
-        dzeta = (u1 / (1.0 + w) - u2 / (1.0 - w)) * zeta
-        val = _polyval(P, w) * zeta
-        return np.array([dzeta * dw, val * dw, abs(val) * abs(dw)], dtype=complex)
-
-    return rhs
-
-
-def _loop_integral_with_zeta(u1, u2, P, loop, rtol, atol):
-    y = integrate_loop(
-        _zeta_accumulator_rhs(u1, u2, P), loop, np.array([1.0, 0.0, 0.0], dtype=complex), rtol, atol
-    )
-    return complex(y[1]), float(abs(y[2].real))
-
-
-def _phi_power_accumulator_rhs(model: FloatModel, numer: np.ndarray, d: int):
-    def rhs(w, dw, y):
-        r, s = _sr(model, w)
-        p1 = y[0]
-        val = _polyval(numer, w) / r**d * p1 ** (d - 1)
-        return np.array([s / r * p1 * dw, val * dw, abs(val) * abs(dw)], dtype=complex)
-
-    return rhs
-
-
 def _apply_Ld_float(d: int, model: FloatModel, R: np.ndarray) -> np.ndarray:
     r = np.array([-1.0, 0.0, 1.0], dtype=complex)
     s_minus_rp = np.array(
         [model.lam2 - model.lam1, model.sigma - 2.0], dtype=complex
     )  # s - r' = (sigma - 2) w + (lam2 - lam1)
     return npp.polyadd(npp.polymul(npp.polyder(R), r), (d - 1) * npp.polymul(s_minus_rp, R))
+
+
+def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
+    """The random samples of the two lemma families, drawn in one fixed order:
+    every two-loop (d, P) with deg P <= 6 first, then every forward-vanishing
+    (d, R) with deg R <= 2d - 3."""
+    rng = np.random.default_rng(seed)
+
+    def rand_coeffs(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    two_loop = []
+    for _ in range(n_samples):
+        d = int(rng.integers(3, 7))
+        two_loop.append((d, rand_coeffs(7)))
+    forward = []
+    for _ in range(n_samples):
+        d = int(rng.integers(3, 7))
+        forward.append((d, rand_coeffs(2 * d - 2)))
+    return two_loop, forward
+
+
+def _phi_field(model: FloatModel, degrees):
+    """Shared base phi1 (phi1' = s/r phi1); integrand k is weighted by
+    phi1^(d_k - 1) / r^d_k."""
+    D = np.asarray(degrees)
+
+    def field(w, b):
+        r, s = _sr(model, w)
+        return s / r * b, b[0] ** (D - 1) / r**D
+
+    return field
+
+
+def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) -> list[CheckRow]:
+    """One zeta = (1+w)^u1 (1-w)^u2 per distinct degree, integrated once along
+    each of gamma1 and gamma2 with every sample's P zeta stacked on it."""
+    degrees = sorted({d for d, _ in samples})
+    slot = np.array([degrees.index(d) for d, _ in samples])
+    D = np.array(degrees)
+    U1 = (D - 1) * model.lam1 - D
+    U2 = (D - 1) * model.lam2 - D
+
+    def field(w, zeta):
+        return (U1 / (1.0 + w) - U2 / (1.0 - w)) * zeta, zeta[slot]
+
+    coeffs = [P for _, P in samples]
+    _, i1, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), coeffs, field, rtol, atol)
+    _, i2, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), coeffs, field, rtol, atol)
+    rows = []
+    for k, (d, _) in enumerate(samples):
+        factor = 1.0 + cmath.exp(2j * math.pi * complex(U1[slot[k]]))
+        scale = max(1.0, m2[k] + abs(factor) * m1[k])
+        residual = abs(i2[k] - factor * i1[k]) / scale
+        rows.append(_row(f"integral-lemma-two-loops[{k}]", "gamma1/gamma2", d, residual, LEMMA_TOLERANCE))
+    return rows
+
+
+def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol, atol) -> list[CheckRow]:
+    """Every L_d(R)/r^d phi1^(d-1) stacked on one phi1, integrated once."""
+    degrees = [d for d, _ in samples]
+    images = [_apply_Ld_float(d, model, R) for d, R in samples]
+    _, values, masses = integrate_stack(loop, [1.0], images, _phi_field(model, degrees), rtol, atol)
+    return [
+        _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
+        for k, d in enumerate(degrees)
+    ]
 
 
 def verify_integral_lemmas(
@@ -234,40 +280,15 @@ def verify_integral_lemmas(
     (c) the antiderivative identity for the exact pipeline's R_d at a
         numeric beta, checked at every segment endpoint of gamma1 with
         constant C = -(-1)^(d-1) R_d(0).
+
+    All samples of a family share one path, so each family is one stacked
+    integration per loop.
     """
-    rng = np.random.default_rng(seed)
+    two_loop, forward = draw_lemma_samples(seed, n_samples)
     rows = []
-
-    def rand_coeffs(n):
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    for k in range(n_samples):
-        d = int(rng.integers(3, 7))
-        u1 = (d - 1) * model.lam1 - d
-        u2 = (d - 1) * model.lam2 - d
-        P = rand_coeffs(7)
-        i1, m1 = _loop_integral_with_zeta(u1, u2, P, loops.gamma1, rtol, atol)
-        i2, m2 = _loop_integral_with_zeta(u1, u2, P, loops.gamma2, rtol, atol)
-        factor = 1.0 + cmath.exp(2j * math.pi * u1)
-        scale = max(1.0, m2 + abs(factor) * m1)
-        rows.append(
-            _row(f"integral-lemma-two-loops[{k}]", "gamma1/gamma2", d, abs(i2 - factor * i1) / scale, LEMMA_TOLERANCE)
-        )
-
-    for k in range(n_samples):
-        d = int(rng.integers(3, 7))
-        R = rand_coeffs(2 * d - 2)  # degree <= 2d-3
-        P = _apply_Ld_float(d, model, R)
-        y = integrate_loop(
-            _phi_power_accumulator_rhs(model, P, d),
-            loops.gamma1,
-            np.array([1.0, 0.0, 0.0], dtype=complex),
-            rtol,
-            atol,
-        )
-        residual = abs(complex(y[1])) / max(1.0, abs(y[2].real))
-        rows.append(_row(f"forward-vanishing[{k}]", "gamma1", d, residual, LEMMA_TOLERANCE))
-
+    if n_samples > 0:
+        rows.extend(_two_loop_rows(model, loops, two_loop, rtol, atol))
+        rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward, rtol, atol))
     rows.extend(
         antiderivative_identity_rows(model, loops.gamma1, rtol=rtol, atol=atol, conditions=conditions, seed=seed)
     )
@@ -275,7 +296,8 @@ def verify_integral_lemmas(
 
 
 def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, conditions=None, seed=0):
-    """Check (c): integral of (P_d + F_d)/r^d phi1^(d-1) against its closed form."""
+    """Check (c): integral of (P_d + F_d)/r^d phi1^(d-1) against its closed form,
+    for d = 3..6 in one pass along the loop."""
     p = model.params
     if conditions is None:
         rng = np.random.default_rng(seed + 1)
@@ -284,33 +306,29 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
             for z in rng.standard_normal(3) + 1j * rng.standard_normal(3)
         )
         conditions = build_condition_set(p, beta=beta)
-    rows = []
-    for d in (3, 4, 5, 6):
+    degrees = (3, 4, 5, 6)
+    numers, Rs, Cs = [], [], []
+    for d in degrees:
         numer = _to_coeff_array(conditions.P[d]) if not conditions.P[d].is_zero() else np.zeros(1, complex)
         F = conditions.F[d].constant_term().to_complex()
-        numer = npp.polyadd(numer, np.array([F], dtype=complex))
+        numers.append(npp.polyadd(numer, np.array([F], dtype=complex)))
         R = _to_coeff_array(conditions.R[d])
-        R0 = _polyval(R, 0j)
-        C = -((-1.0) ** (d - 1)) * R0
-        worst = 0.0
+        Rs.append(R)
+        Cs.append(-((-1.0) ** (d - 1)) * _polyval(R, 0j))
+    worst = [0.0] * len(degrees)
 
-        def callback(idx, w, y, d=d, R=R, C=C):
-            nonlocal worst
-            p1 = y[0]
-            closed = _polyval(R, w) / (w * w - 1.0) ** (d - 1) * p1 ** (d - 1) + C
-            scale = max(1.0, abs(closed), abs(y[2].real))
-            worst = max(worst, abs(complex(y[1]) - closed) / scale)
+    def callback(idx, w, base, values, masses):
+        p1 = base[0]
+        for j, d in enumerate(degrees):
+            closed = _polyval(Rs[j], w) / (w * w - 1.0) ** (d - 1) * p1 ** (d - 1) + Cs[j]
+            scale = max(1.0, abs(closed), masses[j])
+            worst[j] = max(worst[j], abs(complex(values[j]) - closed) / scale)
 
-        integrate_loop(
-            _phi_power_accumulator_rhs(model, numer, d),
-            loop,
-            np.array([1.0, 0.0, 0.0], dtype=complex),
-            rtol,
-            atol,
-            segment_callback=callback,
-        )
-        rows.append(_row(f"antiderivative-identity-deg{d}", loop.label, d, worst, LEMMA_TOLERANCE))
-    return rows
+    integrate_stack(loop, [1.0], numers, _phi_field(model, degrees), rtol, atol, segment_callback=callback)
+    return [
+        _row(f"antiderivative-identity-deg{d}", loop.label, d, worst[j], LEMMA_TOLERANCE)
+        for j, d in enumerate(degrees)
+    ]
 
 
 # -- structural checks ---------------------------------------------------------------
@@ -322,13 +340,19 @@ def structural_rows(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     seed: int = 0,
+    jets: dict | None = None,
 ) -> tuple[list[CheckRow], str]:
     """Jet-level sanity of the loop construction; also pins down the
-    group-word composition convention empirically and reports it."""
+    group-word composition convention empirically and reports it.
+
+    ``jets`` maps loop labels to jets the caller already integrated; the
+    jets of mu1, mu2, gamma1 and gamma2 not in it are integrated here.
+    """
     rows = []
-    jets = {}
+    jets = dict(jets or {})
     for lp in (loops.mu1, loops.mu2, loops.gamma1, loops.gamma2):
-        jets[lp.label] = integrate_variations(model, lp, rtol=rtol, atol=atol)
+        if lp.label not in jets:
+            jets[lp.label] = integrate_variations(model, lp, rtol=rtol, atol=atol)
 
     for label in ("gamma1", "gamma2"):
         rows.append(
@@ -415,15 +439,17 @@ def run_numeric_verification(
     """Full numeric report: deterministic given (params, radius, rtol, seed)."""
     model = float_model(p)
     loops = build_loops(radius)
+    # each commutator's jet is integrated once and serves both row families
+    jets = {lp.label: integrate_variations(model, lp, rtol=rtol, atol=atol) for lp in (loops.gamma1, loops.gamma2)}
     rows = []
     for lp in (loops.gamma1, loops.gamma2):
-        rows.extend(verify_variation_formulas(model, lp, rtol=rtol, atol=atol))
+        rows.extend(verify_variation_formulas(model, lp, rtol=rtol, atol=atol, jet=jets[lp.label]))
     rows.extend(
         verify_integral_lemmas(
             model, loops, seed=seed, n_samples=n_samples, rtol=rtol, atol=atol, conditions=conditions
         )
     )
-    struct, convention = structural_rows(model, loops, rtol=rtol, atol=atol, seed=seed)
+    struct, convention = structural_rows(model, loops, rtol=rtol, atol=atol, seed=seed, jets=jets)
     rows.extend(struct)
     return {
         "params": p.to_dict(),

@@ -31,7 +31,7 @@ from ..mpoly import MPoly
 from ..normalform import FoliationParams, NormalFormExpansion, expand_normal_form
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
-from .odepath import integrate_loop
+from .odepath import ODEError, integrate_loop
 
 # Tight enough that the accumulated per-step error over the ~10^3 steps of a
 # commutator loop stays well under the 1e-8 structural budget on a1.
@@ -151,13 +151,16 @@ def integrate_variations(
     p1 = y[0]
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
-    for d in range(2, order + 1):
-        coeffs[d - 1] = p1 * y[d - 1]
     norms = np.zeros(ORDER)
     norms[0] = abs(y[order].real)
-    for d in range(2, order + 1):
-        # a_d = p1 * p_d, so the reduced variation's mass scales with |p1|
-        norms[d - 1] = abs(p1) * abs(y[order + d - 1].real)
+    # the state is finite, but a_d = p1 * p_d can still overflow: checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(2, order + 1):
+            coeffs[d - 1] = p1 * y[d - 1]
+            # the reduced variation's mass scales with |p1| likewise
+            norms[d - 1] = abs(p1) * abs(y[order + d - 1].real)
+    if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(norms))):
+        raise ODEError(f"the holonomy jet of {loop.label} overflows double precision")
     err = rtol * float(np.max(np.maximum(1.0, norms)))
     return HolonomyJet(coeffs, label=loop.label, err=err, norms=norms)
 

@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import numpy as np
 
-# Dormand-Prince coefficients (same tableau as classic DOPRI5)
+# Dormand-Prince coefficients (same tableau as classic DOPRI5).  Row i of _A
+# holds the weights of the earlier stages in the state of stage i, padded
+# with zeros to a 7 x 7 array.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+_A = np.array(
+    [
+        row + [0.0] * (7 - len(row))
+        for row in (
+            [],
+            [1 / 5],
+            [3 / 40, 9 / 40],
+            [44 / 45, -56 / 15, 32 / 9],
+            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+            [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+        )
+    ]
+)
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
@@ -34,23 +41,30 @@ class ODEError(RuntimeError):
 
 
 def integrate_fixed_interval(f, y0, rtol: float, atol: float, h0: float = 0.05):
-    """Integrate dy/dt = f(t, y) over t in [0, 1]; returns the final state."""
+    """Integrate dy/dt = f(t, y) over t in [0, 1]; returns the final state.
+
+    The seven stage derivatives live in the columns of one real array (the
+    real and imaginary parts of each component on rows of their own), so
+    every stage state, the fifth-order update and the error estimate are
+    each one matrix-vector product with the tableau.  Each output row is a
+    dot product over the stages alone, so a component's arithmetic does not
+    depend on how many other components share the state.
+    """
     y = np.asarray(y0, dtype=complex).copy()
+    K = np.zeros((2 * y.size, 7))
     t = 0.0
     h = min(h0, 1.0)
-    k1 = np.asarray(f(t, y), dtype=complex)
+    K[:, 0] = np.asarray(f(t, y), dtype=complex).view(float)
     rejects = 0
     while t < 1.0:
         h = min(h, 1.0 - t)
         if h < MIN_STEP:
             raise ODEError(f"step size underflow at t = {t}")
-        k = [k1]
         for i in range(1, 7):
-            ti = t + _C[i] * h
-            yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-            k.append(np.asarray(f(ti, yi), dtype=complex))
-        y_new = y + h * sum(b * ki for b, ki in zip(_B5, k) if b != 0.0)
-        err_vec = h * sum(e * ki for e, ki in zip(_E, k) if e != 0.0)
+            yi = y + h * (K[:, :i] @ _A[i, :i]).view(complex)
+            K[:, i] = np.asarray(f(t + _C[i] * h, yi), dtype=complex).view(float)
+        y_new = y + h * (K @ _B5).view(complex)
+        err_vec = h * (K @ _E).view(complex)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
         if not np.isfinite(err) or not np.all(np.isfinite(y_new)):
@@ -58,7 +72,7 @@ def integrate_fixed_interval(f, y0, rtol: float, atol: float, h0: float = 0.05):
         if err <= 1.0:
             t += h
             y = y_new
-            k1 = k[6]  # first-same-as-last
+            K[:, 0] = K[:, 6]  # first-same-as-last
             rejects = 0
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= factor
@@ -67,7 +81,6 @@ def integrate_fixed_interval(f, y0, rtol: float, atol: float, h0: float = 0.05):
             if rejects > MAX_REJECTS:
                 raise ODEError(f"too many rejected steps at t = {t}")
             h *= max(0.1, 0.9 * err ** -0.2)
-            k1 = k[0]
     return y
 
 
@@ -95,7 +108,56 @@ def integrate_loop(rhs, loop, y0, rtol: float = 1e-10, atol: float = 1e-13, segm
     """
     y = np.asarray(y0, dtype=complex).copy()
     for idx, seg in enumerate(loop.segments):
-        y = integrate_segment(rhs, seg, y, rtol, atol)
+        try:
+            y = integrate_segment(rhs, seg, y, rtol, atol)
+        except ODEError as exc:
+            raise ODEError(f"loop {loop.label!r}, segment {idx}: {exc}") from exc
         if segment_callback is not None:
             segment_callback(idx, seg.point(1.0), y)
     return y
+
+
+def integrate_stack(loop, base0, coeffs, field, rtol: float, atol: float, segment_callback=None):
+    """Integrate a stack of integrands along a loop over a shared base state.
+
+    field(w, b) returns (db/dw, weights): the derivative of the base state b
+    and one weight per integrand.  Integrand k is P_k(w) * weights[k], where
+    P_k has the ascending coefficients coeffs[k] (rows of unequal length are
+    zero-padded).  Next to each integral the stack carries its L1 mass, the
+    integral of the integrand's modulus against |dw|.
+
+    Returns (base, integrals, masses) at the end of the loop.
+    segment_callback(index, w_end, base, integrals, masses) fires after each
+    segment.
+    """
+    base0 = np.asarray(base0, dtype=complex)
+    nb, m = base0.size, len(coeffs)
+    C = np.zeros((m, max(len(c) for c in coeffs)), dtype=complex)
+    for k, c in enumerate(coeffs):
+        C[k, : len(c)] = c
+    n = C.shape[1]
+
+    def rhs(w, dw, y):
+        db, weights = field(w, y[:nb])
+        # one matrix-vector product evaluates every P_k at w
+        powers = [1.0 + 0j]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * w)
+        vals = (C @ np.array(powers)) * weights
+        dy = np.empty(nb + 2 * m, dtype=complex)
+        dy[:nb] = db * dw
+        dy[nb : nb + m] = vals * dw
+        dy[nb + m :] = np.abs(vals) * abs(dw)
+        return dy
+
+    def split(y):
+        return y[:nb], y[nb : nb + m], y[nb + m :].real
+
+    callback = None
+    if segment_callback is not None:
+
+        def callback(idx, w, y):
+            segment_callback(idx, w, *split(y))
+
+    y0 = np.concatenate([base0, np.zeros(2 * m, dtype=complex)])
+    return split(integrate_loop(rhs, loop, y0, rtol, atol, segment_callback=callback))

@@ -1,14 +1,20 @@
+import cmath
+import math
+
+import numpy as np
 import pytest
 
 from holocert.conditions import build_condition_set
 from holocert.gaussian import gq
 from holocert.numerics.checks import (
     antiderivative_identity_rows,
+    draw_lemma_samples,
     numeric_summary,
     structural_rows,
     verify_integral_lemmas,
     verify_variation_formulas,
 )
+from holocert.numerics.odepath import integrate_stack
 
 
 @pytest.fixture(scope="module")
@@ -34,41 +40,79 @@ def test_antiderivative_rows_cover_all_degrees(nmodel, nloops, numeric_beta_cond
 def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     # R = 1, d = 3: the image polynomial is (B3 - 4) w + A3 and its loop
     # integral against phi1^2 / r^3 vanishes
-    import numpy as np
-
-    from holocert.numerics.checks import _apply_Ld_float, _phi_power_accumulator_rhs
-    from holocert.numerics.odepath import integrate_loop
+    from holocert.numerics.checks import _apply_Ld_float, _phi_field
 
     P = _apply_Ld_float(3, nmodel, np.array([1.0 + 0j]))
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
     B3 = 2 * nmodel.sigma
     assert np.allclose(P, [A3, B3 - 4.0])
-    y = integrate_loop(
-        _phi_power_accumulator_rhs(nmodel, P, 3),
-        nloops.gamma1,
-        np.array([1.0, 0.0, 0.0], dtype=complex),
-        rtol=1e-12,
-        atol=1e-16,
-    )
-    assert abs(complex(y[1])) / max(1.0, abs(y[2].real)) < 1e-9
+    _, values, masses = integrate_stack(nloops.gamma1, [1.0], [P], _phi_field(nmodel, [3]), 1e-12, 1e-16)
+    assert abs(values[0]) / max(1.0, masses[0]) < 1e-9
 
 
 def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
     # P = 1 against zeta with the degree-3 exponents
-    import cmath
-    import math
-
-    import numpy as np
-
-    from holocert.numerics.checks import _loop_integral_with_zeta
-
     u1 = 2 * nmodel.lam1 - 3
     u2 = 2 * nmodel.lam2 - 3
+
+    def field(w, zeta):
+        return (u1 / (1.0 + w) - u2 / (1.0 - w)) * zeta, zeta
+
     P = np.array([1.0 + 0j])
-    i1, m1 = _loop_integral_with_zeta(u1, u2, P, nloops.gamma1, 1e-12, 1e-16)
-    i2, m2 = _loop_integral_with_zeta(u1, u2, P, nloops.gamma2, 1e-12, 1e-16)
+    _, i1, m1 = integrate_stack(nloops.gamma1, [1.0], [P], field, 1e-12, 1e-16)
+    _, i2, m2 = integrate_stack(nloops.gamma2, [1.0], [P], field, 1e-12, 1e-16)
     factor = 1.0 + cmath.exp(2j * math.pi * u1)
-    assert abs(i2 - factor * i1) / max(1.0, m2 + abs(factor) * m1) < 1e-9
+    assert abs(i2[0] - factor * i1[0]) / max(1.0, m2[0] + abs(factor) * m1[0]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, n_samples, two_loop, forward",
+    [
+        (3, 4, [6, 3, 4, 5], [6, 3, 4, 5]),
+        (
+            606,
+            20,
+            [5, 6, 5, 3, 6, 5, 4, 5, 6, 4, 4, 5, 6, 6, 4, 4, 5, 5, 6, 4],
+            [5, 3, 5, 3, 3, 3, 4, 4, 6, 4, 6, 4, 4, 6, 3, 3, 4, 4, 6, 4],
+        ),
+    ],
+)
+def test_lemma_samples_keep_their_degrees(seed, n_samples, two_loop, forward):
+    # the samples are drawn in one fixed RNG order, so a seed checks the
+    # same polynomials whatever the integration layout
+    drawn_two_loop, drawn_forward = draw_lemma_samples(seed, n_samples)
+    assert [d for d, _ in drawn_two_loop] == two_loop
+    assert [d for d, _ in drawn_forward] == forward
+    assert all(len(P) == 7 for _, P in drawn_two_loop)
+    assert all(len(R) == 2 * d - 2 for d, R in drawn_forward)
+
+
+def test_planted_defect_fails_only_its_own_row(nmodel, nloops, numeric_beta_conditions, monkeypatch):
+    # corrupt one integrand inside the two-loop stack (on gamma2 only) and
+    # one inside the forward-vanishing stack; each must fail its own row
+    # while every neighbour in the same stack still passes
+    from holocert.numerics import checks
+
+    n_samples, bad_two_loop, bad_forward = 5, 1, 3
+
+    def corrupting(loop, base0, coeffs, field, rtol, atol, segment_callback=None):
+        bad = None
+        if loop.label == "gamma2":
+            bad = bad_two_loop
+        # the antiderivative stack also has one base state, but four integrands
+        elif loop.label == "gamma1" and len(base0) == 1 and len(coeffs) == n_samples:
+            bad = bad_forward
+        if bad is not None:
+            coeffs = [c + 1.0 if k == bad else c for k, c in enumerate(coeffs)]
+        return integrate_stack(loop, base0, coeffs, field, rtol, atol, segment_callback)
+
+    monkeypatch.setattr(checks, "integrate_stack", corrupting)
+    rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=n_samples, conditions=numeric_beta_conditions)
+    failed = [r.name for r in rows if not r.passed]
+    assert failed == [f"integral-lemma-two-loops[{bad_two_loop}]", f"forward-vanishing[{bad_forward}]"]
+    two_loop, forward = draw_lemma_samples(3, n_samples)
+    assert [r.degree for r in rows[:n_samples]] == [d for d, _ in two_loop]
+    assert [r.degree for r in rows[n_samples : 2 * n_samples]] == [d for d, _ in forward]
 
 
 def test_variation_rows_report_every_degree(nmodel, nloops):

@@ -173,3 +173,16 @@ def test_inconclusive_verdict_exits_one(monkeypatch, tmp_path, capsys):
     assert main(["certify", "--skip-numeric", "--out", str(out)]) == EXIT_INCONCLUSIVE
     assert "det34 = 0" in capsys.readouterr().err
     assert json.loads(out.read_text())["verdict"] == "INCONCLUSIVE"
+
+
+def test_numerical_breakdown_is_inconclusive(tmp_path, capsys):
+    # a valid point whose generator multiplier e^{2 pi i lambda2} grows so
+    # fast along mu2 that double precision overflows in the first loop
+    params = tmp_path / "steep.json"
+    params.write_text(json.dumps({"lambda1": "1/2+1i", "lambda2": "1/3-40i", "alpha": ["2-1i", "1/2", "-1+1i"]}))
+    out = tmp_path / "cert.json"
+    rc = main(["certify", "--params", str(params), "--samples", "0", "--rtol", "1e-6", "--out", str(out)])
+    assert rc == EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err
+    assert "INCONCLUSIVE: numerical breakdown" in err
+    assert "non-finite state" in err and "gamma1" in err

@@ -119,3 +119,14 @@ def test_bundle_carries_error_estimates(gamma_bundles):
 def test_variation_order_cap(nmodel, nloops):
     with pytest.raises(ValueError):
         integrate_variations(nmodel, nloops.gamma1, order=7)
+
+
+def test_overflowing_jet_raises():
+    # along mu1 the state stays finite but a_6 = p1 * p6 exceeds double range
+    from holocert.normalform import FoliationParams
+    from holocert.numerics import build_loops
+    from holocert.numerics.odepath import ODEError
+
+    p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
+    with pytest.raises(ODEError, match="overflows double precision"):
+        integrate_variations(float_model(p), build_loops(0.5).mu1, rtol=1e-6, atol=1e-12)
