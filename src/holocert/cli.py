@@ -6,7 +6,9 @@ Commands
     eliminate       run the resultant chain, emit the certificate JSON
     verify-numeric  run the holonomy cross-checks, emit the report JSON
     certify         everything; exit 0 only for verdict UNIQUE with all
-                    numeric checks passing
+                    numeric checks passing.  A numerical breakdown still
+                    emits the certificate, with the reason in its numeric
+                    section
 
 Exit codes: 0 success, 1 INCONCLUSIVE verdict, failed numeric check or
 numerical breakdown of the laboratory, 2 input/configuration errors
@@ -123,9 +125,15 @@ def cmd_certify(args) -> int:
     cs = build_condition_set(p)
     cert = certify(p, conditions=cs)
     if not args.skip_numeric:
-        report = run_numeric_verification(
-            p, radius=args.radius, rtol=args.rtol, seed=args.seed, n_samples=args.samples
-        )
+        try:
+            report = run_numeric_verification(
+                p, radius=args.radius, rtol=args.rtol, seed=args.seed, n_samples=args.samples
+            )
+        except ODEError as exc:
+            # the finished exact half is still worth a certificate; main reports the breakdown
+            cert.numeric = {"all_pass": False, "breakdown": str(exc)}
+            emit_report(cert.to_dict(), args.out)
+            raise
         cert.numeric = numeric_summary(report)
     emit_report(cert.to_dict(), args.out)
     ok = cert.verdict == VERDICT_UNIQUE and (args.skip_numeric or cert.numeric.get("all_pass", False))

@@ -15,10 +15,12 @@ from .mpoly import MPoly
 from .normalform import (
     FoliationParams,
     NormalFormExpansion,
+    W,
     expand_normal_form,
     expand_with_beta,
+    r_of,
 )
-from .obstruction import BandedMatrix, build_Md, functional_Fd, solve_Rd
+from .obstruction import build_Md, functional_Fd, solve_Rd
 
 _HALF = gq("1/2")
 _THIRD = gq("1/3")
@@ -26,7 +28,7 @@ _THIRD = gq("1/3")
 
 def build_q(e: NormalFormExpansion, d: int) -> MPoly:
     """Auxiliary polynomial q_d combining S_2..S_d with the constants c_k."""
-    r = e.r_poly()
+    r = r_of(W)
     c2, c3, c4, c5 = (e.c[k] for k in (2, 3, 4, 5))
     S = e.S
     if d == 4:
@@ -130,17 +132,9 @@ def _as_poly(x) -> MPoly:
 class ConditionSet:
     """Per-degree bundle of the exact pipeline outputs for one beta choice."""
 
-    params: FoliationParams
-    symbolic: bool
     P: dict[int, MPoly] = field(default_factory=dict)
     R: dict[int, MPoly] = field(default_factory=dict)
     F: dict[int, MPoly] = field(default_factory=dict)
-    q: dict[int, MPoly] = field(default_factory=dict)
-    q_tilde: dict[int, MPoly] = field(default_factory=dict)
-    matrices: dict[int, BandedMatrix] = field(default_factory=dict)
-    h2: MPoly = field(default_factory=MPoly.zero)
-    h3: MPoly = field(default_factory=MPoly.zero)
-    h4: MPoly = field(default_factory=MPoly.zero)
 
     def f_degrees(self) -> dict[int, int]:
         return {d: self.F[d].total_degree() for d in sorted(self.F)}
@@ -161,22 +155,10 @@ def build_condition_set(
         e_beta = expand_with_beta(p)
     else:
         e_beta = expand_normal_form(p.with_alpha(*beta))
-    cs = ConditionSet(params=p, symbolic=beta is None)
-    R3 = R4 = R5 = None
+    cs = ConditionSet()
     for d in (3, 4, 5, 6):
-        P = build_P(d, e_alpha, e_beta, R3=R3, R4=R4, R5=R5)
+        P = build_P(d, e_alpha, e_beta, R3=cs.R.get(3), R4=cs.R.get(4), R5=cs.R.get(5))
         M = build_Md(d, p.lambda1, p.lambda2)
         R = solve_Rd(M, P)
-        F = functional_Fd(M, P, R)
-        cs.P[d], cs.R[d], cs.F[d], cs.matrices[d] = P, R, F, M
-        if d >= 4:
-            cs.q[d] = build_q(e_alpha, d)
-            cs.q_tilde[d] = build_q(e_beta, d)
-        if d == 3:
-            R3 = R
-        elif d == 4:
-            R4 = R
-        elif d == 5:
-            R5 = R
-    cs.h2, cs.h3, cs.h4 = h_jets(e_alpha, e_beta, cs.R[3], cs.R[4])
+        cs.P[d], cs.R[d], cs.F[d] = P, R, functional_Fd(M, P, R)
     return cs

@@ -100,7 +100,6 @@ class Certificate:
     verdict: str
     reasons: tuple[str, ...]
     f_at_alpha: dict[int, GaussianRational]
-    f_at_alt: dict[int, GaussianRational] | None = None
     conditions: ConditionSet | None = None
     numeric: dict = field(default_factory=dict)
 
@@ -137,11 +136,7 @@ def _eval_F_at(cs: ConditionSet, beta) -> dict[int, GaussianRational]:
     return out
 
 
-def certify(
-    p: FoliationParams,
-    p_alt: FoliationParams | None = None,
-    conditions: ConditionSet | None = None,
-) -> Certificate:
+def certify(p: FoliationParams, conditions: ConditionSet | None = None) -> Certificate:
     """Full exact pipeline: expand, build symbolic conditions, eliminate, solve.
 
     The verdict is UNIQUE only when Res3_6 and det34 are both nonzero and
@@ -167,9 +162,6 @@ def certify(
         reasons.append("recovered (beta1, beta2) != (alpha1, alpha2)")
     verdict = VERDICT_UNIQUE if not reasons else VERDICT_INCONCLUSIVE
 
-    f_alpha = _eval_F_at(cs, (p.alpha0, p.alpha1, p.alpha2))
-    f_alt = _eval_F_at(cs, (p_alt.alpha0, p_alt.alpha1, p_alt.alpha2)) if p_alt else None
-
     return Certificate(
         params=p,
         genericity=report,
@@ -179,7 +171,6 @@ def certify(
         solution=solution,
         verdict=verdict,
         reasons=tuple(reasons),
-        f_at_alpha=f_alpha,
-        f_at_alt=f_alt,
+        f_at_alpha=_eval_F_at(cs, (p.alpha0, p.alpha1, p.alpha2)),
         conditions=cs,
     )

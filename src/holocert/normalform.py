@@ -11,7 +11,8 @@ normal-form parameters alpha0, alpha1, alpha2.  The right-hand side
 expands as sum K_d(w) z^d with K_d = c_d K1 + S_d / r^d.  This module
 provides both the closed-form table of c_d, S_d (d <= 6) and an
 independent oracle that recomputes K_d by exact geometric-series
-inversion of the denominator.
+inversion of the denominator.  It also holds the one definition of the
+geometry r, s, p and L_d, which the exact and the float code share.
 """
 
 from __future__ import annotations
@@ -27,6 +28,35 @@ W = MPoly.var("w")
 BETA_VARS = ("b0", "b1", "b2")
 
 DMAX = 6  # the pipeline uses degrees d <= 6 only
+
+
+# -- geometry on the w-line ---------------------------------------------------------
+#
+# Only +, - and * (and the derivative handed to L_d) are used, so the same code
+# serves MPoly with w = W, a complex point w, and numpy Polynomial with
+# w = Polynomial([0, 1]).  The _of suffix leaves r, s, p free as local names
+# in the formulas that use them.
+
+
+def r_of(w):
+    """r = w^2 - 1, vanishing at the finite singular points w = -1, +1."""
+    return w * w - 1
+
+
+def s_of(lambda1, lambda2, w):
+    """s = lambda1 (w - 1) + lambda2 (w + 1); K_1 = s / r."""
+    return lambda1 * (w - 1) + lambda2 * (w + 1)
+
+
+def p_of(alpha1, alpha2, w):
+    """p = alpha1 (w - 1) + alpha2 (w + 1), the z^2 term of the denominator of Psi."""
+    return alpha1 * (w - 1) + alpha2 * (w + 1)
+
+
+def L_d(d: int, lambda1, lambda2, f, w, deriv):
+    """L_d f = f' r + (d-1)(s - r') f, where deriv differentiates in w."""
+    r = r_of(w)
+    return deriv(f) * r + (d - 1) * ((s_of(lambda1, lambda2, w) - deriv(r)) * f)
 
 
 @dataclass(frozen=True)
@@ -85,16 +115,6 @@ class FoliationParams:
 
     def with_alpha(self, alpha0, alpha1, alpha2) -> "FoliationParams":
         return FoliationParams(self.lambda1, self.lambda2, alpha0, alpha1, alpha2)
-
-    # polynomial building blocks on the w-line
-    def r_poly(self) -> MPoly:
-        return W * W - 1
-
-    def s_poly(self) -> MPoly:
-        return self.lambda1 * (W - 1) + self.lambda2 * (W + 1)
-
-    def p_poly(self) -> MPoly:
-        return self.alpha1 * (W - 1) + self.alpha2 * (W + 1)
 
 
 def verification_point() -> FoliationParams:
@@ -162,32 +182,15 @@ class NormalFormExpansion:
     (beta pipeline) both pick up the variables b0, b1, b2.
     """
 
-    lambda1: GaussianRational
-    lambda2: GaussianRational
     c: dict  # degree -> GaussianRational | MPoly
     S: dict  # degree -> MPoly
-    symbolic: bool = False
-
-    @property
-    def sigma(self) -> GaussianRational:
-        return self.lambda1 + self.lambda2
-
-    def r_poly(self) -> MPoly:
-        return W * W - 1
-
-    def s_poly(self) -> MPoly:
-        return self.lambda1 * (W - 1) + self.lambda2 * (W + 1)
-
-    def c_value(self, d: int) -> GaussianRational:
-        cd = self.c[d]
-        return cd.as_constant() if isinstance(cd, MPoly) else cd
 
 
 def _closed_form_table(lambda1, lambda2, a0, a1, a2):
     """The degree <= 6 table of c_d and S_d; a0, a1, a2 may be symbols."""
-    r = W * W - 1
-    s = lambda1 * (W - 1) + lambda2 * (W + 1)
-    p = a1 * (W - 1) + a2 * (W + 1)
+    r = r_of(W)
+    s = s_of(lambda1, lambda2, W)
+    p = p_of(a1, a2, W)
     sigma = lambda1 + lambda2
     eta = a1 + a2
     one_minus = 1 - sigma
@@ -228,14 +231,14 @@ def expand_normal_form(p: FoliationParams) -> NormalFormExpansion:
     a2 = MPoly.const(p.alpha2)
     c, S = _closed_form_table(p.lambda1, p.lambda2, a0, a1, a2)
     c_vals = {d: cd.as_constant() for d, cd in c.items()}
-    return NormalFormExpansion(p.lambda1, p.lambda2, c_vals, S, symbolic=False)
+    return NormalFormExpansion(c_vals, S)
 
 
 def expand_with_beta(p: FoliationParams) -> NormalFormExpansion:
     """Same table with the normal-form parameters replaced by symbols b0, b1, b2."""
     b0, b1, b2 = (MPoly.var(name) for name in BETA_VARS)
     c, S = _closed_form_table(p.lambda1, p.lambda2, b0, b1, b2)
-    return NormalFormExpansion(p.lambda1, p.lambda2, c, S, symbolic=True)
+    return NormalFormExpansion(c, S)
 
 
 def _series_mul(a: list[MPoly], b: list[MPoly], nmax: int) -> list[MPoly]:
@@ -261,9 +264,9 @@ def series_oracle(p: FoliationParams, dmax: int = DMAX) -> dict[int, MPoly]:
     """
     if not 1 <= dmax <= DMAX:
         raise ValueError(f"dmax must lie in 1..{DMAX}, got {dmax}")
-    r = p.r_poly()
-    s = p.s_poly()
-    pw = p.p_poly()
+    r = r_of(W)
+    s = s_of(p.lambda1, p.lambda2, W)
+    pw = p_of(p.alpha1, p.alpha2, W)
     a0 = MPoly.const(p.alpha0)
     sigma = MPoly.const(p.sigma)
     eta = MPoly.const(p.eta)
@@ -295,8 +298,8 @@ def oracle_defects(p: FoliationParams, dmax: int = DMAX) -> dict[int, MPoly]:
     """A_d - c_d r^(d-1) s - S_d for d = 2..dmax; all zero iff table and oracle agree."""
     exp = expand_normal_form(p)
     A = series_oracle(p, dmax)
-    r = p.r_poly()
-    s = p.s_poly()
+    r = r_of(W)
+    s = s_of(p.lambda1, p.lambda2, W)
     out = {}
     for d in range(2, dmax + 1):
         out[d] = A[d] - MPoly.const(exp.c[d]) * r ** (d - 1) * s - exp.S[d]

@@ -13,17 +13,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npp
 
 from ..conditions import build_condition_set
 from ..gaussian import GaussianRational
-from ..normalform import FoliationParams
+from ..normalform import FoliationParams, L_d, r_of, s_of
 from .holonomy import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     FloatModel,
     _polyval,
-    _sr,
     _to_coeff_array,
     float_model,
     integrate_quadratures,
@@ -187,14 +187,6 @@ _SCALE_NAMES = {
 # -- integral lemma checks -----------------------------------------------------------
 
 
-def _apply_Ld_float(d: int, model: FloatModel, R: np.ndarray) -> np.ndarray:
-    r = np.array([-1.0, 0.0, 1.0], dtype=complex)
-    s_minus_rp = np.array(
-        [model.lam2 - model.lam1, model.sigma - 2.0], dtype=complex
-    )  # s - r' = (sigma - 2) w + (lam2 - lam1)
-    return npp.polyadd(npp.polymul(npp.polyder(R), r), (d - 1) * npp.polymul(s_minus_rp, R))
-
-
 def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
     """The random samples of the two lemma families, drawn in one fixed order:
     every two-loop (d, P) with deg P <= 6 first, then every forward-vanishing
@@ -218,11 +210,12 @@ def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
 def _phi_field(model: FloatModel, degrees):
     """Shared base phi1 (phi1' = s/r phi1); integrand k is weighted by
     phi1^(d_k - 1) / r^d_k."""
+    lam1, lam2 = model.lam1, model.lam2
     D = np.asarray(degrees)
 
     def field(w, b):
-        r, s = _sr(model, w)
-        return s / r * b, b[0] ** (D - 1) / r**D
+        r = r_of(w)
+        return s_of(lam1, lam2, w) / r * b, b[0] ** (D - 1) / r**D
 
     return field
 
@@ -254,7 +247,8 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) ->
 def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol, atol) -> list[CheckRow]:
     """Every L_d(R)/r^d phi1^(d-1) stacked on one phi1, integrated once."""
     degrees = [d for d, _ in samples]
-    images = [_apply_Ld_float(d, model, R) for d, R in samples]
+    w = Polynomial([0.0, 1.0])
+    images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in samples]
     _, values, masses = integrate_stack(loop, [1.0], images, _phi_field(model, degrees), rtol, atol)
     return [
         _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
@@ -320,7 +314,7 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
     def callback(idx, w, base, values, masses):
         p1 = base[0]
         for j, d in enumerate(degrees):
-            closed = _polyval(Rs[j], w) / (w * w - 1.0) ** (d - 1) * p1 ** (d - 1) + Cs[j]
+            closed = _polyval(Rs[j], w) / r_of(w) ** (d - 1) * p1 ** (d - 1) + Cs[j]
             scale = max(1.0, abs(closed), masses[j])
             worst[j] = max(worst[j], abs(complex(values[j]) - closed) / scale)
 

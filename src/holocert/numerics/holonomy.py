@@ -28,7 +28,7 @@ import numpy as np
 
 from ..conditions import build_q
 from ..mpoly import MPoly
-from ..normalform import FoliationParams, NormalFormExpansion, expand_normal_form
+from ..normalform import FoliationParams, expand_normal_form, r_of, s_of
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
 from .odepath import ODEError, integrate_loop
@@ -64,43 +64,27 @@ class FloatModel:
     S: dict  # degree -> ascending coefficient array
     q: dict  # degree (4..6) -> ascending coefficient array
 
-    @property
-    def sigma(self) -> complex:
-        return self.lam1 + self.lam2
-
-    def K(self, d: int, w: complex, r: complex, s: complex) -> complex:
-        if d == 1:
-            return s / r
-        return self.c[d] * s / r + _polyval(self.S[d], w) / r**d
-
     def nu1(self) -> complex:
         return cmath.exp(2j * math.pi * self.lam1)
 
 
-def float_model(p: FoliationParams, expansion: NormalFormExpansion | None = None) -> FloatModel:
-    e = expansion if expansion is not None else expand_normal_form(p)
+def float_model(p: FoliationParams) -> FloatModel:
+    e = expand_normal_form(p)
     c = {d: (e.c[d].to_complex() if d > 1 else 1.0 + 0j) for d in range(1, 7)}
     S = {d: _to_coeff_array(e.S[d]) for d in range(2, 7)}
     q = {d: _to_coeff_array(build_q(e, d)) for d in (4, 5, 6)}
     return FloatModel(p, p.lambda1.to_complex(), p.lambda2.to_complex(), c, S, q)
 
 
-def _sr(model: FloatModel, w: complex) -> tuple[complex, complex]:
-    r = w * w - 1.0
-    s = model.lam1 * (w - 1.0) + model.lam2 * (w + 1.0)
-    return r, s
-
-
 # -- variational jets ------------------------------------------------------------
 
 
 def _variation_rhs(model: FloatModel, order: int):
-    c = model.c
-    S = model.S
+    lam1, lam2, c, S = model.lam1, model.lam2, model.c, model.S
 
     def rhs(w, dw, y):
-        r, s = _sr(model, w)
-        k1 = s / r
+        r = r_of(w)
+        k1 = s_of(lam1, lam2, w) / r
         p = y[: order]  # p[0] = phi1, p[d-1] = reduced phi_d
         K = [0j, k1] + [c[d] * k1 + _polyval(S[d], w) / r**d for d in range(2, order + 1)]
         p1 = p[0]
@@ -161,8 +145,7 @@ def integrate_variations(
             norms[d - 1] = abs(p1) * abs(y[order + d - 1].real)
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(norms))):
         raise ODEError(f"the holonomy jet of {loop.label} overflows double precision")
-    err = rtol * float(np.max(np.maximum(1.0, norms)))
-    return HolonomyJet(coeffs, label=loop.label, err=err, norms=norms)
+    return HolonomyJet(coeffs, label=loop.label, norms=norms)
 
 
 # -- quadrature bundle -------------------------------------------------------------
@@ -186,35 +169,27 @@ _BUNDLE_NAMES = (
 
 @dataclass
 class QuadratureBundle:
-    """The thirteen loop integrals feeding the coefficient formulas, plus nu1.
+    """The thirteen loop integrals feeding the coefficient formulas.
 
-    values[name] carries the integral, norms[name] the accumulated L1 mass
-    of its integrand (the natural scale for error statements), errors[name]
-    a tolerance-based estimate.
+    values[name] carries the integral and norms[name] the accumulated L1
+    mass of its integrand, the natural scale for error statements.
     """
 
     loop_label: str
     values: dict = field(default_factory=dict)
     norms: dict = field(default_factory=dict)
-    errors: dict = field(default_factory=dict)
-    nu1: complex = 0j
-
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["values"][name]
-        except KeyError:
-            raise AttributeError(name) from None
 
     def scale(self, *names: str) -> float:
         return max([1.0] + [self.norms[n] for n in names])
 
 
 def _quadrature_rhs(model: FloatModel):
+    lam1, lam2 = model.lam1, model.lam2
     S2, S3 = model.S[2], model.S[3]
     q4, q5, q6 = model.q[4], model.q[5], model.q[6]
 
     def rhs(w, dw, y):
-        r, s = _sr(model, w)
+        r = r_of(w)
         p1 = y[0]
         psi2, psi3 = y[1], y[2]
         r2 = r * r
@@ -243,7 +218,7 @@ def _quadrature_rhs(model: FloatModel):
             dtype=complex,
         )
         dy = np.empty(1 + 2 * len(_BUNDLE_NAMES), dtype=complex)
-        dy[0] = s / r * p1 * dw
+        dy[0] = s_of(lam1, lam2, w) / r * p1 * dw
         dy[1 : 1 + len(_BUNDLE_NAMES)] = grads * dw
         dy[1 + len(_BUNDLE_NAMES) :] = np.abs(grads) * abs(dw)
         return dy
@@ -261,9 +236,8 @@ def integrate_quadratures(
     y0 = np.zeros(1 + 2 * n, dtype=complex)
     y0[0] = 1.0
     y = integrate_loop(_quadrature_rhs(model), loop, y0, rtol=rtol, atol=atol)
-    bundle = QuadratureBundle(loop_label=loop.label, nu1=model.nu1())
+    bundle = QuadratureBundle(loop_label=loop.label)
     for i, name in enumerate(_BUNDLE_NAMES):
         bundle.values[name] = complex(y[1 + i])
         bundle.norms[name] = float(abs(y[1 + n + i].real))
-        bundle.errors[name] = rtol * max(1.0, bundle.norms[name])
     return bundle

@@ -3,8 +3,9 @@
 Jets carry, next to their coefficients, a nonnegative mass per degree:
 the accumulated L1 weight of the integrands (for integrated jets) pushed
 through the same arithmetic as the coefficients (for composed ones).
-Distances between jets are measured relative to these masses, which is
-the honest scale after the heavy cancellations inside commutators.
+The masses are a jet's only error scale: distances between jets are
+measured relative to them, which is the honest scale after the heavy
+cancellations inside commutators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class HolonomyJet:
 
     coeffs: np.ndarray
     label: str = ""
-    err: float = 0.0
     norms: np.ndarray = field(default_factory=lambda: np.zeros(ORDER))
 
     def __post_init__(self):
@@ -37,9 +37,6 @@ class HolonomyJet:
 
     def a(self, d: int) -> complex:
         return self.coeffs[d - 1]
-
-    def is_parabolic(self, tol: float = 1e-8) -> bool:
-        return abs(self.a1 - 1.0) <= tol
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.coeffs) + self.norms
@@ -80,7 +77,6 @@ def compose(f: HolonomyJet, g: HolonomyJet) -> HolonomyJet:
     return HolonomyJet(
         out,
         label=f"({f.label})o({g.label})",
-        err=f.err + g.err,
         norms=np.maximum(mass - np.abs(out), 0.0),
     )
 

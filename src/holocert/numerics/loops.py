@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 PUNCTURES = (-1.0 + 0.0j, 1.0 + 0.0j)
-DEFAULT_CLEARANCE = 0.25
 _TWO_PI = 2.0 * math.pi
 
 

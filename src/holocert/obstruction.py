@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .gaussian import GaussianRational, ZERO
 from .mpoly import MPoly, poly_from_coeffs
+from .normalform import L_d, W
 
 
 class GenericityError(ArithmeticError):
@@ -30,11 +31,7 @@ class SolverError(ArithmeticError):
 
 def apply_Ld(d: int, lambda1, lambda2, f: MPoly) -> MPoly:
     """Direct evaluation of L_d(f) = f' r + (d-1)(s - r') f."""
-    w = MPoly.var("w")
-    r = w * w - 1
-    s = lambda1 * (w - 1) + lambda2 * (w + 1)
-    rp = r.derivative("w")
-    return f.derivative("w") * r + (d - 1) * (s - rp) * f
+    return L_d(d, lambda1, lambda2, f, W, lambda g: g.derivative("w"))
 
 
 @dataclass(frozen=True)
@@ -90,9 +87,8 @@ def build_Md(d: int, lambda1: GaussianRational, lambda2: GaussianRational) -> Ba
         rows[k][k] = A
         rows[k + 1][k] = B - (2 * d - 2 - k)
     # self-check each column against the direct computation
-    w = MPoly.var("w")
     for k in range(ncols):
-        img = apply_Ld(d, lambda1, lambda2, w**k)
+        img = apply_Ld(d, lambda1, lambda2, W**k)
         got = [img.coeff_of("w", i).constant_term() for i in range(nrows)]
         if got != [rows[i][k] for i in range(nrows)]:
             raise SolverError(f"M_{d} column {k} disagrees with L_{d}(w^{k})")

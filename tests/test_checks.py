@@ -40,11 +40,15 @@ def test_antiderivative_rows_cover_all_degrees(nmodel, nloops, numeric_beta_cond
 def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     # R = 1, d = 3: the image polynomial is (B3 - 4) w + A3 and its loop
     # integral against phi1^2 / r^3 vanishes
-    from holocert.numerics.checks import _apply_Ld_float, _phi_field
+    from numpy.polynomial import Polynomial
 
-    P = _apply_Ld_float(3, nmodel, np.array([1.0 + 0j]))
+    from holocert.normalform import L_d
+    from holocert.numerics.checks import _phi_field
+
+    w = Polynomial([0.0, 1.0])
+    P = L_d(3, nmodel.lam1, nmodel.lam2, Polynomial([1.0 + 0j]), w, Polynomial.deriv).coef
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
-    B3 = 2 * nmodel.sigma
+    B3 = 2 * (nmodel.lam1 + nmodel.lam2)
     assert np.allclose(P, [A3, B3 - 4.0])
     _, values, masses = integrate_stack(nloops.gamma1, [1.0], [P], _phi_field(nmodel, [3]), 1e-12, 1e-16)
     assert abs(values[0]) / max(1.0, masses[0]) < 1e-9

@@ -164,8 +164,8 @@ def test_inconclusive_verdict_exits_one(monkeypatch, tmp_path, capsys):
 
     real = cli.certify
 
-    def doctored(p, p_alt=None, conditions=None):
-        cert = real(p, p_alt=p_alt, conditions=conditions)
+    def doctored(p, conditions=None):
+        cert = real(p, conditions=conditions)
         return dataclasses.replace(cert, verdict="INCONCLUSIVE", reasons=("det34 = 0",))
 
     monkeypatch.setattr(cli, "certify", doctored)
@@ -186,3 +186,10 @@ def test_numerical_breakdown_is_inconclusive(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "INCONCLUSIVE: numerical breakdown" in err
     assert "non-finite state" in err and "gamma1" in err
+    # the certificate still carries the finished exact half and the reason
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "UNIQUE"
+    reason = doc["numeric"]["breakdown"]
+    assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
+    assert "non-finite state" in reason and "gamma1" in reason
+    assert f"numerical breakdown: {reason}" in err

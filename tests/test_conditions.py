@@ -12,6 +12,12 @@ R = W * W - 1
 BETA = ("b0", "b1", "b2")
 
 
+def _h(p, cs, beta=None):
+    """h_jets of a condition set built at beta (symbolic when None)."""
+    e_beta = expand_with_beta(p) if beta is None else expand_normal_form(p.with_alpha(*beta))
+    return h_jets(expand_normal_form(p), e_beta, cs.R[3], cs.R[4])
+
+
 def _subst_beta(poly, p):
     out = poly
     for var, val in zip(BETA, (p.alpha0, p.alpha1, p.alpha2)):
@@ -88,12 +94,14 @@ def test_P_missing_prerequisites_error(tp):
 
 def test_conditions_at_beta_alpha_all_zero(tp, rng):
     for p in [tp, random_generic_params(rng)]:
-        cs = build_condition_set(p, beta=(p.alpha0, p.alpha1, p.alpha2))
+        beta = (p.alpha0, p.alpha1, p.alpha2)
+        cs = build_condition_set(p, beta=beta)
         for d in (3, 4, 5, 6):
             assert cs.P[d].is_zero()
             assert cs.R[d].is_zero()
             assert cs.F[d].is_zero()
-        assert cs.h2.is_zero() and cs.h3.is_zero() and cs.h4.is_zero()
+        h2, h3, h4 = _h(p, cs, beta)
+        assert h2.is_zero() and h3.is_zero() and h4.is_zero()
 
 
 def test_symbolic_P_vanishes_under_beta_alpha_substitution(tp):
@@ -154,12 +162,12 @@ def test_h2_formula(tp):
     cs = build_condition_set(tp)
     b0 = MPoly.var("b0")
     expected = (b0 - tp.alpha0) * (1 - tp.sigma)
-    assert cs.h2 == expected
+    assert _h(tp, cs)[0] == expected
 
 
 def test_h2_ignores_b1_b2(tp):
     cs = build_condition_set(tp)
-    fixed = cs.h2.substitute("b0", tp.alpha0)
+    fixed = _h(tp, cs)[0].substitute("b0", tp.alpha0)
     assert fixed.is_zero()  # regardless of b1, b2
 
 

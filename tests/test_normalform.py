@@ -1,20 +1,25 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from holocert.gaussian import gq
-from holocert.mpoly import MPoly, divides
+from holocert.mpoly import MPoly, divides, poly_from_coeffs
 from holocert.normalform import (
     FoliationParams,
+    L_d,
     expand_normal_form,
     expand_with_beta,
     oracle_defects,
+    r_of,
+    s_of,
     series_oracle,
     validate_genericity,
 )
 
-from conftest import random_generic_params
+from conftest import random_gaussian, random_generic_params
 
 W = MPoly.var("w")
 R = W * W - 1
@@ -105,7 +110,7 @@ def test_symbolic_expansion_specializes_to_numeric(tp):
 
 def test_K1_is_s_over_r(tp):
     A = series_oracle(tp, dmax=1)
-    assert A[1] == tp.s_poly()
+    assert A[1] == s_of(tp.lambda1, tp.lambda2, W)
 
 
 def test_oracle_with_alpha_zero(tp):
@@ -134,6 +139,32 @@ def test_oracle_rejects_bad_dmax(tp):
         series_oracle(tp, dmax=7)
     with pytest.raises(ValueError):
         series_oracle(tp, dmax=0)
+
+
+# -- the geometry: one definition, exact and float views -------------------------
+
+
+def test_exact_and_float_views_agree(rng):
+    from holocert.obstruction import apply_Ld
+
+    w_float = Polynomial([0.0, 1.0])
+    for _ in range(5):
+        lam1, lam2 = random_gaussian(rng), random_gaussian(rng)
+        l1, l2 = lam1.to_complex(), lam2.to_complex()
+        for d in range(3, 7):
+            coeffs = [random_gaussian(rng) for _ in range(2 * d - 2)]  # deg f <= 2d - 3
+            exact = apply_Ld(d, lam1, lam2, poly_from_coeffs("w", coeffs))
+            exact = np.array([c.as_constant().to_complex() for c in exact.coeffs_in("w")])
+            image = L_d(d, l1, l2, Polynomial([c.to_complex() for c in coeffs]), w_float, Polynomial.deriv)
+            n = max(len(exact), len(image.coef))
+            diff = np.pad(exact, (0, n - len(exact))) - np.pad(image.coef, (0, n - len(image.coef)))
+            assert np.max(np.abs(diff)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
+        w0 = random_gaussian(rng)
+        for exact_view, float_view in (
+            (r_of(W), r_of(w0.to_complex())),
+            (s_of(lam1, lam2, W), s_of(l1, l2, w0.to_complex())),
+        ):
+            assert exact_view.evaluate({"w": w0}).to_complex() == pytest.approx(float_view, rel=1e-12, abs=1e-12)
 
 
 # -- params plumbing ---------------------------------------------------------------
