@@ -58,6 +58,13 @@ def build_q(e: NormalFormExpansion, d: int) -> MPoly:
     raise ValueError(f"q_d is defined for d in 4..6, got {d}")
 
 
+def _q(e: NormalFormExpansion, d: int) -> MPoly:
+    """build_q(e, d), built once per expansion: P_4 and P_6 both use ~q4."""
+    if d not in e.q:
+        e.q[d] = build_q(e, d)
+    return e.q[d]
+
+
 def build_P(
     d: int,
     e_alpha: NormalFormExpansion,
@@ -79,18 +86,18 @@ def build_P(
     if d == 4:
         if R3 is None:
             raise ValueError("P4 needs R3")
-        return build_q(e_beta, 4) - build_q(e_alpha, 4) - S[2] * R3
+        return _q(e_beta, 4) - _q(e_alpha, 4) - S[2] * R3
     if d == 5:
         if R4 is None:
             raise ValueError("P5 needs R4")
-        return build_q(e_beta, 5) - build_q(e_alpha, 5) - 2 * S[2] * R4
+        return _q(e_beta, 5) - _q(e_alpha, 5) - 2 * S[2] * R4
     if d == 6:
         if R3 is None or R4 is None or R5 is None:
             raise ValueError("P6 needs R3, R4 and R5")
         return (
-            build_q(e_beta, 6)
-            - build_q(e_alpha, 6)
-            + build_q(e_beta, 4) * R3
+            _q(e_beta, 6)
+            - _q(e_alpha, 6)
+            + _q(e_beta, 4) * R3
             - _HALF * S[2] * R3**2
             - S[3] * R4
             - 3 * S[2] * R5

@@ -10,6 +10,8 @@ F_3 = ... = F_6 = 0:
 The single division by (b0 - alpha0) removes the always-present root
 beta = alpha.  A nonzero Res3_6 pins beta0 = alpha0, and the remaining
 linear system in (beta1, beta2) built from F3, F4 recovers the rest.
+The chain runs only when every F_d vanishes at beta = alpha, the root it
+divides out.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from .conditions import ConditionSet, build_condition_set
-from .gaussian import GaussianRational, ZERO, format_gaussian
+from .gaussian import GaussianRational, format_gaussian
 from .mpoly import ExactDivisionError, MPoly, exact_div, resultant
 from .normalform import FoliationParams, GenericityReport, validate_genericity
 
@@ -88,24 +90,24 @@ class Certificate:
     """Deterministic record of one elimination run; exact fields only.
 
     The numeric section is filled in later by the holonomy laboratory and
-    is allowed to stay empty.
+    is allowed to stay empty.  ``chain`` is None when some F_d does not
+    vanish at alpha, and Res3_6 is then recorded as null.
     """
 
     params: FoliationParams
     genericity: GenericityReport
     degrees: dict[int, int]
-    chain: ChainValues
+    chain: ChainValues | None
     det34: GaussianRational
     solution: tuple[GaussianRational, GaussianRational] | None
     verdict: str
     reasons: tuple[str, ...]
-    f_at_alpha: dict[int, GaussianRational]
     conditions: ConditionSet | None = None
     numeric: dict = field(default_factory=dict)
 
     @property
-    def res3_6(self) -> GaussianRational:
-        return self.chain.res3_6
+    def res3_6(self) -> GaussianRational | None:
+        return None if self.chain is None else self.chain.res3_6
 
     def to_dict(self) -> dict:
         sol = self.solution
@@ -113,7 +115,7 @@ class Certificate:
             "params": self.params.to_dict(),
             "genericity": self.genericity.to_dict(),
             "degrees": {f"F{d}": self.degrees[d] for d in sorted(self.degrees)},
-            "res3_6": format_gaussian(self.chain.res3_6),
+            "res3_6": None if self.res3_6 is None else format_gaussian(self.res3_6),
             "det34": format_gaussian(self.det34),
             "solution": None
             if sol is None
@@ -128,20 +130,13 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _eval_F_at(cs: ConditionSet, beta) -> dict[int, GaussianRational]:
-    b0, b1, b2 = beta
-    out = {}
-    for d, F in cs.F.items():
-        out[d] = F.evaluate({"b0": b0, "b1": b1, "b2": b2}) if not F.is_zero() else ZERO
-    return out
-
-
 def certify(p: FoliationParams, conditions: ConditionSet | None = None) -> Certificate:
     """Full exact pipeline: expand, build symbolic conditions, eliminate, solve.
 
-    The verdict is UNIQUE only when Res3_6 and det34 are both nonzero and
-    the recovered (beta1, beta2) equals (alpha1, alpha2); every anomaly
-    downgrades to INCONCLUSIVE with a reason, never a silent pass.
+    The verdict is UNIQUE only when every F_d vanishes at alpha, Res3_6 and
+    det34 are both nonzero and the recovered (beta1, beta2) equals
+    (alpha1, alpha2); every anomaly downgrades to INCONCLUSIVE with a
+    reason, never a silent pass.
     """
     report = validate_genericity(p)
     if not report.exact_ok:
@@ -150,11 +145,12 @@ def certify(p: FoliationParams, conditions: ConditionSet | None = None) -> Certi
             f"lattice failures={list(report.lattice_failures)}"
         )
     cs = conditions if conditions is not None else build_condition_set(p, beta=None)
-    chain = resultant_chain(cs.F, p.alpha0)
+    alpha = {"b0": p.alpha0, "b1": p.alpha1, "b2": p.alpha2}
+    reasons = [f"F_{d}(alpha) != 0" for d in sorted(cs.F) if not cs.F[d].evaluate(alpha).is_zero()]
+    chain = None if reasons else resultant_chain(cs.F, p.alpha0)
     det34, solution = linear_system_solve(cs.F[3], cs.F[4], p.alpha0)
 
-    reasons = []
-    if chain.res3_6.is_zero():
+    if chain is not None and chain.res3_6.is_zero():
         reasons.append("Res3_6 = 0")
     if det34.is_zero():
         reasons.append("det34 = 0")
@@ -171,6 +167,5 @@ def certify(p: FoliationParams, conditions: ConditionSet | None = None) -> Certi
         solution=solution,
         verdict=verdict,
         reasons=tuple(reasons),
-        f_at_alpha=_eval_F_at(cs, (p.alpha0, p.alpha1, p.alpha2)),
         conditions=cs,
     )

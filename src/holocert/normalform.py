@@ -18,7 +18,7 @@ geometry r, s, p and L_d, which the exact and the float code share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .gaussian import GaussianRational, ONE, format_gaussian, gq, parse_gaussian
@@ -184,6 +184,7 @@ class NormalFormExpansion:
 
     c: dict  # degree -> GaussianRational | MPoly
     S: dict  # degree -> MPoly
+    q: dict = field(default_factory=dict, compare=False, repr=False)  # degree -> q_d, once built
 
 
 def _closed_form_table(lambda1, lambda2, a0, a1, a2):

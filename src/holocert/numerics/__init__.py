@@ -3,6 +3,8 @@
 Integrates the variational system along explicit loops in the punctured
 w-line, computes holonomy jets and the iterated loop integrals, and
 cross-validates the closed-form coefficient formulas of the exact half.
+Every loop integration goes through ``odepath.integrate_stack``: each
+family (jets, quadrature bundle, integral lemmas) is a field on it.
 """
 
 from .loops import Arc, Line, Loop, LoopSystem, build_loops, concat

@@ -18,16 +18,16 @@ from numpy.polynomial import polynomial as npp
 
 from ..conditions import build_condition_set
 from ..gaussian import GaussianRational
-from ..normalform import FoliationParams, L_d, r_of, s_of
+from ..normalform import FoliationParams, L_d, r_of
 from .holonomy import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     FloatModel,
-    _polyval,
     _to_coeff_array,
     float_model,
     integrate_quadratures,
     integrate_variations,
+    phi_field,
 )
 from .jets import HolonomyJet, commutator, compose, invert, jet_distance
 from .loops import Loop, LoopSystem, build_loops, concat
@@ -136,20 +136,19 @@ def formula_coefficients(model: FloatModel, bundle) -> dict[int, tuple[complex, 
 
 
 def verify_variation_formulas(
-    model: FloatModel, loop: Loop, rtol=None, atol=None, jet: HolonomyJet | None = None
+    model: FloatModel,
+    loop: Loop,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+    jet: HolonomyJet | None = None,
 ) -> list[CheckRow]:
     """Compare the ODE jet against the bundle-assembled formulas, degree 2..6.
 
     The loop's jet is integrated here unless the caller already holds it.
     """
-    kwargs = {}
-    if rtol is not None:
-        kwargs["rtol"] = rtol
-    if atol is not None:
-        kwargs["atol"] = atol
     if jet is None:
-        jet = integrate_variations(model, loop, **kwargs)
-    bundle = integrate_quadratures(model, loop, **kwargs)
+        jet = integrate_variations(model, loop, rtol=rtol, atol=atol)
+    bundle = integrate_quadratures(model, loop, rtol=rtol, atol=atol)
     assembled = formula_coefficients(model, bundle)
     rows = []
     for d in range(2, 7):
@@ -207,19 +206,6 @@ def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
     return two_loop, forward
 
 
-def _phi_field(model: FloatModel, degrees):
-    """Shared base phi1 (phi1' = s/r phi1); integrand k is weighted by
-    phi1^(d_k - 1) / r^d_k."""
-    lam1, lam2 = model.lam1, model.lam2
-    D = np.asarray(degrees)
-
-    def field(w, b):
-        r = r_of(w)
-        return s_of(lam1, lam2, w) / r * b, b[0] ** (D - 1) / r**D
-
-    return field
-
-
 def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) -> list[CheckRow]:
     """One zeta = (1+w)^u1 (1-w)^u2 per distinct degree, integrated once along
     each of gamma1 and gamma2 with every sample's P zeta stacked on it."""
@@ -229,12 +215,14 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) ->
     U1 = (D - 1) * model.lam1 - D
     U2 = (D - 1) * model.lam2 - D
 
-    def field(w, zeta):
-        return (U1 / (1.0 + w) - U2 / (1.0 - w)) * zeta, zeta[slot]
+    def field(w, y, vals):
+        zeta = y[: len(D)]
+        return np.concatenate(((U1 / (1.0 + w) - U2 / (1.0 - w)) * zeta, vals * zeta[slot]))
 
     coeffs = [P for _, P in samples]
-    _, i1, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), coeffs, field, rtol, atol)
-    _, i2, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), coeffs, field, rtol, atol)
+    zeros = np.zeros(len(samples))
+    _, i1, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
+    _, i2, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
     rows = []
     for k, (d, _) in enumerate(samples):
         factor = 1.0 + cmath.exp(2j * math.pi * complex(U1[slot[k]]))
@@ -249,7 +237,8 @@ def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol, atol) 
     degrees = [d for d, _ in samples]
     w = Polynomial([0.0, 1.0])
     images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in samples]
-    _, values, masses = integrate_stack(loop, [1.0], images, _phi_field(model, degrees), rtol, atol)
+    zeros = np.zeros(len(samples))
+    _, values, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol, atol)
     return [
         _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
         for k, d in enumerate(degrees)
@@ -303,22 +292,22 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
     degrees = (3, 4, 5, 6)
     numers, Rs, Cs = [], [], []
     for d in degrees:
-        numer = _to_coeff_array(conditions.P[d]) if not conditions.P[d].is_zero() else np.zeros(1, complex)
         F = conditions.F[d].constant_term().to_complex()
-        numers.append(npp.polyadd(numer, np.array([F], dtype=complex)))
+        numers.append(npp.polyadd(_to_coeff_array(conditions.P[d]), np.array([F], dtype=complex)))
         R = _to_coeff_array(conditions.R[d])
         Rs.append(R)
-        Cs.append(-((-1.0) ** (d - 1)) * _polyval(R, 0j))
+        Cs.append(-((-1.0) ** (d - 1)) * npp.polyval(0j, R))
     worst = [0.0] * len(degrees)
 
     def callback(idx, w, base, values, masses):
         p1 = base[0]
         for j, d in enumerate(degrees):
-            closed = _polyval(Rs[j], w) / r_of(w) ** (d - 1) * p1 ** (d - 1) + Cs[j]
+            closed = npp.polyval(w, Rs[j]) / r_of(w) ** (d - 1) * p1 ** (d - 1) + Cs[j]
             scale = max(1.0, abs(closed), masses[j])
             worst[j] = max(worst[j], abs(complex(values[j]) - closed) / scale)
 
-    integrate_stack(loop, [1.0], numers, _phi_field(model, degrees), rtol, atol, segment_callback=callback)
+    field = phi_field(model, degrees)
+    integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, field, rtol, atol, segment_callback=callback)
     return [
         _row(f"antiderivative-identity-deg{d}", loop.label, d, worst[j], LEMMA_TOLERANCE)
         for j, d in enumerate(degrees)

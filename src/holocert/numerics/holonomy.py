@@ -16,13 +16,19 @@ z -> a1 z + a2 z^2 + ... with a1 = p1(end) and a_d = p1(end) p_d(end).
 The quadrature bundle integrates, along the same path, the thirteen
 iterated integrals that the degree 2..6 coefficient formulas are made of,
 with running psi2 and psi3 entering the deeper integrands.
+
+Both are fields on ``odepath.integrate_stack``, which evaluates the S_d
+and q_d at w and keeps the L1 masses: the jet integrates (phi1,
+phi_2..phi_6), each with a mass; the bundle carries phi1 as a base with
+no mass under its thirteen integrals.  ``phi_field`` is the phi1-weighted
+integrand P(w) phi1^(d-1) / r^d they share with the lemma checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from ..mpoly import MPoly
 from ..normalform import FoliationParams, expand_normal_form, r_of, s_of
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
-from .odepath import ODEError, integrate_loop
+from .odepath import ODEError, integrate_stack
 
 # Tight enough that the accumulated per-step error over the ~10^3 steps of a
 # commutator loop stays well under the 1e-8 structural budget on a1.
@@ -44,13 +50,6 @@ def _to_coeff_array(poly: MPoly) -> np.ndarray:
     if not cs:
         return np.zeros(1, dtype=complex)
     return np.array([c.as_constant().to_complex() for c in cs], dtype=complex)
-
-
-def _polyval(coeffs: np.ndarray, w: complex) -> complex:
-    out = 0j
-    for c in coeffs[::-1]:
-        out = out * w + c
-    return out
 
 
 @dataclass(frozen=True)
@@ -79,14 +78,17 @@ def float_model(p: FoliationParams) -> FloatModel:
 # -- variational jets ------------------------------------------------------------
 
 
-def _variation_rhs(model: FloatModel, order: int):
-    lam1, lam2, c, S = model.lam1, model.lam2, model.c, model.S
+def _variation_field(model: FloatModel, order: int):
+    """The state (phi1, phi_2..phi_order) has derivative (B_1..B_order),
+    with K_d = c_d K1 + S_d / r^d; vals are S_2..S_order at w."""
+    lam1, lam2 = model.lam1, model.lam2
+    D = np.arange(2, order + 1)
+    c = np.array([model.c[d] for d in D], dtype=complex)
 
-    def rhs(w, dw, y):
+    def field(w, p, vals):
         r = r_of(w)
         k1 = s_of(lam1, lam2, w) / r
-        p = y[: order]  # p[0] = phi1, p[d-1] = reduced phi_d
-        K = [0j, k1] + [c[d] * k1 + _polyval(S[d], w) / r**d for d in range(2, order + 1)]
+        K = [0j, k1, *(c * k1 + vals / r**D)]
         p1 = p[0]
         B = np.zeros(order, dtype=complex)
         B[0] = k1 * p1
@@ -111,12 +113,9 @@ def _variation_rhs(model: FloatModel, order: int):
                 + 5 * K[5] * p[1] * p1**4
                 + K[6] * p1**5
             )
-        dy = np.empty(2 * order, dtype=complex)
-        dy[:order] = B * dw
-        dy[order:] = np.abs(B) * abs(dw)  # arclength-weighted L1 accumulators
-        return dy
+        return B
 
-    return rhs
+    return field
 
 
 def integrate_variations(
@@ -129,20 +128,21 @@ def integrate_variations(
     """Holonomy jet of a loop from the variational equations."""
     if not 1 <= order <= ORDER:
         raise ValueError(f"order must lie in 1..{ORDER}")
-    y0 = np.zeros(2 * order, dtype=complex)
-    y0[0] = 1.0
-    y = integrate_loop(_variation_rhs(model, order), loop, y0, rtol=rtol, atol=atol)
-    p1 = y[0]
+    p0 = np.zeros(order, dtype=complex)
+    p0[0] = 1.0
+    S = [model.S[d] for d in range(2, order + 1)]
+    _, p, masses = integrate_stack(loop, [], p0, S, _variation_field(model, order), rtol, atol)
+    p1 = p[0]
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
     norms = np.zeros(ORDER)
-    norms[0] = abs(y[order].real)
+    norms[0] = abs(masses[0])
     # the state is finite, but a_d = p1 * p_d can still overflow: checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(2, order + 1):
-            coeffs[d - 1] = p1 * y[d - 1]
+            coeffs[d - 1] = p1 * p[d - 1]
             # the reduced variation's mass scales with |p1| likewise
-            norms[d - 1] = abs(p1) * abs(y[order + d - 1].real)
+            norms[d - 1] = abs(p1) * abs(masses[d - 1])
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(norms))):
         raise ODEError(f"the holonomy jet of {loop.label} overflows double precision")
     return HolonomyJet(coeffs, label=loop.label, norms=norms)
@@ -175,55 +175,52 @@ class QuadratureBundle:
     mass of its integrand, the natural scale for error statements.
     """
 
-    loop_label: str
-    values: dict = field(default_factory=dict)
-    norms: dict = field(default_factory=dict)
+    values: dict
+    norms: dict
 
     def scale(self, *names: str) -> float:
         return max([1.0] + [self.norms[n] for n in names])
 
 
-def _quadrature_rhs(model: FloatModel):
+def phi_field(model: FloatModel, degrees):
+    """Base phi1 (phi1' = s/r phi1) and one integral per degree: integral k
+    has the integrand vals[k] phi1^(d_k - 1) / r^d_k."""
     lam1, lam2 = model.lam1, model.lam2
-    S2, S3 = model.S[2], model.S[3]
-    q4, q5, q6 = model.q[4], model.q[5], model.q[6]
+    D = np.asarray(degrees)
 
-    def rhs(w, dw, y):
+    def field(w, y, vals):
         r = r_of(w)
-        p1 = y[0]
-        psi2, psi3 = y[1], y[2]
-        r2 = r * r
-        r4 = r2 * r2
-        g2 = _polyval(S2, w) / r2 * p1
-        g3 = _polyval(S3, w) / (r2 * r) * p1**2
-        g4 = _polyval(q4, w) / r4 * p1**3
-        g5 = _polyval(q5, w) / (r4 * r) * p1**4
-        g6 = _polyval(q6, w) / (r4 * r2) * p1**5
-        grads = np.array(
-            [
-                g2,  # psi2
-                g3,  # psi3
-                g4,  # psi4
-                g5,  # psi5
-                g6,  # psi6
-                g3 * psi2,  # delta1
-                g3 * psi2**2,  # delta2
-                g3 * psi2**3,  # delta3
-                g3 * psi2 * psi3,  # delta11
-                g4 * psi2,  # gamma1
-                g4 * psi2**2,  # gamma2
-                g4 * psi3,  # gamma01
-                g5 * psi2,  # b1
-            ],
-            dtype=complex,
-        )
-        dy = np.empty(1 + 2 * len(_BUNDLE_NAMES), dtype=complex)
-        dy[0] = s_of(lam1, lam2, w) / r * p1 * dw
-        dy[1 : 1 + len(_BUNDLE_NAMES)] = grads * dw
-        dy[1 + len(_BUNDLE_NAMES) :] = np.abs(grads) * abs(dw)
-        return dy
+        return np.concatenate((s_of(lam1, lam2, w) / r * y[:1], vals * (y[0] ** (D - 1) / r**D)))
 
-    return rhs
+    return field
+
+
+def _bundle_field(model: FloatModel):
+    """psi_d is the phi field of S_2, S_3, q_4, q_5, q_6; the deeper
+    integrals weight those integrands by the running psi2 and psi3."""
+    phi = phi_field(model, range(2, 7))
+
+    def field(w, y, vals):
+        head = phi(w, y, vals)  # phi1', then the psi2..psi6 integrands g2..g6
+        g3, g4, g5 = head[2], head[3], head[4]
+        psi2, psi3 = y[1], y[2]
+        return np.concatenate(
+            (
+                head,
+                [
+                    g3 * psi2,  # delta1
+                    g3 * psi2**2,  # delta2
+                    g3 * psi2**3,  # delta3
+                    g3 * psi2 * psi3,  # delta11
+                    g4 * psi2,  # gamma1
+                    g4 * psi2**2,  # gamma2
+                    g4 * psi3,  # gamma01
+                    g5 * psi2,  # b1
+                ],
+            )
+        )
+
+    return field
 
 
 def integrate_quadratures(
@@ -232,12 +229,10 @@ def integrate_quadratures(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> QuadratureBundle:
-    n = len(_BUNDLE_NAMES)
-    y0 = np.zeros(1 + 2 * n, dtype=complex)
-    y0[0] = 1.0
-    y = integrate_loop(_quadrature_rhs(model), loop, y0, rtol=rtol, atol=atol)
-    bundle = QuadratureBundle(loop_label=loop.label)
-    for i, name in enumerate(_BUNDLE_NAMES):
-        bundle.values[name] = complex(y[1 + i])
-        bundle.norms[name] = float(abs(y[1 + n + i].real))
-    return bundle
+    coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
+    zeros = np.zeros(len(_BUNDLE_NAMES))
+    _, values, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol, atol)
+    return QuadratureBundle(
+        values={name: complex(v) for name, v in zip(_BUNDLE_NAMES, values)},
+        norms={name: float(abs(m)) for name, m in zip(_BUNDLE_NAMES, masses)},
+    )

@@ -4,6 +4,11 @@ Each path segment is parameterized over t in [0, 1]; the right-hand side
 is given in the w variable and pulled back through the parameterization.
 States are complex numpy vectors; the embedded fourth-order solution
 drives the step-size control.
+
+``integrate_stack`` is the one path-integration primitive of the
+laboratory: every family (holonomy jets, the quadrature bundle, the
+integral lemmas) supplies only a field in w and gets back the integrals
+and their L1 masses.
 """
 
 from __future__ import annotations
@@ -88,8 +93,8 @@ def integrate_segment(rhs, segment, y0, rtol: float, atol: float):
     """Integrate one parameterized segment.
 
     rhs(w, dw, y) receives the current point and velocity and returns dy/dt;
-    it owns the pullback, so arclength accumulators can weight by |dw| while
-    analytic states weight by dw.
+    it owns the pullback (integrate_stack weights masses by |dw| and
+    analytic states by dw).
     """
 
     def f(t, y):
@@ -117,41 +122,43 @@ def integrate_loop(rhs, loop, y0, rtol: float = 1e-10, atol: float = 1e-13, segm
     return y
 
 
-def integrate_stack(loop, base0, coeffs, field, rtol: float, atol: float, segment_callback=None):
-    """Integrate a stack of integrands along a loop over a shared base state.
+def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, atol: float, segment_callback=None):
+    """Integrate a base state and a stack of integrals along a loop.
 
-    field(w, b) returns (db/dw, weights): the derivative of the base state b
-    and one weight per integrand.  Integrand k is P_k(w) * weights[k], where
-    P_k has the ascending coefficients coeffs[k] (rows of unequal length are
-    zero-padded).  Next to each integral the stack carries its L1 mass, the
-    integral of the integrand's modulus against |dw|.
+    The state is base0 followed by integrals0.  field(w, state, vals)
+    returns d state/dw, where vals[k] = P_k(w) for the polynomial with the
+    ascending coefficients coeffs[k] (rows of unequal length are
+    zero-padded); the field may read every component of the state, its
+    own integrals included.  Everything else happens here: one
+    matrix-vector product evaluates every P_k at w, the field is pulled
+    back by dw, and next to each integral the state carries its L1 mass,
+    the integral of |d integral/dw| against |dw|.  The base carries none.
 
     Returns (base, integrals, masses) at the end of the loop.
     segment_callback(index, w_end, base, integrals, masses) fires after each
     segment.
     """
     base0 = np.asarray(base0, dtype=complex)
-    nb, m = base0.size, len(coeffs)
-    C = np.zeros((m, max(len(c) for c in coeffs)), dtype=complex)
+    integrals0 = np.asarray(integrals0, dtype=complex)
+    nb, m = base0.size, integrals0.size
+    ns = nb + m
+    C = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)), dtype=complex)
     for k, c in enumerate(coeffs):
         C[k, : len(c)] = c
     n = C.shape[1]
 
     def rhs(w, dw, y):
-        db, weights = field(w, y[:nb])
-        # one matrix-vector product evaluates every P_k at w
         powers = [1.0 + 0j]
         for _ in range(n - 1):
             powers.append(powers[-1] * w)
-        vals = (C @ np.array(powers)) * weights
-        dy = np.empty(nb + 2 * m, dtype=complex)
-        dy[:nb] = db * dw
-        dy[nb : nb + m] = vals * dw
-        dy[nb + m :] = np.abs(vals) * abs(dw)
+        ds = field(w, y[:ns], C @ np.array(powers))
+        dy = np.empty(ns + m, dtype=complex)
+        dy[:ns] = ds * dw
+        dy[ns:] = np.abs(ds[nb:]) * abs(dw)
         return dy
 
     def split(y):
-        return y[:nb], y[nb : nb + m], y[nb + m :].real
+        return y[:nb], y[nb:ns], y[ns:].real
 
     callback = None
     if segment_callback is not None:
@@ -159,5 +166,5 @@ def integrate_stack(loop, base0, coeffs, field, rtol: float, atol: float, segmen
         def callback(idx, w, y):
             segment_callback(idx, w, *split(y))
 
-    y0 = np.concatenate([base0, np.zeros(2 * m, dtype=complex)])
+    y0 = np.concatenate([base0, integrals0, np.zeros(m, dtype=complex)])
     return split(integrate_loop(rhs, loop, y0, rtol, atol, segment_callback=callback))

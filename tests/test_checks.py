@@ -10,6 +10,7 @@ from holocert.numerics.checks import (
     antiderivative_identity_rows,
     draw_lemma_samples,
     numeric_summary,
+    run_numeric_verification,
     structural_rows,
     verify_integral_lemmas,
     verify_variation_formulas,
@@ -43,14 +44,14 @@ def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     from numpy.polynomial import Polynomial
 
     from holocert.normalform import L_d
-    from holocert.numerics.checks import _phi_field
+    from holocert.numerics.holonomy import phi_field
 
     w = Polynomial([0.0, 1.0])
     P = L_d(3, nmodel.lam1, nmodel.lam2, Polynomial([1.0 + 0j]), w, Polynomial.deriv).coef
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
     B3 = 2 * (nmodel.lam1 + nmodel.lam2)
     assert np.allclose(P, [A3, B3 - 4.0])
-    _, values, masses = integrate_stack(nloops.gamma1, [1.0], [P], _phi_field(nmodel, [3]), 1e-12, 1e-16)
+    _, values, masses = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]), 1e-12, 1e-16)
     assert abs(values[0]) / max(1.0, masses[0]) < 1e-9
 
 
@@ -59,12 +60,13 @@ def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
     u1 = 2 * nmodel.lam1 - 3
     u2 = 2 * nmodel.lam2 - 3
 
-    def field(w, zeta):
-        return (u1 / (1.0 + w) - u2 / (1.0 - w)) * zeta, zeta
+    def field(w, y, vals):
+        zeta = y[0]
+        return np.array([(u1 / (1.0 + w) - u2 / (1.0 - w)) * zeta, vals[0] * zeta])
 
     P = np.array([1.0 + 0j])
-    _, i1, m1 = integrate_stack(nloops.gamma1, [1.0], [P], field, 1e-12, 1e-16)
-    _, i2, m2 = integrate_stack(nloops.gamma2, [1.0], [P], field, 1e-12, 1e-16)
+    _, i1, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field, 1e-12, 1e-16)
+    _, i2, m2 = integrate_stack(nloops.gamma2, [1.0], [0.0], [P], field, 1e-12, 1e-16)
     factor = 1.0 + cmath.exp(2j * math.pi * u1)
     assert abs(i2[0] - factor * i1[0]) / max(1.0, m2[0] + abs(factor) * m1[0]) < 1e-9
 
@@ -99,7 +101,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, numeric_beta_cond
 
     n_samples, bad_two_loop, bad_forward = 5, 1, 3
 
-    def corrupting(loop, base0, coeffs, field, rtol, atol, segment_callback=None):
+    def corrupting(loop, base0, integrals0, coeffs, field, rtol, atol, segment_callback=None):
         bad = None
         if loop.label == "gamma2":
             bad = bad_two_loop
@@ -108,7 +110,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, numeric_beta_cond
             bad = bad_forward
         if bad is not None:
             coeffs = [c + 1.0 if k == bad else c for k, c in enumerate(coeffs)]
-        return integrate_stack(loop, base0, coeffs, field, rtol, atol, segment_callback)
+        return integrate_stack(loop, base0, integrals0, coeffs, field, rtol, atol, segment_callback)
 
     monkeypatch.setattr(checks, "integrate_stack", corrupting)
     rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=n_samples, conditions=numeric_beta_conditions)
@@ -117,6 +119,27 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, numeric_beta_cond
     two_loop, forward = draw_lemma_samples(3, n_samples)
     assert [r.degree for r in rows[:n_samples]] == [d for d, _ in two_loop]
     assert [r.degree for r in rows[n_samples : 2 * n_samples]] == [d for d, _ in forward]
+
+
+@pytest.mark.parametrize("n_samples, integrations", [(0, 12), (1, 15)])
+def test_every_family_integrates_through_integrate_stack(tp, monkeypatch, n_samples, integrations):
+    # integrate_loop is counted only where integrate_stack looks it up, so a
+    # family with a right-hand side of its own would be missed.  Jets: gamma1,
+    # gamma2, mu1, mu2, reversed gamma1, mu2*mu1, gamma1 at the second radius
+    # and two order-2 jets at another alpha; bundles: gamma1, gamma2; the
+    # antiderivative stack; with samples, two-loop (twice) and forward stacks.
+    from holocert.numerics import odepath
+
+    loops = []
+    original = odepath.integrate_loop
+
+    def counting(rhs, loop, *args, **kwargs):
+        loops.append(loop.label)
+        return original(rhs, loop, *args, **kwargs)
+
+    monkeypatch.setattr(odepath, "integrate_loop", counting)
+    run_numeric_verification(tp, rtol=1e-6, atol=1e-12, n_samples=n_samples)
+    assert len(loops) == integrations
 
 
 def test_variation_rows_report_every_degree(nmodel, nloops):

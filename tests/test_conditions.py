@@ -50,6 +50,21 @@ def test_q_rejects_bad_degree(tp):
         build_q(e, 3)
 
 
+def test_condition_set_builds_each_q_once(tp, monkeypatch):
+    # P_4 and P_6 share ~q4: six q polynomials per condition set, not seven
+    from holocert import conditions
+
+    built = []
+
+    def counting(e, d):
+        built.append(d)
+        return build_q(e, d)
+
+    monkeypatch.setattr(conditions, "build_q", counting)
+    conditions.build_condition_set(tp)
+    assert sorted(built) == [4, 4, 5, 5, 6, 6]
+
+
 # -- P polynomials -----------------------------------------------------------------
 
 

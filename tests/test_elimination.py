@@ -98,7 +98,7 @@ def test_certificate_unique_at_test_point(tp, tp_conditions):
     assert not cert.res3_6.is_zero()
     assert not cert.det34.is_zero()
     assert cert.solution == (tp.alpha1, tp.alpha2)
-    assert all(v.is_zero() for v in cert.f_at_alpha.values())
+    assert not any("(alpha) != 0" in r for r in cert.reasons)
     assert cert.degrees == {3: 1, 4: 2, 5: 3, 6: 4}
 
 
@@ -107,6 +107,20 @@ def test_certificate_records_alt_point(tp, tp_conditions, rng):
     values = [F.evaluate(alt) for F in tp_conditions.F.values()]
     # uniqueness says a distinct alpha cannot satisfy all conditions
     assert any(not v.is_zero() for v in values)
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_planted_defect_in_F_is_inconclusive(tp, d):
+    # beta = alpha must solve every condition; a constant added to F_d
+    # breaks that, and certify must say so instead of running the chain
+    # (which raises for F_5 and would pass F_6 as UNIQUE)
+    cs = build_condition_set(tp)
+    cs.F[d] = cs.F[d] + gq(1)
+    cert = certify(tp, conditions=cs)
+    assert cert.verdict == VERDICT_INCONCLUSIVE
+    assert cert.reasons == (f"F_{d}(alpha) != 0",)
+    assert cert.chain is None and cert.res3_6 is None
+    assert cert.to_dict()["res3_6"] is None
 
 
 def test_certificate_json_deterministic(tp, tp_conditions):
@@ -152,7 +166,7 @@ def test_certify_at_random_generic_point(rng):
     # UNIQUE is expected but INCONCLUSIVE is allowed (and must carry reasons)
     p = random_generic_params(rng)
     cert = certify(p)
-    assert all(v.is_zero() for v in cert.f_at_alpha.values())
+    assert not any("(alpha) != 0" in r for r in cert.reasons)
     if cert.verdict == VERDICT_INCONCLUSIVE:
         assert cert.reasons
     else:

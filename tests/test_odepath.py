@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from holocert.numerics.loops import Arc, Line, Loop
-from holocert.numerics.odepath import ODEError, integrate_fixed_interval, integrate_loop, integrate_segment
+from holocert.numerics.odepath import (
+    ODEError,
+    integrate_fixed_interval,
+    integrate_loop,
+    integrate_segment,
+    integrate_stack,
+)
 
 
 def test_exponential_growth_on_interval():
@@ -119,3 +125,29 @@ def test_rejected_steps_keep_the_closed_form():
     assert rejections >= 1
     phase = amp * width * math.sqrt(math.pi) / 2 * (math.erf((1 - centre) / width) + math.erf(centre / width))
     assert abs(y[0] - cmath.exp(1j * phase)) < 1e-9
+
+
+def test_stack_on_a_circle_has_closed_forms():
+    # one circle of radius rho about c, starting at w0 = c + rho.  The base
+    # b' = 1/(w - c) picks up 2 pi i and carries no mass; I1' = P(w) = 1
+    # integrates to 0 with mass 2 pi rho; I2' = I1 reads the field's own
+    # integral I1 = w - w0, again integrating to 0, with mass
+    # the integral of 2 rho sin(theta/2) against rho dtheta = 8 rho^2
+    c, rho = 0.3 - 0.2j, 0.7
+    circle = Loop((Arc(c, rho, 0.0, 2 * math.pi),), basepoint=c + rho, label="circle")
+
+    def field(w, y, vals):
+        return np.array([1.0 / (w - c), vals[0], y[1]])
+
+    seen = []
+
+    def callback(idx, w, b, i, m):
+        seen.append((b.size, i.size, m.size))
+
+    base, integrals, masses = integrate_stack(circle, [0.0], [0.0, 0.0], [[1.0]], field, 1e-12, 1e-14, callback)
+    assert base.shape == (1,) and integrals.shape == (2,) and masses.shape == (2,)
+    assert seen == [(1, 2, 2)]
+    assert abs(base[0] - 2j * math.pi) < 1e-10
+    assert np.all(np.abs(integrals) < 1e-10)
+    assert abs(masses[0] - 2 * math.pi * rho) < 1e-10
+    assert abs(masses[1] - 8 * rho**2) < 1e-10
