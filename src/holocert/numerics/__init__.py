@@ -4,7 +4,10 @@ Integrates the variational system along explicit loops in the punctured
 w-line, computes holonomy jets and the iterated loop integrals, and
 cross-validates the closed-form coefficient formulas of the exact half.
 Every loop integration goes through ``odepath.integrate_stack``: each
-family (jets, quadrature bundle, integral lemmas) is a field on it.
+family (jets, quadrature bundle, integral lemmas) is a field on it, made
+of a base with a rate in w alone (phi1, or zeta) and a triangular stack
+of integrals, which the engine integrates piece by piece with one
+Chebyshev cumulative-integral matrix.
 """
 
 from .loops import Arc, Line, Loop, LoopSystem, build_loops, concat

@@ -215,14 +215,13 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) ->
     U1 = (D - 1) * model.lam1 - D
     U2 = (D - 1) * model.lam2 - D
 
-    def field(w, y, vals):
-        zeta = y[: len(D)]
-        return np.concatenate(((U1 / (1.0 + w) - U2 / (1.0 - w)) * zeta, vals * zeta[slot]))
+    def field(w, zeta, integrals, vals):
+        return U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w), vals * zeta[slot]
 
     coeffs = [P for _, P in samples]
     zeros = np.zeros(len(samples))
-    _, i1, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
-    _, i2, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
+    _, i1, _, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
+    _, i2, _, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
     rows = []
     for k, (d, _) in enumerate(samples):
         factor = 1.0 + cmath.exp(2j * math.pi * complex(U1[slot[k]]))
@@ -238,7 +237,7 @@ def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol, atol) 
     w = Polynomial([0.0, 1.0])
     images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in samples]
     zeros = np.zeros(len(samples))
-    _, values, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol, atol)
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol, atol)
     return [
         _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
         for k, d in enumerate(degrees)
@@ -299,7 +298,7 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
         Cs.append(-((-1.0) ** (d - 1)) * npp.polyval(0j, R))
     worst = [0.0] * len(degrees)
 
-    def callback(idx, w, base, values, masses):
+    def callback(idx, w, base, values, base_masses, masses):
         p1 = base[0]
         for j, d in enumerate(degrees):
             closed = npp.polyval(w, Rs[j]) / r_of(w) ** (d - 1) * p1 ** (d - 1) + Cs[j]

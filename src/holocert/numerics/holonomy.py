@@ -18,10 +18,11 @@ iterated integrals that the degree 2..6 coefficient formulas are made of,
 with running psi2 and psi3 entering the deeper integrands.
 
 Both are fields on ``odepath.integrate_stack``, which evaluates the S_d
-and q_d at w and keeps the L1 masses: the jet integrates (phi1,
-phi_2..phi_6), each with a mass; the bundle carries phi1 as a base with
-no mass under its thirteen integrals.  ``phi_field`` is the phi1-weighted
-integrand P(w) phi1^(d-1) / r^d they share with the lemma checks.
+and q_d at w and keeps the L1 masses.  Each carries phi1 as its base
+(phi1 = exp of the integral of K1): the jet stacks phi_2..phi_6 on it,
+each B_d reading only phi1..phi_(d-1), and the bundle its thirteen
+integrals.  ``phi_field`` is the phi1-weighted integrand
+P(w) phi1^(d-1) / r^d they share with the lemma checks.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .jets import ORDER, HolonomyJet
 from .loops import Loop
 from .odepath import ODEError, integrate_stack
 
-# Tight enough that the accumulated per-step error over the ~10^3 steps of a
-# commutator loop stays well under the 1e-8 structural budget on a1.
+# The bound on each piece's Chebyshev tail relative to the integrand's
+# largest coefficient; it keeps a1 of a commutator loop near 1e-14, far
+# under the 1e-8 structural budget.
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-16
 
@@ -79,41 +81,42 @@ def float_model(p: FoliationParams) -> FloatModel:
 
 
 def _variation_field(model: FloatModel, order: int):
-    """The state (phi1, phi_2..phi_order) has derivative (B_1..B_order),
-    with K_d = c_d K1 + S_d / r^d; vals are S_2..S_order at w."""
+    """The base phi1 has the rate K1 and the integrals phi_2..phi_order the
+    integrands B_2..B_order, with K_d = c_d K1 + S_d / r^d; vals are
+    S_2..S_order at w.  B_d reads phi1 and phi_2..phi_(d-1) only."""
     lam1, lam2 = model.lam1, model.lam2
-    D = np.arange(2, order + 1)
-    c = np.array([model.c[d] for d in D], dtype=complex)
+    D = np.arange(2, order + 1)[:, None]
+    c = np.array([model.c[d] for d in range(2, order + 1)], dtype=complex)[:, None]
 
-    def field(w, p, vals):
+    def field(w, base, p, vals):
         r = r_of(w)
         k1 = s_of(lam1, lam2, w) / r
         K = [0j, k1, *(c * k1 + vals / r**D)]
+        p = [base[0], *p]  # p[k] is phi_(k+1)
         p1 = p[0]
-        B = np.zeros(order, dtype=complex)
-        B[0] = k1 * p1
+        B = []
         if order >= 2:
-            B[1] = K[2] * p1
+            B.append(K[2] * p1)
         if order >= 3:
-            B[2] = 2 * K[2] * p[1] * p1 + K[3] * p1**2
+            B.append(2 * K[2] * p[1] * p1 + K[3] * p1**2)
         if order >= 4:
-            B[3] = K[2] * (2 * p[2] + p[1] ** 2) * p1 + 3 * K[3] * p[1] * p1**2 + K[4] * p1**3
+            B.append(K[2] * (2 * p[2] + p[1] ** 2) * p1 + 3 * K[3] * p[1] * p1**2 + K[4] * p1**3)
         if order >= 5:
-            B[4] = (
+            B.append(
                 2 * K[2] * (p[3] + p[2] * p[1]) * p1
                 + 3 * K[3] * (p[2] + p[1] ** 2) * p1**2
                 + 4 * K[4] * p[1] * p1**3
                 + K[5] * p1**4
             )
         if order >= 6:
-            B[5] = (
+            B.append(
                 K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
                 + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * p1**2
                 + K[4] * (4 * p[2] + 6 * p[1] ** 2) * p1**3
                 + 5 * K[5] * p[1] * p1**4
                 + K[6] * p1**5
             )
-        return B
+        return k1, B
 
     return field
 
@@ -128,21 +131,19 @@ def integrate_variations(
     """Holonomy jet of a loop from the variational equations."""
     if not 1 <= order <= ORDER:
         raise ValueError(f"order must lie in 1..{ORDER}")
-    p0 = np.zeros(order, dtype=complex)
-    p0[0] = 1.0
     S = [model.S[d] for d in range(2, order + 1)]
-    _, p, masses = integrate_stack(loop, [], p0, S, _variation_field(model, order), rtol, atol)
-    p1 = p[0]
+    zeros = np.zeros(order - 1)
+    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order), rtol, atol)
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
     norms = np.zeros(ORDER)
-    norms[0] = abs(masses[0])
+    norms[0] = m1
     # the state is finite, but a_d = p1 * p_d can still overflow: checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(2, order + 1):
-            coeffs[d - 1] = p1 * p[d - 1]
+            coeffs[d - 1] = p1 * p[d - 2]
             # the reduced variation's mass scales with |p1| likewise
-            norms[d - 1] = abs(p1) * abs(masses[d - 1])
+            norms[d - 1] = abs(p1) * masses[d - 2]
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(norms))):
         raise ODEError(f"the holonomy jet of {loop.label} overflows double precision")
     return HolonomyJet(coeffs, label=loop.label, norms=norms)
@@ -183,14 +184,14 @@ class QuadratureBundle:
 
 
 def phi_field(model: FloatModel, degrees):
-    """Base phi1 (phi1' = s/r phi1) and one integral per degree: integral k
+    """Base phi1 (rate K1 = s/r) and one integral per degree: integral k
     has the integrand vals[k] phi1^(d_k - 1) / r^d_k."""
     lam1, lam2 = model.lam1, model.lam2
-    D = np.asarray(degrees)
+    D = np.asarray(degrees)[:, None]
 
-    def field(w, y, vals):
+    def field(w, base, integrals, vals):
         r = r_of(w)
-        return np.concatenate((s_of(lam1, lam2, w) / r * y[:1], vals * (y[0] ** (D - 1) / r**D)))
+        return s_of(lam1, lam2, w) / r, vals * (base[0] ** (D - 1) / r**D)
 
     return field
 
@@ -200,11 +201,11 @@ def _bundle_field(model: FloatModel):
     integrals weight those integrands by the running psi2 and psi3."""
     phi = phi_field(model, range(2, 7))
 
-    def field(w, y, vals):
-        head = phi(w, y, vals)  # phi1', then the psi2..psi6 integrands g2..g6
-        g3, g4, g5 = head[2], head[3], head[4]
-        psi2, psi3 = y[1], y[2]
-        return np.concatenate(
+    def field(w, base, y, vals):
+        rate, head = phi(w, base, y, vals)  # the psi2..psi6 integrands g2..g6
+        g3, g4, g5 = head[1], head[2], head[3]
+        psi2, psi3 = y[0], y[1]
+        return rate, np.concatenate(
             (
                 head,
                 [
@@ -231,7 +232,7 @@ def integrate_quadratures(
 ) -> QuadratureBundle:
     coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
     zeros = np.zeros(len(_BUNDLE_NAMES))
-    _, values, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol, atol)
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol, atol)
     return QuadratureBundle(
         values={name: complex(v) for name, v in zip(_BUNDLE_NAMES, values)},
         norms={name: float(abs(m)) for name, m in zip(_BUNDLE_NAMES, masses)},

@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 PUNCTURES = (-1.0 + 0.0j, 1.0 + 0.0j)
 _TWO_PI = 2.0 * math.pi
 
@@ -21,17 +23,14 @@ class Line:
     start: complex
     end: complex
 
-    def point(self, t: float) -> complex:
+    def point(self, t):
         return self.start + t * (self.end - self.start)
 
-    def velocity(self, t: float) -> complex:
+    def velocity(self, t):
         return self.end - self.start
 
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
-
-    def max_speed(self) -> float:
-        return abs(self.end - self.start)
 
     def min_distance(self, p: complex) -> float:
         d = self.end - self.start
@@ -53,19 +52,16 @@ class Arc:
     theta0: float
     theta1: float
 
-    def point(self, t: float) -> complex:
+    def point(self, t):
         th = self.theta0 + t * (self.theta1 - self.theta0)
-        return self.center + self.radius * cmath.exp(1j * th)
+        return self.center + self.radius * np.exp(1j * th)
 
-    def velocity(self, t: float) -> complex:
+    def velocity(self, t):
         th = self.theta0 + t * (self.theta1 - self.theta0)
-        return 1j * (self.theta1 - self.theta0) * self.radius * cmath.exp(1j * th)
+        return 1j * (self.theta1 - self.theta0) * self.radius * np.exp(1j * th)
 
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius, self.theta1, self.theta0)
-
-    def max_speed(self) -> float:
-        return abs(self.theta1 - self.theta0) * self.radius
 
     def min_distance(self, p: complex) -> float:
         rel = p - self.center
@@ -114,9 +110,6 @@ class Loop:
                 total += cmath.phase(cur / prev)
                 prev = cur
         return round(total / _TWO_PI)
-
-    def max_speed(self) -> float:
-        return max(s.max_speed() for s in self.segments)
 
 
 def concat(*loops: Loop, label: str = "") -> Loop:

@@ -1,9 +1,14 @@
-"""Adaptive Dormand-Prince 5(4) integration of complex ODE systems along paths.
+"""Chebyshev integration of iterated integrals along paths.
 
-Each path segment is parameterized over t in [0, 1]; the right-hand side
-is given in the w variable and pulled back through the parameterization.
-States are complex numpy vectors; the embedded fourth-order solution
-drives the step-size control.
+Each path segment is parameterized over t in [0, 1] and cut into pieces.
+On a piece every integrand is sampled at N first-kind Chebyshev points;
+one fixed (N+1) x N matrix (values -> Chebyshev coefficients -> chebint ->
+evaluation) turns the samples into the cumulative integrals at the nodes
+and at the piece's end, and the same matrix applied to the moduli gives
+the L1 masses.  A piece is split in two while the trailing Chebyshev
+coefficients of an integrand exceed rtol times its largest one (plus atol).
+This is Chebfun's ``cumsum``; the end row is Fejer's first quadrature
+rule (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
 
 ``integrate_stack`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
@@ -14,157 +19,152 @@ and their L1 masses.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
-# Dormand-Prince coefficients (same tableau as classic DOPRI5).  Row i of _A
-# holds the weights of the earlier stages in the state of stage i, padded
-# with zeros to a 7 x 7 array.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array(
-    [
-        row + [0.0] * (7 - len(row))
-        for row in (
-            [],
-            [1 / 5],
-            [3 / 40, 9 / 40],
-            [44 / 45, -56 / 15, 32 / 9],
-            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-            [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-        )
-    ]
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
+N = 32  # Chebyshev nodes per piece
+PIECES = 2  # initial pieces per segment
+MAX_DEPTH = 12  # a piece is halved at most this often
+TAIL = 2  # trailing coefficients that estimate a piece's error
 
-MIN_STEP = 1e-13
-MAX_REJECTS = 60
+_X = cheb.chebpts1(N)  # ascending nodes on [-1, 1]
+# values -> coefficients, by the discrete orthogonality of T_k at the nodes
+_TO_COEFFS = cheb.chebvander(_X, N - 1).T * np.where(np.arange(N) == 0, 1.0, 2.0)[:, None] / N
+# values -> cumulative integral from -1, at the nodes and at +1 (last column):
+# column j integrates the interpolant of the values from -1 to the j-th point
+_CUMSUM = cheb.chebval(np.append(_X, 1.0), cheb.chebint(_TO_COEFFS, lbnd=-1))
 
 
 class ODEError(RuntimeError):
     pass
 
 
-def integrate_fixed_interval(f, y0, rtol: float, atol: float, h0: float = 0.05):
-    """Integrate dy/dt = f(t, y) over t in [0, 1]; returns the final state.
+def _rows(a, k: int, n: int) -> np.ndarray:
+    return np.broadcast_to(a, (k, n)) if k else np.zeros((0, n), dtype=complex)
 
-    The seven stage derivatives live in the columns of one real array (the
-    real and imaginary parts of each component on rows of their own), so
-    every stage state, the fifth-order update and the error estimate are
-    each one matrix-vector product with the tableau.  Each output row is a
-    dot product over the stages alone, so a component's arithmetic does not
-    depend on how many other components share the state.
+
+def _piece(f, t, half, b0, y0, rtol, atol):
+    """Base, integrals and mass increments at the end of one piece, or None
+    when the piece must be split.
+
+    f is evaluated on the nodes until the state at the nodes is a fixed
+    point: the first sweep fixes the base, each further one an integral
+    level, and the last one confirms.  Overflow is caught as a non-finite
+    state, not as a numpy warning.
     """
-    y = np.asarray(y0, dtype=complex).copy()
-    K = np.zeros((2 * y.size, 7))
-    t = 0.0
-    h = min(h0, 1.0)
-    K[:, 0] = np.asarray(f(t, y), dtype=complex).view(float)
-    rejects = 0
-    while t < 1.0:
-        h = min(h, 1.0 - t)
-        if h < MIN_STEP:
-            raise ODEError(f"step size underflow at t = {t}")
-        for i in range(1, 7):
-            yi = y + h * (K[:, :i] @ _A[i, :i]).view(complex)
-            K[:, i] = np.asarray(f(t + _C[i] * h, yi), dtype=complex).view(float)
-        y_new = y + h * (K @ _B5).view(complex)
-        err_vec = h * (K @ _E).view(complex)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
-        if not np.isfinite(err) or not np.all(np.isfinite(y_new)):
-            raise ODEError(f"non-finite state at t = {t}")
-        if err <= 1.0:
-            t += h
-            y = y_new
-            K[:, 0] = K[:, 6]  # first-same-as-last
-            rejects = 0
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h *= factor
+    nb, m = b0.size, y0.size
+    base = _rows(b0[:, None], nb, N)
+    ints = _rows(y0[:, None], m, N)
+    state = None
+    with np.errstate(all="ignore"):
+        for _ in range(m + 2):
+            rate, g = f(t, base, ints)
+            derivs = np.concatenate((_rows(rate, nb, N), _rows(g, m, N)))
+            cum = half * (derivs @ _CUMSUM)
+            new = np.concatenate((b0[:, None] * np.exp(cum[:nb]), y0[:, None] + cum[nb:]))
+            if not np.all(np.isfinite(new)):
+                raise ODEError("non-finite state")
+            if state is not None and np.array_equal(new, state):
+                break
+            state = new
+            base, ints = state[:nb, :N], state[nb:, :N]
         else:
-            rejects += 1
-            if rejects > MAX_REJECTS:
-                raise ODEError(f"too many rejected steps at t = {t}")
-            h *= max(0.1, 0.9 * err ** -0.2)
-    return y
+            raise ValueError(f"no fixed point after {m + 2} sweeps: an integrand reads itself or a later integral")
+        coeffs = np.abs(derivs @ _TO_COEFFS.T)
+        if np.any(coeffs[:, -TAIL:].max(axis=1, initial=0.0) > rtol * coeffs.max(axis=1, initial=0.0) + atol):
+            return None
+        dmass = half * (np.abs(np.concatenate((derivs[:nb] * base, derivs[nb:]))) * _CUMSUM[:, N]).sum(axis=1)
+    return state[:nb, N], state[nb:, N], dmass
 
 
-def integrate_segment(rhs, segment, y0, rtol: float, atol: float):
-    """Integrate one parameterized segment.
+def integrate_fixed_interval(f, b0, y0, rtol: float, atol: float):
+    """Integrate a base b and integrals y over t in [0, 1].
 
-    rhs(w, dw, y) receives the current point and velocity and returns dy/dt;
-    it owns the pullback (integrate_stack weights masses by |dw| and
-    analytic states by dw).
+    f(t, b, y) takes an array of nodes t with the state at those nodes
+    (one row per component) and returns (rate, g): b' = rate * b and
+    y' = g, each rate depending on t alone and each integrand only on b
+    and on earlier integrals.  Returns b and y at t = 1 and the L1 mass
+    of every component's derivative (rate * b for the base).
     """
+    b = np.asarray(b0, dtype=complex)
+    y = np.asarray(y0, dtype=complex)
+    mass = np.zeros(b.size + y.size)
+    todo = [(k / PIECES, 1.0 / PIECES, 0) for k in reversed(range(PIECES))]
+    while todo:
+        a, h, depth = todo.pop()
+        out = _piece(f, a + h * (_X + 1.0) / 2.0, h / 2.0, b, y, rtol, atol)
+        if out is None:
+            if depth == MAX_DEPTH:
+                raise ODEError(f"Chebyshev tail above rtol on a piece of length {h:g} at t = {a:g}")
+            todo += [(a + h / 2.0, h / 2.0, depth + 1), (a, h / 2.0, depth + 1)]
+            continue
+        b, y, dmass = out
+        mass += dmass
+    return b, y, mass
 
-    def f(t, y):
-        return rhs(segment.point(t), segment.velocity(t), y)
 
-    # scale the trial step to the segment's speed so short hops stay cheap
-    h0 = 0.1 / max(1.0, segment.max_speed())
-    return integrate_fixed_interval(f, y0, rtol, atol, h0=h0)
-
-
-def integrate_loop(rhs, loop, y0, rtol: float = 1e-10, atol: float = 1e-13, segment_callback=None):
+def integrate_loop(rhs, loop, b0, y0, rtol: float = 1e-10, atol: float = 1e-13, segment_callback=None):
     """Integrate along every segment of a loop, carrying the state through.
 
-    segment_callback(index, w_end, y) fires after each segment, which the
+    rhs(w, dw, b, y) receives the nodes and velocities of a piece and
+    returns (rate, g) in t, already pulled back.  segment_callback(index,
+    w_end, b, y, mass) fires after each segment, which the
     antiderivative-identity checks use to compare mid-path values.
+    Returns (b, y, mass) at the end of the loop.
     """
-    y = np.asarray(y0, dtype=complex).copy()
+    b = np.asarray(b0, dtype=complex)
+    y = np.asarray(y0, dtype=complex)
+    mass = np.zeros(b.size + y.size)
     for idx, seg in enumerate(loop.segments):
+
+        def f(t, b, y, seg=seg):
+            return rhs(seg.point(t), seg.velocity(t), b, y)
+
         try:
-            y = integrate_segment(rhs, seg, y, rtol, atol)
+            b, y, dmass = integrate_fixed_interval(f, b, y, rtol, atol)
         except ODEError as exc:
             raise ODEError(f"loop {loop.label!r}, segment {idx}: {exc}") from exc
+        mass = mass + dmass
         if segment_callback is not None:
-            segment_callback(idx, seg.point(1.0), y)
-    return y
+            segment_callback(idx, seg.point(1.0), b, y, mass)
+    return b, y, mass
 
 
 def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, atol: float, segment_callback=None):
     """Integrate a base state and a stack of integrals along a loop.
 
-    The state is base0 followed by integrals0.  field(w, state, vals)
-    returns d state/dw, where vals[k] = P_k(w) for the polynomial with the
-    ascending coefficients coeffs[k] (rows of unequal length are
-    zero-padded); the field may read every component of the state, its
-    own integrals included.  Everything else happens here: one
-    matrix-vector product evaluates every P_k at w, the field is pulled
-    back by dw, and next to each integral the state carries its L1 mass,
-    the integral of |d integral/dw| against |dw|.  The base carries none.
+    field(w, base, integrals, vals) is evaluated on an array of points w,
+    with one row per state component, and returns (rate, integrands): the
+    base obeys d base/dw = rate * base with rate depending on w alone, so
+    it is base0 * exp(integral of rate); integral k has the derivative
+    integrands[k], which may read the base and integrals before k.
+    vals[k] = P_k(w) for the polynomial with the ascending coefficients
+    coeffs[k] (rows of unequal length are zero-padded).  Everything else
+    happens here: one matrix product evaluates every P_k, the field is
+    pulled back by dw, and every component gets its L1 mass, the integral
+    of |derivative| against |dw| (rate * base for the base).
 
-    Returns (base, integrals, masses) at the end of the loop.
-    segment_callback(index, w_end, base, integrals, masses) fires after each
-    segment.
+    Returns (base, integrals, base_masses, masses) at the end of the loop.
+    segment_callback(index, w_end, base, integrals, base_masses, masses)
+    fires after each segment.
     """
     base0 = np.asarray(base0, dtype=complex)
-    integrals0 = np.asarray(integrals0, dtype=complex)
-    nb, m = base0.size, integrals0.size
-    ns = nb + m
+    nb = base0.size
     C = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)), dtype=complex)
     for k, c in enumerate(coeffs):
         C[k, : len(c)] = c
     n = C.shape[1]
 
-    def rhs(w, dw, y):
-        powers = [1.0 + 0j]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * w)
-        ds = field(w, y[:ns], C @ np.array(powers))
-        dy = np.empty(ns + m, dtype=complex)
-        dy[:ns] = ds * dw
-        dy[ns:] = np.abs(ds[nb:]) * abs(dw)
-        return dy
+    def rhs(w, dw, b, y):
+        rate, g = field(w, b, y, C @ np.vander(w, n, increasing=True).T)
+        return np.multiply(rate, dw), np.multiply(g, dw)
 
-    def split(y):
-        return y[:nb], y[nb:ns], y[ns:].real
+    def split(b, y, mass):
+        return b, y, mass[:nb], mass[nb:]
 
     callback = None
     if segment_callback is not None:
 
-        def callback(idx, w, y):
-            segment_callback(idx, w, *split(y))
+        def callback(idx, w, b, y, mass):
+            segment_callback(idx, w, *split(b, y, mass))
 
-    y0 = np.concatenate([base0, integrals0, np.zeros(m, dtype=complex)])
-    return split(integrate_loop(rhs, loop, y0, rtol, atol, segment_callback=callback))
+    return split(*integrate_loop(rhs, loop, base0, integrals0, rtol, atol, segment_callback=callback))

@@ -51,7 +51,7 @@ def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
     B3 = 2 * (nmodel.lam1 + nmodel.lam2)
     assert np.allclose(P, [A3, B3 - 4.0])
-    _, values, masses = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]), 1e-12, 1e-16)
+    _, values, _, masses = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]), 1e-12, 1e-16)
     assert abs(values[0]) / max(1.0, masses[0]) < 1e-9
 
 
@@ -60,13 +60,12 @@ def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
     u1 = 2 * nmodel.lam1 - 3
     u2 = 2 * nmodel.lam2 - 3
 
-    def field(w, y, vals):
-        zeta = y[0]
-        return np.array([(u1 / (1.0 + w) - u2 / (1.0 - w)) * zeta, vals[0] * zeta])
+    def field(w, zeta, integrals, vals):
+        return u1 / (1.0 + w) - u2 / (1.0 - w), vals * zeta
 
     P = np.array([1.0 + 0j])
-    _, i1, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field, 1e-12, 1e-16)
-    _, i2, m2 = integrate_stack(nloops.gamma2, [1.0], [0.0], [P], field, 1e-12, 1e-16)
+    _, i1, _, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field, 1e-12, 1e-16)
+    _, i2, _, m2 = integrate_stack(nloops.gamma2, [1.0], [0.0], [P], field, 1e-12, 1e-16)
     factor = 1.0 + cmath.exp(2j * math.pi * u1)
     assert abs(i2[0] - factor * i1[0]) / max(1.0, m2[0] + abs(factor) * m1[0]) < 1e-9
 
@@ -159,6 +158,14 @@ def test_structural_rows_detect_convention(nmodel, nloops):
     assert by_name["radius-independence"].passed
     assert by_name["reversed-loop-is-inverse-jet"].passed
     assert by_name["a22-ratio-is-1-plus-nu1"].passed
+
+
+def test_commutator_tangency_is_near_rounding(nmodel, nloops, loop_jets):
+    # at the default tolerance a1 = 1 holds to a few ulps on gamma1, five
+    # orders of magnitude under the row's 1e-8 budget
+    rows, _ = structural_rows(nmodel, nloops, jets=loop_jets)
+    by_name = {r.name: r for r in rows}
+    assert by_name["commutator-tangency[gamma1]"].residual <= 1e-13
 
 
 def test_summary_shape():
