@@ -69,7 +69,7 @@ def linear_system_solve(F3: MPoly, F4: MPoly, alpha0: GaussianRational):
     rows = []
     for poly in (F3, F4):
         q = poly.substitute("b0", alpha0)
-        if any(sum(e) > 1 for e in q.terms):
+        if q.total_degree() > 1:
             raise EliminationError(f"not affine-linear in (b1, b2) after b0 = alpha0: {q}")
         a1 = q.coeff_of("b1", 1).as_constant()
         a2 = q.coeff_of("b2", 1).as_constant()

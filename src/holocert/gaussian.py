@@ -2,7 +2,9 @@
 
 Every number is a pair of arbitrary-precision rationals kept in lowest
 terms; nothing here ever rounds.  gmpy2 is used for the rational parts
-when available, with a fractions.Fraction fallback.
+when available, with a fractions.Fraction fallback.  This is the scalar
+layer: polynomials (mpoly.py) keep integer numerators of their own and
+meet GaussianRational only at their interface.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _rat(re))
-        object.__setattr__(self, "im", _rat(im))
+        # a value of the backend's rational type is already in lowest terms
+        object.__setattr__(self, "re", re if type(re) is _Q else _rat(re))
+        object.__setattr__(self, "im", im if type(im) is _Q else _rat(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -48,6 +51,11 @@ class GaussianRational:
         if isinstance(x, (int, Fraction)) or type(x).__name__ == "mpq":
             return GaussianRational(x)
         return None
+
+    @classmethod
+    def from_integers(cls, re: int, im: int, den: int) -> "GaussianRational":
+        """(re + im*i) / den for integers re, im and den != 0."""
+        return cls(_Q(re, den), _Q(im, den))
 
     @classmethod
     def from_complex(cls, z: complex) -> "GaussianRational":

@@ -1,20 +1,35 @@
 """Sparse multivariate polynomials over Q(i).
 
-Exponent vectors are keyed against an ordered variable tuple.  The
-canonical variable order is w < b2 < b1 < b0 (then any other name
-alphabetically), matching the elimination order beta2, beta1, beta0.
-Terms are printed and compared in graded-lexicographic order.
+A polynomial is stored as integer Gaussian numerators over one common
+denominator,
 
-Resultants are computed as Sylvester determinants by fraction-free
-Bareiss elimination, and exact division is leading-term reduction in
-graded-lex order; both stay inside Q(i)[vars] with no rounding.
+    p = (1/den) * sum (re + im*i) * vars^exps,    num = {exps: (re, im)},
+
+with re, im and den plain ints.  The form is canonical: den > 0, the gcd
+of den and every re and im is 1, no stored term is zero, every variable
+in ``vars`` occurs in some term, and ``vars`` follows the canonical order
+w < b2 < b1 < b0 (then any other name alphabetically), matching the
+elimination order beta2, beta1, beta0.  Equal polynomials therefore have
+equal fields and equal hashes.  Ring operations work on the ints and
+bring each result to the canonical form once, with one content gcd; a
+coefficient product costs four integer multiplies and no gcd at all.
+Constructors take GaussianRational coefficients, and ``terms`` returns
+a read-only {exps: GaussianRational} built on each access.
+
+Terms are printed and compared in graded-lexicographic order.
+Resultants are Sylvester determinants by fraction-free Bareiss
+elimination over Z[i] (each row is cleared of its denominator first),
+and exact division is leading-term reduction in graded-lex order; both
+are exact, with no rounding.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, GaussianRationalError
 
 _CANONICAL_RANK = {"w": 0, "b2": 1, "b1": 2, "b0": 3}
 
@@ -40,57 +55,60 @@ def _grlex_key(exps: tuple) -> tuple:
 
 
 class MPoly:
-    """Immutable sparse polynomial; zero coefficients are never stored."""
+    """Immutable sparse polynomial in the canonical form of the module docstring."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars: Sequence[str] = (), terms: Mapping[tuple, GaussianRational] | None = None):
         vars = tuple(vars)
-        terms = dict(terms or {})
-        # drop zero coefficients, then drop variables unused by every term
-        terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        if vars:
-            used = [any(e[i] for e in terms) for i in range(len(vars))]
-            if not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                vars = tuple(vars[i] for i in keep)
-                terms = {tuple(e[i] for i in keep): c for e, c in terms.items()}
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+        parts = [(e, _parts(_as_gq(c))) for e, c in (terms or {}).items()]
+        den = lcm(*(d for _, (_, _, d) in parts))
+        num = {e: (re * (den // d), im * (den // d)) for e, (re, im, d) in parts if re or im}
+        order = sorted(range(len(vars)), key=lambda i: _var_key(vars[i]))
+        if order != list(range(len(vars))):
+            vars = tuple(vars[i] for i in order)
+            num = {tuple(e[i] for i in order): c for e, c in num.items()}
+        _init(self, *_canonical(vars, num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple, GaussianRational]:
+        """Read-only {exps: GaussianRational}, built on each access and not kept."""
+        den = self.den
+        return MappingProxyType({e: GaussianRational.from_integers(re, im, den) for e, (re, im) in self.num.items()})
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> "MPoly":
-        c = _as_gq(c)
-        return MPoly((), {(): c} if not c.is_zero() else {})
+        re, im, den = _parts(_as_gq(c))
+        return _raw((), {(): (re, im)} if re or im else {}, den)
 
     @staticmethod
     def var(name: str) -> "MPoly":
-        return MPoly((name,), {(1,): ONE})
+        return _raw((name,), {(1,): (1, 0)}, 1)
 
     @staticmethod
     def zero() -> "MPoly":
-        return MPoly()
+        return _raw((), {}, 1)
 
     @staticmethod
     def one() -> "MPoly":
-        return MPoly.const(1)
+        return _raw((), {(): (1, 0)}, 1)
 
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not self.vars
 
     def constant_term(self) -> GaussianRational:
-        z = (0,) * len(self.vars)
-        return self.terms.get(z, ZERO)
+        re, im = self.num.get((0,) * len(self.vars), (0, 0))
+        return GaussianRational.from_integers(re, im, self.den)
 
     def as_constant(self) -> GaussianRational:
         if not self.is_constant():
@@ -98,26 +116,25 @@ class MPoly:
         return self.constant_term()
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.num), default=-1)
 
     def degree(self, var: str | None = None) -> int:
         """Degree in var, or total degree when var is None; -1 for the zero poly."""
         if var is None:
             return self.total_degree()
         if var not in self.vars:
-            return 0 if self.terms else -1
+            return 0 if self.num else -1
         i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=-1)
+        return max(e[i] for e in self.num)
 
     def __eq__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = _align(self, o)
-        return a.terms == b.terms
+        return self.den == o.den and self.vars == o.vars and self.num == o.num
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def __bool__(self):
         return not self.is_zero()
@@ -128,48 +145,54 @@ class MPoly:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = _align(self, o)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            s = terms.get(e, ZERO) + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MPoly(a.vars, terms)
+        return _add(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _raw(self.vars, _times(self.num, -1), self.den)
 
     def __sub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _add(self, o, -1)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _add(o, self, -1)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = _align(self, o)
-        terms: dict[tuple, GaussianRational] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    terms.pop(e, None)
+        if not o.vars or not self.vars:
+            p, c = (self, o) if not o.vars else (o, self)
+            re, im = c.num.get((), (0, 0))
+            return _scale(p, re, im, c.den)
+        vars, a, b = _align(self, o)
+        # pack each exponent vector into one int, `shift` bits per variable:
+        # no component of a product exceeds the sum of the total degrees
+        shift = (self.total_degree() + o.total_degree()).bit_length()
+        acc: dict[int, tuple[int, int]] = {}
+        get = acc.get
+        pb = [(_pack(e, shift), c) for e, c in b.items()]
+        for e1, (ar, ai) in a.items():
+            k1 = _pack(e1, shift)
+            for k2, (br, bi) in pb:
+                k = k1 + k2
+                t = get(k)
+                if t is None:
+                    acc[k] = (ar * br - ai * bi, ar * bi + ai * br)
                 else:
-                    terms[e] = s
-        return MPoly(a.vars, terms)
+                    acc[k] = (t[0] + ar * br - ai * bi, t[1] + ar * bi + ai * br)
+        n, mask = len(vars), (1 << shift) - 1
+        num = {
+            tuple((k >> (shift * i)) & mask for i in range(n)): c for k, c in acc.items() if c[0] or c[1]
+        }
+        return _make(vars, num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -178,7 +201,12 @@ class MPoly:
         c = GaussianRational._coerce(other)
         if c is None:
             return NotImplemented
-        return self * c.inverse()
+        re, im, den = _parts(c)
+        norm = re * re + im * im
+        if norm == 0:
+            raise GaussianRationalError("division by zero in Q(i)")
+        # 1 / ((re + im*i) / den) = den * (re - im*i) / norm
+        return _scale(self, den * re, -den * im, norm)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -198,20 +226,12 @@ class MPoly:
         if var not in self.vars:
             return MPoly.zero()
         i = self.vars.index(var)
-        terms: dict[tuple, GaussianRational] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            k = e2[i]
-            e2[i] = k - 1
-            e2 = tuple(e2)
-            s = terms.get(e2, ZERO) + c * k
-            if not s.is_zero():
-                terms[e2] = s
-            else:
-                terms.pop(e2, None)
-        return MPoly(self.vars, terms)
+        num = {}
+        for e, (re, im) in self.num.items():
+            k = e[i]
+            if k:
+                num[e[:i] + (k - 1,) + e[i + 1 :]] = (re * k, im * k)
+        return _make(self.vars, num, self.den)
 
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Coefficients [c0, c1, ...] of powers of var, as polynomials in the rest."""
@@ -221,12 +241,11 @@ class MPoly:
         if var not in self.vars:
             return [self]
         i = self.vars.index(var)
-        rest = tuple(v for j, v in enumerate(self.vars) if j != i)
-        buckets: list[dict] = [dict() for _ in range(n + 1)]
-        for e, c in self.terms.items():
-            re = tuple(x for j, x in enumerate(e) if j != i)
-            buckets[e[i]][re] = c
-        return [MPoly(rest, b) for b in buckets]
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        buckets: list[dict] = [{} for _ in range(n + 1)]
+        for e, c in self.num.items():
+            buckets[e[i]][e[:i] + e[i + 1 :]] = c
+        return [_make(rest, b, self.den) for b in buckets]
 
     def coeff_of(self, var: str, k: int) -> "MPoly":
         cs = self.coeffs_in(var)
@@ -250,15 +269,10 @@ class MPoly:
         missing = [v for v in self.vars if v not in bindings]
         if missing:
             raise MPolyError(f"evaluation missing bindings for {missing}")
-        vals = [_as_gq(bindings[v]) for v in self.vars]
-        total = ZERO
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(vals, e):
-                if k:
-                    t = t * x**k
-            total = total + t
-        return total
+        p = self
+        for v in self.vars:
+            p = p.substitute(v, bindings[v])
+        return p.as_constant()
 
     # -- printing -----------------------------------------------------------
 
@@ -283,6 +297,101 @@ class MPoly:
         return f"MPoly({self})"
 
 
+# -- the integer form ------------------------------------------------------------
+
+
+def _raw(vars: tuple, num: dict, den: int) -> MPoly:
+    """An MPoly from fields that are already canonical."""
+    p = MPoly.__new__(MPoly)
+    _init(p, vars, num, den)
+    return p
+
+
+def _init(p: MPoly, vars: tuple, num: dict, den: int) -> None:
+    object.__setattr__(p, "vars", vars)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
+
+
+def _canonical(vars: tuple, num: dict, den: int) -> tuple[tuple, dict, int]:
+    """Divide out the content gcd and drop unused variables.
+
+    ``vars`` must be in canonical order and ``num`` free of zero terms.
+    """
+    if not num:
+        return (), num, 1
+    if den != 1:
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            num = {e: (re // g, im // g) for e, (re, im) in num.items()}
+            den //= g
+    if vars:
+        used = [any(col) for col in zip(*num)]
+        if not all(used):
+            keep = [i for i, u in enumerate(used) if u]
+            vars = tuple(vars[i] for i in keep)
+            num = {tuple(e[i] for i in keep): c for e, c in num.items()}
+    return vars, num, den
+
+
+def _make(vars: tuple, num: dict, den: int) -> MPoly:
+    return _raw(*_canonical(vars, num, den))
+
+
+def _parts(c: GaussianRational) -> tuple[int, int, int]:
+    """(re, im, den) with c = (re + im*i) / den and gcd(re, im, den) = 1."""
+    dr, di = int(c.re.denominator), int(c.im.denominator)
+    den = lcm(dr, di)
+    return int(c.re.numerator) * (den // dr), int(c.im.numerator) * (den // di), den
+
+
+def _times(num: dict, t: int) -> dict:
+    return {e: (re * t, im * t) for e, (re, im) in num.items()}
+
+
+def _pack(exps: tuple, shift: int) -> int:
+    k = 0
+    for x in reversed(exps):
+        k = (k << shift) | x
+    return k
+
+
+def _add(a: MPoly, b: MPoly, sign: int) -> MPoly:
+    """a + sign * b for sign = +1 or -1."""
+    if not b.num:
+        return a
+    vars, an, bn = _align(a, b)
+    g = gcd(a.den, b.den)
+    sa, sb = b.den // g, sign * (a.den // g)
+    num = dict(an) if sa == 1 else _times(an, sa)
+    for e, (re, im) in bn.items():
+        t = num.get(e)
+        if t is None:
+            num[e] = (re * sb, im * sb)
+        else:
+            re, im = t[0] + re * sb, t[1] + im * sb
+            if re or im:
+                num[e] = (re, im)
+            else:
+                del num[e]
+    return _make(vars, num, a.den * sa)
+
+
+def _scale(p: MPoly, re: int, im: int, den: int) -> MPoly:
+    """p * (re + im*i) / den, for den > 0."""
+    if not (re or im):
+        return MPoly.zero()
+    if im == 0:
+        num = _times(p.num, re)
+    else:
+        num = {e: (a * re - b * im, a * im + b * re) for e, (a, b) in p.num.items()}
+    return _make(p.vars, num, p.den * den)
+
+
 def _as_gq(c) -> GaussianRational:
     g = GaussianRational._coerce(c)
     if g is None:
@@ -293,34 +402,33 @@ def _as_gq(c) -> GaussianRational:
 def _coerce(x) -> MPoly | None:
     if isinstance(x, MPoly):
         return x
+    if type(x) is int:
+        return _raw((), {(): (x, 0)} if x else {}, 1)
     g = GaussianRational._coerce(x)
     if g is not None:
         return MPoly.const(g)
     return None
 
 
-def _align(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly]:
-    """Rewrite both polynomials over the union variable set (canonical order)."""
+def _align(a: MPoly, b: MPoly) -> tuple[tuple, dict, dict]:
+    """The numerators of a and b over the union of their variables (canonical order)."""
     if a.vars == b.vars:
-        return a, b
+        return a.vars, a.num, b.num
     union = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
-    return _extend(a, union), _extend(b, union)
+    return union, _extend(a, union), _extend(b, union)
 
 
-def _extend(p: MPoly, union: tuple[str, ...]) -> MPoly:
+def _extend(p: MPoly, union: tuple[str, ...]) -> dict:
     if p.vars == union:
-        return p
+        return p.num
     pos = [union.index(v) for v in p.vars]
-    terms = {}
-    for e, c in p.terms.items():
+    num = {}
+    for e, c in p.num.items():
         e2 = [0] * len(union)
         for i, k in zip(pos, e):
             e2[i] = k
-        terms[tuple(e2)] = c
-    out = MPoly.__new__(MPoly)
-    object.__setattr__(out, "vars", union)
-    object.__setattr__(out, "terms", terms)
-    return out
+        num[tuple(e2)] = c
+    return num
 
 
 # -- exact division ----------------------------------------------------------
@@ -329,9 +437,13 @@ def _extend(p: MPoly, union: tuple[str, ...]) -> MPoly:
 def exact_div(f: MPoly, g: MPoly) -> MPoly:
     """Exact quotient f/g; raises ExactDivisionError carrying the remainder.
 
-    Standard single-divisor reduction in graded-lex order: the remainder is
-    zero exactly when g divides f.  The loop works on raw exponent dicts
-    over the aligned variable set so tuple lengths stay fixed throughout.
+    Standard single-divisor reduction in graded-lex order on the integer
+    numerators F = f*den(f) and G = g*den(g): the remainder is zero
+    exactly when g divides f.  Each step divides a leading coefficient by
+    lc(G) in Z[i]; when that division is not exact, the running state
+    (D, Q, C with D*F = Q*G + C) is first multiplied by the missing
+    factor.  By Gauss's lemma this never happens when G is primitive
+    over Z[i] and g divides f.
     """
     f = _coerce(f)
     g = _coerce(g)
@@ -339,33 +451,48 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
         raise MPolyError("exact_div wants polynomials")
     if g.is_zero():
         raise MPolyError("exact division by the zero polynomial")
-    a, b = _align(f, g)
-    lt_e, lt_c = max(b.terms.items(), key=lambda ec: _grlex_key(ec[0]))
-    cur = dict(a.terms)
-    quo_terms: dict[tuple, GaussianRational] = {}
-    rem_terms: dict[tuple, GaussianRational] = {}
+    if g.is_constant():
+        return f / g.as_constant()
+    vars, cur, gnum = _align(f, g)
+    cur = dict(cur)
+    lt_e = max(gnum, key=_grlex_key)
+    lr, li = gnum[lt_e]
+    norm = lr * lr + li * li
+    rest = [(e, c) for e, c in gnum.items() if e != lt_e]
+    scale = 1
+    quo: dict[tuple, tuple[int, int]] = {}
+    rem: dict[tuple, tuple[int, int]] = {}
     while cur:
         e = max(cur, key=_grlex_key)
-        c = cur.pop(e)
-        if all(x >= y for x, y in zip(e, lt_e)):
-            qe = tuple(x - y for x, y in zip(e, lt_e))
-            qc = c / lt_c
-            quo_terms[qe] = qc
-            for be, bc in b.terms.items():
-                if be == lt_e:
-                    continue  # the leading term cancels by construction
-                ne = tuple(x + y for x, y in zip(qe, be))
-                s = cur.get(ne, ZERO) - qc * bc
-                if s.is_zero():
-                    cur.pop(ne, None)
-                else:
-                    cur[ne] = s
-        else:
-            rem_terms[e] = c
-    if rem_terms:
-        rem = MPoly(a.vars, rem_terms)
-        raise ExactDivisionError(f"nonzero remainder in exact division: {rem}", rem)
-    return MPoly(a.vars, quo_terms)
+        cr, ci = cur.pop(e)
+        if not all(x >= y for x, y in zip(e, lt_e)):
+            rem[e] = (cr, ci)
+            continue
+        # c / lc = c * conj(lc) / norm
+        pr, pi = cr * lr + ci * li, ci * lr - cr * li
+        t = norm // gcd(norm, pr, pi)
+        if t != 1:
+            scale *= t
+            pr, pi = pr * t, pi * t
+            cur, quo, rem = _times(cur, t), _times(quo, t), _times(rem, t)
+        qr, qi = pr // norm, pi // norm
+        qe = tuple(x - y for x, y in zip(e, lt_e))
+        quo[qe] = (qr, qi)
+        for be, (br, bi) in rest:  # the leading term cancels by construction
+            ne = tuple(x + y for x, y in zip(qe, be))
+            sr, si = qr * br - qi * bi, qr * bi + qi * br
+            old = cur.get(ne)
+            if old is None:
+                cur[ne] = (-sr, -si)
+            elif old[0] != sr or old[1] != si:
+                cur[ne] = (old[0] - sr, old[1] - si)
+            else:
+                del cur[ne]
+    if rem:
+        r = _make(vars, rem, f.den * scale)
+        raise ExactDivisionError(f"nonzero remainder in exact division: {r}", r)
+    # f / g = (F / G) * den(g) / den(f) = Q * den(g) / (den(f) * D)
+    return _make(vars, _times(quo, g.den), f.den * scale)
 
 
 def divides(g: MPoly, f: MPoly) -> bool:
@@ -380,13 +507,24 @@ def divides(g: MPoly, f: MPoly) -> bool:
 
 
 def bareiss_det(rows: list[list[MPoly]]) -> MPoly:
-    """Fraction-free Bareiss determinant of a square MPoly matrix."""
+    """Fraction-free Bareiss determinant of a square MPoly matrix.
+
+    Each row is first multiplied by the lcm of its denominators, so the
+    elimination runs over Z[i][vars], where every Bareiss division is
+    exact; the determinant is divided by those factors at the end.
+    """
     n = len(rows)
     if n == 0:
         return MPoly.one()
     m = [[_coerce(x) for x in row] for row in rows]
     if any(len(row) != n for row in m):
         raise MPolyError("bareiss_det wants a square matrix")
+    scale = 1
+    for i, row in enumerate(m):
+        d = lcm(*(x.den for x in row))
+        if d != 1:
+            m[i] = [x * d for x in row]
+            scale *= d
     sign = 1
     prev = MPoly.one()
     for k in range(n - 1):
@@ -404,8 +542,7 @@ def bareiss_det(rows: list[list[MPoly]]) -> MPoly:
                 m[i][j] = exact_div(num, prev)
             m[i][k] = MPoly.zero()
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return m[n - 1][n - 1] / (sign * scale)
 
 
 def sylvester(f: MPoly, g: MPoly, var: str) -> list[list[MPoly]]:

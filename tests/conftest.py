@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from holocert.gaussian import GaussianRational
 from holocert.normalform import FoliationParams, validate_genericity, verification_point
@@ -44,6 +46,18 @@ def random_generic_params(rng: random.Random) -> FoliationParams:
         )
         if validate_genericity(p).exact_ok:
             return p
+
+
+small_rat = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4)
+small_gq = st.builds(GaussianRational, small_rat, small_rat)
+
+
+@st.composite
+def term_dicts(draw, names=("w", "b1", "b0"), max_terms=5, max_exp=3):
+    """(vars, {exps: GaussianRational}) in a random variable order, for the MPoly constructor."""
+    vars = tuple(draw(st.permutations(names)))
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return vars, draw(st.dictionaries(exps, small_gq, max_size=max_terms))
 
 
 @pytest.fixture()

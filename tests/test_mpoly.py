@@ -1,25 +1,26 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holocert.gaussian import GaussianRational, gq
+from holocert.gaussian import gq
 from holocert.mpoly import (
     ExactDivisionError,
     MPoly,
     MPolyError,
+    _var_key,
     bareiss_det,
     exact_div,
     poly_from_coeffs,
     resultant,
 )
 
+from conftest import small_gq, term_dicts
+
 W = MPoly.var("w")
 B0 = MPoly.var("b0")
 B1 = MPoly.var("b1")
-
-small_rat = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4)
-small_gq = st.builds(GaussianRational, small_rat, small_rat)
 
 
 @st.composite
@@ -34,6 +35,80 @@ def polys(draw, vars=("w", "b1"), max_terms=4, max_exp=3):
             mono = mono * MPoly.var(v) ** e
         p = p + c * mono
     return p
+
+
+points = st.fixed_dictionaries({v: small_gq for v in ("w", "b1", "b0")})
+
+
+def reference_value(vars, terms, point):
+    """The value of sum c * prod v^k by GaussianRational arithmetic alone."""
+    total = gq(0)
+    for exps, c in terms.items():
+        for v, k in zip(vars, exps):
+            c = c * point[v] ** k
+        total = total + c
+    return total
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert gcd(p.den, *(x for c in p.num.values() for x in c)) == 1
+    assert all(re or im for re, im in p.num.values())
+    assert all(type(x) is int for c in p.num.values() for x in c) and type(p.den) is int
+    assert list(p.vars) == sorted(p.vars, key=_var_key)
+    assert all(any(e[i] for e in p.num) for i in range(len(p.vars)))
+    assert all(len(e) == len(p.vars) for e in p.num)
+
+
+# -- the integer form ------------------------------------------------------------
+
+
+def test_equal_polynomials_hash_alike():
+    p = MPoly(("b0", "w"), {(1, 1): gq(1)})
+    q = MPoly.var("w") * MPoly.var("b0")
+    assert p == q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+    assert p.vars == ("w", "b0")
+
+
+def test_constructor_clears_denominators():
+    p = MPoly(("w",), {(2,): gq(Fraction(1, 2)), (0,): gq(0, Fraction(-1, 3)), (1,): gq(0)})
+    assert (p.den, p.num) == (6, {(2,): (3, 0), (0,): (0, -2)})
+    assert dict(p.terms) == {(2,): gq(Fraction(1, 2)), (0,): gq(0, Fraction(-1, 3))}
+
+
+@given(term_dicts(), term_dicts(), points)
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_reference_evaluation(f, g, point):
+    fp, gp = MPoly(*f), MPoly(*g)
+    fx, gx = reference_value(*f, point), reference_value(*g, point)
+    assert fp.evaluate(point) == fx
+    assert (fp * gp).evaluate(point) == fx * gx
+    assert (fp + gp).evaluate(point) == fx + gx
+    assert (fp - gp).evaluate(point) == fx - gx
+
+
+@given(term_dicts(), term_dicts(), small_gq.filter(lambda c: not c.is_zero()))
+@settings(max_examples=60, deadline=None)
+def test_stored_form_is_canonical(f, g, c):
+    fp, gp = MPoly(*f), MPoly(*g)
+    results = [fp, fp * gp, fp + gp, fp - gp, -fp, fp * c, fp / c, fp**2, fp.derivative("b1")]
+    results += fp.coeffs_in("w") + [fp.substitute("b0", gp)]
+    if not gp.is_zero():
+        results.append(exact_div(fp * gp, gp))
+    for p in results:
+        assert_canonical(p)
+
+
+@given(term_dicts())
+@settings(max_examples=60, deadline=None)
+def test_terms_view_round_trips(f):
+    p = MPoly(*f)
+    q = MPoly(p.vars, p.terms)
+    assert q == p and hash(q) == hash(p)
+    assert (q.vars, q.num, q.den) == (p.vars, p.num, p.den)
+    assert dict(p.terms) == {tuple(e[f[0].index(v)] for v in p.vars): c for e, c in f[1].items() if c}
 
 
 # -- basic ring behaviour ------------------------------------------------------
@@ -109,6 +184,15 @@ def test_exact_div_remainder_is_carried():
     with pytest.raises(ExactDivisionError) as err:
         exact_div(W * W - 1, W - 2)
     assert err.value.remainder == MPoly.const(3)
+
+
+def test_exact_div_outside_gaussian_integers():
+    # lc = 1+i does not divide 1 in Z[i], so the division scales its running state
+    g = gq(1, 1) * W
+    assert exact_div(W, g) == MPoly.const(gq(Fraction(1, 2), Fraction(-1, 2)))
+    with pytest.raises(ExactDivisionError) as err:
+        exact_div(W + 1, g)
+    assert err.value.remainder == MPoly.const(1)
 
 
 def test_exact_div_by_zero():
