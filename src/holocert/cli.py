@@ -28,7 +28,7 @@ from .gaussian import GaussianRationalError
 from .mpoly import MPolyError
 from .normalform import DMAX, FoliationParams, expand_normal_form, validate_genericity
 from .numerics.checks import numeric_summary, run_numeric_verification
-from .numerics.odepath import ODEError
+from .numerics.odepath import DEFAULT_RTOL, ODEError
 from .obstruction import GenericityError
 
 EXIT_OK = 0
@@ -122,8 +122,7 @@ def cmd_verify_numeric(args) -> int:
 def cmd_certify(args) -> int:
     p = _load_params(args.params)
     _require_genericity(p)
-    cs = build_condition_set(p)
-    cert = certify(p, conditions=cs)
+    cert = certify(p)
     if not args.skip_numeric:
         try:
             report = run_numeric_verification(
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def numeric_flags(sp):
         sp.add_argument("--radius", type=float, default=0.5)
-        sp.add_argument("--rtol", type=float, default=1e-12)
+        sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=20, help="samples per integral-lemma family")
 

@@ -115,8 +115,8 @@ def h_jets(e_alpha: NormalFormExpansion, e_beta: NormalFormExpansion, R3: MPoly,
     """
     c2, c3, c4 = (e_alpha.c[k] for k in (2, 3, 4))
     t2, t3, t4 = (e_beta.c[k] for k in (2, 3, 4))
-    r30 = R3.coeff_of("w", 0)
-    r40 = R4.coeff_of("w", 0)
+    r30 = R3.substitute("w", 0)
+    r40 = R4.substitute("w", 0)
     h2 = _as_poly(t2) - c2
     h3 = h2 * h2 + _HALF * (_as_poly(t3) - c3) + r30
     h4 = (

@@ -71,9 +71,9 @@ def linear_system_solve(F3: MPoly, F4: MPoly, alpha0: GaussianRational):
         q = poly.substitute("b0", alpha0)
         if q.total_degree() > 1:
             raise EliminationError(f"not affine-linear in (b1, b2) after b0 = alpha0: {q}")
-        a1 = q.coeff_of("b1", 1).as_constant()
-        a2 = q.coeff_of("b2", 1).as_constant()
-        c = q.coeff_of("b1", 0).coeff_of("b2", 0).as_constant()
+        a1 = q.derivative("b1").as_constant()
+        a2 = q.derivative("b2").as_constant()
+        c = q.substitute("b1", 0).substitute("b2", 0).as_constant()
         rows.append((a1, a2, c))
     (a11, a12, c1), (a21, a22, c2) = rows
     det = a11 * a22 - a12 * a21

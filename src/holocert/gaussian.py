@@ -1,10 +1,9 @@
 """Exact arithmetic in the field Q(i) of Gaussian rationals.
 
-Every number is a pair of arbitrary-precision rationals kept in lowest
-terms; nothing here ever rounds.  gmpy2 is used for the rational parts
-when available, with a fractions.Fraction fallback.  This is the scalar
-layer: polynomials (mpoly.py) keep integer numerators of their own and
-meet GaussianRational only at their interface.
+Every number is a pair of fractions.Fraction kept in lowest terms;
+nothing here ever rounds.  This is the scalar layer: polynomials
+(mpoly.py) keep integer numerators of their own and meet
+GaussianRational only at their interface.
 """
 
 from __future__ import annotations
@@ -12,21 +11,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # gmpy2 is the optional 'fast' extra
-    _Q = Fraction
-
 
 class GaussianRationalError(ArithmeticError):
     pass
-
-
-def _rat(x):
-    if isinstance(x, float):
-        # floats are binary rationals, convert exactly
-        return _Q(Fraction(x))
-    return _Q(x)
 
 
 class GaussianRational:
@@ -35,9 +22,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # a value of the backend's rational type is already in lowest terms
-        object.__setattr__(self, "re", re if type(re) is _Q else _rat(re))
-        object.__setattr__(self, "im", im if type(im) is _Q else _rat(im))
+        # a Fraction is already in lowest terms; a float converts exactly
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -48,14 +35,14 @@ class GaussianRational:
     def _coerce(x) -> "GaussianRational | None":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)) or type(x).__name__ == "mpq":
+        if isinstance(x, (int, Fraction)):
             return GaussianRational(x)
         return None
 
     @classmethod
     def from_integers(cls, re: int, im: int, den: int) -> "GaussianRational":
         """(re + im*i) / den for integers re, im and den != 0."""
-        return cls(_Q(re, den), _Q(im, den))
+        return cls(Fraction(re, den), Fraction(im, den))
 
     @classmethod
     def from_complex(cls, z: complex) -> "GaussianRational":
@@ -71,7 +58,7 @@ class GaussianRational:
         return self.im == 0
 
     def is_integer(self) -> bool:
-        return self.im == 0 and _den(self.re) == 1
+        return self.im == 0 and self.re.denominator == 1
 
     # -- field operations --------------------------------------------------
 
@@ -175,12 +162,8 @@ class GaussianRational:
         return format_gaussian(self)
 
 
-def _den(q):
-    return q.denominator
-
-
 def _fmt_rat(q) -> str:
-    d = _den(q)
+    d = q.denominator
     return str(q.numerator) if d == 1 else f"{q.numerator}/{d}"
 
 
@@ -218,8 +201,8 @@ def _parse_rat(tok: str):
         num, den = tok.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in literal: {tok!r}")
-        return _Q(int(num), int(den))
-    return _Q(int(tok))
+        return Fraction(int(num), int(den))
+    return Fraction(int(tok))
 
 
 ZERO = GaussianRational(0)

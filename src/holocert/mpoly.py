@@ -247,10 +247,6 @@ class MPoly:
             buckets[e[i]][e[:i] + e[i + 1 :]] = c
         return [_make(rest, b, self.den) for b in buckets]
 
-    def coeff_of(self, var: str, k: int) -> "MPoly":
-        cs = self.coeffs_in(var)
-        return cs[k] if 0 <= k < len(cs) else MPoly.zero()
-
     def substitute(self, var: str, value: "MPoly | GaussianRational | int") -> "MPoly":
         """Replace var by a polynomial (or constant), exactly."""
         g = _coerce(value)

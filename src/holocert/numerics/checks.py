@@ -20,8 +20,6 @@ from ..conditions import build_condition_set
 from ..gaussian import GaussianRational
 from ..normalform import FoliationParams, L_d, r_of
 from .holonomy import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
     FloatModel,
     _to_coeff_array,
     float_model,
@@ -31,7 +29,7 @@ from .holonomy import (
 )
 from .jets import HolonomyJet, commutator, compose, invert, jet_distance
 from .loops import Loop, LoopSystem, build_loops, concat
-from .odepath import integrate_stack
+from .odepath import ATOL, DEFAULT_RTOL, integrate_stack
 
 DEGREE_TOLERANCES = {2: 1e-6, 3: 1e-6, 4: 1e-5, 5: 1e-5, 6: 1e-4}
 A1_TOLERANCE = 1e-8
@@ -139,7 +137,6 @@ def verify_variation_formulas(
     model: FloatModel,
     loop: Loop,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     jet: HolonomyJet | None = None,
 ) -> list[CheckRow]:
     """Compare the ODE jet against the bundle-assembled formulas, degree 2..6.
@@ -147,8 +144,8 @@ def verify_variation_formulas(
     The loop's jet is integrated here unless the caller already holds it.
     """
     if jet is None:
-        jet = integrate_variations(model, loop, rtol=rtol, atol=atol)
-    bundle = integrate_quadratures(model, loop, rtol=rtol, atol=atol)
+        jet = integrate_variations(model, loop, rtol=rtol)
+    bundle = integrate_quadratures(model, loop, rtol=rtol)
     assembled = formula_coefficients(model, bundle)
     rows = []
     for d in range(2, 7):
@@ -206,7 +203,7 @@ def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
     return two_loop, forward
 
 
-def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) -> list[CheckRow]:
+def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol) -> list[CheckRow]:
     """One zeta = (1+w)^u1 (1-w)^u2 per distinct degree, integrated once along
     each of gamma1 and gamma2 with every sample's P zeta stacked on it."""
     degrees = sorted({d for d, _ in samples})
@@ -220,8 +217,8 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) ->
 
     coeffs = [P for _, P in samples]
     zeros = np.zeros(len(samples))
-    _, i1, _, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
-    _, i2, _, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol, atol)
+    _, i1, _, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol)
+    _, i2, _, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol)
     rows = []
     for k, (d, _) in enumerate(samples):
         factor = 1.0 + cmath.exp(2j * math.pi * complex(U1[slot[k]]))
@@ -231,13 +228,13 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol, atol) ->
     return rows
 
 
-def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol, atol) -> list[CheckRow]:
+def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol) -> list[CheckRow]:
     """Every L_d(R)/r^d phi1^(d-1) stacked on one phi1, integrated once."""
     degrees = [d for d, _ in samples]
     w = Polynomial([0.0, 1.0])
     images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in samples]
     zeros = np.zeros(len(samples))
-    _, values, _, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol, atol)
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol)
     return [
         _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
         for k, d in enumerate(degrees)
@@ -250,7 +247,6 @@ def verify_integral_lemmas(
     seed: int = 0,
     n_samples: int = 20,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     conditions=None,
 ) -> list[CheckRow]:
     """Three families of checks:
@@ -269,15 +265,13 @@ def verify_integral_lemmas(
     two_loop, forward = draw_lemma_samples(seed, n_samples)
     rows = []
     if n_samples > 0:
-        rows.extend(_two_loop_rows(model, loops, two_loop, rtol, atol))
-        rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward, rtol, atol))
-    rows.extend(
-        antiderivative_identity_rows(model, loops.gamma1, rtol=rtol, atol=atol, conditions=conditions, seed=seed)
-    )
+        rows.extend(_two_loop_rows(model, loops, two_loop, rtol))
+        rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward, rtol))
+    rows.extend(antiderivative_identity_rows(model, loops.gamma1, rtol=rtol, conditions=conditions, seed=seed))
     return rows
 
 
-def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, conditions=None, seed=0):
+def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, conditions=None, seed=0):
     """Check (c): integral of (P_d + F_d)/r^d phi1^(d-1) against its closed form,
     for d = 3..6 in one pass along the loop."""
     p = model.params
@@ -306,7 +300,7 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
             worst[j] = max(worst[j], abs(complex(values[j]) - closed) / scale)
 
     field = phi_field(model, degrees)
-    integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, field, rtol, atol, segment_callback=callback)
+    integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, field, rtol, segment_callback=callback)
     return [
         _row(f"antiderivative-identity-deg{d}", loop.label, d, worst[j], LEMMA_TOLERANCE)
         for j, d in enumerate(degrees)
@@ -320,7 +314,6 @@ def structural_rows(
     model: FloatModel,
     loops: LoopSystem,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     seed: int = 0,
     jets: dict | None = None,
 ) -> tuple[list[CheckRow], str]:
@@ -334,20 +327,20 @@ def structural_rows(
     jets = dict(jets or {})
     for lp in (loops.mu1, loops.mu2, loops.gamma1, loops.gamma2):
         if lp.label not in jets:
-            jets[lp.label] = integrate_variations(model, lp, rtol=rtol, atol=atol)
+            jets[lp.label] = integrate_variations(model, lp, rtol=rtol)
 
     for label in ("gamma1", "gamma2"):
         rows.append(
             _row(f"commutator-tangency[{label}]", label, 1, abs(jets[label].a1 - 1.0), A1_TOLERANCE)
         )
 
-    rev = integrate_variations(model, loops.gamma1.inverse(), rtol=rtol, atol=atol)
+    rev = integrate_variations(model, loops.gamma1.inverse(), rtol=rtol)
     rows.append(
         _row("reversed-loop-is-inverse-jet", "gamma1", 0, jet_distance(rev, invert(jets["gamma1"])), STRUCTURE_TOLERANCE)
     )
 
     both = concat(loops.mu2, loops.mu1, label="mu2*mu1")
-    seq = integrate_variations(model, both, rtol=rtol, atol=atol)
+    seq = integrate_variations(model, both, rtol=rtol)
     rows.append(
         _row(
             "concatenation-composes-jets",
@@ -380,7 +373,7 @@ def structural_rows(
 
     alt_radius = loops.radius * 2.0 / 3.0
     alt = build_loops(alt_radius)
-    jet_alt = integrate_variations(model, alt.gamma1, rtol=rtol, atol=atol)
+    jet_alt = integrate_variations(model, alt.gamma1, rtol=rtol)
     rows.append(
         _row("radius-independence", f"gamma1@{alt_radius:g}", 0, jet_distance(jets["gamma1"], jet_alt), STRUCTURE_TOLERANCE)
     )
@@ -400,7 +393,7 @@ def structural_rows(
     beta = tuple(GaussianRational.from_complex(complex(z)) for z in rng.standard_normal(3) + 1j * rng.standard_normal(3))
     model_beta = float_model(model.params.with_alpha(*beta))
     for label, lp in (("gamma1", loops.gamma1), ("gamma2", loops.gamma2)):
-        tilde = integrate_variations(model_beta, lp, order=2, rtol=rtol, atol=atol)
+        tilde = integrate_variations(model_beta, lp, order=2, rtol=rtol)
         base = jets[label]
         scale = max(1.0, abs(base.a(2)), base.norms[1])
         rows.append(
@@ -413,31 +406,25 @@ def run_numeric_verification(
     p: FoliationParams,
     radius: float = 0.5,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     seed: int = 0,
     n_samples: int = 20,
-    conditions=None,
 ) -> dict:
     """Full numeric report: deterministic given (params, radius, rtol, seed)."""
     model = float_model(p)
     loops = build_loops(radius)
     # each commutator's jet is integrated once and serves both row families
-    jets = {lp.label: integrate_variations(model, lp, rtol=rtol, atol=atol) for lp in (loops.gamma1, loops.gamma2)}
+    jets = {lp.label: integrate_variations(model, lp, rtol=rtol) for lp in (loops.gamma1, loops.gamma2)}
     rows = []
     for lp in (loops.gamma1, loops.gamma2):
-        rows.extend(verify_variation_formulas(model, lp, rtol=rtol, atol=atol, jet=jets[lp.label]))
-    rows.extend(
-        verify_integral_lemmas(
-            model, loops, seed=seed, n_samples=n_samples, rtol=rtol, atol=atol, conditions=conditions
-        )
-    )
-    struct, convention = structural_rows(model, loops, rtol=rtol, atol=atol, seed=seed, jets=jets)
+        rows.extend(verify_variation_formulas(model, lp, rtol=rtol, jet=jets[lp.label]))
+    rows.extend(verify_integral_lemmas(model, loops, seed=seed, n_samples=n_samples, rtol=rtol))
+    struct, convention = structural_rows(model, loops, rtol=rtol, seed=seed, jets=jets)
     rows.extend(struct)
     return {
         "params": p.to_dict(),
         "radius": radius,
         "rtol": rtol,
-        "atol": atol,
+        "atol": ATOL,
         "seed": seed,
         "convention": convention,
         "checks": [r.to_dict() for r in rows],

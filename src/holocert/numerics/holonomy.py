@@ -38,13 +38,7 @@ from ..mpoly import MPoly
 from ..normalform import FoliationParams, expand_normal_form, r_of, s_of
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
-from .odepath import ODEError, integrate_stack
-
-# The bound on each piece's Chebyshev tail relative to the integrand's
-# largest coefficient; it keeps a1 of a commutator loop near 1e-14, far
-# under the 1e-8 structural budget.
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-16
+from .odepath import DEFAULT_RTOL, ODEError, integrate_stack
 
 
 def _to_coeff_array(poly: MPoly) -> np.ndarray:
@@ -126,14 +120,13 @@ def integrate_variations(
     loop: Loop,
     order: int = ORDER,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> HolonomyJet:
     """Holonomy jet of a loop from the variational equations."""
     if not 1 <= order <= ORDER:
         raise ValueError(f"order must lie in 1..{ORDER}")
     S = [model.S[d] for d in range(2, order + 1)]
     zeros = np.zeros(order - 1)
-    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order), rtol, atol)
+    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order), rtol)
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
     norms = np.zeros(ORDER)
@@ -146,7 +139,7 @@ def integrate_variations(
             norms[d - 1] = abs(p1) * masses[d - 2]
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(norms))):
         raise ODEError(f"the holonomy jet of {loop.label} overflows double precision")
-    return HolonomyJet(coeffs, label=loop.label, norms=norms)
+    return HolonomyJet(coeffs, norms=norms)
 
 
 # -- quadrature bundle -------------------------------------------------------------
@@ -224,15 +217,10 @@ def _bundle_field(model: FloatModel):
     return field
 
 
-def integrate_quadratures(
-    model: FloatModel,
-    loop: Loop,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> QuadratureBundle:
+def integrate_quadratures(model: FloatModel, loop: Loop, rtol: float = DEFAULT_RTOL) -> QuadratureBundle:
     coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
     zeros = np.zeros(len(_BUNDLE_NAMES))
-    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol, atol)
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol)
     return QuadratureBundle(
         values={name: complex(v) for name, v in zip(_BUNDLE_NAMES, values)},
         norms={name: float(abs(m)) for name, m in zip(_BUNDLE_NAMES, masses)},

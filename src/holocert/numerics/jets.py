@@ -22,7 +22,6 @@ class HolonomyJet:
     """Return map z -> a1 z + a2 z^2 + ... + a6 z^6 along one loop."""
 
     coeffs: np.ndarray
-    label: str = ""
     norms: np.ndarray = field(default_factory=lambda: np.zeros(ORDER))
 
     def __post_init__(self):
@@ -45,7 +44,7 @@ class HolonomyJet:
 def identity_jet() -> HolonomyJet:
     c = np.zeros(ORDER, dtype=complex)
     c[0] = 1.0
-    return HolonomyJet(c, label="id")
+    return HolonomyJet(c)
 
 
 def _trunc_mul(u, v):
@@ -74,11 +73,7 @@ def compose(f: HolonomyJet, g: HolonomyJet) -> HolonomyJet:
         mass += fm[k] * powers_m
         if k < ORDER - 1:
             powers_m = _trunc_mul(powers_m, gm)
-    return HolonomyJet(
-        out,
-        label=f"({f.label})o({g.label})",
-        norms=np.maximum(mass - np.abs(out), 0.0),
-    )
+    return HolonomyJet(out, norms=np.maximum(mass - np.abs(out), 0.0))
 
 
 def invert(f: HolonomyJet) -> HolonomyJet:
@@ -87,7 +82,7 @@ def invert(f: HolonomyJet) -> HolonomyJet:
         raise ZeroDivisionError("jet with a1 = 0 is not invertible")
     g = np.zeros(ORDER, dtype=complex)
     g[0] = 1.0 / f.coeffs[0]
-    inv = HolonomyJet(g.copy(), label=f"({f.label})^-1")
+    inv = HolonomyJet(g.copy())
     for n in range(1, ORDER):
         c = compose(f, inv).coeffs
         inv.coeffs[n] -= c[n] / f.coeffs[0]
@@ -97,9 +92,7 @@ def invert(f: HolonomyJet) -> HolonomyJet:
 
 def commutator(f: HolonomyJet, g: HolonomyJet) -> HolonomyJet:
     """f o g o f^-1 o g^-1, truncated."""
-    out = compose(compose(f, g), compose(invert(f), invert(g)))
-    out.label = f"[{f.label},{g.label}]"
-    return out
+    return compose(compose(f, g), compose(invert(f), invert(g)))
 
 
 def jet_distance(f: HolonomyJet, g: HolonomyJet) -> float:

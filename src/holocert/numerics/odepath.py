@@ -6,7 +6,9 @@ one fixed (N+1) x N matrix (values -> Chebyshev coefficients -> chebint ->
 evaluation) turns the samples into the cumulative integrals at the nodes
 and at the piece's end, and the same matrix applied to the moduli gives
 the L1 masses.  A piece is split in two while the trailing Chebyshev
-coefficients of an integrand exceed rtol times its largest one (plus atol).
+coefficients of an integrand exceed rtol times its largest one plus ATOL.
+rtol is the one tolerance a caller passes (DEFAULT_RTOL unless the command
+line's --rtol sets it); ATOL is fixed, like N, PIECES, MAX_DEPTH and TAIL.
 This is Chebfun's ``cumsum``; the end row is Fejer's first quadrature
 rule (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
 
@@ -25,6 +27,11 @@ N = 32  # Chebyshev nodes per piece
 PIECES = 2  # initial pieces per segment
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
+ATOL = 1e-16  # absolute floor of the tail test, for integrands that vanish
+# The bound on each piece's Chebyshev tail relative to the integrand's
+# largest coefficient; it keeps a1 of a commutator loop near 1e-14, far
+# under the 1e-8 structural budget.
+DEFAULT_RTOL = 1e-12
 
 _X = cheb.chebpts1(N)  # ascending nodes on [-1, 1]
 # values -> coefficients, by the discrete orthogonality of T_k at the nodes
@@ -42,7 +49,7 @@ def _rows(a, k: int, n: int) -> np.ndarray:
     return np.broadcast_to(a, (k, n)) if k else np.zeros((0, n), dtype=complex)
 
 
-def _piece(f, t, half, b0, y0, rtol, atol):
+def _piece(f, t, half, b0, y0, rtol):
     """Base, integrals and mass increments at the end of one piece, or None
     when the piece must be split.
 
@@ -70,13 +77,13 @@ def _piece(f, t, half, b0, y0, rtol, atol):
         else:
             raise ValueError(f"no fixed point after {m + 2} sweeps: an integrand reads itself or a later integral")
         coeffs = np.abs(derivs @ _TO_COEFFS.T)
-        if np.any(coeffs[:, -TAIL:].max(axis=1, initial=0.0) > rtol * coeffs.max(axis=1, initial=0.0) + atol):
+        if np.any(coeffs[:, -TAIL:].max(axis=1, initial=0.0) > rtol * coeffs.max(axis=1, initial=0.0) + ATOL):
             return None
         dmass = half * (np.abs(np.concatenate((derivs[:nb] * base, derivs[nb:]))) * _CUMSUM[:, N]).sum(axis=1)
     return state[:nb, N], state[nb:, N], dmass
 
 
-def integrate_fixed_interval(f, b0, y0, rtol: float, atol: float):
+def integrate_fixed_interval(f, b0, y0, rtol: float):
     """Integrate a base b and integrals y over t in [0, 1].
 
     f(t, b, y) takes an array of nodes t with the state at those nodes
@@ -91,7 +98,7 @@ def integrate_fixed_interval(f, b0, y0, rtol: float, atol: float):
     todo = [(k / PIECES, 1.0 / PIECES, 0) for k in reversed(range(PIECES))]
     while todo:
         a, h, depth = todo.pop()
-        out = _piece(f, a + h * (_X + 1.0) / 2.0, h / 2.0, b, y, rtol, atol)
+        out = _piece(f, a + h * (_X + 1.0) / 2.0, h / 2.0, b, y, rtol)
         if out is None:
             if depth == MAX_DEPTH:
                 raise ODEError(f"Chebyshev tail above rtol on a piece of length {h:g} at t = {a:g}")
@@ -102,7 +109,7 @@ def integrate_fixed_interval(f, b0, y0, rtol: float, atol: float):
     return b, y, mass
 
 
-def integrate_loop(rhs, loop, b0, y0, rtol: float = 1e-10, atol: float = 1e-13, segment_callback=None):
+def integrate_loop(rhs, loop, b0, y0, rtol: float, segment_callback=None):
     """Integrate along every segment of a loop, carrying the state through.
 
     rhs(w, dw, b, y) receives the nodes and velocities of a piece and
@@ -120,7 +127,7 @@ def integrate_loop(rhs, loop, b0, y0, rtol: float = 1e-10, atol: float = 1e-13, 
             return rhs(seg.point(t), seg.velocity(t), b, y)
 
         try:
-            b, y, dmass = integrate_fixed_interval(f, b, y, rtol, atol)
+            b, y, dmass = integrate_fixed_interval(f, b, y, rtol)
         except ODEError as exc:
             raise ODEError(f"loop {loop.label!r}, segment {idx}: {exc}") from exc
         mass = mass + dmass
@@ -129,7 +136,7 @@ def integrate_loop(rhs, loop, b0, y0, rtol: float = 1e-10, atol: float = 1e-13, 
     return b, y, mass
 
 
-def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, atol: float, segment_callback=None):
+def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, segment_callback=None):
     """Integrate a base state and a stack of integrals along a loop.
 
     field(w, base, integrals, vals) is evaluated on an array of points w,
@@ -167,4 +174,4 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, atol: f
         def callback(idx, w, b, y, mass):
             segment_callback(idx, w, *split(b, y, mass))
 
-    return split(*integrate_loop(rhs, loop, base0, integrals0, rtol, atol, segment_callback=callback))
+    return split(*integrate_loop(rhs, loop, base0, integrals0, rtol, segment_callback=callback))

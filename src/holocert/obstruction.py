@@ -88,9 +88,8 @@ def build_Md(d: int, lambda1: GaussianRational, lambda2: GaussianRational) -> Ba
         rows[k + 1][k] = B - (2 * d - 2 - k)
     # self-check each column against the direct computation
     for k in range(ncols):
-        img = apply_Ld(d, lambda1, lambda2, W**k)
-        got = [img.coeff_of("w", i).constant_term() for i in range(nrows)]
-        if got != [rows[i][k] for i in range(nrows)]:
+        got = [c.constant_term() for c in apply_Ld(d, lambda1, lambda2, W**k).coeffs_in("w")]
+        if got + [ZERO] * (nrows - len(got)) != [rows[i][k] for i in range(nrows)]:
             raise SolverError(f"M_{d} column {k} disagrees with L_{d}(w^{k})")
     return BandedMatrix(d, lambda1, lambda2, A, B, tuple(tuple(r) for r in rows))
 
@@ -98,23 +97,25 @@ def build_Md(d: int, lambda1: GaussianRational, lambda2: GaussianRational) -> Ba
 def solve_Rd(M: BandedMatrix, P: MPoly) -> MPoly:
     """Unique R_d with L_d(R_d) = P_d on every monomial of positive degree.
 
-    Back-substitution on the triangular square matrix; the only divisions
-    are by the scalars B_d - k, so polynomial coefficients in beta pass
-    through untouched.
+    Back-substitution on the triangular square matrix, reading all three
+    bands from M.rows; the only divisions are by the scalars B_d - k, so
+    polynomial coefficients in beta pass through untouched.
     """
     d = M.d
     ncols = M.n_cols
     if P.degree("w") > 2 * d - 2:
         raise ValueError(f"deg_w P_{d} = {P.degree('w')} exceeds 2(d-1) = {2*d-2}")
-    b = [P.coeff_of("w", i) for i in range(2 * d - 1)]
-    A = M.A
-    x: list[MPoly] = [MPoly.zero()] * (ncols + 2)  # two guard slots past the top
+    b = P.coeffs_in("w")
+    b += [MPoly.zero()] * (2 * d - 1 - len(b))
+    x: list[MPoly] = [MPoly.zero()] * ncols
     for i in range(2 * d - 2, 0, -1):
-        # row w^i reads: (B - (2d-1-i)) x_{i-1} + A x_i - (i+1) x_{i+1} = b_i
-        diag = M.rows[i][i - 1]
-        rhs = b[i] - A * x[i] + (i + 1) * x[i + 1]
-        x[i - 1] = rhs / diag
-    return poly_from_coeffs("w", x[:ncols])
+        # row w^i reads: rows[i][i-1] x_{i-1} + rows[i][i] x_i + rows[i][i+1] x_{i+1} = b_i
+        row = M.rows[i]
+        rhs = b[i]
+        for k in range(i, min(i + 2, ncols)):
+            rhs = rhs - x[k] * row[k]
+        x[i - 1] = rhs / row[i - 1]
+    return poly_from_coeffs("w", x)
 
 
 def functional_Fd(M: BandedMatrix, P: MPoly, R: MPoly) -> MPoly:

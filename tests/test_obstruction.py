@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from holocert.gaussian import gq
@@ -29,8 +31,8 @@ def test_first_column_is_image_of_one(tp):
         M = build_Md(d, tp.lambda1, tp.lambda2)
         img = apply_Ld(d, tp.lambda1, tp.lambda2, MPoly.one())
         col = [M.rows[i][0] for i in range(M.n_rows)]
-        expect = [img.coeff_of("w", i).constant_term() for i in range(M.n_rows)]
-        assert col == expect
+        expect = [c.constant_term() for c in img.coeffs_in("w")]
+        assert col == expect + [gq(0)] * (M.n_rows - len(expect))
         assert col[0] == M.A
         assert col[1] == M.B - (2 * d - 2)
 
@@ -41,9 +43,10 @@ def test_matrix_matches_bruteforce_oracle(tp, rng):
         for d in (3, 4, 5, 6):
             M = build_Md(d, p.lambda1, p.lambda2)
             for k in range(M.n_cols):
-                img = apply_Ld(d, p.lambda1, p.lambda2, W**k)
+                img = apply_Ld(d, p.lambda1, p.lambda2, W**k).coeffs_in("w")
                 for i in range(M.n_rows):
-                    assert M.rows[i][k] == img.coeff_of("w", i).constant_term()
+                    expect = img[i].constant_term() if i < len(img) else gq(0)
+                    assert M.rows[i][k] == expect
 
 
 def test_planted_singular_diagonal():
@@ -104,6 +107,21 @@ def test_Fd_detects_solver_corruption(tp):
     P = apply_Ld(3, tp.lambda1, tp.lambda2, W)
     with pytest.raises(SolverError):
         functional_Fd(M, P, W + W**2)  # wrong preimage
+
+
+@pytest.mark.parametrize("band", [0, 1])
+def test_Fd_detects_a_corrupted_band(tp, band):
+    # the solve reads every band from M.rows, so a wrong entry there (with
+    # M.A intact) yields a wrong R_d, and the defect picks up a w term
+    d, i = 4, 3
+    M = build_Md(d, tp.lambda1, tp.lambda2)
+    rows = [list(r) for r in M.rows]
+    rows[i][i + band] += 1
+    bad = dataclasses.replace(M, rows=tuple(tuple(r) for r in rows))
+    assert bad.A == M.A
+    P = apply_Ld(d, tp.lambda1, tp.lambda2, sum((W**k for k in range(2 * d - 2)), MPoly.zero()))
+    with pytest.raises(SolverError):
+        functional_Fd(bad, P, solve_Rd(bad, P))
 
 
 def test_degree_bound_on_solution(tp, rng):

@@ -22,14 +22,14 @@ def base_only(rate):
 
 
 def test_exponential_growth_on_interval():
-    b, y, mass = integrate_fixed_interval(base_only(lambda t: 1.0), [1.0], EMPTY, rtol=1e-12, atol=1e-14)
+    b, y, mass = integrate_fixed_interval(base_only(lambda t: 1.0), [1.0], EMPTY, rtol=1e-12)
     assert abs(b[0] - math.e) < 1e-10
     assert y.shape == (0,)
     assert abs(mass[0] - (math.e - 1.0)) < 1e-10  # the mass of b' = b
 
 
 def test_complex_rotation():
-    b, _, _ = integrate_fixed_interval(base_only(lambda t: 1j * math.pi), [1.0], EMPTY, rtol=1e-12, atol=1e-14)
+    b, _, _ = integrate_fixed_interval(base_only(lambda t: 1j * math.pi), [1.0], EMPTY, rtol=1e-12)
     assert abs(b[0] + 1.0) < 1e-10  # e^{i pi} = -1
 
 
@@ -37,7 +37,7 @@ def test_segment_pullback_line():
     # the integral of dw along a segment recovers the displacement
     seg = Line(0j, 2 + 1j)
     _, y, _ = integrate_fixed_interval(
-        lambda t, b, y: (0.0, seg.velocity(t)), EMPTY, [0.0], rtol=1e-12, atol=1e-14
+        lambda t, b, y: (0.0, seg.velocity(t)), EMPTY, [0.0], rtol=1e-12
     )
     assert abs(y[0] - (2 + 1j)) < 1e-10
 
@@ -45,7 +45,7 @@ def test_segment_pullback_line():
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="there-and-back")
-    _, y, mass = integrate_loop(lambda w, dw, b, y: (0.0, dw), out_back, EMPTY, [0.0], rtol=1e-12, atol=1e-14)
+    _, y, mass = integrate_loop(lambda w, dw, b, y: (0.0, dw), out_back, EMPTY, [0.0], rtol=1e-12)
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -53,7 +53,7 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), basepoint=1 + 0j, label="circle")
-    _, y, _ = integrate_loop(lambda w, dw, b, y: (0.0, dw / w), circle, EMPTY, [0.0], rtol=1e-12, atol=1e-14)
+    _, y, _ = integrate_loop(lambda w, dw, b, y: (0.0, dw / w), circle, EMPTY, [0.0], rtol=1e-12)
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
@@ -66,7 +66,6 @@ def test_segment_callback_fires_in_order():
         EMPTY,
         [0.0],
         rtol=1e-10,
-        atol=1e-13,
         segment_callback=lambda idx, w, b, y, mass: seen.append((idx, w)),
     )
     assert [i for i, _ in seen] == [0, 1]
@@ -77,19 +76,19 @@ def test_segment_callback_fires_in_order():
 def test_nonfinite_state_raises():
     # e^1000 leaves double precision on the first piece
     with pytest.raises(ODEError, match="non-finite state"):
-        integrate_fixed_interval(base_only(lambda t: 1000.0), [1.0], EMPTY, rtol=1e-8, atol=1e-10)
+        integrate_fixed_interval(base_only(lambda t: 1000.0), [1.0], EMPTY, rtol=1e-8)
 
 
 def test_field_reading_its_own_integral_is_rejected():
     # y' = y is no iterated integral: the sweeps never reach a fixed point
     with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t, b, y: (0.0, y), EMPTY, [1.0], rtol=1e-12, atol=1e-14)
+        integrate_fixed_interval(lambda t, b, y: (0.0, y), EMPTY, [1.0], rtol=1e-12)
 
 
 def test_jump_exhausts_the_splitting_depth():
     # a jump keeps the Chebyshev tail of the piece holding it at O(1)
     with pytest.raises(ODEError, match="tail above rtol"):
-        integrate_fixed_interval(lambda t, b, y: (0.0, (t > 1 / 3) + 0j), EMPTY, [0.0], rtol=1e-12, atol=1e-14)
+        integrate_fixed_interval(lambda t, b, y: (0.0, (t > 1 / 3) + 0j), EMPTY, [0.0], rtol=1e-12)
 
 
 def _pulse_run(rtol):
@@ -101,7 +100,7 @@ def _pulse_run(rtol):
         pieces.add((t[0], t[-1]))
         return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), 0.0
 
-    b, _, _ = integrate_fixed_interval(f, [1.0], EMPTY, rtol=rtol, atol=1e-13)
+    b, _, _ = integrate_fixed_interval(f, [1.0], EMPTY, rtol=rtol)
     phase = amp * width * math.sqrt(math.pi) / 2 * (math.erf((1 - centre) / width) + math.erf(centre / width))
     return len(pieces), abs(b[0] - cmath.exp(1j * phase))
 
@@ -129,8 +128,8 @@ def test_stacked_copies_match_single_system_bit_for_bit(n, k):
     def f(t, b, y):
         return np.tile(rates, len(b) // n)[:, None], np.cos(3 * t) * b
 
-    single = integrate_fixed_interval(f, b0, np.zeros(n), rtol=1e-10, atol=1e-13)
-    stacked = integrate_fixed_interval(f, np.tile(b0, k), np.zeros(n * k), rtol=1e-10, atol=1e-13)
+    single = integrate_fixed_interval(f, b0, np.zeros(n), rtol=1e-10)
+    stacked = integrate_fixed_interval(f, np.tile(b0, k), np.zeros(n * k), rtol=1e-10)
     for copy in range(k):
         sl = slice(copy * n, (copy + 1) * n)
         assert np.array_equal(stacked[0][sl], single[0])
@@ -157,7 +156,7 @@ def test_stack_on_a_circle_has_closed_forms():
         seen.append((b.size, i.size, bm.size, m.size))
 
     base, integrals, base_masses, masses = integrate_stack(
-        circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field, 1e-12, 1e-14, callback
+        circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field, 1e-12, callback
     )
     assert base.shape == (1,) and integrals.shape == (3,) and masses.shape == (3,)
     assert seen == [(1, 3, 1, 3)]
