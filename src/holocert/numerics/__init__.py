@@ -6,8 +6,10 @@ cross-validates the closed-form coefficient formulas of the exact half.
 Every loop integration goes through ``odepath.integrate_stack``: each
 family (jets, quadrature bundle, integral lemmas) is a field on it, made
 of a base with a rate in w alone (phi1, or zeta) and a triangular stack
-of integrals, which the engine integrates piece by piece with one
-Chebyshev cumulative-integral matrix.
+of integrals.  The engine cuts a loop into Chebyshev pieces and solves
+blocks of consecutive pieces at once: one field sweep over all their
+nodes, the one cumulative-integral matrix, and start states chained
+in path order.
 """
 
 from .loops import Arc, Line, Loop, LoopSystem, build_loops, concat

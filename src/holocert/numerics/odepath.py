@@ -5,12 +5,21 @@ On a piece every integrand is sampled at N first-kind Chebyshev points;
 one fixed (N+1) x N matrix (values -> Chebyshev coefficients -> chebint ->
 evaluation) turns the samples into the cumulative integrals at the nodes
 and at the piece's end, and the same matrix applied to the moduli gives
-the L1 masses.  A piece is split in two while the trailing Chebyshev
-coefficients of an integrand exceed rtol times its largest one plus ATOL.
-rtol is the one tolerance a caller passes (DEFAULT_RTOL unless the command
-line's --rtol sets it); ATOL is fixed, like N, PIECES, MAX_DEPTH and TAIL.
-This is Chebfun's ``cumsum``; the end row is Fejer's first quadrature
-rule (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
+the L1 masses.  This is Chebfun's ``cumsum``; the end row is Fejer's first
+quadrature rule (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013).
+
+A loop's pieces form one list in path order, solved BLOCK at a time: each
+sweep evaluates the field once on the nodes of all pieces of a block, and
+their start states are chained in path order (a running product for the
+base, a running sum for the integrals), the same arithmetic in the same
+order as solving the pieces one by one.  The tail test is per piece: a
+piece is split in two while the trailing Chebyshev coefficients of an
+integrand exceed rtol times its largest one plus ATOL.  Only the pieces
+before a block's first failing piece are accepted, so each piece starts
+from an accepted state and the mesh is the piece-by-piece one.  rtol is
+the one tolerance a caller passes (DEFAULT_RTOL unless the command line's
+--rtol sets it); ATOL is fixed, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
 
 ``integrate_stack`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
@@ -20,11 +29,16 @@ and their L1 masses.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+from types import SimpleNamespace
+
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 N = 32  # Chebyshev nodes per piece
 PIECES = 2  # initial pieces per segment
+BLOCK = 16  # consecutive pending pieces solved together, one field sweep for all
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
 ATOL = 1e-16  # absolute floor of the tail test, for integrands that vanish
@@ -45,42 +59,92 @@ class ODEError(RuntimeError):
     pass
 
 
-def _rows(a, k: int, n: int) -> np.ndarray:
-    return np.broadcast_to(a, (k, n)) if k else np.zeros((0, n), dtype=complex)
+def _views(buf, *shape):
+    """A contiguous view of the first prod(shape) entries of a flat buffer."""
+    return buf[: int(np.prod(shape))].reshape(shape)
 
 
-def _piece(f, t, half, b0, y0, rtol):
-    """Base, integrals and mass increments at the end of one piece, or None
-    when the piece must be split.
+def _per_row(a, m, out=None):
+    """a @ m for a (rows, k, N) array, one (k, N) BLAS product per row.
 
-    f is evaluated on the nodes until the state at the nodes is a fixed
-    point: the first sweep fixes the base, each further one an integral
-    level, and the last one confirms.  Overflow is caught as a non-finite
-    state, not as a numpy warning.
+    OpenBLAS would spread one product of rows * k rows over threads, and on
+    a small shared machine the wait for the second thread costs more than
+    the product.  Every entry rounds as in the (rows, N) product of a lone
+    piece, which goes through as that product: numpy takes (1, N) products
+    as vector products, which round differently.
     """
-    nb, m = b0.size, y0.size
-    base = _rows(b0[:, None], nb, N)
-    ints = _rows(y0[:, None], m, N)
-    state = None
+    rows, k, _ = a.shape
+    if k > 1:
+        return np.matmul(a, m, out=out)
+    flat_out = None if out is None else out.reshape(rows, -1)
+    return np.matmul(a.reshape(rows, -1), m, out=flat_out).reshape(rows, 1, -1)
+
+
+def _solve(rhs, w, dw, half, start, nb, bufs):
+    """Solve k consecutive pieces (nodes w, velocities dw, half-lengths
+    half) from the accepted state start, iterating the field to a bitwise
+    fixed point: the first sweep fixes the base, each further one an
+    integral level, and the last one confirms.
+
+    Returns (nodes, starts, derivs): the state and the derivatives at the
+    nodes, of shape (rows, k, N), and starts[j], the state at the start of
+    piece j (starts[k] at the end of the last).  Returns instead the index
+    of the first piece whose state a sweep left non-finite, so that no NaN
+    reaches the fixed-point test; overflow is caught that way, not as a
+    numpy warning.
+    """
+    k, rows = half.size, start.size
+    nodes, derivs = (_views(b, rows, k, N) for b in bufs[:2])
+    cum = _views(bufs[2], rows, k, N + 1)
+    starts, new_starts = (_views(b, k + 1, rows) for b in bufs[3:])
+    flat, flat_derivs = nodes.reshape(rows, k * N), derivs.reshape(rows, k * N)
+    new = cum[:, :, :N]  # the new state at the nodes overwrites the local integrals
+    nodes[...] = start[:, None, None]
+    starts[0] = new_starts[0] = start
     with np.errstate(all="ignore"):
-        for _ in range(m + 2):
-            rate, g = f(t, base, ints)
-            derivs = np.concatenate((_rows(rate, nb, N), _rows(g, m, N)))
-            cum = half * (derivs @ _CUMSUM)
-            new = np.concatenate((b0[:, None] * np.exp(cum[:nb]), y0[:, None] + cum[nb:]))
-            if not np.all(np.isfinite(new)):
-                raise ODEError("non-finite state")
-            if state is not None and np.array_equal(new, state):
-                break
-            state = new
-            base, ints = state[:nb, :N], state[nb:, :N]
-        else:
-            raise ValueError(f"no fixed point after {m + 2} sweeps: an integrand reads itself or a later integral")
-        coeffs = np.abs(derivs @ _TO_COEFFS.T)
-        if np.any(coeffs[:, -TAIL:].max(axis=1, initial=0.0) > rtol * coeffs.max(axis=1, initial=0.0) + ATOL):
-            return None
-        dmass = half * (np.abs(np.concatenate((derivs[:nb] * base, derivs[nb:]))) * _CUMSUM[:, N]).sum(axis=1)
-    return state[:nb, N], state[nb:, N], dmass
+        for sweep in range(rows - nb + 2):
+            rate, g = rhs(w, dw, flat[:nb], flat[nb:])
+            np.copyto(flat_derivs[:nb], rate)
+            np.copyto(flat_derivs[nb:], g)
+            del rate, g  # not kept alive through the next field call
+            _per_row(derivs, _CUMSUM, out=cum)
+            cum *= half[:, None]
+            np.exp(cum[:nb], out=cum[:nb])  # the base's factor over each piece
+            # Each product is start times factor into a contiguous row of its
+            # own, as for a lone piece: numpy's complex product rounds
+            # otherwise in np.multiply.accumulate, into a strided output, into
+            # an output that is also a one-element operand, and with its
+            # operands swapped.
+            factors = cum[:nb, :, N].T
+            for j in range(k):
+                np.multiply(new_starts[j, :nb], factors[j], out=new_starts[j + 1, :nb])
+            new_starts[1:, nb:] = cum[nb:, :, N].T
+            np.add.accumulate(new_starts[:, nb:], axis=0, out=new_starts[:, nb:])
+            np.multiply(new_starts[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
+            np.add(new_starts[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
+            finite = np.isfinite(new).all(axis=(0, 2)) & np.isfinite(new_starts[1:]).all(axis=1)
+            if not finite.all():
+                return int(np.argmin(finite))
+            if sweep and np.array_equal(new, nodes) and np.array_equal(new_starts, starts):
+                return nodes, starts, derivs
+            nodes[...] = new
+            starts, new_starts = new_starts, starts
+    raise ValueError(f"no fixed point after {rows - nb + 2} sweeps: an integrand reads itself or a later integral")
+
+
+def _tail_above(derivs, rtol):
+    """Per piece, whether some integrand's Chebyshev tail exceeds rtol times
+    its largest coefficient plus ATOL."""
+    coeffs = np.abs(_per_row(derivs, _TO_COEFFS.T))
+    return np.any(coeffs[:, :, -TAIL:].max(axis=2, initial=0.0) > rtol * coeffs.max(axis=2, initial=0.0) + ATOL, axis=0)
+
+
+def _masses(derivs, base, half):
+    """Per piece, the L1 mass of every component's derivative (rate * base
+    for the base)."""
+    moduli = np.abs(derivs)
+    moduli[: len(base)] = np.abs(derivs[: len(base)] * base)
+    return (moduli * _CUMSUM[:, N]).sum(axis=2) * half
 
 
 def integrate_fixed_interval(f, b0, y0, rtol: float):
@@ -92,48 +156,84 @@ def integrate_fixed_interval(f, b0, y0, rtol: float):
     and on earlier integrals.  Returns b and y at t = 1 and the L1 mass
     of every component's derivative (rate * b for the base).
     """
-    b = np.asarray(b0, dtype=complex)
-    y = np.asarray(y0, dtype=complex)
-    mass = np.zeros(b.size + y.size)
-    todo = [(k / PIECES, 1.0 / PIECES, 0) for k in reversed(range(PIECES))]
-    while todo:
-        a, h, depth = todo.pop()
-        out = _piece(f, a + h * (_X + 1.0) / 2.0, h / 2.0, b, y, rtol)
-        if out is None:
-            if depth == MAX_DEPTH:
-                raise ODEError(f"Chebyshev tail above rtol on a piece of length {h:g} at t = {a:g}")
-            todo += [(a + h / 2.0, h / 2.0, depth + 1), (a, h / 2.0, depth + 1)]
-            continue
-        b, y, dmass = out
-        mass += dmass
-    return b, y, mass
+    # [0, 1] as a path of one segment, w = t, with no loop to name in errors
+    unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
+    return integrate_loop(lambda w, dw, b, y: f(w, b, y), SimpleNamespace(segments=(unit,), label=None), b0, y0, rtol)
 
 
 def integrate_loop(rhs, loop, b0, y0, rtol: float, segment_callback=None):
     """Integrate along every segment of a loop, carrying the state through.
 
-    rhs(w, dw, b, y) receives the nodes and velocities of a piece and
-    returns (rate, g) in t, already pulled back.  segment_callback(index,
-    w_end, b, y, mass) fires after each segment, which the
-    antiderivative-identity checks use to compare mid-path values.
-    Returns (b, y, mass) at the end of the loop.
+    rhs(w, dw, b, y) receives the nodes and velocities of a block of
+    consecutive pieces, which may span segments, with the state at those
+    nodes, and returns (rate, g) in t, already pulled back.
+    segment_callback(index, w_end, b, y, mass) fires after each segment,
+    which the antiderivative-identity checks use to compare mid-path
+    values.  Returns (b, y, mass) at the end of the loop.
     """
-    b = np.asarray(b0, dtype=complex)
-    y = np.asarray(y0, dtype=complex)
-    mass = np.zeros(b.size + y.size)
-    for idx, seg in enumerate(loop.segments):
+    segments = loop.segments
+    start = np.concatenate((np.asarray(b0, dtype=complex).ravel(), np.asarray(y0, dtype=complex).ravel()))
+    nb, rows = np.size(b0), start.size
+    mass, seg_mass = np.zeros(rows), np.zeros(rows)
+    # reused by every block: the state and the derivatives at the nodes, the
+    # cumulative integrals, and two generations of start states
+    bufs = [np.empty(rows * n, dtype=complex) for n in (BLOCK * N, BLOCK * N, BLOCK * (N + 1), BLOCK + 1, BLOCK + 1)]
 
-        def f(t, b, y, seg=seg):
-            return rhs(seg.point(t), seg.velocity(t), b, y)
+    def error(piece, why):
+        return ODEError(why if loop.label is None else f"loop {loop.label!r}, segment {piece[0]}: {why}")
 
-        try:
-            b, y, dmass = integrate_fixed_interval(f, b, y, rtol)
-        except ODEError as exc:
-            raise ODEError(f"loop {loop.label!r}, segment {idx}: {exc}") from exc
-        mass = mass + dmass
-        if segment_callback is not None:
-            segment_callback(idx, seg.point(1.0), b, y, mass)
-    return b, y, mass
+    # pending pieces (segment, t at the start, length, depth, ends its segment), the next one last
+    todo = [(s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1) for s in range(len(segments)) for k in range(PIECES)][::-1]
+    while todo:
+        block = todo[-BLOCK:][::-1]
+        del todo[-BLOCK:]
+        overflowed = None  # the piece after the block whose state turned non-finite
+        while True:
+            a = np.array([piece[1] for piece in block])
+            h = np.array([piece[2] for piece in block])
+            t = a[:, None] + h[:, None] * (_X + 1.0) / 2.0
+            parts, lo = [], 0
+            for s, run in groupby(block, key=itemgetter(0)):
+                hi = lo + len(list(run))
+                ts = t[lo:hi].ravel()
+                parts.append((segments[s].point(ts), np.broadcast_to(segments[s].velocity(ts), ts.shape)))
+                lo = hi
+            w, dw = (np.concatenate(x) for x in zip(*parts))
+            out = _solve(rhs, w, dw, h / 2.0, start, nb, bufs)
+            if not isinstance(out, int):
+                break
+            # cut the block there: the non-finite state counts once every piece before it is accepted
+            overflowed = block[out]
+            if out == 0:
+                raise error(overflowed, "non-finite state")
+            todo += block[out:][::-1]
+            block = block[:out]
+        nodes, starts, derivs = out
+        failed = _tail_above(derivs, rtol)
+        p = int(np.argmax(failed)) if failed.any() else len(block)  # the clean prefix
+        if p == len(block) and overflowed is not None:
+            raise error(overflowed, "non-finite state")
+        rest = []  # failing pieces are halved, the others solved again from the new start
+        for piece, split in zip(block[p:], failed[p:]):
+            s, a0, h0, depth, last = piece
+            if split and depth < MAX_DEPTH:
+                rest += [(s, a0, h0 / 2.0, depth + 1, False), (s, a0 + h0 / 2.0, h0 / 2.0, depth + 1, last)]
+            elif split and not rest:
+                raise error(piece, f"Chebyshev tail above rtol on a piece of length {h0:g} at t = {a0:g}")
+            else:
+                rest.append(piece)
+        todo += rest[::-1]
+        dmass = _masses(derivs[:, :p], nodes[:nb, :p], h[:p] / 2.0)
+        for j, (s, *_, last) in enumerate(block[:p]):
+            seg_mass += dmass[:, j]
+            if last:
+                mass = mass + seg_mass
+                seg_mass = np.zeros(rows)
+                if segment_callback is not None:
+                    end = starts[j + 1].copy()
+                    segment_callback(s, segments[s].point(1.0), end[:nb], end[nb:], mass)
+        start = starts[p].copy()
+    return start[:nb], start[nb:], mass
 
 
 def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, segment_callback=None):
@@ -161,8 +261,14 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, segment
         C[k, : len(c)] = c
     n = C.shape[1]
 
+    def values(w):
+        # one (K, n) @ (n, N) product per piece: over a whole block of nodes
+        # the product would be spread over BLAS threads (see _per_row)
+        V = np.vander(w, n, increasing=True).reshape(-1, N, n).transpose(0, 2, 1)
+        return np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), -1)
+
     def rhs(w, dw, b, y):
-        rate, g = field(w, b, y, C @ np.vander(w, n, increasing=True).T)
+        rate, g = field(w, b, y, values(w))
         return np.multiply(rate, dw), np.multiply(g, dw)
 
     def split(b, y, mass):

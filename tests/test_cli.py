@@ -175,23 +175,35 @@ def test_inconclusive_verdict_exits_one(monkeypatch, tmp_path, capsys):
     assert json.loads(out.read_text())["verdict"] == "INCONCLUSIVE"
 
 
+def _certify_breakdown(tmp_path, capsys, lambda1, lambda2):
+    params = tmp_path / "steep.json"
+    params.write_text(json.dumps({"lambda1": lambda1, "lambda2": lambda2, "alpha": ["2-1i", "1/2", "-1+1i"]}))
+    out = tmp_path / "cert.json"
+    rc = main(["certify", "--params", str(params), "--samples", "0", "--out", str(out)])
+    return rc, capsys.readouterr().err, json.loads(out.read_text())
+
+
 def test_numerical_breakdown_is_inconclusive(tmp_path, capsys, recwarn):
     # a valid point whose generator multiplier e^{2 pi i lambda2} grows so
     # fast along mu2 that double precision overflows in the first loop
-    params = tmp_path / "steep.json"
-    params.write_text(json.dumps({"lambda1": "1/2+1i", "lambda2": "1/3-40i", "alpha": ["2-1i", "1/2", "-1+1i"]}))
-    out = tmp_path / "cert.json"
-    rc = main(["certify", "--params", str(params), "--samples", "0", "--rtol", "1e-6", "--out", str(out)])
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+1i", "1/3-40i")
     assert rc == EXIT_INCONCLUSIVE
     # the breakdown is reported once, as the reason, and not as numpy warnings
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-    err = capsys.readouterr().err
     assert "INCONCLUSIVE: numerical breakdown" in err
-    assert "non-finite state" in err and "gamma1" in err
-    # the certificate still carries the finished exact half and the reason
-    doc = json.loads(out.read_text())
+    # the certificate still carries the finished exact half and the reason,
+    # which is certificate bytes
+    reason = "loop 'gamma1', segment 1: non-finite state"
     assert doc["verdict"] == "UNIQUE"
-    reason = doc["numeric"]["breakdown"]
     assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
-    assert "non-finite state" in reason and "gamma1" in reason
+    assert f"numerical breakdown: {reason}" in err
+
+
+def test_breakdown_names_the_segment_that_overflows(tmp_path, capsys):
+    # the state of gamma2 leaves double precision in segment 8, the way back
+    # from its second turn around -1, after the pieces of segment 7 were split
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2-20i", "1/3+18i")
+    assert rc == EXIT_INCONCLUSIVE
+    reason = "loop 'gamma2', segment 8: non-finite state"
+    assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
     assert f"numerical breakdown: {reason}" in err

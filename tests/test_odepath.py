@@ -97,7 +97,8 @@ def _pulse_run(rtol):
     pieces = set()
 
     def f(t, b, y):
-        pieces.add((t[0], t[-1]))
+        # one call covers a block of pieces, N nodes each
+        pieces.update(map(tuple, t.reshape(-1, odepath.N)))
         return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), 0.0
 
     b, _, _ = integrate_fixed_interval(f, [1.0], EMPTY, rtol=rtol)
@@ -115,6 +116,81 @@ def test_accuracy_scales_with_rtol():
     loose, tight = _pulse_run(1e-5), _pulse_run(1e-12)
     assert tight[0] >= loose[0]
     assert tight[1] <= loose[1]
+
+
+def _line_loop(n):
+    """n unit segments along the real axis, w = s + t on segment s, and back
+    (the closing segment carries no field in the tests below)."""
+    segments = tuple(Line(complex(s), complex(s + 1)) for s in range(n)) + (Line(complex(n), 0j),)
+    return Loop(segments, basepoint=0j, label="line")
+
+
+def test_a_split_segment_leaves_its_neighbours_alone():
+    # a narrow pulse on segment 1 only: segments 0 and 2 keep their initial
+    # pieces, although they share blocks with the pieces of segment 1 that fail
+    amp, width = 30.0, 0.02
+    loop = _line_loop(3)
+    nodes = {0: set(), 1: set(), 2: set()}
+
+    def rhs(w, dw, b, y):
+        for row in w.reshape(-1, odepath.N):
+            seg = int(row.real.min())
+            if seg in nodes and row.real.max() < seg + 1:
+                nodes[seg].add(tuple(row))
+        on = dw.real > 0  # not on the closing segment
+        rate = np.where(on, 1j * (0.3 + amp * np.exp(-(((w.real - 1.5) / width) ** 2))), 0.0)
+        return rate * dw, np.where(on, b[0], 0.0) * dw
+
+    b, _, _ = integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)
+    assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES
+    assert len(nodes[1]) > odepath.PIECES
+    phase = 0.9 + amp * width * math.sqrt(math.pi) * math.erf(0.5 / width)
+    assert abs(b[0] - cmath.exp(1j * phase)) < 1e-9
+
+
+def test_nonfinite_state_names_the_first_segment_that_overflows():
+    # segment 0 must be split and segment 2 overflows (e^1000); the pieces of
+    # segment 3 and later, solved in the same block, go non-finite too, but
+    # the error names segment 2 and is no "no fixed point" ValueError
+    loop = _line_loop(5)
+
+    def rhs(w, dw, b, y):
+        x = w.real
+        pulse = np.where(x < 1.0, 40j * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
+        rate = np.where(dw.real > 0, pulse + np.where((x > 2.0) & (x < 3.0), 1000.0, 0.0), 0.0)
+        return rate * dw, b[0] * dw
+
+    with pytest.raises(ODEError, match=r"^loop 'line', segment 2: non-finite state$"):
+        integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)
+
+
+@pytest.mark.parametrize("nb", [1, 3])
+def test_blocks_match_single_pieces_bit_for_bit(monkeypatch, nb):
+    # solving BLOCK pieces at once chains their start states in path order
+    # with the arithmetic of solving them one by one (BLOCK = 1), so every
+    # result and every mid-path value agrees to the last bit; the pulse
+    # makes pieces split, and a block then holds pieces of several segments
+    loop = _line_loop(4)
+    rates = np.array([1j * math.pi, -0.7 + 2.0j, 0.3 - 0.1j])[:nb, None]
+
+    def rhs(w, dw, b, y):
+        x = w.real
+        rate = rates * (1.0 + 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)))
+        return rate * dw, [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
+
+    def run():
+        seen = []
+        b0 = np.linspace(1.0, 2.0, nb)
+        out = integrate_loop(rhs, loop, b0, [0.0, 0.5j], rtol=1e-11, segment_callback=lambda *args: seen.append(args))
+        return out, seen
+
+    blocks = run()
+    monkeypatch.setattr(odepath, "BLOCK", 1)
+    pieces = run()
+    assert len(blocks[1]) == len(pieces[1]) == len(loop.segments)
+    for got, want in zip([blocks[0], *blocks[1]], [pieces[0], *pieces[1]]):
+        for u, v in zip(got, want):
+            assert np.array_equal(u, v)
 
 
 @pytest.mark.parametrize("n, k", [(1, 2), (1, 8), (2, 4)])
