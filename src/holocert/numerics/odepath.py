@@ -11,15 +11,20 @@ Practice, SIAM 2013).
 
 A loop's pieces form one list in path order, solved BLOCK at a time: each
 sweep evaluates the field once on the nodes of all pieces of a block, and
-their start states are chained in path order (a running product for the
-base, a running sum for the integrals), the same arithmetic in the same
-order as solving the pieces one by one.  The tail test is per piece: a
-piece is split in two while the trailing Chebyshev coefficients of an
-integrand exceed rtol times its largest one plus ATOL.  Only the pieces
-before a block's first failing piece are accepted, so each piece starts
-from an accepted state and the mesh is the piece-by-piece one.  rtol is
-the one tolerance a caller passes (DEFAULT_RTOL unless the command line's
---rtol sets it); ATOL is fixed, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
+their start states are chained in path order (a product for the base, a
+sum for the integrals), the same arithmetic in the same order as solving
+the pieces one by one.  The tail test is per piece: a piece is split in
+two while the trailing Chebyshev coefficients of an integrand exceed rtol
+times its largest one plus ATOL.  Only the pieces before a block's first
+failing piece are accepted; that piece is halved, and the pieces after it
+go back, to be solved again from the accepted state.  A piece among them
+that failed from its inaccurate start is split on speculation: its halves
+take its place in the path, and the whole piece is solved beside them from
+the same start until its own tail test confirms the split or undoes it.
+So each piece is judged from an accepted start state, and the mesh is the
+one of solving the pieces one by one.  rtol is the one tolerance a caller
+passes (DEFAULT_RTOL unless the command line's --rtol sets it); ATOL is
+fixed, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
 
 ``integrate_stack`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
@@ -30,7 +35,6 @@ and their L1 masses.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,27 +84,32 @@ def _per_row(a, m, out=None):
     return np.matmul(a.reshape(rows, -1), m, out=flat_out).reshape(rows, 1, -1)
 
 
-def _solve(rhs, w, dw, half, start, nb, bufs):
-    """Solve k consecutive pieces (nodes w, velocities dw, half-lengths
-    half) from the accepted state start, iterating the field to a bitwise
-    fixed point: the first sweep fixes the base, each further one an
-    integral level, and the last one confirms.
+def _solve(rhs, w, dw, half, prev, start, nb, bufs):
+    """Solve k pieces (nodes w, velocities dw, half-lengths half) from the
+    accepted state start, iterating the field to a bitwise fixed point: the
+    first sweep fixes the base, each further one an integral level, and the
+    last one confirms.  Piece j starts where piece prev[j] < j ends, or at
+    start where prev[j] = -1; a path of consecutive pieces has prev[j] = j - 1.
 
-    Returns (nodes, starts, derivs): the state and the derivatives at the
-    nodes, of shape (rows, k, N), and starts[j], the state at the start of
-    piece j (starts[k] at the end of the last).  Returns instead the index
-    of the first piece whose state a sweep left non-finite, so that no NaN
-    reaches the fixed-point test; overflow is caught that way, not as a
-    numpy warning.
+    Returns (nodes, ends, derivs): the state and the derivatives at the
+    nodes, of shape (rows, k, N), and ends[j + 1], the state at the end of
+    piece j (ends[0] = start).  Returns instead the index of the first
+    piece whose state a sweep left non-finite, so that no NaN reaches the
+    fixed-point test; overflow is caught that way, not as a numpy warning.
+
+    Every node starts at the state start, so only the first piece's sweeps
+    are those of solving it alone; a later piece's intermediate sweeps start
+    from another guess, and may overflow where a lone solve's would not, or
+    the other way round.  The fixed point does not depend on the guess.
     """
     k, rows = half.size, start.size
     nodes, derivs = (_views(b, rows, k, N) for b in bufs[:2])
     cum = _views(bufs[2], rows, k, N + 1)
-    starts, new_starts = (_views(b, k + 1, rows) for b in bufs[3:])
+    ends, new_ends = (_views(b, k + 1, rows) for b in bufs[3:])
     flat, flat_derivs = nodes.reshape(rows, k * N), derivs.reshape(rows, k * N)
     new = cum[:, :, :N]  # the new state at the nodes overwrites the local integrals
     nodes[...] = start[:, None, None]
-    starts[0] = new_starts[0] = start
+    ends[0] = new_ends[0] = start
     with np.errstate(all="ignore"):
         for sweep in range(rows - nb + 2):
             rate, g = rhs(w, dw, flat[:nb], flat[nb:])
@@ -110,25 +119,25 @@ def _solve(rhs, w, dw, half, start, nb, bufs):
             _per_row(derivs, _CUMSUM, out=cum)
             cum *= half[:, None]
             np.exp(cum[:nb], out=cum[:nb])  # the base's factor over each piece
-            # Each product is start times factor into a contiguous row of its
-            # own, as for a lone piece: numpy's complex product rounds
+            # Each base product is start times factor into a contiguous row of
+            # its own, as for a lone piece: numpy's complex product rounds
             # otherwise in np.multiply.accumulate, into a strided output, into
             # an output that is also a one-element operand, and with its
             # operands swapped.
-            factors = cum[:nb, :, N].T
+            steps = cum[:, :, N].T  # the base's factor and the integrals' increment over each piece
             for j in range(k):
-                np.multiply(new_starts[j, :nb], factors[j], out=new_starts[j + 1, :nb])
-            new_starts[1:, nb:] = cum[nb:, :, N].T
-            np.add.accumulate(new_starts[:, nb:], axis=0, out=new_starts[:, nb:])
-            np.multiply(new_starts[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
-            np.add(new_starts[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
-            finite = np.isfinite(new).all(axis=(0, 2)) & np.isfinite(new_starts[1:]).all(axis=1)
+                np.multiply(new_ends[prev[j] + 1, :nb], steps[j, :nb], out=new_ends[j + 1, :nb])
+                np.add(new_ends[prev[j] + 1, nb:], steps[j, nb:], out=new_ends[j + 1, nb:])
+            starts = new_ends[prev + 1]
+            np.multiply(starts[:, :nb].T[:, :, None], new[:nb], out=new[:nb])
+            np.add(starts[:, nb:].T[:, :, None], new[nb:], out=new[nb:])
+            finite = np.isfinite(new).all(axis=(0, 2)) & np.isfinite(new_ends[1:]).all(axis=1)
             if not finite.all():
                 return int(np.argmin(finite))
-            if sweep and np.array_equal(new, nodes) and np.array_equal(new_starts, starts):
-                return nodes, starts, derivs
+            if sweep and np.array_equal(new, nodes) and np.array_equal(new_ends, ends):
+                return nodes, ends, derivs
             nodes[...] = new
-            starts, new_starts = new_starts, starts
+            ends, new_ends = new_ends, ends
     raise ValueError(f"no fixed point after {rows - nb + 2} sweeps: an integrand reads itself or a later integral")
 
 
@@ -145,6 +154,32 @@ def _masses(derivs, base, half):
     moduli = np.abs(derivs)
     moduli[: len(base)] = np.abs(derivs[: len(base)] * base)
     return (moduli * _CUMSUM[:, N]).sum(axis=2) * half
+
+
+def _halves(piece):
+    s, a, h, depth, last, _ = piece
+    return (s, a, h / 2.0, depth + 1, False, False), (s, a + h / 2.0, h / 2.0, depth + 1, last, False)
+
+
+def _pending(entries, failed=None):
+    """The pending pieces that the block entries (piece, role) stand for.
+
+    Halves go back with the piece split on speculation before them, or on
+    their own where that piece is not among the entries; a piece whose
+    tail test failed (failed[n]) splits on speculation.
+    """
+    pieces, skip = [], 0
+    for n, (piece, role) in enumerate(entries):
+        if role == 1:
+            pieces.append(piece)
+            skip = 2
+        elif skip:
+            skip -= 1
+        elif failed is not None and failed[n] and piece[3] < MAX_DEPTH:
+            pieces.append(piece[:5] + (True,))
+        else:
+            pieces.append(piece)
+    return pieces
 
 
 def integrate_fixed_interval(f, b0, y0, rtol: float):
@@ -170,69 +205,105 @@ def integrate_loop(rhs, loop, b0, y0, rtol: float, segment_callback=None):
     segment_callback(index, w_end, b, y, mass) fires after each segment,
     which the antiderivative-identity checks use to compare mid-path
     values.  Returns (b, y, mass) at the end of the loop.
+
+    ODEError names the segment of a piece whose state a sweep left
+    non-finite while it was the first piece of a block, solved as if alone
+    from its accepted start state.  A block is cut before a later piece
+    whose state turns non-finite, and that piece is solved again.  A later
+    piece starts its sweeps from another guess (see _solve), so where only
+    the intermediate sweeps of a lone solve overflow, it is accepted, and
+    the segment named can differ from the one a piece-by-piece solve would
+    name.  The two known breakdown points name the same segment as such a
+    solve; no other point has been compared.
     """
     segments = loop.segments
     start = np.concatenate((np.asarray(b0, dtype=complex).ravel(), np.asarray(y0, dtype=complex).ravel()))
     nb, rows = np.size(b0), start.size
     mass, seg_mass = np.zeros(rows), np.zeros(rows)
     # reused by every block: the state and the derivatives at the nodes, the
-    # cumulative integrals, and two generations of start states
-    bufs = [np.empty(rows * n, dtype=complex) for n in (BLOCK * N, BLOCK * N, BLOCK * (N + 1), BLOCK + 1, BLOCK + 1)]
+    # cumulative integrals, and two generations of end states; a block holds
+    # up to BLOCK pieces, or three for a first piece split on speculation
+    size = max(BLOCK, 3)
+    bufs = [np.empty(rows * n, dtype=complex) for n in (size * N, size * N, size * (N + 1), size + 1, size + 1)]
 
     def error(piece, why):
         return ODEError(why if loop.label is None else f"loop {loop.label!r}, segment {piece[0]}: {why}")
 
-    # pending pieces (segment, t at the start, length, depth, ends its segment), the next one last
-    todo = [(s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1) for s in range(len(segments)) for k in range(PIECES)][::-1]
+    # pending pieces (segment, t at the start, length, depth, ends its segment,
+    # split on speculation), the next one last
+    todo = [
+        (s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1, False) for s in range(len(segments)) for k in range(PIECES)
+    ][::-1]
     while todo:
-        block = todo[-BLOCK:][::-1]
-        del todo[-BLOCK:]
-        overflowed = None  # the piece after the block whose state turned non-finite
+        # the block in path order, as (piece, role): role 0 for a piece of the
+        # path; a piece split on speculation (role 1) is solved beside its
+        # halves (role 2), which follow it, until its own tail test confirms
+        # the split
+        block = []
+        while todo and (not block or len(block) + (3 if todo[-1][5] else 1) <= BLOCK):
+            piece = todo.pop()
+            block += [(piece, 1), *((half, 2) for half in _halves(piece))] if piece[5] else [(piece, 0)]
         while True:
-            a = np.array([piece[1] for piece in block])
-            h = np.array([piece[2] for piece in block])
+            prev, before = [], -1  # each piece starts where the last piece of the path before it ends
+            for n, (_, role) in enumerate(block):
+                prev.append(before)
+                before = before if role == 1 else n
+            a = np.array([piece[1] for piece, _ in block])
+            h = np.array([piece[2] for piece, _ in block])
             t = a[:, None] + h[:, None] * (_X + 1.0) / 2.0
             parts, lo = [], 0
-            for s, run in groupby(block, key=itemgetter(0)):
+            for s, run in groupby(piece[0] for piece, _ in block):
                 hi = lo + len(list(run))
                 ts = t[lo:hi].ravel()
                 parts.append((segments[s].point(ts), np.broadcast_to(segments[s].velocity(ts), ts.shape)))
                 lo = hi
             w, dw = (np.concatenate(x) for x in zip(*parts))
-            out = _solve(rhs, w, dw, h / 2.0, start, nb, bufs)
+            out = _solve(rhs, w, dw, h / 2.0, np.array(prev), start, nb, bufs)
             if not isinstance(out, int):
                 break
-            # cut the block there: the non-finite state counts once every piece before it is accepted
-            overflowed = block[out]
+            # the first piece's sweeps are those of a lone solve from its
+            # accepted start; a later piece goes back, to be solved again
             if out == 0:
-                raise error(overflowed, "non-finite state")
-            todo += block[out:][::-1]
-            block = block[:out]
-        nodes, starts, derivs = out
-        failed = _tail_above(derivs, rtol)
-        p = int(np.argmax(failed)) if failed.any() else len(block)  # the clean prefix
-        if p == len(block) and overflowed is not None:
-            raise error(overflowed, "non-finite state")
-        rest = []  # failing pieces are halved, the others solved again from the new start
-        for piece, split in zip(block[p:], failed[p:]):
-            s, a0, h0, depth, last = piece
-            if split and depth < MAX_DEPTH:
-                rest += [(s, a0, h0 / 2.0, depth + 1, False), (s, a0 + h0 / 2.0, h0 / 2.0, depth + 1, last)]
-            elif split and not rest:
-                raise error(piece, f"Chebyshev tail above rtol on a piece of length {h0:g} at t = {a0:g}")
+                raise error(block[0][0], "non-finite state")
+            while block[out][1] == 2:
+                out -= 1
+            rest = _pending(block[out:])
+            if out == 0:  # a half overflowed beside its finite whole piece: solve that whole
+                block, rest = [(rest[0][:5] + (False,), 0)], rest[1:]
             else:
-                rest.append(piece)
+                block = block[:out]
+            todo += rest[::-1]
+        nodes, ends, derivs = out
+        failed = _tail_above(derivs, rtol)
+        accepted, rest = [], []
+        for n, (piece, role) in enumerate(block):
+            if role == 1 and not failed[n]:  # the whole piece passes: it is not split
+                rest = [piece[:5] + (False,)] + _pending(block[n + 3 :], failed[n + 3 :])
+                break
+            if role != 1 and failed[n]:
+                # the first failing piece is halved; the pieces after it started
+                # from its inaccurate end and go back, those that failed from
+                # there split on speculation
+                s, a0, h0, depth, *_ = piece
+                if depth == MAX_DEPTH:
+                    raise error(piece, f"Chebyshev tail above rtol on a piece of length {h0:g} at t = {a0:g}")
+                rest = [*_halves(piece)] + _pending(block[n + 1 :], failed[n + 1 :])
+                break
+            if role != 1:
+                accepted.append(n)
         todo += rest[::-1]
-        dmass = _masses(derivs[:, :p], nodes[:nb, :p], h[:p] / 2.0)
-        for j, (s, *_, last) in enumerate(block[:p]):
+        dmass = _masses(derivs[:, accepted], nodes[:nb, accepted], h[accepted] / 2.0)
+        for j, n in enumerate(accepted):
+            s, *_, last, _ = block[n][0]
             seg_mass += dmass[:, j]
             if last:
                 mass = mass + seg_mass
                 seg_mass = np.zeros(rows)
                 if segment_callback is not None:
-                    end = starts[j + 1].copy()
+                    end = ends[n + 1].copy()
                     segment_callback(s, segments[s].point(1.0), end[:nb], end[nb:], mass)
-        start = starts[p].copy()
+        if accepted:
+            start = ends[accepted[-1] + 1].copy()
     return start[:nb], start[nb:], mass
 
 
@@ -261,11 +332,15 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, segment
         C[k, : len(c)] = c
     n = C.shape[1]
 
+    last = [None, None]  # the nodes of the last call and P_k there: every sweep of a block has the same nodes
+
     def values(w):
-        # one (K, n) @ (n, N) product per piece: over a whole block of nodes
-        # the product would be spread over BLAS threads (see _per_row)
-        V = np.vander(w, n, increasing=True).reshape(-1, N, n).transpose(0, 2, 1)
-        return np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), -1)
+        if w is not last[0]:
+            # one (K, n) @ (n, N) product per piece: over a whole block of
+            # nodes the product would be spread over BLAS threads (see _per_row)
+            V = np.vander(w, n, increasing=True).reshape(-1, N, n).transpose(0, 2, 1)
+            last[:] = w, np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), -1)
+        return last[1]
 
     def rhs(w, dw, b, y):
         rate, g = field(w, b, y, values(w))

@@ -175,18 +175,19 @@ def test_inconclusive_verdict_exits_one(monkeypatch, tmp_path, capsys):
     assert json.loads(out.read_text())["verdict"] == "INCONCLUSIVE"
 
 
-def _certify_breakdown(tmp_path, capsys, lambda1, lambda2):
+def _certify_breakdown(tmp_path, capsys, lambda1, lambda2, *flags):
     params = tmp_path / "steep.json"
     params.write_text(json.dumps({"lambda1": lambda1, "lambda2": lambda2, "alpha": ["2-1i", "1/2", "-1+1i"]}))
     out = tmp_path / "cert.json"
-    rc = main(["certify", "--params", str(params), "--samples", "0", "--out", str(out)])
+    rc = main(["certify", "--params", str(params), "--samples", "0", *flags, "--out", str(out)])
     return rc, capsys.readouterr().err, json.loads(out.read_text())
 
 
 def test_numerical_breakdown_is_inconclusive(tmp_path, capsys, recwarn):
     # a valid point whose generator multiplier e^{2 pi i lambda2} grows so
-    # fast along mu2 that double precision overflows in the first loop
-    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+1i", "1/3-40i")
+    # fast along mu2 that double precision overflows in the first loop;
+    # --rtol reaches the engine through the command line
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+1i", "1/3-40i", "--rtol", "1e-6")
     assert rc == EXIT_INCONCLUSIVE
     # the breakdown is reported once, as the reason, and not as numpy warnings
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -197,6 +198,12 @@ def test_numerical_breakdown_is_inconclusive(tmp_path, capsys, recwarn):
     assert doc["verdict"] == "UNIQUE"
     assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
     assert f"numerical breakdown: {reason}" in err
+
+
+def test_breakdown_reason_is_the_same_at_the_default_rtol(tmp_path, capsys):
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+1i", "1/3-40i")
+    assert rc == EXIT_INCONCLUSIVE
+    assert doc["numeric"] == {"all_pass": False, "breakdown": "loop 'gamma1', segment 1: non-finite state"}
 
 
 def test_breakdown_names_the_segment_that_overflows(tmp_path, capsys):

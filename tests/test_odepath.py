@@ -164,12 +164,91 @@ def test_nonfinite_state_names_the_first_segment_that_overflows():
         integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)
 
 
+def _piece_by_piece(rhs, loop, b0, y0, rtol, segment_callback):
+    """The reference for integrate_loop: each piece solved alone from its
+    accepted start state, split while its tail test fails, with the
+    arithmetic that the blocks must reproduce bit for bit."""
+    N, X, C = odepath.N, np.polynomial.chebyshev.chebpts1(odepath.N), odepath._CUMSUM
+    b, y = np.asarray(b0, dtype=complex), np.asarray(y0, dtype=complex)
+    nb, m = b.size, y.size
+    mass = np.zeros(nb + m)
+    for idx, seg in enumerate(loop.segments):
+        seg_mass = np.zeros(nb + m)
+        todo = [(k / odepath.PIECES, 1.0 / odepath.PIECES) for k in reversed(range(odepath.PIECES))]
+        while todo:
+            a, h = todo.pop()
+            t = a + h * (X + 1.0) / 2.0
+            w, dw = seg.point(t), np.broadcast_to(seg.velocity(t), t.shape)
+            nodes, state = np.concatenate((np.repeat(b[:, None], N, 1), np.repeat(y[:, None], N, 1))), None
+            for _ in range(m + 2):
+                rate, g = rhs(w, dw, nodes[:nb], nodes[nb:])
+                derivs = np.concatenate((np.broadcast_to(rate, (nb, N)), np.broadcast_to(g, (m, N))))
+                cum = h / 2.0 * (derivs @ C)
+                new = np.concatenate((b[:, None] * np.exp(cum[:nb]), y[:, None] + cum[nb:]))
+                if state is not None and np.array_equal(new, state):
+                    break
+                state, nodes = new, new[:, :N]
+            coeffs = np.abs(derivs @ odepath._TO_COEFFS.T)
+            tail, top = coeffs[:, -odepath.TAIL :].max(axis=1, initial=0.0), coeffs.max(axis=1, initial=0.0)
+            if np.any(tail > rtol * top + odepath.ATOL):
+                todo += [(a + h / 2.0, h / 2.0), (a, h / 2.0)]
+                continue
+            moduli = np.abs(np.concatenate((derivs[:nb] * nodes[:nb], derivs[nb:])))
+            seg_mass += h / 2.0 * (moduli * C[:, N]).sum(axis=1)
+            b, y = state[:nb, N], state[nb:, N]
+        mass = mass + seg_mass
+        segment_callback(idx, seg.point(1.0), b, y, mass)
+    return b, y, mass
+
+
+@pytest.mark.parametrize("poison", [False, True])
+def test_a_piece_failing_only_from_an_inexact_start_stays_whole(poison):
+    # y0 takes a pulse on segment 0 and is constant after it, and on segment
+    # 1 the integrand (y0 - Y) cos(100 w) vanishes from the accepted state,
+    # where y0 = Y: the pieces of segment 1 pass there, but fail from the
+    # inexact end of segment 0's unsplit pieces in the first block.  They
+    # are split on speculation, and their own tail tests must undo that.
+    # With poison, the field is infinite on those halves, which a lone solve
+    # never reaches, so they must not end the integration either.
+    loop = _line_loop(2)
+
+    def run(Y, rows, poison=False, integrate=integrate_loop):
+        def rhs(w, dw, b, y):
+            x, on = w.real, dw.real > 0
+            starts, spans = x.reshape(-1, odepath.N).min(axis=1), np.ptp(x.reshape(-1, odepath.N), axis=1)
+            ahead = dw.real.reshape(-1, odepath.N)[:, 0] > 0  # not on the closing segment
+            rows.update(zip(starts[ahead].round(6), spans[ahead].round(6)))
+            pulse = np.where(x < 1.0, 40.0 * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
+            tail = np.where(x > 1.0, (y[0] - Y) * np.cos(100.0 * w), 0.0)
+            if poison:
+                halves = np.repeat(ahead & (starts > 1.0) & (spans < 0.3), odepath.N)
+                tail = np.where(halves, np.inf, tail)
+            return 0.0, np.where(on, [pulse, tail, np.cos(3.0 * w)], 0.0) * dw
+
+        seen = []
+        out = integrate(rhs, loop, EMPTY, [0.0, 0.0, 0.0], rtol=1e-10, segment_callback=lambda *a: seen.append(a))
+        return out, seen
+
+    Y = run(0.0, set())[1][0][3][0]  # y0 at the end of segment 0, which the integrand y1 does not touch
+    block_rows, piece_rows = set(), set()
+    blocks = run(Y, block_rows, poison)
+    pieces = run(Y, piece_rows, poison, _piece_by_piece)
+    assert abs(Y - 2.0 * math.sqrt(math.pi)) < 1e-9
+    on_segment_1 = lambda rows: sorted(r for r in rows if 1.0 <= r[0] < 2.0)
+    assert len(on_segment_1(piece_rows)) == odepath.PIECES
+    assert len(on_segment_1(block_rows)) > odepath.PIECES  # the speculative halves were solved
+    for got, want in zip([blocks[0], *blocks[1]], [pieces[0], *pieces[1]]):
+        for u, v in zip(got, want):
+            assert np.array_equal(u, v)
+
+
 @pytest.mark.parametrize("nb", [1, 3])
-def test_blocks_match_single_pieces_bit_for_bit(monkeypatch, nb):
+def test_blocks_match_single_pieces_bit_for_bit(nb):
     # solving BLOCK pieces at once chains their start states in path order
-    # with the arithmetic of solving them one by one (BLOCK = 1), so every
-    # result and every mid-path value agrees to the last bit; the pulse
-    # makes pieces split, and a block then holds pieces of several segments
+    # with the arithmetic of solving them one by one (_piece_by_piece), so
+    # every result and every mid-path value agrees to the last bit; the
+    # pulse makes pieces split, and a block then holds pieces of several
+    # segments
     loop = _line_loop(4)
     rates = np.array([1j * math.pi, -0.7 + 2.0j, 0.3 - 0.1j])[:nb, None]
 
@@ -178,15 +257,13 @@ def test_blocks_match_single_pieces_bit_for_bit(monkeypatch, nb):
         rate = rates * (1.0 + 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)))
         return rate * dw, [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
 
-    def run():
+    def run(integrate):
         seen = []
         b0 = np.linspace(1.0, 2.0, nb)
-        out = integrate_loop(rhs, loop, b0, [0.0, 0.5j], rtol=1e-11, segment_callback=lambda *args: seen.append(args))
+        out = integrate(rhs, loop, b0, [0.0, 0.5j], rtol=1e-11, segment_callback=lambda *args: seen.append(args))
         return out, seen
 
-    blocks = run()
-    monkeypatch.setattr(odepath, "BLOCK", 1)
-    pieces = run()
+    blocks, pieces = run(integrate_loop), run(_piece_by_piece)
     assert len(blocks[1]) == len(pieces[1]) == len(loop.segments)
     for got, want in zip([blocks[0], *blocks[1]], [pieces[0], *pieces[1]]):
         for u, v in zip(got, want):
