@@ -7,9 +7,11 @@ Every loop integration goes through ``odepath.integrate_stack``: each
 family (jets, quadrature bundle, integral lemmas) is a field on it, made
 of a base with a rate in w alone (phi1, or zeta) and a triangular stack
 of integrals.  The engine cuts a loop into Chebyshev pieces and solves
-blocks of consecutive pieces at once: one field sweep over all their
-nodes, the one cumulative-integral matrix, and start states chained
-in path order.
+blocks of consecutive pieces at once: field sweeps over all their nodes
+to a fixed point, the one cumulative-integral matrix, and start states
+chained in path order.  It halves every piece whose Chebyshev tail is too
+large, and reports a breakdown only where that fixed point leaves double
+precision.
 """
 
 from .loops import Arc, Line, Loop, LoopSystem, build_loops, concat

@@ -207,10 +207,11 @@ def test_breakdown_reason_is_the_same_at_the_default_rtol(tmp_path, capsys):
 
 
 def test_breakdown_names_the_segment_that_overflows(tmp_path, capsys):
-    # the state of gamma2 leaves double precision in segment 8, the way back
-    # from its second turn around -1, after the pieces of segment 7 were split
+    # the converged state of gamma2 leaves double precision in segment 10,
+    # its clockwise turn around +1; segment 8, the way back from its second
+    # turn around -1, still ends finite, at 3.3e304
     rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2-20i", "1/3+18i")
     assert rc == EXIT_INCONCLUSIVE
-    reason = "loop 'gamma2', segment 8: non-finite state"
+    reason = "loop 'gamma2', segment 10: non-finite state"
     assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
     assert f"numerical breakdown: {reason}" in err

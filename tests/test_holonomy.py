@@ -129,3 +129,19 @@ def test_overflowing_jet_raises():
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match="overflows double precision"):
         integrate_variations(float_model(p), build_loops(0.5).mu1, rtol=1e-6)
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-6])
+@pytest.mark.parametrize("block", [1, None])  # None: the default BLOCK
+def test_breakdown_reason_does_not_depend_on_the_block(monkeypatch, block, rtol):
+    # with BLOCK = 1 every piece's sweeps start at its accepted start state;
+    # in a longer block the later pieces start from another guess, and their
+    # intermediate sweeps differ, but the reason is read from the fixed point
+    from holocert.normalform import FoliationParams
+    from holocert.numerics import build_loops, odepath
+
+    if block is not None:
+        monkeypatch.setattr(odepath, "BLOCK", block)
+    p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
+    with pytest.raises(odepath.ODEError, match=r"^loop 'gamma2', segment 10: non-finite state$"):
+        integrate_variations(float_model(p), build_loops(0.5).gamma2, rtol=rtol)

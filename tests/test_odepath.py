@@ -79,10 +79,27 @@ def test_nonfinite_state_raises():
         integrate_fixed_interval(base_only(lambda t: 1000.0), [1.0], EMPTY, rtol=1e-8)
 
 
+def test_an_overflow_before_the_fixed_point_is_no_breakdown():
+    # y0' = 1 and y1' = exp(2000 (t - y0)): the first sweep, at the guess
+    # y0 = 0, overflows, but the fixed point y0 = y1 = t is finite
+    def f(t, b, y):
+        return 0.0, [np.ones_like(t), np.exp(2000.0 * (t - y[0]))]
+
+    _, y, _ = integrate_fixed_interval(f, EMPTY, [0.0, 0.0], rtol=1e-12)
+    assert abs(y[1] - 1.0) < 1e-12
+
+
 def test_field_reading_its_own_integral_is_rejected():
     # y' = y is no iterated integral: the sweeps never reach a fixed point
     with pytest.raises(ValueError, match="no fixed point"):
         integrate_fixed_interval(lambda t, b, y: (0.0, y), EMPTY, [1.0], rtol=1e-12)
+
+
+def test_no_fixed_point_before_an_overflow_is_still_rejected():
+    # y' = y from 6e307: the second piece's state overflows, so only the
+    # first must settle, and it does not
+    with pytest.raises(ValueError, match="no fixed point"):
+        integrate_fixed_interval(lambda t, b, y: (0.0, y), EMPTY, [6e307], rtol=1e-12)
 
 
 def test_jump_exhausts_the_splitting_depth():
@@ -202,14 +219,15 @@ def _piece_by_piece(rhs, loop, b0, y0, rtol, segment_callback):
 
 
 @pytest.mark.parametrize("poison", [False, True])
-def test_a_piece_failing_only_from_an_inexact_start_stays_whole(poison):
+def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
     # y0 takes a pulse on segment 0 and is constant after it, and on segment
     # 1 the integrand (y0 - Y) cos(100 w) vanishes from the accepted state,
     # where y0 = Y: the pieces of segment 1 pass there, but fail from the
     # inexact end of segment 0's unsplit pieces in the first block.  They
-    # are split on speculation, and their own tail tests must undo that.
-    # With poison, the field is infinite on those halves, which a lone solve
-    # never reaches, so they must not end the integration either.
+    # are halved like any failing piece, so the mesh is not the one of a
+    # piece-by-piece solve, which keeps them whole, and the results agree
+    # to rounding, not bit for bit.  With poison, the field is infinite on
+    # those halves: they belong to the mesh, so that is a breakdown.
     loop = _line_loop(2)
 
     def run(Y, rows, poison=False, integrate=integrate_loop):
@@ -230,16 +248,25 @@ def test_a_piece_failing_only_from_an_inexact_start_stays_whole(poison):
         return out, seen
 
     Y = run(0.0, set())[1][0][3][0]  # y0 at the end of segment 0, which the integrand y1 does not touch
-    block_rows, piece_rows = set(), set()
-    blocks = run(Y, block_rows, poison)
-    pieces = run(Y, piece_rows, poison, _piece_by_piece)
     assert abs(Y - 2.0 * math.sqrt(math.pi)) < 1e-9
+    if poison:
+        run(Y, set(), poison, _piece_by_piece)  # which never reaches the halves
+        with pytest.raises(ODEError, match=r"^loop 'line', segment 1: non-finite state$"):
+            run(Y, set(), poison)
+        return
+    block_rows, piece_rows = set(), set()
+    blocks = run(Y, block_rows)
+    pieces = run(Y, piece_rows, integrate=_piece_by_piece)
     on_segment_1 = lambda rows: sorted(r for r in rows if 1.0 <= r[0] < 2.0)
     assert len(on_segment_1(piece_rows)) == odepath.PIECES
-    assert len(on_segment_1(block_rows)) > odepath.PIECES  # the speculative halves were solved
+    assert len(on_segment_1(block_rows)) > odepath.PIECES  # the halves were solved
+    # the states agree to rounding; the masses, Fejer sums of |cos 3w|,
+    # whose kinks no piece resolves, differ by the quadrature error of the
+    # two meshes
     for got, want in zip([blocks[0], *blocks[1]], [pieces[0], *pieces[1]]):
-        for u, v in zip(got, want):
-            assert np.array_equal(u, v)
+        for u, v in zip(got[:-1], want[:-1]):
+            assert np.allclose(u, v, rtol=1e-14, atol=0.0)
+        assert np.allclose(got[-1], want[-1], rtol=1e-3, atol=0.0)
 
 
 @pytest.mark.parametrize("nb", [1, 3])
