@@ -7,53 +7,4 @@ variational equations along explicit loops and cross-validates every
 closed-form coefficient formula used by the exact half.
 """
 
-from .gaussian import GaussianRational, format_gaussian, gq, parse_gaussian
-from .mpoly import ExactDivisionError, MPoly, MPolyError, exact_div, resultant
-from .normalform import (
-    FoliationParams,
-    GenericityReport,
-    NormalFormExpansion,
-    expand_normal_form,
-    expand_with_beta,
-    series_oracle,
-    validate_genericity,
-)
-from .obstruction import BandedMatrix, GenericityError, apply_Ld, build_Md, functional_Fd, solve_Rd
-from .conditions import ConditionSet, build_P, build_condition_set, build_q, h_jets
-from .elimination import Certificate, certify, linear_system_solve, resultant_chain
-
-__all__ = [
-    "GaussianRational",
-    "gq",
-    "parse_gaussian",
-    "format_gaussian",
-    "MPoly",
-    "MPolyError",
-    "ExactDivisionError",
-    "exact_div",
-    "resultant",
-    "FoliationParams",
-    "GenericityReport",
-    "NormalFormExpansion",
-    "validate_genericity",
-    "expand_normal_form",
-    "expand_with_beta",
-    "series_oracle",
-    "BandedMatrix",
-    "GenericityError",
-    "build_Md",
-    "solve_Rd",
-    "functional_Fd",
-    "apply_Ld",
-    "ConditionSet",
-    "build_q",
-    "build_P",
-    "h_jets",
-    "build_condition_set",
-    "Certificate",
-    "certify",
-    "resultant_chain",
-    "linear_system_solve",
-]
-
 __version__ = "0.1.0"

@@ -27,8 +27,7 @@ from .elimination import EliminationError, VERDICT_UNIQUE, certify
 from .gaussian import GaussianRationalError
 from .mpoly import MPolyError
 from .normalform import DMAX, FoliationParams, expand_normal_form, validate_genericity
-from .numerics.checks import numeric_summary, run_numeric_verification
-from .numerics.odepath import DEFAULT_RTOL, ODEError
+from .numerics import DEFAULT_RTOL, ODEError
 from .obstruction import GenericityError
 
 EXIT_OK = 0
@@ -74,6 +73,13 @@ def _write_text(text: str, out: str | None) -> None:
 def emit_report(payload: dict, out: str | None) -> None:
     """Canonical JSON emission: sorted keys, byte-stable for equal inputs."""
     _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+
+
+def run_numeric_verification(p: FoliationParams, **kwargs) -> dict:
+    """The numeric laboratory's report; numpy loads only for the commands that run it."""
+    from .numerics import checks
+
+    return checks.run_numeric_verification(p, **kwargs)
 
 
 def cmd_expand(args) -> int:
@@ -133,6 +139,8 @@ def cmd_certify(args) -> int:
             cert.numeric = {"all_pass": False, "breakdown": str(exc)}
             emit_report(cert.to_dict(), args.out)
             raise
+        from .numerics.checks import numeric_summary
+
         cert.numeric = numeric_summary(report)
     emit_report(cert.to_dict(), args.out)
     ok = cert.verdict == VERDICT_UNIQUE and (args.skip_numeric or cert.numeric.get("all_pass", False))

@@ -54,12 +54,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):

@@ -12,32 +12,19 @@ to a fixed point, the one cumulative-integral matrix, and start states
 chained in path order.  It halves every piece whose Chebyshev tail is too
 large, and reports a breakdown only where that fixed point leaves double
 precision.
+
+The package itself holds only what the command line needs before any
+numeric work runs, so that importing it loads no numpy; ``checks`` is the
+laboratory's entry point, and the other modules are imported from where
+they live.
 """
 
-from .loops import Arc, Line, Loop, LoopSystem, build_loops, concat
-from .jets import HolonomyJet, commutator, compose, identity_jet, invert, jet_distance
-from .holonomy import FloatModel, QuadratureBundle, float_model, integrate_quadratures, integrate_variations
-from .checks import run_numeric_verification, verify_integral_lemmas, verify_variation_formulas
+# The bound on each piece's Chebyshev tail relative to the integrand's
+# largest coefficient; it keeps a1 of a commutator loop near 1e-14, far
+# under the 1e-8 structural budget.
+DEFAULT_RTOL = 1e-12
 
-__all__ = [
-    "Line",
-    "Arc",
-    "Loop",
-    "LoopSystem",
-    "build_loops",
-    "concat",
-    "HolonomyJet",
-    "identity_jet",
-    "compose",
-    "invert",
-    "commutator",
-    "jet_distance",
-    "FloatModel",
-    "float_model",
-    "QuadratureBundle",
-    "integrate_variations",
-    "integrate_quadratures",
-    "verify_variation_formulas",
-    "verify_integral_lemmas",
-    "run_numeric_verification",
-]
+
+class ODEError(RuntimeError):
+    """A loop integration left double precision: a non-finite state, a
+    Chebyshev tail that stays above rtol, or an overflowing jet."""

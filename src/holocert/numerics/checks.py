@@ -19,6 +19,7 @@ from numpy.polynomial import polynomial as npp
 from ..conditions import build_condition_set
 from ..gaussian import GaussianRational
 from ..normalform import FoliationParams, L_d, r_of
+from . import DEFAULT_RTOL
 from .holonomy import (
     FloatModel,
     _to_coeff_array,
@@ -29,7 +30,7 @@ from .holonomy import (
 )
 from .jets import HolonomyJet, commutator, compose, invert, jet_distance
 from .loops import Loop, LoopSystem, build_loops, concat
-from .odepath import ATOL, DEFAULT_RTOL, integrate_stack
+from .odepath import ATOL, integrate_stack
 
 DEGREE_TOLERANCES = {2: 1e-6, 3: 1e-6, 4: 1e-5, 5: 1e-5, 6: 1e-4}
 A1_TOLERANCE = 1e-8
@@ -217,8 +218,8 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol) -> list[
 
     coeffs = [P for _, P in samples]
     zeros = np.zeros(len(samples))
-    _, i1, _, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol)
-    _, i2, _, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol)
+    _, i1, _, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol)[-1]
+    _, i2, _, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol)[-1]
     rows = []
     for k, (d, _) in enumerate(samples):
         factor = 1.0 + cmath.exp(2j * math.pi * complex(U1[slot[k]]))
@@ -234,7 +235,7 @@ def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol) -> lis
     w = Polynomial([0.0, 1.0])
     images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in samples]
     zeros = np.zeros(len(samples))
-    _, values, _, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol)
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol)[-1]
     return [
         _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
         for k, d in enumerate(degrees)
@@ -290,17 +291,14 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, conditions=None
         R = _to_coeff_array(conditions.R[d])
         Rs.append(R)
         Cs.append(-((-1.0) ** (d - 1)) * npp.polyval(0j, R))
+    ends = integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, phi_field(model, degrees), rtol)
     worst = [0.0] * len(degrees)
-
-    def callback(idx, w, base, values, base_masses, masses):
-        p1 = base[0]
+    for seg, ((p1,), values, _, masses) in zip(loop.segments, ends):
+        w = seg.point(1.0)
         for j, d in enumerate(degrees):
             closed = npp.polyval(w, Rs[j]) / r_of(w) ** (d - 1) * p1 ** (d - 1) + Cs[j]
             scale = max(1.0, abs(closed), masses[j])
             worst[j] = max(worst[j], abs(complex(values[j]) - closed) / scale)
-
-    field = phi_field(model, degrees)
-    integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, field, rtol, segment_callback=callback)
     return [
         _row(f"antiderivative-identity-deg{d}", loop.label, d, worst[j], LEMMA_TOLERANCE)
         for j, d in enumerate(degrees)

@@ -36,9 +36,10 @@ import numpy as np
 from ..conditions import build_q
 from ..mpoly import MPoly
 from ..normalform import FoliationParams, expand_normal_form, r_of, s_of
+from . import DEFAULT_RTOL, ODEError
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
-from .odepath import DEFAULT_RTOL, ODEError, integrate_stack
+from .odepath import integrate_stack
 
 
 def _to_coeff_array(poly: MPoly) -> np.ndarray:
@@ -126,7 +127,7 @@ def integrate_variations(
         raise ValueError(f"order must lie in 1..{ORDER}")
     S = [model.S[d] for d in range(2, order + 1)]
     zeros = np.zeros(order - 1)
-    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order), rtol)
+    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order), rtol)[-1]
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
     norms = np.zeros(ORDER)
@@ -220,7 +221,7 @@ def _bundle_field(model: FloatModel):
 def integrate_quadratures(model: FloatModel, loop: Loop, rtol: float = DEFAULT_RTOL) -> QuadratureBundle:
     coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
     zeros = np.zeros(len(_BUNDLE_NAMES))
-    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol)
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol)[-1]
     return QuadratureBundle(
         values={name: complex(v) for name, v in zip(_BUNDLE_NAMES, values)},
         norms={name: float(abs(m)) for name, m in zip(_BUNDLE_NAMES, masses)},

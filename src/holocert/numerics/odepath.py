@@ -26,6 +26,8 @@ fixed point is not finite, all pieces before it passing, so it does not
 depend on the sweeps that reach the fixed point.  rtol is the one
 tolerance a caller passes (DEFAULT_RTOL unless the command line's --rtol
 sets it); ATOL is fixed, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
+A loop integration returns the state and the masses at the end of every
+segment, in path order, so a caller can compare mid-path values.
 
 ``integrate_stack`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
@@ -41,16 +43,14 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
+from . import ODEError
+
 N = 32  # Chebyshev nodes per piece
 PIECES = 2  # initial pieces per segment
 BLOCK = 16  # consecutive pending pieces solved together, one field sweep for all
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
 ATOL = 1e-16  # absolute floor of the tail test, for integrands that vanish
-# The bound on each piece's Chebyshev tail relative to the integrand's
-# largest coefficient; it keeps a1 of a commutator loop near 1e-14, far
-# under the 1e-8 structural budget.
-DEFAULT_RTOL = 1e-12
 
 _X = cheb.chebpts1(N)  # ascending nodes on [-1, 1]
 # values -> coefficients, by the discrete orthogonality of T_k at the nodes
@@ -58,10 +58,6 @@ _TO_COEFFS = cheb.chebvander(_X, N - 1).T * np.where(np.arange(N) == 0, 1.0, 2.0
 # values -> cumulative integral from -1, at the nodes and at +1 (last column):
 # column j integrates the interpolant of the values from -1 to the j-th point
 _CUMSUM = cheb.chebval(np.append(_X, 1.0), cheb.chebint(_TO_COEFFS, lbnd=-1))
-
-
-class ODEError(RuntimeError):
-    pass
 
 
 def _views(buf, *shape):
@@ -167,18 +163,17 @@ def integrate_fixed_interval(f, b0, y0, rtol: float):
     """
     # [0, 1] as a path of one segment, w = t, with no loop to name in errors
     unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
-    return integrate_loop(lambda w, dw, b, y: f(w, b, y), SimpleNamespace(segments=(unit,), label=None), b0, y0, rtol)
+    return integrate_loop(lambda w, dw, b, y: f(w, b, y), SimpleNamespace(segments=(unit,), label=None), b0, y0, rtol)[-1]
 
 
-def integrate_loop(rhs, loop, b0, y0, rtol: float, segment_callback=None):
+def integrate_loop(rhs, loop, b0, y0, rtol: float):
     """Integrate along every segment of a loop, carrying the state through.
 
     rhs(w, dw, b, y) receives the nodes and velocities of a block of
     consecutive pieces, which may span segments, with the state at those
-    nodes, and returns (rate, g) in t, already pulled back.
-    segment_callback(index, w_end, b, y, mass) fires after each segment,
-    which the antiderivative-identity checks use to compare mid-path
-    values.  Returns (b, y, mass) at the end of the loop.
+    nodes, and returns (rate, g) in t, already pulled back.  Returns
+    (b, y, mass) at the end of every segment, in path order, the mass
+    summed from the loop's start; [-1] is the loop's end.
 
     ODEError names the segment of the first piece whose converged state is
     not finite, once every piece before it has passed its tail test: a
@@ -189,6 +184,7 @@ def integrate_loop(rhs, loop, b0, y0, rtol: float, segment_callback=None):
     start = np.concatenate((np.asarray(b0, dtype=complex).ravel(), np.asarray(y0, dtype=complex).ravel()))
     nb, rows = np.size(b0), start.size
     mass, seg_mass = np.zeros(rows), np.zeros(rows)
+    out = []  # (b, y, mass) at the end of every segment
     # reused by every block: the state and the derivatives at the nodes, the
     # cumulative integrals, and two generations of end states
     bufs = [np.empty(rows * n, dtype=complex) for n in (BLOCK * N, BLOCK * N, BLOCK * (N + 1), BLOCK + 1, BLOCK + 1)]
@@ -233,19 +229,18 @@ def integrate_loop(rhs, loop, b0, y0, rtol: float, segment_callback=None):
                 rest.append(piece)
         todo += rest[::-1]
         dmass = _masses(derivs[:, :p], nodes[:nb, :p], h[:p] / 2.0)
-        for j, (s, *_, last) in enumerate(block[:p]):
+        for j, (*_, last) in enumerate(block[:p]):
             seg_mass += dmass[:, j]
             if last:
                 mass = mass + seg_mass
                 seg_mass = np.zeros(rows)
-                if segment_callback is not None:
-                    end = ends[j + 1].copy()
-                    segment_callback(s, segments[s].point(1.0), end[:nb], end[nb:], mass)
+                end = ends[j + 1].copy()
+                out.append((end[:nb], end[nb:], mass))
         start = ends[p].copy()
-    return start[:nb], start[nb:], mass
+    return out
 
 
-def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, segment_callback=None):
+def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float):
     """Integrate a base state and a stack of integrals along a loop.
 
     field(w, base, integrals, vals) is evaluated on an array of points w,
@@ -259,9 +254,8 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, segment
     pulled back by dw, and every component gets its L1 mass, the integral
     of |derivative| against |dw| (rate * base for the base).
 
-    Returns (base, integrals, base_masses, masses) at the end of the loop.
-    segment_callback(index, w_end, base, integrals, base_masses, masses)
-    fires after each segment.
+    Returns (base, integrals, base_masses, masses) at the end of every
+    segment, in path order; [-1] is the loop's end.
     """
     base0 = np.asarray(base0, dtype=complex)
     nb = base0.size
@@ -284,13 +278,4 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float, segment
         rate, g = field(w, b, y, values(w))
         return np.multiply(rate, dw), np.multiply(g, dw)
 
-    def split(b, y, mass):
-        return b, y, mass[:nb], mass[nb:]
-
-    callback = None
-    if segment_callback is not None:
-
-        def callback(idx, w, b, y, mass):
-            segment_callback(idx, w, *split(b, y, mass))
-
-    return split(*integrate_loop(rhs, loop, base0, integrals0, rtol, segment_callback=callback))
+    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(rhs, loop, base0, integrals0, rtol)]

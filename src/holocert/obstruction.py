@@ -39,28 +39,18 @@ class BandedMatrix:
     """Matrix of L_d over the monomial bases {1..w^(2d-3)} -> {1..w^(2d-2)}.
 
     rows[i][k] is the coefficient of w^i in L_d(w^k); only the three bands
-    i = k-1, k, k+1 are nonzero, holding -k, A_d and B_d - (2d-2-k).
+    i = k-1, k, k+1 are nonzero, holding -k, A_d = (d-1)(lambda2 - lambda1)
+    and B_d - (2d-2-k) with B_d = (d-1)(lambda1 + lambda2).
     """
 
     d: int
     lambda1: GaussianRational
     lambda2: GaussianRational
-    A: GaussianRational  # (d-1)(lambda2 - lambda1)
-    B: GaussianRational  # (d-1)(lambda1 + lambda2)
     rows: tuple  # (2d-1) x (2d-2) nested tuples of GaussianRational
 
     @property
     def n_cols(self) -> int:
         return 2 * self.d - 2
-
-    @property
-    def n_rows(self) -> int:
-        return 2 * self.d - 1
-
-    def diagonal_dropped(self) -> tuple:
-        """Diagonal entries B_d - k of the square matrix with the first row
-        removed, enumerated k = 1..2d-2 (bottom-right corner first)."""
-        return tuple(self.B - k for k in range(1, self.n_cols + 1))
 
 
 def build_Md(d: int, lambda1: GaussianRational, lambda2: GaussianRational) -> BandedMatrix:
@@ -91,7 +81,7 @@ def build_Md(d: int, lambda1: GaussianRational, lambda2: GaussianRational) -> Ba
         got = [c.constant_term() for c in apply_Ld(d, lambda1, lambda2, W**k).coeffs_in("w")]
         if got + [ZERO] * (nrows - len(got)) != [rows[i][k] for i in range(nrows)]:
             raise SolverError(f"M_{d} column {k} disagrees with L_{d}(w^{k})")
-    return BandedMatrix(d, lambda1, lambda2, A, B, tuple(tuple(r) for r in rows))
+    return BandedMatrix(d, lambda1, lambda2, tuple(tuple(r) for r in rows))
 
 
 def solve_Rd(M: BandedMatrix, P: MPoly) -> MPoly:

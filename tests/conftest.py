@@ -70,21 +70,21 @@ def rng() -> random.Random:
 
 @pytest.fixture(scope="session")
 def nloops():
-    from holocert.numerics import build_loops
+    from holocert.numerics.loops import build_loops
 
     return build_loops(0.5)
 
 
 @pytest.fixture(scope="session")
 def nmodel(tp):
-    from holocert.numerics import float_model
+    from holocert.numerics.holonomy import float_model
 
     return float_model(tp)
 
 
 @pytest.fixture(scope="session")
 def loop_jets(nmodel, nloops):
-    from holocert.numerics import integrate_variations
+    from holocert.numerics.holonomy import integrate_variations
 
     return {
         lp.label: integrate_variations(nmodel, lp)
@@ -94,7 +94,7 @@ def loop_jets(nmodel, nloops):
 
 @pytest.fixture(scope="session")
 def gamma_bundles(nmodel, nloops):
-    from holocert.numerics import integrate_quadratures
+    from holocert.numerics.holonomy import integrate_quadratures
 
     return {
         lp.label: integrate_quadratures(nmodel, lp) for lp in (nloops.gamma1, nloops.gamma2)

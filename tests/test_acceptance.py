@@ -16,9 +16,10 @@ from holocert.elimination import certify, linear_system_solve, resultant_chain
 from holocert.gaussian import gq
 from holocert.mpoly import MPoly, divides
 from holocert.normalform import FoliationParams, oracle_defects, validate_genericity, verification_point
-from holocert.numerics import build_loops, float_model, integrate_variations
 from holocert.numerics.checks import DEGREE_TOLERANCES, verify_integral_lemmas, verify_variation_formulas
+from holocert.numerics.holonomy import float_model, integrate_variations
 from holocert.numerics.jets import invert, jet_distance
+from holocert.numerics.loops import build_loops
 from holocert.obstruction import GenericityError, apply_Ld, build_Md
 
 from conftest import random_gaussian, random_generic_params
@@ -151,8 +152,8 @@ def test_criterion_7_structural_invariants(nmodel, nloops, loop_jets, tp):
     assert jet_distance(loop_jets["gamma1"], jet_alt) < 1e-7
     for d in (3, 4, 5, 6):
         M = build_Md(d, tp.lambda1, tp.lambda2)
-        assert all(not x.is_zero() for x in M.diagonal_dropped())
-        for i in range(M.n_rows):  # three bands only
+        assert all(not M.rows[k + 1][k].is_zero() for k in range(M.n_cols))  # the dropped-row diagonal
+        for i in range(len(M.rows)):  # three bands only
             for k in range(M.n_cols):
                 if i not in (k - 1, k, k + 1):
                     assert M.rows[i][k].is_zero()

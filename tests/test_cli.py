@@ -51,6 +51,30 @@ def test_certify_skip_numeric(tmp_path):
     assert doc["verdict"] == "UNIQUE"
 
 
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    # the exact half needs no numpy, so its commands start without the laboratory
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import holocert
+
+    script = (
+        "import sys\n"
+        "from holocert.cli import main\n"
+        "assert main(['expand']) == 0\n"
+        "assert main(['certify', '--skip-numeric', '--out', sys.argv[1]]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(holocert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "cert.json")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "cert.json").read_text())["verdict"] == "UNIQUE"
+
+
 def test_missing_params_file_is_config_error(capsys):
     assert main(["eliminate", "--params", "/nonexistent/params.json"]) == EXIT_CONFIG
     assert "cannot read parameters" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holocert.gaussian import gq
-from holocert.numerics import float_model, integrate_quadratures, integrate_variations
+from holocert.numerics.holonomy import float_model, integrate_quadratures, integrate_variations
 from holocert.numerics.checks import formula_coefficients
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import Line, Loop
@@ -123,8 +123,8 @@ def test_variation_order_cap(nmodel, nloops):
 def test_overflowing_jet_raises():
     # along mu1 the state stays finite but a_6 = p1 * p6 exceeds double range
     from holocert.normalform import FoliationParams
-    from holocert.numerics import build_loops
-    from holocert.numerics.odepath import ODEError
+    from holocert.numerics import ODEError
+    from holocert.numerics.loops import build_loops
 
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match="overflows double precision"):
@@ -138,10 +138,11 @@ def test_breakdown_reason_does_not_depend_on_the_block(monkeypatch, block, rtol)
     # in a longer block the later pieces start from another guess, and their
     # intermediate sweeps differ, but the reason is read from the fixed point
     from holocert.normalform import FoliationParams
-    from holocert.numerics import build_loops, odepath
+    from holocert.numerics import ODEError, odepath
+    from holocert.numerics.loops import build_loops
 
     if block is not None:
         monkeypatch.setattr(odepath, "BLOCK", block)
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
-    with pytest.raises(odepath.ODEError, match=r"^loop 'gamma2', segment 10: non-finite state$"):
+    with pytest.raises(ODEError, match=r"^loop 'gamma2', segment 10: non-finite state$"):
         integrate_variations(float_model(p), build_loops(0.5).gamma2, rtol=rtol)

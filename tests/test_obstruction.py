@@ -19,10 +19,10 @@ W = MPoly.var("w")
 
 
 def test_M3_values_at_test_point(tp):
+    # A_3 = -4+6i on the diagonal; with B_3 = 4+2i the subdiagonal holds B_3 - 4, ..., B_3 - 1
     M = build_Md(3, tp.lambda1, tp.lambda2)
-    assert M.A == gq(-4, 6)
-    assert M.B == gq(4, 2)
-    assert M.diagonal_dropped() == (gq(3, 2), gq(2, 2), gq(1, 2), gq(0, 2))
+    assert M.rows[0][0] == gq(-4, 6)
+    assert [M.rows[k + 1][k] for k in range(M.n_cols)] == [gq(0, 2), gq(1, 2), gq(2, 2), gq(3, 2)]
 
 
 def test_first_column_is_image_of_one(tp):
@@ -30,11 +30,11 @@ def test_first_column_is_image_of_one(tp):
     for d in (3, 4, 5, 6):
         M = build_Md(d, tp.lambda1, tp.lambda2)
         img = apply_Ld(d, tp.lambda1, tp.lambda2, MPoly.one())
-        col = [M.rows[i][0] for i in range(M.n_rows)]
+        col = [row[0] for row in M.rows]
         expect = [c.constant_term() for c in img.coeffs_in("w")]
-        assert col == expect + [gq(0)] * (M.n_rows - len(expect))
-        assert col[0] == M.A
-        assert col[1] == M.B - (2 * d - 2)
+        assert col == expect + [gq(0)] * (len(M.rows) - len(expect))
+        assert col[0] == (d - 1) * (tp.lambda2 - tp.lambda1)
+        assert col[1] == (d - 1) * (tp.lambda1 + tp.lambda2) - (2 * d - 2)
 
 
 def test_matrix_matches_bruteforce_oracle(tp, rng):
@@ -44,7 +44,7 @@ def test_matrix_matches_bruteforce_oracle(tp, rng):
             M = build_Md(d, p.lambda1, p.lambda2)
             for k in range(M.n_cols):
                 img = apply_Ld(d, p.lambda1, p.lambda2, W**k).coeffs_in("w")
-                for i in range(M.n_rows):
+                for i in range(len(M.rows)):
                     expect = img[i].constant_term() if i < len(img) else gq(0)
                     assert M.rows[i][k] == expect
 
@@ -112,13 +112,13 @@ def test_Fd_detects_solver_corruption(tp):
 @pytest.mark.parametrize("band", [0, 1])
 def test_Fd_detects_a_corrupted_band(tp, band):
     # the solve reads every band from M.rows, so a wrong entry there (with
-    # M.A intact) yields a wrong R_d, and the defect picks up a w term
+    # A_d intact) yields a wrong R_d, and the defect picks up a w term
     d, i = 4, 3
     M = build_Md(d, tp.lambda1, tp.lambda2)
     rows = [list(r) for r in M.rows]
     rows[i][i + band] += 1
     bad = dataclasses.replace(M, rows=tuple(tuple(r) for r in rows))
-    assert bad.A == M.A
+    assert bad.rows[0][0] == M.rows[0][0]
     P = apply_Ld(d, tp.lambda1, tp.lambda2, sum((W**k for k in range(2 * d - 2)), MPoly.zero()))
     with pytest.raises(SolverError):
         functional_Fd(bad, P, solve_Rd(bad, P))

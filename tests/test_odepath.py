@@ -45,7 +45,7 @@ def test_segment_pullback_line():
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="there-and-back")
-    _, y, mass = integrate_loop(lambda w, dw, b, y: (0.0, dw), out_back, EMPTY, [0.0], rtol=1e-12)
+    _, y, mass = integrate_loop(lambda w, dw, b, y: (0.0, dw), out_back, EMPTY, [0.0], rtol=1e-12)[-1]
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -53,24 +53,17 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), basepoint=1 + 0j, label="circle")
-    _, y, _ = integrate_loop(lambda w, dw, b, y: (0.0, dw / w), circle, EMPTY, [0.0], rtol=1e-12)
+    _, y, _ = integrate_loop(lambda w, dw, b, y: (0.0, dw / w), circle, EMPTY, [0.0], rtol=1e-12)[-1]
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
-def test_segment_callback_fires_in_order():
+def test_segment_ends_come_in_path_order():
+    # the integral of dw is the end point of each segment, and the mass its
+    # arclength from the loop's start
     loop = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="wedge")
-    seen = []
-    integrate_loop(
-        lambda w, dw, b, y: (0.0, dw),
-        loop,
-        EMPTY,
-        [0.0],
-        rtol=1e-10,
-        segment_callback=lambda idx, w, b, y, mass: seen.append((idx, w)),
-    )
-    assert [i for i, _ in seen] == [0, 1]
-    assert seen[0][1] == pytest.approx(1 + 0j)
-    assert seen[1][1] == pytest.approx(0j)
+    ends = integrate_loop(lambda w, dw, b, y: (0.0, dw), loop, EMPTY, [0.0], rtol=1e-10)
+    assert [y[0] for _, y, _ in ends] == [pytest.approx(1 + 0j), pytest.approx(0j, abs=1e-12)]
+    assert [mass[0] for *_, mass in ends] == [pytest.approx(1.0), pytest.approx(2.0)]
 
 
 def test_nonfinite_state_raises():
@@ -158,7 +151,7 @@ def test_a_split_segment_leaves_its_neighbours_alone():
         rate = np.where(on, 1j * (0.3 + amp * np.exp(-(((w.real - 1.5) / width) ** 2))), 0.0)
         return rate * dw, np.where(on, b[0], 0.0) * dw
 
-    b, _, _ = integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)
+    b, _, _ = integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)[-1]
     assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES
     assert len(nodes[1]) > odepath.PIECES
     phase = 0.9 + amp * width * math.sqrt(math.pi) * math.erf(0.5 / width)
@@ -181,15 +174,15 @@ def test_nonfinite_state_names_the_first_segment_that_overflows():
         integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)
 
 
-def _piece_by_piece(rhs, loop, b0, y0, rtol, segment_callback):
+def _piece_by_piece(rhs, loop, b0, y0, rtol):
     """The reference for integrate_loop: each piece solved alone from its
     accepted start state, split while its tail test fails, with the
     arithmetic that the blocks must reproduce bit for bit."""
     N, X, C = odepath.N, np.polynomial.chebyshev.chebpts1(odepath.N), odepath._CUMSUM
     b, y = np.asarray(b0, dtype=complex), np.asarray(y0, dtype=complex)
     nb, m = b.size, y.size
-    mass = np.zeros(nb + m)
-    for idx, seg in enumerate(loop.segments):
+    mass, ends = np.zeros(nb + m), []
+    for seg in loop.segments:
         seg_mass = np.zeros(nb + m)
         todo = [(k / odepath.PIECES, 1.0 / odepath.PIECES) for k in reversed(range(odepath.PIECES))]
         while todo:
@@ -214,8 +207,8 @@ def _piece_by_piece(rhs, loop, b0, y0, rtol, segment_callback):
             seg_mass += h / 2.0 * (moduli * C[:, N]).sum(axis=1)
             b, y = state[:nb, N], state[nb:, N]
         mass = mass + seg_mass
-        segment_callback(idx, seg.point(1.0), b, y, mass)
-    return b, y, mass
+        ends.append((b, y, mass))
+    return ends
 
 
 @pytest.mark.parametrize("poison", [False, True])
@@ -243,11 +236,9 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
                 tail = np.where(halves, np.inf, tail)
             return 0.0, np.where(on, [pulse, tail, np.cos(3.0 * w)], 0.0) * dw
 
-        seen = []
-        out = integrate(rhs, loop, EMPTY, [0.0, 0.0, 0.0], rtol=1e-10, segment_callback=lambda *a: seen.append(a))
-        return out, seen
+        return integrate(rhs, loop, EMPTY, [0.0, 0.0, 0.0], rtol=1e-10)
 
-    Y = run(0.0, set())[1][0][3][0]  # y0 at the end of segment 0, which the integrand y1 does not touch
+    Y = run(0.0, set())[0][1][0]  # y0 at the end of segment 0, which the integrand y1 does not touch
     assert abs(Y - 2.0 * math.sqrt(math.pi)) < 1e-9
     if poison:
         run(Y, set(), poison, _piece_by_piece)  # which never reaches the halves
@@ -263,7 +254,7 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
     # the states agree to rounding; the masses, Fejer sums of |cos 3w|,
     # whose kinks no piece resolves, differ by the quadrature error of the
     # two meshes
-    for got, want in zip([blocks[0], *blocks[1]], [pieces[0], *pieces[1]]):
+    for got, want in zip(blocks, pieces, strict=True):
         for u, v in zip(got[:-1], want[:-1]):
             assert np.allclose(u, v, rtol=1e-14, atol=0.0)
         assert np.allclose(got[-1], want[-1], rtol=1e-3, atol=0.0)
@@ -285,14 +276,11 @@ def test_blocks_match_single_pieces_bit_for_bit(nb):
         return rate * dw, [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
 
     def run(integrate):
-        seen = []
-        b0 = np.linspace(1.0, 2.0, nb)
-        out = integrate(rhs, loop, b0, [0.0, 0.5j], rtol=1e-11, segment_callback=lambda *args: seen.append(args))
-        return out, seen
+        return integrate(rhs, loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], rtol=1e-11)
 
     blocks, pieces = run(integrate_loop), run(_piece_by_piece)
-    assert len(blocks[1]) == len(pieces[1]) == len(loop.segments)
-    for got, want in zip([blocks[0], *blocks[1]], [pieces[0], *pieces[1]]):
+    assert len(blocks) == len(pieces) == len(loop.segments)
+    for got, want in zip(blocks, pieces):
         for u, v in zip(got, want):
             assert np.array_equal(u, v)
 
@@ -330,16 +318,10 @@ def test_stack_on_a_circle_has_closed_forms():
     def field(w, b, y, vals):
         return 1.0 / (w - c), [1.0 / (w - c), vals[0], y[1]]
 
-    seen = []
-
-    def callback(idx, w, b, i, bm, m):
-        seen.append((b.size, i.size, bm.size, m.size))
-
-    base, integrals, base_masses, masses = integrate_stack(
-        circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field, 1e-12, callback
-    )
-    assert base.shape == (1,) and integrals.shape == (3,) and masses.shape == (3,)
-    assert seen == [(1, 3, 1, 3)]
+    ends = integrate_stack(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field, 1e-12)
+    assert len(ends) == 1  # one segment
+    base, integrals, base_masses, masses = ends[-1]
+    assert [x.shape for x in ends[-1]] == [(1,), (3,), (1,), (3,)]
     assert abs(base[0] - 1.0) < 1e-10
     assert abs(base_masses[0] - 2 * math.pi) < 1e-10
     assert abs(integrals[0] - 2j * math.pi) < 1e-10
