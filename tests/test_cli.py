@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from holocert.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, main
 
 
@@ -101,6 +103,29 @@ def test_golden_certificate_is_stable(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["eliminate", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden, point, flags",
+    [
+        ("testpoint-numeric-s4-seed3.json", None, ["--samples", "4", "--seed", "3"]),
+        ("steep-numeric-s0.json", ("1/2-3i", "1/3+5/2i", ("2-1i", "1/2", "-1+1i")), ["--samples", "0"]),
+    ],
+)
+def test_golden_numeric_report_is_stable(tmp_path, golden, point, flags):
+    """The laboratory's report, residuals included, to the last byte.
+
+    A change to the engine's arithmetic that moves a rounding on purpose
+    regenerates these files (``verify-numeric`` with the flags above), and
+    says so in CHANGES.md.
+    """
+    from pathlib import Path
+
+    if point is not None:
+        flags = flags + ["--params", write_params(tmp_path / "p.json", *point)]
+    out = tmp_path / "report.json"
+    assert main(["verify-numeric", *flags, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
 def test_default_params_are_the_bundled_test_point(capsys):
