@@ -5,11 +5,11 @@ w-line, computes holonomy jets and the iterated loop integrals, and
 cross-validates the closed-form coefficient formulas of the exact half.
 Every loop integration goes through ``odepath.integrate_stack``: each
 family (jets, quadrature bundle, integral lemmas) is a field on it, made
-of a base with a rate in w alone (phi1, or zeta) and a triangular stack
-of integrals.  The engine cuts a loop into Chebyshev pieces and solves
-blocks of consecutive pieces at once: field sweeps over all their nodes
-to a fixed point, the one cumulative-integral matrix, and start states
-chained in path order.  It halves every piece whose Chebyshev tail is too
+of a base (phi1, or zeta) and a triangular stack of integrals, under the
+field contract stated in ``odepath``.  The engine cuts a loop into
+Chebyshev pieces and solves blocks of consecutive pieces at once: sweeps
+of the integrands over all their nodes to a fixed point, the one
+cumulative-integral matrix, and start states chained in path order.  It halves every piece whose Chebyshev tail is too
 large, and reports a breakdown only where that fixed point leaves double
 precision.
 

@@ -135,17 +135,9 @@ def formula_coefficients(model: FloatModel, bundle) -> dict[int, tuple[complex, 
 
 
 def verify_variation_formulas(
-    model: FloatModel,
-    loop: Loop,
-    rtol: float = DEFAULT_RTOL,
-    jet: HolonomyJet | None = None,
+    model: FloatModel, loop: Loop, jet: HolonomyJet, rtol: float = DEFAULT_RTOL
 ) -> list[CheckRow]:
-    """Compare the ODE jet against the bundle-assembled formulas, degree 2..6.
-
-    The loop's jet is integrated here unless the caller already holds it.
-    """
-    if jet is None:
-        jet = integrate_variations(model, loop, rtol=rtol)
+    """Compare the loop's ODE jet against the bundle-assembled formulas, degree 2..6."""
     bundle = integrate_quadratures(model, loop, rtol=rtol)
     assembled = formula_coefficients(model, bundle)
     rows = []
@@ -213,8 +205,8 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol) -> list[
     U1 = (D - 1) * model.lam1 - D
     U2 = (D - 1) * model.lam2 - D
 
-    def field(w, zeta, integrals, vals):
-        return U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w), vals * zeta[slot]
+    def field(w, vals):
+        return U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w), lambda zeta, integrals: vals * zeta[slot]
 
     coeffs = [P for _, P in samples]
     zeros = np.zeros(len(samples))
@@ -309,24 +301,14 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, conditions=None
 
 
 def structural_rows(
-    model: FloatModel,
-    loops: LoopSystem,
-    rtol: float = DEFAULT_RTOL,
-    seed: int = 0,
-    jets: dict | None = None,
+    model: FloatModel, loops: LoopSystem, jets: dict, rtol: float = DEFAULT_RTOL, seed: int = 0
 ) -> tuple[list[CheckRow], str]:
     """Jet-level sanity of the loop construction; also pins down the
     group-word composition convention empirically and reports it.
 
-    ``jets`` maps loop labels to jets the caller already integrated; the
-    jets of mu1, mu2, gamma1 and gamma2 not in it are integrated here.
+    ``jets`` maps the labels of mu1, mu2, gamma1 and gamma2 to their jets.
     """
     rows = []
-    jets = dict(jets or {})
-    for lp in (loops.mu1, loops.mu2, loops.gamma1, loops.gamma2):
-        if lp.label not in jets:
-            jets[lp.label] = integrate_variations(model, lp, rtol=rtol)
-
     for label in ("gamma1", "gamma2"):
         rows.append(
             _row(f"commutator-tangency[{label}]", label, 1, abs(jets[label].a1 - 1.0), A1_TOLERANCE)
@@ -410,13 +392,15 @@ def run_numeric_verification(
     """Full numeric report: deterministic given (params, radius, rtol, seed)."""
     model = float_model(p)
     loops = build_loops(radius)
-    # each commutator's jet is integrated once and serves both row families
-    jets = {lp.label: integrate_variations(model, lp, rtol=rtol) for lp in (loops.gamma1, loops.gamma2)}
+    # each loop's jet is integrated once and serves every row family
+    jets = {
+        lp.label: integrate_variations(model, lp, rtol=rtol) for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)
+    }
     rows = []
     for lp in (loops.gamma1, loops.gamma2):
-        rows.extend(verify_variation_formulas(model, lp, rtol=rtol, jet=jets[lp.label]))
+        rows.extend(verify_variation_formulas(model, lp, jets[lp.label], rtol=rtol))
     rows.extend(verify_integral_lemmas(model, loops, seed=seed, n_samples=n_samples, rtol=rtol))
-    struct, convention = structural_rows(model, loops, rtol=rtol, seed=seed, jets=jets)
+    struct, convention = structural_rows(model, loops, jets, rtol=rtol, seed=seed)
     rows.extend(struct)
     return {
         "params": p.to_dict(),

@@ -18,11 +18,13 @@ iterated integrals that the degree 2..6 coefficient formulas are made of,
 with running psi2 and psi3 entering the deeper integrands.
 
 Both are fields on ``odepath.integrate_stack``, which evaluates the S_d
-and q_d at w and keeps the L1 masses.  Each carries phi1 as its base
-(phi1 = exp of the integral of K1): the jet stacks phi_2..phi_6 on it,
-each B_d reading only phi1..phi_(d-1), and the bundle its thirteen
-integrals.  ``phi_field`` is the phi1-weighted integrand
-P(w) phi1^(d-1) / r^d they share with the lemma checks.
+and q_d at w and keeps the L1 masses; under ``odepath``'s field contract,
+r, K_d and r^d are computed once per block and only the products with
+the state once per sweep.  Each carries phi1 as its base (phi1 = exp of
+the integral of K1): the jet stacks phi_2..phi_6 on it, each B_d reading
+only phi1..phi_(d-1), and the bundle its thirteen integrals.
+``phi_field`` is the phi1-weighted integrand P(w) phi1^(d-1) / r^d they
+share with the lemma checks.
 """
 
 from __future__ import annotations
@@ -83,35 +85,39 @@ def _variation_field(model: FloatModel, order: int):
     D = np.arange(2, order + 1)[:, None]
     c = np.array([model.c[d] for d in range(2, order + 1)], dtype=complex)[:, None]
 
-    def field(w, base, p, vals):
+    def field(w, vals):
         r = r_of(w)
         k1 = s_of(lam1, lam2, w) / r
         K = [0j, k1, *(c * k1 + vals / r**D)]
-        p = [base[0], *p]  # p[k] is phi_(k+1)
-        p1 = p[0]
-        B = []
-        if order >= 2:
-            B.append(K[2] * p1)
-        if order >= 3:
-            B.append(2 * K[2] * p[1] * p1 + K[3] * p1**2)
-        if order >= 4:
-            B.append(K[2] * (2 * p[2] + p[1] ** 2) * p1 + 3 * K[3] * p[1] * p1**2 + K[4] * p1**3)
-        if order >= 5:
-            B.append(
-                2 * K[2] * (p[3] + p[2] * p[1]) * p1
-                + 3 * K[3] * (p[2] + p[1] ** 2) * p1**2
-                + 4 * K[4] * p[1] * p1**3
-                + K[5] * p1**4
-            )
-        if order >= 6:
-            B.append(
-                K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
-                + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * p1**2
-                + K[4] * (4 * p[2] + 6 * p[1] ** 2) * p1**3
-                + 5 * K[5] * p[1] * p1**4
-                + K[6] * p1**5
-            )
-        return k1, B
+
+        def integrands(base, p):
+            p = [base[0], *p]  # p[k] is phi_(k+1)
+            p1 = p[0]
+            B = []
+            if order >= 2:
+                B.append(K[2] * p1)
+            if order >= 3:
+                B.append(2 * K[2] * p[1] * p1 + K[3] * p1**2)
+            if order >= 4:
+                B.append(K[2] * (2 * p[2] + p[1] ** 2) * p1 + 3 * K[3] * p[1] * p1**2 + K[4] * p1**3)
+            if order >= 5:
+                B.append(
+                    2 * K[2] * (p[3] + p[2] * p[1]) * p1
+                    + 3 * K[3] * (p[2] + p[1] ** 2) * p1**2
+                    + 4 * K[4] * p[1] * p1**3
+                    + K[5] * p1**4
+                )
+            if order >= 6:
+                B.append(
+                    K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
+                    + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * p1**2
+                    + K[4] * (4 * p[2] + 6 * p[1] ** 2) * p1**3
+                    + 5 * K[5] * p[1] * p1**4
+                    + K[6] * p1**5
+                )
+            return B
+
+        return k1, integrands
 
     return field
 
@@ -183,9 +189,10 @@ def phi_field(model: FloatModel, degrees):
     lam1, lam2 = model.lam1, model.lam2
     D = np.asarray(degrees)[:, None]
 
-    def field(w, base, integrals, vals):
+    def field(w, vals):
         r = r_of(w)
-        return s_of(lam1, lam2, w) / r, vals * (base[0] ** (D - 1) / r**D)
+        rD = r**D
+        return s_of(lam1, lam2, w) / r, lambda base, integrals: vals * (base[0] ** (D - 1) / rD)
 
     return field
 
@@ -195,25 +202,30 @@ def _bundle_field(model: FloatModel):
     integrals weight those integrands by the running psi2 and psi3."""
     phi = phi_field(model, range(2, 7))
 
-    def field(w, base, y, vals):
-        rate, head = phi(w, base, y, vals)  # the psi2..psi6 integrands g2..g6
-        g3, g4, g5 = head[1], head[2], head[3]
-        psi2, psi3 = y[0], y[1]
-        return rate, np.concatenate(
-            (
-                head,
-                [
-                    g3 * psi2,  # delta1
-                    g3 * psi2**2,  # delta2
-                    g3 * psi2**3,  # delta3
-                    g3 * psi2 * psi3,  # delta11
-                    g4 * psi2,  # gamma1
-                    g4 * psi2**2,  # gamma2
-                    g4 * psi3,  # gamma01
-                    g5 * psi2,  # b1
-                ],
+    def field(w, vals):
+        rate, heads = phi(w, vals)
+
+        def integrands(base, y):
+            head = heads(base, y)  # the psi2..psi6 integrands g2..g6
+            g3, g4, g5 = head[1], head[2], head[3]
+            psi2, psi3 = y[0], y[1]
+            return np.concatenate(
+                (
+                    head,
+                    [
+                        g3 * psi2,  # delta1
+                        g3 * psi2**2,  # delta2
+                        g3 * psi2**3,  # delta3
+                        g3 * psi2 * psi3,  # delta11
+                        g4 * psi2,  # gamma1
+                        g4 * psi2**2,  # gamma2
+                        g4 * psi3,  # gamma01
+                        g5 * psi2,  # b1
+                    ],
+                )
             )
-        )
+
+        return rate, integrands
 
     return field
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ODEError
+
 ORDER = 6
 
 
@@ -58,22 +60,24 @@ def _trunc_mul(u, v):
     return out
 
 
+def _finite(jet: HolonomyJet, what: str) -> HolonomyJet:
+    if not (np.isfinite(jet.coeffs).all() and np.isfinite(jet.norms).all()):
+        raise ODEError(f"jet {what} overflows double precision")
+    return jet
+
+
 def compose(f: HolonomyJet, g: HolonomyJet) -> HolonomyJet:
     """Jet of f(g(z)), i.e. g acts first; masses follow the same algebra."""
-    out = np.zeros(ORDER, dtype=complex)
-    powers = g.coeffs
-    for k in range(ORDER):
-        out += f.coeffs[k] * powers
-        if k < ORDER - 1:
-            powers = _trunc_mul(powers, g.coeffs)
-    fm, gm = f.magnitude(), g.magnitude()
-    mass = np.zeros(ORDER)
-    powers_m = gm
-    for k in range(ORDER):
-        mass += fm[k] * powers_m
-        if k < ORDER - 1:
-            powers_m = _trunc_mul(powers_m, gm)
-    return HolonomyJet(out, norms=np.maximum(mass - np.abs(out), 0.0))
+    out, mass = np.zeros(ORDER, dtype=complex), np.zeros(ORDER)
+    with np.errstate(all="ignore"):  # checked by _finite
+        fm, gm = f.magnitude(), g.magnitude()
+        powers, powers_m = g.coeffs, gm
+        for k in range(ORDER):
+            out += f.coeffs[k] * powers
+            mass += fm[k] * powers_m
+            if k < ORDER - 1:
+                powers, powers_m = _trunc_mul(powers, g.coeffs), _trunc_mul(powers_m, gm)
+        return _finite(HolonomyJet(out, norms=np.maximum(mass - np.abs(out), 0.0)), "composition")
 
 
 def invert(f: HolonomyJet) -> HolonomyJet:
@@ -81,13 +85,14 @@ def invert(f: HolonomyJet) -> HolonomyJet:
     if f.coeffs[0] == 0:
         raise ZeroDivisionError("jet with a1 = 0 is not invertible")
     g = np.zeros(ORDER, dtype=complex)
-    g[0] = 1.0 / f.coeffs[0]
-    inv = HolonomyJet(g.copy())
-    for n in range(1, ORDER):
-        c = compose(f, inv).coeffs
-        inv.coeffs[n] -= c[n] / f.coeffs[0]
-    inv.norms = compose(f, inv).norms / max(abs(f.coeffs[0]), 1e-300)
-    return inv
+    with np.errstate(all="ignore"):  # checked by _finite
+        g[0] = 1.0 / f.coeffs[0]
+        inv = HolonomyJet(g)
+        for n in range(1, ORDER):
+            c = compose(f, inv).coeffs
+            inv.coeffs[n] -= c[n] / f.coeffs[0]
+        inv.norms = compose(f, inv).norms / max(abs(f.coeffs[0]), 1e-300)
+    return _finite(inv, "inversion")
 
 
 def commutator(f: HolonomyJet, g: HolonomyJet) -> HolonomyJet:

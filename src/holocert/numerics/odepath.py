@@ -9,10 +9,18 @@ the L1 masses.  This is Chebfun's ``cumsum``; the end row is Fejer's first
 quadrature rule (Trefethen, Approximation Theory and Approximation
 Practice, SIAM 2013).
 
+The field contract.  The state is a base b and integrals y.  A field is
+called once per block, as field(w, dw) on the nodes and velocities of its
+pieces, and returns (rate, integrands): the base's rate rows pulled back
+by dw (b' = rate * b), and integrands(b, y), the integrals' derivatives
+there, pulled back likewise.  Each sweep calls integrands alone, so the
+rate and all the field computes outside integrands depend on w alone;
+integral k may read the base and the integrals before k only.
+
 A loop's pieces form one list in path order, solved BLOCK at a time: each
-sweep evaluates the field once on the nodes of all pieces of a block, and
-their start states are chained in path order (a product for the base, a
-sum for the integrals), the same arithmetic in the same order as solving
+sweep evaluates the integrands once on the nodes of all pieces of a block,
+and their start states are chained in path order (a product for the base,
+a sum for the integrals), the same arithmetic in the same order as solving
 the pieces one by one.  The sweeps run to a bitwise fixed point, and only
 that fixed point is judged.  The tail test is per piece: a piece fails
 while the trailing Chebyshev coefficients of an integrand exceed rtol
@@ -81,11 +89,11 @@ def _per_row(a, m, out=None):
     return np.matmul(a.reshape(rows, -1), m, out=flat_out).reshape(rows, 1, -1)
 
 
-def _solve(rhs, w, dw, half, start, nb, bufs):
+def _solve(field, w, dw, half, start, nb, bufs):
     """Solve k consecutive pieces (nodes w, velocities dw, half-lengths
-    half) from the accepted state start, iterating the field to a bitwise
-    fixed point: the first sweep fixes the base, each further one an
-    integral level, and the last one confirms.  Every node starts at the
+    half) from the accepted state start, iterating the integrands to a
+    bitwise fixed point: the first sweep fixes the base, each further one
+    an integral level, and the last one confirms.  Every node starts at the
     state start; the fixed point does not depend on that guess, and an
     intermediate sweep may overflow on the way to it.
 
@@ -106,13 +114,17 @@ def _solve(rhs, w, dw, half, start, nb, bufs):
     ends[0] = new_ends[0] = start
     sweeps = rows - nb + 2
     with np.errstate(all="ignore"):
+        rate, integrands = field(w, dw)
+        np.copyto(flat_derivs[:nb], rate)
         for sweep in range(sweeps):
-            rate, g = rhs(w, dw, flat[:nb], flat[nb:])
-            np.copyto(flat_derivs[:nb], rate)
-            np.copyto(flat_derivs[nb:], g)
-            del rate, g  # not kept alive through the next field call
-            _per_row(derivs, _CUMSUM, out=cum)
-            cum *= half[:, None]
+            np.copyto(flat_derivs[nb:], integrands(flat[:nb], flat[nb:]))
+            # scaled first, exactly (h/2 is a power of two): a sum overflows only with its integral
+            _per_row(derivs * half[:, None], _CUMSUM, out=cum)
+            # the integrals before the base: straight after the BLAS product, numpy's
+            # complex exp ran 15 times slower than after a numpy sum (Xeon, OpenBLAS 0.3.31)
+            new_ends[1:, nb:] = cum[nb:, :, N].T
+            np.add.accumulate(new_ends[:, nb:], axis=0, out=new_ends[:, nb:])
+            np.add(new_ends[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
             np.exp(cum[:nb], out=cum[:nb])  # the base's factor over each piece
             # Each base product is start times factor into a contiguous row of
             # its own, as for a lone piece: numpy's complex product rounds
@@ -122,10 +134,7 @@ def _solve(rhs, w, dw, half, start, nb, bufs):
             factors = cum[:nb, :, N].T
             for j in range(k):
                 np.multiply(new_ends[j, :nb], factors[j], out=new_ends[j + 1, :nb])
-            new_ends[1:, nb:] = cum[nb:, :, N].T
-            np.add.accumulate(new_ends[:, nb:], axis=0, out=new_ends[:, nb:])
             np.multiply(new_ends[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
-            np.add(new_ends[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
             settled = (new == nodes).all(axis=(0, 2)) & (new_ends[1:] == ends[1:]).all(axis=1)
             nodes[...] = new
             ends, new_ends = new_ends, ends
@@ -149,31 +158,29 @@ def _masses(derivs, base, half):
     for the base)."""
     moduli = np.abs(derivs)
     moduli[: len(base)] = np.abs(derivs[: len(base)] * base)
-    return (moduli * _CUMSUM[:, N]).sum(axis=2) * half
+    return (moduli * (half[:, None] * _CUMSUM[:, N])).sum(axis=2)
 
 
 def integrate_fixed_interval(f, b0, y0, rtol: float):
     """Integrate a base b and integrals y over t in [0, 1].
 
-    f(t, b, y) takes an array of nodes t with the state at those nodes
-    (one row per component) and returns (rate, g): b' = rate * b and
-    y' = g, each rate depending on t alone and each integrand only on b
-    and on earlier integrals.  Returns b and y at t = 1 and the L1 mass
-    of every component's derivative (rate * b for the base).
+    f(t) is a field of the module's contract on an array of nodes t,
+    with w = t and dw = 1: it returns (rate, integrands(b, y)).  Returns b
+    and y at t = 1 and the L1 mass of every component's derivative
+    (rate * b for the base).
     """
     # [0, 1] as a path of one segment, w = t, with no loop to name in errors
     unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
-    return integrate_loop(lambda w, dw, b, y: f(w, b, y), SimpleNamespace(segments=(unit,), label=None), b0, y0, rtol)[-1]
+    return integrate_loop(lambda w, dw: f(w), SimpleNamespace(segments=(unit,), label=None), b0, y0, rtol)[-1]
 
 
-def integrate_loop(rhs, loop, b0, y0, rtol: float):
+def integrate_loop(field, loop, b0, y0, rtol: float):
     """Integrate along every segment of a loop, carrying the state through.
 
-    rhs(w, dw, b, y) receives the nodes and velocities of a block of
-    consecutive pieces, which may span segments, with the state at those
-    nodes, and returns (rate, g) in t, already pulled back.  Returns
-    (b, y, mass) at the end of every segment, in path order, the mass
-    summed from the loop's start; [-1] is the loop's end.
+    field(w, dw) is a field of the module's contract, called on the nodes
+    and velocities of a block of consecutive pieces, which may span
+    segments.  Returns (b, y, mass) at the end of every segment, in path
+    order, the mass summed from the loop's start; [-1] is the loop's end.
 
     ODEError names the segment of the first piece whose converged state is
     not finite, once every piece before it has passed its tail test: a
@@ -207,7 +214,7 @@ def integrate_loop(rhs, loop, b0, y0, rtol: float):
             parts.append((segments[s].point(ts), np.broadcast_to(segments[s].velocity(ts), ts.shape)))
             lo = hi
         w, dw = (np.concatenate(x) for x in zip(*parts))
-        nodes, ends, derivs, finite = _solve(rhs, w, dw, h / 2.0, start, nb, bufs)
+        nodes, ends, derivs, finite = _solve(field, w, dw, h / 2.0, start, nb, bufs)
         with np.errstate(all="ignore"):  # a non-finite piece has no meaningful tail
             failed = _tail_above(derivs, rtol)
         bad = failed | ~finite
@@ -243,16 +250,13 @@ def integrate_loop(rhs, loop, b0, y0, rtol: float):
 def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float):
     """Integrate a base state and a stack of integrals along a loop.
 
-    field(w, base, integrals, vals) is evaluated on an array of points w,
-    with one row per state component, and returns (rate, integrands): the
-    base obeys d base/dw = rate * base with rate depending on w alone, so
-    it is base0 * exp(integral of rate); integral k has the derivative
-    integrands[k], which may read the base and integrals before k.
-    vals[k] = P_k(w) for the polynomial with the ascending coefficients
-    coeffs[k] (rows of unequal length are zero-padded).  Everything else
-    happens here: one matrix product evaluates every P_k, the field is
-    pulled back by dw, and every component gets its L1 mass, the integral
-    of |derivative| against |dw| (rate * base for the base).
+    field(w, vals) is the module's field contract in w rather than in t:
+    it returns (rate, integrands(base, integrals)), with one row per state
+    component, and integrate_stack pulls both back by dw.  vals[k] = P_k(w)
+    for the polynomial with the ascending coefficients coeffs[k] (rows of
+    unequal length are zero-padded), evaluated once per block by one
+    matrix product; every component gets its L1 mass, the integral of
+    |derivative| against |dw| (rate * base for the base).
 
     Returns (base, integrals, base_masses, masses) at the end of every
     segment, in path order; [-1] is the loop's end.
@@ -264,18 +268,11 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float):
         C[k, : len(c)] = c
     n = C.shape[1]
 
-    last = [None, None]  # the nodes of the last call and P_k there: every sweep of a block has the same nodes
+    def pulled_back(w, dw):
+        # one (K, n) @ (n, N) product per piece: over a whole block of
+        # nodes the product would be spread over BLAS threads (see _per_row)
+        V = np.vander(w, n, increasing=True).reshape(-1, N, n).transpose(0, 2, 1)
+        rate, integrands = field(w, np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), -1))
+        return np.multiply(rate, dw), lambda b, y: np.multiply(integrands(b, y), dw)
 
-    def values(w):
-        if w is not last[0]:
-            # one (K, n) @ (n, N) product per piece: over a whole block of
-            # nodes the product would be spread over BLAS threads (see _per_row)
-            V = np.vander(w, n, increasing=True).reshape(-1, N, n).transpose(0, 2, 1)
-            last[:] = w, np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), -1)
-        return last[1]
-
-    def rhs(w, dw, b, y):
-        rate, g = field(w, b, y, values(w))
-        return np.multiply(rate, dw), np.multiply(g, dw)
-
-    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(rhs, loop, base0, integrals0, rtol)]
+    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(pulled_back, loop, base0, integrals0, rtol)]

@@ -109,16 +109,18 @@ def test_criterion_4_elimination_reproduction():
     _ok(4, f"chain: Res2_5 divisible, Res3_6 != 0, det34 != 0, (beta1, beta2) = (0, 0), UNIQUE ({elapsed:.2f}s)")
 
 
-def test_criterion_5_holonomy_formula_validation():
+def test_criterion_5_holonomy_formula_validation(loop_jets):
     t0 = time.time()
     rng = random.Random(505)
     params = [verification_point()] + [_random_float_params(rng) for _ in range(3)]
     loops = build_loops(0.5)
     worst = {d: 0.0 for d in range(2, 7)}
-    for p in params:
+    for k, p in enumerate(params):
         model = float_model(p)
         for loop in (loops.gamma1, loops.gamma2):
-            for row in verify_variation_formulas(model, loop):
+            # the fixture holds the verification point's jets
+            jet = loop_jets[loop.label] if k == 0 else integrate_variations(model, loop)
+            for row in verify_variation_formulas(model, loop, jet):
                 worst[row.degree] = max(worst[row.degree], row.residual)
                 assert row.passed, f"{row.name} at {loop.label}: residual {row.residual:.3e}"
     elapsed = time.time() - t0

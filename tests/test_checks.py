@@ -60,8 +60,8 @@ def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
     u1 = 2 * nmodel.lam1 - 3
     u2 = 2 * nmodel.lam2 - 3
 
-    def field(w, zeta, integrals, vals):
-        return u1 / (1.0 + w) - u2 / (1.0 - w), vals * zeta
+    def field(w, vals):
+        return u1 / (1.0 + w) - u2 / (1.0 - w), lambda zeta, integrals: vals * zeta
 
     P = np.array([1.0 + 0j])
     _, i1, _, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field, 1e-12)[-1]
@@ -141,16 +141,16 @@ def test_every_family_integrates_through_integrate_stack(tp, monkeypatch, n_samp
     assert len(loops) == integrations
 
 
-def test_variation_rows_report_every_degree(nmodel, nloops):
-    rows = verify_variation_formulas(nmodel, nloops.gamma1)
+def test_variation_rows_report_every_degree(nmodel, nloops, loop_jets):
+    rows = verify_variation_formulas(nmodel, nloops.gamma1, loop_jets["gamma1"])
     assert [r.degree for r in rows] == [2, 3, 4, 5, 6]
     assert all(r.passed for r in rows)
     # residual magnitudes are recorded, not just booleans
     assert all(0.0 <= r.residual < r.tolerance for r in rows)
 
 
-def test_structural_rows_detect_convention(nmodel, nloops):
-    rows, convention = structural_rows(nmodel, nloops, seed=5)
+def test_structural_rows_detect_convention(nmodel, nloops, loop_jets):
+    rows, convention = structural_rows(nmodel, nloops, loop_jets, seed=5)
     assert "Delta_b o Delta_a" in convention
     by_name = {r.name: r for r in rows}
     assert by_name["commutator-convention"].passed
@@ -163,7 +163,7 @@ def test_structural_rows_detect_convention(nmodel, nloops):
 def test_commutator_tangency_is_near_rounding(nmodel, nloops, loop_jets):
     # at the default tolerance a1 = 1 holds to a few ulps on gamma1, five
     # orders of magnitude under the row's 1e-8 budget
-    rows, _ = structural_rows(nmodel, nloops, jets=loop_jets)
+    rows, _ = structural_rows(nmodel, nloops, loop_jets)
     by_name = {r.name: r for r in rows}
     assert by_name["commutator-tangency[gamma1]"].residual <= 1e-13
 

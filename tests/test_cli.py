@@ -264,3 +264,16 @@ def test_breakdown_names_the_segment_that_overflows(tmp_path, capsys):
     reason = "loop 'gamma2', segment 10: non-finite state"
     assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
     assert f"numerical breakdown: {reason}" in err
+
+
+def test_overflowing_jet_arithmetic_is_a_breakdown(tmp_path, capsys, recwarn):
+    # every loop integration ends finite at (1/2+10i, 1/3-10i), but the
+    # structural rows compose jets whose masses leave double precision:
+    # that is a named breakdown, not rows graded against an infinite scale
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+10i", "1/3-10i")
+    assert rc == EXIT_INCONCLUSIVE
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    reason = "jet composition overflows double precision"
+    assert doc["verdict"] == "UNIQUE"
+    assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
+    assert f"INCONCLUSIVE: numerical breakdown: {reason}" in err

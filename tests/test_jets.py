@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from holocert.numerics import ODEError
 from holocert.numerics.jets import (
     HolonomyJet,
     commutator,
@@ -88,3 +89,13 @@ def test_group_associativity_numerically():
 def test_jet_wants_six_coefficients():
     with pytest.raises(ValueError):
         HolonomyJet(np.ones(4))
+
+
+def test_jet_arithmetic_that_leaves_double_precision_is_a_breakdown():
+    # f(f) for f = z + 1e200 z^2 has a3 = 2e400: no warning and no inf
+    # coefficient, but an ODEError
+    big = jet(1, 1e200, 0, 0, 0, 0)
+    with pytest.raises(ODEError, match="^jet composition overflows double precision$"):
+        compose(big, big)
+    with pytest.raises(ODEError, match="overflows double precision"):
+        invert(jet(1e-200, 1e200, 0, 0, 0, 0))

@@ -18,7 +18,7 @@ EMPTY = np.zeros(0)  # no base components, or no integrals
 
 def base_only(rate):
     """A kernel field with one base component of the given rate and no integrals."""
-    return lambda t, b, y: (rate(t), 0.0)
+    return lambda t: (rate(t), lambda b, y: 0.0)
 
 
 def test_exponential_growth_on_interval():
@@ -36,16 +36,14 @@ def test_complex_rotation():
 def test_segment_pullback_line():
     # the integral of dw along a segment recovers the displacement
     seg = Line(0j, 2 + 1j)
-    _, y, _ = integrate_fixed_interval(
-        lambda t, b, y: (0.0, seg.velocity(t)), EMPTY, [0.0], rtol=1e-12
-    )
+    _, y, _ = integrate_fixed_interval(lambda t: (0.0, lambda b, y: seg.velocity(t)), EMPTY, [0.0], rtol=1e-12)
     assert abs(y[0] - (2 + 1j)) < 1e-10
 
 
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="there-and-back")
-    _, y, mass = integrate_loop(lambda w, dw, b, y: (0.0, dw), out_back, EMPTY, [0.0], rtol=1e-12)[-1]
+    _, y, mass = integrate_loop(lambda w, dw: (0.0, lambda b, y: dw), out_back, EMPTY, [0.0], rtol=1e-12)[-1]
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -53,7 +51,7 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), basepoint=1 + 0j, label="circle")
-    _, y, _ = integrate_loop(lambda w, dw, b, y: (0.0, dw / w), circle, EMPTY, [0.0], rtol=1e-12)[-1]
+    _, y, _ = integrate_loop(lambda w, dw: (0.0, lambda b, y: dw / w), circle, EMPTY, [0.0], rtol=1e-12)[-1]
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
@@ -61,7 +59,7 @@ def test_segment_ends_come_in_path_order():
     # the integral of dw is the end point of each segment, and the mass its
     # arclength from the loop's start
     loop = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="wedge")
-    ends = integrate_loop(lambda w, dw, b, y: (0.0, dw), loop, EMPTY, [0.0], rtol=1e-10)
+    ends = integrate_loop(lambda w, dw: (0.0, lambda b, y: dw), loop, EMPTY, [0.0], rtol=1e-10)
     assert [y[0] for _, y, _ in ends] == [pytest.approx(1 + 0j), pytest.approx(0j, abs=1e-12)]
     assert [mass[0] for *_, mass in ends] == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -72,11 +70,22 @@ def test_nonfinite_state_raises():
         integrate_fixed_interval(base_only(lambda t: 1000.0), [1.0], EMPTY, rtol=1e-8)
 
 
+@pytest.mark.parametrize("b0", [7e307, 9e307])
+def test_a_state_near_the_double_range_keeps_finite_sums(b0):
+    # b' = b/2 and y' = b: b(1) = b0 e^(1/2) and y(1) = 2 b0 (e^(1/2) - 1)
+    # are finite, but a piece's sums before the scaling by its half-length
+    # h/2 would be 2/h times larger and overflow
+    b, y, mass = integrate_fixed_interval(lambda t: (0.5, lambda b, y: b), [b0], [0.0], rtol=1e-12)
+    assert b[0] == pytest.approx(b0 * math.exp(0.5), rel=1e-13)
+    assert y[0] == pytest.approx(b0 * (2.0 * (math.exp(0.5) - 1.0)), rel=1e-13)
+    assert np.all(np.isfinite(mass))
+
+
 def test_an_overflow_before_the_fixed_point_is_no_breakdown():
     # y0' = 1 and y1' = exp(2000 (t - y0)): the first sweep, at the guess
     # y0 = 0, overflows, but the fixed point y0 = y1 = t is finite
-    def f(t, b, y):
-        return 0.0, [np.ones_like(t), np.exp(2000.0 * (t - y[0]))]
+    def f(t):
+        return 0.0, lambda b, y: [np.ones_like(t), np.exp(2000.0 * (t - y[0]))]
 
     _, y, _ = integrate_fixed_interval(f, EMPTY, [0.0, 0.0], rtol=1e-12)
     assert abs(y[1] - 1.0) < 1e-12
@@ -85,20 +94,20 @@ def test_an_overflow_before_the_fixed_point_is_no_breakdown():
 def test_field_reading_its_own_integral_is_rejected():
     # y' = y is no iterated integral: the sweeps never reach a fixed point
     with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t, b, y: (0.0, y), EMPTY, [1.0], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b, y: y), EMPTY, [1.0], rtol=1e-12)
 
 
 def test_no_fixed_point_before_an_overflow_is_still_rejected():
     # y' = y from 6e307: the second piece's state overflows, so only the
     # first must settle, and it does not
     with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t, b, y: (0.0, y), EMPTY, [6e307], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b, y: y), EMPTY, [6e307], rtol=1e-12)
 
 
 def test_jump_exhausts_the_splitting_depth():
     # a jump keeps the Chebyshev tail of the piece holding it at O(1)
     with pytest.raises(ODEError, match="tail above rtol"):
-        integrate_fixed_interval(lambda t, b, y: (0.0, (t > 1 / 3) + 0j), EMPTY, [0.0], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b, y: (t > 1 / 3) + 0j), EMPTY, [0.0], rtol=1e-12)
 
 
 def _pulse_run(rtol):
@@ -106,10 +115,10 @@ def _pulse_run(rtol):
     amp, centre, width = 30.0, 0.5, 0.02
     pieces = set()
 
-    def f(t, b, y):
+    def f(t):
         # one call covers a block of pieces, N nodes each
         pieces.update(map(tuple, t.reshape(-1, odepath.N)))
-        return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), 0.0
+        return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), lambda b, y: 0.0
 
     b, _, _ = integrate_fixed_interval(f, [1.0], EMPTY, rtol=rtol)
     phase = amp * width * math.sqrt(math.pi) / 2 * (math.erf((1 - centre) / width) + math.erf(centre / width))
@@ -142,16 +151,16 @@ def test_a_split_segment_leaves_its_neighbours_alone():
     loop = _line_loop(3)
     nodes = {0: set(), 1: set(), 2: set()}
 
-    def rhs(w, dw, b, y):
+    def field(w, dw):
         for row in w.reshape(-1, odepath.N):
             seg = int(row.real.min())
             if seg in nodes and row.real.max() < seg + 1:
                 nodes[seg].add(tuple(row))
         on = dw.real > 0  # not on the closing segment
         rate = np.where(on, 1j * (0.3 + amp * np.exp(-(((w.real - 1.5) / width) ** 2))), 0.0)
-        return rate * dw, np.where(on, b[0], 0.0) * dw
+        return rate * dw, lambda b, y: np.where(on, b[0], 0.0) * dw
 
-    b, _, _ = integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)[-1]
+    b, _, _ = integrate_loop(field, loop, [1.0], [0.0], rtol=1e-10)[-1]
     assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES
     assert len(nodes[1]) > odepath.PIECES
     phase = 0.9 + amp * width * math.sqrt(math.pi) * math.erf(0.5 / width)
@@ -164,17 +173,45 @@ def test_nonfinite_state_names_the_first_segment_that_overflows():
     # the error names segment 2 and is no "no fixed point" ValueError
     loop = _line_loop(5)
 
-    def rhs(w, dw, b, y):
+    def field(w, dw):
         x = w.real
         pulse = np.where(x < 1.0, 40j * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
         rate = np.where(dw.real > 0, pulse + np.where((x > 2.0) & (x < 3.0), 1000.0, 0.0), 0.0)
-        return rate * dw, b[0] * dw
+        return rate * dw, lambda b, y: b[0] * dw
 
     with pytest.raises(ODEError, match=r"^loop 'line', segment 2: non-finite state$"):
-        integrate_loop(rhs, loop, [1.0], [0.0], rtol=1e-10)
+        integrate_loop(field, loop, [1.0], [0.0], rtol=1e-10)
 
 
-def _piece_by_piece(rhs, loop, b0, y0, rtol):
+def test_the_field_runs_once_per_block_and_its_integrands_once_per_sweep():
+    # the rate and every w-only term belong to the block stage, and each
+    # sweep calls only the integrands of the block being solved: at most
+    # m + 2 times for m integrals.  The pulse splits pieces, so the loop
+    # takes several blocks.
+    loop = _line_loop(3)
+    sweeps = []  # per block, the calls of its integrands
+
+    def field(w, dw):
+        block = len(sweeps)
+        sweeps.append(0)
+        on = dw.real > 0  # not on the closing segment
+        rate = np.where(on, 1j * (0.3 + 30.0 * np.exp(-(((w.real - 1.5) / 0.02) ** 2))), 0.0) * dw
+        weight = np.where(on, np.cos(3.0 * w), 0.0) * dw
+
+        def integrands(b, y):
+            assert block == len(sweeps) - 1
+            assert b.shape == (1, w.size) and y.shape == (2, w.size)
+            sweeps[block] += 1
+            return [weight * b[0], y[0] * dw]
+
+        return rate, integrands
+
+    integrate_loop(field, loop, [1.0], [0.0, 0.0], rtol=1e-10)
+    assert len(sweeps) > 1
+    assert all(1 <= n <= 2 + 2 for n in sweeps)
+
+
+def _piece_by_piece(field, loop, b0, y0, rtol):
     """The reference for integrate_loop: each piece solved alone from its
     accepted start state, split while its tail test fails, with the
     arithmetic that the blocks must reproduce bit for bit."""
@@ -190,10 +227,11 @@ def _piece_by_piece(rhs, loop, b0, y0, rtol):
             t = a + h * (X + 1.0) / 2.0
             w, dw = seg.point(t), np.broadcast_to(seg.velocity(t), t.shape)
             nodes, state = np.concatenate((np.repeat(b[:, None], N, 1), np.repeat(y[:, None], N, 1))), None
+            rate, integrands = field(w, dw)
             for _ in range(m + 2):
-                rate, g = rhs(w, dw, nodes[:nb], nodes[nb:])
+                g = integrands(nodes[:nb], nodes[nb:])
                 derivs = np.concatenate((np.broadcast_to(rate, (nb, N)), np.broadcast_to(g, (m, N))))
-                cum = h / 2.0 * (derivs @ C)
+                cum = (h / 2.0 * derivs) @ C
                 new = np.concatenate((b[:, None] * np.exp(cum[:nb]), y[:, None] + cum[nb:]))
                 if state is not None and np.array_equal(new, state):
                     break
@@ -204,7 +242,7 @@ def _piece_by_piece(rhs, loop, b0, y0, rtol):
                 todo += [(a + h / 2.0, h / 2.0), (a, h / 2.0)]
                 continue
             moduli = np.abs(np.concatenate((derivs[:nb] * nodes[:nb], derivs[nb:])))
-            seg_mass += h / 2.0 * (moduli * C[:, N]).sum(axis=1)
+            seg_mass += (moduli * (h / 2.0 * C[:, N])).sum(axis=1)
             b, y = state[:nb, N], state[nb:, N]
         mass = mass + seg_mass
         ends.append((b, y, mass))
@@ -224,19 +262,23 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
     loop = _line_loop(2)
 
     def run(Y, rows, poison=False, integrate=integrate_loop):
-        def rhs(w, dw, b, y):
+        def field(w, dw):
             x, on = w.real, dw.real > 0
             starts, spans = x.reshape(-1, odepath.N).min(axis=1), np.ptp(x.reshape(-1, odepath.N), axis=1)
             ahead = dw.real.reshape(-1, odepath.N)[:, 0] > 0  # not on the closing segment
             rows.update(zip(starts[ahead].round(6), spans[ahead].round(6)))
             pulse = np.where(x < 1.0, 40.0 * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
-            tail = np.where(x > 1.0, (y[0] - Y) * np.cos(100.0 * w), 0.0)
-            if poison:
-                halves = np.repeat(ahead & (starts > 1.0) & (spans < 0.3), odepath.N)
-                tail = np.where(halves, np.inf, tail)
-            return 0.0, np.where(on, [pulse, tail, np.cos(3.0 * w)], 0.0) * dw
+            halves = np.repeat(ahead & (starts > 1.0) & (spans < 0.3), odepath.N)
 
-        return integrate(rhs, loop, EMPTY, [0.0, 0.0, 0.0], rtol=1e-10)
+            def integrands(b, y):
+                tail = np.where(x > 1.0, (y[0] - Y) * np.cos(100.0 * w), 0.0)
+                if poison:
+                    tail = np.where(halves, np.inf, tail)
+                return np.where(on, [pulse, tail, np.cos(3.0 * w)], 0.0) * dw
+
+            return 0.0, integrands
+
+        return integrate(field, loop, EMPTY, [0.0, 0.0, 0.0], rtol=1e-10)
 
     Y = run(0.0, set())[0][1][0]  # y0 at the end of segment 0, which the integrand y1 does not touch
     assert abs(Y - 2.0 * math.sqrt(math.pi)) < 1e-9
@@ -270,13 +312,13 @@ def test_blocks_match_single_pieces_bit_for_bit(nb):
     loop = _line_loop(4)
     rates = np.array([1j * math.pi, -0.7 + 2.0j, 0.3 - 0.1j])[:nb, None]
 
-    def rhs(w, dw, b, y):
+    def field(w, dw):
         x = w.real
         rate = rates * (1.0 + 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)))
-        return rate * dw, [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
+        return rate * dw, lambda b, y: [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
 
     def run(integrate):
-        return integrate(rhs, loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], rtol=1e-11)
+        return integrate(field, loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], rtol=1e-11)
 
     blocks, pieces = run(integrate_loop), run(_piece_by_piece)
     assert len(blocks) == len(pieces) == len(loop.segments)
@@ -293,11 +335,11 @@ def test_stacked_copies_match_single_system_bit_for_bit(n, k):
     rates = np.array([1j * math.pi, -0.7 + 2.0j])[:n]
     b0 = np.array([1.0 + 0.5j, -0.3 + 2j])[:n]
 
-    def f(t, b, y):
-        return np.tile(rates, len(b) // n)[:, None], np.cos(3 * t) * b
+    def copies(c):
+        return lambda t: (np.tile(rates, c)[:, None], lambda b, y: np.cos(3 * t) * b)
 
-    single = integrate_fixed_interval(f, b0, np.zeros(n), rtol=1e-10)
-    stacked = integrate_fixed_interval(f, np.tile(b0, k), np.zeros(n * k), rtol=1e-10)
+    single = integrate_fixed_interval(copies(1), b0, np.zeros(n), rtol=1e-10)
+    stacked = integrate_fixed_interval(copies(k), np.tile(b0, k), np.zeros(n * k), rtol=1e-10)
     for copy in range(k):
         sl = slice(copy * n, (copy + 1) * n)
         assert np.array_equal(stacked[0][sl], single[0])
@@ -315,8 +357,9 @@ def test_stack_on_a_circle_has_closed_forms():
     c, rho = 0.3 - 0.2j, 0.7
     circle = Loop((Arc(c, rho, 0.0, 2 * math.pi),), basepoint=c + rho, label="circle")
 
-    def field(w, b, y, vals):
-        return 1.0 / (w - c), [1.0 / (w - c), vals[0], y[1]]
+    def field(w, vals):
+        rate = 1.0 / (w - c)
+        return rate, lambda b, y: [rate, vals[0], y[1]]
 
     ends = integrate_stack(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field, 1e-12)
     assert len(ends) == 1  # one segment
