@@ -7,11 +7,11 @@ Every loop integration goes through ``odepath.integrate_stack``: each
 family (jets, quadrature bundle, integral lemmas) is a field on it, made
 of a base (phi1, or zeta) and a triangular stack of integrals, under the
 field contract stated in ``odepath``.  The engine cuts a loop into
-Chebyshev pieces and solves blocks of consecutive pieces at once: sweeps
-of the integrands over all their nodes to a fixed point, the one
-cumulative-integral matrix, and start states chained in path order.  It halves every piece whose Chebyshev tail is too
-large, and reports a breakdown only where that fixed point leaves double
-precision.
+Chebyshev pieces and solves blocks of consecutive pieces at once: the
+base once, then sweeps of the integrals over all their nodes to a fixed
+point, the one cumulative-integral matrix, and start states chained in
+path order.  It halves every piece whose Chebyshev tail is too large, and
+reports a breakdown only where that fixed point leaves double precision.
 
 The package itself holds only what the command line needs before any
 numeric work runs, so that importing it loads no numpy; ``checks`` is the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from numpy.polynomial import polynomial as npp
 from ..conditions import build_condition_set
 from ..gaussian import GaussianRational
 from ..normalform import FoliationParams, L_d, r_of
-from . import DEFAULT_RTOL
+from . import DEFAULT_RTOL, ODEError
 from .holonomy import (
     FloatModel,
     _to_coeff_array,
@@ -206,7 +207,11 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol) -> list[
     U2 = (D - 1) * model.lam2 - D
 
     def field(w, vals):
-        return U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w), lambda zeta, integrals: vals * zeta[slot]
+        def integrands(zeta):
+            g = vals * zeta[slot]  # in w and zeta alone
+            return lambda integrals: g
+
+        return U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w), integrands
 
     coeffs = [P for _, P in samples]
     zeros = np.zeros(len(samples))
@@ -300,6 +305,17 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, conditions=None
 # -- structural checks ---------------------------------------------------------------
 
 
+@contextmanager
+def _jet_arithmetic_of(row: str):
+    """Jet arithmetic for a structural row: a jet that leaves double
+    precision names the row that gave up, as a loop breakdown names its
+    loop and segment."""
+    try:
+        yield
+    except ODEError as exc:
+        raise ODEError(f"row {row!r}: {exc}") from exc
+
+
 def structural_rows(
     model: FloatModel, loops: LoopSystem, jets: dict, rtol: float = DEFAULT_RTOL, seed: int = 0
 ) -> tuple[list[CheckRow], str]:
@@ -315,25 +331,20 @@ def structural_rows(
         )
 
     rev = integrate_variations(model, loops.gamma1.inverse(), rtol=rtol)
-    rows.append(
-        _row("reversed-loop-is-inverse-jet", "gamma1", 0, jet_distance(rev, invert(jets["gamma1"])), STRUCTURE_TOLERANCE)
-    )
+    with _jet_arithmetic_of("reversed-loop-is-inverse-jet"):
+        inverse = invert(jets["gamma1"])
+    rows.append(_row("reversed-loop-is-inverse-jet", "gamma1", 0, jet_distance(rev, inverse), STRUCTURE_TOLERANCE))
 
     both = concat(loops.mu2, loops.mu1, label="mu2*mu1")
     seq = integrate_variations(model, both, rtol=rtol)
-    rows.append(
-        _row(
-            "concatenation-composes-jets",
-            both.label,
-            0,
-            jet_distance(seq, compose(jets["mu1"], jets["mu2"])),
-            STRUCTURE_TOLERANCE,
-        )
-    )
+    with _jet_arithmetic_of("concatenation-composes-jets"):
+        composed = compose(jets["mu1"], jets["mu2"])
+    rows.append(_row("concatenation-composes-jets", both.label, 0, jet_distance(seq, composed), STRUCTURE_TOLERANCE))
 
     m1, m2 = jets["mu1"], jets["mu2"]
-    cand_after = commutator(invert(m1), invert(m2))
-    cand_before = commutator(m2, m1)
+    with _jet_arithmetic_of("commutator-convention"):
+        cand_after = commutator(invert(m1), invert(m2))
+        cand_before = commutator(m2, m1)
 
     def raw_dist(f, g):
         scale = np.maximum(1.0, np.maximum(np.abs(f.coeffs), np.abs(g.coeffs)))

@@ -19,8 +19,9 @@ with running psi2 and psi3 entering the deeper integrands.
 
 Both are fields on ``odepath.integrate_stack``, which evaluates the S_d
 and q_d at w and keeps the L1 masses; under ``odepath``'s field contract,
-r, K_d and r^d are computed once per block and only the products with
-the state once per sweep.  Each carries phi1 as its base (phi1 = exp of
+r, K_d and r^d are computed once per block, every term in phi1 alone once
+per block with the solved base, and only the products with the integrals
+once per sweep.  Each carries phi1 as its base (phi1 = exp of
 the integral of K1): the jet stacks phi_2..phi_6 on it, each B_d reading
 only phi1..phi_(d-1), and the bundle its thirteen integrals.
 ``phi_field`` is the phi1-weighted integrand P(w) phi1^(d-1) / r^d they
@@ -90,32 +91,38 @@ def _variation_field(model: FloatModel, order: int):
         k1 = s_of(lam1, lam2, w) / r
         K = [0j, k1, *(c * k1 + vals / r**D)]
 
-        def integrands(base, p):
-            p = [base[0], *p]  # p[k] is phi_(k+1)
-            p1 = p[0]
-            B = []
-            if order >= 2:
-                B.append(K[2] * p1)
-            if order >= 3:
-                B.append(2 * K[2] * p[1] * p1 + K[3] * p1**2)
-            if order >= 4:
-                B.append(K[2] * (2 * p[2] + p[1] ** 2) * p1 + 3 * K[3] * p[1] * p1**2 + K[4] * p1**3)
-            if order >= 5:
-                B.append(
-                    2 * K[2] * (p[3] + p[2] * p[1]) * p1
-                    + 3 * K[3] * (p[2] + p[1] ** 2) * p1**2
-                    + 4 * K[4] * p[1] * p1**3
-                    + K[5] * p1**4
-                )
-            if order >= 6:
-                B.append(
-                    K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
-                    + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * p1**2
-                    + K[4] * (4 * p[2] + 6 * p[1] ** 2) * p1**3
-                    + 5 * K[5] * p[1] * p1**4
-                    + K[6] * p1**5
-                )
-            return B
+        def integrands(base):
+            # the terms in w and phi1 alone, each as the sums below evaluate it
+            p1 = base[0]
+            pw = {1: p1} | {e: p1**e for e in range(2, order)}  # phi1^e
+            eK = {e: e * K[e] for e in range(2, order)}  # a leading e K_e
+            last = {d: K[d] * pw[d - 1] for d in range(2, order + 1)}  # the trailing K_d phi1^(d-1)
+
+            def sweep(y):
+                p = [p1, *y]  # p[k] is phi_(k+1)
+                B = [last[2]]  # a sweep runs only with an integral: order >= 2
+                if order >= 3:
+                    B.append(eK[2] * p[1] * p1 + last[3])
+                if order >= 4:
+                    B.append(K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last[4])
+                if order >= 5:
+                    B.append(
+                        eK[2] * (p[3] + p[2] * p[1]) * p1
+                        + eK[3] * (p[2] + p[1] ** 2) * pw[2]
+                        + eK[4] * p[1] * pw[3]
+                        + last[5]
+                    )
+                if order >= 6:
+                    B.append(
+                        K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
+                        + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * pw[2]
+                        + K[4] * (4 * p[2] + 6 * p[1] ** 2) * pw[3]
+                        + eK[5] * p[1] * pw[4]
+                        + last[6]
+                    )
+                return B
+
+            return sweep
 
         return k1, integrands
 
@@ -192,7 +199,12 @@ def phi_field(model: FloatModel, degrees):
     def field(w, vals):
         r = r_of(w)
         rD = r**D
-        return s_of(lam1, lam2, w) / r, lambda base, integrals: vals * (base[0] ** (D - 1) / rD)
+
+        def integrands(base):
+            g = vals * (base[0] ** (D - 1) / rD)  # in w and phi1 alone
+            return lambda integrals: g
+
+        return s_of(lam1, lam2, w) / r, integrands
 
     return field
 
@@ -203,27 +215,32 @@ def _bundle_field(model: FloatModel):
     phi = phi_field(model, range(2, 7))
 
     def field(w, vals):
-        rate, heads = phi(w, vals)
+        rate, bind_heads = phi(w, vals)
 
-        def integrands(base, y):
-            head = heads(base, y)  # the psi2..psi6 integrands g2..g6
-            g3, g4, g5 = head[1], head[2], head[3]
-            psi2, psi3 = y[0], y[1]
-            return np.concatenate(
-                (
-                    head,
-                    [
-                        g3 * psi2,  # delta1
-                        g3 * psi2**2,  # delta2
-                        g3 * psi2**3,  # delta3
-                        g3 * psi2 * psi3,  # delta11
-                        g4 * psi2,  # gamma1
-                        g4 * psi2**2,  # gamma2
-                        g4 * psi3,  # gamma01
-                        g5 * psi2,  # b1
-                    ],
+        def integrands(base):
+            heads = bind_heads(base)  # the psi2..psi6 integrands g2..g6, in w and phi1 alone
+
+            def sweep(y):
+                head = heads(y)
+                g3, g4, g5 = head[1], head[2], head[3]
+                psi2, psi3 = y[0], y[1]
+                return np.concatenate(
+                    (
+                        head,
+                        [
+                            g3 * psi2,  # delta1
+                            g3 * psi2**2,  # delta2
+                            g3 * psi2**3,  # delta3
+                            g3 * psi2 * psi3,  # delta11
+                            g4 * psi2,  # gamma1
+                            g4 * psi2**2,  # gamma2
+                            g4 * psi3,  # gamma01
+                            g5 * psi2,  # b1
+                        ],
+                    )
                 )
-            )
+
+            return sweep
 
         return rate, integrands
 

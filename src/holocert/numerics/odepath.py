@@ -12,17 +12,20 @@ Practice, SIAM 2013).
 The field contract.  The state is a base b and integrals y.  A field is
 called once per block, as field(w, dw) on the nodes and velocities of its
 pieces, and returns (rate, integrands): the base's rate rows pulled back
-by dw (b' = rate * b), and integrands(b, y), the integrals' derivatives
-there, pulled back likewise.  Each sweep calls integrands alone, so the
-rate and all the field computes outside integrands depend on w alone;
-integral k may read the base and the integrals before k only.
+by dw (b' = rate * b), and the binding integrands.  The base is solved
+once per block, and integrands(b) is called once with it at the nodes; it
+returns the function that each sweep calls with the integrals y alone,
+which gives their derivatives there, pulled back likewise.  So the rate
+depends on w alone, every term in w and b alone is computed once per
+block, and integral k may read the integrals before k only.
 
-A loop's pieces form one list in path order, solved BLOCK at a time: each
-sweep evaluates the integrands once on the nodes of all pieces of a block,
-and their start states are chained in path order (a product for the base,
-a sum for the integrals), the same arithmetic in the same order as solving
-the pieces one by one.  The sweeps run to a bitwise fixed point, and only
-that fixed point is judged.  The tail test is per piece: a piece fails
+A loop's pieces form one list in path order, solved BLOCK at a time: the
+base is solved once on the nodes of all pieces of a block, each sweep
+evaluates the integrands once on them, and their start states are chained
+in path order (a product for the base, a sum for the integrals), the same
+arithmetic in the same order as solving the pieces one by one.  The
+sweeps run to a bitwise fixed point, and only that fixed point is
+judged.  The tail test is per piece: a piece fails
 while the trailing Chebyshev coefficients of an integrand exceed rtol
 times its largest one plus ATOL.  The pieces before a block's first
 failing piece are accepted; from there on, every failing piece is halved
@@ -91,11 +94,13 @@ def _per_row(a, m, out=None):
 
 def _solve(field, w, dw, half, start, nb, bufs):
     """Solve k consecutive pieces (nodes w, velocities dw, half-lengths
-    half) from the accepted state start, iterating the integrands to a
-    bitwise fixed point: the first sweep fixes the base, each further one
-    an integral level, and the last one confirms.  Every node starts at the
-    state start; the fixed point does not depend on that guess, and an
-    intermediate sweep may overflow on the way to it.
+    half) from the accepted state start.  The base is solved once, then the
+    integrals are iterated to a bitwise fixed point: each sweep fixes one
+    more integral level, so m integrals take at most m + 1 sweeps, the last
+    one confirming; a sweep that returns its own input ends the iteration.
+    Every integral starts at its value in start; the fixed point does not
+    depend on that guess, and an intermediate sweep may overflow on the way
+    to it.
 
     Returns (nodes, ends, derivs, finite): the state and the derivatives at
     the nodes, of shape (rows, k, N), ends[j + 1], the state at the end of
@@ -110,39 +115,53 @@ def _solve(field, w, dw, half, start, nb, bufs):
     ends, new_ends = (_views(b, k + 1, rows) for b in bufs[3:])
     flat, flat_derivs = nodes.reshape(rows, k * N), derivs.reshape(rows, k * N)
     new = cum[:, :, :N]  # the new state at the nodes overwrites the local integrals
-    nodes[...] = start[:, None, None]
-    ends[0] = new_ends[0] = start
-    sweeps = rows - nb + 2
+    nodes[nb:] = start[nb:, None, None]
+    ends[:] = new_ends[0] = start
+    settled = np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         rate, integrands = field(w, dw)
         np.copyto(flat_derivs[:nb], rate)
-        for sweep in range(sweeps):
-            np.copyto(flat_derivs[nb:], integrands(flat[:nb], flat[nb:]))
-            # scaled first, exactly (h/2 is a power of two): a sum overflows only with its integral
+        flat_derivs[nb:] = 0.0  # the integrals' rows are not known yet: no stale values in the product
+        # Every _CUMSUM product takes all rows, the base's and the
+        # integrals': a product of fewer rows can round otherwise (a lone
+        # piece's base alone is a vector product).  Each is scaled first,
+        # exactly (h/2 is a power of two), so a sum overflows only with its
+        # integral.
+        _per_row(derivs * half[:, None], _CUMSUM, out=cum)
+        base = cum[:nb].view(float)
+        # An exact ufunc between the BLAS product and the complex exp: straight
+        # after np.matmul, numpy's complex exp ran about 20 times slower
+        # (2-core Xeon, OpenBLAS 0.3.31).  It multiplies the real view, since
+        # a complex product with 1.0 flips signed zeros.
+        np.multiply(base, 1.0, out=base)
+        np.exp(cum[:nb], out=cum[:nb])  # the base's factor over each piece
+        # Each base product is start times factor into a contiguous row of
+        # its own, as for a lone piece: numpy's complex product rounds
+        # otherwise in np.multiply.accumulate, into a strided output, into
+        # an output that is also a one-element operand, and with its
+        # operands swapped.
+        factors = cum[:nb, :, N].T
+        for j in range(k):
+            np.multiply(ends[j, :nb], factors[j], out=ends[j + 1, :nb])
+        np.multiply(ends[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
+        nodes[:nb] = new[:nb]
+        new_ends[:, :nb] = ends[:, :nb]  # both generations of end states carry the base
+        sweep = integrands(flat[:nb])
+        m = rows - nb
+        for _ in range(m + 1 if m else 0):
+            np.copyto(flat_derivs[nb:], sweep(flat[nb:]))
             _per_row(derivs * half[:, None], _CUMSUM, out=cum)
-            # the integrals before the base: straight after the BLAS product, numpy's
-            # complex exp ran 15 times slower than after a numpy sum (Xeon, OpenBLAS 0.3.31)
             new_ends[1:, nb:] = cum[nb:, :, N].T
             np.add.accumulate(new_ends[:, nb:], axis=0, out=new_ends[:, nb:])
             np.add(new_ends[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
-            np.exp(cum[:nb], out=cum[:nb])  # the base's factor over each piece
-            # Each base product is start times factor into a contiguous row of
-            # its own, as for a lone piece: numpy's complex product rounds
-            # otherwise in np.multiply.accumulate, into a strided output, into
-            # an output that is also a one-element operand, and with its
-            # operands swapped.
-            factors = cum[:nb, :, N].T
-            for j in range(k):
-                np.multiply(new_ends[j, :nb], factors[j], out=new_ends[j + 1, :nb])
-            np.multiply(new_ends[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
-            settled = (new == nodes).all(axis=(0, 2)) & (new_ends[1:] == ends[1:]).all(axis=1)
-            nodes[...] = new
+            settled = (new[nb:] == nodes[nb:]).all(axis=(0, 2)) & (new_ends[1:, nb:] == ends[1:, nb:]).all(axis=1)
+            nodes[nb:] = new[nb:]
             ends, new_ends = new_ends, ends
-            if sweep and settled.all():
+            if settled.all():
                 break
         finite = np.isfinite(nodes).all(axis=(0, 2)) & np.isfinite(ends[1:]).all(axis=1)
     if not settled[: np.argmin(np.append(finite, False))].all():
-        raise ValueError(f"no fixed point after {sweeps} sweeps: an integrand reads itself or a later integral")
+        raise ValueError(f"no fixed point after {m + 1} sweeps: an integrand reads itself or a later integral")
     return nodes, ends, derivs, finite
 
 
@@ -165,9 +184,10 @@ def integrate_fixed_interval(f, b0, y0, rtol: float):
     """Integrate a base b and integrals y over t in [0, 1].
 
     f(t) is a field of the module's contract on an array of nodes t,
-    with w = t and dw = 1: it returns (rate, integrands(b, y)).  Returns b
-    and y at t = 1 and the L1 mass of every component's derivative
-    (rate * b for the base).
+    with w = t and dw = 1: it returns (rate, integrands), and
+    integrands(b) returns the function of y that each sweep calls.
+    Returns b and y at t = 1 and the L1 mass of every component's
+    derivative (rate * b for the base).
     """
     # [0, 1] as a path of one segment, w = t, with no loop to name in errors
     unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
@@ -251,12 +271,13 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float):
     """Integrate a base state and a stack of integrals along a loop.
 
     field(w, vals) is the module's field contract in w rather than in t:
-    it returns (rate, integrands(base, integrals)), with one row per state
-    component, and integrate_stack pulls both back by dw.  vals[k] = P_k(w)
-    for the polynomial with the ascending coefficients coeffs[k] (rows of
-    unequal length are zero-padded), evaluated once per block by one
-    matrix product; every component gets its L1 mass, the integral of
-    |derivative| against |dw| (rate * base for the base).
+    it returns (rate, integrands), integrands(base) returns the function of
+    the integrals that each sweep calls, with one row per state component,
+    and integrate_stack pulls the rate and every sweep's rows back by dw.
+    vals[k] = P_k(w) for the polynomial with the ascending coefficients
+    coeffs[k] (rows of unequal length are zero-padded), evaluated once per
+    block by one matrix product; every component gets its L1 mass, the
+    integral of |derivative| against |dw| (rate * base for the base).
 
     Returns (base, integrals, base_masses, masses) at the end of every
     segment, in path order; [-1] is the loop's end.
@@ -273,6 +294,11 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float):
         # nodes the product would be spread over BLAS threads (see _per_row)
         V = np.vander(w, n, increasing=True).reshape(-1, N, n).transpose(0, 2, 1)
         rate, integrands = field(w, np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), -1))
-        return np.multiply(rate, dw), lambda b, y: np.multiply(integrands(b, y), dw)
+
+        def bind(b):
+            sweep = integrands(b)
+            return lambda y: np.multiply(sweep(y), dw)
+
+        return np.multiply(rate, dw), bind
 
     return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(pulled_back, loop, base0, integrals0, rtol)]

@@ -15,6 +15,7 @@ from holocert.numerics.checks import (
     verify_integral_lemmas,
     verify_variation_formulas,
 )
+from holocert.numerics.jets import HolonomyJet
 from holocert.numerics.odepath import integrate_stack
 
 
@@ -61,7 +62,7 @@ def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
     u2 = 2 * nmodel.lam2 - 3
 
     def field(w, vals):
-        return u1 / (1.0 + w) - u2 / (1.0 - w), lambda zeta, integrals: vals * zeta
+        return u1 / (1.0 + w) - u2 / (1.0 - w), lambda zeta: lambda integrals: vals * zeta
 
     P = np.array([1.0 + 0j])
     _, i1, _, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field, 1e-12)[-1]
@@ -158,6 +159,37 @@ def test_structural_rows_detect_convention(nmodel, nloops, loop_jets):
     assert by_name["radius-independence"].passed
     assert by_name["reversed-loop-is-inverse-jet"].passed
     assert by_name["a22-ratio-is-1-plus-nu1"].passed
+
+
+def _planted(jets, label, d, defect):
+    """The jets with defect(a_d) added to a_d of one loop's jet."""
+    jet = jets[label]
+    coeffs = jet.coeffs.copy()
+    coeffs[d - 1] += defect(coeffs[d - 1])
+    return {**jets, label: HolonomyJet(coeffs, norms=jet.norms)}
+
+
+def test_a_perturbed_a2_of_gamma1_fails_exactly_the_rows_that_read_it(nmodel, nloops, loop_jets):
+    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, "gamma1", 2, lambda a: 1e-3 * abs(a)))
+    assert [r.name for r in rows if not r.passed] == [
+        "reversed-loop-is-inverse-jet",
+        "radius-independence",
+        "a22-ratio-is-1-plus-nu1",
+        "a2-independent-of-beta[gamma1]",
+    ]
+    assert "Delta_b o Delta_a" in convention
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: jet rows are graded against propagated masses, under which a 10 % defect passes",
+)
+@pytest.mark.parametrize("label, d", [("mu1", 2), ("gamma1", 6)])
+def test_a_ten_percent_defect_fails_a_structural_row(nmodel, nloops, loop_jets, label, d):
+    # +10 % on a_2 of mu1 also flips the reported convention
+    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, label, d, lambda a: 0.1 * a))
+    assert "Delta_b o Delta_a" in convention
+    assert not all(r.passed for r in rows)
 
 
 def test_commutator_tangency_is_near_rounding(nmodel, nloops, loop_jets):

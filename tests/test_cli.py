@@ -110,6 +110,10 @@ def test_golden_certificate_is_stable(tmp_path):
     [
         ("testpoint-numeric-s4-seed3.json", None, ["--samples", "4", "--seed", "3"]),
         ("steep-numeric-s0.json", ("1/2-3i", "1/3+5/2i", ("2-1i", "1/2", "-1+1i")), ["--samples", "0"]),
+        # point 7 of perfbench/run.py::random_generic_point(random.Random(11)):
+        # its variation-formula, commutator-tangency[gamma2] and a22-ratio rows
+        # move when the shape of a _CUMSUM product changes
+        ("generic7-numeric-s0.json", ("-2/3-1i", "-1/3-2/3i", ("-2+2/3i", "1+1i", "-3/2i")), ["--samples", "0"]),
     ],
 )
 def test_golden_numeric_report_is_stable(tmp_path, golden, point, flags):
@@ -269,11 +273,12 @@ def test_breakdown_names_the_segment_that_overflows(tmp_path, capsys):
 def test_overflowing_jet_arithmetic_is_a_breakdown(tmp_path, capsys, recwarn):
     # every loop integration ends finite at (1/2+10i, 1/3-10i), but the
     # structural rows compose jets whose masses leave double precision:
-    # that is a named breakdown, not rows graded against an infinite scale
+    # that is a breakdown naming the row that gave up, not rows graded
+    # against an infinite scale
     rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+10i", "1/3-10i")
     assert rc == EXIT_INCONCLUSIVE
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-    reason = "jet composition overflows double precision"
+    reason = "row 'commutator-convention': jet composition overflows double precision"
     assert doc["verdict"] == "UNIQUE"
     assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
     assert f"INCONCLUSIVE: numerical breakdown: {reason}" in err

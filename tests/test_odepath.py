@@ -18,7 +18,7 @@ EMPTY = np.zeros(0)  # no base components, or no integrals
 
 def base_only(rate):
     """A kernel field with one base component of the given rate and no integrals."""
-    return lambda t: (rate(t), lambda b, y: 0.0)
+    return lambda t: (rate(t), lambda b: lambda y: 0.0)
 
 
 def test_exponential_growth_on_interval():
@@ -36,14 +36,14 @@ def test_complex_rotation():
 def test_segment_pullback_line():
     # the integral of dw along a segment recovers the displacement
     seg = Line(0j, 2 + 1j)
-    _, y, _ = integrate_fixed_interval(lambda t: (0.0, lambda b, y: seg.velocity(t)), EMPTY, [0.0], rtol=1e-12)
+    _, y, _ = integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: seg.velocity(t)), EMPTY, [0.0], rtol=1e-12)
     assert abs(y[0] - (2 + 1j)) < 1e-10
 
 
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="there-and-back")
-    _, y, mass = integrate_loop(lambda w, dw: (0.0, lambda b, y: dw), out_back, EMPTY, [0.0], rtol=1e-12)[-1]
+    _, y, mass = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw), out_back, EMPTY, [0.0], rtol=1e-12)[-1]
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -51,7 +51,7 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), basepoint=1 + 0j, label="circle")
-    _, y, _ = integrate_loop(lambda w, dw: (0.0, lambda b, y: dw / w), circle, EMPTY, [0.0], rtol=1e-12)[-1]
+    _, y, _ = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw / w), circle, EMPTY, [0.0], rtol=1e-12)[-1]
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
@@ -59,7 +59,7 @@ def test_segment_ends_come_in_path_order():
     # the integral of dw is the end point of each segment, and the mass its
     # arclength from the loop's start
     loop = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="wedge")
-    ends = integrate_loop(lambda w, dw: (0.0, lambda b, y: dw), loop, EMPTY, [0.0], rtol=1e-10)
+    ends = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw), loop, EMPTY, [0.0], rtol=1e-10)
     assert [y[0] for _, y, _ in ends] == [pytest.approx(1 + 0j), pytest.approx(0j, abs=1e-12)]
     assert [mass[0] for *_, mass in ends] == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -75,7 +75,7 @@ def test_a_state_near_the_double_range_keeps_finite_sums(b0):
     # b' = b/2 and y' = b: b(1) = b0 e^(1/2) and y(1) = 2 b0 (e^(1/2) - 1)
     # are finite, but a piece's sums before the scaling by its half-length
     # h/2 would be 2/h times larger and overflow
-    b, y, mass = integrate_fixed_interval(lambda t: (0.5, lambda b, y: b), [b0], [0.0], rtol=1e-12)
+    b, y, mass = integrate_fixed_interval(lambda t: (0.5, lambda b: lambda y: b), [b0], [0.0], rtol=1e-12)
     assert b[0] == pytest.approx(b0 * math.exp(0.5), rel=1e-13)
     assert y[0] == pytest.approx(b0 * (2.0 * (math.exp(0.5) - 1.0)), rel=1e-13)
     assert np.all(np.isfinite(mass))
@@ -85,7 +85,7 @@ def test_an_overflow_before_the_fixed_point_is_no_breakdown():
     # y0' = 1 and y1' = exp(2000 (t - y0)): the first sweep, at the guess
     # y0 = 0, overflows, but the fixed point y0 = y1 = t is finite
     def f(t):
-        return 0.0, lambda b, y: [np.ones_like(t), np.exp(2000.0 * (t - y[0]))]
+        return 0.0, lambda b: lambda y: [np.ones_like(t), np.exp(2000.0 * (t - y[0]))]
 
     _, y, _ = integrate_fixed_interval(f, EMPTY, [0.0, 0.0], rtol=1e-12)
     assert abs(y[1] - 1.0) < 1e-12
@@ -94,20 +94,20 @@ def test_an_overflow_before_the_fixed_point_is_no_breakdown():
 def test_field_reading_its_own_integral_is_rejected():
     # y' = y is no iterated integral: the sweeps never reach a fixed point
     with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b, y: y), EMPTY, [1.0], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [1.0], rtol=1e-12)
 
 
 def test_no_fixed_point_before_an_overflow_is_still_rejected():
     # y' = y from 6e307: the second piece's state overflows, so only the
     # first must settle, and it does not
     with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b, y: y), EMPTY, [6e307], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [6e307], rtol=1e-12)
 
 
 def test_jump_exhausts_the_splitting_depth():
     # a jump keeps the Chebyshev tail of the piece holding it at O(1)
     with pytest.raises(ODEError, match="tail above rtol"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b, y: (t > 1 / 3) + 0j), EMPTY, [0.0], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: (t > 1 / 3) + 0j), EMPTY, [0.0], rtol=1e-12)
 
 
 def _pulse_run(rtol):
@@ -118,7 +118,7 @@ def _pulse_run(rtol):
     def f(t):
         # one call covers a block of pieces, N nodes each
         pieces.update(map(tuple, t.reshape(-1, odepath.N)))
-        return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), lambda b, y: 0.0
+        return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), lambda b: lambda y: 0.0
 
     b, _, _ = integrate_fixed_interval(f, [1.0], EMPTY, rtol=rtol)
     phase = amp * width * math.sqrt(math.pi) / 2 * (math.erf((1 - centre) / width) + math.erf(centre / width))
@@ -158,7 +158,7 @@ def test_a_split_segment_leaves_its_neighbours_alone():
                 nodes[seg].add(tuple(row))
         on = dw.real > 0  # not on the closing segment
         rate = np.where(on, 1j * (0.3 + amp * np.exp(-(((w.real - 1.5) / width) ** 2))), 0.0)
-        return rate * dw, lambda b, y: np.where(on, b[0], 0.0) * dw
+        return rate * dw, lambda b: lambda y: np.where(on, b[0], 0.0) * dw
 
     b, _, _ = integrate_loop(field, loop, [1.0], [0.0], rtol=1e-10)[-1]
     assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES
@@ -177,38 +177,62 @@ def test_nonfinite_state_names_the_first_segment_that_overflows():
         x = w.real
         pulse = np.where(x < 1.0, 40j * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
         rate = np.where(dw.real > 0, pulse + np.where((x > 2.0) & (x < 3.0), 1000.0, 0.0), 0.0)
-        return rate * dw, lambda b, y: b[0] * dw
+        return rate * dw, lambda b: lambda y: b[0] * dw
 
     with pytest.raises(ODEError, match=r"^loop 'line', segment 2: non-finite state$"):
         integrate_loop(field, loop, [1.0], [0.0], rtol=1e-10)
 
 
-def test_the_field_runs_once_per_block_and_its_integrands_once_per_sweep():
-    # the rate and every w-only term belong to the block stage, and each
-    # sweep calls only the integrands of the block being solved: at most
-    # m + 2 times for m integrals.  The pulse splits pieces, so the loop
-    # takes several blocks.
-    loop = _line_loop(3)
-    sweeps = []  # per block, the calls of its integrands
+def _counted_pulse_field(m, fields, bindings, sweeps):
+    """A field on _line_loop with one base, whose rate pulse splits pieces,
+    and m <= 2 integrals.  Each call appends its block's index to fields,
+    each binding to bindings, and sweeps[block] counts the block's sweeps."""
 
     def field(w, dw):
         block = len(sweeps)
+        fields.append(block)
         sweeps.append(0)
         on = dw.real > 0  # not on the closing segment
         rate = np.where(on, 1j * (0.3 + 30.0 * np.exp(-(((w.real - 1.5) / 0.02) ** 2))), 0.0) * dw
         weight = np.where(on, np.cos(3.0 * w), 0.0) * dw
 
-        def integrands(b, y):
-            assert block == len(sweeps) - 1
-            assert b.shape == (1, w.size) and y.shape == (2, w.size)
-            sweeps[block] += 1
-            return [weight * b[0], y[0] * dw]
+        def integrands(b):
+            assert block == len(sweeps) - 1 == len(bindings)
+            assert b.shape == (1, w.size)
+            bindings.append(block)
+            first = weight * b[0]
+
+            def sweep(y):
+                assert block == len(sweeps) - 1
+                assert y.shape == (m, w.size)
+                sweeps[block] += 1
+                return [first, y[0] * dw][:m]
+
+            return sweep
 
         return rate, integrands
 
-    integrate_loop(field, loop, [1.0], [0.0, 0.0], rtol=1e-10)
+    return field
+
+
+def test_the_field_runs_once_per_block_and_its_integrands_once_per_sweep():
+    # the rate and every w-only term belong to the field, every term in the
+    # solved base to the binding, and each sweep calls only the integrals'
+    # function of the block being solved: at most m + 1 times for m
+    # integrals.  The pulse splits pieces, so the loop takes several blocks.
+    fields, bindings, sweeps = [], [], []
+    integrate_loop(_counted_pulse_field(2, fields, bindings, sweeps), _line_loop(3), [1.0], [0.0, 0.0], rtol=1e-10)
     assert len(sweeps) > 1
-    assert all(1 <= n <= 2 + 2 for n in sweeps)
+    assert fields == bindings == list(range(len(sweeps)))
+    assert all(1 <= n <= 2 + 1 for n in sweeps)
+
+
+def test_a_base_alone_takes_no_sweep():
+    fields, bindings, sweeps = [], [], []
+    integrate_loop(_counted_pulse_field(0, fields, bindings, sweeps), _line_loop(3), [1.0], EMPTY, rtol=1e-10)
+    assert len(sweeps) > 1
+    assert fields == bindings == list(range(len(sweeps)))
+    assert not any(sweeps)
 
 
 def _piece_by_piece(field, loop, b0, y0, rtol):
@@ -226,22 +250,22 @@ def _piece_by_piece(field, loop, b0, y0, rtol):
             a, h = todo.pop()
             t = a + h * (X + 1.0) / 2.0
             w, dw = seg.point(t), np.broadcast_to(seg.velocity(t), t.shape)
-            nodes, state = np.concatenate((np.repeat(b[:, None], N, 1), np.repeat(y[:, None], N, 1))), None
             rate, integrands = field(w, dw)
-            for _ in range(m + 2):
-                g = integrands(nodes[:nb], nodes[nb:])
-                derivs = np.concatenate((np.broadcast_to(rate, (nb, N)), np.broadcast_to(g, (m, N))))
-                cum = (h / 2.0 * derivs) @ C
-                new = np.concatenate((b[:, None] * np.exp(cum[:nb]), y[:, None] + cum[nb:]))
-                if state is not None and np.array_equal(new, state):
-                    break
-                state, nodes = new, new[:, :N]
+            derivs = np.zeros((nb + m, N), dtype=complex)
+            derivs[:nb] = rate
+            # the base from the product of all rows, then the integrals' sweeps
+            base = b[:, None] * np.exp(((h / 2.0 * derivs) @ C)[:nb])
+            state = np.concatenate((base, np.repeat(y[:, None], N + 1, 1)))
+            sweep = integrands(state[:nb, :N])
+            for _ in range(m + 1 if m else 0):
+                derivs[nb:] = sweep(state[nb:, :N])
+                state[nb:] = y[:, None] + ((h / 2.0 * derivs) @ C)[nb:]
             coeffs = np.abs(derivs @ odepath._TO_COEFFS.T)
             tail, top = coeffs[:, -odepath.TAIL :].max(axis=1, initial=0.0), coeffs.max(axis=1, initial=0.0)
             if np.any(tail > rtol * top + odepath.ATOL):
                 todo += [(a + h / 2.0, h / 2.0), (a, h / 2.0)]
                 continue
-            moduli = np.abs(np.concatenate((derivs[:nb] * nodes[:nb], derivs[nb:])))
+            moduli = np.abs(np.concatenate((derivs[:nb] * state[:nb, :N], derivs[nb:])))
             seg_mass += (moduli * (h / 2.0 * C[:, N])).sum(axis=1)
             b, y = state[:nb, N], state[nb:, N]
         mass = mass + seg_mass
@@ -270,13 +294,13 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
             pulse = np.where(x < 1.0, 40.0 * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
             halves = np.repeat(ahead & (starts > 1.0) & (spans < 0.3), odepath.N)
 
-            def integrands(b, y):
+            def sweep(y):
                 tail = np.where(x > 1.0, (y[0] - Y) * np.cos(100.0 * w), 0.0)
                 if poison:
                     tail = np.where(halves, np.inf, tail)
                 return np.where(on, [pulse, tail, np.cos(3.0 * w)], 0.0) * dw
 
-            return 0.0, integrands
+            return 0.0, lambda b: sweep
 
         return integrate(field, loop, EMPTY, [0.0, 0.0, 0.0], rtol=1e-10)
 
@@ -302,20 +326,24 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
         assert np.allclose(got[-1], want[-1], rtol=1e-3, atol=0.0)
 
 
-@pytest.mark.parametrize("nb", [1, 3])
-def test_blocks_match_single_pieces_bit_for_bit(nb):
+@pytest.mark.parametrize(
+    "nb, block", [(1, odepath.BLOCK), (3, odepath.BLOCK), (1, 1), (3, 1)], ids=["1", "3", "1-block1", "3-block1"]
+)
+def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
     # solving BLOCK pieces at once chains their start states in path order
     # with the arithmetic of solving them one by one (_piece_by_piece), so
     # every result and every mid-path value agrees to the last bit; the
     # pulse makes pieces split, and a block then holds pieces of several
-    # segments
+    # segments.  A block of one piece takes the (rows, N) product of a lone
+    # piece, which a product of the base's rows alone would not round like.
+    monkeypatch.setattr(odepath, "BLOCK", block)
     loop = _line_loop(4)
     rates = np.array([1j * math.pi, -0.7 + 2.0j, 0.3 - 0.1j])[:nb, None]
 
     def field(w, dw):
         x = w.real
         rate = rates * (1.0 + 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)))
-        return rate * dw, lambda b, y: [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
+        return rate * dw, lambda b: lambda y: [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
 
     def run(integrate):
         return integrate(field, loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], rtol=1e-11)
@@ -336,7 +364,7 @@ def test_stacked_copies_match_single_system_bit_for_bit(n, k):
     b0 = np.array([1.0 + 0.5j, -0.3 + 2j])[:n]
 
     def copies(c):
-        return lambda t: (np.tile(rates, c)[:, None], lambda b, y: np.cos(3 * t) * b)
+        return lambda t: (np.tile(rates, c)[:, None], lambda b: lambda y: np.cos(3 * t) * b)
 
     single = integrate_fixed_interval(copies(1), b0, np.zeros(n), rtol=1e-10)
     stacked = integrate_fixed_interval(copies(k), np.tile(b0, k), np.zeros(n * k), rtol=1e-10)
@@ -359,7 +387,7 @@ def test_stack_on_a_circle_has_closed_forms():
 
     def field(w, vals):
         rate = 1.0 / (w - c)
-        return rate, lambda b, y: [rate, vals[0], y[1]]
+        return rate, lambda b: lambda y: [rate, vals[0], y[1]]
 
     ends = integrate_stack(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field, 1e-12)
     assert len(ends) == 1  # one segment
