@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 
@@ -45,7 +46,7 @@ def _load_params(path: str | None) -> FoliationParams:
             with resources.files("holocert.data").joinpath("testpoint.json").open("r") as fh:
                 return FoliationParams.from_dict(json.load(fh))
         return FoliationParams.from_json_file(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read parameters ({path or 'bundled test point'}): {exc}") from exc
 
 
@@ -151,6 +152,16 @@ def cmd_certify(args) -> int:
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: convert the text, then reject a value that is not ok."""
+    def parse(text):
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="holocert", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -174,10 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eliminate)
 
     def numeric_flags(sp):
-        sp.add_argument("--radius", type=float, default=0.5)
-        sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=20, help="samples per integral-lemma family")
+        nonnegative = _checked(int, lambda n: n >= 0, ">= 0")
+        sp.add_argument("--radius", type=_checked(float, lambda r: 0.0 < r < 1.0, "in (0, 1)"), default=0.5)
+        sp.add_argument("--rtol", type=_checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0"), default=DEFAULT_RTOL)
+        sp.add_argument("--seed", type=nonnegative, default=0)
+        sp.add_argument("--samples", type=nonnegative, default=20, help="samples per integral-lemma family")
 
     sp = sub.add_parser("verify-numeric", help="holonomy cross-validation report")
     common(sp)
@@ -196,10 +208,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"holocert: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (EliminationError, GenericityError) as exc:
+    except (ConfigError, EliminationError, GenericityError) as exc:
         print(f"holocert: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ODEError as exc:

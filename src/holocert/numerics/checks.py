@@ -245,7 +245,6 @@ def verify_integral_lemmas(
     seed: int = 0,
     n_samples: int = 20,
     rtol: float = DEFAULT_RTOL,
-    conditions=None,
 ) -> list[CheckRow]:
     """Three families of checks:
 
@@ -265,21 +264,19 @@ def verify_integral_lemmas(
     if n_samples > 0:
         rows.extend(_two_loop_rows(model, loops, two_loop, rtol))
         rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward, rtol))
-    rows.extend(antiderivative_identity_rows(model, loops.gamma1, rtol=rtol, conditions=conditions, seed=seed))
+    rows.extend(antiderivative_identity_rows(model, loops.gamma1, rtol=rtol, seed=seed))
     return rows
 
 
-def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, conditions=None, seed=0):
+def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, seed=0):
     """Check (c): integral of (P_d + F_d)/r^d phi1^(d-1) against its closed form,
-    for d = 3..6 in one pass along the loop."""
-    p = model.params
-    if conditions is None:
-        rng = np.random.default_rng(seed + 1)
-        beta = tuple(
-            GaussianRational.from_complex(complex(z))
-            for z in rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        )
-        conditions = build_condition_set(p, beta=beta)
+    for d = 3..6 in one pass along the loop, at a beta drawn from seed."""
+    rng = np.random.default_rng(seed + 1)
+    beta = tuple(
+        GaussianRational.from_complex(complex(z))
+        for z in rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    )
+    conditions = build_condition_set(model.params, beta=beta)
     degrees = (3, 4, 5, 6)
     numers, Rs, Cs = [], [], []
     for d in degrees:

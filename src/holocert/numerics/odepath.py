@@ -25,7 +25,8 @@ evaluates the integrands once on them, and their start states are chained
 in path order (a product for the base, a sum for the integrals), the same
 arithmetic in the same order as solving the pieces one by one.  The
 sweeps run to a bitwise fixed point, and only that fixed point is
-judged.  The tail test is per piece: a piece fails
+judged: a sweep that returns the last sweep's rows ends them before its
+product.  The tail test is per piece: a piece fails
 while the trailing Chebyshev coefficients of an integrand exceed rtol
 times its largest one plus ATOL.  The pieces before a block's first
 failing piece are accepted; from there on, every failing piece is halved
@@ -71,11 +72,6 @@ _TO_COEFFS = cheb.chebvander(_X, N - 1).T * np.where(np.arange(N) == 0, 1.0, 2.0
 _CUMSUM = cheb.chebval(np.append(_X, 1.0), cheb.chebint(_TO_COEFFS, lbnd=-1))
 
 
-def _views(buf, *shape):
-    """A contiguous view of the first prod(shape) entries of a flat buffer."""
-    return buf[: int(np.prod(shape))].reshape(shape)
-
-
 def _per_row(a, m, out=None):
     """a @ m for a (rows, k, N) array, one (k, N) BLAS product per row.
 
@@ -92,12 +88,12 @@ def _per_row(a, m, out=None):
     return np.matmul(a.reshape(rows, -1), m, out=flat_out).reshape(rows, 1, -1)
 
 
-def _solve(field, w, dw, half, start, nb, bufs):
+def _solve(field, w, dw, half, start, nb):
     """Solve k consecutive pieces (nodes w, velocities dw, half-lengths
     half) from the accepted state start.  The base is solved once, then the
     integrals are iterated to a bitwise fixed point: each sweep fixes one
-    more integral level, so m integrals take at most m + 1 sweeps, the last
-    one confirming; a sweep that returns its own input ends the iteration.
+    more integral level, so m integrals take at most m + 1 sweeps, and one
+    that returns the last one's rows ends the iteration before its product.
     Every integral starts at its value in start; the fixed point does not
     depend on that guess, and an intermediate sweep may overflow on the way
     to it.
@@ -109,19 +105,18 @@ def _solve(field, w, dw, half, start, nb, bufs):
     accepted and need not settle: at the sweep bound, only the pieces
     before it must be at their fixed point.
     """
-    k, rows = half.size, start.size
-    nodes, derivs = (_views(b, rows, k, N) for b in bufs[:2])
-    cum = _views(bufs[2], rows, k, N + 1)
-    ends, new_ends = (_views(b, k + 1, rows) for b in bufs[3:])
+    k, rows, m = half.size, start.size, start.size - nb
+    # derivs starts at zero: the integrals' rows are not known before the first sweep
+    nodes, derivs, cum = (np.zeros((rows, k, n), dtype=complex) for n in (N, N, N + 1))
+    ends = np.empty((k + 1, rows), dtype=complex)
     flat, flat_derivs = nodes.reshape(rows, k * N), derivs.reshape(rows, k * N)
     new = cum[:, :, :N]  # the new state at the nodes overwrites the local integrals
     nodes[nb:] = start[nb:, None, None]
-    ends[:] = new_ends[0] = start
+    ends[0] = start
     settled = np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         rate, integrands = field(w, dw)
         np.copyto(flat_derivs[:nb], rate)
-        flat_derivs[nb:] = 0.0  # the integrals' rows are not known yet: no stale values in the product
         # Every _CUMSUM product takes all rows, the base's and the
         # integrals': a product of fewer rows can round otherwise (a lone
         # piece's base alone is a vector product).  Each is scaled first,
@@ -145,20 +140,22 @@ def _solve(field, w, dw, half, start, nb, bufs):
             np.multiply(ends[j, :nb], factors[j], out=ends[j + 1, :nb])
         np.multiply(ends[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
         nodes[:nb] = new[:nb]
-        new_ends[:, :nb] = ends[:, :nb]  # both generations of end states carry the base
         sweep = integrands(flat[:nb])
-        m = rows - nb
-        for _ in range(m + 1 if m else 0):
-            np.copyto(flat_derivs[nb:], sweep(flat[nb:]))
+        for i in range(m + 1 if m else 0):
+            rows_now = sweep(flat[nb:])
+            # rows equal to the last sweep's give the state in hand; the first
+            # sweep always takes its product, as start + 0 can flip a signed zero
+            if i:
+                same = np.equal(rows_now, flat_derivs[nb:]).reshape(m, k, N).all(axis=(0, 2))
+                settled = np.logical_and.accumulate(same)  # a piece's state reads the ends before it
+                if settled.all():
+                    break
+            np.copyto(flat_derivs[nb:], rows_now)
             _per_row(derivs * half[:, None], _CUMSUM, out=cum)
-            new_ends[1:, nb:] = cum[nb:, :, N].T
-            np.add.accumulate(new_ends[:, nb:], axis=0, out=new_ends[:, nb:])
-            np.add(new_ends[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
-            settled = (new[nb:] == nodes[nb:]).all(axis=(0, 2)) & (new_ends[1:, nb:] == ends[1:, nb:]).all(axis=1)
+            ends[1:, nb:] = cum[nb:, :, N].T
+            np.add.accumulate(ends[:, nb:], axis=0, out=ends[:, nb:])
+            np.add(ends[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
             nodes[nb:] = new[nb:]
-            ends, new_ends = new_ends, ends
-            if settled.all():
-                break
         finite = np.isfinite(nodes).all(axis=(0, 2)) & np.isfinite(ends[1:]).all(axis=1)
     if not settled[: np.argmin(np.append(finite, False))].all():
         raise ValueError(f"no fixed point after {m + 1} sweeps: an integrand reads itself or a later integral")
@@ -212,9 +209,6 @@ def integrate_loop(field, loop, b0, y0, rtol: float):
     nb, rows = np.size(b0), start.size
     mass, seg_mass = np.zeros(rows), np.zeros(rows)
     out = []  # (b, y, mass) at the end of every segment
-    # reused by every block: the state and the derivatives at the nodes, the
-    # cumulative integrals, and two generations of end states
-    bufs = [np.empty(rows * n, dtype=complex) for n in (BLOCK * N, BLOCK * N, BLOCK * (N + 1), BLOCK + 1, BLOCK + 1)]
 
     def error(piece, why):
         return ODEError(why if loop.label is None else f"loop {loop.label!r}, segment {piece[0]}: {why}")
@@ -234,7 +228,7 @@ def integrate_loop(field, loop, b0, y0, rtol: float):
             parts.append((segments[s].point(ts), np.broadcast_to(segments[s].velocity(ts), ts.shape)))
             lo = hi
         w, dw = (np.concatenate(x) for x in zip(*parts))
-        nodes, ends, derivs, finite = _solve(field, w, dw, h / 2.0, start, nb, bufs)
+        nodes, ends, derivs, finite = _solve(field, w, dw, h / 2.0, start, nb)
         with np.errstate(all="ignore"):  # a non-finite piece has no meaningful tail
             failed = _tail_above(derivs, rtol)
         bad = failed | ~finite
@@ -261,9 +255,8 @@ def integrate_loop(field, loop, b0, y0, rtol: float):
             if last:
                 mass = mass + seg_mass
                 seg_mass = np.zeros(rows)
-                end = ends[j + 1].copy()
-                out.append((end[:nb], end[nb:], mass))
-        start = ends[p].copy()
+                out.append((ends[j + 1, :nb], ends[j + 1, nb:], mass))
+        start = ends[p]  # each block solves into arrays of its own
     return out
 
 

@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from holocert.conditions import build_condition_set
-from holocert.gaussian import gq
 from holocert.numerics.checks import (
     antiderivative_identity_rows,
     draw_lemma_samples,
@@ -19,22 +17,15 @@ from holocert.numerics.jets import HolonomyJet
 from holocert.numerics.odepath import integrate_stack
 
 
-@pytest.fixture(scope="module")
-def numeric_beta_conditions(tp):
-    return build_condition_set(tp, beta=(gq(1, 1), gq("1/2"), gq(0, -1)))
-
-
-def test_integral_lemma_rows_pass(nmodel, nloops, numeric_beta_conditions):
-    rows = verify_integral_lemmas(
-        nmodel, nloops, seed=3, n_samples=3, conditions=numeric_beta_conditions
-    )
+def test_integral_lemma_rows_pass(nmodel, nloops):
+    rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=3)
     assert len(rows) == 3 + 3 + 4
     for row in rows:
         assert row.passed, f"{row.name}: residual {row.residual:.3e}"
 
 
-def test_antiderivative_rows_cover_all_degrees(nmodel, nloops, numeric_beta_conditions):
-    rows = antiderivative_identity_rows(nmodel, nloops.gamma1, conditions=numeric_beta_conditions)
+def test_antiderivative_rows_cover_all_degrees(nmodel, nloops):
+    rows = antiderivative_identity_rows(nmodel, nloops.gamma1)
     assert [r.degree for r in rows] == [3, 4, 5, 6]
     assert all(r.passed for r in rows)
 
@@ -93,7 +84,7 @@ def test_lemma_samples_keep_their_degrees(seed, n_samples, two_loop, forward):
     assert all(len(R) == 2 * d - 2 for d, R in drawn_forward)
 
 
-def test_planted_defect_fails_only_its_own_row(nmodel, nloops, numeric_beta_conditions, monkeypatch):
+def test_planted_defect_fails_only_its_own_row(nmodel, nloops, monkeypatch):
     # corrupt one integrand inside the two-loop stack (on gamma2 only) and
     # one inside the forward-vanishing stack; each must fail its own row
     # while every neighbour in the same stack still passes
@@ -113,7 +104,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, numeric_beta_cond
         return integrate_stack(loop, base0, integrals0, coeffs, field, rtol)
 
     monkeypatch.setattr(checks, "integrate_stack", corrupting)
-    rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=n_samples, conditions=numeric_beta_conditions)
+    rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=n_samples)
     failed = [r.name for r in rows if not r.passed]
     assert failed == [f"integral-lemma-two-loops[{bad_two_loop}]", f"forward-vanishing[{bad_forward}]"]
     two_loop, forward = draw_lemma_samples(3, n_samples)

@@ -83,9 +83,42 @@ def test_missing_params_file_is_config_error(capsys):
 
 
 def test_malformed_params_file(tmp_path, capsys):
+    # a bad literal, a misshapen alpha and a top-level array
     bad = tmp_path / "bad.json"
-    bad.write_text('{"lambda1": "2--1i", "lambda2": "0+2i", "alpha": ["1","0","0"]}')
-    assert main(["eliminate", "--params", str(bad)]) == EXIT_CONFIG
+    for text in (
+        '{"lambda1": "2--1i", "lambda2": "0+2i", "alpha": ["1","0","0"]}',
+        '{"lambda1": "2-1i", "lambda2": "2i", "alpha": 5}',
+        '["2-1i", "2i", ["1", "0", "0"]]',
+    ):
+        bad.write_text(text)
+        assert main(["eliminate", "--params", str(bad)]) == EXIT_CONFIG
+        assert "cannot read parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--rtol", "nan"),
+        ("--rtol", "inf"),
+        ("--rtol", "0"),
+        ("--rtol", "-1"),
+        ("--radius", "0"),
+        ("--radius", "1"),
+        ("--radius", "1.5"),
+        ("--radius", "nan"),
+        ("--seed", "-1"),
+        ("--samples", "-2"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify-numeric", "certify"])
+def test_bad_numeric_flags_are_rejected_when_parsed(tmp_path, capsys, command, flag, value):
+    # argparse exits 2 before any exact or numeric work, and no output is written
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_emit_roundtrip(tmp_path):

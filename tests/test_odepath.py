@@ -227,6 +227,28 @@ def test_the_field_runs_once_per_block_and_its_integrands_once_per_sweep():
     assert all(1 <= n <= 2 + 1 for n in sweeps)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_settling_sweep_takes_no_product(m, monkeypatch):
+    # a block takes one _CUMSUM product for its base and one per sweep but
+    # the last: rows equal to the sweep's before give the state in hand.
+    # With m = 1 the integrand reads the base alone, like phi_field, so the
+    # second sweep settles and the block takes one sweep product.
+    products, per_row = [], odepath._per_row
+
+    def counted(a, matrix, out=None):
+        products.append(matrix is odepath._CUMSUM)
+        return per_row(a, matrix, out=out)
+
+    monkeypatch.setattr(odepath, "_per_row", counted)
+    fields, bindings, sweeps = [], [], []
+    integrate_loop(_counted_pulse_field(m, fields, bindings, sweeps), _line_loop(3), [1.0], [0.0] * m, rtol=1e-10)
+    assert len(sweeps) > 1
+    assert sum(products) == len(sweeps) + sum(n - 1 for n in sweeps)
+    assert len(products) - sum(products) == len(sweeps)  # the tail tests, one per block
+    if m == 1:
+        assert sweeps == [2] * len(sweeps)
+
+
 def test_a_base_alone_takes_no_sweep():
     fields, bindings, sweeps = [], [], []
     integrate_loop(_counted_pulse_field(0, fields, bindings, sweeps), _line_loop(3), [1.0], EMPTY, rtol=1e-10)
