@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from importlib import resources
 
 from .conditions import build_condition_set
 from .elimination import EliminationError, VERDICT_UNIQUE, certify
 from .gaussian import GaussianRationalError
 from .mpoly import MPolyError
-from .normalform import DMAX, FoliationParams, expand_normal_form, validate_genericity
-from .numerics import DEFAULT_RTOL, ODEError
+from .normalform import DMAX, FoliationParams, expand_normal_form, validate_genericity, verification_point
+from .numerics import ODEError
 from .obstruction import GenericityError
 
 EXIT_OK = 0
@@ -41,13 +39,12 @@ class ConfigError(Exception):
 
 
 def _load_params(path: str | None) -> FoliationParams:
+    if path is None:
+        return verification_point()
     try:
-        if path is None:
-            with resources.files("holocert.data").joinpath("testpoint.json").open("r") as fh:
-                return FoliationParams.from_dict(json.load(fh))
         return FoliationParams.from_json_file(path)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read parameters ({path or 'bundled test point'}): {exc}") from exc
+        raise ConfigError(f"cannot read parameters ({path}): {exc}") from exc
 
 
 def _require_genericity(p: FoliationParams) -> None:
@@ -119,9 +116,7 @@ def cmd_eliminate(args) -> int:
 def cmd_verify_numeric(args) -> int:
     p = _load_params(args.params)
     _require_genericity(p)
-    report = run_numeric_verification(
-        p, radius=args.radius, rtol=args.rtol, seed=args.seed, n_samples=args.samples
-    )
+    report = run_numeric_verification(p, seed=args.seed, n_samples=args.samples)
     emit_report(report, args.out)
     return EXIT_OK if report["all_pass"] else EXIT_INCONCLUSIVE
 
@@ -132,9 +127,7 @@ def cmd_certify(args) -> int:
     cert = certify(p)
     if not args.skip_numeric:
         try:
-            report = run_numeric_verification(
-                p, radius=args.radius, rtol=args.rtol, seed=args.seed, n_samples=args.samples
-            )
+            report = run_numeric_verification(p, seed=args.seed, n_samples=args.samples)
         except ODEError as exc:
             # the finished exact half is still worth a certificate; main reports the breakdown
             cert.numeric = {"all_pass": False, "breakdown": str(exc)}
@@ -158,7 +151,7 @@ def _checked(convert, ok, what: str):
         if not ok(value := convert(text)):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
 
 
@@ -186,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def numeric_flags(sp):
         nonnegative = _checked(int, lambda n: n >= 0, ">= 0")
-        sp.add_argument("--radius", type=_checked(float, lambda r: 0.0 < r < 1.0, "in (0, 1)"), default=0.5)
-        sp.add_argument("--rtol", type=_checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0"), default=DEFAULT_RTOL)
         sp.add_argument("--seed", type=nonnegative, default=0)
         sp.add_argument("--samples", type=nonnegative, default=20, help="samples per integral-lemma family")
 

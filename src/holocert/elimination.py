@@ -16,7 +16,6 @@ divides out.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .conditions import ConditionSet, build_condition_set
@@ -124,10 +123,6 @@ class Certificate:
             "reasons": list(self.reasons),
             "numeric": self.numeric,
         }
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, no float in the exact sections."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def certify(p: FoliationParams, conditions: ConditionSet | None = None) -> Certificate:

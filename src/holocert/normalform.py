@@ -91,15 +91,12 @@ class FoliationParams:
         return cls(parse(lambda1), parse(lambda2), parse(alpha0), parse(alpha1), parse(alpha2))
 
     @classmethod
-    def from_complex(cls, lambda1, lambda2, alpha0, alpha1, alpha2) -> "FoliationParams":
-        """Exact conversion from floating complex values (binary rationals)."""
-        conv = GaussianRational.from_complex
-        return cls(conv(lambda1), conv(lambda2), conv(alpha0), conv(alpha1), conv(alpha2))
-
-    @classmethod
     def from_dict(cls, d: Mapping) -> "FoliationParams":
-        a0, a1, a2 = d["alpha"]
-        return cls.from_strings(d["lambda1"], d["lambda2"], a0, a1, a2)
+        alpha = d["alpha"]
+        # unpacking alone would take any three-character string as three literals
+        if not (isinstance(alpha, list) and len(alpha) == 3):
+            raise ValueError(f"alpha must be a list of three literals, got {alpha!r}")
+        return cls.from_strings(d["lambda1"], d["lambda2"], *alpha)
 
     def to_dict(self) -> dict:
         return {

@@ -13,16 +13,11 @@ point, the one cumulative-integral matrix, and start states chained in
 path order.  It halves every piece whose Chebyshev tail is too large, and
 reports a breakdown only where that fixed point leaves double precision.
 
-The package itself holds only what the command line needs before any
-numeric work runs, so that importing it loads no numpy; ``checks`` is the
-laboratory's entry point, and the other modules are imported from where
-they live.
+The package itself holds only ODEError, which the command line catches
+before any numeric work runs, so that importing it loads no numpy;
+``checks`` is the laboratory's entry point, and the other modules are
+imported from where they live.
 """
-
-# The bound on each piece's Chebyshev tail relative to the integrand's
-# largest coefficient; it keeps a1 of a commutator loop near 1e-14, far
-# under the 1e-8 structural budget.
-DEFAULT_RTOL = 1e-12
 
 
 class ODEError(RuntimeError):

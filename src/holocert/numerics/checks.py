@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as npp
 from ..conditions import build_condition_set
 from ..gaussian import GaussianRational
 from ..normalform import FoliationParams, L_d, r_of
-from . import DEFAULT_RTOL, ODEError
+from . import ODEError
 from .holonomy import (
     FloatModel,
     _to_coeff_array,
@@ -30,8 +30,8 @@ from .holonomy import (
     phi_field,
 )
 from .jets import HolonomyJet, commutator, compose, invert, jet_distance
-from .loops import Loop, LoopSystem, build_loops, concat
-from .odepath import ATOL, integrate_stack
+from .loops import RADIUS, Loop, LoopSystem, build_loops, concat
+from .odepath import ATOL, RTOL, integrate_stack
 
 DEGREE_TOLERANCES = {2: 1e-6, 3: 1e-6, 4: 1e-5, 5: 1e-5, 6: 1e-4}
 A1_TOLERANCE = 1e-8
@@ -135,11 +135,9 @@ def formula_coefficients(model: FloatModel, bundle) -> dict[int, tuple[complex, 
     return {2: (a2, m2), 3: (a3, m3), 4: (a4, m4), 5: (a5, m5), 6: (a6, m6)}
 
 
-def verify_variation_formulas(
-    model: FloatModel, loop: Loop, jet: HolonomyJet, rtol: float = DEFAULT_RTOL
-) -> list[CheckRow]:
+def verify_variation_formulas(model: FloatModel, loop: Loop, jet: HolonomyJet) -> list[CheckRow]:
     """Compare the loop's ODE jet against the bundle-assembled formulas, degree 2..6."""
-    bundle = integrate_quadratures(model, loop, rtol=rtol)
+    bundle = integrate_quadratures(model, loop)
     assembled = formula_coefficients(model, bundle)
     rows = []
     for d in range(2, 7):
@@ -197,7 +195,7 @@ def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
     return two_loop, forward
 
 
-def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol) -> list[CheckRow]:
+def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples) -> list[CheckRow]:
     """One zeta = (1+w)^u1 (1-w)^u2 per distinct degree, integrated once along
     each of gamma1 and gamma2 with every sample's P zeta stacked on it."""
     degrees = sorted({d for d, _ in samples})
@@ -215,8 +213,8 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol) -> list[
 
     coeffs = [P for _, P in samples]
     zeros = np.zeros(len(samples))
-    _, i1, _, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field, rtol)[-1]
-    _, i2, _, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field, rtol)[-1]
+    _, i1, _, m1 = integrate_stack(loops.gamma1, np.ones(len(D)), zeros, coeffs, field)[-1]
+    _, i2, _, m2 = integrate_stack(loops.gamma2, np.ones(len(D)), zeros, coeffs, field)[-1]
     rows = []
     for k, (d, _) in enumerate(samples):
         factor = 1.0 + cmath.exp(2j * math.pi * complex(U1[slot[k]]))
@@ -226,26 +224,20 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples, rtol) -> list[
     return rows
 
 
-def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples, rtol) -> list[CheckRow]:
+def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples) -> list[CheckRow]:
     """Every L_d(R)/r^d phi1^(d-1) stacked on one phi1, integrated once."""
     degrees = [d for d, _ in samples]
     w = Polynomial([0.0, 1.0])
     images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in samples]
     zeros = np.zeros(len(samples))
-    _, values, _, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees), rtol)[-1]
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, images, phi_field(model, degrees))[-1]
     return [
         _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
         for k, d in enumerate(degrees)
     ]
 
 
-def verify_integral_lemmas(
-    model: FloatModel,
-    loops: LoopSystem,
-    seed: int = 0,
-    n_samples: int = 20,
-    rtol: float = DEFAULT_RTOL,
-) -> list[CheckRow]:
+def verify_integral_lemmas(model: FloatModel, loops: LoopSystem, seed: int = 0, n_samples: int = 20) -> list[CheckRow]:
     """Three families of checks:
 
     (a) the two-loop identity I(gamma2) = (1 + e^{2 pi i u1}) I(gamma1) for
@@ -262,21 +254,22 @@ def verify_integral_lemmas(
     two_loop, forward = draw_lemma_samples(seed, n_samples)
     rows = []
     if n_samples > 0:
-        rows.extend(_two_loop_rows(model, loops, two_loop, rtol))
-        rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward, rtol))
-    rows.extend(antiderivative_identity_rows(model, loops.gamma1, rtol=rtol, seed=seed))
+        rows.extend(_two_loop_rows(model, loops, two_loop))
+        rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward))
+    rows.extend(antiderivative_identity_rows(model, loops.gamma1, seed=seed))
     return rows
 
 
-def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, seed=0):
+def _random_beta(seed: int) -> tuple:
+    """A numeric beta, three standard complex normals drawn from seed, made exact."""
+    rng = np.random.default_rng(seed)
+    return tuple(GaussianRational.from_complex(complex(z)) for z in rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+def antiderivative_identity_rows(model, loop, seed=0):
     """Check (c): integral of (P_d + F_d)/r^d phi1^(d-1) against its closed form,
     for d = 3..6 in one pass along the loop, at a beta drawn from seed."""
-    rng = np.random.default_rng(seed + 1)
-    beta = tuple(
-        GaussianRational.from_complex(complex(z))
-        for z in rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    )
-    conditions = build_condition_set(model.params, beta=beta)
+    conditions = build_condition_set(model.params, beta=_random_beta(seed + 1))
     degrees = (3, 4, 5, 6)
     numers, Rs, Cs = [], [], []
     for d in degrees:
@@ -285,7 +278,7 @@ def antiderivative_identity_rows(model, loop, rtol=DEFAULT_RTOL, seed=0):
         R = _to_coeff_array(conditions.R[d])
         Rs.append(R)
         Cs.append(-((-1.0) ** (d - 1)) * npp.polyval(0j, R))
-    ends = integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, phi_field(model, degrees), rtol)
+    ends = integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, phi_field(model, degrees))
     worst = [0.0] * len(degrees)
     for seg, ((p1,), values, _, masses) in zip(loop.segments, ends):
         w = seg.point(1.0)
@@ -313,9 +306,7 @@ def _jet_arithmetic_of(row: str):
         raise ODEError(f"row {row!r}: {exc}") from exc
 
 
-def structural_rows(
-    model: FloatModel, loops: LoopSystem, jets: dict, rtol: float = DEFAULT_RTOL, seed: int = 0
-) -> tuple[list[CheckRow], str]:
+def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int = 0) -> tuple[list[CheckRow], str]:
     """Jet-level sanity of the loop construction; also pins down the
     group-word composition convention empirically and reports it.
 
@@ -327,13 +318,13 @@ def structural_rows(
             _row(f"commutator-tangency[{label}]", label, 1, abs(jets[label].a1 - 1.0), A1_TOLERANCE)
         )
 
-    rev = integrate_variations(model, loops.gamma1.inverse(), rtol=rtol)
+    rev = integrate_variations(model, loops.gamma1.inverse())
     with _jet_arithmetic_of("reversed-loop-is-inverse-jet"):
         inverse = invert(jets["gamma1"])
     rows.append(_row("reversed-loop-is-inverse-jet", "gamma1", 0, jet_distance(rev, inverse), STRUCTURE_TOLERANCE))
 
     both = concat(loops.mu2, loops.mu1, label="mu2*mu1")
-    seq = integrate_variations(model, both, rtol=rtol)
+    seq = integrate_variations(model, both)
     with _jet_arithmetic_of("concatenation-composes-jets"):
         composed = compose(jets["mu1"], jets["mu2"])
     rows.append(_row("concatenation-composes-jets", both.label, 0, jet_distance(seq, composed), STRUCTURE_TOLERANCE))
@@ -361,7 +352,7 @@ def structural_rows(
 
     alt_radius = loops.radius * 2.0 / 3.0
     alt = build_loops(alt_radius)
-    jet_alt = integrate_variations(model, alt.gamma1, rtol=rtol)
+    jet_alt = integrate_variations(model, alt.gamma1)
     rows.append(
         _row("radius-independence", f"gamma1@{alt_radius:g}", 0, jet_distance(jets["gamma1"], jet_alt), STRUCTURE_TOLERANCE)
     )
@@ -377,11 +368,9 @@ def structural_rows(
     rows.append(_row("a22-ratio-is-1-plus-nu1", "gamma2", 2, residual, LEMMA_TOLERANCE))
 
     # quadratic coefficient is beta-independent: perturb the alpha parameters
-    rng = np.random.default_rng(seed + 2)
-    beta = tuple(GaussianRational.from_complex(complex(z)) for z in rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    model_beta = float_model(model.params.with_alpha(*beta))
+    model_beta = float_model(model.params.with_alpha(*_random_beta(seed + 2)))
     for label, lp in (("gamma1", loops.gamma1), ("gamma2", loops.gamma2)):
-        tilde = integrate_variations(model_beta, lp, order=2, rtol=rtol)
+        tilde = integrate_variations(model_beta, lp, order=2)
         base = jets[label]
         scale = max(1.0, abs(base.a(2)), base.norms[1])
         rows.append(
@@ -390,30 +379,22 @@ def structural_rows(
     return rows, convention
 
 
-def run_numeric_verification(
-    p: FoliationParams,
-    radius: float = 0.5,
-    rtol: float = DEFAULT_RTOL,
-    seed: int = 0,
-    n_samples: int = 20,
-) -> dict:
-    """Full numeric report: deterministic given (params, radius, rtol, seed)."""
+def run_numeric_verification(p: FoliationParams, seed: int = 0, n_samples: int = 20) -> dict:
+    """Full numeric report: deterministic given (params, seed, n_samples)."""
     model = float_model(p)
-    loops = build_loops(radius)
+    loops = build_loops(RADIUS)
     # each loop's jet is integrated once and serves every row family
-    jets = {
-        lp.label: integrate_variations(model, lp, rtol=rtol) for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)
-    }
+    jets = {lp.label: integrate_variations(model, lp) for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)}
     rows = []
     for lp in (loops.gamma1, loops.gamma2):
-        rows.extend(verify_variation_formulas(model, lp, jets[lp.label], rtol=rtol))
-    rows.extend(verify_integral_lemmas(model, loops, seed=seed, n_samples=n_samples, rtol=rtol))
-    struct, convention = structural_rows(model, loops, jets, rtol=rtol, seed=seed)
+        rows.extend(verify_variation_formulas(model, lp, jets[lp.label]))
+    rows.extend(verify_integral_lemmas(model, loops, seed=seed, n_samples=n_samples))
+    struct, convention = structural_rows(model, loops, jets, seed=seed)
     rows.extend(struct)
     return {
         "params": p.to_dict(),
-        "radius": radius,
-        "rtol": rtol,
+        "radius": RADIUS,
+        "rtol": RTOL,
         "atol": ATOL,
         "seed": seed,
         "convention": convention,

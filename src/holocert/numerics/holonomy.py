@@ -39,7 +39,7 @@ import numpy as np
 from ..conditions import build_q
 from ..mpoly import MPoly
 from ..normalform import FoliationParams, expand_normal_form, r_of, s_of
-from . import DEFAULT_RTOL, ODEError
+from . import ODEError
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
 from .odepath import integrate_stack
@@ -129,18 +129,13 @@ def _variation_field(model: FloatModel, order: int):
     return field
 
 
-def integrate_variations(
-    model: FloatModel,
-    loop: Loop,
-    order: int = ORDER,
-    rtol: float = DEFAULT_RTOL,
-) -> HolonomyJet:
+def integrate_variations(model: FloatModel, loop: Loop, order: int = ORDER) -> HolonomyJet:
     """Holonomy jet of a loop from the variational equations."""
     if not 1 <= order <= ORDER:
         raise ValueError(f"order must lie in 1..{ORDER}")
     S = [model.S[d] for d in range(2, order + 1)]
     zeros = np.zeros(order - 1)
-    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order), rtol)[-1]
+    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order))[-1]
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
     norms = np.zeros(ORDER)
@@ -247,10 +242,10 @@ def _bundle_field(model: FloatModel):
     return field
 
 
-def integrate_quadratures(model: FloatModel, loop: Loop, rtol: float = DEFAULT_RTOL) -> QuadratureBundle:
+def integrate_quadratures(model: FloatModel, loop: Loop) -> QuadratureBundle:
     coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
     zeros = np.zeros(len(_BUNDLE_NAMES))
-    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model), rtol)[-1]
+    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model))[-1]
     return QuadratureBundle(
         values={name: complex(v) for name, v in zip(_BUNDLE_NAMES, values)},
         norms={name: float(abs(m)) for name, m in zip(_BUNDLE_NAMES, masses)},

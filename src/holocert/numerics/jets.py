@@ -43,12 +43,6 @@ class HolonomyJet:
         return np.abs(self.coeffs) + self.norms
 
 
-def identity_jet() -> HolonomyJet:
-    c = np.zeros(ORDER, dtype=complex)
-    c[0] = 1.0
-    return HolonomyJet(c)
-
-
 def _trunc_mul(u, v):
     """Product of two series with zero constant term, truncated at z^ORDER."""
     out = np.zeros(ORDER, dtype=np.result_type(u, v))

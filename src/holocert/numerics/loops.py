@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PUNCTURES = (-1.0 + 0.0j, 1.0 + 0.0j)
+RADIUS = 0.5  # the laboratory's loop radius; radius-independence also runs 2/3 of it
 _TWO_PI = 2.0 * math.pi
 
 
@@ -31,14 +31,6 @@ class Line:
 
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
-
-    def min_distance(self, p: complex) -> float:
-        d = self.end - self.start
-        den = abs(d) ** 2
-        if den == 0.0:
-            return abs(self.start - p)
-        t = max(0.0, min(1.0, ((p - self.start) * d.conjugate()).real / den))
-        return abs(self.point(t) - p)
 
 
 @dataclass(frozen=True)
@@ -63,18 +55,6 @@ class Arc:
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius, self.theta1, self.theta0)
 
-    def min_distance(self, p: complex) -> float:
-        rel = p - self.center
-        if abs(rel) == 0.0:
-            return self.radius
-        phi = cmath.phase(rel)
-        lo, hi = sorted((self.theta0, self.theta1))
-        k0 = math.floor((lo - phi) / _TWO_PI)
-        for k in (k0, k0 + 1, k0 + 2):
-            if lo <= phi + _TWO_PI * k <= hi:
-                return abs(abs(rel) - self.radius)
-        return min(abs(self.point(0.0) - p), abs(self.point(1.0) - p))
-
 
 @dataclass(frozen=True)
 class Loop:
@@ -96,20 +76,6 @@ class Loop:
     def inverse(self) -> "Loop":
         segs = tuple(s.reversed() for s in reversed(self.segments))
         return Loop(segs, label=f"{self.label}^-1", basepoint=self.basepoint)
-
-    def clearance(self, punctures=PUNCTURES) -> float:
-        return min(s.min_distance(p) for s in self.segments for p in punctures)
-
-    def winding_number(self, p: complex, subdivisions: int = 64) -> int:
-        """Discrete argument tracking; exact for paths respecting clearance."""
-        total = 0.0
-        for seg in self.segments:
-            prev = seg.point(0.0) - p
-            for k in range(1, subdivisions + 1):
-                cur = seg.point(k / subdivisions) - p
-                total += cmath.phase(cur / prev)
-                prev = cur
-        return round(total / _TWO_PI)
 
 
 def concat(*loops: Loop, label: str = "") -> Loop:
@@ -140,7 +106,7 @@ def _generator(puncture: complex, radius: float, label: str) -> Loop:
     )
 
 
-def build_loops(radius: float = 0.5) -> LoopSystem:
+def build_loops(radius: float) -> LoopSystem:
     """The generators and the two commutator words, read leftmost-first.
 
     gamma1 = mu2 mu1 mu2^-1 mu1^-1 and gamma2 = mu2 mu1^2 mu2^-1 mu1^-2.

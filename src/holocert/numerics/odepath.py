@@ -35,9 +35,9 @@ from the accepted state.  A piece that failed only from the inexact end
 of a failing piece before it is halved too, so the mesh can be finer than that of
 solving the pieces one by one.  A breakdown is the first piece whose
 fixed point is not finite, all pieces before it passing, so it does not
-depend on the sweeps that reach the fixed point.  rtol is the one
-tolerance a caller passes (DEFAULT_RTOL unless the command line's --rtol
-sets it); ATOL is fixed, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
+depend on the sweeps that reach the fixed point.  integrate_loop takes
+rtol, and integrate_stack passes the laboratory's RTOL; ATOL is fixed,
+like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
 A loop integration returns the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
 
@@ -63,6 +63,10 @@ BLOCK = 16  # consecutive pending pieces solved together, one field sweep for al
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
 ATOL = 1e-16  # absolute floor of the tail test, for integrands that vanish
+# The bound on each piece's Chebyshev tail relative to the integrand's
+# largest coefficient; it keeps a1 of a commutator loop near 1e-14, far
+# under the 1e-8 structural budget.
+RTOL = 1e-12
 
 _X = cheb.chebpts1(N)  # ascending nodes on [-1, 1]
 # values -> coefficients, by the discrete orthogonality of T_k at the nodes
@@ -260,8 +264,8 @@ def integrate_loop(field, loop, b0, y0, rtol: float):
     return out
 
 
-def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float):
-    """Integrate a base state and a stack of integrals along a loop.
+def integrate_stack(loop, base0, integrals0, coeffs, field):
+    """Integrate a base state and a stack of integrals along a loop, at RTOL.
 
     field(w, vals) is the module's field contract in w rather than in t:
     it returns (rate, integrands), integrands(base) returns the function of
@@ -294,4 +298,4 @@ def integrate_stack(loop, base0, integrals0, coeffs, field, rtol: float):
 
         return np.multiply(rate, dw), bind
 
-    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(pulled_back, loop, base0, integrals0, rtol)]
+    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(pulled_back, loop, base0, integrals0, RTOL)]

@@ -13,7 +13,7 @@ import pytest
 from holocert.cli import main as cli_main
 from holocert.conditions import build_condition_set
 from holocert.elimination import certify, linear_system_solve, resultant_chain
-from holocert.gaussian import gq
+from holocert.gaussian import GaussianRational, gq
 from holocert.mpoly import MPoly, divides
 from holocert.normalform import FoliationParams, oracle_defects, validate_genericity, verification_point
 from holocert.numerics.checks import DEGREE_TOLERANCES, verify_integral_lemmas, verify_variation_formulas
@@ -39,7 +39,7 @@ def _random_float_params(rng: random.Random) -> FoliationParams:
         return complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
 
     while True:
-        p = FoliationParams.from_complex(lam(), lam(), alpha(), alpha(), alpha())
+        p = FoliationParams(*(GaussianRational.from_complex(z) for z in (lam(), lam(), alpha(), alpha(), alpha())))
         if validate_genericity(p).exact_ok:
             return p
 

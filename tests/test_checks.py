@@ -43,7 +43,7 @@ def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
     B3 = 2 * (nmodel.lam1 + nmodel.lam2)
     assert np.allclose(P, [A3, B3 - 4.0])
-    _, values, _, masses = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]), 1e-12)[-1]
+    _, values, _, masses = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]))[-1]
     assert abs(values[0]) / max(1.0, masses[0]) < 1e-9
 
 
@@ -56,8 +56,8 @@ def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
         return u1 / (1.0 + w) - u2 / (1.0 - w), lambda zeta: lambda integrals: vals * zeta
 
     P = np.array([1.0 + 0j])
-    _, i1, _, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field, 1e-12)[-1]
-    _, i2, _, m2 = integrate_stack(nloops.gamma2, [1.0], [0.0], [P], field, 1e-12)[-1]
+    _, i1, _, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field)[-1]
+    _, i2, _, m2 = integrate_stack(nloops.gamma2, [1.0], [0.0], [P], field)[-1]
     factor = 1.0 + cmath.exp(2j * math.pi * u1)
     assert abs(i2[0] - factor * i1[0]) / max(1.0, m2[0] + abs(factor) * m1[0]) < 1e-9
 
@@ -92,7 +92,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, monkeypatch):
 
     n_samples, bad_two_loop, bad_forward = 5, 1, 3
 
-    def corrupting(loop, base0, integrals0, coeffs, field, rtol):
+    def corrupting(loop, base0, integrals0, coeffs, field):
         bad = None
         if loop.label == "gamma2":
             bad = bad_two_loop
@@ -101,7 +101,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, monkeypatch):
             bad = bad_forward
         if bad is not None:
             coeffs = [c + 1.0 if k == bad else c for k, c in enumerate(coeffs)]
-        return integrate_stack(loop, base0, integrals0, coeffs, field, rtol)
+        return integrate_stack(loop, base0, integrals0, coeffs, field)
 
     monkeypatch.setattr(checks, "integrate_stack", corrupting)
     rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=n_samples)
@@ -129,7 +129,7 @@ def test_every_family_integrates_through_integrate_stack(tp, monkeypatch, n_samp
         return original(rhs, loop, *args, **kwargs)
 
     monkeypatch.setattr(odepath, "integrate_loop", counting)
-    run_numeric_verification(tp, rtol=1e-6, n_samples=n_samples)
+    run_numeric_verification(tp, n_samples=n_samples)
     assert len(loops) == integrations
 
 

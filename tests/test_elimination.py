@@ -123,17 +123,8 @@ def test_planted_defect_in_F_is_inconclusive(tp, d):
     assert cert.to_dict()["res3_6"] is None
 
 
-def test_certificate_json_deterministic(tp, tp_conditions):
-    a = certify(tp, conditions=tp_conditions).to_json()
-    b = certify(tp, conditions=tp_conditions).to_json()
-    assert a == b
-    assert a.encode() == b.encode()
-
-
 def test_certificate_json_shape(tp, tp_conditions):
-    import json
-
-    doc = json.loads(certify(tp, conditions=tp_conditions).to_json())
+    doc = certify(tp, conditions=tp_conditions).to_dict()
     assert set(doc) == {
         "params",
         "genericity",

@@ -6,7 +6,6 @@ from holocert.numerics.jets import (
     HolonomyJet,
     commutator,
     compose,
-    identity_jet,
     invert,
     jet_distance,
 )
@@ -28,8 +27,8 @@ def test_compose_hand_expansion():
 
 def test_compose_with_identity():
     f = jet(1, 2, 3, 4, 5, 6)
-    assert np.allclose(compose(f, identity_jet()).coeffs, f.coeffs)
-    assert np.allclose(compose(identity_jet(), f).coeffs, f.coeffs)
+    assert np.allclose(compose(f, jet(1)).coeffs, f.coeffs)
+    assert np.allclose(compose(jet(1), f).coeffs, f.coeffs)
 
 
 def test_invert_catalan_signs():
@@ -55,8 +54,8 @@ def test_invert_rejects_singular_jet():
 
 def test_commutator_with_identity_is_identity():
     f = jet(1, 0.5, -2, 1, 0, 3)
-    out = commutator(f, identity_jet())
-    assert np.allclose(out.coeffs, identity_jet().coeffs, atol=1e-12)
+    out = commutator(f, jet(1))
+    assert np.allclose(out.coeffs, jet(1).coeffs, atol=1e-12)
 
 
 def test_commutator_of_parabolic_jets_is_higher_order():

@@ -411,7 +411,7 @@ def test_stack_on_a_circle_has_closed_forms():
         rate = 1.0 / (w - c)
         return rate, lambda b: lambda y: [rate, vals[0], y[1]]
 
-    ends = integrate_stack(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field, 1e-12)
+    ends = integrate_stack(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field)
     assert len(ends) == 1  # one segment
     base, integrals, base_masses, masses = ends[-1]
     assert [x.shape for x in ends[-1]] == [(1,), (3,), (1,), (3,)]

@@ -13,7 +13,9 @@ same temporary directory:
 The points are the first 40 draws of tests/conftest.py::random_generic_params
 from random.Random(11), then lambda = (1/2 + k i, 1/3 - k i) at
 alpha = (2-1i, 1/2, -1+1i) for k = 1/7, 1, 2, 3, 5, 10, 20, 40, a ladder
-from tame multipliers to numerical breakdowns.
+from tame multipliers to numerical breakdowns.  Each of the five commands
+also runs once at default flags without --params, so the default point is
+loaded as the command line loads it.
 
 Every run's exit code, stdout, stderr and written file are compared; each
 run that differs is listed with what differs.  Exits 1 if any run differs,
@@ -45,6 +47,7 @@ COMMANDS = {
     "numeric-s4-seed3": ["verify-numeric", "--samples", "4", "--seed", "3"],
     "numeric-s0": ["verify-numeric", "--samples", "0"],
 }
+DEFAULT_POINT = ("expand", "conditions", "eliminate", "verify-numeric", "certify")
 LADDER = (Fraction(1, 7), 1, 2, 3, 5, 10, 20, 40)
 WORKERS = 2  # each worker runs one command at a time, the two trees in turn
 
@@ -80,7 +83,7 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
-        jobs = []
+        jobs = [(f"default-{command}", [command]) for command in DEFAULT_POINT]
         for i, point in enumerate(points()):
             params = tmp / f"point{i:02d}.json"
             params.write_text(json.dumps(point))
@@ -97,7 +100,8 @@ def main(argv: list[str]) -> int:
     differing = [(name, parts) for name, parts in results if parts]
     for name, parts in differing:
         print(f"differs: {name}: {', '.join(parts)}")
-    print(f"{len(results)} runs compared at {len(results) // len(COMMANDS)} points, {len(differing)} differ")
+    n_points = (len(results) - len(DEFAULT_POINT)) // len(COMMANDS)
+    print(f"{len(results)} runs compared, at {n_points} points and the default point, {len(differing)} differ")
     return 1 if differing else 0
 
 
