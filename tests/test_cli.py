@@ -294,6 +294,13 @@ def test_numerical_breakdown_is_inconclusive(tmp_path, capsys, recwarn):
     assert f"numerical breakdown: {reason}" in err
 
 
+def test_breakdown_reason_is_the_same_at_the_default_rtol(tmp_path, capsys):
+    # the engine's one tail tolerance, odepath.RTOL, names the same segment
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+1i", "1/3-40i")
+    assert rc == EXIT_INCONCLUSIVE
+    assert doc["numeric"] == {"all_pass": False, "breakdown": "loop 'gamma1', segment 1: non-finite state"}
+
+
 def test_breakdown_names_the_segment_that_overflows(tmp_path, capsys):
     # the converged state of gamma2 leaves double precision in segment 10,
     # its clockwise turn around +1; segment 8, the way back from its second
