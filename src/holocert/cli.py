@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .conditions import build_condition_set
+from .conditions import ConditionSet, build_condition_set
 from .elimination import EliminationError, VERDICT_UNIQUE, certify
 from .gaussian import GaussianRationalError
 from .mpoly import MPolyError
@@ -73,11 +73,11 @@ def emit_report(payload: dict, out: str | None) -> None:
     _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
-def run_numeric_verification(p: FoliationParams, **kwargs) -> dict:
+def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, **kwargs) -> dict:
     """The numeric laboratory's report; numpy loads only for the commands that run it."""
     from .numerics import checks
 
-    return checks.run_numeric_verification(p, **kwargs)
+    return checks.run_numeric_verification(p, conditions, **kwargs)
 
 
 def cmd_expand(args) -> int:
@@ -116,7 +116,7 @@ def cmd_eliminate(args) -> int:
 def cmd_verify_numeric(args) -> int:
     p = _load_params(args.params)
     _require_genericity(p)
-    report = run_numeric_verification(p, seed=args.seed, n_samples=args.samples)
+    report = run_numeric_verification(p, build_condition_set(p), seed=args.seed, n_samples=args.samples)
     emit_report(report, args.out)
     return EXIT_OK if report["all_pass"] else EXIT_INCONCLUSIVE
 
@@ -127,7 +127,7 @@ def cmd_certify(args) -> int:
     cert = certify(p)
     if not args.skip_numeric:
         try:
-            report = run_numeric_verification(p, seed=args.seed, n_samples=args.samples)
+            report = run_numeric_verification(p, cert.conditions, seed=args.seed, n_samples=args.samples)
         except ODEError as exc:
             # the finished exact half is still worth a certificate; main reports the breakdown
             cert.numeric = {"all_pass": False, "breakdown": str(exc)}

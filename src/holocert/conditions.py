@@ -1,16 +1,16 @@
 """Degree-d condition polynomials P_d, auxiliary q_d, and conjugacy jet constants.
 
 Everything here compares two expansions: the reference one (parameters
-alpha, always numeric) and a second one whose parameters are either the
-symbols b0, b1, b2 or concrete numbers.  The same code path serves both,
-since polynomials over Q(i) subsume constants.
+alpha, always numeric) and a second one whose parameters are the symbols
+b0, b1, b2.  A concrete beta is substituted into the resulting set
+exactly (ConditionSet.at).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gaussian import GaussianRational, gq
+from .gaussian import gq
 from .mpoly import MPoly
 from .normalform import (
     FoliationParams,
@@ -137,7 +137,7 @@ def _as_poly(x) -> MPoly:
 
 @dataclass
 class ConditionSet:
-    """Per-degree bundle of the exact pipeline outputs for one beta choice."""
+    """Per-degree bundle of the exact pipeline outputs, symbolic in beta."""
 
     P: dict[int, MPoly] = field(default_factory=dict)
     R: dict[int, MPoly] = field(default_factory=dict)
@@ -146,22 +146,20 @@ class ConditionSet:
     def f_degrees(self) -> dict[int, int]:
         return {d: self.F[d].total_degree() for d in sorted(self.F)}
 
+    def at(self, beta) -> "ConditionSet":
+        """Every polynomial at a concrete beta = (b0, b1, b2), substituted exactly."""
+        def sub(poly: MPoly) -> MPoly:
+            for name, value in zip(("b0", "b1", "b2"), beta):
+                poly = poly.substitute(name, value)
+            return poly
 
-def build_condition_set(
-    p: FoliationParams,
-    beta: tuple[GaussianRational, GaussianRational, GaussianRational] | None = None,
-) -> ConditionSet:
-    """Run the full degree 3..6 pipeline at alpha versus beta.
+        return ConditionSet(*({d: sub(f) for d, f in part.items()} for part in (self.P, self.R, self.F)))
 
-    With beta=None the second expansion is symbolic in b0, b1, b2 and the
-    F_d come out as polynomials in beta; with a concrete beta everything
-    collapses to Gaussian-rational constants.
-    """
-    e_alpha = expand_normal_form(p)
-    if beta is None:
-        e_beta = expand_with_beta(p)
-    else:
-        e_beta = expand_normal_form(p.with_alpha(*beta))
+
+def build_condition_set(p: FoliationParams) -> ConditionSet:
+    """Run the full degree 3..6 pipeline at alpha versus the symbols b0, b1, b2:
+    P_d and R_d come out as polynomials in w and beta, F_d in beta."""
+    e_alpha, e_beta = expand_normal_form(p), expand_with_beta(p)
     cs = ConditionSet()
     for d in (3, 4, 5, 6):
         P = build_P(d, e_alpha, e_beta, R3=cs.R.get(3), R4=cs.R.get(4), R5=cs.R.get(5))

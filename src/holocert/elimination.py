@@ -101,7 +101,7 @@ class Certificate:
     solution: tuple[GaussianRational, GaussianRational] | None
     verdict: str
     reasons: tuple[str, ...]
-    conditions: ConditionSet | None = None
+    conditions: ConditionSet
     numeric: dict = field(default_factory=dict)
 
     @property
@@ -125,7 +125,7 @@ class Certificate:
         }
 
 
-def certify(p: FoliationParams, conditions: ConditionSet | None = None) -> Certificate:
+def certify(p: FoliationParams) -> Certificate:
     """Full exact pipeline: expand, build symbolic conditions, eliminate, solve.
 
     The verdict is UNIQUE only when every F_d vanishes at alpha, Res3_6 and
@@ -139,7 +139,7 @@ def certify(p: FoliationParams, conditions: ConditionSet | None = None) -> Certi
             f"exact genericity violated: distinct={report.pairwise_distinct}, "
             f"lattice failures={list(report.lattice_failures)}"
         )
-    cs = conditions if conditions is not None else build_condition_set(p, beta=None)
+    cs = build_condition_set(p)
     alpha = {"b0": p.alpha0, "b1": p.alpha1, "b2": p.alpha2}
     reasons = [f"F_{d}(alpha) != 0" for d in sorted(cs.F) if not cs.F[d].evaluate(alpha).is_zero()]
     chain = None if reasons else resultant_chain(cs.F, p.alpha0)

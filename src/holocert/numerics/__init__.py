@@ -22,4 +22,4 @@ imported from where they live.
 
 class ODEError(RuntimeError):
     """A loop integration left double precision: a non-finite state, a
-    Chebyshev tail that stays above rtol, or an overflowing jet."""
+    Chebyshev tail that stays above RTOL, or an overflowing jet."""

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npp
 
-from ..conditions import build_condition_set
+from ..conditions import ConditionSet
 from ..gaussian import GaussianRational
 from ..normalform import FoliationParams, L_d, r_of
 from . import ODEError
@@ -237,16 +237,18 @@ def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples) -> list[Chec
     ]
 
 
-def verify_integral_lemmas(model: FloatModel, loops: LoopSystem, seed: int = 0, n_samples: int = 20) -> list[CheckRow]:
+def verify_integral_lemmas(
+    model: FloatModel, loops: LoopSystem, conditions: ConditionSet, seed: int, n_samples: int
+) -> list[CheckRow]:
     """Three families of checks:
 
     (a) the two-loop identity I(gamma2) = (1 + e^{2 pi i u1}) I(gamma1) for
         random polynomials against zeta = (1+w)^u1 (1-w)^u2;
     (b) forward vanishing: integrands L_d(R)/r^d phi1^(d-1) integrate to
         zero along gamma1 for random R of degree <= 2d-3;
-    (c) the antiderivative identity for the exact pipeline's R_d at a
-        numeric beta, checked at every segment endpoint of gamma1 with
-        constant C = -(-1)^(d-1) R_d(0).
+    (c) the antiderivative identity for the symbolic condition set's own
+        P_d, R_d and F_d, substituted at a numeric beta, checked at every
+        segment endpoint of gamma1 with constant C = -(-1)^(d-1) R_d(0).
 
     All samples of a family share one path, so each family is one stacked
     integration per loop.
@@ -256,7 +258,7 @@ def verify_integral_lemmas(model: FloatModel, loops: LoopSystem, seed: int = 0, 
     if n_samples > 0:
         rows.extend(_two_loop_rows(model, loops, two_loop))
         rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward))
-    rows.extend(antiderivative_identity_rows(model, loops.gamma1, seed=seed))
+    rows.extend(antiderivative_identity_rows(model, loops.gamma1, conditions, seed))
     return rows
 
 
@@ -266,16 +268,16 @@ def _random_beta(seed: int) -> tuple:
     return tuple(GaussianRational.from_complex(complex(z)) for z in rng.standard_normal(3) + 1j * rng.standard_normal(3))
 
 
-def antiderivative_identity_rows(model, loop, seed=0):
+def antiderivative_identity_rows(model, loop, conditions: ConditionSet, seed: int):
     """Check (c): integral of (P_d + F_d)/r^d phi1^(d-1) against its closed form,
-    for d = 3..6 in one pass along the loop, at a beta drawn from seed."""
-    conditions = build_condition_set(model.params, beta=_random_beta(seed + 1))
+    for d = 3..6 in one pass along the loop, the condition set taken at a beta drawn from seed."""
+    at_beta = conditions.at(_random_beta(seed + 1))
     degrees = (3, 4, 5, 6)
     numers, Rs, Cs = [], [], []
     for d in degrees:
-        F = conditions.F[d].constant_term().to_complex()
-        numers.append(npp.polyadd(_to_coeff_array(conditions.P[d]), np.array([F], dtype=complex)))
-        R = _to_coeff_array(conditions.R[d])
+        F = at_beta.F[d].constant_term().to_complex()
+        numers.append(npp.polyadd(_to_coeff_array(at_beta.P[d]), np.array([F], dtype=complex)))
+        R = _to_coeff_array(at_beta.R[d])
         Rs.append(R)
         Cs.append(-((-1.0) ** (d - 1)) * npp.polyval(0j, R))
     ends = integrate_stack(loop, [1.0], np.zeros(len(degrees)), numers, phi_field(model, degrees))
@@ -306,7 +308,7 @@ def _jet_arithmetic_of(row: str):
         raise ODEError(f"row {row!r}: {exc}") from exc
 
 
-def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int = 0) -> tuple[list[CheckRow], str]:
+def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int) -> tuple[list[CheckRow], str]:
     """Jet-level sanity of the loop construction; also pins down the
     group-word composition convention empirically and reports it.
 
@@ -379,8 +381,9 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int 
     return rows, convention
 
 
-def run_numeric_verification(p: FoliationParams, seed: int = 0, n_samples: int = 20) -> dict:
-    """Full numeric report: deterministic given (params, seed, n_samples)."""
+def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed: int, n_samples: int) -> dict:
+    """Full numeric report on p and its symbolic condition set, the one its
+    certificate rests on: deterministic given (params, seed, n_samples)."""
     model = float_model(p)
     loops = build_loops(RADIUS)
     # each loop's jet is integrated once and serves every row family
@@ -388,8 +391,8 @@ def run_numeric_verification(p: FoliationParams, seed: int = 0, n_samples: int =
     rows = []
     for lp in (loops.gamma1, loops.gamma2):
         rows.extend(verify_variation_formulas(model, lp, jets[lp.label]))
-    rows.extend(verify_integral_lemmas(model, loops, seed=seed, n_samples=n_samples))
-    struct, convention = structural_rows(model, loops, jets, seed=seed)
+    rows.extend(verify_integral_lemmas(model, loops, conditions, seed, n_samples))
+    struct, convention = structural_rows(model, loops, jets, seed)
     rows.extend(struct)
     return {
         "params": p.to_dict(),

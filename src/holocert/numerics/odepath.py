@@ -27,7 +27,7 @@ arithmetic in the same order as solving the pieces one by one.  The
 sweeps run to a bitwise fixed point, and only that fixed point is
 judged: a sweep that returns the last sweep's rows ends them before its
 product.  The tail test is per piece: a piece fails
-while the trailing Chebyshev coefficients of an integrand exceed rtol
+while the trailing Chebyshev coefficients of an integrand exceed RTOL
 times its largest one plus ATOL.  The pieces before a block's first
 failing piece are accepted; from there on, every failing piece is halved
 and every other one goes back whole, and all of them are solved again
@@ -35,9 +35,8 @@ from the accepted state.  A piece that failed only from the inexact end
 of a failing piece before it is halved too, so the mesh can be finer than that of
 solving the pieces one by one.  A breakdown is the first piece whose
 fixed point is not finite, all pieces before it passing, so it does not
-depend on the sweeps that reach the fixed point.  integrate_loop takes
-rtol, and integrate_stack passes the laboratory's RTOL; ATOL is fixed,
-like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
+depend on the sweeps that reach the fixed point.  RTOL and ATOL are
+constants of the engine, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
 A loop integration returns the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
 
@@ -166,11 +165,11 @@ def _solve(field, w, dw, half, start, nb):
     return nodes, ends, derivs, finite
 
 
-def _tail_above(derivs, rtol):
-    """Per piece, whether some integrand's Chebyshev tail exceeds rtol times
+def _tail_above(derivs):
+    """Per piece, whether some integrand's Chebyshev tail exceeds RTOL times
     its largest coefficient plus ATOL."""
     coeffs = np.abs(_per_row(derivs, _TO_COEFFS.T))
-    return np.any(coeffs[:, :, -TAIL:].max(axis=2, initial=0.0) > rtol * coeffs.max(axis=2, initial=0.0) + ATOL, axis=0)
+    return np.any(coeffs[:, :, -TAIL:].max(axis=2, initial=0.0) > RTOL * coeffs.max(axis=2, initial=0.0) + ATOL, axis=0)
 
 
 def _masses(derivs, base, half):
@@ -181,7 +180,7 @@ def _masses(derivs, base, half):
     return (moduli * (half[:, None] * _CUMSUM[:, N])).sum(axis=2)
 
 
-def integrate_fixed_interval(f, b0, y0, rtol: float):
+def integrate_fixed_interval(f, b0, y0):
     """Integrate a base b and integrals y over t in [0, 1].
 
     f(t) is a field of the module's contract on an array of nodes t,
@@ -192,10 +191,10 @@ def integrate_fixed_interval(f, b0, y0, rtol: float):
     """
     # [0, 1] as a path of one segment, w = t, with no loop to name in errors
     unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
-    return integrate_loop(lambda w, dw: f(w), SimpleNamespace(segments=(unit,), label=None), b0, y0, rtol)[-1]
+    return integrate_loop(lambda w, dw: f(w), SimpleNamespace(segments=(unit,), label=None), b0, y0)[-1]
 
 
-def integrate_loop(field, loop, b0, y0, rtol: float):
+def integrate_loop(field, loop, b0, y0):
     """Integrate along every segment of a loop, carrying the state through.
 
     field(w, dw) is a field of the module's contract, called on the nodes
@@ -234,7 +233,7 @@ def integrate_loop(field, loop, b0, y0, rtol: float):
         w, dw = (np.concatenate(x) for x in zip(*parts))
         nodes, ends, derivs, finite = _solve(field, w, dw, h / 2.0, start, nb)
         with np.errstate(all="ignore"):  # a non-finite piece has no meaningful tail
-            failed = _tail_above(derivs, rtol)
+            failed = _tail_above(derivs)
         bad = failed | ~finite
         p = int(np.argmax(bad)) if bad.any() else len(block)  # the accepted prefix
         if p < len(block):
@@ -298,4 +297,4 @@ def integrate_stack(loop, base0, integrals0, coeffs, field):
 
         return np.multiply(rate, dw), bind
 
-    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(pulled_back, loop, base0, integrals0, RTOL)]
+    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(pulled_back, loop, base0, integrals0)]

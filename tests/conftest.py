@@ -69,6 +69,13 @@ def rng() -> random.Random:
 
 
 @pytest.fixture(scope="session")
+def tp_conditions(tp):
+    from holocert.conditions import build_condition_set
+
+    return build_condition_set(tp)
+
+
+@pytest.fixture(scope="session")
 def nloops():
     from holocert.numerics.loops import build_loops
 

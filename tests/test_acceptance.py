@@ -74,9 +74,10 @@ def test_criterion_3_defect_identity():
     t0 = time.time()
     rng = random.Random(303)
     p = verification_point()
+    symbolic = build_condition_set(p)
     betas = [None] + [tuple(random_gaussian(rng) for _ in range(3)) for _ in range(3)]
     for beta in betas:
-        cs = build_condition_set(p, beta=beta)
+        cs = symbolic if beta is None else symbolic.at(beta)
         for d in (3, 4, 5, 6):
             defect = apply_Ld(d, p.lambda1, p.lambda2, cs.R[d]) - cs.P[d]
             assert defect.degree("w") <= 0, f"defect not w-free (d={d}, beta={beta})"
@@ -102,7 +103,7 @@ def test_criterion_4_elimination_reproduction():
     det, sol = linear_system_solve(cs.F[3], cs.F[4], p.alpha0)
     assert not det.is_zero(), "det34 vanished"
     assert sol == (gq(0), gq(0)), f"recovered solution {sol}"
-    cert = certify(p, conditions=cs)
+    cert = certify(p)
     assert cert.verdict == "UNIQUE"
     elapsed = time.time() - t0
     assert elapsed < 600.0
@@ -129,9 +130,9 @@ def test_criterion_5_holonomy_formula_validation(loop_jets):
     _ok(5, f"variation formulas at 4 parameter sets x 2 loops ({summary}; {elapsed:.1f}s)")
 
 
-def test_criterion_6_integral_lemmas(nmodel, nloops, loop_jets):
+def test_criterion_6_integral_lemmas(nmodel, nloops, tp_conditions, loop_jets):
     t0 = time.time()
-    rows = verify_integral_lemmas(nmodel, nloops, seed=606, n_samples=20)
+    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=606, n_samples=20)
     for row in rows:
         assert row.passed, f"{row.name}: residual {row.residual:.3e}"
     nu1 = nmodel.nu1()

@@ -17,17 +17,30 @@ from holocert.numerics.jets import HolonomyJet
 from holocert.numerics.odepath import integrate_stack
 
 
-def test_integral_lemma_rows_pass(nmodel, nloops):
-    rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=3)
+def test_integral_lemma_rows_pass(nmodel, nloops, tp_conditions):
+    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=3, n_samples=3)
     assert len(rows) == 3 + 3 + 4
     for row in rows:
         assert row.passed, f"{row.name}: residual {row.residual:.3e}"
 
 
-def test_antiderivative_rows_cover_all_degrees(nmodel, nloops):
-    rows = antiderivative_identity_rows(nmodel, nloops.gamma1)
+def test_antiderivative_rows_cover_all_degrees(nmodel, nloops, tp_conditions):
+    rows = antiderivative_identity_rows(nmodel, nloops.gamma1, tp_conditions, seed=0)
     assert [r.degree for r in rows] == [3, 4, 5, 6]
     assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("part, d", [("P", 3), ("R", 4), ("F", 5)])
+def test_antiderivative_rows_check_the_given_condition_set(nmodel, nloops, tp_conditions, part, d):
+    # the rows read the condition set they are given, the certificate's own:
+    # a defect planted in one of its P_d, R_d or F_d fails that degree's row
+    from holocert.conditions import ConditionSet
+    from holocert.mpoly import MPoly
+
+    planted = ConditionSet(dict(tp_conditions.P), dict(tp_conditions.R), dict(tp_conditions.F))
+    getattr(planted, part)[d] = getattr(planted, part)[d] + MPoly.var("b1")
+    rows = antiderivative_identity_rows(nmodel, nloops.gamma1, planted, seed=0)
+    assert [r.degree for r in rows if not r.passed] == [d]
 
 
 def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
@@ -84,7 +97,7 @@ def test_lemma_samples_keep_their_degrees(seed, n_samples, two_loop, forward):
     assert all(len(R) == 2 * d - 2 for d, R in drawn_forward)
 
 
-def test_planted_defect_fails_only_its_own_row(nmodel, nloops, monkeypatch):
+def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions, monkeypatch):
     # corrupt one integrand inside the two-loop stack (on gamma2 only) and
     # one inside the forward-vanishing stack; each must fail its own row
     # while every neighbour in the same stack still passes
@@ -104,7 +117,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, monkeypatch):
         return integrate_stack(loop, base0, integrals0, coeffs, field)
 
     monkeypatch.setattr(checks, "integrate_stack", corrupting)
-    rows = verify_integral_lemmas(nmodel, nloops, seed=3, n_samples=n_samples)
+    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=3, n_samples=n_samples)
     failed = [r.name for r in rows if not r.passed]
     assert failed == [f"integral-lemma-two-loops[{bad_two_loop}]", f"forward-vanishing[{bad_forward}]"]
     two_loop, forward = draw_lemma_samples(3, n_samples)
@@ -113,7 +126,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, monkeypatch):
 
 
 @pytest.mark.parametrize("n_samples, integrations", [(0, 12), (1, 15)])
-def test_every_family_integrates_through_integrate_stack(tp, monkeypatch, n_samples, integrations):
+def test_every_family_integrates_through_integrate_stack(tp, tp_conditions, monkeypatch, n_samples, integrations):
     # integrate_loop is counted only where integrate_stack looks it up, so a
     # family with a right-hand side of its own would be missed.  Jets: gamma1,
     # gamma2, mu1, mu2, reversed gamma1, mu2*mu1, gamma1 at the second radius
@@ -129,7 +142,7 @@ def test_every_family_integrates_through_integrate_stack(tp, monkeypatch, n_samp
         return original(rhs, loop, *args, **kwargs)
 
     monkeypatch.setattr(odepath, "integrate_loop", counting)
-    run_numeric_verification(tp, n_samples=n_samples)
+    run_numeric_verification(tp, tp_conditions, seed=0, n_samples=n_samples)
     assert len(loops) == integrations
 
 
@@ -161,7 +174,7 @@ def _planted(jets, label, d, defect):
 
 
 def test_a_perturbed_a2_of_gamma1_fails_exactly_the_rows_that_read_it(nmodel, nloops, loop_jets):
-    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, "gamma1", 2, lambda a: 1e-3 * abs(a)))
+    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, "gamma1", 2, lambda a: 1e-3 * abs(a)), seed=0)
     assert [r.name for r in rows if not r.passed] == [
         "reversed-loop-is-inverse-jet",
         "radius-independence",
@@ -178,7 +191,7 @@ def test_a_perturbed_a2_of_gamma1_fails_exactly_the_rows_that_read_it(nmodel, nl
 @pytest.mark.parametrize("label, d", [("mu1", 2), ("gamma1", 6)])
 def test_a_ten_percent_defect_fails_a_structural_row(nmodel, nloops, loop_jets, label, d):
     # +10 % on a_2 of mu1 also flips the reported convention
-    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, label, d, lambda a: 0.1 * a))
+    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, label, d, lambda a: 0.1 * a), seed=0)
     assert "Delta_b o Delta_a" in convention
     assert not all(r.passed for r in rows)
 
@@ -186,7 +199,7 @@ def test_a_ten_percent_defect_fails_a_structural_row(nmodel, nloops, loop_jets, 
 def test_commutator_tangency_is_near_rounding(nmodel, nloops, loop_jets):
     # at the default tolerance a1 = 1 holds to a few ulps on gamma1, five
     # orders of magnitude under the row's 1e-8 budget
-    rows, _ = structural_rows(nmodel, nloops, loop_jets)
+    rows, _ = structural_rows(nmodel, nloops, loop_jets, seed=0)
     by_name = {r.name: r for r in rows}
     assert by_name["commutator-tangency[gamma1]"].residual <= 1e-13
 

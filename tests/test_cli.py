@@ -220,7 +220,7 @@ def test_verify_numeric_emits_report_and_exit_tracks_all_pass(monkeypatch, tmp_p
     # its own tests and runs for real in the acceptance suite)
     import holocert.cli as cli
 
-    def fake_report(p, seed, n_samples):
+    def fake_report(p, conditions, seed, n_samples):
         row = {"name": "stub", "loop": "gamma1", "degree": 2, "residual": 0.0, "tolerance": 1e-6, "pass": True}
         return {
             "params": p.to_dict(),
@@ -242,8 +242,8 @@ def test_verify_numeric_emits_report_and_exit_tracks_all_pass(monkeypatch, tmp_p
     assert doc["all_pass"] is True
     assert set(doc["checks"][0]) == {"name", "loop", "degree", "residual", "tolerance", "pass"}
 
-    def failing_report(p, seed, n_samples):
-        doc = fake_report(p, seed, n_samples)
+    def failing_report(p, conditions, seed, n_samples):
+        doc = fake_report(p, conditions, seed, n_samples)
         doc["all_pass"] = False
         doc["failed"] = ["stub"]
         return doc
@@ -259,8 +259,8 @@ def test_inconclusive_verdict_exits_one(monkeypatch, tmp_path, capsys):
 
     real = cli.certify
 
-    def doctored(p, conditions=None):
-        cert = real(p, conditions=conditions)
+    def doctored(p):
+        cert = real(p)
         return dataclasses.replace(cert, verdict="INCONCLUSIVE", reasons=("det34 = 0",))
 
     monkeypatch.setattr(cli, "certify", doctored)

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from holocert.conditions import build_P, build_condition_set, build_q, h_jets
 from holocert.gaussian import gq
 from holocert.mpoly import MPoly, divides
 from holocert.normalform import expand_normal_form, expand_with_beta
+from holocert.obstruction import build_Md, functional_Fd, solve_Rd
 
 from conftest import random_gaussian, random_generic_params
 
@@ -13,7 +16,7 @@ BETA = ("b0", "b1", "b2")
 
 
 def _h(p, cs, beta=None):
-    """h_jets of a condition set built at beta (symbolic when None)."""
+    """h_jets of a condition set taken at beta (symbolic when None)."""
     e_beta = expand_with_beta(p) if beta is None else expand_normal_form(p.with_alpha(*beta))
     return h_jets(expand_normal_form(p), e_beta, cs.R[3], cs.R[4])
 
@@ -110,7 +113,7 @@ def test_P_missing_prerequisites_error(tp):
 def test_conditions_at_beta_alpha_all_zero(tp, rng):
     for p in [tp, random_generic_params(rng)]:
         beta = (p.alpha0, p.alpha1, p.alpha2)
-        cs = build_condition_set(p, beta=beta)
+        cs = build_condition_set(p).at(beta)
         for d in (3, 4, 5, 6):
             assert cs.P[d].is_zero()
             assert cs.R[d].is_zero()
@@ -134,12 +137,12 @@ def test_symbolic_degrees(tp):
         assert cs.R[d].degree("w") <= 2 * d - 3
 
 
-def test_generic_w_degree_at_random_numeric_beta(tp, rng):
+def test_generic_w_degree_at_random_numeric_beta(tp, tp_conditions, rng):
     # the bound deg_w P_d <= 2(d-1) always holds, with equality at generic
     # beta; the seeded samples below are checked to be generic
     for _ in range(3):
         beta = tuple(random_gaussian(rng) for _ in range(3))
-        cs = build_condition_set(tp, beta=beta)
+        cs = tp_conditions.at(beta)
         for d in (3, 4, 5, 6):
             assert cs.P[d].degree("w") == 2 * (d - 1), f"degenerate sample {beta} at d={d}"
 
@@ -158,15 +161,45 @@ def test_F4_affine_linear_after_fixing_b0(tp):
     assert cs.F[4].degree("b0") == 2  # quadratic in b0 before the substitution
 
 
-def test_defect_is_wfree_for_symbolic_and_numeric(tp, rng):
+def test_defect_is_wfree_for_symbolic_and_numeric(tp, tp_conditions, rng):
     from holocert.obstruction import apply_Ld
 
     for beta in (None, tuple(random_gaussian(rng) for _ in range(3))):
-        cs = build_condition_set(tp, beta=beta)
+        cs = tp_conditions if beta is None else tp_conditions.at(beta)
         for d in (3, 4, 5, 6):
             defect = apply_Ld(d, tp.lambda1, tp.lambda2, cs.R[d]) - cs.P[d]
             assert defect == cs.F[d]
             assert defect.degree("w") <= 0
+
+
+def _pipeline_at(p, beta):
+    """The degree 3..6 pipeline run from the expansion at a concrete beta,
+    the reference for the symbolic set taken at that beta."""
+    e_alpha, e_beta = expand_normal_form(p), expand_normal_form(p.with_alpha(*beta))
+    P, R, F = {}, {}, {}
+    for d in (3, 4, 5, 6):
+        P[d] = build_P(d, e_alpha, e_beta, R3=R.get(3), R4=R.get(4), R5=R.get(5))
+        M = build_Md(d, p.lambda1, p.lambda2)
+        R[d] = solve_Rd(M, P[d])
+        F[d] = functional_Fd(M, P[d], R[d])
+    return P, R, F
+
+
+@pytest.mark.parametrize("k", range(3), ids=["bundled", "generic0", "generic1"])
+def test_symbolic_set_at_a_numeric_beta_equals_the_pipeline_there(tp, k):
+    # at beta = alpha, at a small Gaussian rational and at the laboratory's
+    # own draw, whose dyadic coefficients have denominators of about 2^54
+    from holocert.numerics.checks import _random_beta
+
+    rng = random.Random(1601)
+    p = [tp, random_generic_params(rng), random_generic_params(rng)][k]
+    symbolic = build_condition_set(p)
+    for beta in ((p.alpha0, p.alpha1, p.alpha2), tuple(random_gaussian(rng) for _ in range(3)), _random_beta(1)):
+        cs = symbolic.at(beta)
+        P, R, F = _pipeline_at(p, beta)
+        for d in (3, 4, 5, 6):
+            assert cs.P[d] == P[d] and cs.R[d] == R[d] and cs.F[d] == F[d], f"d={d}, beta={beta}"
+            assert cs.F[d].is_constant() and set(cs.P[d].vars) <= {"w"} and set(cs.R[d].vars) <= {"w"}
 
 
 # -- h jets -------------------------------------------------------------------------

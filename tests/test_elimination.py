@@ -17,11 +17,6 @@ from conftest import random_gaussian, random_generic_params
 
 
 @pytest.fixture(scope="module")
-def tp_conditions(tp):
-    return build_condition_set(tp)
-
-
-@pytest.fixture(scope="module")
 def tp_chain(tp, tp_conditions):
     return resultant_chain(tp_conditions.F, tp.alpha0)
 
@@ -91,8 +86,8 @@ def test_substitution_commutes_with_resultant_spotcheck(tp, tp_conditions, rng):
         assert r_full == r_eval
 
 
-def test_certificate_unique_at_test_point(tp, tp_conditions):
-    cert = certify(tp, conditions=tp_conditions)
+def test_certificate_unique_at_test_point(tp):
+    cert = certify(tp)
     assert cert.verdict == VERDICT_UNIQUE
     assert cert.reasons == ()
     assert not cert.res3_6.is_zero()
@@ -110,21 +105,24 @@ def test_certificate_records_alt_point(tp, tp_conditions, rng):
 
 
 @pytest.mark.parametrize("d", [5, 6])
-def test_planted_defect_in_F_is_inconclusive(tp, d):
+def test_planted_defect_in_F_is_inconclusive(tp, d, monkeypatch):
     # beta = alpha must solve every condition; a constant added to F_d
     # breaks that, and certify must say so instead of running the chain
     # (which raises for F_5 and would pass F_6 as UNIQUE)
+    from holocert import elimination
+
     cs = build_condition_set(tp)
     cs.F[d] = cs.F[d] + gq(1)
-    cert = certify(tp, conditions=cs)
+    monkeypatch.setattr(elimination, "build_condition_set", lambda p: cs)
+    cert = certify(tp)
     assert cert.verdict == VERDICT_INCONCLUSIVE
     assert cert.reasons == (f"F_{d}(alpha) != 0",)
     assert cert.chain is None and cert.res3_6 is None
     assert cert.to_dict()["res3_6"] is None
 
 
-def test_certificate_json_shape(tp, tp_conditions):
-    doc = certify(tp, conditions=tp_conditions).to_dict()
+def test_certificate_json_shape(tp):
+    doc = certify(tp).to_dict()
     assert set(doc) == {
         "params",
         "genericity",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holocert.numerics.loops import Line, Loop, build_loops, concat
-from holocert.numerics.odepath import RTOL, integrate_loop
+from holocert.numerics.odepath import integrate_loop
 
 
 def winding_number(loop, p):
@@ -12,7 +12,7 @@ def winding_number(loop, p):
     def field(w, dw):
         return 0.0, lambda b: lambda y: dw / (w - p)
 
-    _, y, _ = integrate_loop(field, loop, np.zeros(0), [0.0], RTOL)[-1]
+    _, y, _ = integrate_loop(field, loop, np.zeros(0), [0.0])[-1]
     n = y[0] / (2j * math.pi)
     assert abs(n - round(n.real)) < 1e-9
     return round(n.real)

@@ -22,28 +22,28 @@ def base_only(rate):
 
 
 def test_exponential_growth_on_interval():
-    b, y, mass = integrate_fixed_interval(base_only(lambda t: 1.0), [1.0], EMPTY, rtol=1e-12)
+    b, y, mass = integrate_fixed_interval(base_only(lambda t: 1.0), [1.0], EMPTY)
     assert abs(b[0] - math.e) < 1e-10
     assert y.shape == (0,)
     assert abs(mass[0] - (math.e - 1.0)) < 1e-10  # the mass of b' = b
 
 
 def test_complex_rotation():
-    b, _, _ = integrate_fixed_interval(base_only(lambda t: 1j * math.pi), [1.0], EMPTY, rtol=1e-12)
+    b, _, _ = integrate_fixed_interval(base_only(lambda t: 1j * math.pi), [1.0], EMPTY)
     assert abs(b[0] + 1.0) < 1e-10  # e^{i pi} = -1
 
 
 def test_segment_pullback_line():
     # the integral of dw along a segment recovers the displacement
     seg = Line(0j, 2 + 1j)
-    _, y, _ = integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: seg.velocity(t)), EMPTY, [0.0], rtol=1e-12)
+    _, y, _ = integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: seg.velocity(t)), EMPTY, [0.0])
     assert abs(y[0] - (2 + 1j)) < 1e-10
 
 
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="there-and-back")
-    _, y, mass = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw), out_back, EMPTY, [0.0], rtol=1e-12)[-1]
+    _, y, mass = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw), out_back, EMPTY, [0.0])[-1]
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -51,23 +51,25 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), basepoint=1 + 0j, label="circle")
-    _, y, _ = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw / w), circle, EMPTY, [0.0], rtol=1e-12)[-1]
+    _, y, _ = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw / w), circle, EMPTY, [0.0])[-1]
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
-def test_segment_ends_come_in_path_order():
+def test_segment_ends_come_in_path_order(monkeypatch):
     # the integral of dw is the end point of each segment, and the mass its
     # arclength from the loop's start
     loop = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), basepoint=0j, label="wedge")
-    ends = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw), loop, EMPTY, [0.0], rtol=1e-10)
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
+    ends = integrate_loop(lambda w, dw: (0.0, lambda b: lambda y: dw), loop, EMPTY, [0.0])
     assert [y[0] for _, y, _ in ends] == [pytest.approx(1 + 0j), pytest.approx(0j, abs=1e-12)]
     assert [mass[0] for *_, mass in ends] == [pytest.approx(1.0), pytest.approx(2.0)]
 
 
-def test_nonfinite_state_raises():
+def test_nonfinite_state_raises(monkeypatch):
     # e^1000 leaves double precision on the first piece
+    monkeypatch.setattr(odepath, "RTOL", 1e-8)
     with pytest.raises(ODEError, match="non-finite state"):
-        integrate_fixed_interval(base_only(lambda t: 1000.0), [1.0], EMPTY, rtol=1e-8)
+        integrate_fixed_interval(base_only(lambda t: 1000.0), [1.0], EMPTY)
 
 
 @pytest.mark.parametrize("b0", [7e307, 9e307])
@@ -75,7 +77,7 @@ def test_a_state_near_the_double_range_keeps_finite_sums(b0):
     # b' = b/2 and y' = b: b(1) = b0 e^(1/2) and y(1) = 2 b0 (e^(1/2) - 1)
     # are finite, but a piece's sums before the scaling by its half-length
     # h/2 would be 2/h times larger and overflow
-    b, y, mass = integrate_fixed_interval(lambda t: (0.5, lambda b: lambda y: b), [b0], [0.0], rtol=1e-12)
+    b, y, mass = integrate_fixed_interval(lambda t: (0.5, lambda b: lambda y: b), [b0], [0.0])
     assert b[0] == pytest.approx(b0 * math.exp(0.5), rel=1e-13)
     assert y[0] == pytest.approx(b0 * (2.0 * (math.exp(0.5) - 1.0)), rel=1e-13)
     assert np.all(np.isfinite(mass))
@@ -87,31 +89,32 @@ def test_an_overflow_before_the_fixed_point_is_no_breakdown():
     def f(t):
         return 0.0, lambda b: lambda y: [np.ones_like(t), np.exp(2000.0 * (t - y[0]))]
 
-    _, y, _ = integrate_fixed_interval(f, EMPTY, [0.0, 0.0], rtol=1e-12)
+    _, y, _ = integrate_fixed_interval(f, EMPTY, [0.0, 0.0])
     assert abs(y[1] - 1.0) < 1e-12
 
 
 def test_field_reading_its_own_integral_is_rejected():
     # y' = y is no iterated integral: the sweeps never reach a fixed point
     with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [1.0], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [1.0])
 
 
 def test_no_fixed_point_before_an_overflow_is_still_rejected():
     # y' = y from 6e307: the second piece's state overflows, so only the
     # first must settle, and it does not
     with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [6e307], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [6e307])
 
 
 def test_jump_exhausts_the_splitting_depth():
     # a jump keeps the Chebyshev tail of the piece holding it at O(1)
     with pytest.raises(ODEError, match="tail above rtol"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: (t > 1 / 3) + 0j), EMPTY, [0.0], rtol=1e-12)
+        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: (t > 1 / 3) + 0j), EMPTY, [0.0])
 
 
-def _pulse_run(rtol):
+def _pulse_run(monkeypatch, rtol):
     # a narrow rotation pulse: the pieces around it must be split
+    monkeypatch.setattr(odepath, "RTOL", rtol)
     amp, centre, width = 30.0, 0.5, 0.02
     pieces = set()
 
@@ -120,19 +123,19 @@ def _pulse_run(rtol):
         pieces.update(map(tuple, t.reshape(-1, odepath.N)))
         return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), lambda b: lambda y: 0.0
 
-    b, _, _ = integrate_fixed_interval(f, [1.0], EMPTY, rtol=rtol)
+    b, _, _ = integrate_fixed_interval(f, [1.0], EMPTY)
     phase = amp * width * math.sqrt(math.pi) / 2 * (math.erf((1 - centre) / width) + math.erf(centre / width))
     return len(pieces), abs(b[0] - cmath.exp(1j * phase))
 
 
-def test_split_pieces_keep_the_closed_form():
-    pieces, err = _pulse_run(1e-10)
+def test_split_pieces_keep_the_closed_form(monkeypatch):
+    pieces, err = _pulse_run(monkeypatch, 1e-10)
     assert pieces > odepath.PIECES
     assert err < 1e-9
 
 
-def test_accuracy_scales_with_rtol():
-    loose, tight = _pulse_run(1e-5), _pulse_run(1e-12)
+def test_accuracy_scales_with_rtol(monkeypatch):
+    loose, tight = _pulse_run(monkeypatch, 1e-5), _pulse_run(monkeypatch, 1e-12)
     assert tight[0] >= loose[0]
     assert tight[1] <= loose[1]
 
@@ -144,7 +147,7 @@ def _line_loop(n):
     return Loop(segments, basepoint=0j, label="line")
 
 
-def test_a_split_segment_leaves_its_neighbours_alone():
+def test_a_split_segment_leaves_its_neighbours_alone(monkeypatch):
     # a narrow pulse on segment 1 only: segments 0 and 2 keep their initial
     # pieces, although they share blocks with the pieces of segment 1 that fail
     amp, width = 30.0, 0.02
@@ -160,14 +163,15 @@ def test_a_split_segment_leaves_its_neighbours_alone():
         rate = np.where(on, 1j * (0.3 + amp * np.exp(-(((w.real - 1.5) / width) ** 2))), 0.0)
         return rate * dw, lambda b: lambda y: np.where(on, b[0], 0.0) * dw
 
-    b, _, _ = integrate_loop(field, loop, [1.0], [0.0], rtol=1e-10)[-1]
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
+    b, _, _ = integrate_loop(field, loop, [1.0], [0.0])[-1]
     assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES
     assert len(nodes[1]) > odepath.PIECES
     phase = 0.9 + amp * width * math.sqrt(math.pi) * math.erf(0.5 / width)
     assert abs(b[0] - cmath.exp(1j * phase)) < 1e-9
 
 
-def test_nonfinite_state_names_the_first_segment_that_overflows():
+def test_nonfinite_state_names_the_first_segment_that_overflows(monkeypatch):
     # segment 0 must be split and segment 2 overflows (e^1000); the pieces of
     # segment 3 and later, solved in the same block, go non-finite too, but
     # the error names segment 2 and is no "no fixed point" ValueError
@@ -179,8 +183,9 @@ def test_nonfinite_state_names_the_first_segment_that_overflows():
         rate = np.where(dw.real > 0, pulse + np.where((x > 2.0) & (x < 3.0), 1000.0, 0.0), 0.0)
         return rate * dw, lambda b: lambda y: b[0] * dw
 
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
     with pytest.raises(ODEError, match=r"^loop 'line', segment 2: non-finite state$"):
-        integrate_loop(field, loop, [1.0], [0.0], rtol=1e-10)
+        integrate_loop(field, loop, [1.0], [0.0])
 
 
 def _counted_pulse_field(m, fields, bindings, sweeps):
@@ -215,13 +220,14 @@ def _counted_pulse_field(m, fields, bindings, sweeps):
     return field
 
 
-def test_the_field_runs_once_per_block_and_its_integrands_once_per_sweep():
+def test_the_field_runs_once_per_block_and_its_integrands_once_per_sweep(monkeypatch):
     # the rate and every w-only term belong to the field, every term in the
     # solved base to the binding, and each sweep calls only the integrals'
     # function of the block being solved: at most m + 1 times for m
     # integrals.  The pulse splits pieces, so the loop takes several blocks.
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, sweeps = [], [], []
-    integrate_loop(_counted_pulse_field(2, fields, bindings, sweeps), _line_loop(3), [1.0], [0.0, 0.0], rtol=1e-10)
+    integrate_loop(_counted_pulse_field(2, fields, bindings, sweeps), _line_loop(3), [1.0], [0.0, 0.0])
     assert len(sweeps) > 1
     assert fields == bindings == list(range(len(sweeps)))
     assert all(1 <= n <= 2 + 1 for n in sweeps)
@@ -240,8 +246,9 @@ def test_a_settling_sweep_takes_no_product(m, monkeypatch):
         return per_row(a, matrix, out=out)
 
     monkeypatch.setattr(odepath, "_per_row", counted)
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, sweeps = [], [], []
-    integrate_loop(_counted_pulse_field(m, fields, bindings, sweeps), _line_loop(3), [1.0], [0.0] * m, rtol=1e-10)
+    integrate_loop(_counted_pulse_field(m, fields, bindings, sweeps), _line_loop(3), [1.0], [0.0] * m)
     assert len(sweeps) > 1
     assert sum(products) == len(sweeps) + sum(n - 1 for n in sweeps)
     assert len(products) - sum(products) == len(sweeps)  # the tail tests, one per block
@@ -249,18 +256,19 @@ def test_a_settling_sweep_takes_no_product(m, monkeypatch):
         assert sweeps == [2] * len(sweeps)
 
 
-def test_a_base_alone_takes_no_sweep():
+def test_a_base_alone_takes_no_sweep(monkeypatch):
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, sweeps = [], [], []
-    integrate_loop(_counted_pulse_field(0, fields, bindings, sweeps), _line_loop(3), [1.0], EMPTY, rtol=1e-10)
+    integrate_loop(_counted_pulse_field(0, fields, bindings, sweeps), _line_loop(3), [1.0], EMPTY)
     assert len(sweeps) > 1
     assert fields == bindings == list(range(len(sweeps)))
     assert not any(sweeps)
 
 
-def _piece_by_piece(field, loop, b0, y0, rtol):
+def _piece_by_piece(field, loop, b0, y0):
     """The reference for integrate_loop: each piece solved alone from its
-    accepted start state, split while its tail test fails, with the
-    arithmetic that the blocks must reproduce bit for bit."""
+    accepted start state, split while its tail test at odepath.RTOL fails,
+    with the arithmetic that the blocks must reproduce bit for bit."""
     N, X, C = odepath.N, np.polynomial.chebyshev.chebpts1(odepath.N), odepath._CUMSUM
     b, y = np.asarray(b0, dtype=complex), np.asarray(y0, dtype=complex)
     nb, m = b.size, y.size
@@ -284,7 +292,7 @@ def _piece_by_piece(field, loop, b0, y0, rtol):
                 state[nb:] = y[:, None] + ((h / 2.0 * derivs) @ C)[nb:]
             coeffs = np.abs(derivs @ odepath._TO_COEFFS.T)
             tail, top = coeffs[:, -odepath.TAIL :].max(axis=1, initial=0.0), coeffs.max(axis=1, initial=0.0)
-            if np.any(tail > rtol * top + odepath.ATOL):
+            if np.any(tail > odepath.RTOL * top + odepath.ATOL):
                 todo += [(a + h / 2.0, h / 2.0), (a, h / 2.0)]
                 continue
             moduli = np.abs(np.concatenate((derivs[:nb] * state[:nb, :N], derivs[nb:])))
@@ -296,7 +304,7 @@ def _piece_by_piece(field, loop, b0, y0, rtol):
 
 
 @pytest.mark.parametrize("poison", [False, True])
-def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
+def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison, monkeypatch):
     # y0 takes a pulse on segment 0 and is constant after it, and on segment
     # 1 the integrand (y0 - Y) cos(100 w) vanishes from the accepted state,
     # where y0 = Y: the pieces of segment 1 pass there, but fail from the
@@ -324,8 +332,9 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison):
 
             return 0.0, lambda b: sweep
 
-        return integrate(field, loop, EMPTY, [0.0, 0.0, 0.0], rtol=1e-10)
+        return integrate(field, loop, EMPTY, [0.0, 0.0, 0.0])
 
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
     Y = run(0.0, set())[0][1][0]  # y0 at the end of segment 0, which the integrand y1 does not touch
     assert abs(Y - 2.0 * math.sqrt(math.pi)) < 1e-9
     if poison:
@@ -359,6 +368,7 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
     # segments.  A block of one piece takes the (rows, N) product of a lone
     # piece, which a product of the base's rows alone would not round like.
     monkeypatch.setattr(odepath, "BLOCK", block)
+    monkeypatch.setattr(odepath, "RTOL", 1e-11)
     loop = _line_loop(4)
     rates = np.array([1j * math.pi, -0.7 + 2.0j, 0.3 - 0.1j])[:nb, None]
 
@@ -368,7 +378,7 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
         return rate * dw, lambda b: lambda y: [np.cos(3 * w) * b[-1] * dw, y[0] * b[0] * dw]
 
     def run(integrate):
-        return integrate(field, loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], rtol=1e-11)
+        return integrate(field, loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j])
 
     blocks, pieces = run(integrate_loop), run(_piece_by_piece)
     assert len(blocks) == len(pieces) == len(loop.segments)
@@ -378,7 +388,7 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
 
 
 @pytest.mark.parametrize("n, k", [(1, 2), (1, 8), (2, 4)])
-def test_stacked_copies_match_single_system_bit_for_bit(n, k):
+def test_stacked_copies_match_single_system_bit_for_bit(n, k, monkeypatch):
     # k copies of an n-component system (bases b' = rate b, integrals
     # y' = cos(3t) b): every copy must reproduce the single-system result
     # exactly, so no arithmetic mixes the rows of the state
@@ -388,8 +398,9 @@ def test_stacked_copies_match_single_system_bit_for_bit(n, k):
     def copies(c):
         return lambda t: (np.tile(rates, c)[:, None], lambda b: lambda y: np.cos(3 * t) * b)
 
-    single = integrate_fixed_interval(copies(1), b0, np.zeros(n), rtol=1e-10)
-    stacked = integrate_fixed_interval(copies(k), np.tile(b0, k), np.zeros(n * k), rtol=1e-10)
+    monkeypatch.setattr(odepath, "RTOL", 1e-10)
+    single = integrate_fixed_interval(copies(1), b0, np.zeros(n))
+    stacked = integrate_fixed_interval(copies(k), np.tile(b0, k), np.zeros(n * k))
     for copy in range(k):
         sl = slice(copy * n, (copy + 1) * n)
         assert np.array_equal(stacked[0][sl], single[0])

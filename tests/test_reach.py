@@ -92,3 +92,26 @@ def test_every_function_is_reached_by_a_command(tmp_path, capsys):
                for f, name, line in reached if Path(f).resolve().is_relative_to(root)}
     unreached = {(rel, name) for rel, name, line in _defined(root) - reached}
     assert unreached == set(KEPT)
+
+
+def test_certify_builds_one_condition_set(tmp_path, capsys):
+    # the laboratory takes the certificate's own condition set: one symbolic
+    # build, whose six q polynomials join the three of each float model (at
+    # alpha, and at the structural rows' other alpha)
+    import holocert.conditions
+
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == holocert.conditions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code = main(["certify", "--samples", "1", "--out", str(tmp_path / "cert.json")])
+    finally:
+        sys.setprofile(None)
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert calls.count("build_condition_set") == 1
+    assert calls.count("build_q") == 12

@@ -2,11 +2,12 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs three commands at 48 points, once with this tree's src/ and once with
+Runs four commands at 48 points, once with this tree's src/ and once with
 PARENT_CHECKOUT's src/ on PYTHONPATH, with the same command line in the
 same temporary directory:
 
     certify                                   (default flags)
+    conditions                                (F_3..F_6)
     verify-numeric --samples 4 --seed 3
     verify-numeric --samples 0
 
@@ -44,6 +45,7 @@ from holocert.normalform import FoliationParams  # noqa: E402
 
 COMMANDS = {
     "certify": ["certify"],
+    "conditions": ["conditions"],
     "numeric-s4-seed3": ["verify-numeric", "--samples", "4", "--seed", "3"],
     "numeric-s0": ["verify-numeric", "--samples", "0"],
 }
