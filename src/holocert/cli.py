@@ -83,7 +83,7 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, **kwa
 def cmd_expand(args) -> int:
     p = _load_params(args.params)
     _require_genericity(p)
-    e = expand_normal_form(p)
+    e = expand_normal_form(p, args.dmax)
     lines = [f"lambda3 = {p.lambda3}", f"sigma = {p.sigma}", f"eta = {p.eta}", ""]
     for d in range(1, args.dmax + 1):
         lines.append(f"c{d} = {e.c[d]}")

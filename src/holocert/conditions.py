@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .gaussian import gq
 from .mpoly import MPoly
 from .normalform import (
+    DMAX,
     FoliationParams,
     NormalFormExpansion,
     W,
@@ -58,8 +59,9 @@ def build_q(e: NormalFormExpansion, d: int) -> MPoly:
     raise ValueError(f"q_d is defined for d in 4..6, got {d}")
 
 
-def _q(e: NormalFormExpansion, d: int) -> MPoly:
-    """build_q(e, d), built once per expansion: P_4 and P_6 both use ~q4."""
+def q_of(e: NormalFormExpansion, d: int) -> MPoly:
+    """build_q(e, d), built once per expansion: P_4 and P_6 both use ~q4, and
+    the laboratory's float model reads the q_d at alpha."""
     if d not in e.q:
         e.q[d] = build_q(e, d)
     return e.q[d]
@@ -86,18 +88,18 @@ def build_P(
     if d == 4:
         if R3 is None:
             raise ValueError("P4 needs R3")
-        return _q(e_beta, 4) - _q(e_alpha, 4) - S[2] * R3
+        return q_of(e_beta, 4) - q_of(e_alpha, 4) - S[2] * R3
     if d == 5:
         if R4 is None:
             raise ValueError("P5 needs R4")
-        return _q(e_beta, 5) - _q(e_alpha, 5) - 2 * S[2] * R4
+        return q_of(e_beta, 5) - q_of(e_alpha, 5) - 2 * S[2] * R4
     if d == 6:
         if R3 is None or R4 is None or R5 is None:
             raise ValueError("P6 needs R3, R4 and R5")
         return (
-            _q(e_beta, 6)
-            - _q(e_alpha, 6)
-            + _q(e_beta, 4) * R3
+            q_of(e_beta, 6)
+            - q_of(e_alpha, 6)
+            + q_of(e_beta, 4) * R3
             - _HALF * S[2] * R3**2
             - S[3] * R4
             - 3 * S[2] * R5
@@ -137,8 +139,10 @@ def _as_poly(x) -> MPoly:
 
 @dataclass
 class ConditionSet:
-    """Per-degree bundle of the exact pipeline outputs, symbolic in beta."""
+    """Per-degree bundle of the exact pipeline outputs, symbolic in beta, with
+    the expansion at alpha they compare against (and its memoised q_d)."""
 
+    e_alpha: NormalFormExpansion
     P: dict[int, MPoly] = field(default_factory=dict)
     R: dict[int, MPoly] = field(default_factory=dict)
     F: dict[int, MPoly] = field(default_factory=dict)
@@ -153,14 +157,15 @@ class ConditionSet:
                 poly = poly.substitute(name, value)
             return poly
 
-        return ConditionSet(*({d: sub(f) for d, f in part.items()} for part in (self.P, self.R, self.F)))
+        parts = (self.P, self.R, self.F)
+        return ConditionSet(self.e_alpha, *({d: sub(f) for d, f in part.items()} for part in parts))
 
 
 def build_condition_set(p: FoliationParams) -> ConditionSet:
     """Run the full degree 3..6 pipeline at alpha versus the symbols b0, b1, b2:
     P_d and R_d come out as polynomials in w and beta, F_d in beta."""
-    e_alpha, e_beta = expand_normal_form(p), expand_with_beta(p)
-    cs = ConditionSet()
+    e_alpha, e_beta = expand_normal_form(p, DMAX), expand_with_beta(p)
+    cs = ConditionSet(e_alpha)
     for d in (3, 4, 5, 6):
         P = build_P(d, e_alpha, e_beta, R3=cs.R.get(3), R4=cs.R.get(4), R5=cs.R.get(5))
         M = build_Md(d, p.lambda1, p.lambda2)

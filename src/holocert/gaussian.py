@@ -110,14 +110,17 @@ class GaussianRational:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussianRational(1)
+        if n == 0:
+            return GaussianRational(1)
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def inverse(self) -> "GaussianRational":
         n = self.norm()

@@ -11,8 +11,14 @@ in ``vars`` occurs in some term, and ``vars`` follows the canonical order
 w < b2 < b1 < b0 (then any other name alphabetically), matching the
 elimination order beta2, beta1, beta0.  Equal polynomials therefore have
 equal fields and equal hashes.  Ring operations work on the ints and
-bring each result to the canonical form once, with one content gcd; a
-coefficient product costs four integer multiplies and no gcd at all.
+bring each result to the canonical form once.  Sums, derivatives and
+coefficient extraction divide out the content gcd and then drop the
+variables no term uses.  A product skips that second pass: Z[i] has no
+zero divisors, so a product of nonzero factors, or a nonzero scaling,
+has a term in every variable of either factor, and only the content
+gcd is divided out.  A product packs each exponent vector into one int
+and unpacks the sums once; a coefficient product costs four integer
+multiplies and no gcd at all.  Powers square only up to the last bit.
 Constructors take GaussianRational coefficients, and ``terms`` returns
 a read-only {exps: GaussianRational} built on each access.
 
@@ -188,11 +194,11 @@ class MPoly:
                     acc[k] = (ar * br - ai * bi, ar * bi + ai * br)
                 else:
                     acc[k] = (t[0] + ar * br - ai * bi, t[1] + ar * bi + ai * br)
-        n, mask = len(vars), (1 << shift) - 1
-        num = {
-            tuple((k >> (shift * i)) & mask for i in range(n)): c for k, c in acc.items() if c[0] or c[1]
-        }
-        return _make(vars, num, self.den * o.den)
+        unpack = _unpacker(len(vars), shift)
+        num = {unpack(k): c for k, c in acc.items() if c[0] or c[1]}
+        # Z[i] has no zero divisors: a product of nonzero factors has a term
+        # in every variable of either, so only the content can be divided out
+        return _raw(vars, *_content(num, self.den * o.den))
 
     __rmul__ = __mul__
 
@@ -211,14 +217,17 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise MPolyError("polynomial power wants a nonnegative integer")
-        out = MPoly.one()
+        if n == 0:
+            return MPoly.one()
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     # -- calculus and substitution ------------------------------------------
 
@@ -316,6 +325,18 @@ def _canonical(vars: tuple, num: dict, den: int) -> tuple[tuple, dict, int]:
     """
     if not num:
         return (), num, 1
+    num, den = _content(num, den)
+    if vars:
+        used = [any(col) for col in zip(*num)]
+        if not all(used):
+            keep = [i for i, u in enumerate(used) if u]
+            vars = tuple(vars[i] for i in keep)
+            num = {tuple(e[i] for i in keep): c for e, c in num.items()}
+    return vars, num, den
+
+
+def _content(num: dict, den: int) -> tuple[dict, int]:
+    """num and den divided by the gcd of den and every re and im."""
     if den != 1:
         g = den
         for re, im in num.values():
@@ -325,13 +346,7 @@ def _canonical(vars: tuple, num: dict, den: int) -> tuple[tuple, dict, int]:
         else:
             num = {e: (re // g, im // g) for e, (re, im) in num.items()}
             den //= g
-    if vars:
-        used = [any(col) for col in zip(*num)]
-        if not all(used):
-            keep = [i for i, u in enumerate(used) if u]
-            vars = tuple(vars[i] for i in keep)
-            num = {tuple(e[i] for i in keep): c for e, c in num.items()}
-    return vars, num, den
+    return num, den
 
 
 def _make(vars: tuple, num: dict, den: int) -> MPoly:
@@ -354,6 +369,21 @@ def _pack(exps: tuple, shift: int) -> int:
     for x in reversed(exps):
         k = (k << shift) | x
     return k
+
+
+def _unpacker(n: int, shift: int):
+    """The inverse of _pack for n variables: the top field needs no mask."""
+    m = (1 << shift) - 1
+    s2, s3 = 2 * shift, 3 * shift
+    if n == 1:
+        return lambda k: (k,)
+    if n == 2:
+        return lambda k: (k & m, k >> shift)
+    if n == 3:
+        return lambda k: (k & m, (k >> shift) & m, k >> s2)
+    if n == 4:
+        return lambda k: (k & m, (k >> shift) & m, (k >> s2) & m, k >> s3)
+    return lambda k: tuple((k >> (shift * i)) & m for i in range(n))
 
 
 def _add(a: MPoly, b: MPoly, sign: int) -> MPoly:
@@ -385,7 +415,8 @@ def _scale(p: MPoly, re: int, im: int, den: int) -> MPoly:
         num = _times(p.num, re)
     else:
         num = {e: (a * re - b * im, a * im + b * re) for e, (a, b) in p.num.items()}
-    return _make(p.vars, num, p.den * den)
+    # a nonzero scalar keeps every term nonzero, so every variable stays
+    return _raw(p.vars, *_content(num, p.den * den))
 
 
 def _as_gq(c) -> GaussianRational:

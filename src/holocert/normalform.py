@@ -172,7 +172,7 @@ def validate_genericity(p: FoliationParams) -> GenericityReport:
 
 @dataclass(frozen=True)
 class NormalFormExpansion:
-    """Closed-form splitting data K_d = c_d K1 + S_d / r^d for d <= 6.
+    """Closed-form splitting data K_d = c_d K1 + S_d / r^d for d <= dmax <= 6.
 
     For a plain parameter point the c_d are Gaussian rationals and the S_d
     live in Q(i)[w].  When the normal-form parameters are left symbolic
@@ -184,8 +184,10 @@ class NormalFormExpansion:
     q: dict = field(default_factory=dict, compare=False, repr=False)  # degree -> q_d, once built
 
 
-def _closed_form_table(lambda1, lambda2, a0, a1, a2):
-    """The degree <= 6 table of c_d and S_d; a0, a1, a2 may be symbols."""
+def _closed_form_table(lambda1, lambda2, a0, a1, a2, dmax: int):
+    """The table of c_d and S_d for d <= dmax (at most 6); a0, a1, a2 may be symbols."""
+    if not 1 <= dmax <= DMAX:
+        raise ValueError(f"dmax must lie in 1..{DMAX}, got {dmax}")
     r = r_of(W)
     s = s_of(lambda1, lambda2, W)
     p = p_of(a1, a2, W)
@@ -193,25 +195,26 @@ def _closed_form_table(lambda1, lambda2, a0, a1, a2):
     eta = a1 + a2
     one_minus = 1 - sigma
 
+    # each entry is built only when its degree is asked for
     c = {
-        1: MPoly.one(),
-        2: a0 * one_minus,
-        3: -(a0**2) * sigma * one_minus,
-        4: a0**3 * sigma**2 * one_minus,
-        5: -(a0**4) * sigma**3 * one_minus,
-        6: a0**5 * sigma**4 * one_minus,
+        1: MPoly.one,
+        2: lambda: a0 * one_minus,
+        3: lambda: -(a0**2) * sigma * one_minus,
+        4: lambda: a0**3 * sigma**2 * one_minus,
+        5: lambda: -(a0**4) * sigma**3 * one_minus,
+        6: lambda: a0**5 * sigma**4 * one_minus,
     }
     S = {
-        2: r,
-        3: -s * p * r + (eta - a0 * sigma) * r**2,
-        4: -p * r**2 + a0 * (2 * sigma - 1) * s * p * r**2 + a0 * sigma * (a0 * sigma - eta) * r**3,
-        5: (
+        2: lambda: r,
+        3: lambda: -s * p * r + (eta - a0 * sigma) * r**2,
+        4: lambda: -p * r**2 + a0 * (2 * sigma - 1) * s * p * r**2 + a0 * sigma * (a0 * sigma - eta) * r**3,
+        5: lambda: (
             s * p**2 * r**2
             + (2 * a0 * sigma - eta) * p * r**3
             + a0**2 * sigma * (2 - 3 * sigma) * s * p * r**3
             + a0**2 * sigma**2 * (eta - a0 * sigma) * r**4
         ),
-        6: (
+        6: lambda: (
             p**2 * r**3
             + a0 * (1 - 3 * sigma) * s * p**2 * r**3
             + (2 * a0 * sigma * eta - 3 * a0**2 * sigma**2) * p * r**4
@@ -219,23 +222,23 @@ def _closed_form_table(lambda1, lambda2, a0, a1, a2):
             + a0**3 * sigma**3 * (a0 * sigma - eta) * r**5
         ),
     }
-    return c, S
+    return {d: f() for d, f in c.items() if d <= dmax}, {d: f() for d, f in S.items() if d <= dmax}
 
 
-def expand_normal_form(p: FoliationParams) -> NormalFormExpansion:
-    """Exact c_d and S_d at a parameter point, d = 1..6 (c) and 2..6 (S)."""
+def expand_normal_form(p: FoliationParams, dmax: int) -> NormalFormExpansion:
+    """Exact c_d and S_d at a parameter point, d = 1..dmax (c) and 2..dmax (S)."""
     a0 = MPoly.const(p.alpha0)
     a1 = MPoly.const(p.alpha1)
     a2 = MPoly.const(p.alpha2)
-    c, S = _closed_form_table(p.lambda1, p.lambda2, a0, a1, a2)
+    c, S = _closed_form_table(p.lambda1, p.lambda2, a0, a1, a2, dmax)
     c_vals = {d: cd.as_constant() for d, cd in c.items()}
     return NormalFormExpansion(c_vals, S)
 
 
 def expand_with_beta(p: FoliationParams) -> NormalFormExpansion:
-    """Same table with the normal-form parameters replaced by symbols b0, b1, b2."""
+    """The whole table with the normal-form parameters replaced by symbols b0, b1, b2."""
     b0, b1, b2 = (MPoly.var(name) for name in BETA_VARS)
-    c, S = _closed_form_table(p.lambda1, p.lambda2, b0, b1, b2)
+    c, S = _closed_form_table(p.lambda1, p.lambda2, b0, b1, b2, DMAX)
     return NormalFormExpansion(c, S)
 
 
@@ -294,7 +297,7 @@ def series_oracle(p: FoliationParams, dmax: int = DMAX) -> dict[int, MPoly]:
 
 def oracle_defects(p: FoliationParams, dmax: int = DMAX) -> dict[int, MPoly]:
     """A_d - c_d r^(d-1) s - S_d for d = 2..dmax; all zero iff table and oracle agree."""
-    exp = expand_normal_form(p)
+    exp = expand_normal_form(p, dmax)
     A = series_oracle(p, dmax)
     r = r_of(W)
     s = s_of(p.lambda1, p.lambda2, W)

@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as npp
 
 from ..conditions import ConditionSet
 from ..gaussian import GaussianRational
-from ..normalform import FoliationParams, L_d, r_of
+from ..normalform import FoliationParams, L_d, expand_normal_form, r_of
 from . import ODEError
 from .holonomy import (
     FloatModel,
@@ -369,8 +369,10 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int)
     residual = abs(a22 / a21 - target) / abs(target) if a21 != 0 else math.inf
     rows.append(_row("a22-ratio-is-1-plus-nu1", "gamma2", 2, residual, LEMMA_TOLERANCE))
 
-    # quadratic coefficient is beta-independent: perturb the alpha parameters
-    model_beta = float_model(model.params.with_alpha(*_random_beta(seed + 2)))
+    # quadratic coefficient is beta-independent: perturb the alpha parameters;
+    # the order-2 jets read c_2 and S_2 only, so only those are expanded
+    p_beta = model.params.with_alpha(*_random_beta(seed + 2))
+    model_beta = float_model(p_beta, expand_normal_form(p_beta, 2))
     for label, lp in (("gamma1", loops.gamma1), ("gamma2", loops.gamma2)):
         tilde = integrate_variations(model_beta, lp, order=2)
         base = jets[label]
@@ -383,8 +385,9 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int)
 
 def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed: int, n_samples: int) -> dict:
     """Full numeric report on p and its symbolic condition set, the one its
-    certificate rests on: deterministic given (params, seed, n_samples)."""
-    model = float_model(p)
+    certificate rests on: deterministic given (params, seed, n_samples).  The
+    float model is read off the set's own expansion at alpha."""
+    model = float_model(p, conditions.e_alpha)
     loops = build_loops(RADIUS)
     # each loop's jet is integrated once and serves every row family
     jets = {lp.label: integrate_variations(model, lp) for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)}

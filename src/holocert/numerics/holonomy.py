@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conditions import build_q
+from ..conditions import q_of
 from ..mpoly import MPoly
-from ..normalform import FoliationParams, expand_normal_form, r_of, s_of
+from ..normalform import FoliationParams, NormalFormExpansion, r_of, s_of
 from . import ODEError
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
@@ -54,7 +54,7 @@ def _to_coeff_array(poly: MPoly) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FloatModel:
-    """Float view of one parameter set's expansion data."""
+    """Float view of one parameter set's expansion data, to the degree it was expanded."""
 
     params: FoliationParams
     lam1: complex
@@ -67,11 +67,12 @@ class FloatModel:
         return cmath.exp(2j * math.pi * self.lam1)
 
 
-def float_model(p: FoliationParams) -> FloatModel:
-    e = expand_normal_form(p)
-    c = {d: (e.c[d].to_complex() if d > 1 else 1.0 + 0j) for d in range(1, 7)}
-    S = {d: _to_coeff_array(e.S[d]) for d in range(2, 7)}
-    q = {d: _to_coeff_array(build_q(e, d)) for d in (4, 5, 6)}
+def float_model(p: FoliationParams, e: NormalFormExpansion) -> FloatModel:
+    """The float view of e, the expansion of p: the model holds the c_d and S_d
+    of the degrees e holds and the q_d those reach, so reading another fails."""
+    c = {d: cd.to_complex() for d, cd in e.c.items()}
+    S = {d: _to_coeff_array(Sd) for d, Sd in e.S.items()}
+    q = {d: _to_coeff_array(q_of(e, d)) for d in (4, 5, 6) if d in e.S}
     return FloatModel(p, p.lambda1.to_complex(), p.lambda2.to_complex(), c, S, q)
 
 

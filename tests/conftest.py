@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from holocert.gaussian import GaussianRational
-from holocert.normalform import FoliationParams, validate_genericity, verification_point
+from holocert.normalform import DMAX, FoliationParams, expand_normal_form, validate_genericity, verification_point
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +86,7 @@ def nloops():
 def nmodel(tp):
     from holocert.numerics.holonomy import float_model
 
-    return float_model(tp)
+    return float_model(tp, expand_normal_form(tp, DMAX))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,14 @@ from holocert.conditions import build_condition_set
 from holocert.elimination import certify, linear_system_solve, resultant_chain
 from holocert.gaussian import GaussianRational, gq
 from holocert.mpoly import MPoly, divides
-from holocert.normalform import FoliationParams, oracle_defects, validate_genericity, verification_point
+from holocert.normalform import (
+    DMAX,
+    FoliationParams,
+    expand_normal_form,
+    oracle_defects,
+    validate_genericity,
+    verification_point,
+)
 from holocert.numerics.checks import DEGREE_TOLERANCES, verify_integral_lemmas, verify_variation_formulas
 from holocert.numerics.holonomy import float_model, integrate_variations
 from holocert.numerics.jets import invert, jet_distance
@@ -117,7 +124,7 @@ def test_criterion_5_holonomy_formula_validation(loop_jets):
     loops = build_loops(0.5)
     worst = {d: 0.0 for d in range(2, 7)}
     for k, p in enumerate(params):
-        model = float_model(p)
+        model = float_model(p, expand_normal_form(p, DMAX))
         for loop in (loops.gamma1, loops.gamma2):
             # the fixture holds the verification point's jets
             jet = loop_jets[loop.label] if k == 0 else integrate_variations(model, loop)

@@ -37,7 +37,7 @@ def test_antiderivative_rows_check_the_given_condition_set(nmodel, nloops, tp_co
     from holocert.conditions import ConditionSet
     from holocert.mpoly import MPoly
 
-    planted = ConditionSet(dict(tp_conditions.P), dict(tp_conditions.R), dict(tp_conditions.F))
+    planted = ConditionSet(tp_conditions.e_alpha, dict(tp_conditions.P), dict(tp_conditions.R), dict(tp_conditions.F))
     getattr(planted, part)[d] = getattr(planted, part)[d] + MPoly.var("b1")
     rows = antiderivative_identity_rows(nmodel, nloops.gamma1, planted, seed=0)
     assert [r.degree for r in rows if not r.passed] == [d]

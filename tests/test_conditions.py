@@ -5,7 +5,7 @@ import pytest
 from holocert.conditions import build_P, build_condition_set, build_q, h_jets
 from holocert.gaussian import gq
 from holocert.mpoly import MPoly, divides
-from holocert.normalform import expand_normal_form, expand_with_beta
+from holocert.normalform import DMAX, expand_normal_form, expand_with_beta
 from holocert.obstruction import build_Md, functional_Fd, solve_Rd
 
 from conftest import random_gaussian, random_generic_params
@@ -17,8 +17,8 @@ BETA = ("b0", "b1", "b2")
 
 def _h(p, cs, beta=None):
     """h_jets of a condition set taken at beta (symbolic when None)."""
-    e_beta = expand_with_beta(p) if beta is None else expand_normal_form(p.with_alpha(*beta))
-    return h_jets(expand_normal_form(p), e_beta, cs.R[3], cs.R[4])
+    e_beta = expand_with_beta(p) if beta is None else expand_normal_form(p.with_alpha(*beta), DMAX)
+    return h_jets(expand_normal_form(p, DMAX), e_beta, cs.R[3], cs.R[4])
 
 
 def _subst_beta(poly, p):
@@ -33,14 +33,14 @@ def _subst_beta(poly, p):
 
 def test_q4_vanishes_for_zero_alpha(tp):
     p = tp.with_alpha(gq(0), gq(0), gq(0))
-    e = expand_normal_form(p)
+    e = expand_normal_form(p, DMAX)
     assert e.c[2] == gq(0) and e.c[3] == gq(0)
     assert build_q(e, 4).is_zero()
 
 
 def test_q4_at_test_point(tp):
     # hand expansion: q4 = (3+4i) r^3 + (-1-i)(-2-i) r^3 - (1+3i)/2 r^3
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     q4 = build_q(e, 4)
     assert q4 == gq("7/2", "11/2") * R**3
     assert q4.degree("w") == 6
@@ -48,7 +48,7 @@ def test_q4_at_test_point(tp):
 
 
 def test_q_rejects_bad_degree(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     with pytest.raises(ValueError):
         build_q(e, 3)
 
@@ -72,17 +72,17 @@ def test_condition_set_builds_each_q_once(tp, monkeypatch):
 
 
 def test_P3_vanishes_at_beta_alpha(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     assert build_P(3, e, e).is_zero()
 
 
 def test_P4_vanishes_at_beta_alpha_with_R3_zero(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     assert build_P(4, e, e, R3=MPoly.zero()).is_zero()
 
 
 def test_P3_is_linear_in_beta(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     sym = expand_with_beta(tp)
     P3 = build_P(3, e, sym)
     for b in BETA:
@@ -97,7 +97,7 @@ def _beta_terms(poly):
 
 
 def test_P_missing_prerequisites_error(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     sym = expand_with_beta(tp)
     with pytest.raises(ValueError):
         build_P(4, e, sym)
@@ -175,7 +175,7 @@ def test_defect_is_wfree_for_symbolic_and_numeric(tp, tp_conditions, rng):
 def _pipeline_at(p, beta):
     """The degree 3..6 pipeline run from the expansion at a concrete beta,
     the reference for the symbolic set taken at that beta."""
-    e_alpha, e_beta = expand_normal_form(p), expand_normal_form(p.with_alpha(*beta))
+    e_alpha, e_beta = expand_normal_form(p, DMAX), expand_normal_form(p.with_alpha(*beta), DMAX)
     P, R, F = {}, {}, {}
     for d in (3, 4, 5, 6):
         P[d] = build_P(d, e_alpha, e_beta, R3=R.get(3), R4=R.get(4), R5=R.get(5))
@@ -220,13 +220,13 @@ def test_h2_ignores_b1_b2(tp):
 
 
 def test_h_jets_zero_at_identity(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     h2, h3, h4 = h_jets(e, e, MPoly.zero(), MPoly.zero())
     assert h2.is_zero() and h3.is_zero() and h4.is_zero()
 
 
 def test_h3_h4_depend_on_R_constants(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     sym = expand_with_beta(tp)
     h2a, h3a, h4a = h_jets(e, sym, MPoly.zero(), MPoly.zero())
     h2b, h3b, h4b = h_jets(e, sym, MPoly.one(), MPoly.zero())

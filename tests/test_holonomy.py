@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from holocert.gaussian import gq
+from holocert.normalform import DMAX, expand_normal_form
 from holocert.numerics.holonomy import float_model, integrate_quadratures, integrate_variations
 from holocert.numerics.checks import formula_coefficients
 from holocert.numerics.jets import invert, jet_distance
@@ -84,7 +85,8 @@ def test_reversed_loop_is_inverse_jet(nmodel, nloops, loop_jets):
 
 
 def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
-    other = float_model(tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1)))
+    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
+    other = float_model(p, expand_normal_form(p, DMAX))
     tilde = integrate_variations(other, nloops.gamma1, order=2)
     base = loop_jets["gamma1"]
     scale = max(1.0, abs(base.a(2)), base.norms[1])
@@ -92,7 +94,8 @@ def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
 
 
 def test_psi2_independent_of_alpha(nmodel, nloops, gamma_bundles, tp):
-    other = float_model(tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1)))
+    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
+    other = float_model(p, expand_normal_form(p, DMAX))
     b = integrate_quadratures(other, nloops.gamma1)
     base = gamma_bundles["gamma1"]
     scale = max(1.0, abs(base.values["psi2"]), base.norms["psi2"])
@@ -107,6 +110,21 @@ def test_float_model_coefficients(nmodel, tp):
     # q4 = (7/2 + 11/2 i) r^3
     r3 = np.polynomial.polynomial.polypow([-1.0, 0.0, 1.0], 3)
     assert np.allclose(nmodel.q[4], (3.5 + 5.5j) * r3)
+
+
+def test_float_model_holds_only_the_expanded_degrees(tp, nloops):
+    # the structural rows' model at another alpha is expanded to degree 2,
+    # which its order-2 jets read; any higher degree is missing, not stale
+    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
+    model = float_model(p, expand_normal_form(p, 2))
+    assert (sorted(model.c), sorted(model.S), model.q) == ([1, 2], [2], {})
+    full = float_model(p, expand_normal_form(p, DMAX))
+    assert model.c[2] == full.c[2] and np.array_equal(model.S[2], full.S[2])
+    integrate_variations(model, nloops.gamma1, order=2)
+    with pytest.raises(KeyError):
+        integrate_variations(model, nloops.gamma1, order=3)
+    with pytest.raises(KeyError):
+        integrate_quadratures(model, nloops.gamma1)
 
 
 def test_bundle_carries_error_estimates(gamma_bundles):
@@ -128,7 +146,7 @@ def test_overflowing_jet_raises():
 
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match="overflows double precision"):
-        integrate_variations(float_model(p), build_loops(0.5).mu1)
+        integrate_variations(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).mu1)
 
 
 @pytest.mark.parametrize("rtol", [1e-12, 1e-6])
@@ -147,4 +165,4 @@ def test_breakdown_reason_does_not_depend_on_the_block(monkeypatch, block, rtol)
     monkeypatch.setattr(odepath, "RTOL", rtol)
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match=r"^loop 'gamma2', segment 10: non-finite state$"):
-        integrate_variations(float_model(p), build_loops(0.5).gamma2)
+        integrate_variations(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).gamma2)

@@ -101,6 +101,60 @@ def test_stored_form_is_canonical(f, g, c):
         assert_canonical(p)
 
 
+@given(
+    term_dicts(names=("w", "b1")),
+    term_dicts(names=("b2", "b0")),
+    small_gq.filter(lambda c: not c.is_zero()),
+    st.fixed_dictionaries({v: small_gq for v in ("w", "b2", "b1", "b0")}),
+)
+@settings(max_examples=60, deadline=None)
+def test_products_of_disjoint_or_constant_factors_are_canonical(f, g, c, point):
+    # a product keeps every variable of its nonzero factors and only divides
+    # out the content; here the factors share no variable, or one is constant
+    fp, gp, cp = MPoly(*f), MPoly(*g), MPoly.const(c)
+    for p in (fp * gp, gp * fp, fp * cp, cp * fp, c * fp, fp * c, cp * cp, fp * gp * cp):
+        assert_canonical(p)
+    both = tuple(sorted(fp.vars + gp.vars, key=_var_key))
+    assert (fp * gp).vars == (both if fp and gp else ())
+    assert (fp * cp).vars == fp.vars
+    fx, gx = reference_value(*f, point), reference_value(*g, point)
+    assert (fp * gp).evaluate(point) == fx * gx
+    assert (cp * fp).evaluate(point) == c * fx
+
+
+def test_product_divides_out_the_content_and_keeps_the_variables():
+    p = (W / 2 + gq(Fraction(1, 2))) * (2 * B0 + 2)
+    assert (p.vars, p.den, p.num) == (("w", "b0"), 1, {(1, 1): (1, 0), (1, 0): (1, 0), (0, 1): (1, 0), (0, 0): (1, 0)})
+    q = MPoly.const(gq(0, 2)) * (W / 2)
+    assert (q.vars, q.den, q.num) == (("w",), 1, {(1,): (0, 1)})
+    for r in (p, q):
+        assert_canonical(r)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("x", [W * B0 + gq(1, 2), gq(Fraction(2, 3), -1)], ids=["MPoly", "GaussianRational"])
+def test_power_squares_no_further_than_the_last_bit(monkeypatch, x, n):
+    # binary powering: bit_length(n) - 1 squarings and popcount(n) - 1 other
+    # products, with no square past the last bit and no product by one
+    cls = type(x)
+    mul = cls.__mul__
+    counts = {"square": 0, "other": 0}
+
+    def counting(a, b):
+        counts["square" if a is b else "other"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    got = x**n
+    monkeypatch.undo()
+    assert counts == {"square": n.bit_length() - 1, "other": bin(n).count("1") - 1}
+    want = x
+    for _ in range(n - 1):
+        want = want * x
+    assert got == want
+    assert x**0 == 1
+
+
 @given(term_dicts())
 @settings(max_examples=60, deadline=None)
 def test_terms_view_round_trips(f):

@@ -8,6 +8,7 @@ from numpy.polynomial import Polynomial
 from holocert.gaussian import gq
 from holocert.mpoly import MPoly, divides, poly_from_coeffs
 from holocert.normalform import (
+    DMAX,
     FoliationParams,
     L_d,
     expand_normal_form,
@@ -69,11 +70,11 @@ def test_genericity_never_raises_and_reports_ordering():
 
 def test_S2_is_r_always(tp, rng):
     for p in [tp] + [random_generic_params(rng) for _ in range(3)]:
-        assert expand_normal_form(p).S[2] == R
+        assert expand_normal_form(p, DMAX).S[2] == R
 
 
 def test_c_values_at_test_point(tp):
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     assert e.c[1] == gq(1)
     assert e.c[2] == gq(-1, -1)
     assert e.c[3] == gq(1, 3)
@@ -82,20 +83,20 @@ def test_c_values_at_test_point(tp):
 
 def test_S3_at_test_point(tp):
     # alpha1 = alpha2 = 0 kills p(w) and eta, leaving -alpha0 sigma r^2
-    e = expand_normal_form(tp)
+    e = expand_normal_form(tp, DMAX)
     assert e.S[3] == gq(-2, -1) * R**2
 
 
 def test_S_divisible_by_r(tp, rng):
     for p in [tp, random_generic_params(rng)]:
-        e = expand_normal_form(p)
+        e = expand_normal_form(p, DMAX)
         for d in range(2, 7):
             assert divides(R, e.S[d]), f"S_{d} not divisible by r"
 
 
 def test_symbolic_expansion_specializes_to_numeric(tp):
     sym = expand_with_beta(tp)
-    num = expand_normal_form(tp)
+    num = expand_normal_form(tp, DMAX)
     binds = {"b0": tp.alpha0, "b1": tp.alpha1, "b2": tp.alpha2}
     for d in range(2, 7):
         spec = sym.S[d]
@@ -118,7 +119,7 @@ def test_oracle_with_alpha_zero(tp):
     p = tp.with_alpha(gq(0), gq(0), gq(0))
     A = series_oracle(p, dmax=2)
     assert A[2] == R
-    e = expand_normal_form(p)
+    e = expand_normal_form(p, DMAX)
     assert e.c[2] == gq(0)
     assert e.S[2] == R
 
@@ -139,6 +140,17 @@ def test_oracle_rejects_bad_dmax(tp):
         series_oracle(tp, dmax=7)
     with pytest.raises(ValueError):
         series_oracle(tp, dmax=0)
+
+
+def test_table_to_a_lower_degree_is_its_head(tp):
+    for dmax in (0, DMAX + 1):
+        with pytest.raises(ValueError):
+            expand_normal_form(tp, dmax)
+    full = expand_normal_form(tp, DMAX)
+    for dmax in range(1, DMAX):
+        e = expand_normal_form(tp, dmax)
+        assert e.c == {d: full.c[d] for d in range(1, dmax + 1)}
+        assert e.S == {d: full.S[d] for d in range(2, dmax + 1)}
 
 
 # -- the geometry: one definition, exact and float views -------------------------

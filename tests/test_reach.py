@@ -96,15 +96,21 @@ def test_every_function_is_reached_by_a_command(tmp_path, capsys):
 
 def test_certify_builds_one_condition_set(tmp_path, capsys):
     # the laboratory takes the certificate's own condition set: one symbolic
-    # build, whose six q polynomials join the three of each float model (at
-    # alpha, and at the structural rows' other alpha)
+    # build, whose six q polynomials (three at alpha, three at the symbols)
+    # also feed the float model at alpha; the structural rows' model at
+    # another alpha expands only the degree 2 its order-2 jets read
     import holocert.conditions
+    import holocert.normalform
 
+    files = {holocert.conditions.__file__, holocert.normalform.__file__}
     calls = []
+    expanded = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == holocert.conditions.__file__:
+        if event == "call" and frame.f_code.co_filename in files:
             calls.append(frame.f_code.co_name)
+            if frame.f_code.co_name == "expand_normal_form":
+                expanded.append(frame.f_locals.get("dmax"))
 
     sys.setprofile(profile)
     try:
@@ -114,4 +120,5 @@ def test_certify_builds_one_condition_set(tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     assert calls.count("build_condition_set") == 1
-    assert calls.count("build_q") == 12
+    assert calls.count("build_q") == 6
+    assert expanded == [6, 2]

@@ -2,10 +2,11 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs four commands at 48 points, once with this tree's src/ and once with
+Runs five commands at 48 points, once with this tree's src/ and once with
 PARENT_CHECKOUT's src/ on PYTHONPATH, with the same command line in the
 same temporary directory:
 
+    expand                                    (the c_d, S_d table)
     certify                                   (default flags)
     conditions                                (F_3..F_6)
     verify-numeric --samples 4 --seed 3
@@ -44,6 +45,7 @@ from holocert.gaussian import GaussianRational  # noqa: E402
 from holocert.normalform import FoliationParams  # noqa: E402
 
 COMMANDS = {
+    "expand": ["expand"],
     "certify": ["certify"],
     "conditions": ["conditions"],
     "numeric-s4-seed3": ["verify-numeric", "--samples", "4", "--seed", "3"],
