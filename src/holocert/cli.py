@@ -3,12 +3,12 @@
 Commands
     expand          print the c_d / S_d table
     conditions      print the obstruction polynomials F_3..F_6
-    eliminate       run the resultant chain, emit the certificate JSON
     verify-numeric  run the holonomy cross-checks, emit the report JSON
     certify         everything; exit 0 only for verdict UNIQUE with all
                     numeric checks passing.  A numerical breakdown still
                     emits the certificate, with the reason in its numeric
-                    section
+                    section.  --skip-numeric runs the exact half alone,
+                    and leaves the numeric section empty
 
 Exit codes: 0 success, 1 INCONCLUSIVE verdict, failed numeric check or
 numerical breakdown of the laboratory, 2 input/configuration errors
@@ -39,15 +39,14 @@ class ConfigError(Exception):
 
 
 def _load_params(path: str | None) -> FoliationParams:
+    """The point a command runs at: the bundled one, or the file's if it is exactly generic."""
     if path is None:
-        return verification_point()
-    try:
-        return FoliationParams.from_json_file(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read parameters ({path}): {exc}") from exc
-
-
-def _require_genericity(p: FoliationParams) -> None:
+        p = verification_point()
+    else:
+        try:
+            p = FoliationParams.from_json_file(path)
+        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read parameters ({path}): {exc}") from exc
     rep = validate_genericity(p)
     if not rep.exact_ok:
         raise ConfigError(
@@ -55,6 +54,7 @@ def _require_genericity(p: FoliationParams) -> None:
             + ("lambdas not pairwise distinct; " if not rep.pairwise_distinct else "")
             + ", ".join(rep.lattice_failures)
         )
+    return p
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -82,13 +82,12 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, **kwa
 
 def cmd_expand(args) -> int:
     p = _load_params(args.params)
-    _require_genericity(p)
-    e = expand_normal_form(p, args.dmax)
+    e = expand_normal_form(p, DMAX)
     lines = [f"lambda3 = {p.lambda3}", f"sigma = {p.sigma}", f"eta = {p.eta}", ""]
-    for d in range(1, args.dmax + 1):
+    for d in range(1, DMAX + 1):
         lines.append(f"c{d} = {e.c[d]}")
     lines.append("")
-    for d in range(2, args.dmax + 1):
+    for d in range(2, DMAX + 1):
         lines.append(f"S{d} = {e.S[d]}")
     _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -96,7 +95,6 @@ def cmd_expand(args) -> int:
 
 def cmd_conditions(args) -> int:
     p = _load_params(args.params)
-    _require_genericity(p)
     cs = build_condition_set(p)
     lines = []
     for d in (3, 4, 5, 6):
@@ -105,17 +103,8 @@ def cmd_conditions(args) -> int:
     return EXIT_OK
 
 
-def cmd_eliminate(args) -> int:
-    p = _load_params(args.params)
-    _require_genericity(p)
-    cert = certify(p)
-    emit_report(cert.to_dict(), args.out)
-    return EXIT_OK if cert.verdict == VERDICT_UNIQUE else EXIT_INCONCLUSIVE
-
-
 def cmd_verify_numeric(args) -> int:
     p = _load_params(args.params)
-    _require_genericity(p)
     report = run_numeric_verification(p, build_condition_set(p), seed=args.seed, n_samples=args.samples)
     emit_report(report, args.out)
     return EXIT_OK if report["all_pass"] else EXIT_INCONCLUSIVE
@@ -123,7 +112,6 @@ def cmd_verify_numeric(args) -> int:
 
 def cmd_certify(args) -> int:
     p = _load_params(args.params)
-    _require_genericity(p)
     cert = certify(p)
     if not args.skip_numeric:
         try:
@@ -166,16 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="print the c_d / S_d table")
     common(sp)
-    sp.add_argument("--dmax", type=int, default=DMAX, choices=range(1, DMAX + 1))
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("conditions", help="print F_3..F_6")
     common(sp)
     sp.set_defaults(func=cmd_conditions)
-
-    sp = sub.add_parser("eliminate", help="run the resultant chain, emit certificate")
-    common(sp)
-    sp.set_defaults(func=cmd_eliminate)
 
     def numeric_flags(sp):
         nonnegative = _checked(int, lambda n: n >= 0, ">= 0")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gaussian import gq
+from .gaussian import GaussianRational
 from .mpoly import MPoly
 from .normalform import (
     DMAX,
@@ -23,8 +23,8 @@ from .normalform import (
 )
 from .obstruction import build_Md, functional_Fd, solve_Rd
 
-_HALF = gq("1/2")
-_THIRD = gq("1/3")
+_HALF = GaussianRational("1/2")
+_THIRD = GaussianRational("1/3")
 
 
 def build_q(e: NormalFormExpansion, d: int) -> MPoly:
@@ -39,19 +39,19 @@ def build_q(e: NormalFormExpansion, d: int) -> MPoly:
             S[5]
             + 2 * c2 * S[4] * r
             + c2 * c2 * S[3] * r**2
-            - gq("2/3") * (c4 + c3 * c2) * S[2] * r**3
+            - GaussianRational("2/3") * (c4 + c3 * c2) * S[2] * r**3
         )
     if d == 6:
         return (
             S[6]
             + 3 * c2 * S[5] * r
             + (_HALF * c3 + 3 * c2 * c2) * S[4] * r**2
-            + (-_THIRD * c4 + gq("1/6") * c3 * c2 + c2**3) * S[3] * r**3
+            + (-_THIRD * c4 + GaussianRational("1/6") * c3 * c2 + c2**3) * S[3] * r**3
             + (
-                -gq("3/4") * c5
-                - gq("3/2") * c4 * c2
-                - gq("1/8") * c3 * c3
-                - gq("3/4") * c3 * c2 * c2
+                -GaussianRational("3/4") * c5
+                - GaussianRational("3/2") * c4 * c2
+                - GaussianRational("1/8") * c3 * c3
+                - GaussianRational("3/4") * c3 * c2 * c2
             )
             * S[2]
             * r**4
@@ -67,15 +67,8 @@ def q_of(e: NormalFormExpansion, d: int) -> MPoly:
     return e.q[d]
 
 
-def build_P(
-    d: int,
-    e_alpha: NormalFormExpansion,
-    e_beta: NormalFormExpansion,
-    R3: MPoly | None = None,
-    R4: MPoly | None = None,
-    R5: MPoly | None = None,
-) -> MPoly:
-    """The degree-d condition polynomial, per-degree definitions:
+def build_P(d: int, e_alpha: NormalFormExpansion, e_beta: NormalFormExpansion, R: dict[int, MPoly]) -> MPoly:
+    """The degree-d condition polynomial, from the R_k of lower degree solved so far:
 
         P3 = ~S3 - S3
         P4 = ~q4 - q4 - S2 R3
@@ -86,23 +79,17 @@ def build_P(
     if d == 3:
         return e_beta.S[3] - S[3]
     if d == 4:
-        if R3 is None:
-            raise ValueError("P4 needs R3")
-        return q_of(e_beta, 4) - q_of(e_alpha, 4) - S[2] * R3
+        return q_of(e_beta, 4) - q_of(e_alpha, 4) - S[2] * R[3]
     if d == 5:
-        if R4 is None:
-            raise ValueError("P5 needs R4")
-        return q_of(e_beta, 5) - q_of(e_alpha, 5) - 2 * S[2] * R4
+        return q_of(e_beta, 5) - q_of(e_alpha, 5) - 2 * S[2] * R[4]
     if d == 6:
-        if R3 is None or R4 is None or R5 is None:
-            raise ValueError("P6 needs R3, R4 and R5")
         return (
             q_of(e_beta, 6)
             - q_of(e_alpha, 6)
-            + q_of(e_beta, 4) * R3
-            - _HALF * S[2] * R3**2
-            - S[3] * R4
-            - 3 * S[2] * R5
+            + q_of(e_beta, 4) * R[3]
+            - _HALF * S[2] * R[3] ** 2
+            - S[3] * R[4]
+            - 3 * S[2] * R[5]
         )
     raise ValueError(f"P_d is defined for d in 3..6, got {d}")
 
@@ -123,7 +110,7 @@ def h_jets(e_alpha: NormalFormExpansion, e_beta: NormalFormExpansion, R3: MPoly,
     h3 = h2 * h2 + _HALF * (_as_poly(t3) - c3) + r30
     h4 = (
         _THIRD * (_as_poly(t4) - c4)
-        - gq("1/6") * (_as_poly(t3) * t2 - _as_poly(c3) * c2)
+        - GaussianRational("1/6") * (_as_poly(t3) * t2 - _as_poly(c3) * c2)
         - r40
         - _as_poly(t2) * r30
         + 3 * h3 * h2
@@ -167,7 +154,7 @@ def build_condition_set(p: FoliationParams) -> ConditionSet:
     e_alpha, e_beta = expand_normal_form(p, DMAX), expand_with_beta(p)
     cs = ConditionSet(e_alpha)
     for d in (3, 4, 5, 6):
-        P = build_P(d, e_alpha, e_beta, R3=cs.R.get(3), R4=cs.R.get(4), R5=cs.R.get(5))
+        P = build_P(d, e_alpha, e_beta, cs.R)
         M = build_Md(d, p.lambda1, p.lambda2)
         R = solve_Rd(M, P)
         cs.P[d], cs.R[d], cs.F[d] = P, R, functional_Fd(M, P, R)

@@ -21,7 +21,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         # a Fraction is already in lowest terms; a float converts exactly
         object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
         object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
@@ -109,18 +109,8 @@ class GaussianRational:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return GaussianRational(1)
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+            return power(self.inverse(), -n, ONE)
+        return power(self, n, ONE)
 
     def inverse(self) -> "GaussianRational":
         n = self.norm()
@@ -144,7 +134,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real one equals its real part, an int or Fraction, so it hashes as that
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return not self.is_zero()
@@ -157,6 +148,21 @@ class GaussianRational:
 
     def __str__(self):
         return format_gaussian(self)
+
+
+def power(base, n: int, one):
+    """base**n for an int n >= 0, one being base**0: square-and-multiply,
+    with no squaring past the last bit of n."""
+    if n == 0:
+        return one
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def _fmt_rat(q) -> str:
@@ -205,8 +211,3 @@ def _parse_rat(tok: str):
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-
-
-def gq(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor used heavily in tests."""
-    return GaussianRational(re, im)

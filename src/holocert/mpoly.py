@@ -35,7 +35,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .gaussian import GaussianRational, GaussianRationalError
+from .gaussian import GaussianRational, GaussianRationalError, power
 
 _CANONICAL_RANK = {"w": 0, "b2": 1, "b1": 2, "b0": 3}
 
@@ -65,9 +65,9 @@ class MPoly:
 
     __slots__ = ("vars", "num", "den")
 
-    def __init__(self, vars: Sequence[str] = (), terms: Mapping[tuple, GaussianRational] | None = None):
+    def __init__(self, vars: Sequence[str], terms: Mapping[tuple, GaussianRational]):
         vars = tuple(vars)
-        parts = [(e, _parts(_as_gq(c))) for e, c in (terms or {}).items()]
+        parts = [(e, _parts(_as_gq(c))) for e, c in terms.items()]
         den = lcm(*(d for _, (_, _, d) in parts))
         num = {e: (re * (den // d), im * (den // d)) for e, (re, im, d) in parts if re or im}
         order = sorted(range(len(vars)), key=lambda i: _var_key(vars[i]))
@@ -124,10 +124,8 @@ class MPoly:
     def total_degree(self) -> int:
         return max(map(sum, self.num), default=-1)
 
-    def degree(self, var: str | None = None) -> int:
-        """Degree in var, or total degree when var is None; -1 for the zero poly."""
-        if var is None:
-            return self.total_degree()
+    def degree(self, var: str) -> int:
+        """Degree in var; -1 for the zero poly."""
         if var not in self.vars:
             return 0 if self.num else -1
         i = self.vars.index(var)
@@ -140,6 +138,8 @@ class MPoly:
         return self.den == o.den and self.vars == o.vars and self.num == o.num
 
     def __hash__(self):
+        if not self.vars:  # a constant equals its GaussianRational, so it hashes as that
+            return hash(self.constant_term())
         return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def __bool__(self):
@@ -217,17 +217,7 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise MPolyError("polynomial power wants a nonnegative integer")
-        if n == 0:
-            return MPoly.one()
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return power(self, n, MPoly.one())
 
     # -- calculus and substitution ------------------------------------------
 

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .gaussian import GaussianRational, ONE, format_gaussian, gq, parse_gaussian
+from .gaussian import GaussianRational, ONE, ZERO, format_gaussian, parse_gaussian
 from .mpoly import MPoly, exact_div
 
 W = MPoly.var("w")
@@ -116,7 +116,7 @@ class FoliationParams:
 
 def verification_point() -> FoliationParams:
     """The bundled verification point lambda = (2-i, 2i), alpha = (1, 0, 0)."""
-    return FoliationParams(gq(2, -1), gq(0, 2), gq(1), gq(0), gq(0))
+    return FoliationParams(GaussianRational(2, -1), GaussianRational(0, 2), ONE, ZERO, ZERO)
 
 
 # -- genericity ----------------------------------------------------------------
@@ -256,7 +256,7 @@ def _series_mul(a: list[MPoly], b: list[MPoly], nmax: int) -> list[MPoly]:
     return out
 
 
-def series_oracle(p: FoliationParams, dmax: int = DMAX) -> dict[int, MPoly]:
+def series_oracle(p: FoliationParams, dmax: int) -> dict[int, MPoly]:
     """Independent expansion of Psi(z, w): returns numerators A_d with K_d = A_d / r^d.
 
     The denominator r(1 + a0 sigma z) + p z^2 is inverted as an exact
@@ -295,13 +295,13 @@ def series_oracle(p: FoliationParams, dmax: int = DMAX) -> dict[int, MPoly]:
     return out
 
 
-def oracle_defects(p: FoliationParams, dmax: int = DMAX) -> dict[int, MPoly]:
-    """A_d - c_d r^(d-1) s - S_d for d = 2..dmax; all zero iff table and oracle agree."""
-    exp = expand_normal_form(p, dmax)
-    A = series_oracle(p, dmax)
+def oracle_defects(p: FoliationParams) -> dict[int, MPoly]:
+    """A_d - c_d r^(d-1) s - S_d for d = 2..DMAX; all zero iff table and oracle agree."""
+    exp = expand_normal_form(p, DMAX)
+    A = series_oracle(p, DMAX)
     r = r_of(W)
     s = s_of(p.lambda1, p.lambda2, W)
     out = {}
-    for d in range(2, dmax + 1):
+    for d in range(2, DMAX + 1):
         out[d] = A[d] - MPoly.const(exp.c[d]) * r ** (d - 1) * s - exp.S[d]
     return out

@@ -78,9 +78,9 @@ class Loop:
         return Loop(segs, label=f"{self.label}^-1", basepoint=self.basepoint)
 
 
-def concat(*loops: Loop, label: str = "") -> Loop:
+def concat(*loops: Loop, label: str) -> Loop:
     segs = tuple(s for lp in loops for s in lp.segments)
-    return Loop(segs, label=label or "*".join(lp.label for lp in loops))
+    return Loop(segs, label=label)
 
 
 @dataclass(frozen=True)

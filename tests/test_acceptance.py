@@ -13,7 +13,7 @@ import pytest
 from holocert.cli import main as cli_main
 from holocert.conditions import build_condition_set
 from holocert.elimination import certify, linear_system_solve, resultant_chain
-from holocert.gaussian import GaussianRational, gq
+from holocert.gaussian import GaussianRational
 from holocert.mpoly import MPoly, divides
 from holocert.normalform import (
     DMAX,
@@ -109,7 +109,7 @@ def test_criterion_4_elimination_reproduction():
     assert not chain.res3_6.is_zero(), "Res3_6 vanished"
     det, sol = linear_system_solve(cs.F[3], cs.F[4], p.alpha0)
     assert not det.is_zero(), "det34 vanished"
-    assert sol == (gq(0), gq(0)), f"recovered solution {sol}"
+    assert sol == (GaussianRational(0), GaussianRational(0)), f"recovered solution {sol}"
     cert = certify(p)
     assert cert.verdict == "UNIQUE"
     elapsed = time.time() - t0
@@ -168,7 +168,7 @@ def test_criterion_7_structural_invariants(nmodel, nloops, loop_jets, tp):
                 if i not in (k - 1, k, k + 1):
                     assert M.rows[i][k].is_zero()
     with pytest.raises(GenericityError):
-        build_Md(3, gq(1), gq(0))
+        build_Md(3, GaussianRational(1), GaussianRational(0))
     elapsed = time.time() - t0
     _ok(7, f"a1 on commutators < 1e-8, reversal/radius invariance < 1e-7, M_d triangular banded ({elapsed:.1f}s)")
 

@@ -17,10 +17,13 @@ def test_expand_prints_S2(capsys):
     assert "c2 = -1-1i" in out
 
 
-def test_expand_respects_dmax(capsys):
-    assert main(["expand", "--dmax", "3"]) == EXIT_OK
+def test_expand_prints_the_table_to_dmax(capsys):
+    from holocert.normalform import DMAX
+
+    assert main(["expand"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "S3" in out and "S4" not in out
+    assert f"c{DMAX} = " in out and f"S{DMAX} = " in out
+    assert f"c{DMAX + 1} = " not in out and f"S{DMAX + 1} = " not in out
 
 
 def test_conditions_prints_all_F(capsys):
@@ -37,20 +40,13 @@ def test_conditions_rejects_nongeneric(tmp_path, capsys):
     assert "genericity" in err
 
 
-def test_eliminate_writes_certificate(tmp_path):
-    out = tmp_path / "cert.json"
-    assert main(["eliminate", "--out", str(out)]) == EXIT_OK
-    doc = json.loads(out.read_text())
-    assert doc["verdict"] == "UNIQUE"
-    assert doc["numeric"] == {}  # empty numeric section allowed for eliminate
-    assert doc["solution"] == {"beta1": "0", "beta2": "0"}
-
-
 def test_certify_skip_numeric(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--skip-numeric", "--out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "UNIQUE"
+    assert doc["numeric"] == {}  # the exact half alone leaves the numeric section empty
+    assert doc["solution"] == {"beta1": "0", "beta2": "0"}
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
@@ -78,7 +74,7 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
 
 
 def test_missing_params_file_is_config_error(capsys):
-    assert main(["eliminate", "--params", "/nonexistent/params.json"]) == EXIT_CONFIG
+    assert main(["certify", "--skip-numeric", "--params", "/nonexistent/params.json"]) == EXIT_CONFIG
     assert "cannot read parameters" in capsys.readouterr().err
 
 
@@ -93,7 +89,7 @@ def test_malformed_params_file(tmp_path, capsys):
         '["2-1i", "2i", ["1", "0", "0"]]',
     ):
         bad.write_text(text)
-        assert main(["eliminate", "--params", str(bad)]) == EXIT_CONFIG
+        assert main(["certify", "--skip-numeric", "--params", str(bad)]) == EXIT_CONFIG
         assert "cannot read parameters" in capsys.readouterr().err
 
 
@@ -133,8 +129,8 @@ def test_bad_numeric_flags_are_rejected_when_parsed(tmp_path, capsys, command, f
 def test_emit_roundtrip(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    assert main(["eliminate", "--out", str(out1)]) == EXIT_OK
-    assert main(["eliminate", "--out", str(out2)]) == EXIT_OK
+    assert main(["certify", "--skip-numeric", "--out", str(out1)]) == EXIT_OK
+    assert main(["certify", "--skip-numeric", "--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -143,7 +139,7 @@ def test_golden_certificate_is_stable(tmp_path):
 
     golden = Path(__file__).parent / "data" / "testpoint-cert.json"
     out = tmp_path / "cert.json"
-    assert main(["eliminate", "--out", str(out)]) == EXIT_OK
+    assert main(["certify", "--skip-numeric", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == golden.read_bytes()
 
 
@@ -175,14 +171,14 @@ def test_golden_numeric_report_is_stable(tmp_path, golden, point, flags):
 
 
 def test_default_params_are_the_bundled_test_point(capsys):
-    assert main(["expand", "--dmax", "1"]) == EXIT_OK
+    assert main(["expand"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "lambda3 = -1-1i" in out
 
 
 def test_custom_params_roundtrip(tmp_path, capsys):
     params = write_params(tmp_path / "p.json", lambda1="3-2i", lambda2="1+1i", alpha=("1/2", "0", "1"))
-    assert main(["expand", "--params", params, "--dmax", "2"]) == EXIT_OK
+    assert main(["expand", "--params", params]) == EXIT_OK
     out = capsys.readouterr().out
     assert "sigma = 4-1i" in out
 
@@ -193,7 +189,7 @@ def test_emitted_document_matches_certificate(tmp_path):
     from holocert.normalform import verification_point
 
     out = tmp_path / "cert.json"
-    assert main(["eliminate", "--out", str(out)]) == EXIT_OK
+    assert main(["certify", "--skip-numeric", "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text()) == certify(verification_point()).to_dict()
 
 

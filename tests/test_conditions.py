@@ -3,7 +3,7 @@ import random
 import pytest
 
 from holocert.conditions import build_P, build_condition_set, build_q, h_jets
-from holocert.gaussian import gq
+from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import MPoly, divides
 from holocert.normalform import DMAX, expand_normal_form, expand_with_beta
 from holocert.obstruction import build_Md, functional_Fd, solve_Rd
@@ -73,18 +73,18 @@ def test_condition_set_builds_each_q_once(tp, monkeypatch):
 
 def test_P3_vanishes_at_beta_alpha(tp):
     e = expand_normal_form(tp, DMAX)
-    assert build_P(3, e, e).is_zero()
+    assert build_P(3, e, e, {}).is_zero()
 
 
 def test_P4_vanishes_at_beta_alpha_with_R3_zero(tp):
     e = expand_normal_form(tp, DMAX)
-    assert build_P(4, e, e, R3=MPoly.zero()).is_zero()
+    assert build_P(4, e, e, {3: MPoly.zero()}).is_zero()
 
 
 def test_P3_is_linear_in_beta(tp):
     e = expand_normal_form(tp, DMAX)
     sym = expand_with_beta(tp)
-    P3 = build_P(3, e, sym)
+    P3 = build_P(3, e, sym, {})
     for b in BETA:
         assert P3.degree(b) <= 1
     assert max(sum(x) for x, _ in _beta_terms(P3)) <= 1
@@ -99,12 +99,12 @@ def _beta_terms(poly):
 def test_P_missing_prerequisites_error(tp):
     e = expand_normal_form(tp, DMAX)
     sym = expand_with_beta(tp)
-    with pytest.raises(ValueError):
-        build_P(4, e, sym)
-    with pytest.raises(ValueError):
-        build_P(5, e, sym)
-    with pytest.raises(ValueError):
-        build_P(6, e, sym, R3=MPoly.zero())
+    with pytest.raises(KeyError):
+        build_P(4, e, sym, {})
+    with pytest.raises(KeyError):
+        build_P(5, e, sym, {})
+    with pytest.raises(KeyError):
+        build_P(6, e, sym, {3: MPoly.zero()})
 
 
 # -- full pipeline ------------------------------------------------------------------
@@ -178,7 +178,7 @@ def _pipeline_at(p, beta):
     e_alpha, e_beta = expand_normal_form(p, DMAX), expand_normal_form(p.with_alpha(*beta), DMAX)
     P, R, F = {}, {}, {}
     for d in (3, 4, 5, 6):
-        P[d] = build_P(d, e_alpha, e_beta, R3=R.get(3), R4=R.get(4), R5=R.get(5))
+        P[d] = build_P(d, e_alpha, e_beta, R)
         M = build_Md(d, p.lambda1, p.lambda2)
         R[d] = solve_Rd(M, P[d])
         F[d] = functional_Fd(M, P[d], R[d])

@@ -9,7 +9,7 @@ from holocert.elimination import (
     linear_system_solve,
     resultant_chain,
 )
-from holocert.gaussian import gq
+from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import MPoly, divides, exact_div, resultant
 from holocert.normalform import FoliationParams
 

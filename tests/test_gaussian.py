@@ -3,13 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holocert.gaussian import (
-    GaussianRational,
-    GaussianRationalError,
-    format_gaussian,
-    gq,
-    parse_gaussian,
-)
+from holocert.gaussian import GaussianRational, GaussianRationalError, format_gaussian, parse_gaussian
+
+gq = GaussianRational
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from holocert.gaussian import gq
+from holocert.gaussian import GaussianRational as gq
 from holocert.normalform import DMAX, expand_normal_form
 from holocert.numerics.holonomy import float_model, integrate_quadratures, integrate_variations
 from holocert.numerics.checks import formula_coefficients

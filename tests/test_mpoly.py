@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holocert.gaussian import gq
+from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import (
     ExactDivisionError,
     MPoly,
@@ -70,6 +70,18 @@ def test_equal_polynomials_hash_alike():
     assert hash(p) == hash(q)
     assert len({p, q}) == 1
     assert p.vars == ("w", "b0")
+
+
+def test_equal_numbers_hash_alike_across_types():
+    # a constant polynomial equals its constant, and a real Gaussian rational
+    # its real part, so each hashes as the number it equals
+    assert len({MPoly.one(), 1, gq(1)}) == 1
+    for x in (gq(0), gq(-3), gq(Fraction(1, 2)), gq(2, -1)):
+        c = MPoly.const(x)
+        assert c == x and hash(c) == hash(x)
+        if x.im == 0:
+            assert x == x.re and hash(x) == hash(x.re)
+    assert len({MPoly.zero(), 0, gq(0), Fraction(0)}) == 1
 
 
 def test_constructor_clears_denominators():
@@ -202,8 +214,10 @@ def test_degree_bookkeeping():
     assert p.degree("w") == 2
     assert p.degree("b0") == 1
     assert p.total_degree() == 3
-    assert MPoly.zero().degree() == -1
-    assert MPoly.one().degree() == 0
+    assert MPoly.zero().degree("w") == -1
+    assert MPoly.one().degree("w") == 0
+    assert MPoly.zero().total_degree() == -1
+    assert MPoly.one().total_degree() == 0
 
 
 @given(polys(), polys(), polys())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from holocert.gaussian import gq
+from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import MPoly, divides, poly_from_coeffs
 from holocert.normalform import (
     DMAX,

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from holocert.gaussian import gq
+from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import MPoly
 from holocert.obstruction import (
     GenericityError,

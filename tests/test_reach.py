@@ -3,16 +3,20 @@
 The commands run in process under sys.setprofile, which sees every
 Python-level call; a function defined in src/holocert that none of them
 calls must be one of KEPT, so code that only tests reach does not build
-up in the package.
+up in the package.  The knobs are pinned the same way: every parameter
+with a default is one of DEFAULTED, and every command's flags are FLAGS.
 """
 
+import ast
 import inspect
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import holocert
-from holocert.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, main
+from holocert.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, build_parser, main
 
 # function -> why it stays although no command calls it
 KEPT = {
@@ -24,6 +28,23 @@ KEPT = {
     ("normalform.py", "oracle_defects"): "series_oracle against the table, which the tests assert is zero",
     ("mpoly.py", "divides"): "the tests' divisibility check; without it each test would define its own",
     ("gaussian.py", "conjugate"): "a Q(i) identity the tests check; without it they would define their own",
+}
+
+# (file, function, parameter) -> why it keeps a default
+DEFAULTED = {
+    ("cli.py", "main", "argv"): "the console entry point calls main() with none",
+    ("gaussian.py", "__init__", "im"): "a real number is one argument, GaussianRational(x)",
+    ("numerics/checks.py", "_row", "larger_is_better"): "both values are in use",
+    ("numerics/holonomy.py", "integrate_variations", "order"): "both values are in use",
+    ("numerics/odepath.py", "_per_row", "out"): "both values are in use",
+}
+
+# command -> its flags, as build_parser reports them
+FLAGS = {
+    "expand": ["--params", "--out"],
+    "conditions": ["--params", "--out"],
+    "verify-numeric": ["--params", "--out", "--seed", "--samples"],
+    "certify": ["--params", "--out", "--seed", "--samples", "--skip-numeric"],
 }
 
 STEEP_ALPHA = ["2-1i", "1/2", "-1+1i"]
@@ -60,14 +81,14 @@ def _commands(tmp_path):
     return [
         (["expand", *out], EXIT_OK),
         (["conditions", *out], EXIT_OK),
-        (["eliminate", *out], EXIT_OK),
+        (["certify", "--skip-numeric", *out], EXIT_OK),
         (["certify", "--samples", "1", *out], EXIT_OK),
         (["verify-numeric", "--samples", "0", *out], EXIT_OK),
         # jet arithmetic that overflows, and a loop integration that does
         (["certify", "--samples", "0", *params("jets", "1/2+10i", "1/3-10i"), *out], EXIT_INCONCLUSIVE),
         (["certify", "--samples", "0", *params("loop", "1/2+1i", "1/3-40i"), *out], EXIT_INCONCLUSIVE),
-        (["eliminate", *params("nongeneric", "1/3", "2i", ["1", "0", "0"]), *out], EXIT_CONFIG),
-        (["eliminate", "--params", str(misshapen), *out], EXIT_CONFIG),
+        (["certify", "--skip-numeric", *params("nongeneric", "1/3", "2i", ["1", "0", "0"]), *out], EXIT_CONFIG),
+        (["certify", "--skip-numeric", "--params", str(misshapen), *out], EXIT_CONFIG),
     ]
 
 
@@ -122,3 +143,37 @@ def test_certify_builds_one_condition_set(tmp_path, capsys):
     assert calls.count("build_condition_set") == 1
     assert calls.count("build_q") == 6
     assert expanded == [6, 2]
+
+
+def test_every_default_is_kept_for_a_reason():
+    root = Path(holocert.__file__).resolve().parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                rel = path.relative_to(root).as_posix()
+                found |= {(rel, getattr(node, "name", "<lambda>"), arg.arg) for arg in defaulted}
+    assert found == set(DEFAULTED)
+
+
+def test_every_command_takes_only_its_flags():
+    sub = next(a for a in build_parser()._actions if a.choices and "certify" in a.choices)
+    flags = {name: [opt for act in sp._actions for opt in act.option_strings if opt not in ("-h", "--help")]
+             for name, sp in sub.choices.items()}
+    assert flags == FLAGS
+
+
+@pytest.mark.parametrize("argv", [["eliminate"], ["expand", "--dmax", "3"]], ids=["eliminate", "expand-dmax"])
+def test_removed_command_and_flag_are_refused(tmp_path, capsys, argv):
+    # certify --skip-numeric gives the certificate, and expand always prints
+    # the whole table: argparse refuses both before any work, writing nothing
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "holocert: error:" in capsys.readouterr().err
+    assert not out.exists()

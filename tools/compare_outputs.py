@@ -2,12 +2,13 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs five commands at 48 points, once with this tree's src/ and once with
+Runs six commands at 48 points, once with this tree's src/ and once with
 PARENT_CHECKOUT's src/ on PYTHONPATH, with the same command line in the
 same temporary directory:
 
     expand                                    (the c_d, S_d table)
     certify                                   (default flags)
+    certify --skip-numeric                    (the exact certificate alone)
     conditions                                (F_3..F_6)
     verify-numeric --samples 4 --seed 3
     verify-numeric --samples 0
@@ -15,9 +16,11 @@ same temporary directory:
 The points are the first 40 draws of tests/conftest.py::random_generic_params
 from random.Random(11), then lambda = (1/2 + k i, 1/3 - k i) at
 alpha = (2-1i, 1/2, -1+1i) for k = 1/7, 1, 2, 3, 5, 10, 20, 40, a ladder
-from tame multipliers to numerical breakdowns.  Each of the five commands
-also runs once at default flags without --params, so the default point is
-loaded as the command line loads it.
+from tame multipliers to numerical breakdowns.  The six commands also run
+at two inputs that exit 2, a nongeneric point (lambda1 = 1/3) and a file
+whose alpha is a string, so the error paths are compared as well.
+Each command runs once more at default flags without --params, so the
+default point is loaded as the command line loads it.
 
 Every run's exit code, stdout, stderr and written file are compared; each
 run that differs is listed with what differs.  Exits 1 if any run differs,
@@ -47,11 +50,18 @@ from holocert.normalform import FoliationParams  # noqa: E402
 COMMANDS = {
     "expand": ["expand"],
     "certify": ["certify"],
+    "exact": ["certify", "--skip-numeric"],
     "conditions": ["conditions"],
     "numeric-s4-seed3": ["verify-numeric", "--samples", "4", "--seed", "3"],
     "numeric-s0": ["verify-numeric", "--samples", "0"],
 }
-DEFAULT_POINT = ("expand", "conditions", "eliminate", "verify-numeric", "certify")
+DEFAULT_POINT = {"expand": ["expand"], "conditions": ["conditions"], "verify-numeric": ["verify-numeric"],
+                 "certify": ["certify"], "exact": ["certify", "--skip-numeric"]}
+# parameter files that every command refuses with exit code 2
+REFUSED = {
+    "nongeneric": '{"lambda1": "1/3", "lambda2": "2i", "alpha": ["1", "0", "0"]}',
+    "misshapen": '{"lambda1": "2-1i", "lambda2": "2i", "alpha": "100"}',
+}
 LADDER = (Fraction(1, 7), 1, 2, 3, 5, 10, 20, 40)
 WORKERS = 2  # each worker runs one command at a time, the two trees in turn
 
@@ -87,11 +97,12 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
-        jobs = [(f"default-{command}", [command]) for command in DEFAULT_POINT]
-        for i, point in enumerate(points()):
-            params = tmp / f"point{i:02d}.json"
-            params.write_text(json.dumps(point))
-            jobs += [(f"point{i:02d}-{name}", [*command, "--params", params.name]) for name, command in COMMANDS.items()]
+        jobs = [(f"default-{name}", command) for name, command in DEFAULT_POINT.items()]
+        inputs = {f"point{i:02d}": json.dumps(point) for i, point in enumerate(points())} | REFUSED
+        for label, text in inputs.items():
+            params = tmp / f"{label}.json"
+            params.write_text(text)
+            jobs += [(f"{label}-{name}", [*command, "--params", params.name]) for name, command in COMMANDS.items()]
 
         def compare(job):
             name, command = job
@@ -104,8 +115,9 @@ def main(argv: list[str]) -> int:
     differing = [(name, parts) for name, parts in results if parts]
     for name, parts in differing:
         print(f"differs: {name}: {', '.join(parts)}")
-    n_points = (len(results) - len(DEFAULT_POINT)) // len(COMMANDS)
-    print(f"{len(results)} runs compared, at {n_points} points and the default point, {len(differing)} differ")
+    n_points = (len(results) - len(DEFAULT_POINT)) // len(COMMANDS) - len(REFUSED)
+    print(f"{len(results)} runs compared, at {n_points} points, {len(REFUSED)} refused inputs and the default point, "
+          f"{len(differing)} differ")
     return 1 if differing else 0
 
 
