@@ -3,10 +3,11 @@
 Integrates the variational system along explicit loops in the punctured
 w-line, computes holonomy jets and the iterated loop integrals, and
 cross-validates the closed-form coefficient formulas of the exact half.
-Every loop integration goes through ``odepath.integrate_stack``: each
+Every loop integration goes through ``odepath.integrate_loop``: each
 family (jets, quadrature bundle, integral lemmas) is a field on it, made
 of a base (phi1, or zeta) and a triangular stack of integrals, under the
-field contract stated in ``odepath``.  The engine cuts a loop into
+one field contract stated in ``odepath``: field(w, vals) returns rows in
+w, and the engine pulls them back by dw.  The engine cuts a loop into
 Chebyshev pieces and solves blocks of consecutive pieces at once: the
 base once, then sweeps of the integrals over all their nodes to a fixed
 point, the one cumulative-integral matrix, and start states chained in

@@ -17,11 +17,11 @@ The quadrature bundle integrates, along the same path, the thirteen
 iterated integrals that the degree 2..6 coefficient formulas are made of,
 with running psi2 and psi3 entering the deeper integrands.
 
-Both are fields on ``odepath.integrate_stack``, which evaluates the S_d
-and q_d at w and keeps the L1 masses; under ``odepath``'s field contract,
-r, K_d and r^d are computed once per block, every term in phi1 alone once
-per block with the solved base, and only the products with the integrals
-once per sweep.  Each carries phi1 as its base (phi1 = exp of
+Both are fields on ``odepath.integrate_loop``, which evaluates the S_d
+and q_d at w, pulls the rows back by dw and keeps the L1 masses; under
+``odepath``'s field contract, r, K_d and r^d are computed once per block,
+every term in phi1 alone once per block with the solved base, and only
+the products with the integrals once per sweep.  Each carries phi1 as its base (phi1 = exp of
 the integral of K1): the jet stacks phi_2..phi_6 on it, each B_d reading
 only phi1..phi_(d-1), and the bundle its thirteen integrals.
 ``phi_field`` is the phi1-weighted integrand P(w) phi1^(d-1) / r^d they
@@ -42,7 +42,7 @@ from ..normalform import FoliationParams, NormalFormExpansion, r_of, s_of
 from . import ODEError
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
-from .odepath import integrate_stack
+from .odepath import integrate_loop
 
 
 def _to_coeff_array(poly: MPoly) -> np.ndarray:
@@ -136,7 +136,7 @@ def integrate_variations(model: FloatModel, loop: Loop, order: int = ORDER) -> H
         raise ValueError(f"order must lie in 1..{ORDER}")
     S = [model.S[d] for d in range(2, order + 1)]
     zeros = np.zeros(order - 1)
-    (p1,), p, (m1,), masses = integrate_stack(loop, [1.0], zeros, S, _variation_field(model, order))[-1]
+    (p1,), p, (m1,), masses = integrate_loop(loop, [1.0], zeros, S, _variation_field(model, order))[-1]
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
     norms = np.zeros(ORDER)
@@ -246,7 +246,7 @@ def _bundle_field(model: FloatModel):
 def integrate_quadratures(model: FloatModel, loop: Loop) -> QuadratureBundle:
     coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
     zeros = np.zeros(len(_BUNDLE_NAMES))
-    _, values, _, masses = integrate_stack(loop, [1.0], zeros, coeffs, _bundle_field(model))[-1]
+    _, values, _, masses = integrate_loop(loop, [1.0], zeros, coeffs, _bundle_field(model))[-1]
     return QuadratureBundle(
         values={name: complex(v) for name, v in zip(_BUNDLE_NAMES, values)},
         norms={name: float(abs(m)) for name, m in zip(_BUNDLE_NAMES, masses)},

@@ -59,8 +59,7 @@ class Arc:
 @dataclass(frozen=True)
 class Loop:
     segments: tuple
-    label: str = ""
-    basepoint: complex = 0j
+    label: str
 
     def __post_init__(self):
         if not self.segments:
@@ -68,14 +67,12 @@ class Loop:
         for prev, nxt in zip(self.segments[:-1], self.segments[1:]):
             if abs(prev.point(1.0) - nxt.point(0.0)) > 1e-12:
                 raise ValueError(f"loop {self.label!r}: discontinuous segments")
-        start = self.segments[0].point(0.0)
-        end = self.segments[-1].point(1.0)
-        if abs(start - self.basepoint) > 1e-12 or abs(end - self.basepoint) > 1e-12:
-            raise ValueError(f"loop {self.label!r}: does not start and end at basepoint")
+        if abs(self.segments[-1].point(1.0) - self.segments[0].point(0.0)) > 1e-12:
+            raise ValueError(f"loop {self.label!r}: does not end where it starts")
 
     def inverse(self) -> "Loop":
         segs = tuple(s.reversed() for s in reversed(self.segments))
-        return Loop(segs, label=f"{self.label}^-1", basepoint=self.basepoint)
+        return Loop(segs, label=f"{self.label}^-1")
 
 
 def concat(*loops: Loop, label: str) -> Loop:

@@ -10,14 +10,16 @@ quadrature rule (Trefethen, Approximation Theory and Approximation
 Practice, SIAM 2013).
 
 The field contract.  The state is a base b and integrals y.  A field is
-called once per block, as field(w, dw) on the nodes and velocities of its
-pieces, and returns (rate, integrands): the base's rate rows pulled back
-by dw (b' = rate * b), and the binding integrands.  The base is solved
-once per block, and integrands(b) is called once with it at the nodes; it
-returns the function that each sweep calls with the integrals y alone,
-which gives their derivatives there, pulled back likewise.  So the rate
-depends on w alone, every term in w and b alone is computed once per
-block, and integral k may read the integrals before k only.
+called once per block, as field(w, vals) on the nodes w of its pieces and
+the values vals[k] = P_k(w) of the loop's polynomials there, and returns
+(rate, integrands): the base's rate rows (b' = rate * b), and the binding
+integrands.  The base is solved once per block, and integrands(b) is
+called once with it at the nodes; it returns the function that each sweep
+calls with the integrals y alone, which gives their derivatives there.
+All rows are derivatives in w: the engine pulls them back by the
+velocity dw of the nodes.  So the rate depends on w alone, every term in
+w and b alone is computed once per block, and integral k may read the
+integrals before k only.
 
 A loop's pieces form one list in path order, solved BLOCK at a time: the
 base is solved once on the nodes of all pieces of a block, each sweep
@@ -39,11 +41,9 @@ depend on the sweeps that reach the fixed point.  RTOL and ATOL are
 constants of the engine, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
 A loop integration returns the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
-
-``integrate_stack`` is the one path-integration primitive of the
+``integrate_loop`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
-integral lemmas) supplies only a field in w and gets back the integrals
-and their L1 masses.
+integral lemmas) supplies only a field in w.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ def _per_row(a, m, out=None):
     return np.matmul(a.reshape(rows, -1), m, out=flat_out).reshape(rows, 1, -1)
 
 
-def _solve(field, w, dw, half, start, nb):
-    """Solve k consecutive pieces (nodes w, velocities dw, half-lengths
-    half) from the accepted state start.  The base is solved once, then the
+def _solve(field, w, vals, dw, half, start, nb):
+    """Solve k consecutive pieces (nodes w, polynomial values vals,
+    velocities dw, half-lengths half) from the accepted state start, the
+    field's rows pulled back by dw.  The base is solved once, then the
     integrals are iterated to a bitwise fixed point: each sweep fixes one
     more integral level, so m integrals take at most m + 1 sweeps, and one
     that returns the last one's rows ends the iteration before its product.
@@ -118,8 +119,8 @@ def _solve(field, w, dw, half, start, nb):
     ends[0] = start
     settled = np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
-        rate, integrands = field(w, dw)
-        np.copyto(flat_derivs[:nb], rate)
+        rate, integrands = field(w, vals)
+        np.copyto(flat_derivs[:nb], np.multiply(rate, dw))
         # Every _CUMSUM product takes all rows, the base's and the
         # integrals': a product of fewer rows can round otherwise (a lone
         # piece's base alone is a vector product).  Each is scaled first,
@@ -145,7 +146,7 @@ def _solve(field, w, dw, half, start, nb):
         nodes[:nb] = new[:nb]
         sweep = integrands(flat[:nb])
         for i in range(m + 1 if m else 0):
-            rows_now = sweep(flat[nb:])
+            rows_now = np.multiply(sweep(flat[nb:]), dw)
             # rows equal to the last sweep's give the state in hand; the first
             # sweep always takes its product, as start + 0 can flip a signed zero
             if i:
@@ -181,26 +182,24 @@ def _masses(derivs, base, half):
 
 
 def integrate_fixed_interval(f, b0, y0):
-    """Integrate a base b and integrals y over t in [0, 1].
-
-    f(t) is a field of the module's contract on an array of nodes t,
-    with w = t and dw = 1: it returns (rate, integrands), and
-    integrands(b) returns the function of y that each sweep calls.
-    Returns b and y at t = 1 and the L1 mass of every component's
-    derivative (rate * b for the base).
-    """
-    # [0, 1] as a path of one segment, w = t, with no loop to name in errors
+    """integrate_loop over t in [0, 1], with w = t, dw = 1 and no
+    polynomials: f(t) is the field on the nodes t."""
     unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
-    return integrate_loop(lambda w, dw: f(w), SimpleNamespace(segments=(unit,), label=None), b0, y0)[-1]
+    return integrate_loop(SimpleNamespace(segments=(unit,), label=None), b0, y0, [], lambda w, vals: f(w))[-1]
 
 
-def integrate_loop(field, loop, b0, y0):
-    """Integrate along every segment of a loop, carrying the state through.
+def integrate_loop(loop, base0, integrals0, coeffs, field):
+    """Integrate a base state and a stack of integrals along a loop, at RTOL.
 
-    field(w, dw) is a field of the module's contract, called on the nodes
-    and velocities of a block of consecutive pieces, which may span
-    segments.  Returns (b, y, mass) at the end of every segment, in path
-    order, the mass summed from the loop's start; [-1] is the loop's end.
+    field(w, vals) is a field of the module's contract, called on the nodes
+    of a block of consecutive pieces, which may span segments.  vals[k] =
+    P_k(w) for the polynomial with the ascending coefficients coeffs[k]
+    (rows of unequal length are zero-padded), evaluated once per block.
+    Every component gets its L1 mass, the integral of |derivative| against
+    |dw| (rate * base for the base), summed from the loop's start.
+
+    Returns (base, integrals, base_masses, masses) at the end of every
+    segment, in path order; [-1] is the loop's end.
 
     ODEError names the segment of the first piece whose converged state is
     not finite, once every piece before it has passed its tail test: a
@@ -208,10 +207,13 @@ def integrate_loop(field, loop, b0, y0):
     sweeps that reach it.
     """
     segments = loop.segments
-    start = np.concatenate((np.asarray(b0, dtype=complex).ravel(), np.asarray(y0, dtype=complex).ravel()))
-    nb, rows = np.size(b0), start.size
+    start = np.concatenate((np.asarray(base0, dtype=complex).ravel(), np.asarray(integrals0, dtype=complex).ravel()))
+    nb, rows = np.size(base0), start.size
+    C = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)), dtype=complex)
+    for k, c in enumerate(coeffs):
+        C[k, : len(c)] = c
     mass, seg_mass = np.zeros(rows), np.zeros(rows)
-    out = []  # (b, y, mass) at the end of every segment
+    out = []  # (base, integrals, base_masses, masses) at the end of every segment
 
     def error(piece, why):
         return ODEError(why if loop.label is None else f"loop {loop.label!r}, segment {piece[0]}: {why}")
@@ -231,7 +233,11 @@ def integrate_loop(field, loop, b0, y0):
             parts.append((segments[s].point(ts), np.broadcast_to(segments[s].velocity(ts), ts.shape)))
             lo = hi
         w, dw = (np.concatenate(x) for x in zip(*parts))
-        nodes, ends, derivs, finite = _solve(field, w, dw, h / 2.0, start, nb)
+        # one (K, n) @ (n, N) product per piece: over a whole block of
+        # nodes the product would be spread over BLAS threads (see _per_row)
+        V = np.vander(w, C.shape[1], increasing=True).reshape(len(block), N, -1).transpose(0, 2, 1)
+        vals = np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), w.size)
+        nodes, ends, derivs, finite = _solve(field, w, vals, dw, h / 2.0, start, nb)
         with np.errstate(all="ignore"):  # a non-finite piece has no meaningful tail
             failed = _tail_above(derivs)
         bad = failed | ~finite
@@ -258,43 +264,7 @@ def integrate_loop(field, loop, b0, y0):
             if last:
                 mass = mass + seg_mass
                 seg_mass = np.zeros(rows)
-                out.append((ends[j + 1, :nb], ends[j + 1, nb:], mass))
+                out.append((ends[j + 1, :nb], ends[j + 1, nb:], mass[:nb], mass[nb:]))
         start = ends[p]  # each block solves into arrays of its own
     return out
 
-
-def integrate_stack(loop, base0, integrals0, coeffs, field):
-    """Integrate a base state and a stack of integrals along a loop, at RTOL.
-
-    field(w, vals) is the module's field contract in w rather than in t:
-    it returns (rate, integrands), integrands(base) returns the function of
-    the integrals that each sweep calls, with one row per state component,
-    and integrate_stack pulls the rate and every sweep's rows back by dw.
-    vals[k] = P_k(w) for the polynomial with the ascending coefficients
-    coeffs[k] (rows of unequal length are zero-padded), evaluated once per
-    block by one matrix product; every component gets its L1 mass, the
-    integral of |derivative| against |dw| (rate * base for the base).
-
-    Returns (base, integrals, base_masses, masses) at the end of every
-    segment, in path order; [-1] is the loop's end.
-    """
-    base0 = np.asarray(base0, dtype=complex)
-    nb = base0.size
-    C = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)), dtype=complex)
-    for k, c in enumerate(coeffs):
-        C[k, : len(c)] = c
-    n = C.shape[1]
-
-    def pulled_back(w, dw):
-        # one (K, n) @ (n, N) product per piece: over a whole block of
-        # nodes the product would be spread over BLAS threads (see _per_row)
-        V = np.vander(w, n, increasing=True).reshape(-1, N, n).transpose(0, 2, 1)
-        rate, integrands = field(w, np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), -1))
-
-        def bind(b):
-            sweep = integrands(b)
-            return lambda y: np.multiply(sweep(y), dw)
-
-        return np.multiply(rate, dw), bind
-
-    return [(b, y, mass[:nb], mass[nb:]) for b, y, mass in integrate_loop(pulled_back, loop, base0, integrals0)]

@@ -14,7 +14,7 @@ from holocert.numerics.checks import (
     verify_variation_formulas,
 )
 from holocert.numerics.jets import HolonomyJet
-from holocert.numerics.odepath import integrate_stack
+from holocert.numerics.odepath import integrate_loop
 
 
 def test_integral_lemma_rows_pass(nmodel, nloops, tp_conditions):
@@ -56,7 +56,7 @@ def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
     B3 = 2 * (nmodel.lam1 + nmodel.lam2)
     assert np.allclose(P, [A3, B3 - 4.0])
-    _, values, _, masses = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]))[-1]
+    _, values, _, masses = integrate_loop(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]))[-1]
     assert abs(values[0]) / max(1.0, masses[0]) < 1e-9
 
 
@@ -69,8 +69,8 @@ def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
         return u1 / (1.0 + w) - u2 / (1.0 - w), lambda zeta: lambda integrals: vals * zeta
 
     P = np.array([1.0 + 0j])
-    _, i1, _, m1 = integrate_stack(nloops.gamma1, [1.0], [0.0], [P], field)[-1]
-    _, i2, _, m2 = integrate_stack(nloops.gamma2, [1.0], [0.0], [P], field)[-1]
+    _, i1, _, m1 = integrate_loop(nloops.gamma1, [1.0], [0.0], [P], field)[-1]
+    _, i2, _, m2 = integrate_loop(nloops.gamma2, [1.0], [0.0], [P], field)[-1]
     factor = 1.0 + cmath.exp(2j * math.pi * u1)
     assert abs(i2[0] - factor * i1[0]) / max(1.0, m2[0] + abs(factor) * m1[0]) < 1e-9
 
@@ -114,9 +114,9 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions, mo
             bad = bad_forward
         if bad is not None:
             coeffs = [c + 1.0 if k == bad else c for k, c in enumerate(coeffs)]
-        return integrate_stack(loop, base0, integrals0, coeffs, field)
+        return integrate_loop(loop, base0, integrals0, coeffs, field)
 
-    monkeypatch.setattr(checks, "integrate_stack", corrupting)
+    monkeypatch.setattr(checks, "integrate_loop", corrupting)
     rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=3, n_samples=n_samples)
     failed = [r.name for r in rows if not r.passed]
     assert failed == [f"integral-lemma-two-loops[{bad_two_loop}]", f"forward-vanishing[{bad_forward}]"]
@@ -126,22 +126,22 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions, mo
 
 
 @pytest.mark.parametrize("n_samples, integrations", [(0, 12), (1, 15)])
-def test_every_family_integrates_through_integrate_stack(tp, tp_conditions, monkeypatch, n_samples, integrations):
-    # integrate_loop is counted only where integrate_stack looks it up, so a
+def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monkeypatch, n_samples, integrations):
+    # integrate_loop is counted only where holonomy and checks bind it, so a
     # family with a right-hand side of its own would be missed.  Jets: gamma1,
     # gamma2, mu1, mu2, reversed gamma1, mu2*mu1, gamma1 at the second radius
     # and two order-2 jets at another alpha; bundles: gamma1, gamma2; the
     # antiderivative stack; with samples, two-loop (twice) and forward stacks.
-    from holocert.numerics import odepath
+    from holocert.numerics import checks, holonomy
 
     loops = []
-    original = odepath.integrate_loop
 
-    def counting(rhs, loop, *args, **kwargs):
+    def counting(loop, *args):
         loops.append(loop.label)
-        return original(rhs, loop, *args, **kwargs)
+        return integrate_loop(loop, *args)
 
-    monkeypatch.setattr(odepath, "integrate_loop", counting)
+    monkeypatch.setattr(holonomy, "integrate_loop", counting)
+    monkeypatch.setattr(checks, "integrate_loop", counting)
     run_numeric_verification(tp, tp_conditions, seed=0, n_samples=n_samples)
     assert len(loops) == integrations
 

@@ -9,10 +9,10 @@ from holocert.numerics.odepath import integrate_loop
 
 def winding_number(loop, p):
     """The integral of dw / (w - p) along the loop, over 2 pi i, through the engine."""
-    def field(w, dw):
-        return 0.0, lambda b: lambda y: dw / (w - p)
+    def field(w, vals):
+        return 0.0, lambda b: lambda y: 1.0 / (w - p)
 
-    _, y, _ = integrate_loop(field, loop, np.zeros(0), [0.0])[-1]
+    _, y, *_ = integrate_loop(loop, np.zeros(0), [0.0], [], field)[-1]
     n = y[0] / (2j * math.pi)
     assert abs(n - round(n.real)) < 1e-9
     return round(n.real)
@@ -63,12 +63,12 @@ def test_clearance_equals_radius_for_standard_loops():
 
 def test_loop_rejects_discontinuous_segments():
     with pytest.raises(ValueError):
-        Loop((Line(0j, 1j), Line(0.5j, 0j)))
+        Loop((Line(0j, 1j), Line(0.5j, 0j)), "gap")
 
 
 def test_loop_rejects_open_paths():
     with pytest.raises(ValueError):
-        Loop((Line(0j, 1j),))
+        Loop((Line(0j, 1j),), "open")
 
 
 def test_concat_and_inverse_roundtrip():

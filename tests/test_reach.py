@@ -22,7 +22,9 @@ from holocert.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, build_parser, 
 KEPT = {
     ("conditions.py", "h_jets"): "perfbench/layertrace.py traces it by name",
     ("conditions.py", "_as_poly"): "h_jets' own helper",
-    ("numerics/odepath.py", "integrate_fixed_interval"): "perfbench/layertrace.py traces it by name",
+    ("numerics/odepath.py", "integrate_fixed_interval"): (
+        "perfbench/layertrace.py traces it by name; one call of integrate_loop on [0, 1]"
+    ),
     ("normalform.py", "series_oracle"): "the independent reference the tests hold the c_d, S_d table to",
     ("normalform.py", "_series_mul"): "series_oracle's truncated product",
     ("normalform.py", "oracle_defects"): "series_oracle against the table, which the tests assert is zero",
