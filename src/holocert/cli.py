@@ -27,7 +27,7 @@ from .gaussian import GaussianRationalError
 from .mpoly import MPolyError
 from .normalform import DMAX, FoliationParams, expand_normal_form, validate_genericity, verification_point
 from .numerics import ODEError
-from .obstruction import GenericityError
+from .obstruction import GenericityError, SolverError
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
         # the numeric laboratory only runs at points that passed validation
         print(f"holocert: INCONCLUSIVE: numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (MPolyError, GaussianRationalError, ValueError) as exc:
+    except (MPolyError, GaussianRationalError, SolverError, ValueError) as exc:
         print(f"holocert: internal failure: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -118,9 +118,6 @@ class GaussianRational:
             raise GaussianRationalError("division by zero in Q(i)")
         return GaussianRational(self.re / n, -self.im / n)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self):
         """Rational norm re^2 + im^2."""
         return self.re * self.re + self.im * self.im

@@ -512,14 +512,6 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
     return _make(vars, _times(quo, g.den), f.den * scale)
 
 
-def divides(g: MPoly, f: MPoly) -> bool:
-    try:
-        exact_div(f, g)
-        return True
-    except ExactDivisionError:
-        return False
-
-
 # -- determinants and resultants ---------------------------------------------
 
 

@@ -9,10 +9,9 @@ normal-form parameters alpha0, alpha1, alpha2.  The right-hand side
                   / (r(w)(1 + a0 sigma z) + p(w) z^2)
 
 expands as sum K_d(w) z^d with K_d = c_d K1 + S_d / r^d.  This module
-provides both the closed-form table of c_d, S_d (d <= 6) and an
-independent oracle that recomputes K_d by exact geometric-series
-inversion of the denominator.  It also holds the one definition of the
-geometry r, s, p and L_d, which the exact and the float code share.
+provides the closed-form table of c_d, S_d (d <= 6).  It also holds the
+one definition of the geometry r, s, p and L_d, which the exact and the
+float code share.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .gaussian import GaussianRational, ONE, ZERO, format_gaussian, parse_gaussian
-from .mpoly import MPoly, exact_div
+from .mpoly import MPoly
 
 W = MPoly.var("w")
 BETA_VARS = ("b0", "b1", "b2")
@@ -240,68 +239,3 @@ def expand_with_beta(p: FoliationParams) -> NormalFormExpansion:
     b0, b1, b2 = (MPoly.var(name) for name in BETA_VARS)
     c, S = _closed_form_table(p.lambda1, p.lambda2, b0, b1, b2, DMAX)
     return NormalFormExpansion(c, S)
-
-
-def _series_mul(a: list[MPoly], b: list[MPoly], nmax: int) -> list[MPoly]:
-    out = [MPoly.zero()] * (nmax + 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j > nmax:
-                break
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def series_oracle(p: FoliationParams, dmax: int) -> dict[int, MPoly]:
-    """Independent expansion of Psi(z, w): returns numerators A_d with K_d = A_d / r^d.
-
-    The denominator r(1 + a0 sigma z) + p z^2 is inverted as an exact
-    geometric series; every coefficient of z^d is then exactly divisible
-    by r^(dmax - d), which exact_div certifies as a side effect.
-    """
-    if not 1 <= dmax <= DMAX:
-        raise ValueError(f"dmax must lie in 1..{DMAX}, got {dmax}")
-    r = r_of(W)
-    s = s_of(p.lambda1, p.lambda2, W)
-    pw = p_of(p.alpha1, p.alpha2, W)
-    a0 = MPoly.const(p.alpha0)
-    sigma = MPoly.const(p.sigma)
-    eta = MPoly.const(p.eta)
-
-    # numerator N(z) = s z + (a0 s + 1) z^2 + eta z^3
-    N = [MPoly.zero(), s, a0 * s + 1, eta]
-    # u(z) = a0 sigma r z + p z^2, the varying part of the denominator
-    u = [MPoly.zero(), a0 * sigma * r, pw]
-
-    # T(z) = sum_{k=0}^{dmax-1} (-1)^k u^k r^(dmax-1-k)  =  r^dmax / D  (mod z^dmax)
-    T = [MPoly.zero()] * (dmax + 1)
-    u_pow = [MPoly.one()]
-    for k in range(dmax):
-        scale = r ** (dmax - 1 - k)
-        for j, cj in enumerate(u_pow):
-            if j <= dmax:
-                term = cj * scale
-                T[j] = T[j] + (term if k % 2 == 0 else -term)
-        u_pow = _series_mul(u_pow, u, dmax)
-
-    G = _series_mul(N, T, dmax)  # r^dmax * Psi, truncated
-    out = {}
-    for d in range(1, dmax + 1):
-        out[d] = exact_div(G[d], r ** (dmax - d))
-    return out
-
-
-def oracle_defects(p: FoliationParams) -> dict[int, MPoly]:
-    """A_d - c_d r^(d-1) s - S_d for d = 2..DMAX; all zero iff table and oracle agree."""
-    exp = expand_normal_form(p, DMAX)
-    A = series_oracle(p, DMAX)
-    r = r_of(W)
-    s = s_of(p.lambda1, p.lambda2, W)
-    out = {}
-    for d in range(2, DMAX + 1):
-        out[d] = A[d] - MPoly.const(exp.c[d]) * r ** (d - 1) * s - exp.S[d]
-    return out

@@ -5,11 +5,12 @@ For each degree d the map
     L_d : f  |->  f' r + (d-1)(s - r') f
 
 sends polynomials of degree <= 2d-3 to polynomials of degree <= 2d-2.
-Its matrix in the monomial bases is banded; dropping the first row
-leaves an upper-triangular square matrix with scalar diagonal entries
-B_d - k, all nonzero under the exact genericity conditions.  Solving
-against P_d - P_d(0) by back-substitution produces R_d, and the constant
-defect F_d = L_d(R_d)(0) - P_d(0) is the degree-d obstruction.
+Its matrix M_d in the monomial bases is read off apply_Ld, normalform's
+one L_d; tests/test_obstruction.py states its three bands in closed
+form.  Dropping the first row leaves an upper-triangular square matrix
+whose scalar diagonal is nonzero under the exact genericity conditions.
+Solving against P_d - P_d(0) by back-substitution produces R_d, and the
+constant defect F_d = L_d(R_d)(0) - P_d(0) is the degree-d obstruction.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ def apply_Ld(d: int, lambda1, lambda2, f: MPoly) -> MPoly:
 class BandedMatrix:
     """Matrix of L_d over the monomial bases {1..w^(2d-3)} -> {1..w^(2d-2)}.
 
-    rows[i][k] is the coefficient of w^i in L_d(w^k); only the three bands
-    i = k-1, k, k+1 are nonzero, holding -k, A_d = (d-1)(lambda2 - lambda1)
-    and B_d - (2d-2-k) with B_d = (d-1)(lambda1 + lambda2).
+    rows[i][k] is the coefficient of w^i in L_d(w^k), read off apply_Ld; only
+    the bands i = k-1, k, k+1 are nonzero, as tests/test_obstruction.py states.
     """
 
     d: int
@@ -54,34 +54,24 @@ class BandedMatrix:
 
 
 def build_Md(d: int, lambda1: GaussianRational, lambda2: GaussianRational) -> BandedMatrix:
-    """Assemble M_d and verify it column-by-column against apply_Ld.
+    """Assemble M_d column by column: column k holds the coefficients of apply_Ld(w^k).
 
-    Raises GenericityError when some diagonal entry B_d - k vanishes
-    (equivalently lambda3 lands in (1/(d-1))Z).
+    Raises GenericityError when a pivot rows[k+1][k] = B_d - (2d-2-k) vanishes,
+    B_d = (d-1)(lambda1 + lambda2); equivalently lambda3 lies in (1/(d-1))Z.
     """
     if not 3 <= d <= 6:
         raise ValueError(f"degree must lie in 3..6, got {d}")
-    A = (d - 1) * (lambda2 - lambda1)
-    B = (d - 1) * (lambda1 + lambda2)
-    ncols = 2 * d - 2
     nrows = 2 * d - 1
-    for k in range(1, ncols + 1):
-        if (B - k).is_zero():
+    cols = []
+    for k in range(2 * d - 2):
+        col = [c.constant_term() for c in apply_Ld(d, lambda1, lambda2, W**k).coeffs_in("w")]
+        col += [ZERO] * (nrows - len(col))
+        if col[k + 1].is_zero():
             raise GenericityError(
-                f"B_{d} - {k} = 0 (lambda3 in (1/{d-1})Z); the triangular system is singular"
+                f"B_{d} - {2 * d - 2 - k} = 0 (lambda3 in (1/{d-1})Z); the triangular system is singular"
             )
-    rows = [[ZERO] * ncols for _ in range(nrows)]
-    for k in range(ncols):
-        if k >= 1:
-            rows[k - 1][k] = GaussianRational(-k)
-        rows[k][k] = A
-        rows[k + 1][k] = B - (2 * d - 2 - k)
-    # self-check each column against the direct computation
-    for k in range(ncols):
-        got = [c.constant_term() for c in apply_Ld(d, lambda1, lambda2, W**k).coeffs_in("w")]
-        if got + [ZERO] * (nrows - len(got)) != [rows[i][k] for i in range(nrows)]:
-            raise SolverError(f"M_{d} column {k} disagrees with L_{d}(w^{k})")
-    return BandedMatrix(d, lambda1, lambda2, tuple(tuple(r) for r in rows))
+        cols.append(col)
+    return BandedMatrix(d, lambda1, lambda2, tuple(zip(*cols)))
 
 
 def solve_Rd(M: BandedMatrix, P: MPoly) -> MPoly:

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import strategies as st
 
 from holocert.gaussian import GaussianRational
-from holocert.normalform import DMAX, FoliationParams, expand_normal_form, validate_genericity, verification_point
+from holocert.mpoly import ExactDivisionError, MPoly, exact_div
+from holocert.normalform import (
+    DMAX,
+    FoliationParams,
+    W,
+    expand_normal_form,
+    p_of,
+    r_of,
+    s_of,
+    validate_genericity,
+    verification_point,
+)
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +57,86 @@ def random_generic_params(rng: random.Random) -> FoliationParams:
         )
         if validate_genericity(p).exact_ok:
             return p
+
+
+# -- independent references the tests hold the package to ---------------------------
+
+
+def conjugate(x: GaussianRational) -> GaussianRational:
+    return GaussianRational(x.re, -x.im)
+
+
+def divides(g: MPoly, f: MPoly) -> bool:
+    try:
+        exact_div(f, g)
+        return True
+    except ExactDivisionError:
+        return False
+
+
+def _series_mul(a: list[MPoly], b: list[MPoly], nmax: int) -> list[MPoly]:
+    out = [MPoly.zero()] * (nmax + 1)
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            if i + j > nmax:
+                break
+            if bj.is_zero():
+                continue
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def series_oracle(p: FoliationParams, dmax: int) -> dict[int, MPoly]:
+    """Independent expansion of Psi(z, w): returns numerators A_d with K_d = A_d / r^d.
+
+    The denominator r(1 + a0 sigma z) + p z^2 is inverted as an exact
+    geometric series; every coefficient of z^d is then exactly divisible
+    by r^(dmax - d), which exact_div certifies as a side effect.
+    """
+    if not 1 <= dmax <= DMAX:
+        raise ValueError(f"dmax must lie in 1..{DMAX}, got {dmax}")
+    r = r_of(W)
+    s = s_of(p.lambda1, p.lambda2, W)
+    pw = p_of(p.alpha1, p.alpha2, W)
+    a0 = MPoly.const(p.alpha0)
+    sigma = MPoly.const(p.sigma)
+    eta = MPoly.const(p.eta)
+
+    # numerator N(z) = s z + (a0 s + 1) z^2 + eta z^3
+    N = [MPoly.zero(), s, a0 * s + 1, eta]
+    # u(z) = a0 sigma r z + p z^2, the varying part of the denominator
+    u = [MPoly.zero(), a0 * sigma * r, pw]
+
+    # T(z) = sum_{k=0}^{dmax-1} (-1)^k u^k r^(dmax-1-k)  =  r^dmax / D  (mod z^dmax)
+    T = [MPoly.zero()] * (dmax + 1)
+    u_pow = [MPoly.one()]
+    for k in range(dmax):
+        scale = r ** (dmax - 1 - k)
+        for j, cj in enumerate(u_pow):
+            if j <= dmax:
+                term = cj * scale
+                T[j] = T[j] + (term if k % 2 == 0 else -term)
+        u_pow = _series_mul(u_pow, u, dmax)
+
+    G = _series_mul(N, T, dmax)  # r^dmax * Psi, truncated
+    out = {}
+    for d in range(1, dmax + 1):
+        out[d] = exact_div(G[d], r ** (dmax - d))
+    return out
+
+
+def oracle_defects(p: FoliationParams) -> dict[int, MPoly]:
+    """A_d - c_d r^(d-1) s - S_d for d = 2..DMAX; all zero iff table and oracle agree."""
+    exp = expand_normal_form(p, DMAX)
+    A = series_oracle(p, DMAX)
+    r = r_of(W)
+    s = s_of(p.lambda1, p.lambda2, W)
+    out = {}
+    for d in range(2, DMAX + 1):
+        out[d] = A[d] - MPoly.const(exp.c[d]) * r ** (d - 1) * s - exp.S[d]
+    return out
 
 
 small_rat = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4)

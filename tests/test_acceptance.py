@@ -14,12 +14,11 @@ from holocert.cli import main as cli_main
 from holocert.conditions import build_condition_set
 from holocert.elimination import certify, linear_system_solve, resultant_chain
 from holocert.gaussian import GaussianRational
-from holocert.mpoly import MPoly, divides
+from holocert.mpoly import MPoly
 from holocert.normalform import (
     DMAX,
     FoliationParams,
     expand_normal_form,
-    oracle_defects,
     validate_genericity,
     verification_point,
 )
@@ -29,7 +28,7 @@ from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import build_loops
 from holocert.obstruction import GenericityError, apply_Ld, build_Md
 
-from conftest import random_gaussian, random_generic_params
+from conftest import divides, oracle_defects, random_gaussian, random_generic_params
 
 
 def _ok(n, text):

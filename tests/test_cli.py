@@ -40,6 +40,20 @@ def test_conditions_rejects_nongeneric(tmp_path, capsys):
     assert "genericity" in err
 
 
+def test_a_solver_failure_is_an_internal_failure(monkeypatch, tmp_path, capsys):
+    # a solve whose R_d misses L_d's preimage by a w term is caught by
+    # functional_Fd; that is the program's fault, not an INCONCLUSIVE point
+    import holocert.conditions as conditions
+    from holocert.mpoly import MPoly
+
+    real = conditions.solve_Rd
+    monkeypatch.setattr(conditions, "solve_Rd", lambda M, P: real(M, P) + MPoly.var("w"))
+    out = tmp_path / "conditions.txt"
+    assert main(["conditions", "--out", str(out)]) == EXIT_CONFIG
+    assert "holocert: internal failure: L_3(R_3) - P_3 is not w-free" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_skip_numeric(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--skip-numeric", "--out", str(out)]) == EXIT_OK

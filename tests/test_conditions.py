@@ -4,11 +4,11 @@ import pytest
 
 from holocert.conditions import build_P, build_condition_set, build_q, h_jets
 from holocert.gaussian import GaussianRational as gq
-from holocert.mpoly import MPoly, divides
+from holocert.mpoly import MPoly
 from holocert.normalform import DMAX, expand_normal_form, expand_with_beta
 from holocert.obstruction import build_Md, functional_Fd, solve_Rd
 
-from conftest import random_gaussian, random_generic_params
+from conftest import divides, random_gaussian, random_generic_params
 
 W = MPoly.var("w")
 R = W * W - 1

@@ -10,10 +10,10 @@ from holocert.elimination import (
     resultant_chain,
 )
 from holocert.gaussian import GaussianRational as gq
-from holocert.mpoly import MPoly, divides, exact_div, resultant
+from holocert.mpoly import MPoly, exact_div, resultant
 from holocert.normalform import FoliationParams
 
-from conftest import random_gaussian, random_generic_params
+from conftest import divides, random_gaussian, random_generic_params
 
 
 @pytest.fixture(scope="module")

@@ -6,21 +6,19 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from holocert.gaussian import GaussianRational as gq
-from holocert.mpoly import MPoly, divides, poly_from_coeffs
+from holocert.mpoly import MPoly, poly_from_coeffs
 from holocert.normalform import (
     DMAX,
     FoliationParams,
     L_d,
     expand_normal_form,
     expand_with_beta,
-    oracle_defects,
     r_of,
     s_of,
-    series_oracle,
     validate_genericity,
 )
 
-from conftest import random_gaussian, random_generic_params
+from conftest import divides, oracle_defects, random_gaussian, random_generic_params, series_oracle
 
 W = MPoly.var("w")
 R = W * W - 1

@@ -1,9 +1,11 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import MPoly
+from holocert.normalform import FoliationParams, validate_genericity
 from holocert.obstruction import (
     GenericityError,
     SolverError,
@@ -29,30 +31,43 @@ def test_first_column_is_image_of_one(tp):
     # f = 1 has f' = 0, so L_d(1) = (B_d - (2d-2)) w + A_d ... only via s - r'
     for d in (3, 4, 5, 6):
         M = build_Md(d, tp.lambda1, tp.lambda2)
-        img = apply_Ld(d, tp.lambda1, tp.lambda2, MPoly.one())
         col = [row[0] for row in M.rows]
-        expect = [c.constant_term() for c in img.coeffs_in("w")]
-        assert col == expect + [gq(0)] * (len(M.rows) - len(expect))
-        assert col[0] == (d - 1) * (tp.lambda2 - tp.lambda1)
-        assert col[1] == (d - 1) * (tp.lambda1 + tp.lambda2) - (2 * d - 2)
+        A = (d - 1) * (tp.lambda2 - tp.lambda1)
+        B = (d - 1) * (tp.lambda1 + tp.lambda2)
+        assert col == [A, B - (2 * d - 2)] + [gq(0)] * (2 * d - 3)
 
 
-def test_matrix_matches_bruteforce_oracle(tp, rng):
-    # assemble the matrix by applying L_d to each basis monomial directly
+def test_matrix_matches_the_closed_form_bands(tp, rng):
+    # the paper's bands, written independently of apply_Ld, which build_Md reads:
+    # -k above the diagonal, A_d on it and B_d - (2d-2-k) below it
     for p in [tp, random_generic_params(rng)]:
         for d in (3, 4, 5, 6):
             M = build_Md(d, p.lambda1, p.lambda2)
+            A = (d - 1) * (p.lambda2 - p.lambda1)
+            B = (d - 1) * (p.lambda1 + p.lambda2)
             for k in range(M.n_cols):
-                img = apply_Ld(d, p.lambda1, p.lambda2, W**k).coeffs_in("w")
+                bands = {k - 1: gq(-k), k: A, k + 1: B - (2 * d - 2 - k)}
                 for i in range(len(M.rows)):
-                    expect = img[i].constant_term() if i < len(img) else gq(0)
-                    assert M.rows[i][k] == expect
+                    assert M.rows[i][k] == bands.get(i, gq(0)), (d, i, k)
 
 
 def test_planted_singular_diagonal():
     # lambda1 = 1, lambda2 = 0 gives B_3 = 2 so B_3 - 2 = 0
     with pytest.raises(GenericityError):
         build_Md(3, gq(1), gq(0))
+
+
+@pytest.mark.parametrize("d, j", [(d, j) for d in (3, 4, 5, 6) for j in range(1, 2 * d - 1)])
+def test_every_vanishing_pivot_is_a_refused_point(d, j):
+    # lambda3 = 1 - j/(d-1) makes B_d = j, so the pivot B_d - j is zero; the
+    # exact genericity check that the command line applies refuses that point
+    lambda1 = gq(Fraction(1, 7), Fraction(1, 3))
+    lambda3 = 1 - gq(Fraction(j, d - 1))
+    lambda2 = 1 - lambda1 - lambda3
+    p = FoliationParams(lambda1, lambda2, gq(1), gq(0), gq(0))
+    assert not validate_genericity(p).exact_ok
+    with pytest.raises(GenericityError, match=f"B_{d} - {j} = 0"):
+        build_Md(d, p.lambda1, p.lambda2)
 
 
 def test_bad_degree_rejected(tp):

@@ -25,11 +25,6 @@ KEPT = {
     ("numerics/odepath.py", "integrate_fixed_interval"): (
         "perfbench/layertrace.py traces it by name; one call of integrate_loop on [0, 1]"
     ),
-    ("normalform.py", "series_oracle"): "the independent reference the tests hold the c_d, S_d table to",
-    ("normalform.py", "_series_mul"): "series_oracle's truncated product",
-    ("normalform.py", "oracle_defects"): "series_oracle against the table, which the tests assert is zero",
-    ("mpoly.py", "divides"): "the tests' divisibility check; without it each test would define its own",
-    ("gaussian.py", "conjugate"): "a Q(i) identity the tests check; without it they would define their own",
 }
 
 # (file, function, parameter) -> why it keeps a default
