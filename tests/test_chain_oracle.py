@@ -1,9 +1,12 @@
 """The resultant chain against an independent rebuild by sympy over QQ_I.
 
-sympy computes resultants by subresultant sequences, not by Sylvester
-determinants, so agreement on every intermediate of the chain checks
-mpoly.resultant, exact_div and the chain's bookkeeping at generic
-points, beyond the properties the other tests assert.
+sympy is a separate implementation of polynomial arithmetic and
+resultants over QQ_I, sharing no code with mpoly, so agreement on every
+intermediate of the chain checks mpoly.resultant, exact_div and the
+chain's bookkeeping at generic points, beyond the properties the other
+tests assert.  The second reference for mpoly.resultant is in-tree: the
+Sylvester determinant bareiss_det(sylvester(f, g, var)), which
+tests/test_mpoly.py holds it to.
 """
 
 import random

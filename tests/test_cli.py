@@ -157,6 +157,23 @@ def test_golden_certificate_is_stable(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_certificate_takes_no_sylvester_determinant(monkeypatch, tmp_path):
+    # the chain's resultants come from the subresultant sequence alone; the
+    # Sylvester determinant stays in mpoly only as the tests' reference
+    from pathlib import Path
+
+    import holocert.mpoly
+
+    def refuse(*args):
+        raise AssertionError("the certificate computed a Sylvester determinant")
+
+    monkeypatch.setattr(holocert.mpoly, "bareiss_det", refuse)
+    monkeypatch.setattr(holocert.mpoly, "sylvester", refuse)
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--skip-numeric", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "testpoint-cert.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "golden, point, flags",
     [

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holocert import mpoly
 from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import (
     ExactDivisionError,
@@ -14,6 +15,7 @@ from holocert.mpoly import (
     exact_div,
     poly_from_coeffs,
     resultant,
+    sylvester,
 )
 
 from conftest import small_gq, term_dicts
@@ -275,6 +277,9 @@ def test_resultant_by_product_formula():
     # oracle: Res(f, g) = lead(f)^deg(g) * prod g(u_i) over roots of f;
     # f = w^2 - 1 has roots +-1, so Res = (1-2)(-1-2) = 3
     assert resultant(W * W - 1, W - 2, "w") == MPoly.const(3)
+    # each of the two roots of g = w^2 + b0 has r^4 = b0^2, so Res(g, f) =
+    # (b0^2 + 1)^2, and Res(f, g) = (-1)^(4*2) Res(g, f)
+    assert resultant(W**4 + 1, W**2 + B0, "w") == (B0**2 + 1) ** 2
 
 
 def test_resultant_shared_root_vanishes():
@@ -314,23 +319,87 @@ def test_resultant_multiplicative(data):
     assert lhs == rhs
 
 
-@given(st.data())
-@settings(max_examples=25, deadline=None)
-def test_resultant_detects_planted_common_factor(data):
-    c = data.draw(small_gq)
-    f_extra = [data.draw(small_gq) for _ in range(2)] + [gq(1)]
-    g_extra = [data.draw(small_gq) for _ in range(2)] + [gq(1)]
-    root = W - c
-    f = poly_from_coeffs("w", f_extra) * root
-    g = poly_from_coeffs("w", g_extra) * root
-    assert resultant(f, g, "w").is_zero()
-
-
 def test_resultant_no_common_root_nonzero():
     f = (W - 1) * (W - 2)
     g = (W - 3) * (W - 4)
     # product formula: (1-3)(1-4)(2-3)(2-4) = 12
     assert resultant(f, g, "w") == MPoly.const(12)
+
+
+def test_resultant_sign_when_the_first_degree_is_lower():
+    # Res(w + 1, w^3 + 5) = g(-1) = 4, and swapping costs (-1)^(1*3)
+    assert resultant(W + 1, W**3 + 5, "w") == MPoly.const(4)
+    assert resultant(W**3 + 5, W + 1, "w") == MPoly.const(-4)
+
+
+def sylvester_det(f, g):
+    return bareiss_det(sylvester(f, g, "w"))
+
+
+coefficients = polys(vars=("b0", "b1"), max_terms=2, max_exp=1)
+
+
+@st.composite
+def w_polys(draw, deg, sparse):
+    """A polynomial of degree exactly deg in w with coefficients in b0, b1;
+    when sparse, each lower coefficient is zero half the time."""
+    lead = draw(coefficients.filter(lambda c: not c.is_zero()))
+    out = lead * W**deg
+    for k in range(deg):
+        if not (sparse and draw(st.booleans())):
+            out = out + draw(coefficients) * W**k
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for m in range(1, 6) for n in range(1, m + 1)])
+@given(data=st.data(), sparse=st.booleans())
+@settings(max_examples=6, deadline=None)
+def test_resultant_is_the_sylvester_determinant(n, m, data, sparse):
+    # every parity pair of degrees, equal degrees included, in both orders
+    f = data.draw(w_polys(n, sparse))
+    g = data.draw(w_polys(m, sparse))
+    assert resultant(f, g, "w") == sylvester_det(f, g)
+    assert resultant(g, f, "w") == sylvester_det(g, f)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (W**4 + 1, W**2 + B0),  # degree 2 -> 0: the first remainder is a constant
+        (W**5 + B0, W**3 + B1 * W),  # 3 -> 1
+        (W**5 + W + B0, W**4 + B1),  # 4 -> 1
+        (W**5 - 1, W**4 + B1 * W**3),  # 4 -> 3, then 3 -> 1
+        (B0 * W**5 - W**2 - W, 2 * W**4 + 1),  # 4 -> 2 -> 1 -> 0, where h = 2 meets the gap of 2
+        (W**4 + B0 * W**2 + 1, W**4 + W**2 + B1),  # equal degrees, 4 -> 2 -> 0
+    ],
+)
+def test_resultant_when_a_remainder_drops_two_degrees_or_more(monkeypatch, f, g):
+    # the abnormal remainder sequence: some pseudo-remainder is two or more
+    # degrees below its divisor, so h is raised to a power above one
+    prem = mpoly._prem
+    drops = []
+
+    def spying(a, b):
+        r = prem(a, b)
+        drops.append(len(b) - len(r))
+        return r
+
+    monkeypatch.setattr(mpoly, "_prem", spying)
+    for x, y in ((f, g), (g, f)):
+        assert not resultant(x, y, "w").is_zero()
+        assert resultant(x, y, "w") == sylvester_det(x, y)
+    assert max(drops) >= 2
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_resultant_detects_planted_common_factor(data):
+    root = W - data.draw(coefficients)
+    f = data.draw(w_polys(data.draw(st.integers(0, 3)), True)) * root
+    g = data.draw(w_polys(data.draw(st.integers(0, 3)), True)) * root
+    for x, y in ((f, g), (g, f)):
+        assert resultant(x, y, "w").is_zero()
+        assert sylvester_det(x, y).is_zero()
 
 
 def test_bareiss_det_matches_cofactor_expansion():

@@ -25,6 +25,12 @@ KEPT = {
     ("numerics/odepath.py", "integrate_fixed_interval"): (
         "perfbench/layertrace.py traces it by name; one call of integrate_loop on [0, 1]"
     ),
+    ("mpoly.py", "sylvester"): (
+        "perfbench/layertrace.py traces it by name; the tests' Sylvester-determinant reference for resultant"
+    ),
+    ("mpoly.py", "bareiss_det"): (
+        "perfbench/layertrace.py traces it by name; the tests' Sylvester-determinant reference for resultant"
+    ),
 }
 
 # (file, function, parameter) -> why it keeps a default
