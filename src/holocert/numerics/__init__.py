@@ -9,10 +9,11 @@ of a base (phi1, or zeta) and a triangular stack of integrals, under the
 one field contract stated in ``odepath``: field(w, vals) returns rows in
 w, and the engine pulls them back by dw.  The engine cuts a loop into
 Chebyshev pieces and solves blocks of consecutive pieces at once: the
-base once, then sweeps of the integrals over all their nodes to a fixed
-point, the one cumulative-integral matrix, and start states chained in
-path order.  It halves every piece whose Chebyshev tail is too large, and
-reports a breakdown only where that fixed point leaves double precision.
+base once, then the integrals level by level over all their nodes, each
+level read off the levels below it, with the one cumulative-integral
+matrix and start states chained in path order.  It halves every piece
+whose Chebyshev tail is too large, and reports a breakdown where the
+solved state leaves double precision.
 
 The package itself holds only ODEError, which the command line catches
 before any numeric work runs, so that importing it loads no numpy;

@@ -192,8 +192,7 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples) -> list[CheckR
 
     def field(w, vals):
         def integrands(zeta):
-            g = vals * zeta[slot]  # in w and zeta alone
-            return lambda integrals: g
+            yield vals * zeta[slot]  # one level, in w and zeta alone
 
         return U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w), integrands
 

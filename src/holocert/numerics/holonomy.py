@@ -20,10 +20,12 @@ with running psi2 and psi3 entering the deeper integrands.
 Both are fields on ``odepath.integrate_loop``, which evaluates the S_d
 and q_d at w, pulls the rows back by dw and keeps the L1 masses; under
 ``odepath``'s field contract, r, K_d and r^d are computed once per block,
-every term in phi1 alone once per block with the solved base, and only
-the products with the integrals once per sweep.  Each carries phi1 as its base (phi1 = exp of
-the integral of K1): the jet stacks phi_2..phi_6 on it, each B_d reading
-only phi1..phi_(d-1), and the bundle its thirteen integrals.
+every term in phi1 alone once per block with the solved base, and the
+products with the integrals once per level, from the levels solved
+before it.  Each carries phi1 as its base (phi1 = exp of the integral of
+K1): the jet stacks phi_2..phi_6 on it, one level per B_d, each reading
+only phi1..phi_(d-1), and the bundle its thirteen integrals in two
+levels, the five psi_d and then the eight products with psi2 and psi3.
 ``phi_field`` is the phi1-weighted integrand P(w) phi1^(d-1) / r^d they
 share with the lemma checks.
 """
@@ -82,7 +84,8 @@ def float_model(p: FoliationParams, e: NormalFormExpansion) -> FloatModel:
 def _variation_field(model: FloatModel, order: int):
     """The base phi1 has the rate K1 and the integrals phi_2..phi_order the
     integrands B_2..B_order, with K_d = c_d K1 + S_d / r^d; vals are
-    S_2..S_order at w.  B_d reads phi1 and phi_2..phi_(d-1) only."""
+    S_2..S_order at w.  Each B_d is a level of its own, read off phi1 and
+    the solved phi_2..phi_(d-1)."""
     lam1, lam2 = model.lam1, model.lam2
     D = np.arange(2, order + 1)[:, None]
     c = np.array([model.c[d] for d in range(2, order + 1)], dtype=complex)[:, None]
@@ -98,32 +101,31 @@ def _variation_field(model: FloatModel, order: int):
             pw = {1: p1} | {e: p1**e for e in range(2, order)}  # phi1^e
             eK = {e: e * K[e] for e in range(2, order)}  # a leading e K_e
             last = {d: K[d] * pw[d - 1] for d in range(2, order + 1)}  # the trailing K_d phi1^(d-1)
-
-            def sweep(y):
-                p = [p1, *y]  # p[k] is phi_(k+1)
-                B = [last[2]]  # a sweep runs only with an integral: order >= 2
-                if order >= 3:
-                    B.append(eK[2] * p[1] * p1 + last[3])
-                if order >= 4:
-                    B.append(K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last[4])
-                if order >= 5:
-                    B.append(
+            p = [p1]  # p[k] is phi_(k+1), one more per level
+            for d in range(2, order + 1):
+                if d == 2:
+                    B = last[2]
+                elif d == 3:
+                    B = eK[2] * p[1] * p1 + last[3]
+                elif d == 4:
+                    B = K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last[4]
+                elif d == 5:
+                    B = (
                         eK[2] * (p[3] + p[2] * p[1]) * p1
                         + eK[3] * (p[2] + p[1] ** 2) * pw[2]
                         + eK[4] * p[1] * pw[3]
                         + last[5]
                     )
-                if order >= 6:
-                    B.append(
+                else:
+                    B = (
                         K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
                         + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * pw[2]
                         + K[4] * (4 * p[2] + 6 * p[1] ** 2) * pw[3]
                         + eK[5] * p[1] * pw[4]
                         + last[6]
                     )
-                return B
-
-            return sweep
+                (phi_d,) = yield [B]
+                p.append(phi_d)
 
         return k1, integrands
 
@@ -187,8 +189,8 @@ class QuadratureBundle:
 
 
 def phi_field(model: FloatModel, degrees):
-    """Base phi1 (rate K1 = s/r) and one integral per degree: integral k
-    has the integrand vals[k] phi1^(d_k - 1) / r^d_k."""
+    """Base phi1 (rate K1 = s/r) and one level of integrals, one per
+    degree: integral k has the integrand vals[k] phi1^(d_k - 1) / r^d_k."""
     lam1, lam2 = model.lam1, model.lam2
     D = np.asarray(degrees)[:, None]
 
@@ -197,8 +199,7 @@ def phi_field(model: FloatModel, degrees):
         rD = r**D
 
         def integrands(base):
-            g = vals * (base[0] ** (D - 1) / rD)  # in w and phi1 alone
-            return lambda integrals: g
+            yield vals * (base[0] ** (D - 1) / rD)  # in w and phi1 alone
 
         return s_of(lam1, lam2, w) / r, integrands
 
@@ -206,37 +207,28 @@ def phi_field(model: FloatModel, degrees):
 
 
 def _bundle_field(model: FloatModel):
-    """psi_d is the phi field of S_2, S_3, q_4, q_5, q_6; the deeper
-    integrals weight those integrands by the running psi2 and psi3."""
+    """psi_d is the phi field of S_2, S_3, q_4, q_5, q_6, the first level;
+    the second weights those integrands by the solved psi2 and psi3."""
     phi = phi_field(model, range(2, 7))
 
     def field(w, vals):
-        rate, bind_heads = phi(w, vals)
+        rate, heads = phi(w, vals)
 
         def integrands(base):
-            heads = bind_heads(base)  # the psi2..psi6 integrands g2..g6, in w and phi1 alone
-
-            def sweep(y):
-                head = heads(y)
-                g3, g4, g5 = head[1], head[2], head[3]
-                psi2, psi3 = y[0], y[1]
-                return np.concatenate(
-                    (
-                        head,
-                        [
-                            g3 * psi2,  # delta1
-                            g3 * psi2**2,  # delta2
-                            g3 * psi2**3,  # delta3
-                            g3 * psi2 * psi3,  # delta11
-                            g4 * psi2,  # gamma1
-                            g4 * psi2**2,  # gamma2
-                            g4 * psi3,  # gamma01
-                            g5 * psi2,  # b1
-                        ],
-                    )
-                )
-
-            return sweep
+            g = next(heads(base))  # the psi2..psi6 integrands g2..g6, phi_field's one level
+            psi = yield g
+            g3, g4, g5 = g[1], g[2], g[3]
+            psi2, psi3 = psi[0], psi[1]
+            yield [
+                g3 * psi2,  # delta1
+                g3 * psi2**2,  # delta2
+                g3 * psi2**3,  # delta3
+                g3 * psi2 * psi3,  # delta11
+                g4 * psi2,  # gamma1
+                g4 * psi2**2,  # gamma2
+                g4 * psi3,  # gamma01
+                g5 * psi2,  # b1
+            ]
 
         return rate, integrands
 

@@ -9,36 +9,36 @@ the L1 masses.  This is Chebfun's ``cumsum``; the end row is Fejer's first
 quadrature rule (Trefethen, Approximation Theory and Approximation
 Practice, SIAM 2013).
 
-The field contract.  The state is a base b and integrals y.  A field is
-called once per block, as field(w, vals) on the nodes w of its pieces and
-the values vals[k] = P_k(w) of the loop's polynomials there, and returns
-(rate, integrands): the base's rate rows (b' = rate * b), and the binding
-integrands.  The base is solved once per block, and integrands(b) is
-called once with it at the nodes; it returns the function that each sweep
-calls with the integrals y alone, which gives their derivatives there.
-All rows are derivatives in w: the engine pulls them back by the
-velocity dw of the nodes.  So the rate depends on w alone, every term in
-w and b alone is computed once per block, and integral k may read the
-integrals before k only.
+The field contract.  The state is a base b and integrals y, solved level
+by level.  A field is called once per block, as field(w, vals) on the
+nodes w of its pieces and the values vals[k] = P_k(w) of the loop's
+polynomials there, and returns (rate, integrands): the base's rate rows
+(b' = rate * b), and a generator function.  The base is solved once per
+block, and integrands(b) is called once with it at the nodes: the
+generator yields the rows of the first level of integrals, is sent that
+level's solved integrals at the nodes, yields the next level's rows, and
+so on until it returns.  The levels follow the integrals in order and
+must cover them exactly, or the engine raises ValueError.  All rows are
+derivatives in w: the engine pulls them back by the velocity dw of the
+nodes.  So the rate depends on w alone, every term in w and b alone is
+computed once per block, and a level reads only the levels before it.
 
 A loop's pieces form one list in path order, solved BLOCK at a time: the
-base is solved once on the nodes of all pieces of a block, each sweep
-evaluates the integrands once on them, and their start states are chained
-in path order (a product for the base, a sum for the integrals), the same
-arithmetic in the same order as solving the pieces one by one.  The
-sweeps run to a bitwise fixed point, and only that fixed point is
-judged: a sweep that returns the last sweep's rows ends them before its
-product.  The tail test is per piece: a piece fails
-while the trailing Chebyshev coefficients of an integrand exceed RTOL
-times its largest one plus ATOL.  The pieces before a block's first
+base is solved once on the nodes of all pieces of a block, each level
+evaluates its rows once on them and takes one cumulative-integral
+product, and their start states are chained in path order (a product for
+the base, a sum for the integrals), the same arithmetic in the same order
+as solving the pieces one by one.  The tail test is per piece: a piece
+fails while the trailing Chebyshev coefficients of an integrand exceed
+RTOL times its largest one plus ATOL.  The pieces before a block's first
 failing piece are accepted; from there on, every failing piece is halved
 and every other one goes back whole, and all of them are solved again
 from the accepted state.  A piece that failed only from the inexact end
-of a failing piece before it is halved too, so the mesh can be finer than that of
-solving the pieces one by one.  A breakdown is the first piece whose
-fixed point is not finite, all pieces before it passing, so it does not
-depend on the sweeps that reach the fixed point.  RTOL and ATOL are
-constants of the engine, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
+of a failing piece before it is halved too, so the mesh can be finer than
+that of solving the pieces one by one.  A breakdown is the first piece
+whose solved state is not finite, all pieces before it passing.  RTOL
+and ATOL are constants of the engine, like N, PIECES, BLOCK, MAX_DEPTH
+and TAIL.
 A loop integration returns the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
 ``integrate_loop`` is the one path-integration primitive of the
@@ -58,7 +58,7 @@ from . import ODEError
 
 N = 32  # Chebyshev nodes per piece
 PIECES = 2  # initial pieces per segment
-BLOCK = 16  # consecutive pending pieces solved together, one field sweep for all
+BLOCK = 16  # consecutive pending pieces solved together, one field call for all
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
 ATOL = 1e-16  # absolute floor of the tail test, for integrands that vanish
@@ -95,37 +95,29 @@ def _solve(field, w, vals, dw, half, start, nb):
     """Solve k consecutive pieces (nodes w, polynomial values vals,
     velocities dw, half-lengths half) from the accepted state start, the
     field's rows pulled back by dw.  The base is solved once, then the
-    integrals are iterated to a bitwise fixed point: each sweep fixes one
-    more integral level, so m integrals take at most m + 1 sweeps, and one
-    that returns the last one's rows ends the iteration before its product.
-    Every integral starts at its value in start; the fixed point does not
-    depend on that guess, and an intermediate sweep may overflow on the way
-    to it.
+    integrals level by level: each level's rows, read off the levels below
+    it, take one product and are chained from their values in start.
 
     Returns (nodes, ends, derivs, finite): the state and the derivatives at
     the nodes, of shape (rows, k, N), ends[j + 1], the state at the end of
-    piece j (ends[0] = start), and per piece whether its converged state is
-    finite.  The pieces from the first non-finite one on are never
-    accepted and need not settle: at the sweep bound, only the pieces
-    before it must be at their fixed point.
+    piece j (ends[0] = start), and per piece whether its state is finite.
+    ValueError if the levels do not cover the integrals exactly.
     """
-    k, rows, m = half.size, start.size, start.size - nb
-    # derivs starts at zero: the integrals' rows are not known before the first sweep
+    k, rows = half.size, start.size
+    # derivs starts at zero: the integrals' rows are not known before their level
     nodes, derivs, cum = (np.zeros((rows, k, n), dtype=complex) for n in (N, N, N + 1))
     ends = np.empty((k + 1, rows), dtype=complex)
     flat, flat_derivs = nodes.reshape(rows, k * N), derivs.reshape(rows, k * N)
     new = cum[:, :, :N]  # the new state at the nodes overwrites the local integrals
-    nodes[nb:] = start[nb:, None, None]
     ends[0] = start
-    settled = np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         rate, integrands = field(w, vals)
         np.copyto(flat_derivs[:nb], np.multiply(rate, dw))
-        # Every _CUMSUM product takes all rows, the base's and the
-        # integrals': a product of fewer rows can round otherwise (a lone
-        # piece's base alone is a vector product).  Each is scaled first,
-        # exactly (h/2 is a power of two), so a sum overflows only with its
-        # integral.
+        # The base's _CUMSUM product takes all rows, the base's and the
+        # integrals' zeros, and a lone piece's level products take all rows
+        # too: a product of fewer rows can round otherwise (a lone piece's
+        # base alone is a vector product).  Each is scaled first, exactly
+        # (h/2 is a power of two), so a sum overflows only with its integral.
         _per_row(derivs * half[:, None], _CUMSUM, out=cum)
         base = cum[:nb].view(float)
         # An exact ufunc between the BLAS product and the complex exp: straight
@@ -144,25 +136,27 @@ def _solve(field, w, vals, dw, half, start, nb):
             np.multiply(ends[j, :nb], factors[j], out=ends[j + 1, :nb])
         np.multiply(ends[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
         nodes[:nb] = new[:nb]
-        sweep = integrands(flat[:nb])
-        for i in range(m + 1 if m else 0):
-            rows_now = np.multiply(sweep(flat[nb:]), dw)
-            # rows equal to the last sweep's give the state in hand; the first
-            # sweep always takes its product, as start + 0 can flip a signed zero
-            if i:
-                same = np.equal(rows_now, flat_derivs[nb:]).reshape(m, k, N).all(axis=(0, 2))
-                settled = np.logical_and.accumulate(same)  # a piece's state reads the ends before it
-                if settled.all():
-                    break
-            np.copyto(flat_derivs[nb:], rows_now)
-            _per_row(derivs * half[:, None], _CUMSUM, out=cum)
-            ends[1:, nb:] = cum[nb:, :, N].T
-            np.add.accumulate(ends[:, nb:], axis=0, out=ends[:, nb:])
-            np.add(ends[:k, nb:].T[:, :, None], new[nb:], out=new[nb:])
-            nodes[nb:] = new[nb:]
+        levels, lo = integrands(flat[:nb]), nb
+        try:
+            level = next(levels)
+            while True:
+                lv = slice(lo, lo + len(level))
+                if lv.stop > rows:
+                    raise ValueError(f"the field's levels yield more than its {rows - nb} integrals")
+                np.copyto(flat_derivs[lv], np.multiply(level, dw))
+                part = lv if k > 1 else slice(None)  # a lone piece's product takes all rows
+                _per_row(derivs[part] * half[:, None], _CUMSUM, out=cum[part])
+                ends[1:, lv] = cum[lv, :, N].T
+                np.add.accumulate(ends[:, lv], axis=0, out=ends[:, lv])
+                np.add(ends[:k, lv].T[:, :, None], new[lv], out=new[lv])
+                nodes[lv] = new[lv]
+                lo = lv.stop
+                level = levels.send(flat[lv])
+        except StopIteration:
+            pass
+        if lo != rows:
+            raise ValueError(f"the field's levels yield {lo - nb} of its {rows - nb} integrals")
         finite = np.isfinite(nodes).all(axis=(0, 2)) & np.isfinite(ends[1:]).all(axis=1)
-    if not settled[: np.argmin(np.append(finite, False))].all():
-        raise ValueError(f"no fixed point after {m + 1} sweeps: an integrand reads itself or a later integral")
     return nodes, ends, derivs, finite
 
 
@@ -201,10 +195,8 @@ def integrate_loop(loop, base0, integrals0, coeffs, field):
     Returns (base, integrals, base_masses, masses) at the end of every
     segment, in path order; [-1] is the loop's end.
 
-    ODEError names the segment of the first piece whose converged state is
-    not finite, once every piece before it has passed its tail test: a
-    property of the fixed point from the accepted start state, not of the
-    sweeps that reach it.
+    ODEError names the segment of the first piece whose solved state is not
+    finite, once every piece before it has passed its tail test.
     """
     segments = loop.segments
     start = np.concatenate((np.asarray(base0, dtype=complex).ravel(), np.asarray(integrals0, dtype=complex).ravel()))

@@ -152,10 +152,10 @@ def test_overflowing_jet_raises():
 @pytest.mark.parametrize("rtol", [1e-12, 1e-6])
 @pytest.mark.parametrize("block", [1, None])  # None: the default BLOCK
 def test_breakdown_reason_does_not_depend_on_the_block(monkeypatch, block, rtol):
-    # with BLOCK = 1 every piece's sweeps start at its accepted start state;
-    # in a longer block the later pieces start from another guess, and their
-    # intermediate sweeps differ, but the reason is read from the fixed point,
-    # at the laboratory's RTOL and at a looser one
+    # with BLOCK = 1 every piece is solved alone from its accepted start
+    # state; in a longer block the later pieces are solved from the
+    # inexact ends of the pieces before them, but the reason names the same
+    # first non-finite piece, at the laboratory's RTOL and at a looser one
     from holocert.normalform import FoliationParams
     from holocert.numerics import ODEError, odepath
     from holocert.numerics.loops import build_loops

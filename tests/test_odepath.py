@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +10,28 @@ from holocert.numerics.loops import Arc, Line, Loop
 from holocert.numerics.odepath import ODEError, integrate_fixed_interval, integrate_loop
 
 EMPTY = np.zeros(0)  # no base components, or no integrals
+# integrate_fixed_interval's path, t in [0, 1] with dw = 1, for _piece_by_piece
+UNIT = SimpleNamespace(segments=(SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0),), label=None)
+
+
+def no_levels(b):
+    """The integrands of a field with no integrals: no level at all."""
+    yield from ()
+
+
+def one_level(rows):
+    """The integrands of a field with one level of integrals, rows(b) from
+    the solved base b."""
+
+    def integrands(b):
+        yield rows(b)
+
+    return integrands
 
 
 def base_only(rate):
     """A kernel field with one base component of the given rate and no integrals."""
-    return lambda t: (rate(t), lambda b: lambda y: 0.0)
+    return lambda t: (rate(t), no_levels)
 
 
 def test_exponential_growth_on_interval():
@@ -31,14 +49,14 @@ def test_complex_rotation():
 def test_segment_pullback_line():
     # the integral of dw along a segment recovers the displacement
     seg = Line(0j, 2 + 1j)
-    _, y, *_ = integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: seg.velocity(t)), EMPTY, [0.0])
+    _, y, *_ = integrate_fixed_interval(lambda t: (0.0, one_level(lambda b: [seg.velocity(t)])), EMPTY, [0.0])
     assert abs(y[0] - (2 + 1j)) < 1e-10
 
 
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), "there-and-back")
-    _, y, _, mass = integrate_loop(out_back, EMPTY, [0.0], [], lambda w, vals: (0.0, lambda b: lambda y: 1.0))[-1]
+    _, y, _, mass = integrate_loop(out_back, EMPTY, [0.0], [], lambda w, vals: (0.0, one_level(lambda b: [1.0])))[-1]
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -46,7 +64,7 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), "circle")
-    _, y, *_ = integrate_loop(circle, EMPTY, [0.0], [], lambda w, vals: (0.0, lambda b: lambda y: 1.0 / w))[-1]
+    _, y, *_ = integrate_loop(circle, EMPTY, [0.0], [], lambda w, vals: (0.0, one_level(lambda b: [1.0 / w])))[-1]
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
@@ -59,7 +77,7 @@ def test_a_loop_without_polynomials_gets_empty_vals():
 
     def field(w, vals):
         shapes.add(vals.shape == (0, w.size))
-        return 1.0 / w, lambda b: lambda y: b / w**2
+        return 1.0 / w, one_level(lambda b: b / w**2)
 
     (b,), (y,), _, _ = integrate_loop(circle, [1.0], [0.0], [], field)[-1]
     assert shapes == {True}
@@ -72,7 +90,7 @@ def test_segment_ends_come_in_path_order(monkeypatch):
     # arclength from the loop's start
     loop = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), "wedge")
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
-    ends = integrate_loop(loop, EMPTY, [0.0], [], lambda w, vals: (0.0, lambda b: lambda y: 1.0))
+    ends = integrate_loop(loop, EMPTY, [0.0], [], lambda w, vals: (0.0, one_level(lambda b: [1.0])))
     assert [y[0] for _, y, *_ in ends] == [pytest.approx(1 + 0j), pytest.approx(0j, abs=1e-12)]
     assert [mass[0] for *_, mass in ends] == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -89,39 +107,74 @@ def test_a_state_near_the_double_range_keeps_finite_sums(b0):
     # b' = b/2 and y' = b: b(1) = b0 e^(1/2) and y(1) = 2 b0 (e^(1/2) - 1)
     # are finite, but a piece's sums before the scaling by its half-length
     # h/2 would be 2/h times larger and overflow
-    b, y, *masses = integrate_fixed_interval(lambda t: (0.5, lambda b: lambda y: b), [b0], [0.0])
+    b, y, *masses = integrate_fixed_interval(lambda t: (0.5, one_level(lambda b: b)), [b0], [0.0])
     assert b[0] == pytest.approx(b0 * math.exp(0.5), rel=1e-13)
     assert y[0] == pytest.approx(b0 * (2.0 * (math.exp(0.5) - 1.0)), rel=1e-13)
     assert np.all(np.isfinite(masses))
 
 
 def test_an_overflow_before_the_fixed_point_is_no_breakdown():
-    # y0' = 1 and y1' = exp(2000 (t - y0)): the first sweep, at the guess
-    # y0 = 0, overflows, but the fixed point y0 = y1 = t is finite
+    # y0' = 1 and y1' = exp(2000 (t - y0)), in two levels: the first Picard
+    # sweep of _piece_by_piece, at the guess y0 = 0, overflows, but its
+    # fixed point y0 = y1 = t is finite, and the level solve reaches it
+    # without that guess
     def f(t):
-        return 0.0, lambda b: lambda y: [np.ones_like(t), np.exp(2000.0 * (t - y[0]))]
+        def integrands(b):
+            (y0,) = yield [np.ones_like(t)]
+            yield [np.exp(2000.0 * (t - y0))]
+
+        return 0.0, integrands
 
     _, y, *_ = integrate_fixed_interval(f, EMPTY, [0.0, 0.0])
     assert abs(y[1] - 1.0) < 1e-12
+    (want,) = _piece_by_piece(UNIT, EMPTY, [0.0, 0.0], [], lambda w, vals: f(w))
+    assert np.array_equal(y, want[1])
 
 
-def test_field_reading_its_own_integral_is_rejected():
-    # y' = y is no iterated integral: the sweeps never reach a fixed point
-    with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [1.0])
+def _levels_of(sizes, sent):
+    """A field on [0, 1] with no base and integrals in levels of the given
+    sizes, each row the constant 1; sent collects every array the engine
+    sends, less the nodes t, so each row is its integral's start value."""
+
+    def f(t):
+        def integrands(b):
+            for n in sizes:
+                sent.append((yield [np.ones_like(t)] * n) - t)
+
+        return 0.0, integrands
+
+    return f
 
 
-def test_no_fixed_point_before_an_overflow_is_still_rejected():
-    # y' = y from 6e307: the second piece's state overflows, so only the
-    # first must settle, and it does not
-    with pytest.raises(ValueError, match="no fixed point"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: y), EMPTY, [6e307])
+@pytest.mark.parametrize("sizes", [(), (1,), (2, 1)])
+def test_levels_short_of_the_integrals_are_rejected(sizes):
+    with pytest.raises(ValueError, match=f"yield {sum(sizes)} of its 4 integrals"):
+        integrate_fixed_interval(_levels_of(sizes, []), EMPTY, np.zeros(4))
+
+
+@pytest.mark.parametrize("sizes", [(3,), (1, 2)])
+def test_levels_beyond_the_integrals_are_rejected(sizes):
+    with pytest.raises(ValueError, match="yield more than its 2 integrals"):
+        integrate_fixed_interval(_levels_of(sizes, []), EMPTY, np.zeros(2))
+
+
+def test_each_level_is_sent_its_own_integrals():
+    # levels of 2, 3 and 1 rows from the start values 0..5: after each
+    # level the engine sends that level's integrals at the block's nodes,
+    # and nothing else
+    sent = []
+    _, y, *_ = integrate_fixed_interval(_levels_of((2, 3, 1), sent), EMPTY, np.arange(6.0))
+    assert np.allclose(y, np.arange(6.0) + 1.0, rtol=1e-15, atol=0.0)
+    nodes = odepath.PIECES * odepath.N  # one block of the initial pieces
+    assert [x.shape for x in sent] == [(2, nodes), (3, nodes), (1, nodes)]
+    for x, start in zip(sent, ([0.0, 1.0], [2.0, 3.0, 4.0], [5.0])):
+        assert np.allclose(x, np.array(start)[:, None], rtol=0.0, atol=1e-14)
 
 
 def test_jump_exhausts_the_splitting_depth():
     # a jump keeps the Chebyshev tail of the piece holding it at O(1)
     with pytest.raises(ODEError, match="tail above rtol"):
-        integrate_fixed_interval(lambda t: (0.0, lambda b: lambda y: (t > 1 / 3) + 0j), EMPTY, [0.0])
+        integrate_fixed_interval(lambda t: (0.0, one_level(lambda b: [(t > 1 / 3) + 0j])), EMPTY, [0.0])
 
 
 def _pulse_run(monkeypatch, rtol):
@@ -133,7 +186,7 @@ def _pulse_run(monkeypatch, rtol):
     def f(t):
         # one call covers a block of pieces, N nodes each
         pieces.update(map(tuple, t.reshape(-1, odepath.N)))
-        return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), lambda b: lambda y: 0.0
+        return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), no_levels
 
     b, *_ = integrate_fixed_interval(f, [1.0], EMPTY)
     phase = amp * width * math.sqrt(math.pi) / 2 * (math.erf((1 - centre) / width) + math.erf(centre / width))
@@ -174,7 +227,7 @@ def test_a_split_segment_leaves_its_neighbours_alone(monkeypatch):
                 nodes[seg].add(tuple(row))
         on = w.imag == 0  # not on the closing segment
         rate = np.where(on, 1j * (0.3 + amp * np.exp(-(((w.real - 1.5) / width) ** 2))), 0.0)
-        return rate, lambda b: lambda y: np.where(on, b[0], 0.0)
+        return rate, one_level(lambda b: [np.where(on, b[0], 0.0)])
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     b, *_ = integrate_loop(loop, [1.0], [0.0], [], field)[-1]
@@ -187,102 +240,134 @@ def test_a_split_segment_leaves_its_neighbours_alone(monkeypatch):
 def test_nonfinite_state_names_the_first_segment_that_overflows(monkeypatch):
     # segment 0 must be split and segment 2 overflows (e^1000); the pieces of
     # segment 3 and later, solved in the same block, go non-finite too, but
-    # the error names segment 2 and is no "no fixed point" ValueError
+    # the error names segment 2
     loop = _line_loop(5)
 
     def field(w, vals):
         x = w.real
         pulse = np.where(x < 1.0, 40j * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
         rate = np.where(w.imag == 0, pulse + np.where((x > 2.0) & (x < 3.0), 1000.0, 0.0), 0.0)
-        return rate, lambda b: lambda y: b[0]
+        return rate, one_level(lambda b: [b[0]])
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     with pytest.raises(ODEError, match=r"^loop 'line', segment 2: non-finite state$"):
         integrate_loop(loop, [1.0], [0.0], [], field)
 
 
-def _counted_pulse_field(m, fields, bindings, sweeps):
+def _counted_pulse_field(m, fields, bindings, levels):
     """A field on _line_loop with one base, whose rate pulse splits pieces,
-    and m <= 2 integrals.  Each call appends its block's index to fields,
-    each binding to bindings, and sweeps[block] counts the block's sweeps."""
+    and m <= 2 integrals, one per level: the first reads the base, the
+    second the first.  Each call appends its block's index to fields, each
+    binding to bindings, and levels[block] counts the block's levels."""
 
     def field(w, vals):
-        block = len(sweeps)
+        block = len(levels)
         fields.append(block)
-        sweeps.append(0)
+        levels.append(0)
         on = w.imag == 0  # not on the closing segment
         rate = np.where(on, 1j * (0.3 + 30.0 * np.exp(-(((w.real - 1.5) / 0.02) ** 2))), 0.0)
         weight = np.where(on, np.cos(3.0 * w), 0.0)
 
         def integrands(b):
-            assert block == len(sweeps) - 1 == len(bindings)
+            assert block == len(levels) - 1 == len(bindings)
             assert b.shape == (1, w.size)
             bindings.append(block)
-            first = weight * b[0]
-
-            def sweep(y):
-                assert block == len(sweeps) - 1
-                assert y.shape == (m, w.size)
-                sweeps[block] += 1
-                return [first, y[0]][:m]
-
-            return sweep
+            rows = [weight * b[0]]
+            for _ in range(m):
+                assert block == len(levels) - 1
+                levels[block] += 1
+                y = yield rows
+                assert y.shape == (1, w.size)
+                rows = [y[0]]
 
         return rate, integrands
 
     return field
 
 
-def test_the_field_runs_once_per_block_and_its_integrands_once_per_sweep(monkeypatch):
+def test_the_field_and_each_level_run_once_per_block(monkeypatch):
     # the rate and every w-only term belong to the field, every term in the
-    # solved base to the binding, and each sweep calls only the integrals'
-    # function of the block being solved: at most m + 1 times for m
-    # integrals.  The pulse splits pieces, so the loop takes several blocks.
+    # solved base to the binding, and each level of the block being solved
+    # is evaluated once.  The pulse splits pieces, so the loop takes several
+    # blocks.
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
-    fields, bindings, sweeps = [], [], []
-    integrate_loop(_line_loop(3), [1.0], [0.0, 0.0], [], _counted_pulse_field(2, fields, bindings, sweeps))
-    assert len(sweeps) > 1
-    assert fields == bindings == list(range(len(sweeps)))
-    assert all(1 <= n <= 2 + 1 for n in sweeps)
+    fields, bindings, levels = [], [], []
+    integrate_loop(_line_loop(3), [1.0], [0.0, 0.0], [], _counted_pulse_field(2, fields, bindings, levels))
+    assert len(levels) > 1
+    assert fields == bindings == list(range(len(levels)))
+    assert levels == [2] * len(levels)
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_a_settling_sweep_takes_no_product(m, monkeypatch):
-    # a block takes one _CUMSUM product for its base and one per sweep but
-    # the last: rows equal to the sweep's before give the state in hand.
-    # With m = 1 the integrand reads the base alone, like phi_field, so the
-    # second sweep settles and the block takes one sweep product.
+def test_a_block_takes_one_product_per_level(m, monkeypatch):
+    # a block takes one _CUMSUM product for its base, over all rows, and one
+    # per level; in a block of several pieces each level's product takes
+    # that level's rows only, so every integral row goes through exactly
+    # one level product.  A lone piece's level products take all rows, as
+    # its base product does (see _per_row).
     products, per_row = [], odepath._per_row
 
     def counted(a, matrix, out=None):
-        products.append(matrix is odepath._CUMSUM)
+        products.append((len(levels) - 1, matrix is odepath._CUMSUM, a.shape))
         return per_row(a, matrix, out=out)
 
     monkeypatch.setattr(odepath, "_per_row", counted)
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
-    fields, bindings, sweeps = [], [], []
-    integrate_loop(_line_loop(3), [1.0], [0.0] * m, [], _counted_pulse_field(m, fields, bindings, sweeps))
-    assert len(sweeps) > 1
-    assert sum(products) == len(sweeps) + sum(n - 1 for n in sweeps)
-    assert len(products) - sum(products) == len(sweeps)  # the tail tests, one per block
-    if m == 1:
-        assert sweeps == [2] * len(sweeps)
+    fields, bindings, levels = [], [], []
+    integrate_loop(_line_loop(3), [1.0], [0.0] * m, [], _counted_pulse_field(m, fields, bindings, levels))
+    assert len(levels) > 1
+    assert levels == [m] * len(levels)
+    several = 0
+    for block in range(len(levels)):
+        cumsums = [shape for b, is_cumsum, shape in products if b == block and is_cumsum]
+        assert len(cumsums) == 1 + levels[block]
+        assert [b for b, is_cumsum, _ in products if not is_cumsum].count(block) == 1  # the tail test
+        base, *level_products = cumsums
+        assert base[0] == 1 + m
+        if base[1] > 1:
+            several += 1
+            assert [shape[0] for shape in level_products] == [1] * m
+        else:
+            assert [shape[0] for shape in level_products] == [1 + m] * m
+    assert several
 
 
 def test_a_base_alone_takes_no_sweep(monkeypatch):
+    # with no integrals the binding yields no level
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
-    fields, bindings, sweeps = [], [], []
-    integrate_loop(_line_loop(3), [1.0], EMPTY, [], _counted_pulse_field(0, fields, bindings, sweeps))
-    assert len(sweeps) > 1
-    assert fields == bindings == list(range(len(sweeps)))
-    assert not any(sweeps)
+    fields, bindings, levels = [], [], []
+    integrate_loop(_line_loop(3), [1.0], EMPTY, [], _counted_pulse_field(0, fields, bindings, levels))
+    assert len(levels) > 1
+    assert fields == bindings == list(range(len(levels)))
+    assert not any(levels)
+
+
+def _picard_rows(integrands, base, guess):
+    """One Picard sweep of a level field: every level is sent the current
+    guess of its integrals, not their solved values, and the rows of all
+    levels are returned."""
+    rows, lo = [], 0
+    levels = integrands(base)
+    try:
+        level = next(levels)
+        while True:
+            rows.extend(np.broadcast_to(row, guess.shape[1:]) for row in level)
+            lo += len(level)
+            level = levels.send(guess[lo - len(level) : lo])
+    except StopIteration:
+        pass
+    assert lo == len(guess)
+    return np.array(rows)
 
 
 def _piece_by_piece(loop, b0, y0, coeffs, field):
     """The reference for integrate_loop, for fields that read no
     polynomials: each piece solved alone from its accepted start state,
     split while its tail test at odepath.RTOL fails, with the arithmetic
-    that the blocks must reproduce bit for bit."""
+    that the blocks must reproduce bit for bit.  Its integrals are Picard
+    sweeps from the start state, m + 1 of them for m integrals, as the
+    engine solved them before it solved level by level; the last sweep
+    must return the rows of the one before it, a fixed point."""
     assert not coeffs
     N, X, C = odepath.N, np.polynomial.chebyshev.chebpts1(odepath.N), odepath._CUMSUM
     b, y = np.asarray(b0, dtype=complex), np.asarray(y0, dtype=complex)
@@ -301,10 +386,12 @@ def _piece_by_piece(loop, b0, y0, coeffs, field):
             # the base from the product of all rows, then the integrals' sweeps
             base = b[:, None] * np.exp(((h / 2.0 * derivs) @ C)[:nb])
             state = np.concatenate((base, np.repeat(y[:, None], N + 1, 1)))
-            sweep = integrands(state[:nb, :N])
-            for _ in range(m + 1 if m else 0):
-                derivs[nb:] = np.multiply(sweep(state[nb:, :N]), dw)
-                state[nb:] = y[:, None] + ((h / 2.0 * derivs) @ C)[nb:]
+            for i in range(m + 1 if m else 0):
+                with np.errstate(all="ignore"):  # a sweep before the fixed point may overflow
+                    rows = np.multiply(_picard_rows(integrands, state[:nb, :N], state[nb:, :N]), dw)
+                    assert i < m or np.array_equal(rows, derivs[nb:])
+                    derivs[nb:] = rows
+                    state[nb:] = y[:, None] + ((h / 2.0 * derivs) @ C)[nb:]
             coeffs = np.abs(derivs @ odepath._TO_COEFFS.T)
             tail, top = coeffs[:, -odepath.TAIL :].max(axis=1, initial=0.0), coeffs.max(axis=1, initial=0.0)
             if np.any(tail > odepath.RTOL * top + odepath.ATOL):
@@ -339,13 +426,14 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison, monkeypatc
             pulse = np.where(x < 1.0, 40.0 * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
             halves = np.repeat(ahead & (starts > 1.0) & (spans < 0.3), odepath.N)
 
-            def sweep(y):
-                tail = np.where(x > 1.0, (y[0] - Y) * np.cos(100.0 * w), 0.0)
+            def integrands(b):
+                (y0,) = yield np.where(on, [pulse], 0.0)
+                tail = np.where(x > 1.0, (y0 - Y) * np.cos(100.0 * w), 0.0)
                 if poison:
                     tail = np.where(halves, np.inf, tail)
-                return np.where(on, [pulse, tail, np.cos(3.0 * w)], 0.0)
+                yield np.where(on, [tail, np.cos(3.0 * w)], 0.0)
 
-            return 0.0, lambda b: sweep
+            return 0.0, integrands
 
         return integrate(loop, EMPTY, [0.0, 0.0, 0.0], [], field)
 
@@ -382,7 +470,9 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
     # every result and every mid-path value agrees to the last bit; the
     # pulse makes pieces split, and a block then holds pieces of several
     # segments.  A block of one piece takes the (rows, N) product of a lone
-    # piece, which a product of the base's rows alone would not round like.
+    # piece, which a product of the base's rows alone, or of one level's,
+    # would not round like.  The reference iterates Picard sweeps to their
+    # fixed point, which the two levels reach without iterating.
     monkeypatch.setattr(odepath, "BLOCK", block)
     monkeypatch.setattr(odepath, "RTOL", 1e-11)
     loop = _line_loop(4)
@@ -391,7 +481,11 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
     def field(w, vals):
         x = w.real
         rate = rates * (1.0 + 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)))
-        return rate, lambda b: lambda y: [np.cos(3 * w) * b[-1], y[0] * b[0]]
+        def integrands(b):
+            (y0,) = yield [np.cos(3 * w) * b[-1]]
+            yield [y0 * b[0]]
+
+        return rate, integrands
 
     def run(integrate):
         return integrate(loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], [], field)
@@ -406,17 +500,22 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
 @pytest.mark.parametrize("n, k", [(1, 2), (1, 8), (2, 4)])
 def test_stacked_copies_match_single_system_bit_for_bit(n, k, monkeypatch):
     # k copies of an n-component system (bases b' = rate b, integrals
-    # y' = cos(3t) b): every copy must reproduce the single-system result
-    # exactly, so no arithmetic mixes the rows of the state
+    # y' = cos(3t) b, one level): every copy must reproduce the
+    # single-system result exactly, so no arithmetic mixes the rows of the
+    # state, and the stack must reproduce the Picard fixed point of
+    # _piece_by_piece
     rates = np.array([1j * math.pi, -0.7 + 2.0j])[:n]
     b0 = np.array([1.0 + 0.5j, -0.3 + 2j])[:n]
 
     def copies(c):
-        return lambda t: (np.tile(rates, c)[:, None], lambda b: lambda y: np.cos(3 * t) * b)
+        return lambda t: (np.tile(rates, c)[:, None], one_level(lambda b: np.cos(3 * t) * b))
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     single = integrate_fixed_interval(copies(1), b0, np.zeros(n))
     stacked = integrate_fixed_interval(copies(k), np.tile(b0, k), np.zeros(n * k))
+    (picard,) = _piece_by_piece(UNIT, np.tile(b0, k), np.zeros(n * k), [], lambda w, vals: copies(k)(w))
+    for got, want in zip(stacked, picard, strict=True):
+        assert np.array_equal(got, want)
     for copy in range(k):
         sl = slice(copy * n, (copy + 1) * n)
         for got, want in zip(stacked, single, strict=True):  # base, integrals and their masses
@@ -426,15 +525,21 @@ def test_stacked_copies_match_single_system_bit_for_bit(n, k, monkeypatch):
 def test_stack_on_a_circle_has_closed_forms():
     # one circle of radius rho about c, starting at w0 = c + rho.  The base
     # b' = 1/(w - c) b returns to 1 with mass 2 pi; I0' = 1/(w - c) picks
-    # up 2 pi i; I1' = P(w) = 1 integrates to 0 with mass 2 pi rho; I2' = I1
-    # reads the field's own integral I1 = w - w0, again integrating to 0,
-    # with mass the integral of 2 rho sin(theta/2) against rho dtheta = 8 rho^2
+    # up 2 pi i; I1' = P(w) = 1 integrates to 0 with mass 2 pi rho; I2' = I1,
+    # a second level, reads the field's own integral I1 = w - w0, again
+    # integrating to 0, with mass the integral of 2 rho sin(theta/2) against
+    # rho dtheta = 8 rho^2
     c, rho = 0.3 - 0.2j, 0.7
     circle = Loop((Arc(c, rho, 0.0, 2 * math.pi),), "circle")
 
     def field(w, vals):
         rate = 1.0 / (w - c)
-        return rate, lambda b: lambda y: [rate, vals[0], y[1]]
+
+        def integrands(b):
+            y = yield [rate, vals[0]]
+            yield [y[1]]
+
+        return rate, integrands
 
     ends = integrate_loop(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field)
     assert len(ends) == 1  # one segment
