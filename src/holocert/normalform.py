@@ -157,8 +157,7 @@ def validate_genericity(p: FoliationParams) -> GenericityReport:
         for k in (3, 4, 5):
             if _in_fractional_lattice(lam, k):
                 failures.append(f"{name} in (1/{k})Z")
-    res = [float(p.lambda1.re), float(p.lambda2.re), float(p.lambda3.re)]
-    ordering = res[0] >= res[1] >= res[2]
+    ordering = p.lambda1.re >= p.lambda2.re >= p.lambda3.re  # exact, as it enters the certificate
     proxies = (
         "holonomy group non-solvable (numeric proxy: nonlinear commutator jet)",
         "commutator germ has nonzero quadratic term (numeric proxy: |a21| > 0)",

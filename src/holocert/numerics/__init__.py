@@ -6,14 +6,14 @@ cross-validates the closed-form coefficient formulas of the exact half.
 Every loop integration goes through ``odepath.integrate_loop``: each
 family (jets, quadrature bundle, integral lemmas) is a field on it, made
 of a base (phi1, or zeta) and a triangular stack of integrals, under the
-one field contract stated in ``odepath``: field(w, vals) returns rows in
-w, and the engine pulls them back by dw.  The engine cuts a loop into
-Chebyshev pieces and solves blocks of consecutive pieces at once: the
-base once, then the integrals level by level over all their nodes, each
-level read off the levels below it, with the one cumulative-integral
-matrix and start states chained in path order.  It halves every piece
-whose Chebyshev tail is too large, and reports a breakdown where the
-solved state leaves double precision.
+one field contract stated in ``odepath``: a field is one generator that
+yields rows in w, the base's rate first and then one level of integrands
+at a time, and is sent each level's solved values.  The engine cuts a
+loop into Chebyshev pieces and solves blocks of consecutive pieces at
+once, level by level over all their nodes, with the one
+cumulative-integral matrix and start states chained in path order.  It
+halves every piece whose Chebyshev tail is too large, and reports a
+breakdown where the solved state leaves double precision.
 
 The package itself holds only ODEError, which the command line catches
 before any numeric work runs, so that importing it loads no numpy;

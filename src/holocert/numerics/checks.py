@@ -191,10 +191,8 @@ def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples) -> list[CheckR
     U2 = (D - 1) * model.lam2 - D
 
     def field(w, vals):
-        def integrands(zeta):
-            yield vals * zeta[slot]  # one level, in w and zeta alone
-
-        return U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w), integrands
+        zeta = yield U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w)
+        yield vals * zeta[slot]  # one level, in w and zeta alone
 
     coeffs = [P for _, P in samples]
     zeros = np.zeros(len(samples))

@@ -18,16 +18,15 @@ iterated integrals that the degree 2..6 coefficient formulas are made of,
 with running psi2 and psi3 entering the deeper integrands.
 
 Both are fields on ``odepath.integrate_loop``, which evaluates the S_d
-and q_d at w, pulls the rows back by dw and keeps the L1 masses; under
-``odepath``'s field contract, r, K_d and r^d are computed once per block,
-every term in phi1 alone once per block with the solved base, and the
-products with the integrals once per level, from the levels solved
-before it.  Each carries phi1 as its base (phi1 = exp of the integral of
-K1): the jet stacks phi_2..phi_6 on it, one level per B_d, each reading
-only phi1..phi_(d-1), and the bundle its thirteen integrals in two
-levels, the five psi_d and then the eight products with psi2 and psi3.
-``phi_field`` is the phi1-weighted integrand P(w) phi1^(d-1) / r^d they
-share with the lemma checks.
+and q_d at w, pulls the rows back by dw and keeps the L1 masses.  Under
+``odepath``'s field contract each is one generator per block: it yields
+the rate K1 of its base phi1 (phi1 = exp of the integral of K1), with
+r, K_d and r^d computed once, is sent phi1, and yields one level of
+integrands at a time, each read off the levels sent before it.  The jet
+stacks phi_2..phi_6 on phi1, one level per B_d, and the bundle its
+thirteen integrals in two levels, the five psi_d and then the eight
+products with psi2 and psi3.  ``phi_field`` is the phi1-weighted
+integrand P(w) phi1^(d-1) / r^d they share with the lemma checks.
 """
 
 from __future__ import annotations
@@ -94,40 +93,36 @@ def _variation_field(model: FloatModel, order: int):
         r = r_of(w)
         k1 = s_of(lam1, lam2, w) / r
         K = [0j, k1, *(c * k1 + vals / r**D)]
-
-        def integrands(base):
-            # the terms in w and phi1 alone, each as the sums below evaluate it
-            p1 = base[0]
-            pw = {1: p1} | {e: p1**e for e in range(2, order)}  # phi1^e
-            eK = {e: e * K[e] for e in range(2, order)}  # a leading e K_e
-            last = {d: K[d] * pw[d - 1] for d in range(2, order + 1)}  # the trailing K_d phi1^(d-1)
-            p = [p1]  # p[k] is phi_(k+1), one more per level
-            for d in range(2, order + 1):
-                if d == 2:
-                    B = last[2]
-                elif d == 3:
-                    B = eK[2] * p[1] * p1 + last[3]
-                elif d == 4:
-                    B = K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last[4]
-                elif d == 5:
-                    B = (
-                        eK[2] * (p[3] + p[2] * p[1]) * p1
-                        + eK[3] * (p[2] + p[1] ** 2) * pw[2]
-                        + eK[4] * p[1] * pw[3]
-                        + last[5]
-                    )
-                else:
-                    B = (
-                        K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
-                        + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * pw[2]
-                        + K[4] * (4 * p[2] + 6 * p[1] ** 2) * pw[3]
-                        + eK[5] * p[1] * pw[4]
-                        + last[6]
-                    )
-                (phi_d,) = yield [B]
-                p.append(phi_d)
-
-        return k1, integrands
+        (p1,) = yield k1
+        # the terms in w and phi1 alone, each as the sums below evaluate it
+        pw = {1: p1} | {e: p1**e for e in range(2, order)}  # phi1^e
+        eK = {e: e * K[e] for e in range(2, order)}  # a leading e K_e
+        last = {d: K[d] * pw[d - 1] for d in range(2, order + 1)}  # the trailing K_d phi1^(d-1)
+        p = [p1]  # p[k] is phi_(k+1), one more per level
+        for d in range(2, order + 1):
+            if d == 2:
+                B = last[2]
+            elif d == 3:
+                B = eK[2] * p[1] * p1 + last[3]
+            elif d == 4:
+                B = K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last[4]
+            elif d == 5:
+                B = (
+                    eK[2] * (p[3] + p[2] * p[1]) * p1
+                    + eK[3] * (p[2] + p[1] ** 2) * pw[2]
+                    + eK[4] * p[1] * pw[3]
+                    + last[5]
+                )
+            else:
+                B = (
+                    K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
+                    + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * pw[2]
+                    + K[4] * (4 * p[2] + 6 * p[1] ** 2) * pw[3]
+                    + eK[5] * p[1] * pw[4]
+                    + last[6]
+                )
+            (phi_d,) = yield [B]
+            p.append(phi_d)
 
     return field
 
@@ -197,11 +192,8 @@ def phi_field(model: FloatModel, degrees):
     def field(w, vals):
         r = r_of(w)
         rD = r**D
-
-        def integrands(base):
-            yield vals * (base[0] ** (D - 1) / rD)  # in w and phi1 alone
-
-        return s_of(lam1, lam2, w) / r, integrands
+        base = yield s_of(lam1, lam2, w) / r
+        yield vals * (base[0] ** (D - 1) / rD)  # in w and phi1 alone
 
     return field
 
@@ -212,25 +204,22 @@ def _bundle_field(model: FloatModel):
     phi = phi_field(model, range(2, 7))
 
     def field(w, vals):
-        rate, heads = phi(w, vals)
-
-        def integrands(base):
-            g = next(heads(base))  # the psi2..psi6 integrands g2..g6, phi_field's one level
-            psi = yield g
-            g3, g4, g5 = g[1], g[2], g[3]
-            psi2, psi3 = psi[0], psi[1]
-            yield [
-                g3 * psi2,  # delta1
-                g3 * psi2**2,  # delta2
-                g3 * psi2**3,  # delta3
-                g3 * psi2 * psi3,  # delta11
-                g4 * psi2,  # gamma1
-                g4 * psi2**2,  # gamma2
-                g4 * psi3,  # gamma01
-                g5 * psi2,  # b1
-            ]
-
-        return rate, integrands
+        heads = phi(w, vals)
+        base = yield next(heads)  # phi_field's rate
+        g = heads.send(base)  # the psi2..psi6 integrands g2..g6, phi_field's one level
+        psi = yield g
+        g3, g4, g5 = g[1], g[2], g[3]
+        psi2, psi3 = psi[0], psi[1]
+        yield [
+            g3 * psi2,  # delta1
+            g3 * psi2**2,  # delta2
+            g3 * psi2**3,  # delta3
+            g3 * psi2 * psi3,  # delta11
+            g4 * psi2,  # gamma1
+            g4 * psi2**2,  # gamma2
+            g4 * psi3,  # gamma01
+            g5 * psi2,  # b1
+        ]
 
     return field
 

@@ -10,35 +10,33 @@ quadrature rule (Trefethen, Approximation Theory and Approximation
 Practice, SIAM 2013).
 
 The field contract.  The state is a base b and integrals y, solved level
-by level.  A field is called once per block, as field(w, vals) on the
-nodes w of its pieces and the values vals[k] = P_k(w) of the loop's
-polynomials there, and returns (rate, integrands): the base's rate rows
-(b' = rate * b), and a generator function.  The base is solved once per
-block, and integrands(b) is called once with it at the nodes: the
-generator yields the rows of the first level of integrals, is sent that
-level's solved integrals at the nodes, yields the next level's rows, and
-so on until it returns.  The levels follow the integrals in order and
-must cover them exactly, or the engine raises ValueError.  All rows are
-derivatives in w: the engine pulls them back by the velocity dw of the
-nodes.  So the rate depends on w alone, every term in w and b alone is
-computed once per block, and a level reads only the levels before it.
+by level, the base first.  A field is a generator function, called once
+per block as field(w, vals) on the nodes w of its pieces and the values
+vals[k] = P_k(w) of the loop's polynomials there.  It yields the base's
+rate rows (b' = rate * b), is sent the solved base at the nodes, yields
+the rows of the first level of integrals, is sent that level's solved
+integrals, and so on until it returns.  The levels follow the integrals
+in order and must cover them exactly, or the engine raises ValueError.
+All rows are derivatives in w: the engine pulls them back by the
+velocity dw of the nodes.  So the rate depends on w alone, every term in
+w and b alone is computed once per block, and a level reads only the
+levels before it.
 
-A loop's pieces form one list in path order, solved BLOCK at a time: the
-base is solved once on the nodes of all pieces of a block, each level
-evaluates its rows once on them and takes one cumulative-integral
-product, and their start states are chained in path order (a product for
-the base, a sum for the integrals), the same arithmetic in the same order
-as solving the pieces one by one.  The tail test is per piece: a piece
-fails while the trailing Chebyshev coefficients of an integrand exceed
-RTOL times its largest one plus ATOL.  The pieces before a block's first
-failing piece are accepted; from there on, every failing piece is halved
-and every other one goes back whole, and all of them are solved again
-from the accepted state.  A piece that failed only from the inexact end
-of a failing piece before it is halved too, so the mesh can be finer than
-that of solving the pieces one by one.  A breakdown is the first piece
-whose solved state is not finite, all pieces before it passing.  RTOL
-and ATOL are constants of the engine, like N, PIECES, BLOCK, MAX_DEPTH
-and TAIL.
+A loop's pieces form one list in path order, solved BLOCK at a time:
+each level evaluates its rows once on the nodes of all pieces of a block
+and takes one cumulative-integral product, and its start states are
+chained in path order (a product for the base, a sum for the integrals),
+the same arithmetic in the same order as solving the pieces one by one.
+The tail test is per piece: a piece fails while the trailing Chebyshev
+coefficients of an integrand exceed RTOL times its largest one plus
+ATOL.  The pieces before a block's first failing piece are accepted;
+from there on, every failing piece is halved and every other one goes
+back whole, and all of them are solved again from the accepted state.  A
+piece that failed only from the inexact end of a failing piece before it
+is halved too, so the mesh can be finer than that of solving the pieces
+one by one.  A breakdown is the first piece whose solved state is not
+finite, all pieces before it passing.  RTOL and ATOL are constants of
+the engine, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
 A loop integration returns the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
 ``integrate_loop`` is the one path-integration primitive of the
@@ -48,7 +46,7 @@ integral lemmas) supplies only a field in w.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import count, groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,68 +92,69 @@ def _per_row(a, m, out=None):
 def _solve(field, w, vals, dw, half, start, nb):
     """Solve k consecutive pieces (nodes w, polynomial values vals,
     velocities dw, half-lengths half) from the accepted state start, the
-    field's rows pulled back by dw.  The base is solved once, then the
-    integrals level by level: each level's rows, read off the levels below
-    it, take one product and are chained from their values in start.
+    field's rows pulled back by dw, level by level: the base first, then
+    each level of integrals, read off the levels below it.  Each level
+    takes one product and is chained from its values in start.
 
     Returns (nodes, ends, derivs, finite): the state and the derivatives at
     the nodes, of shape (rows, k, N), ends[j + 1], the state at the end of
     piece j (ends[0] = start), and per piece whether its state is finite.
-    ValueError if the levels do not cover the integrals exactly.
+    ValueError if the field yields no rate, or if its levels do not cover
+    the integrals exactly.
     """
     k, rows = half.size, start.size
-    # derivs starts at zero: the integrals' rows are not known before their level
+    # derivs starts at zero: a level's rows are not known before its turn
     nodes, derivs, cum = (np.zeros((rows, k, n), dtype=complex) for n in (N, N, N + 1))
     ends = np.empty((k + 1, rows), dtype=complex)
     flat, flat_derivs = nodes.reshape(rows, k * N), derivs.reshape(rows, k * N)
     new = cum[:, :, :N]  # the new state at the nodes overwrites the local integrals
     ends[0] = start
     with np.errstate(all="ignore"):
-        rate, integrands = field(w, vals)
-        np.copyto(flat_derivs[:nb], np.multiply(rate, dw))
-        # The base's _CUMSUM product takes all rows, the base's and the
-        # integrals' zeros, and a lone piece's level products take all rows
-        # too: a product of fewer rows can round otherwise (a lone piece's
-        # base alone is a vector product).  Each is scaled first, exactly
-        # (h/2 is a power of two), so a sum overflows only with its integral.
-        _per_row(derivs * half[:, None], _CUMSUM, out=cum)
-        base = cum[:nb].view(float)
-        # An exact ufunc between the BLAS product and the complex exp: straight
-        # after np.matmul, numpy's complex exp ran about 20 times slower
-        # (2-core Xeon, OpenBLAS 0.3.31).  It multiplies the real view, since
-        # a complex product with 1.0 flips signed zeros.
-        np.multiply(base, 1.0, out=base)
-        np.exp(cum[:nb], out=cum[:nb])  # the base's factor over each piece
-        # Each base product is start times factor into a contiguous row of
-        # its own, as for a lone piece: numpy's complex product rounds
-        # otherwise in np.multiply.accumulate, into a strided output, into
-        # an output that is also a one-element operand, and with its
-        # operands swapped.
-        factors = cum[:nb, :, N].T
-        for j in range(k):
-            np.multiply(ends[j, :nb], factors[j], out=ends[j + 1, :nb])
-        np.multiply(ends[:k, :nb].T[:, :, None], new[:nb], out=new[:nb])
-        nodes[:nb] = new[:nb]
-        levels, lo = integrands(flat[:nb]), nb
+        levels, lv = field(w, vals), slice(0, nb)  # the base is the first level
         try:
             level = next(levels)
-            while True:
-                lv = slice(lo, lo + len(level))
-                if lv.stop > rows:
-                    raise ValueError(f"the field's levels yield more than its {rows - nb} integrals")
-                np.copyto(flat_derivs[lv], np.multiply(level, dw))
-                part = lv if k > 1 else slice(None)  # a lone piece's product takes all rows
-                _per_row(derivs[part] * half[:, None], _CUMSUM, out=cum[part])
+        except StopIteration:
+            raise ValueError("the field returns before it yields the base's rate") from None
+        for depth in count():
+            np.copyto(flat_derivs[lv], np.multiply(level, dw))
+            # A lone piece's products take all rows: a product of fewer rows
+            # can round otherwise (a lone piece's base alone is a vector
+            # product).  Each is scaled first, exactly (h/2 is a power of
+            # two), so a sum overflows only with its integral.
+            part = lv if k > 1 else slice(None)
+            _per_row(derivs[part] * half[:, None], _CUMSUM, out=cum[part])
+            if depth == 0:
+                base = cum[lv].view(float)
+                # An exact ufunc between the BLAS product and the complex exp:
+                # straight after np.matmul, numpy's complex exp ran about 20
+                # times slower (2-core Xeon, OpenBLAS 0.3.31).  It multiplies
+                # the real view, since a complex product with 1.0 flips signed
+                # zeros.
+                np.multiply(base, 1.0, out=base)
+                np.exp(cum[lv], out=cum[lv])  # the base's factor over each piece
+                # Each base product is start times factor into a contiguous
+                # row of its own, as for a lone piece: numpy's complex product
+                # rounds otherwise in np.multiply.accumulate, into a strided
+                # output, into an output that is also a one-element operand,
+                # and with its operands swapped.
+                factors = cum[lv, :, N].T
+                for j in range(k):
+                    np.multiply(ends[j, lv], factors[j], out=ends[j + 1, lv])
+                np.multiply(ends[:k, lv].T[:, :, None], new[lv], out=new[lv])
+            else:
                 ends[1:, lv] = cum[lv, :, N].T
                 np.add.accumulate(ends[:, lv], axis=0, out=ends[:, lv])
                 np.add(ends[:k, lv].T[:, :, None], new[lv], out=new[lv])
-                nodes[lv] = new[lv]
-                lo = lv.stop
+            nodes[lv] = new[lv]
+            try:
                 level = levels.send(flat[lv])
-        except StopIteration:
-            pass
-        if lo != rows:
-            raise ValueError(f"the field's levels yield {lo - nb} of its {rows - nb} integrals")
+            except StopIteration:
+                break
+            lv = slice(lv.stop, lv.stop + len(level))
+            if lv.stop > rows:
+                raise ValueError(f"the field's levels yield more than its {rows - nb} integrals")
+        if lv.stop != rows:
+            raise ValueError(f"the field's levels yield {lv.stop - nb} of its {rows - nb} integrals")
         finite = np.isfinite(nodes).all(axis=(0, 2)) & np.isfinite(ends[1:]).all(axis=1)
     return nodes, ends, derivs, finite
 
@@ -185,10 +184,11 @@ def integrate_fixed_interval(f, b0, y0):
 def integrate_loop(loop, base0, integrals0, coeffs, field):
     """Integrate a base state and a stack of integrals along a loop, at RTOL.
 
-    field(w, vals) is a field of the module's contract, called on the nodes
-    of a block of consecutive pieces, which may span segments.  vals[k] =
-    P_k(w) for the polynomial with the ascending coefficients coeffs[k]
-    (rows of unequal length are zero-padded), evaluated once per block.
+    field is a generator function of the module's contract, called on the
+    nodes w of a block of consecutive pieces, which may span segments.
+    vals[k] = P_k(w) for the polynomial with the ascending coefficients
+    coeffs[k] (rows of unequal length are zero-padded), evaluated once per
+    block.
     Every component gets its L1 mass, the integral of |derivative| against
     |dw| (rate * base for the base), summed from the loop's start.
 

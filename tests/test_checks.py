@@ -66,10 +66,8 @@ def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
     u2 = 2 * nmodel.lam2 - 3
 
     def field(w, vals):
-        def integrands(zeta):
-            yield vals * zeta
-
-        return u1 / (1.0 + w) - u2 / (1.0 - w), integrands
+        zeta = yield u1 / (1.0 + w) - u2 / (1.0 - w)
+        yield vals * zeta
 
     P = np.array([1.0 + 0j])
     _, i1, _, m1 = integrate_loop(nloops.gamma1, [1.0], [0.0], [P], field)[-1]

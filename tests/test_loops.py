@@ -10,10 +10,8 @@ from holocert.numerics.odepath import integrate_loop
 def winding_number(loop, p):
     """The integral of dw / (w - p) along the loop, over 2 pi i, through the engine."""
     def field(w, vals):
-        def integrands(b):
-            yield [1.0 / (w - p)]
-
-        return 0.0, integrands
+        yield 0.0  # no base
+        yield [1.0 / (w - p)]
 
     _, y, *_ = integrate_loop(loop, np.zeros(0), [0.0], [], field)[-1]
     n = y[0] / (2j * math.pi)

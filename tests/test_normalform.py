@@ -63,6 +63,15 @@ def test_genericity_never_raises_and_reports_ordering():
     assert not rep.ordering_convention  # recorded, not enforced
 
 
+def test_ordering_convention_compares_the_exact_real_parts():
+    # Re lambda = 1/3 - 1e-30, 1/3, 1/3 + 1e-30: equal as floats, but
+    # Re l1 < Re l2 < Re l3 exactly, so the convention does not hold
+    third, tiny = Fraction(1, 3), Fraction(1, 10**30)
+    p = FoliationParams(gq(third - tiny, 1), gq(third, 2), gq(1), gq(0), gq(0))
+    assert p.lambda3.re == third + tiny
+    assert not validate_genericity(p).ordering_convention
+
+
 # -- closed-form table ------------------------------------------------------------
 
 

@@ -14,24 +14,22 @@ EMPTY = np.zeros(0)  # no base components, or no integrals
 UNIT = SimpleNamespace(segments=(SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0),), label=None)
 
 
-def no_levels(b):
-    """The integrands of a field with no integrals: no level at all."""
-    yield from ()
+def no_levels(rate):
+    """A field's generator with the base's rate and no integrals: no level
+    after the base."""
+    yield rate
 
 
-def one_level(rows):
-    """The integrands of a field with one level of integrals, rows(b) from
-    the solved base b."""
-
-    def integrands(b):
-        yield rows(b)
-
-    return integrands
+def one_level(rate, rows):
+    """A field's generator with the base's rate and one level of
+    integrals, rows(b) from the solved base b."""
+    b = yield rate
+    yield rows(b)
 
 
 def base_only(rate):
     """A kernel field with one base component of the given rate and no integrals."""
-    return lambda t: (rate(t), no_levels)
+    return lambda t: no_levels(rate(t))
 
 
 def test_exponential_growth_on_interval():
@@ -49,14 +47,14 @@ def test_complex_rotation():
 def test_segment_pullback_line():
     # the integral of dw along a segment recovers the displacement
     seg = Line(0j, 2 + 1j)
-    _, y, *_ = integrate_fixed_interval(lambda t: (0.0, one_level(lambda b: [seg.velocity(t)])), EMPTY, [0.0])
+    _, y, *_ = integrate_fixed_interval(lambda t: one_level(0.0, lambda b: [seg.velocity(t)]), EMPTY, [0.0])
     assert abs(y[0] - (2 + 1j)) < 1e-10
 
 
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), "there-and-back")
-    _, y, _, mass = integrate_loop(out_back, EMPTY, [0.0], [], lambda w, vals: (0.0, one_level(lambda b: [1.0])))[-1]
+    _, y, _, mass = integrate_loop(out_back, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0]))[-1]
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -64,7 +62,7 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), "circle")
-    _, y, *_ = integrate_loop(circle, EMPTY, [0.0], [], lambda w, vals: (0.0, one_level(lambda b: [1.0 / w])))[-1]
+    _, y, *_ = integrate_loop(circle, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0 / w]))[-1]
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
@@ -77,7 +75,7 @@ def test_a_loop_without_polynomials_gets_empty_vals():
 
     def field(w, vals):
         shapes.add(vals.shape == (0, w.size))
-        return 1.0 / w, one_level(lambda b: b / w**2)
+        return one_level(1.0 / w, lambda b: b / w**2)
 
     (b,), (y,), _, _ = integrate_loop(circle, [1.0], [0.0], [], field)[-1]
     assert shapes == {True}
@@ -90,7 +88,7 @@ def test_segment_ends_come_in_path_order(monkeypatch):
     # arclength from the loop's start
     loop = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), "wedge")
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
-    ends = integrate_loop(loop, EMPTY, [0.0], [], lambda w, vals: (0.0, one_level(lambda b: [1.0])))
+    ends = integrate_loop(loop, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0]))
     assert [y[0] for _, y, *_ in ends] == [pytest.approx(1 + 0j), pytest.approx(0j, abs=1e-12)]
     assert [mass[0] for *_, mass in ends] == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -107,7 +105,7 @@ def test_a_state_near_the_double_range_keeps_finite_sums(b0):
     # b' = b/2 and y' = b: b(1) = b0 e^(1/2) and y(1) = 2 b0 (e^(1/2) - 1)
     # are finite, but a piece's sums before the scaling by its half-length
     # h/2 would be 2/h times larger and overflow
-    b, y, *masses = integrate_fixed_interval(lambda t: (0.5, one_level(lambda b: b)), [b0], [0.0])
+    b, y, *masses = integrate_fixed_interval(lambda t: one_level(0.5, lambda b: b), [b0], [0.0])
     assert b[0] == pytest.approx(b0 * math.exp(0.5), rel=1e-13)
     assert y[0] == pytest.approx(b0 * (2.0 * (math.exp(0.5) - 1.0)), rel=1e-13)
     assert np.all(np.isfinite(masses))
@@ -119,11 +117,9 @@ def test_an_overflow_before_the_fixed_point_is_no_breakdown():
     # fixed point y0 = y1 = t is finite, and the level solve reaches it
     # without that guess
     def f(t):
-        def integrands(b):
-            (y0,) = yield [np.ones_like(t)]
-            yield [np.exp(2000.0 * (t - y0))]
-
-        return 0.0, integrands
+        yield 0.0
+        (y0,) = yield [np.ones_like(t)]
+        yield [np.exp(2000.0 * (t - y0))]
 
     _, y, *_ = integrate_fixed_interval(f, EMPTY, [0.0, 0.0])
     assert abs(y[1] - 1.0) < 1e-12
@@ -133,23 +129,32 @@ def test_an_overflow_before_the_fixed_point_is_no_breakdown():
 
 def _levels_of(sizes, sent):
     """A field on [0, 1] with no base and integrals in levels of the given
-    sizes, each row the constant 1; sent collects every array the engine
-    sends, less the nodes t, so each row is its integral's start value."""
+    sizes, each row the constant 1; sent collects every level's integrals
+    the engine sends, less the nodes t, so each row is its integral's start
+    value."""
 
     def f(t):
-        def integrands(b):
-            for n in sizes:
-                sent.append((yield [np.ones_like(t)] * n) - t)
-
-        return 0.0, integrands
+        yield 0.0
+        for n in sizes:
+            sent.append((yield [np.ones_like(t)] * n) - t)
 
     return f
 
 
-@pytest.mark.parametrize("sizes", [(), (1,), (2, 1)])
+def _no_rate(t):
+    """A field that returns before it yields the base's rate."""
+    yield from ()
+
+
+@pytest.mark.parametrize("sizes", [(), (1,), (2, 1), None])
 def test_levels_short_of_the_integrals_are_rejected(sizes):
-    with pytest.raises(ValueError, match=f"yield {sum(sizes)} of its 4 integrals"):
-        integrate_fixed_interval(_levels_of(sizes, []), EMPTY, np.zeros(4))
+    # sizes None: the field is short even of the base's rate
+    if sizes is None:
+        field, why = _no_rate, "the field returns before it yields the base's rate"
+    else:
+        field, why = _levels_of(sizes, []), f"yield {sum(sizes)} of its 4 integrals"
+    with pytest.raises(ValueError, match=why):
+        integrate_fixed_interval(field, EMPTY, np.zeros(4))
 
 
 @pytest.mark.parametrize("sizes", [(3,), (1, 2)])
@@ -174,7 +179,7 @@ def test_each_level_is_sent_its_own_integrals():
 def test_jump_exhausts_the_splitting_depth():
     # a jump keeps the Chebyshev tail of the piece holding it at O(1)
     with pytest.raises(ODEError, match="tail above rtol"):
-        integrate_fixed_interval(lambda t: (0.0, one_level(lambda b: [(t > 1 / 3) + 0j])), EMPTY, [0.0])
+        integrate_fixed_interval(lambda t: one_level(0.0, lambda b: [(t > 1 / 3) + 0j]), EMPTY, [0.0])
 
 
 def _pulse_run(monkeypatch, rtol):
@@ -186,7 +191,7 @@ def _pulse_run(monkeypatch, rtol):
     def f(t):
         # one call covers a block of pieces, N nodes each
         pieces.update(map(tuple, t.reshape(-1, odepath.N)))
-        return 1j * amp * np.exp(-(((t - centre) / width) ** 2)), no_levels
+        return no_levels(1j * amp * np.exp(-(((t - centre) / width) ** 2)))
 
     b, *_ = integrate_fixed_interval(f, [1.0], EMPTY)
     phase = amp * width * math.sqrt(math.pi) / 2 * (math.erf((1 - centre) / width) + math.erf(centre / width))
@@ -227,7 +232,7 @@ def test_a_split_segment_leaves_its_neighbours_alone(monkeypatch):
                 nodes[seg].add(tuple(row))
         on = w.imag == 0  # not on the closing segment
         rate = np.where(on, 1j * (0.3 + amp * np.exp(-(((w.real - 1.5) / width) ** 2))), 0.0)
-        return rate, one_level(lambda b: [np.where(on, b[0], 0.0)])
+        return one_level(rate, lambda b: [np.where(on, b[0], 0.0)])
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     b, *_ = integrate_loop(loop, [1.0], [0.0], [], field)[-1]
@@ -247,7 +252,7 @@ def test_nonfinite_state_names_the_first_segment_that_overflows(monkeypatch):
         x = w.real
         pulse = np.where(x < 1.0, 40j * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
         rate = np.where(w.imag == 0, pulse + np.where((x > 2.0) & (x < 3.0), 1000.0, 0.0), 0.0)
-        return rate, one_level(lambda b: [b[0]])
+        return one_level(rate, lambda b: [b[0]])
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     with pytest.raises(ODEError, match=r"^loop 'line', segment 2: non-finite state$"):
@@ -258,7 +263,8 @@ def _counted_pulse_field(m, fields, bindings, levels):
     """A field on _line_loop with one base, whose rate pulse splits pieces,
     and m <= 2 integrals, one per level: the first reads the base, the
     second the first.  Each call appends its block's index to fields, each
-    binding to bindings, and levels[block] counts the block's levels."""
+    send of the solved base to bindings, and levels[block] counts the
+    block's levels."""
 
     def field(w, vals):
         block = len(levels)
@@ -267,28 +273,25 @@ def _counted_pulse_field(m, fields, bindings, levels):
         on = w.imag == 0  # not on the closing segment
         rate = np.where(on, 1j * (0.3 + 30.0 * np.exp(-(((w.real - 1.5) / 0.02) ** 2))), 0.0)
         weight = np.where(on, np.cos(3.0 * w), 0.0)
-
-        def integrands(b):
-            assert block == len(levels) - 1 == len(bindings)
-            assert b.shape == (1, w.size)
-            bindings.append(block)
-            rows = [weight * b[0]]
-            for _ in range(m):
-                assert block == len(levels) - 1
-                levels[block] += 1
-                y = yield rows
-                assert y.shape == (1, w.size)
-                rows = [y[0]]
-
-        return rate, integrands
+        b = yield rate
+        assert block == len(levels) - 1 == len(bindings)
+        assert b.shape == (1, w.size)
+        bindings.append(block)
+        rows = [weight * b[0]]
+        for _ in range(m):
+            assert block == len(levels) - 1
+            levels[block] += 1
+            y = yield rows
+            assert y.shape == (1, w.size)
+            rows = [y[0]]
 
     return field
 
 
 def test_the_field_and_each_level_run_once_per_block(monkeypatch):
-    # the rate and every w-only term belong to the field, every term in the
-    # solved base to the binding, and each level of the block being solved
-    # is evaluated once.  The pulse splits pieces, so the loop takes several
+    # the rate and every w-only term come before the base's rate is
+    # yielded, every term in the solved base after it is sent, and each
+    # level of the block being solved is evaluated once.  The pulse splits pieces, so the loop takes several
     # blocks.
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, levels = [], [], []
@@ -300,11 +303,10 @@ def test_the_field_and_each_level_run_once_per_block(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_a_block_takes_one_product_per_level(m, monkeypatch):
-    # a block takes one _CUMSUM product for its base, over all rows, and one
-    # per level; in a block of several pieces each level's product takes
-    # that level's rows only, so every integral row goes through exactly
-    # one level product.  A lone piece's level products take all rows, as
-    # its base product does (see _per_row).
+    # a block takes one _CUMSUM product per level, the base the first; in a
+    # block of several pieces each takes that level's rows only, the base's
+    # nb = 1 and then one per level, so every row goes through exactly one
+    # product.  A lone piece's products take all rows (see _per_row).
     products, per_row = [], odepath._per_row
 
     def counted(a, matrix, out=None):
@@ -322,18 +324,16 @@ def test_a_block_takes_one_product_per_level(m, monkeypatch):
         cumsums = [shape for b, is_cumsum, shape in products if b == block and is_cumsum]
         assert len(cumsums) == 1 + levels[block]
         assert [b for b, is_cumsum, _ in products if not is_cumsum].count(block) == 1  # the tail test
-        base, *level_products = cumsums
-        assert base[0] == 1 + m
-        if base[1] > 1:
+        if cumsums[0][1] > 1:
             several += 1
-            assert [shape[0] for shape in level_products] == [1] * m
+            assert [shape[0] for shape in cumsums] == [1] * (1 + m)
         else:
-            assert [shape[0] for shape in level_products] == [1 + m] * m
+            assert [shape[0] for shape in cumsums] == [1 + m] * (1 + m)
     assert several
 
 
 def test_a_base_alone_takes_no_sweep(monkeypatch):
-    # with no integrals the binding yields no level
+    # with no integrals the field yields no level after the base
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, levels = [], [], []
     integrate_loop(_line_loop(3), [1.0], EMPTY, [], _counted_pulse_field(0, fields, bindings, levels))
@@ -342,14 +342,14 @@ def test_a_base_alone_takes_no_sweep(monkeypatch):
     assert not any(levels)
 
 
-def _picard_rows(integrands, base, guess):
-    """One Picard sweep of a level field: every level is sent the current
-    guess of its integrals, not their solved values, and the rows of all
-    levels are returned."""
+def _picard_rows(levels, base, guess):
+    """One Picard sweep of a field's generator levels: after its rate it is
+    sent the solved base, and every level then the current guess of its
+    integrals, not their solved values.  Returns the rows of all levels."""
     rows, lo = [], 0
-    levels = integrands(base)
+    next(levels)  # the base's rate
     try:
-        level = next(levels)
+        level = levels.send(base)
         while True:
             rows.extend(np.broadcast_to(row, guess.shape[1:]) for row in level)
             lo += len(level)
@@ -380,15 +380,15 @@ def _piece_by_piece(loop, b0, y0, coeffs, field):
             a, h = todo.pop()
             t = a + h * (X + 1.0) / 2.0
             w, dw = seg.point(t), np.broadcast_to(seg.velocity(t), t.shape)
-            rate, integrands = field(w, np.zeros((0, N), dtype=complex))
+            vals = np.zeros((0, N), dtype=complex)
             derivs = np.zeros((nb + m, N), dtype=complex)
-            derivs[:nb] = np.multiply(rate, dw)  # the engine's pull-back
+            derivs[:nb] = np.multiply(next(field(w, vals)), dw)  # the engine's pull-back
             # the base from the product of all rows, then the integrals' sweeps
             base = b[:, None] * np.exp(((h / 2.0 * derivs) @ C)[:nb])
             state = np.concatenate((base, np.repeat(y[:, None], N + 1, 1)))
             for i in range(m + 1 if m else 0):
                 with np.errstate(all="ignore"):  # a sweep before the fixed point may overflow
-                    rows = np.multiply(_picard_rows(integrands, state[:nb, :N], state[nb:, :N]), dw)
+                    rows = np.multiply(_picard_rows(field(w, vals), state[:nb, :N], state[nb:, :N]), dw)
                     assert i < m or np.array_equal(rows, derivs[nb:])
                     derivs[nb:] = rows
                     state[nb:] = y[:, None] + ((h / 2.0 * derivs) @ C)[nb:]
@@ -425,15 +425,12 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison, monkeypatc
             rows.update(zip(starts[ahead].round(6), spans[ahead].round(6)))
             pulse = np.where(x < 1.0, 40.0 * np.exp(-(((x - 0.5) / 0.05) ** 2)), 0.0)
             halves = np.repeat(ahead & (starts > 1.0) & (spans < 0.3), odepath.N)
-
-            def integrands(b):
-                (y0,) = yield np.where(on, [pulse], 0.0)
-                tail = np.where(x > 1.0, (y0 - Y) * np.cos(100.0 * w), 0.0)
-                if poison:
-                    tail = np.where(halves, np.inf, tail)
-                yield np.where(on, [tail, np.cos(3.0 * w)], 0.0)
-
-            return 0.0, integrands
+            yield 0.0
+            (y0,) = yield np.where(on, [pulse], 0.0)
+            tail = np.where(x > 1.0, (y0 - Y) * np.cos(100.0 * w), 0.0)
+            if poison:
+                tail = np.where(halves, np.inf, tail)
+            yield np.where(on, [tail, np.cos(3.0 * w)], 0.0)
 
         return integrate(loop, EMPTY, [0.0, 0.0, 0.0], [], field)
 
@@ -480,12 +477,9 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
 
     def field(w, vals):
         x = w.real
-        rate = rates * (1.0 + 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)))
-        def integrands(b):
-            (y0,) = yield [np.cos(3 * w) * b[-1]]
-            yield [y0 * b[0]]
-
-        return rate, integrands
+        b = yield rates * (1.0 + 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)))
+        (y0,) = yield [np.cos(3 * w) * b[-1]]
+        yield [y0 * b[0]]
 
     def run(integrate):
         return integrate(loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], [], field)
@@ -508,7 +502,7 @@ def test_stacked_copies_match_single_system_bit_for_bit(n, k, monkeypatch):
     b0 = np.array([1.0 + 0.5j, -0.3 + 2j])[:n]
 
     def copies(c):
-        return lambda t: (np.tile(rates, c)[:, None], one_level(lambda b: np.cos(3 * t) * b))
+        return lambda t: one_level(np.tile(rates, c)[:, None], lambda b: np.cos(3 * t) * b)
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     single = integrate_fixed_interval(copies(1), b0, np.zeros(n))
@@ -534,12 +528,9 @@ def test_stack_on_a_circle_has_closed_forms():
 
     def field(w, vals):
         rate = 1.0 / (w - c)
-
-        def integrands(b):
-            y = yield [rate, vals[0]]
-            yield [y[1]]
-
-        return rate, integrands
+        yield rate
+        y = yield [rate, vals[0]]
+        yield [y[1]]
 
     ends = integrate_loop(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field)
     assert len(ends) == 1  # one segment
