@@ -1,28 +1,36 @@
-"""Sparse multivariate polynomials over Q(i).
+"""Sparse polynomials over Q(i) in the four variables of the normal form.
 
-A polynomial is stored as integer Gaussian numerators over one common
-denominator,
+The variables are fixed, VARS = (w, b2, b1, b0): the line coordinate and
+the three normal-form parameters, in the elimination order beta2, beta1,
+beta0.  A polynomial is stored as integer Gaussian numerators over one
+common denominator,
 
-    p = (1/den) * sum (re + im*i) * vars^exps,    num = {exps: (re, im)},
+    p = (1/den) * sum (re + im*i) * w^a b2^b b1^c b0^d,    num = {key: (re, im)},
 
-with re, im and den plain ints.  The form is canonical: den > 0, the gcd
-of den and every re and im is 1, no stored term is zero, every variable
-in ``vars`` occurs in some term, and ``vars`` follows the canonical order
-w < b2 < b1 < b0 (then any other name alphabetically), matching the
-elimination order beta2, beta1, beta0.  Equal polynomials therefore have
-equal fields and equal hashes.  Ring operations work on the ints and
-bring each result to the canonical form once.  Sums, derivatives and
-coefficient extraction divide out the content gcd and then drop the
-variables no term uses.  A product skips that second pass: Z[i] has no
-zero divisors, so a product of nonzero factors, or a nonzero scaling,
-has a term in every variable of either factor, and only the content
-gcd is divided out.  A product packs each exponent vector into one int
-and unpacks the sums once; a coefficient product costs four integer
-multiplies and no gcd at all.  Powers square only up to the last bit.
-Constructors take GaussianRational coefficients, and ``terms`` returns
-a read-only {exps: GaussianRational} built on each access.
+with re, im and den plain ints.  Each monomial is one int key: a _BITS
+wide field per variable, w highest and b0 lowest, and above them the
+total degree a + b + c + d,
 
-Terms are printed and compared in graded-lexicographic order.
+    key = (a+b+c+d) << 4*_BITS | a << 3*_BITS | b << 2*_BITS | c << _BITS | d.
+
+Comparing keys as ints therefore compares total degree first and then
+the exponents of w, b2, b1, b0 in turn: int order is graded-lex order,
+the order terms print in and exact_div reduces by.  The key of a product
+of monomials is the sum of their keys, so a product term costs one
+integer addition and four integer multiplies.  That holds while no field
+carries into the next; each field is at most the total degree, so a
+product whose total degree reaches 2**_BITS is refused with MPolyError
+instead of wrapping, as is any variable outside VARS.
+
+The form is canonical: den > 0, the gcd of den and every re and im is
+1, and no stored term is zero.  Equal polynomials therefore have equal
+fields and equal hashes.  Ring operations work on the ints and divide
+out the content gcd once per result.  Powers square only up to the last
+bit.  Constructors take GaussianRational coefficients; ``vars`` is the
+variables that occur, in VARS order, and ``terms`` a read-only
+{exponents over vars: GaussianRational} in printing order, both built
+on each access.
+
 Resultants follow the subresultant polynomial remainder sequence: at
 most min(deg f, deg g) pseudo-remainder steps on the coefficient lists
 in the eliminated variable, each remainder divided exactly by the
@@ -35,17 +43,20 @@ updates; the tests hold resultant to it.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .gaussian import GaussianRational, GaussianRationalError, power
 
-_CANONICAL_RANK = {"w": 0, "b2": 1, "b1": 2, "b0": 3}
-
-
-def _var_key(name: str):
-    return (_CANONICAL_RANK.get(name, 4), name)
+VARS = ("w", "b2", "b1", "b0")
+_BITS = 32  # a degree below 2**32 fits a field, far beyond any product the certificate forms
+_MASK = (1 << _BITS) - 1
+_SHIFT = {v: _BITS * (len(VARS) - 1 - i) for i, v in enumerate(VARS)}
+_DEG = _BITS * len(VARS)  # the total-degree field
+_OVERFLOW = 1 << (_DEG + _BITS)  # the least key whose total degree fills a field
 
 
 class MPolyError(ArithmeticError):
@@ -60,53 +71,69 @@ class ExactDivisionError(MPolyError):
         self.remainder = remainder
 
 
-def _grlex_key(exps: tuple) -> tuple:
-    return (sum(exps), exps)
+def _shift(var: str) -> int:
+    if var not in _SHIFT:
+        raise MPolyError(f"unknown variable {var!r}; the variables are {VARS}")
+    return _SHIFT[var]
 
 
 class MPoly:
     """Immutable sparse polynomial in the canonical form of the module docstring."""
 
-    __slots__ = ("vars", "num", "den")
+    __slots__ = ("num", "den")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, GaussianRational]):
-        vars = tuple(vars)
-        parts = [(e, _parts(_as_gq(c))) for e, c in terms.items()]
+        shifts = [_shift(v) for v in vars]
+        parts = []
+        for e, c in terms.items():
+            deg = sum(e)
+            if min(e, default=0) < 0 or deg >> _BITS:
+                raise MPolyError(f"exponents {e} out of range")
+            parts.append((sum(k << s for s, k in zip(shifts, e)) + (deg << _DEG), _parts(_as_gq(c))))
         den = lcm(*(d for _, (_, _, d) in parts))
-        num = {e: (re * (den // d), im * (den // d)) for e, (re, im, d) in parts if re or im}
-        order = sorted(range(len(vars)), key=lambda i: _var_key(vars[i]))
-        if order != list(range(len(vars))):
-            vars = tuple(vars[i] for i in order)
-            num = {tuple(e[i] for i in order): c for e, c in num.items()}
-        _init(self, *_canonical(vars, num, den))
+        num = {k: (re * (den // d), im * (den // d)) for k, (re, im, d) in parts if re or im}
+        _init(self, *_content(num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
     @property
+    def vars(self) -> tuple[str, ...]:
+        """The variables that occur in some term, in VARS order."""
+        used = reduce(or_, self.num, 0)
+        return tuple(v for v in VARS if used >> _SHIFT[v] & _MASK)
+
+    @property
     def terms(self) -> Mapping[tuple, GaussianRational]:
-        """Read-only {exps: GaussianRational}, built on each access and not kept."""
+        """Read-only {exponents over vars: GaussianRational} in graded-lex order,
+        highest first, built on each access and not kept."""
+        shifts = [_SHIFT[v] for v in self.vars]
         den = self.den
-        return MappingProxyType({e: GaussianRational.from_integers(re, im, den) for e, (re, im) in self.num.items()})
+        return MappingProxyType(
+            {
+                tuple(k >> s & _MASK for s in shifts): GaussianRational.from_integers(re, im, den)
+                for k, (re, im) in sorted(self.num.items(), reverse=True)
+            }
+        )
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> "MPoly":
         re, im, den = _parts(_as_gq(c))
-        return _raw((), {(): (re, im)} if re or im else {}, den)
+        return _raw({0: (re, im)} if re or im else {}, den)
 
     @staticmethod
     def var(name: str) -> "MPoly":
-        return _raw((name,), {(1,): (1, 0)}, 1)
+        return _raw({(1 << _shift(name)) + (1 << _DEG): (1, 0)}, 1)
 
     @staticmethod
     def zero() -> "MPoly":
-        return _raw((), {}, 1)
+        return _raw({}, 1)
 
     @staticmethod
     def one() -> "MPoly":
-        return _raw((), {(): (1, 0)}, 1)
+        return _raw({0: (1, 0)}, 1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -114,10 +141,10 @@ class MPoly:
         return not self.num
 
     def is_constant(self) -> bool:
-        return not self.vars
+        return not any(self.num)
 
     def constant_term(self) -> GaussianRational:
-        re, im = self.num.get((0,) * len(self.vars), (0, 0))
+        re, im = self.num.get(0, (0, 0))
         return GaussianRational.from_integers(re, im, self.den)
 
     def as_constant(self) -> GaussianRational:
@@ -126,25 +153,23 @@ class MPoly:
         return self.constant_term()
 
     def total_degree(self) -> int:
-        return max(map(sum, self.num), default=-1)
+        return max(self.num) >> _DEG if self.num else -1
 
     def degree(self, var: str) -> int:
         """Degree in var; -1 for the zero poly."""
-        if var not in self.vars:
-            return 0 if self.num else -1
-        i = self.vars.index(var)
-        return max(e[i] for e in self.num)
+        s = _shift(var)
+        return max((k >> s & _MASK for k in self.num), default=-1)
 
     def __eq__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.den == o.den and self.vars == o.vars and self.num == o.num
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        if not self.vars:  # a constant equals its GaussianRational, so it hashes as that
+        if self.is_constant():  # a constant equals its GaussianRational, so it hashes as that
             return hash(self.constant_term())
-        return hash((self.vars, self.den, frozenset(self.num.items())))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __bool__(self):
         return not self.is_zero()
@@ -160,7 +185,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(self.vars, _times(self.num, -1), self.den)
+        return _raw(_times(self.num, -1), self.den)
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -178,31 +203,25 @@ class MPoly:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if not o.vars or not self.vars:
-            p, c = (self, o) if not o.vars else (o, self)
-            re, im = c.num.get((), (0, 0))
-            return _scale(p, re, im, c.den)
-        vars, a, b = _align(self, o)
-        # pack each exponent vector into one int, `shift` bits per variable:
-        # no component of a product exceeds the sum of the total degrees
-        shift = (self.total_degree() + o.total_degree()).bit_length()
+        if o.is_constant():
+            return _scale(self, *o.num.get(0, (0, 0)), o.den)
+        if self.is_constant():
+            return _scale(o, *self.num.get(0, (0, 0)), self.den)
+        top = max(self.num) + max(o.num)
+        if top >= _OVERFLOW:
+            raise MPolyError(f"a product of total degree {top >> _DEG} overflows the {_BITS}-bit exponent fields")
         acc: dict[int, tuple[int, int]] = {}
         get = acc.get
-        pb = [(_pack(e, shift), c) for e, c in b.items()]
-        for e1, (ar, ai) in a.items():
-            k1 = _pack(e1, shift)
-            for k2, (br, bi) in pb:
+        b = list(o.num.items())
+        for k1, (ar, ai) in self.num.items():
+            for k2, (br, bi) in b:
                 k = k1 + k2
                 t = get(k)
                 if t is None:
                     acc[k] = (ar * br - ai * bi, ar * bi + ai * br)
                 else:
                     acc[k] = (t[0] + ar * br - ai * bi, t[1] + ar * bi + ai * br)
-        unpack = _unpacker(len(vars), shift)
-        num = {unpack(k): c for k, c in acc.items() if c[0] or c[1]}
-        # Z[i] has no zero divisors: a product of nonzero factors has a term
-        # in every variable of either, so only the content can be divided out
-        return _raw(vars, *_content(num, self.den * o.den))
+        return _make({k: c for k, c in acc.items() if c[0] or c[1]}, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -226,29 +245,24 @@ class MPoly:
     # -- calculus and substitution ------------------------------------------
 
     def derivative(self, var: str) -> "MPoly":
-        if var not in self.vars:
-            return MPoly.zero()
-        i = self.vars.index(var)
+        s = _shift(var)
+        step = (1 << s) + (1 << _DEG)
         num = {}
-        for e, (re, im) in self.num.items():
-            k = e[i]
+        for key, (re, im) in self.num.items():
+            k = key >> s & _MASK
             if k:
-                num[e[:i] + (k - 1,) + e[i + 1 :]] = (re * k, im * k)
-        return _make(self.vars, num, self.den)
+                num[key - step] = (re * k, im * k)
+        return _make(num, self.den)
 
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Coefficients [c0, c1, ...] of powers of var, as polynomials in the rest."""
-        n = self.degree(var)
-        if n < 0:
-            return []
-        if var not in self.vars:
-            return [self]
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1 :]
-        buckets: list[dict] = [{} for _ in range(n + 1)]
-        for e, c in self.num.items():
-            buckets[e[i]][e[:i] + e[i + 1 :]] = c
-        return [_make(rest, b, self.den) for b in buckets]
+        s = _shift(var)
+        step = (1 << s) + (1 << _DEG)
+        buckets: list[dict] = [{} for _ in range(self.degree(var) + 1)]
+        for key, c in self.num.items():
+            k = key >> s & _MASK
+            buckets[k][key - k * step] = c
+        return [_make(b, self.den) for b in buckets]
 
     def substitute(self, var: str, value: "MPoly | GaussianRational | int") -> "MPoly":
         """Replace var by a polynomial (or constant), exactly."""
@@ -275,14 +289,11 @@ class MPoly:
 
     # -- printing -----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda ec: _grlex_key(ec[0]), reverse=True)
-
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in self.terms.items():
             factors = [f"({c})"]
             for v, k in zip(self.vars, e):
                 if k == 1:
@@ -299,34 +310,16 @@ class MPoly:
 # -- the integer form ------------------------------------------------------------
 
 
-def _raw(vars: tuple, num: dict, den: int) -> MPoly:
+def _raw(num: dict, den: int) -> MPoly:
     """An MPoly from fields that are already canonical."""
     p = MPoly.__new__(MPoly)
-    _init(p, vars, num, den)
+    _init(p, num, den)
     return p
 
 
-def _init(p: MPoly, vars: tuple, num: dict, den: int) -> None:
-    object.__setattr__(p, "vars", vars)
+def _init(p: MPoly, num: dict, den: int) -> None:
     object.__setattr__(p, "num", num)
     object.__setattr__(p, "den", den)
-
-
-def _canonical(vars: tuple, num: dict, den: int) -> tuple[tuple, dict, int]:
-    """Divide out the content gcd and drop unused variables.
-
-    ``vars`` must be in canonical order and ``num`` free of zero terms.
-    """
-    if not num:
-        return (), num, 1
-    num, den = _content(num, den)
-    if vars:
-        used = [any(col) for col in zip(*num)]
-        if not all(used):
-            keep = [i for i, u in enumerate(used) if u]
-            vars = tuple(vars[i] for i in keep)
-            num = {tuple(e[i] for i in keep): c for e, c in num.items()}
-    return vars, num, den
 
 
 def _content(num: dict, den: int) -> tuple[dict, int]:
@@ -343,8 +336,9 @@ def _content(num: dict, den: int) -> tuple[dict, int]:
     return num, den
 
 
-def _make(vars: tuple, num: dict, den: int) -> MPoly:
-    return _raw(*_canonical(vars, num, den))
+def _make(num: dict, den: int) -> MPoly:
+    """An MPoly from a num free of zero terms, with the content divided out."""
+    return _raw(*_content(num, den))
 
 
 def _parts(c: GaussianRational) -> tuple[int, int, int]:
@@ -358,37 +352,14 @@ def _times(num: dict, t: int) -> dict:
     return {e: (re * t, im * t) for e, (re, im) in num.items()}
 
 
-def _pack(exps: tuple, shift: int) -> int:
-    k = 0
-    for x in reversed(exps):
-        k = (k << shift) | x
-    return k
-
-
-def _unpacker(n: int, shift: int):
-    """The inverse of _pack for n variables: the top field needs no mask."""
-    m = (1 << shift) - 1
-    s2, s3 = 2 * shift, 3 * shift
-    if n == 1:
-        return lambda k: (k,)
-    if n == 2:
-        return lambda k: (k & m, k >> shift)
-    if n == 3:
-        return lambda k: (k & m, (k >> shift) & m, k >> s2)
-    if n == 4:
-        return lambda k: (k & m, (k >> shift) & m, (k >> s2) & m, k >> s3)
-    return lambda k: tuple((k >> (shift * i)) & m for i in range(n))
-
-
 def _add(a: MPoly, b: MPoly, sign: int) -> MPoly:
     """a + sign * b for sign = +1 or -1."""
     if not b.num:
         return a
-    vars, an, bn = _align(a, b)
     g = gcd(a.den, b.den)
     sa, sb = b.den // g, sign * (a.den // g)
-    num = dict(an) if sa == 1 else _times(an, sa)
-    for e, (re, im) in bn.items():
+    num = dict(a.num) if sa == 1 else _times(a.num, sa)
+    for e, (re, im) in b.num.items():
         t = num.get(e)
         if t is None:
             num[e] = (re * sb, im * sb)
@@ -398,7 +369,7 @@ def _add(a: MPoly, b: MPoly, sign: int) -> MPoly:
                 num[e] = (re, im)
             else:
                 del num[e]
-    return _make(vars, num, a.den * sa)
+    return _make(num, a.den * sa)
 
 
 def _scale(p: MPoly, re: int, im: int, den: int) -> MPoly:
@@ -409,8 +380,7 @@ def _scale(p: MPoly, re: int, im: int, den: int) -> MPoly:
         num = _times(p.num, re)
     else:
         num = {e: (a * re - b * im, a * im + b * re) for e, (a, b) in p.num.items()}
-    # a nonzero scalar keeps every term nonzero, so every variable stays
-    return _raw(p.vars, *_content(num, p.den * den))
+    return _make(num, p.den * den)
 
 
 def _as_gq(c) -> GaussianRational:
@@ -424,32 +394,11 @@ def _coerce(x) -> MPoly | None:
     if isinstance(x, MPoly):
         return x
     if type(x) is int:
-        return _raw((), {(): (x, 0)} if x else {}, 1)
+        return _raw({0: (x, 0)} if x else {}, 1)
     g = GaussianRational._coerce(x)
     if g is not None:
         return MPoly.const(g)
     return None
-
-
-def _align(a: MPoly, b: MPoly) -> tuple[tuple, dict, dict]:
-    """The numerators of a and b over the union of their variables (canonical order)."""
-    if a.vars == b.vars:
-        return a.vars, a.num, b.num
-    union = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
-    return union, _extend(a, union), _extend(b, union)
-
-
-def _extend(p: MPoly, union: tuple[str, ...]) -> dict:
-    if p.vars == union:
-        return p.num
-    pos = [union.index(v) for v in p.vars]
-    num = {}
-    for e, c in p.num.items():
-        e2 = [0] * len(union)
-        for i, k in zip(pos, e):
-            e2[i] = k
-        num[tuple(e2)] = c
-    return num
 
 
 # -- exact division ----------------------------------------------------------
@@ -474,19 +423,19 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
         raise MPolyError("exact division by the zero polynomial")
     if g.is_constant():
         return f / g.as_constant()
-    vars, cur, gnum = _align(f, g)
-    cur = dict(cur)
-    lt_e = max(gnum, key=_grlex_key)
-    lr, li = gnum[lt_e]
+    cur = dict(f.num)
+    lt = max(g.num)
+    lr, li = g.num[lt]
     norm = lr * lr + li * li
-    rest = [(e, c) for e, c in gnum.items() if e != lt_e]
+    lt_exps = [(s, k) for s in _SHIFT.values() if (k := lt >> s & _MASK)]
+    rest = [(e, c) for e, c in g.num.items() if e != lt]
     scale = 1
-    quo: dict[tuple, tuple[int, int]] = {}
-    rem: dict[tuple, tuple[int, int]] = {}
+    quo: dict[int, tuple[int, int]] = {}
+    rem: dict[int, tuple[int, int]] = {}
     while cur:
-        e = max(cur, key=_grlex_key)
+        e = max(cur)
         cr, ci = cur.pop(e)
-        if not all(x >= y for x, y in zip(e, lt_e)):
+        if any(e >> s & _MASK < k for s, k in lt_exps):
             rem[e] = (cr, ci)
             continue
         # c / lc = c * conj(lc) / norm
@@ -497,10 +446,10 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
             pr, pi = pr * t, pi * t
             cur, quo, rem = _times(cur, t), _times(quo, t), _times(rem, t)
         qr, qi = pr // norm, pi // norm
-        qe = tuple(x - y for x, y in zip(e, lt_e))
+        qe = e - lt  # lt divides e, so no field borrows
         quo[qe] = (qr, qi)
         for be, (br, bi) in rest:  # the leading term cancels by construction
-            ne = tuple(x + y for x, y in zip(qe, be))
+            ne = qe + be
             sr, si = qr * br - qi * bi, qr * bi + qi * br
             old = cur.get(ne)
             if old is None:
@@ -510,10 +459,10 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
             else:
                 del cur[ne]
     if rem:
-        r = _make(vars, rem, f.den * scale)
+        r = _make(rem, f.den * scale)
         raise ExactDivisionError(f"nonzero remainder in exact division: {r}", r)
     # f / g = (F / G) * den(g) / den(f) = Q * den(g) / (den(f) * D)
-    return _make(vars, _times(quo, g.den), f.den * scale)
+    return _make(_times(quo, g.den), f.den * scale)
 
 
 # -- determinants and resultants ---------------------------------------------

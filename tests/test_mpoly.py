@@ -9,8 +9,9 @@ from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import (
     ExactDivisionError,
     MPoly,
+    VARS,
     MPolyError,
-    _var_key,
+    _BITS,
     bareiss_det,
     exact_div,
     poly_from_coeffs,
@@ -52,14 +53,22 @@ def reference_value(vars, terms, point):
     return total
 
 
+def key(**exps):
+    """The stored key of the monomial prod v^exps[v]: one field per variable
+    of VARS, the first highest, under a field holding the total degree."""
+    fields = [exps.get(v, 0) for v in VARS]
+    return sum(k << _BITS * i for i, k in enumerate([*reversed(fields), sum(fields)]))
+
+
 def assert_canonical(p):
     assert p.den > 0
     assert gcd(p.den, *(x for c in p.num.values() for x in c)) == 1
     assert all(re or im for re, im in p.num.values())
     assert all(type(x) is int for c in p.num.values() for x in c) and type(p.den) is int
-    assert list(p.vars) == sorted(p.vars, key=_var_key)
-    assert all(any(e[i] for e in p.num) for i in range(len(p.vars)))
-    assert all(len(e) == len(p.vars) for e in p.num)
+    assert list(p.vars) == [v for v in VARS if v in p.vars]
+    assert all(any(e[i] for e in p.terms) for i in range(len(p.vars)))
+    assert all(len(e) == len(p.vars) for e in p.terms)
+    assert set(p.num) == {key(**dict(zip(p.vars, e))) for e in p.terms}
 
 
 # -- the integer form ------------------------------------------------------------
@@ -88,7 +97,7 @@ def test_equal_numbers_hash_alike_across_types():
 
 def test_constructor_clears_denominators():
     p = MPoly(("w",), {(2,): gq(Fraction(1, 2)), (0,): gq(0, Fraction(-1, 3)), (1,): gq(0)})
-    assert (p.den, p.num) == (6, {(2,): (3, 0), (0,): (0, -2)})
+    assert (p.den, p.num) == (6, {key(w=2): (3, 0), key(): (0, -2)})
     assert dict(p.terms) == {(2,): gq(Fraction(1, 2)), (0,): gq(0, Fraction(-1, 3))}
 
 
@@ -128,7 +137,7 @@ def test_products_of_disjoint_or_constant_factors_are_canonical(f, g, c, point):
     fp, gp, cp = MPoly(*f), MPoly(*g), MPoly.const(c)
     for p in (fp * gp, gp * fp, fp * cp, cp * fp, c * fp, fp * c, cp * cp, fp * gp * cp):
         assert_canonical(p)
-    both = tuple(sorted(fp.vars + gp.vars, key=_var_key))
+    both = tuple(v for v in VARS if v in fp.vars + gp.vars)
     assert (fp * gp).vars == (both if fp and gp else ())
     assert (fp * cp).vars == fp.vars
     fx, gx = reference_value(*f, point), reference_value(*g, point)
@@ -138,9 +147,10 @@ def test_products_of_disjoint_or_constant_factors_are_canonical(f, g, c, point):
 
 def test_product_divides_out_the_content_and_keeps_the_variables():
     p = (W / 2 + gq(Fraction(1, 2))) * (2 * B0 + 2)
-    assert (p.vars, p.den, p.num) == (("w", "b0"), 1, {(1, 1): (1, 0), (1, 0): (1, 0), (0, 1): (1, 0), (0, 0): (1, 0)})
+    assert (p.vars, p.den) == (("w", "b0"), 1)
+    assert p.num == {key(w=1, b0=1): (1, 0), key(w=1): (1, 0), key(b0=1): (1, 0), key(): (1, 0)}
     q = MPoly.const(gq(0, 2)) * (W / 2)
-    assert (q.vars, q.den, q.num) == (("w",), 1, {(1,): (0, 1)})
+    assert (q.vars, q.den, q.num) == (("w",), 1, {key(w=1): (0, 1)})
     for r in (p, q):
         assert_canonical(r)
 
@@ -209,6 +219,46 @@ def test_variable_order_is_canonical():
 def test_printing_graded_lex():
     p = 2 * W + W * W - 1
     assert str(p) == "(1)*w^2 + (2)*w + (-1)"
+
+
+@given(polys(vars=VARS))
+@settings(max_examples=60, deadline=None)
+def test_terms_print_by_total_degree_then_exponents_over_VARS(p):
+    printed = []
+    for part in str(p).split(" + ") if p else []:
+        _, *factors = part.split("*")
+        exps = dict.fromkeys(VARS, 0)
+        for f in factors:
+            v, _, k = f.partition("^")
+            exps[v] = int(k or 1)
+        printed.append(tuple(exps.values()))
+    full = [tuple(dict(zip(p.vars, e)).get(v, 0) for v in VARS) for e in p.terms]
+    assert printed == sorted(full, key=lambda e: (sum(e), e), reverse=True)
+
+
+def test_a_product_past_the_exponent_fields_is_refused():
+    top = (1 << _BITS) - 1
+    assert (W**top).degree("w") == top
+    with pytest.raises(MPolyError):
+        W ** (1 << _BITS)
+    with pytest.raises(MPolyError):
+        MPoly(("w",), {(1 << _BITS,): gq(1)})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MPoly.var("x"),
+        lambda: MPoly(("x",), {(1,): gq(1)}),
+        lambda: W.degree("x"),
+        lambda: W.derivative("x"),
+        lambda: W.coeffs_in("x"),
+    ],
+    ids=["var", "constructor", "degree", "derivative", "coeffs_in"],
+)
+def test_a_variable_outside_VARS_is_refused(call):
+    with pytest.raises(MPolyError):
+        call()
 
 
 def test_degree_bookkeeping():
