@@ -5,7 +5,7 @@ w-line, computes holonomy jets and the iterated loop integrals, and
 cross-validates the closed-form coefficient formulas of the exact half.
 Every loop integration goes through ``odepath.integrate_loop``: each
 family (jets, quadrature bundle, integral lemmas) is a field on it, made
-of a base (phi1, or zeta) and a triangular stack of integrals, under the
+of the base phi1 and a triangular stack of integrals, under the
 one field contract stated in ``odepath``: a field is one generator that
 yields rows in w, the base's rate first and then one level of integrands
 at a time, and is sent each level's solved values.  The engine cuts a

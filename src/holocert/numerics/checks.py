@@ -181,43 +181,27 @@ def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
     return two_loop, forward
 
 
-def _two_loop_rows(model: FloatModel, loops: LoopSystem, samples) -> list[CheckRow]:
-    """One zeta = (1+w)^u1 (1-w)^u2 per distinct degree, integrated once along
-    each of gamma1 and gamma2 with every sample's P zeta stacked on it."""
-    degrees = sorted({d for d, _ in samples})
-    slot = np.array([degrees.index(d) for d, _ in samples])
-    D = np.array(degrees)
-    U1 = (D - 1) * model.lam1 - D
-    U2 = (D - 1) * model.lam2 - D
-
-    def field(w, vals):
-        zeta = yield U1[:, None] / (1.0 + w) - U2[:, None] / (1.0 - w)
-        yield vals * zeta[slot]  # one level, in w and zeta alone
-
-    coeffs = [P for _, P in samples]
-    zeros = np.zeros(len(samples))
-    _, i1, _, m1 = integrate_loop(loops.gamma1, np.ones(len(D)), zeros, coeffs, field)[-1]
-    _, i2, _, m2 = integrate_loop(loops.gamma2, np.ones(len(D)), zeros, coeffs, field)[-1]
+def _sample_rows(model: FloatModel, loops: LoopSystem, two_loop, forward) -> list[CheckRow]:
+    """Both sample families on one phi1: along gamma1 a stack holds every
+    two-loop P and then every forward image L_d(R), along gamma2 the
+    two-loop P alone, each integrand P phi1^(d-1) / r^d."""
+    n = len(two_loop)
+    w = Polynomial([0.0, 1.0])
+    images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in forward]
+    degrees = [d for d, _ in two_loop + forward]
+    coeffs = [P for _, P in two_loop] + images
+    _, i1, _, m1 = integrate_loop(loops.gamma1, [1.0], np.zeros(len(coeffs)), coeffs, phi_field(model, degrees))[-1]
+    _, i2, _, m2 = integrate_loop(loops.gamma2, [1.0], np.zeros(n), coeffs[:n], phi_field(model, degrees[:n]))[-1]
     rows = []
-    for k, (d, _) in enumerate(samples):
-        factor = 1.0 + cmath.exp(2j * math.pi * complex(U1[slot[k]]))
+    for k, (d, _) in enumerate(two_loop):
+        factor = 1.0 + cmath.exp(2j * math.pi * ((d - 1) * model.lam1 - d))
         scale = max(1.0, m2[k] + abs(factor) * m1[k])
         residual = abs(i2[k] - factor * i1[k]) / scale
         rows.append(_row(f"integral-lemma-two-loops[{k}]", "gamma1/gamma2", d, residual, LEMMA_TOLERANCE))
+    for k, (d, _) in enumerate(forward):
+        residual = abs(i1[n + k]) / max(1.0, m1[n + k])
+        rows.append(_row(f"forward-vanishing[{k}]", loops.gamma1.label, d, residual, LEMMA_TOLERANCE))
     return rows
-
-
-def _forward_vanishing_rows(model: FloatModel, loop: Loop, samples) -> list[CheckRow]:
-    """Every L_d(R)/r^d phi1^(d-1) stacked on one phi1, integrated once."""
-    degrees = [d for d, _ in samples]
-    w = Polynomial([0.0, 1.0])
-    images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in samples]
-    zeros = np.zeros(len(samples))
-    _, values, _, masses = integrate_loop(loop, [1.0], zeros, images, phi_field(model, degrees))[-1]
-    return [
-        _row(f"forward-vanishing[{k}]", loop.label, d, abs(values[k]) / max(1.0, masses[k]), LEMMA_TOLERANCE)
-        for k, d in enumerate(degrees)
-    ]
 
 
 def verify_integral_lemmas(
@@ -226,21 +210,23 @@ def verify_integral_lemmas(
     """Three families of checks:
 
     (a) the two-loop identity I(gamma2) = (1 + e^{2 pi i u1}) I(gamma1) for
-        random polynomials against zeta = (1+w)^u1 (1-w)^u2;
+        random polynomials P against zeta = (1+w)^u1 (1-w)^u2, with
+        u_k = (d-1) lambda_k - d; since r = -(1+w)(1-w), zeta equals
+        (-1)^d phi1^(d-1) / r^d, and the sign cancels in the identity;
     (b) forward vanishing: integrands L_d(R)/r^d phi1^(d-1) integrate to
         zero along gamma1 for random R of degree <= 2d-3;
     (c) the antiderivative identity for the symbolic condition set's own
         P_d, R_d and F_d, substituted at a numeric beta, checked at every
         segment endpoint of gamma1 with constant C = -(-1)^(d-1) R_d(0).
 
-    All samples of a family share one path, so each family is one stacked
-    integration per loop.
+    All three integrate phi1-weighted integrands: (a) and (b) share one
+    stacked integration along gamma1 and (a) takes one more along gamma2;
+    (c) is one stacked integration along gamma1.
     """
     two_loop, forward = draw_lemma_samples(seed, n_samples)
     rows = []
     if n_samples > 0:
-        rows.extend(_two_loop_rows(model, loops, two_loop))
-        rows.extend(_forward_vanishing_rows(model, loops.gamma1, forward))
+        rows.extend(_sample_rows(model, loops, two_loop, forward))
     rows.extend(antiderivative_identity_rows(model, loops.gamma1, conditions, seed))
     return rows
 

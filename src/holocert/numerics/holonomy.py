@@ -26,7 +26,8 @@ integrands at a time, each read off the levels sent before it.  The jet
 stacks phi_2..phi_6 on phi1, one level per B_d, and the bundle its
 thirteen integrals in two levels, the five psi_d and then the eight
 products with psi2 and psi3.  ``phi_field`` is the phi1-weighted
-integrand P(w) phi1^(d-1) / r^d they share with the lemma checks.
+integrand P(w) phi1^(d-1) / r^d: the bundle's first level and the
+integrand of all three lemma families in ``checks``.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ class QuadratureBundle:
 
 def phi_field(model: FloatModel, degrees):
     """Base phi1 (rate K1 = s/r) and one level of integrals, one per
-    degree: integral k has the integrand vals[k] phi1^(d_k - 1) / r^d_k."""
+    degree: integral k has the integrand vals[k] phi1^(d_k - 1) / r^d_k.
+    It serves the bundle and all three lemma families."""
     lam1, lam2 = model.lam1, model.lam2
     D = np.asarray(degrees)[:, None]
 

@@ -61,7 +61,9 @@ def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
 
 
 def test_two_loop_identity_with_constant_polynomial(nmodel, nloops):
-    # P = 1 against zeta with the degree-3 exponents
+    # P = 1 against zeta with the degree-3 exponents, on a field of its own:
+    # the laboratory integrates (-1)^d P zeta on phi1, and this is its
+    # independent reference
     u1 = 2 * nmodel.lam1 - 3
     u2 = 2 * nmodel.lam2 - 3
 
@@ -100,8 +102,9 @@ def test_lemma_samples_keep_their_degrees(seed, n_samples, two_loop, forward):
 
 def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions, monkeypatch):
     # corrupt one integrand inside the two-loop stack (on gamma2 only) and
-    # one inside the forward-vanishing stack; each must fail its own row
-    # while every neighbour in the same stack still passes
+    # one forward image inside the gamma1 stack, which holds the two-loop
+    # polynomials first; each must fail its own row while every neighbour in
+    # the same stack still passes
     from holocert.numerics import checks
 
     n_samples, bad_two_loop, bad_forward = 5, 1, 3
@@ -111,8 +114,8 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions, mo
         if loop.label == "gamma2":
             bad = bad_two_loop
         # the antiderivative stack also has one base state, but four integrands
-        elif loop.label == "gamma1" and len(base0) == 1 and len(coeffs) == n_samples:
-            bad = bad_forward
+        elif loop.label == "gamma1" and len(base0) == 1 and len(coeffs) == 2 * n_samples:
+            bad = n_samples + bad_forward
         if bad is not None:
             coeffs = [c + 1.0 if k == bad else c for k, c in enumerate(coeffs)]
         return integrate_loop(loop, base0, integrals0, coeffs, field)
@@ -126,13 +129,25 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions, mo
     assert [r.degree for r in rows[n_samples : 2 * n_samples]] == [d for d, _ in forward]
 
 
-@pytest.mark.parametrize("n_samples, integrations", [(0, 12), (1, 15)])
+def test_a_defect_in_the_rate_of_phi1_fails_a_two_loop_row(nmodel, nloops, tp_conditions, monkeypatch):
+    # the two-loop rows integrate the phi1 that the other families share, so
+    # a rate read at lambda1 + 1e-2 fails them against the exact factor
+    from holocert.normalform import s_of
+    from holocert.numerics import holonomy
+
+    monkeypatch.setattr(holonomy, "s_of", lambda lam1, lam2, w: s_of(lam1 + 1e-2, lam2, w))
+    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=3, n_samples=4)
+    assert any(not r.passed for r in rows if r.name.startswith("integral-lemma-two-loops"))
+
+
+@pytest.mark.parametrize("n_samples, integrations", [(0, 12), (1, 14)])
 def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monkeypatch, n_samples, integrations):
     # integrate_loop is counted only where holonomy and checks bind it, so a
     # family with a right-hand side of its own would be missed.  Jets: gamma1,
     # gamma2, mu1, mu2, reversed gamma1, mu2*mu1, gamma1 at the second radius
     # and two order-2 jets at another alpha; bundles: gamma1, gamma2; the
-    # antiderivative stack; with samples, two-loop (twice) and forward stacks.
+    # antiderivative stack; with samples, the two-loop and forward stack on
+    # gamma1 and the two-loop stack on gamma2.
     from holocert.numerics import checks, holonomy
 
     loops = []
