@@ -23,15 +23,20 @@ from ..normalform import FoliationParams, L_d, expand_normal_form, r_of
 from . import ODEError
 from .holonomy import (
     FloatModel,
+    Part,
     _to_coeff_array,
+    bundle_part,
     float_model,
     integrate_quadratures,
+    integrate_stack,
     integrate_variations,
-    phi_field,
+    phi_part,
+    variation_jet,
+    variation_part,
 )
-from .jets import HolonomyJet, commutator, compose, invert, jet_distance
+from .jets import ORDER, HolonomyJet, commutator, compose, invert, jet_distance
 from .loops import RADIUS, Loop, LoopSystem, build_loops, concat
-from .odepath import ATOL, RTOL, integrate_loop
+from .odepath import ATOL, RTOL
 
 DEGREE_TOLERANCES = {2: 1e-6, 3: 1e-6, 4: 1e-5, 5: 1e-5, 6: 1e-4}
 A1_TOLERANCE = 1e-8
@@ -135,9 +140,9 @@ def formula_coefficients(model: FloatModel, bundle) -> dict[int, tuple[complex, 
     return {2: (a2, m2), 3: (a3, m3), 4: (a4, m4), 5: (a5, m5), 6: (a6, m6)}
 
 
-def verify_variation_formulas(model: FloatModel, loop: Loop, jet: HolonomyJet) -> list[CheckRow]:
-    """Compare the loop's ODE jet against the bundle-assembled formulas, degree 2..6."""
-    bundle = integrate_quadratures(model, loop)
+def verify_variation_formulas(model: FloatModel, loop: Loop, jet: HolonomyJet, bundle) -> list[CheckRow]:
+    """Compare the loop's ODE jet against the formulas assembled from its
+    quadrature bundle, degree 2..6."""
     assembled = formula_coefficients(model, bundle)
     rows = []
     for d in range(2, 7):
@@ -181,32 +186,92 @@ def draw_lemma_samples(seed: int, n_samples: int) -> tuple[list, list]:
     return two_loop, forward
 
 
-def _sample_rows(model: FloatModel, loops: LoopSystem, two_loop, forward) -> list[CheckRow]:
-    """Both sample families on one phi1: along gamma1 a stack holds every
-    two-loop P and then every forward image L_d(R), along gamma2 the
-    two-loop P alone, each integrand P phi1^(d-1) / r^d."""
-    n = len(two_loop)
+def _random_beta(seed: int) -> tuple:
+    """A numeric beta, three standard complex normals drawn from seed, made exact."""
+    rng = np.random.default_rng(seed)
+    return tuple(GaussianRational.from_complex(complex(z)) for z in rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+_ANTIDERIVATIVE_DEGREES = (3, 4, 5, 6)
+
+
+@dataclass(frozen=True)
+class Lemmas:
+    """The integrands of the three lemma families, each a phi_field part:
+    along gamma1 every two-loop P and then every forward image L_d(R), along
+    gamma2 the two-loop P alone, and the antiderivative stack of P_d + F_d
+    for d = 3..6, with (R_d, C_d) for its closed forms."""
+
+    two_loop: list
+    forward: list
+    gamma1: Part
+    gamma2: Part
+    antiderivative: Part
+    closed: list
+
+
+def lemma_integrands(model: FloatModel, conditions: ConditionSet, seed: int, n_samples: int) -> Lemmas:
+    """The samples drawn from seed and the condition set taken at a beta drawn
+    from seed + 1, as parts of the loops' stacked integrations."""
+    two_loop, forward = draw_lemma_samples(seed, n_samples)
     w = Polynomial([0.0, 1.0])
     images = [L_d(d, model.lam1, model.lam2, Polynomial(R), w, Polynomial.deriv).coef for d, R in forward]
     degrees = [d for d, _ in two_loop + forward]
     coeffs = [P for _, P in two_loop] + images
-    _, i1, _, m1 = integrate_loop(loops.gamma1, [1.0], np.zeros(len(coeffs)), coeffs, phi_field(model, degrees))[-1]
-    _, i2, _, m2 = integrate_loop(loops.gamma2, [1.0], np.zeros(n), coeffs[:n], phi_field(model, degrees[:n]))[-1]
+    n = len(two_loop)
+    at_beta = conditions.at(_random_beta(seed + 1))
+    numers, closed = [], []
+    for d in _ANTIDERIVATIVE_DEGREES:
+        F = at_beta.F[d].constant_term().to_complex()
+        numers.append(npp.polyadd(_to_coeff_array(at_beta.P[d]), np.array([F], dtype=complex)))
+        R = _to_coeff_array(at_beta.R[d])
+        closed.append((R, -((-1.0) ** (d - 1)) * npp.polyval(0j, R)))
+    return Lemmas(
+        two_loop,
+        forward,
+        phi_part(model, degrees, coeffs),
+        phi_part(model, degrees[:n], coeffs[:n]),
+        phi_part(model, _ANTIDERIVATIVE_DEGREES, numers),
+        closed,
+    )
+
+
+def integrate_commutator_loops(model: FloatModel, loops: LoopSystem, lemmas: Lemmas, seed: int) -> dict:
+    """Every family along gamma1 and along gamma2, one stacked integration per
+    loop: the jet, the quadrature bundle, the order-2 jet at another alpha
+    drawn from seed + 2 (it reads c_2 and S_2 only, so only those are
+    expanded), the lemma samples and, along gamma1, the antiderivative stack.
+
+    Returns loop label -> family -> the family's ends, as ``integrate_stack``
+    gives them."""
+    p_beta = model.params.with_alpha(*_random_beta(seed + 2))
+    model_beta = float_model(p_beta, expand_normal_form(p_beta, 2))
+    shared = {"jet": variation_part(model, ORDER), "bundle": bundle_part(model), "beta": variation_part(model_beta, 2)}
+    stacks = (
+        (loops.gamma1, shared | {"samples": lemmas.gamma1, "antiderivative": lemmas.antiderivative}),
+        (loops.gamma2, shared | {"samples": lemmas.gamma2}),
+    )
+    return {lp.label: dict(zip(parts, integrate_stack(lp, list(parts.values())))) for lp, parts in stacks}
+
+
+def _sample_rows(model: FloatModel, loops: LoopSystem, lemmas: Lemmas, on: dict) -> list[CheckRow]:
+    """Both sample families from their stacks, each integrand P phi1^(d-1) / r^d."""
+    n = len(lemmas.two_loop)
+    _, i1, _, m1 = on[loops.gamma1.label]["samples"][-1]
+    _, i2, _, m2 = on[loops.gamma2.label]["samples"][-1]
     rows = []
-    for k, (d, _) in enumerate(two_loop):
+    for k, (d, _) in enumerate(lemmas.two_loop):
         factor = 1.0 + cmath.exp(2j * math.pi * ((d - 1) * model.lam1 - d))
         scale = max(1.0, m2[k] + abs(factor) * m1[k])
         residual = abs(i2[k] - factor * i1[k]) / scale
         rows.append(_row(f"integral-lemma-two-loops[{k}]", "gamma1/gamma2", d, residual, LEMMA_TOLERANCE))
-    for k, (d, _) in enumerate(forward):
+    for k, (d, _) in enumerate(lemmas.forward):
         residual = abs(i1[n + k]) / max(1.0, m1[n + k])
         rows.append(_row(f"forward-vanishing[{k}]", loops.gamma1.label, d, residual, LEMMA_TOLERANCE))
     return rows
 
 
-def verify_integral_lemmas(
-    model: FloatModel, loops: LoopSystem, conditions: ConditionSet, seed: int, n_samples: int
-) -> list[CheckRow]:
+def verify_integral_lemmas(model: FloatModel, loops: LoopSystem, lemmas: Lemmas, on: dict) -> list[CheckRow]:
     """Three families of checks:
 
     (a) the two-loop identity I(gamma2) = (1 + e^{2 pi i u1}) I(gamma1) for
@@ -219,42 +284,25 @@ def verify_integral_lemmas(
         P_d, R_d and F_d, substituted at a numeric beta, checked at every
         segment endpoint of gamma1 with constant C = -(-1)^(d-1) R_d(0).
 
-    All three integrate phi1-weighted integrands: (a) and (b) share one
-    stacked integration along gamma1 and (a) takes one more along gamma2;
-    (c) is one stacked integration along gamma1.
+    All three integrate phi1-weighted integrands, read off ``on``, the
+    stacked integrations of ``integrate_commutator_loops``: (a) and (b) are
+    the samples part along gamma1 and (a) the one along gamma2; (c) is the
+    antiderivative part along gamma1.
     """
-    two_loop, forward = draw_lemma_samples(seed, n_samples)
-    rows = []
-    if n_samples > 0:
-        rows.extend(_sample_rows(model, loops, two_loop, forward))
-    rows.extend(antiderivative_identity_rows(model, loops.gamma1, conditions, seed))
+    rows = _sample_rows(model, loops, lemmas, on)
+    rows.extend(antiderivative_identity_rows(loops.gamma1, lemmas, on[loops.gamma1.label]["antiderivative"]))
     return rows
 
 
-def _random_beta(seed: int) -> tuple:
-    """A numeric beta, three standard complex normals drawn from seed, made exact."""
-    rng = np.random.default_rng(seed)
-    return tuple(GaussianRational.from_complex(complex(z)) for z in rng.standard_normal(3) + 1j * rng.standard_normal(3))
-
-
-def antiderivative_identity_rows(model, loop, conditions: ConditionSet, seed: int):
-    """Check (c): integral of (P_d + F_d)/r^d phi1^(d-1) against its closed form,
-    for d = 3..6 in one pass along the loop, the condition set taken at a beta drawn from seed."""
-    at_beta = conditions.at(_random_beta(seed + 1))
-    degrees = (3, 4, 5, 6)
-    numers, Rs, Cs = [], [], []
-    for d in degrees:
-        F = at_beta.F[d].constant_term().to_complex()
-        numers.append(npp.polyadd(_to_coeff_array(at_beta.P[d]), np.array([F], dtype=complex)))
-        R = _to_coeff_array(at_beta.R[d])
-        Rs.append(R)
-        Cs.append(-((-1.0) ** (d - 1)) * npp.polyval(0j, R))
-    ends = integrate_loop(loop, [1.0], np.zeros(len(degrees)), numers, phi_field(model, degrees))
+def antiderivative_identity_rows(loop: Loop, lemmas: Lemmas, ends) -> list[CheckRow]:
+    """Check (c): the integral of (P_d + F_d)/r^d phi1^(d-1), at the end of every
+    segment of the loop, against its closed form, for d = 3..6."""
+    degrees = _ANTIDERIVATIVE_DEGREES
     worst = [0.0] * len(degrees)
     for seg, ((p1,), values, _, masses) in zip(loop.segments, ends):
         w = seg.point(1.0)
-        for j, d in enumerate(degrees):
-            closed = npp.polyval(w, Rs[j]) / r_of(w) ** (d - 1) * p1 ** (d - 1) + Cs[j]
+        for j, (d, (R, C)) in enumerate(zip(degrees, lemmas.closed)):
+            closed = npp.polyval(w, R) / r_of(w) ** (d - 1) * p1 ** (d - 1) + C
             scale = max(1.0, abs(closed), masses[j])
             worst[j] = max(worst[j], abs(complex(values[j]) - closed) / scale)
     return [
@@ -277,11 +325,13 @@ def _jet_arithmetic_of(row: str):
         raise ODEError(f"row {row!r}: {exc}") from exc
 
 
-def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int) -> tuple[list[CheckRow], str]:
+def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets: dict) -> tuple[list[CheckRow], str]:
     """Jet-level sanity of the loop construction; also pins down the
     group-word composition convention empirically and reports it.
 
-    ``jets`` maps the labels of mu1, mu2, gamma1 and gamma2 to their jets.
+    ``jets`` maps the labels of mu1, mu2, gamma1 and gamma2 to their jets,
+    and ``beta_jets`` those of gamma1 and gamma2 to their order-2 jets at
+    another alpha.
     """
     rows = []
     for label in ("gamma1", "gamma2"):
@@ -338,13 +388,9 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, seed: int)
     residual = abs(a22 / a21 - target) / abs(target) if a21 != 0 else math.inf
     rows.append(_row("a22-ratio-is-1-plus-nu1", "gamma2", 2, residual, LEMMA_TOLERANCE))
 
-    # quadratic coefficient is beta-independent: perturb the alpha parameters;
-    # the order-2 jets read c_2 and S_2 only, so only those are expanded
-    p_beta = model.params.with_alpha(*_random_beta(seed + 2))
-    model_beta = float_model(p_beta, expand_normal_form(p_beta, 2))
-    for label, lp in (("gamma1", loops.gamma1), ("gamma2", loops.gamma2)):
-        tilde = integrate_variations(model_beta, lp, order=2)
-        base = jets[label]
+    # quadratic coefficient is beta-independent: the order-2 jets at another alpha
+    for label in ("gamma1", "gamma2"):
+        tilde, base = beta_jets[label], jets[label]
         scale = max(1.0, abs(base.a(2)), base.norms[1])
         rows.append(
             _row(f"a2-independent-of-beta[{label}]", label, 2, abs(tilde.a(2) - base.a(2)) / scale, LEMMA_TOLERANCE)
@@ -358,13 +404,20 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed:
     float model is read off the set's own expansion at alpha."""
     model = float_model(p, conditions.e_alpha)
     loops = build_loops(RADIUS)
-    # each loop's jet is integrated once and serves every row family
-    jets = {lp.label: integrate_variations(model, lp) for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)}
+    lemmas = lemma_integrands(model, conditions, seed, n_samples)
+    # each loop is integrated once: gamma1 and gamma2 with every family
+    # stacked on them, mu1 and mu2 for their jets alone
+    on = integrate_commutator_loops(model, loops, lemmas, seed)
+    commutators = (loops.gamma1, loops.gamma2)
+    jets = {lp.label: variation_jet(lp.label, on[lp.label]["jet"][-1]) for lp in commutators}
+    jets |= {lp.label: integrate_variations(model, lp) for lp in (loops.mu1, loops.mu2)}
     rows = []
-    for lp in (loops.gamma1, loops.gamma2):
-        rows.extend(verify_variation_formulas(model, lp, jets[lp.label]))
-    rows.extend(verify_integral_lemmas(model, loops, conditions, seed, n_samples))
-    struct, convention = structural_rows(model, loops, jets, seed)
+    for lp in commutators:
+        bundle = integrate_quadratures(on[lp.label]["bundle"][-1])
+        rows.extend(verify_variation_formulas(model, lp, jets[lp.label], bundle))
+    rows.extend(verify_integral_lemmas(model, loops, lemmas, on))
+    beta_jets = {lp.label: variation_jet(lp.label, on[lp.label]["beta"][-1]) for lp in commutators}
+    struct, convention = structural_rows(model, loops, jets, beta_jets)
     rows.extend(struct)
     return {
         "params": p.to_dict(),

@@ -28,6 +28,13 @@ thirteen integrals in two levels, the five psi_d and then the eight
 products with psi2 and psi3.  ``phi_field`` is the phi1-weighted
 integrand P(w) phi1^(d-1) / r^d: the bundle's first level and the
 integrand of all three lemma families in ``checks``.
+
+Every field's base is phi1, at the same rate, so the families that share
+a loop are integrated as one: ``integrate_stack`` zips their fields, each
+a ``Part``, into one field of one phi1 and one state, whose level j holds
+level j of every part, and hands each part back its own integrals.
+``checks`` integrates each commutator loop once that way, with the jet,
+the bundle, the order-2 jet at another alpha and the lemma stacks on it.
 """
 
 from __future__ import annotations
@@ -76,6 +83,81 @@ def float_model(p: FoliationParams, e: NormalFormExpansion) -> FloatModel:
     S = {d: _to_coeff_array(Sd) for d, Sd in e.S.items()}
     q = {d: _to_coeff_array(q_of(e, d)) for d in (4, 5, 6) if d in e.S}
     return FloatModel(p, p.lambda1.to_complex(), p.lambda2.to_complex(), c, S, q)
+
+
+# -- stacked integration -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Part:
+    """One family's share of a stacked loop integration: a field of
+    ``odepath``'s contract, the polynomials whose values it reads and the
+    number of integrals in each of its levels."""
+
+    field: object
+    coeffs: list
+    levels: tuple
+
+
+def _stacked_field(parts, shares):
+    """The parts' fields zipped into one: the first part's rate is the
+    stack's, and every other part's must equal it bitwise; level j of the
+    stack is level j of every part that has one, in part order, and
+    shares[j] holds (part, first row, end row) for each.  Each part reads
+    its own polynomials' values and is sent its own rows of each solved
+    level.  ValueError if the rates differ or a part's levels are not the
+    ones it declares."""
+    bounds = np.cumsum([0] + [len(part.coeffs) for part in parts])
+
+    def field(w, vals):
+        fields = [part.field(w, vals[a:b]) for part, a, b in zip(parts, bounds, bounds[1:])]
+        rate = next(fields[0])
+        for other in fields[1:]:
+            if np.asarray(next(other)).tobytes() != np.asarray(rate).tobytes():
+                raise ValueError("the stacked parts integrate different bases")
+        solved = [(yield rate)] * len(parts)
+        for level_shares in shares:
+            rows = []
+            for k, a, b in level_shares:
+                try:
+                    own = fields[k].send(solved[k])
+                except StopIteration:
+                    own = ()
+                if len(own) != b - a:
+                    raise ValueError(f"a stacked part yields {len(own)} integrals where it declares {b - a}")
+                rows.extend(own)
+            level = yield rows
+            for k, a, b in level_shares:
+                solved[k] = level[a:b]
+        for part_field, last in zip(fields, solved):
+            try:
+                part_field.send(last)
+            except StopIteration:
+                continue
+            raise ValueError("a stacked part has more levels than it declares")
+
+    return field
+
+
+def integrate_stack(loop: Loop, parts) -> list:
+    """Integrate the parts along loop in one ``integrate_loop`` call, on their
+    one base phi1.  Returns, per part, the state and masses at the end of
+    every segment as ``integrate_loop`` gives them for that part alone,
+    (base, integrals, base_masses, masses), the part's integrals in its own
+    order although the stacked state holds them level by level."""
+    shares, index, n = [], [[] for _ in parts], 0  # index: per part, where its integrals sit in the state
+    for j in range(max(len(part.levels) for part in parts)):
+        level_shares, a = [], 0
+        for k, part in enumerate(parts):
+            if j < len(part.levels):
+                level_shares.append((k, a, a + part.levels[j]))
+                index[k] += range(n + a, n + a + part.levels[j])
+                a += part.levels[j]
+        shares.append(level_shares)
+        n += a
+    coeffs = [c for part in parts for c in part.coeffs]
+    ends = integrate_loop(loop, [1.0], np.zeros(n), coeffs, _stacked_field(parts, shares))
+    return [[(b, y[i], mb, m[i]) for b, y, mb, m in ends] for i in index]
 
 
 # -- variational jets ------------------------------------------------------------
@@ -128,26 +210,33 @@ def _variation_field(model: FloatModel, order: int):
     return field
 
 
-def integrate_variations(model: FloatModel, loop: Loop, order: int = ORDER) -> HolonomyJet:
-    """Holonomy jet of a loop from the variational equations."""
-    if not 1 <= order <= ORDER:
-        raise ValueError(f"order must lie in 1..{ORDER}")
-    S = [model.S[d] for d in range(2, order + 1)]
-    zeros = np.zeros(order - 1)
-    (p1,), p, (m1,), masses = integrate_loop(loop, [1.0], zeros, S, _variation_field(model, order))[-1]
+def variation_part(model: FloatModel, order: int) -> Part:
+    """The jet of the given order as a part: phi_2..phi_order, one level each."""
+    return Part(_variation_field(model, order), [model.S[d] for d in range(2, order + 1)], (1,) * (order - 1))
+
+
+def variation_jet(label: str, end) -> HolonomyJet:
+    """The holonomy jet of a loop from the variation part's state at its end,
+    to the order of the part; a_d = p1 * p_d."""
+    (p1,), p, (m1,), masses = end
     coeffs = np.zeros(ORDER, dtype=complex)
     coeffs[0] = p1
     norms = np.zeros(ORDER)
     norms[0] = m1
     # the state is finite, but a_d = p1 * p_d can still overflow: checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in range(2, order + 1):
+        for d in range(2, len(p) + 2):
             coeffs[d - 1] = p1 * p[d - 2]
             # the reduced variation's mass scales with |p1| likewise
             norms[d - 1] = abs(p1) * masses[d - 2]
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(norms))):
-        raise ODEError(f"the holonomy jet of {loop.label} overflows double precision")
+        raise ODEError(f"the holonomy jet of {label} overflows double precision")
     return HolonomyJet(coeffs, norms=norms)
+
+
+def integrate_variations(model: FloatModel, loop: Loop) -> HolonomyJet:
+    """Holonomy jet of a loop from the variational equations, integrated alone."""
+    return variation_jet(loop.label, integrate_stack(loop, [variation_part(model, ORDER)])[0][-1])
 
 
 # -- quadrature bundle -------------------------------------------------------------
@@ -200,6 +289,11 @@ def phi_field(model: FloatModel, degrees):
     return field
 
 
+def phi_part(model: FloatModel, degrees, coeffs) -> Part:
+    """phi_field's integrals as a part, the polynomial coeffs[k] against degrees[k]."""
+    return Part(phi_field(model, degrees), list(coeffs), (len(degrees),))
+
+
 def _bundle_field(model: FloatModel):
     """psi_d is the phi field of S_2, S_3, q_4, q_5, q_6, the first level;
     the second weights those integrands by the solved psi2 and psi3."""
@@ -226,10 +320,14 @@ def _bundle_field(model: FloatModel):
     return field
 
 
-def integrate_quadratures(model: FloatModel, loop: Loop) -> QuadratureBundle:
-    coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
-    zeros = np.zeros(len(_BUNDLE_NAMES))
-    _, values, _, masses = integrate_loop(loop, [1.0], zeros, coeffs, _bundle_field(model))[-1]
+def bundle_part(model: FloatModel) -> Part:
+    """The quadrature bundle as a part: the five psi_d, then the eight products."""
+    return Part(_bundle_field(model), [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]], (5, 8))
+
+
+def integrate_quadratures(end) -> QuadratureBundle:
+    """The quadrature bundle from the bundle part's state at the end of its loop."""
+    _, values, _, masses = end
     return QuadratureBundle(
         values={name: complex(v) for name, v in zip(_BUNDLE_NAMES, values)},
         norms={name: float(abs(m)) for name, m in zip(_BUNDLE_NAMES, masses)},

@@ -41,7 +41,9 @@ A loop integration returns the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
 ``integrate_loop`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
-integral lemmas) supplies only a field in w.
+integral lemmas) supplies only a field in w, and the families that share
+a loop are zipped into one field (``holonomy.integrate_stack``), so each
+commutator loop is integrated once.
 """
 
 from __future__ import annotations

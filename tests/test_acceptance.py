@@ -22,8 +22,23 @@ from holocert.normalform import (
     validate_genericity,
     verification_point,
 )
-from holocert.numerics.checks import DEGREE_TOLERANCES, verify_integral_lemmas, verify_variation_formulas
-from holocert.numerics.holonomy import float_model, integrate_variations
+from holocert.numerics.checks import (
+    DEGREE_TOLERANCES,
+    integrate_commutator_loops,
+    lemma_integrands,
+    verify_integral_lemmas,
+    verify_variation_formulas,
+)
+from holocert.numerics.holonomy import (
+    bundle_part,
+    float_model,
+    integrate_quadratures,
+    integrate_stack,
+    integrate_variations,
+    variation_jet,
+    variation_part,
+)
+from holocert.numerics.jets import ORDER
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import build_loops
 from holocert.obstruction import GenericityError, apply_Ld, build_Md
@@ -116,18 +131,19 @@ def test_criterion_4_elimination_reproduction():
     _ok(4, f"chain: Res2_5 divisible, Res3_6 != 0, det34 != 0, (beta1, beta2) = (0, 0), UNIQUE ({elapsed:.2f}s)")
 
 
-def test_criterion_5_holonomy_formula_validation(loop_jets):
+def test_criterion_5_holonomy_formula_validation():
     t0 = time.time()
     rng = random.Random(505)
     params = [verification_point()] + [_random_float_params(rng) for _ in range(3)]
     loops = build_loops(0.5)
     worst = {d: 0.0 for d in range(2, 7)}
-    for k, p in enumerate(params):
+    for p in params:
         model = float_model(p, expand_normal_form(p, DMAX))
         for loop in (loops.gamma1, loops.gamma2):
-            # the fixture holds the verification point's jets
-            jet = loop_jets[loop.label] if k == 0 else integrate_variations(model, loop)
-            for row in verify_variation_formulas(model, loop, jet):
+            # the jet and the bundle in one stack, as the laboratory integrates them
+            jet, bundle = integrate_stack(loop, [variation_part(model, ORDER), bundle_part(model)])
+            jet, bundle = variation_jet(loop.label, jet[-1]), integrate_quadratures(bundle[-1])
+            for row in verify_variation_formulas(model, loop, jet, bundle):
                 worst[row.degree] = max(worst[row.degree], row.residual)
                 assert row.passed, f"{row.name} at {loop.label}: residual {row.residual:.3e}"
     elapsed = time.time() - t0
@@ -138,7 +154,8 @@ def test_criterion_5_holonomy_formula_validation(loop_jets):
 
 def test_criterion_6_integral_lemmas(nmodel, nloops, tp_conditions, loop_jets):
     t0 = time.time()
-    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=606, n_samples=20)
+    lemmas = lemma_integrands(nmodel, tp_conditions, seed=606, n_samples=20)
+    rows = verify_integral_lemmas(nmodel, nloops, lemmas, integrate_commutator_loops(nmodel, nloops, lemmas, seed=606))
     for row in rows:
         assert row.passed, f"{row.name}: residual {row.residual:.3e}"
     nu1 = nmodel.nu1()

@@ -1,12 +1,14 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from holocert.numerics.checks import (
-    antiderivative_identity_rows,
     draw_lemma_samples,
+    integrate_commutator_loops,
+    lemma_integrands,
     numeric_summary,
     run_numeric_verification,
     structural_rows,
@@ -17,15 +19,26 @@ from holocert.numerics.jets import HolonomyJet
 from holocert.numerics.odepath import integrate_loop
 
 
+def _lemma_rows(model, loops, conditions, seed, n_samples):
+    """The three lemma families' rows, read off the commutator loops' stacked integrations."""
+    lemmas = lemma_integrands(model, conditions, seed, n_samples)
+    return verify_integral_lemmas(model, loops, lemmas, integrate_commutator_loops(model, loops, lemmas, seed))
+
+
+def _antiderivative_rows(model, loops, conditions, seed):
+    """With no samples, the lemma rows are the antiderivative rows alone."""
+    return _lemma_rows(model, loops, conditions, seed, n_samples=0)
+
+
 def test_integral_lemma_rows_pass(nmodel, nloops, tp_conditions):
-    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=3, n_samples=3)
+    rows = _lemma_rows(nmodel, nloops, tp_conditions, seed=3, n_samples=3)
     assert len(rows) == 3 + 3 + 4
     for row in rows:
         assert row.passed, f"{row.name}: residual {row.residual:.3e}"
 
 
 def test_antiderivative_rows_cover_all_degrees(nmodel, nloops, tp_conditions):
-    rows = antiderivative_identity_rows(nmodel, nloops.gamma1, tp_conditions, seed=0)
+    rows = _antiderivative_rows(nmodel, nloops, tp_conditions, seed=0)
     assert [r.degree for r in rows] == [3, 4, 5, 6]
     assert all(r.passed for r in rows)
 
@@ -39,7 +52,7 @@ def test_antiderivative_rows_check_the_given_condition_set(nmodel, nloops, tp_co
 
     planted = ConditionSet(tp_conditions.e_alpha, dict(tp_conditions.P), dict(tp_conditions.R), dict(tp_conditions.F))
     getattr(planted, part)[d] = getattr(planted, part)[d] + MPoly.var("b1")
-    rows = antiderivative_identity_rows(nmodel, nloops.gamma1, planted, seed=0)
+    rows = _antiderivative_rows(nmodel, nloops, planted, seed=0)
     assert [r.degree for r in rows if not r.passed] == [d]
 
 
@@ -100,28 +113,23 @@ def test_lemma_samples_keep_their_degrees(seed, n_samples, two_loop, forward):
     assert all(len(R) == 2 * d - 2 for d, R in drawn_forward)
 
 
-def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions, monkeypatch):
-    # corrupt one integrand inside the two-loop stack (on gamma2 only) and
-    # one forward image inside the gamma1 stack, which holds the two-loop
-    # polynomials first; each must fail its own row while every neighbour in
-    # the same stack still passes
-    from holocert.numerics import checks
-
+def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions):
+    # corrupt one two-loop polynomial of the samples part on gamma2 only,
+    # and one forward image of the samples part on gamma1, which holds the
+    # two-loop polynomials first; both parts ride in the stacked integrations
+    # with every other family, and each defect must fail its own row while
+    # every neighbour in the same part still passes
     n_samples, bad_two_loop, bad_forward = 5, 1, 3
+    lemmas = lemma_integrands(nmodel, tp_conditions, seed=3, n_samples=n_samples)
 
-    def corrupting(loop, base0, integrals0, coeffs, field):
-        bad = None
-        if loop.label == "gamma2":
-            bad = bad_two_loop
-        # the antiderivative stack also has one base state, but four integrands
-        elif loop.label == "gamma1" and len(base0) == 1 and len(coeffs) == 2 * n_samples:
-            bad = n_samples + bad_forward
-        if bad is not None:
-            coeffs = [c + 1.0 if k == bad else c for k, c in enumerate(coeffs)]
-        return integrate_loop(loop, base0, integrals0, coeffs, field)
+    def planted(part, bad):
+        return replace(part, coeffs=[c + 1.0 if k == bad else c for k, c in enumerate(part.coeffs)])
 
-    monkeypatch.setattr(checks, "integrate_loop", corrupting)
-    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=3, n_samples=n_samples)
+    corrupted = replace(
+        lemmas, gamma1=planted(lemmas.gamma1, n_samples + bad_forward), gamma2=planted(lemmas.gamma2, bad_two_loop)
+    )
+    on = integrate_commutator_loops(nmodel, nloops, corrupted, seed=3)
+    rows = verify_integral_lemmas(nmodel, nloops, lemmas, on)
     failed = [r.name for r in rows if not r.passed]
     assert failed == [f"integral-lemma-two-loops[{bad_two_loop}]", f"forward-vanishing[{bad_forward}]"]
     two_loop, forward = draw_lemma_samples(3, n_samples)
@@ -136,18 +144,19 @@ def test_a_defect_in_the_rate_of_phi1_fails_a_two_loop_row(nmodel, nloops, tp_co
     from holocert.numerics import holonomy
 
     monkeypatch.setattr(holonomy, "s_of", lambda lam1, lam2, w: s_of(lam1 + 1e-2, lam2, w))
-    rows = verify_integral_lemmas(nmodel, nloops, tp_conditions, seed=3, n_samples=4)
+    rows = _lemma_rows(nmodel, nloops, tp_conditions, seed=3, n_samples=4)
     assert any(not r.passed for r in rows if r.name.startswith("integral-lemma-two-loops"))
 
 
-@pytest.mark.parametrize("n_samples, integrations", [(0, 12), (1, 14)])
+@pytest.mark.parametrize("n_samples, integrations", [(0, 7), (1, 7)])
 def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monkeypatch, n_samples, integrations):
-    # integrate_loop is counted only where holonomy and checks bind it, so a
-    # family with a right-hand side of its own would be missed.  Jets: gamma1,
-    # gamma2, mu1, mu2, reversed gamma1, mu2*mu1, gamma1 at the second radius
-    # and two order-2 jets at another alpha; bundles: gamma1, gamma2; the
-    # antiderivative stack; with samples, the two-loop and forward stack on
-    # gamma1 and the two-loop stack on gamma2.
+    # integrate_loop is counted where holonomy binds it, and checks binds it
+    # nowhere, so a family with a right-hand side of its own would be
+    # missed.  gamma1 and gamma2 are each integrated once, with every family
+    # stacked on them: the jet, the bundle, the order-2 jet at another alpha,
+    # the lemma samples (none with --samples 0, and the stacks stay) and, on
+    # gamma1, the antiderivative stack.  The jets of mu1, mu2, reversed
+    # gamma1, mu2*mu1 and gamma1 at the second radius are integrated alone.
     from holocert.numerics import checks, holonomy
 
     loops = []
@@ -156,22 +165,88 @@ def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monke
         loops.append(loop.label)
         return integrate_loop(loop, *args)
 
+    assert "integrate_loop" not in vars(checks)
     monkeypatch.setattr(holonomy, "integrate_loop", counting)
-    monkeypatch.setattr(checks, "integrate_loop", counting)
     run_numeric_verification(tp, tp_conditions, seed=0, n_samples=n_samples)
     assert len(loops) == integrations
+    assert sorted(loops) == sorted(["gamma1", "gamma2", "mu1", "mu2", "gamma1^-1", "mu2*mu1", "gamma1"])
 
 
-def test_variation_rows_report_every_degree(nmodel, nloops, loop_jets):
-    rows = verify_variation_formulas(nmodel, nloops.gamma1, loop_jets["gamma1"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"lambda1": "2-1i", "lambda2": "0+2i", "alpha": ["1", "0", "0"]},  # the bundled point
+        {"lambda1": "1/2-3i", "lambda2": "1/3+5/2i", "alpha": ["2-1i", "1/2", "-1+1i"]},  # steep, jets up to 1e30
+    ],
+)
+def test_each_stacked_part_matches_its_lone_integration(point, monkeypatch):
+    # the stacked state holds the parts level by level, and only the split
+    # map puts each part's integrals back in the part's own order: a
+    # misplaced index hands a row family another part's integral, off by
+    # O(1), while a part integrated alone differs from its share of the
+    # stack only by the finer mesh that the other parts' tails ask for.
+    # Every integral of every part is compared at every segment end: the
+    # jet, the bundle, the samples, the antiderivative values and the
+    # order-2 jet at another alpha, whose a_2 is p1 p_2.
+    from holocert.conditions import build_condition_set
+    from holocert.normalform import FoliationParams
+    from holocert.numerics import checks
+    from holocert.numerics.holonomy import float_model, integrate_stack
+    from holocert.numerics.loops import RADIUS, build_loops
+
+    p = FoliationParams.from_dict(point)
+    conditions = build_condition_set(p)
+    model, loops = float_model(p, conditions.e_alpha), build_loops(RADIUS)
+    stacks = []
+
+    def recording(loop, parts):
+        ends = integrate_stack(loop, parts)
+        stacks.append((loop, parts, ends))
+        return ends
+
+    monkeypatch.setattr(checks, "integrate_stack", recording)
+    integrate_commutator_loops(model, loops, lemma_integrands(model, conditions, seed=3, n_samples=4), seed=3)
+    assert [(loop.label, [part.levels for part in parts]) for loop, parts, _ in stacks] == [
+        ("gamma1", [(1, 1, 1, 1, 1), (5, 8), (1,), (8,), (4,)]),
+        ("gamma2", [(1, 1, 1, 1, 1), (5, 8), (1,), (4,)]),
+    ]
+    for loop, parts, stacked in stacks:
+        for part, ends in zip(parts, stacked):
+            lone = integrate_loop(loop, [1.0], np.zeros(sum(part.levels)), part.coeffs, part.field)
+            assert len(ends) == len(lone) == len(loop.segments)
+            for (b, y, mb, m), (lone_b, lone_y, _, lone_m) in zip(ends, lone):
+                assert abs(b[0] - lone_b[0]) <= 1e-12 * max(1.0, mb[0])
+                assert y.shape == lone_y.shape
+                assert np.all(np.abs(y - lone_y) <= 1e-12 * np.maximum(1.0, np.maximum(m, lone_m)))
+
+
+def test_a_planted_discretization_defect_fails_the_variation_formula_rows(tp, tp_conditions, monkeypatch):
+    # the jet and the bundle are integrated on the same pieces of one stack,
+    # so a defect in the engine's quadrature could move both alike; a
+    # relative 1e-5 on the weights of each piece's end (the last column of
+    # _CUMSUM) moves them apart, and degrees 2 and 3 fail on both loops
+    from holocert.numerics import odepath
+
+    cumsum = odepath._CUMSUM.copy()
+    cumsum[:, -1] *= 1 + 1e-5
+    monkeypatch.setattr(odepath, "_CUMSUM", cumsum)
+    report = run_numeric_verification(tp, tp_conditions, seed=3, n_samples=4)
+    failed = [(row["name"], row["loop"]) for row in report["checks"] if not row["pass"]]
+    for loop in ("gamma1", "gamma2"):
+        for d in (2, 3):
+            assert (f"variation-formula-deg{d}", loop) in failed
+
+
+def test_variation_rows_report_every_degree(nmodel, nloops, loop_jets, gamma_bundles):
+    rows = verify_variation_formulas(nmodel, nloops.gamma1, loop_jets["gamma1"], gamma_bundles["gamma1"])
     assert [r.degree for r in rows] == [2, 3, 4, 5, 6]
     assert all(r.passed for r in rows)
     # residual magnitudes are recorded, not just booleans
     assert all(0.0 <= r.residual < r.tolerance for r in rows)
 
 
-def test_structural_rows_detect_convention(nmodel, nloops, loop_jets):
-    rows, convention = structural_rows(nmodel, nloops, loop_jets, seed=5)
+def test_structural_rows_detect_convention(nmodel, nloops, loop_jets, beta_jets):
+    rows, convention = structural_rows(nmodel, nloops, loop_jets, beta_jets)
     assert "Delta_b o Delta_a" in convention
     by_name = {r.name: r for r in rows}
     assert by_name["commutator-convention"].passed
@@ -189,8 +264,9 @@ def _planted(jets, label, d, defect):
     return {**jets, label: HolonomyJet(coeffs, norms=jet.norms)}
 
 
-def test_a_perturbed_a2_of_gamma1_fails_exactly_the_rows_that_read_it(nmodel, nloops, loop_jets):
-    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, "gamma1", 2, lambda a: 1e-3 * abs(a)), seed=0)
+def test_a_perturbed_a2_of_gamma1_fails_exactly_the_rows_that_read_it(nmodel, nloops, loop_jets, beta_jets):
+    planted = _planted(loop_jets, "gamma1", 2, lambda a: 1e-3 * abs(a))
+    rows, convention = structural_rows(nmodel, nloops, planted, beta_jets)
     assert [r.name for r in rows if not r.passed] == [
         "reversed-loop-is-inverse-jet",
         "radius-independence",
@@ -205,17 +281,17 @@ def test_a_perturbed_a2_of_gamma1_fails_exactly_the_rows_that_read_it(nmodel, nl
     reason="ROADMAP item 1: jet rows are graded against propagated masses, under which a 10 % defect passes",
 )
 @pytest.mark.parametrize("label, d", [("mu1", 2), ("gamma1", 6)])
-def test_a_ten_percent_defect_fails_a_structural_row(nmodel, nloops, loop_jets, label, d):
+def test_a_ten_percent_defect_fails_a_structural_row(nmodel, nloops, loop_jets, beta_jets, label, d):
     # +10 % on a_2 of mu1 also flips the reported convention
-    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, label, d, lambda a: 0.1 * a), seed=0)
+    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, label, d, lambda a: 0.1 * a), beta_jets)
     assert "Delta_b o Delta_a" in convention
     assert not all(r.passed for r in rows)
 
 
-def test_commutator_tangency_is_near_rounding(nmodel, nloops, loop_jets):
+def test_commutator_tangency_is_near_rounding(nmodel, nloops, loop_jets, beta_jets):
     # at the default tolerance a1 = 1 holds to a few ulps on gamma1, five
     # orders of magnitude under the row's 1e-8 budget
-    rows, _ = structural_rows(nmodel, nloops, loop_jets, seed=0)
+    rows, _ = structural_rows(nmodel, nloops, loop_jets, beta_jets)
     by_name = {r.name: r for r in rows}
     assert by_name["commutator-tangency[gamma1]"].residual <= 1e-13
 

@@ -6,7 +6,15 @@ import pytest
 
 from holocert.gaussian import GaussianRational as gq
 from holocert.normalform import DMAX, expand_normal_form
-from holocert.numerics.holonomy import float_model, integrate_quadratures, integrate_variations
+from holocert.numerics.holonomy import (
+    bundle_part,
+    float_model,
+    integrate_quadratures,
+    integrate_stack,
+    integrate_variations,
+    variation_jet,
+    variation_part,
+)
 from holocert.numerics.checks import formula_coefficients
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import Line, Loop
@@ -87,7 +95,7 @@ def test_reversed_loop_is_inverse_jet(nmodel, nloops, loop_jets):
 def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
     p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
     other = float_model(p, expand_normal_form(p, DMAX))
-    tilde = integrate_variations(other, nloops.gamma1, order=2)
+    tilde = variation_jet("gamma1", integrate_stack(nloops.gamma1, [variation_part(other, 2)])[0][-1])
     base = loop_jets["gamma1"]
     scale = max(1.0, abs(base.a(2)), base.norms[1])
     assert abs(tilde.a(2) - base.a(2)) / scale < 1e-9
@@ -96,7 +104,7 @@ def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
 def test_psi2_independent_of_alpha(nmodel, nloops, gamma_bundles, tp):
     p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
     other = float_model(p, expand_normal_form(p, DMAX))
-    b = integrate_quadratures(other, nloops.gamma1)
+    b = integrate_quadratures(integrate_stack(nloops.gamma1, [bundle_part(other)])[0][-1])
     base = gamma_bundles["gamma1"]
     scale = max(1.0, abs(base.values["psi2"]), base.norms["psi2"])
     assert abs(b.values["psi2"] - base.values["psi2"]) / scale < 1e-9
@@ -120,22 +128,41 @@ def test_float_model_holds_only_the_expanded_degrees(tp, nloops):
     assert (sorted(model.c), sorted(model.S), model.q) == ([1, 2], [2], {})
     full = float_model(p, expand_normal_form(p, DMAX))
     assert model.c[2] == full.c[2] and np.array_equal(model.S[2], full.S[2])
-    integrate_variations(model, nloops.gamma1, order=2)
+    integrate_stack(nloops.gamma1, [variation_part(model, 2)])
     with pytest.raises(KeyError):
-        integrate_variations(model, nloops.gamma1, order=3)
+        variation_part(model, 3)
     with pytest.raises(KeyError):
-        integrate_quadratures(model, nloops.gamma1)
+        bundle_part(model)
+
+
+def test_a_stack_of_two_bases_is_refused(nmodel, nloops, tp):
+    # every part rides on the stack's one phi1: a part whose rate differs in
+    # the last bit from the first part's would be integrated against a base
+    # that is not its own
+    from holocert.normalform import FoliationParams
+
+    d = tp.to_dict()
+    other = FoliationParams.from_dict({**d, "lambda2": "1/7+2i"})
+    parts = [variation_part(nmodel, 2), variation_part(float_model(other, expand_normal_form(other, 2)), 2)]
+    with pytest.raises(ValueError, match="different bases"):
+        integrate_stack(nloops.gamma1, parts)
+
+
+@pytest.mark.parametrize("levels", [(1,), (2, 1), ()])
+def test_a_part_must_yield_the_levels_it_declares(nmodel, nloops, levels):
+    # the split map is read off the declared levels, so a part that yields
+    # other ones is refused instead of being split at the wrong rows
+    from holocert.numerics.holonomy import Part, phi_field
+
+    part = Part(phi_field(nmodel, [3, 4]), [np.ones(1), np.ones(1)], levels)
+    with pytest.raises(ValueError):
+        integrate_stack(nloops.gamma1, [variation_part(nmodel, 2), part])
 
 
 def test_bundle_carries_error_estimates(gamma_bundles):
     b = gamma_bundles["gamma1"]
     for name in ("psi2", "psi6", "delta11", "b1"):
         assert b.norms[name] >= 0.0
-
-
-def test_variation_order_cap(nmodel, nloops):
-    with pytest.raises(ValueError):
-        integrate_variations(nmodel, nloops.gamma1, order=7)
 
 
 def test_overflowing_jet_raises():
