@@ -9,8 +9,8 @@ of the base phi1 and a triangular stack of integrals, under the
 one field contract stated in ``odepath``: a field is one generator that
 yields rows in w, the base's rate first and then one level of integrands
 at a time, and is sent each level's solved values.  The families that
-share a loop are zipped into one field (``holonomy.integrate_stack``), so
-each commutator loop is integrated once.  The engine cuts a
+share a commutator loop, all but its jet, are zipped into one field
+(``holonomy.integrate_stack``); each jet is integrated alone.  The engine cuts a
 loop into Chebyshev pieces and solves blocks of consecutive pieces at
 once, level by level over all their nodes, with the one
 cumulative-integral matrix and start states chained in path order.  It

@@ -34,7 +34,7 @@ from .holonomy import (
     variation_jet,
     variation_part,
 )
-from .jets import ORDER, HolonomyJet, commutator, compose, invert, jet_distance
+from .jets import HolonomyJet, commutator, compose, invert, jet_distance
 from .loops import RADIUS, Loop, LoopSystem, build_loops, concat
 from .odepath import ATOL, RTOL
 
@@ -237,16 +237,18 @@ def lemma_integrands(model: FloatModel, conditions: ConditionSet, seed: int, n_s
 
 
 def integrate_commutator_loops(model: FloatModel, loops: LoopSystem, lemmas: Lemmas, seed: int) -> dict:
-    """Every family along gamma1 and along gamma2, one stacked integration per
-    loop: the jet, the quadrature bundle, the order-2 jet at another alpha
-    drawn from seed + 2 (it reads c_2 and S_2 only, so only those are
-    expanded), the lemma samples and, along gamma1, the antiderivative stack.
+    """Every family but the jet along gamma1 and along gamma2, one stacked
+    integration per loop: the quadrature bundle, the order-2 jet at another
+    alpha drawn from seed + 2 (it reads c_2 and S_2 only, so only those are
+    expanded), the lemma samples and, along gamma1, the antiderivative
+    stack.  The jets are integrated alone (``integrate_variations``), so
+    their meshes do not depend on the samples drawn.
 
     Returns loop label -> family -> the family's ends, as ``integrate_stack``
     gives them."""
     p_beta = model.params.with_alpha(*_random_beta(seed + 2))
     model_beta = float_model(p_beta, expand_normal_form(p_beta, 2))
-    shared = {"jet": variation_part(model, ORDER), "bundle": bundle_part(model), "beta": variation_part(model_beta, 2)}
+    shared = {"bundle": bundle_part(model), "beta": variation_part(model_beta, 2)}
     stacks = (
         (loops.gamma1, shared | {"samples": lemmas.gamma1, "antiderivative": lemmas.antiderivative}),
         (loops.gamma2, shared | {"samples": lemmas.gamma2}),
@@ -405,12 +407,11 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed:
     model = float_model(p, conditions.e_alpha)
     loops = build_loops(RADIUS)
     lemmas = lemma_integrands(model, conditions, seed, n_samples)
-    # each loop is integrated once: gamma1 and gamma2 with every family
-    # stacked on them, mu1 and mu2 for their jets alone
+    # each loop's jet is integrated alone; every other family on gamma1 and
+    # gamma2 is stacked on one integration of that loop
+    jets = {lp.label: integrate_variations(model, lp) for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)}
     on = integrate_commutator_loops(model, loops, lemmas, seed)
     commutators = (loops.gamma1, loops.gamma2)
-    jets = {lp.label: variation_jet(lp.label, on[lp.label]["jet"][-1]) for lp in commutators}
-    jets |= {lp.label: integrate_variations(model, lp) for lp in (loops.mu1, loops.mu2)}
     rows = []
     for lp in commutators:
         bundle = integrate_quadratures(on[lp.label]["bundle"][-1])

@@ -33,8 +33,9 @@ Every field's base is phi1, at the same rate, so the families that share
 a loop are integrated as one: ``integrate_stack`` zips their fields, each
 a ``Part``, into one field of one phi1 and one state, whose level j holds
 level j of every part, and hands each part back its own integrals.
-``checks`` integrates each commutator loop once that way, with the jet,
-the bundle, the order-2 jet at another alpha and the lemma stacks on it.
+``checks`` stacks that way, on each commutator loop, the bundle, the
+order-2 jet at another alpha and the lemma stacks; the jets are
+integrated alone, so the samples drawn do not move their meshes.
 """
 
 from __future__ import annotations
@@ -115,18 +116,20 @@ def _stacked_field(parts, shares):
         for other in fields[1:]:
             if np.asarray(next(other)).tobytes() != np.asarray(rate).tobytes():
                 raise ValueError("the stacked parts integrate different bases")
+
+        def own(k, a, b):
+            try:
+                rows = fields[k].send(solved[k])
+            except StopIteration:
+                rows = ()
+            if len(rows) != b - a:
+                raise ValueError(f"a stacked part yields {len(rows)} integrals where it declares {b - a}")
+            return rows
+
         solved = [(yield rate)] * len(parts)
         for level_shares in shares:
-            rows = []
-            for k, a, b in level_shares:
-                try:
-                    own = fields[k].send(solved[k])
-                except StopIteration:
-                    own = ()
-                if len(own) != b - a:
-                    raise ValueError(f"a stacked part yields {len(own)} integrals where it declares {b - a}")
-                rows.extend(own)
-            level = yield rows
+            # the level's rows are not kept here once the engine has them
+            level = yield [row for k, a, b in level_shares for row in own(k, a, b)]
             for k, a, b in level_shares:
                 solved[k] = level[a:b]
         for part_field, last in zip(fields, solved):
@@ -282,9 +285,9 @@ def phi_field(model: FloatModel, degrees):
 
     def field(w, vals):
         r = r_of(w)
-        rD = r**D
         base = yield s_of(lam1, lam2, w) / r
-        yield vals * (base[0] ** (D - 1) / rD)  # in w and phi1 alone
+        # in w and phi1 alone; r^d is not held while the engine solves the level
+        yield vals * (base[0] ** (D - 1) / r**D)
 
     return field
 

@@ -42,8 +42,10 @@ segment, in path order, so a caller can compare mid-path values.
 ``integrate_loop`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
 integral lemmas) supplies only a field in w, and the families that share
-a loop are zipped into one field (``holonomy.integrate_stack``), so each
-commutator loop is integrated once.
+a commutator loop, all but its jet, are zipped into one field
+(``holonomy.integrate_stack``).  The tail test reads every row, so a
+stack's mesh is shared by its parts: the jets are integrated alone, and
+their meshes do not depend on which other families are checked.
 """
 
 from __future__ import annotations
@@ -98,19 +100,22 @@ def _solve(field, w, vals, dw, half, start, nb):
     each level of integrals, read off the levels below it.  Each level
     takes one product and is chained from its values in start.
 
-    Returns (nodes, ends, derivs, finite): the state and the derivatives at
-    the nodes, of shape (rows, k, N), ends[j + 1], the state at the end of
-    piece j (ends[0] = start), and per piece whether its state is finite.
+    Returns (base, ends, derivs, finite): the base at the nodes, of shape
+    (nb, k, N), the derivatives at the nodes, of shape (rows, k, N),
+    ends[j + 1], the state at the end of piece j (ends[0] = start), and per
+    piece whether its state is finite.  A level's state at the nodes lives
+    only as long as the field keeps it, so a wide stack holds its
+    derivatives and one level's product at a time.
     ValueError if the field yields no rate, or if its levels do not cover
     the integrals exactly.
     """
     k, rows = half.size, start.size
     # derivs starts at zero: a level's rows are not known before its turn
-    nodes, derivs, cum = (np.zeros((rows, k, n), dtype=complex) for n in (N, N, N + 1))
+    derivs = np.zeros((rows, k, N), dtype=complex)
+    flat_derivs = derivs.reshape(rows, k * N)
     ends = np.empty((k + 1, rows), dtype=complex)
-    flat, flat_derivs = nodes.reshape(rows, k * N), derivs.reshape(rows, k * N)
-    new = cum[:, :, :N]  # the new state at the nodes overwrites the local integrals
     ends[0] = start
+    finite = np.ones(k, dtype=bool)  # each level's nodes and ends are and-ed in
     with np.errstate(all="ignore"):
         levels, lv = field(w, vals), slice(0, nb)  # the base is the first level
         try:
@@ -118,38 +123,51 @@ def _solve(field, w, vals, dw, half, start, nb):
         except StopIteration:
             raise ValueError("the field returns before it yields the base's rate") from None
         for depth in count():
-            np.copyto(flat_derivs[lv], np.multiply(level, dw))
+            if depth == 0:
+                np.multiply(level, dw, out=flat_derivs[lv])
+            else:  # row by row: a level yielded as a list of rows is not copied into one array first
+                for row, out in zip(level, flat_derivs[lv]):
+                    np.multiply(row, dw, out=out)
+            del level  # the field's rows are held in derivs from here on
             # A lone piece's products take all rows: a product of fewer rows
             # can round otherwise (a lone piece's base alone is a vector
             # product).  Each is scaled first, exactly (h/2 is a power of
-            # two), so a sum overflows only with its integral.
-            part = lv if k > 1 else slice(None)
-            _per_row(derivs[part] * half[:, None], _CUMSUM, out=cum[part])
+            # two), so a sum overflows only with its integral.  cum holds the
+            # level's integrals over each piece at the nodes and, last, at
+            # the piece's end; the new state overwrites the first N.
+            if k > 1:
+                cum = _per_row(derivs[lv] * half[:, None], _CUMSUM)
+            else:
+                cum = _per_row(derivs * half[:, None], _CUMSUM)[lv]
+            new = cum[:, :, :N]
             if depth == 0:
-                base = cum[lv].view(float)
                 # An exact ufunc between the BLAS product and the complex exp:
                 # straight after np.matmul, numpy's complex exp ran about 20
                 # times slower (2-core Xeon, OpenBLAS 0.3.31).  It multiplies
                 # the real view, since a complex product with 1.0 flips signed
                 # zeros.
-                np.multiply(base, 1.0, out=base)
-                np.exp(cum[lv], out=cum[lv])  # the base's factor over each piece
-                # Each base product is start times factor into a contiguous
-                # row of its own, as for a lone piece: numpy's complex product
-                # rounds otherwise in np.multiply.accumulate, into a strided
-                # output, into an output that is also a one-element operand,
-                # and with its operands swapped.
-                factors = cum[lv, :, N].T
+                np.multiply(cum.view(float), 1.0, out=cum.view(float))
+                np.exp(cum, out=cum)  # the base's factor over each piece
+                # Each base product is start times factor (piece j's at
+                # cum[:, j, N]) into a contiguous row of its own, as for a
+                # lone piece: numpy's complex product rounds otherwise in
+                # np.multiply.accumulate, into a strided output, into an
+                # output that is also a one-element operand, and with its
+                # operands swapped.
                 for j in range(k):
-                    np.multiply(ends[j, lv], factors[j], out=ends[j + 1, lv])
-                np.multiply(ends[:k, lv].T[:, :, None], new[lv], out=new[lv])
+                    np.multiply(ends[j, lv], cum[:, j, N], out=ends[j + 1, lv])
+                np.multiply(ends[:k, lv].T[:, :, None], new, out=new)
             else:
-                ends[1:, lv] = cum[lv, :, N].T
+                ends[1:, lv] = cum[:, :, N].T
                 np.add.accumulate(ends[:, lv], axis=0, out=ends[:, lv])
-                np.add(ends[:k, lv].T[:, :, None], new[lv], out=new[lv])
-            nodes[lv] = new[lv]
+                np.add(ends[:k, lv].T[:, :, None], new, out=new)
+            state = new.copy()
+            del cum, new  # not held while the field computes the next level
+            finite &= np.isfinite(state).all(axis=(0, 2)) & np.isfinite(ends[1:, lv]).all(axis=1)
+            if depth == 0:
+                base = state
             try:
-                level = levels.send(flat[lv])
+                level = levels.send(state.reshape(-1, k * N))
             except StopIteration:
                 break
             lv = slice(lv.stop, lv.stop + len(level))
@@ -157,8 +175,7 @@ def _solve(field, w, vals, dw, half, start, nb):
                 raise ValueError(f"the field's levels yield more than its {rows - nb} integrals")
         if lv.stop != rows:
             raise ValueError(f"the field's levels yield {lv.stop - nb} of its {rows - nb} integrals")
-        finite = np.isfinite(nodes).all(axis=(0, 2)) & np.isfinite(ends[1:]).all(axis=1)
-    return nodes, ends, derivs, finite
+    return base, ends, derivs, finite
 
 
 def _tail_above(derivs):
@@ -228,10 +245,11 @@ def integrate_loop(loop, base0, integrals0, coeffs, field):
             lo = hi
         w, dw = (np.concatenate(x) for x in zip(*parts))
         # one (K, n) @ (n, N) product per piece: over a whole block of
-        # nodes the product would be spread over BLAS threads (see _per_row)
-        V = np.vander(w, C.shape[1], increasing=True).reshape(len(block), N, -1).transpose(0, 2, 1)
-        vals = np.matmul(C, V).transpose(1, 0, 2).reshape(len(C), w.size)
-        nodes, ends, derivs, finite = _solve(field, w, vals, dw, h / 2.0, start, nb)
+        # nodes the product would be spread over BLAS threads (see _per_row);
+        # the powers of w are not held while the block is solved
+        vals = np.matmul(C, np.vander(w, C.shape[1], increasing=True).reshape(len(block), N, -1).transpose(0, 2, 1))
+        vals = vals.transpose(1, 0, 2).reshape(len(C), w.size)
+        base, ends, derivs, finite = _solve(field, w, vals, dw, h / 2.0, start, nb)
         with np.errstate(all="ignore"):  # a non-finite piece has no meaningful tail
             failed = _tail_above(derivs)
         bad = failed | ~finite
@@ -252,7 +270,7 @@ def integrate_loop(loop, base0, integrals0, coeffs, field):
             else:
                 rest.append(piece)
         todo += rest[::-1]
-        dmass = _masses(derivs[:, :p], nodes[:nb, :p], h[:p] / 2.0)
+        dmass = _masses(derivs[:, :p], base[:, :p], h[:p] / 2.0)
         for j, (*_, last) in enumerate(block[:p]):
             seg_mass += dmass[:, j]
             if last:

@@ -35,10 +35,7 @@ from holocert.numerics.holonomy import (
     integrate_quadratures,
     integrate_stack,
     integrate_variations,
-    variation_jet,
-    variation_part,
 )
-from holocert.numerics.jets import ORDER
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import build_loops
 from holocert.obstruction import GenericityError, apply_Ld, build_Md
@@ -140,9 +137,9 @@ def test_criterion_5_holonomy_formula_validation():
     for p in params:
         model = float_model(p, expand_normal_form(p, DMAX))
         for loop in (loops.gamma1, loops.gamma2):
-            # the jet and the bundle in one stack, as the laboratory integrates them
-            jet, bundle = integrate_stack(loop, [variation_part(model, ORDER), bundle_part(model)])
-            jet, bundle = variation_jet(loop.label, jet[-1]), integrate_quadratures(bundle[-1])
+            # the jet alone, as the laboratory integrates it, and the bundle alone
+            jet = integrate_variations(model, loop)
+            bundle = integrate_quadratures(integrate_stack(loop, [bundle_part(model)])[0][-1])
             for row in verify_variation_formulas(model, loop, jet, bundle):
                 worst[row.degree] = max(worst[row.degree], row.residual)
                 assert row.passed, f"{row.name} at {loop.label}: residual {row.residual:.3e}"

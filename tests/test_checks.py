@@ -148,15 +148,16 @@ def test_a_defect_in_the_rate_of_phi1_fails_a_two_loop_row(nmodel, nloops, tp_co
     assert any(not r.passed for r in rows if r.name.startswith("integral-lemma-two-loops"))
 
 
-@pytest.mark.parametrize("n_samples, integrations", [(0, 7), (1, 7)])
+@pytest.mark.parametrize("n_samples, integrations", [(0, 9), (1, 9)])
 def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monkeypatch, n_samples, integrations):
     # integrate_loop is counted where holonomy binds it, and checks binds it
     # nowhere, so a family with a right-hand side of its own would be
-    # missed.  gamma1 and gamma2 are each integrated once, with every family
-    # stacked on them: the jet, the bundle, the order-2 jet at another alpha,
-    # the lemma samples (none with --samples 0, and the stacks stay) and, on
-    # gamma1, the antiderivative stack.  The jets of mu1, mu2, reversed
-    # gamma1, mu2*mu1 and gamma1 at the second radius are integrated alone.
+    # missed.  Every jet is integrated alone: gamma1, gamma2, mu1, mu2,
+    # reversed gamma1, mu2*mu1 and gamma1 at the second radius.  gamma1 and
+    # gamma2 are integrated once more each, with every other family stacked
+    # on them: the bundle, the order-2 jet at another alpha, the lemma
+    # samples (none with --samples 0, and the stacks stay) and, on gamma1,
+    # the antiderivative stack.
     from holocert.numerics import checks, holonomy
 
     loops = []
@@ -169,7 +170,29 @@ def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monke
     monkeypatch.setattr(holonomy, "integrate_loop", counting)
     run_numeric_verification(tp, tp_conditions, seed=0, n_samples=n_samples)
     assert len(loops) == integrations
-    assert sorted(loops) == sorted(["gamma1", "gamma2", "mu1", "mu2", "gamma1^-1", "mu2*mu1", "gamma1"])
+    assert sorted(loops) == sorted(["gamma1", "gamma2", "mu1", "mu2", "gamma1", "gamma2", "gamma1^-1", "mu2*mu1", "gamma1"])
+
+
+def test_the_jets_do_not_depend_on_the_samples():
+    # the jets are integrated alone, so the samples drawn cannot move their
+    # meshes: at this sweep point the convention is read off a_6 of gamma1
+    # at about 1e-16 of its mass (ROADMAP item 2), and a jet stacked with the
+    # samples flipped it with --samples 0 and 4.  Every row that reads only
+    # the jets must be the same bit for bit at every sample count and seed:
+    # the structural rows but the two that read the order-2 jets at another
+    # alpha, which follow the seed.
+    from holocert.conditions import build_condition_set
+    from holocert.normalform import FoliationParams
+
+    p = FoliationParams.from_dict({"lambda1": "-4-3i", "lambda2": "2-2/3i", "alpha": ["1-1/2i", "1", "1+2i"]})
+    conditions = build_condition_set(p)
+    others = ("variation-formula", "integral-lemma", "forward-vanishing", "antiderivative-identity", "a2-independent")
+    jet_rows = []
+    for n_samples, seed in ((0, 0), (4, 3), (20, 0)):
+        report = run_numeric_verification(p, conditions, seed=seed, n_samples=n_samples)
+        jet_rows.append((report["convention"], [row for row in report["checks"] if not row["name"].startswith(others)]))
+    assert len(jet_rows[0][1]) == 9
+    assert jet_rows[1] == jet_rows[0] and jet_rows[2] == jet_rows[0]
 
 
 @pytest.mark.parametrize(
@@ -186,12 +209,14 @@ def test_each_stacked_part_matches_its_lone_integration(point, monkeypatch):
     # O(1), while a part integrated alone differs from its share of the
     # stack only by the finer mesh that the other parts' tails ask for.
     # Every integral of every part is compared at every segment end: the
-    # jet, the bundle, the samples, the antiderivative values and the
-    # order-2 jet at another alpha, whose a_2 is p1 p_2.
+    # bundle, the order-2 jet at another alpha, whose a_2 is p1 p_2, the
+    # samples and the antiderivative values; and, along mu1, an order-6 jet
+    # stacked on the bundle, a part of five levels beside one of two.
     from holocert.conditions import build_condition_set
     from holocert.normalform import FoliationParams
     from holocert.numerics import checks
-    from holocert.numerics.holonomy import float_model, integrate_stack
+    from holocert.numerics.holonomy import bundle_part, float_model, integrate_stack, variation_part
+    from holocert.numerics.jets import ORDER
     from holocert.numerics.loops import RADIUS, build_loops
 
     p = FoliationParams.from_dict(point)
@@ -207,9 +232,10 @@ def test_each_stacked_part_matches_its_lone_integration(point, monkeypatch):
     monkeypatch.setattr(checks, "integrate_stack", recording)
     integrate_commutator_loops(model, loops, lemma_integrands(model, conditions, seed=3, n_samples=4), seed=3)
     assert [(loop.label, [part.levels for part in parts]) for loop, parts, _ in stacks] == [
-        ("gamma1", [(1, 1, 1, 1, 1), (5, 8), (1,), (8,), (4,)]),
-        ("gamma2", [(1, 1, 1, 1, 1), (5, 8), (1,), (4,)]),
+        ("gamma1", [(5, 8), (1,), (8,), (4,)]),
+        ("gamma2", [(5, 8), (1,), (4,)]),
     ]
+    recording(loops.mu1, [variation_part(model, ORDER), bundle_part(model)])
     for loop, parts, stacked in stacks:
         for part, ends in zip(parts, stacked):
             lone = integrate_loop(loop, [1.0], np.zeros(sum(part.levels)), part.coeffs, part.field)
@@ -221,10 +247,10 @@ def test_each_stacked_part_matches_its_lone_integration(point, monkeypatch):
 
 
 def test_a_planted_discretization_defect_fails_the_variation_formula_rows(tp, tp_conditions, monkeypatch):
-    # the jet and the bundle are integrated on the same pieces of one stack,
-    # so a defect in the engine's quadrature could move both alike; a
-    # relative 1e-5 on the weights of each piece's end (the last column of
-    # _CUMSUM) moves them apart, and degrees 2 and 3 fail on both loops
+    # the jet and the bundle are integrated by the same engine, so a defect
+    # in its quadrature could move both alike; a relative 1e-5 on the
+    # weights of each piece's end (the last column of _CUMSUM) moves them
+    # apart, and degrees 2 and 3 fail on both loops
     from holocert.numerics import odepath
 
     cumsum = odepath._CUMSUM.copy()
