@@ -19,7 +19,7 @@ with running psi2 and psi3 entering the deeper integrands.
 
 Both are fields on ``odepath.integrate_loop``, which evaluates the S_d
 and q_d at w, pulls the rows back by dw and keeps the L1 masses.  Under
-``odepath``'s field contract each is one generator per block: it yields
+``odepath``'s field contract each is one generator per round: it yields
 the rate K1 of its base phi1 (phi1 = exp of the integral of K1), with
 r, K_d and r^d computed once, is sent phi1, and yields one level of
 integrands at a time, each read off the levels sent before it.  The jet
@@ -34,8 +34,12 @@ a loop are integrated as one: ``integrate_stack`` zips their fields, each
 a ``Part``, into one field of one phi1 and one state, whose level j holds
 level j of every part, and hands each part back its own integrals.
 ``checks`` stacks that way, on each commutator loop, the bundle, the
-order-2 jet at another alpha and the lemma stacks; the jets are
-integrated alone, so the samples drawn do not move their meshes.
+order-2 jet at another alpha and the lemma stacks.  The jets are not
+stacked, so the samples drawn do not move their meshes; the seven jet
+loops share one lockstep pass instead (``integrate_variations``), in
+which each keeps its lone mesh.  So the laboratory's 9 loop integrations
+take 3 engine passes, and a bundled ``certify --samples 4 --seed 3``
+calls the fields 18 times, once per round (39 with one pass per loop).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 from ..conditions import q_of
 from ..mpoly import MPoly
 from ..normalform import FoliationParams, NormalFormExpansion, r_of, s_of
-from . import ODEError
+from . import ODEError, unbroken
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
 from .odepath import integrate_loop
@@ -159,7 +163,7 @@ def integrate_stack(loop: Loop, parts) -> list:
         shares.append(level_shares)
         n += a
     coeffs = [c for part in parts for c in part.coeffs]
-    ends = integrate_loop(loop, [1.0], np.zeros(n), coeffs, _stacked_field(parts, shares))
+    ends = unbroken(integrate_loop([loop], [1.0], np.zeros(n), coeffs, _stacked_field(parts, shares))[0])
     return [[(b, y[i], mb, m[i]) for b, y, mb, m in ends] for i in index]
 
 
@@ -237,9 +241,20 @@ def variation_jet(label: str, end) -> HolonomyJet:
     return HolonomyJet(coeffs, norms=norms)
 
 
-def integrate_variations(model: FloatModel, loop: Loop) -> HolonomyJet:
-    """Holonomy jet of a loop from the variational equations, integrated alone."""
-    return variation_jet(loop.label, integrate_stack(loop, [variation_part(model, ORDER)])[0][-1])
+def integrate_variations(model: FloatModel, loops) -> list:
+    """Holonomy jets of loops from the variational equations, in one
+    lockstep pass in which each loop keeps the mesh it has alone.  Per
+    loop, its jet, or the ODEError that ended it (a breakdown, or a jet that
+    overflows), for the caller to raise where it first reads that jet
+    (``unbroken``)."""
+    part = variation_part(model, ORDER)
+    jets = []
+    for loop, ends in zip(loops, integrate_loop(loops, [1.0], np.zeros(ORDER - 1), part.coeffs, part.field)):
+        try:
+            jets.append(variation_jet(loop.label, unbroken(ends)[-1]))
+        except ODEError as exc:
+            jets.append(exc)
+    return jets
 
 
 # -- quadrature bundle -------------------------------------------------------------

@@ -11,15 +11,15 @@ Practice, SIAM 2013).
 
 The field contract.  The state is a base b and integrals y, solved level
 by level, the base first.  A field is a generator function, called once
-per block as field(w, vals) on the nodes w of its pieces and the values
-vals[k] = P_k(w) of the loop's polynomials there.  It yields the base's
-rate rows (b' = rate * b), is sent the solved base at the nodes, yields
-the rows of the first level of integrals, is sent that level's solved
-integrals, and so on until it returns.  The levels follow the integrals
-in order and must cover them exactly, or the engine raises ValueError.
-All rows are derivatives in w: the engine pulls them back by the
-velocity dw of the nodes.  So the rate depends on w alone, every term in
-w and b alone is computed once per block, and a level reads only the
+per round as field(w, vals) on the nodes w of the pieces it solves and
+the values vals[k] = P_k(w) of the polynomials there.  It yields the
+base's rate rows (b' = rate * b), is sent the solved base at the nodes,
+yields the rows of the first level of integrals, is sent that level's
+solved integrals, and so on until it returns.  The levels follow the
+integrals in order and must cover them exactly, or the engine raises
+ValueError.  All rows are derivatives in w: the engine pulls them back by
+the velocity dw of the nodes.  So the rate depends on w alone, every term
+in w and b alone is computed once per round, and a level reads only the
 levels before it.
 
 A loop's pieces form one list in path order, solved BLOCK at a time:
@@ -37,15 +37,34 @@ is halved too, so the mesh can be finer than that of solving the pieces
 one by one.  A breakdown is the first piece whose solved state is not
 finite, all pieces before it passing.  RTOL and ATOL are constants of
 the engine, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
-A loop integration returns the state and the masses at the end of every
+
+The lockstep contract.  ``integrate_loop`` integrates one field, with one
+list of polynomials and one start state, along a sequence of loops at
+once; one loop is the case of a sequence of one.  Each round takes the
+next block of every loop that is neither finished nor broken down, calls
+the field once on all their nodes and does each level's elementwise work
+once: the pull-back, the scaling, the base's exp, the chaining of start
+states, the finiteness test and the masses.  Everything that decides a
+mesh stays per loop: the tail test, the accepted prefix, the split
+pieces, the segment ends and the breakdown.  So does each level's
+cumulative-integral product, one per loop with the shape of the loop's
+lone product: an entry of a BLAS product may round by the shape of the
+product it is part of (numpy takes a product of one row as a vector
+product, which does).  Every loop's results are then those of its pass
+alone, bit for bit.  A loop that breaks down leaves the pass, which runs
+on for the others, and its place in the results holds its ODEError, for
+the caller to raise where it first reads that loop.
+
+A loop's results are the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
 ``integrate_loop`` is the one path-integration primitive of the
 laboratory: every family (holonomy jets, the quadrature bundle, the
-integral lemmas) supplies only a field in w, and the families that share
-a commutator loop, all but its jet, are zipped into one field
+integral lemmas) supplies only a field in w.  The families that share a
+commutator loop, all but its jet, are zipped into one field
 (``holonomy.integrate_stack``).  The tail test reads every row, so a
-stack's mesh is shared by its parts: the jets are integrated alone, and
-their meshes do not depend on which other families are checked.
+stack's mesh is shared by its parts: the jets are not stacked, and their
+meshes do not depend on which other families are checked.  The seven
+jets share one lockstep pass instead (``holonomy.integrate_variations``).
 """
 
 from __future__ import annotations
@@ -56,11 +75,11 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from . import ODEError
+from . import ODEError, unbroken
 
 N = 32  # Chebyshev nodes per piece
 PIECES = 2  # initial pieces per segment
-BLOCK = 16  # consecutive pending pieces solved together, one field call for all
+BLOCK = 16  # consecutive pending pieces of each loop solved in a round, one field call for all loops
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
 ATOL = 1e-16  # absolute floor of the tail test, for integrands that vanish
@@ -77,7 +96,7 @@ _TO_COEFFS = cheb.chebvander(_X, N - 1).T * np.where(np.arange(N) == 0, 1.0, 2.0
 _CUMSUM = cheb.chebval(np.append(_X, 1.0), cheb.chebint(_TO_COEFFS, lbnd=-1))
 
 
-def _per_row(a, m, out=None):
+def _per_row(a, m):
     """a @ m for a (rows, k, N) array, one (k, N) BLAS product per row.
 
     OpenBLAS would spread one product of rows * k rows over threads, and on
@@ -88,34 +107,41 @@ def _per_row(a, m, out=None):
     """
     rows, k, _ = a.shape
     if k > 1:
-        return np.matmul(a, m, out=out)
-    flat_out = None if out is None else out.reshape(rows, -1)
-    return np.matmul(a.reshape(rows, -1), m, out=flat_out).reshape(rows, 1, -1)
+        return np.matmul(a, m)
+    return np.matmul(a.reshape(rows, -1), m).reshape(rows, 1, -1)
 
 
-def _solve(field, w, vals, dw, half, start, nb):
-    """Solve k consecutive pieces (nodes w, polynomial values vals,
-    velocities dw, half-lengths half) from the accepted state start, the
-    field's rows pulled back by dw, level by level: the base first, then
-    each level of integrals, read off the levels below it.  Each level
-    takes one product and is chained from its values in start.
+def _solve(field, w, vals, dw, half, starts, sizes, nb):
+    """Solve the blocks of several loops in lockstep: loop l's k_l = sizes[l]
+    consecutive pieces from its accepted state starts[l], the blocks' pieces
+    one after the other in the nodes w, polynomial values vals, velocities
+    dw and half-lengths half.  The field's rows are pulled back by dw and
+    solved level by level: the base first, then each level of integrals,
+    read off the levels below it.  Each level takes one product per loop
+    and is chained per loop from its values in starts.
 
     Returns (base, ends, derivs, finite): the base at the nodes, of shape
-    (nb, k, N), the derivatives at the nodes, of shape (rows, k, N),
-    ends[j + 1], the state at the end of piece j (ends[0] = start), and per
-    piece whether its state is finite.  A level's state at the nodes lives
-    only as long as the field keeps it, so a wide stack holds its
-    derivatives and one level's product at a time.
+    (nb, K, N) for the K pieces of all blocks, the derivatives at the
+    nodes, of shape (rows, K, N), ends[l, j + 1], the state of loop l at the
+    end of its piece j (ends[l, 0] = starts[l]; the rows past k_l are
+    padding), and per piece whether its state is finite.  A level's state
+    at the nodes lives only as long as the field keeps it, so a wide stack
+    holds its derivatives and one level's product at a time.
     ValueError if the field yields no rate, or if its levels do not cover
     the integrals exactly.
     """
-    k, rows = half.size, start.size
+    K, (L, rows) = half.size, starts.shape
+    bounds = np.cumsum([0, *sizes])
+    # piece i is piece index[i] of loop owner[i]; its start state is
+    # ends[owner[i], index[i]] and its end state the one after it
+    owner = np.repeat(np.arange(L), sizes)
+    index = np.arange(K) - bounds[owner]
     # derivs starts at zero: a level's rows are not known before its turn
-    derivs = np.zeros((rows, k, N), dtype=complex)
-    flat_derivs = derivs.reshape(rows, k * N)
-    ends = np.empty((k + 1, rows), dtype=complex)
-    ends[0] = start
-    finite = np.ones(k, dtype=bool)  # each level's nodes and ends are and-ed in
+    derivs = np.zeros((rows, K, N), dtype=complex)
+    flat_derivs = derivs.reshape(rows, K * N)
+    ends = np.empty((L, max(sizes) + 1, rows), dtype=complex)
+    ends[:, 0] = starts
+    finite = np.ones(K, dtype=bool)  # each level's nodes and ends are and-ed in
     with np.errstate(all="ignore"):
         levels, lv = field(w, vals), slice(0, nb)  # the base is the first level
         try:
@@ -129,16 +155,22 @@ def _solve(field, w, vals, dw, half, start, nb):
                 for row, out in zip(level, flat_derivs[lv]):
                     np.multiply(row, dw, out=out)
             del level  # the field's rows are held in derivs from here on
-            # A lone piece's products take all rows: a product of fewer rows
-            # can round otherwise (a lone piece's base alone is a vector
-            # product).  Each is scaled first, exactly (h/2 is a power of
-            # two), so a sum overflows only with its integral.  cum holds the
-            # level's integrals over each piece at the nodes and, last, at
-            # the piece's end; the new state overwrites the first N.
-            if k > 1:
-                cum = _per_row(derivs[lv] * half[:, None], _CUMSUM)
-            else:
-                cum = _per_row(derivs * half[:, None], _CUMSUM)[lv]
+            # Each loop's pieces take a product of their own, shaped as in
+            # the loop's lone pass, so the lockstep cannot change how an
+            # entry rounds.  A lone piece's product takes all rows: a
+            # product of fewer rows can round otherwise (a lone piece's
+            # base alone is a vector product).  Each is scaled first, exactly (h/2 is a
+            # power of two), so a sum overflows only with its integral.  cum
+            # holds the level's integrals over each piece at the nodes and,
+            # last, at the piece's end; the new state overwrites the first N.
+            scaled = derivs[lv] * half[:, None]
+            cum = np.empty((lv.stop - lv.start, K, N + 1), dtype=complex)
+            for a, b in zip(bounds, bounds[1:]):
+                if b - a > 1:
+                    np.matmul(scaled[:, a:b], _CUMSUM, out=cum[:, a:b])
+                else:
+                    cum[:, a:b] = _per_row(derivs[:, a:b] * half[a:b, None], _CUMSUM)[lv]
+            del scaled
             new = cum[:, :, :N]
             if depth == 0:
                 # An exact ufunc between the BLAS product and the complex exp:
@@ -148,26 +180,32 @@ def _solve(field, w, vals, dw, half, start, nb):
                 # zeros.
                 np.multiply(cum.view(float), 1.0, out=cum.view(float))
                 np.exp(cum, out=cum)  # the base's factor over each piece
-                # Each base product is start times factor (piece j's at
-                # cum[:, j, N]) into a contiguous row of its own, as for a
-                # lone piece: numpy's complex product rounds otherwise in
+                # Each base product is start times factor (piece i's at
+                # cum[:, i, N]), piece j of every loop in one product, from
+                # and into contiguous rows of the loops side by side:
+                # numpy's complex product rounds otherwise in
                 # np.multiply.accumulate, into a strided output, into an
                 # output that is also a one-element operand, and with its
-                # operands swapped.
-                for j in range(k):
-                    np.multiply(ends[j, lv], cum[:, j, N], out=ends[j + 1, lv])
-                np.multiply(ends[:k, lv].T[:, :, None], new, out=new)
+                # operands swapped.  A loop's rows past its pieces are padding.
+                chain = np.empty((ends.shape[1], L, nb), dtype=complex)
+                chain[0] = starts[:, lv]
+                factor = np.ones((ends.shape[1] - 1, L, nb), dtype=complex)
+                factor[index, owner] = cum[:, :, N].T
+                for j in range(len(factor)):
+                    np.multiply(chain[j], factor[j], out=chain[j + 1])
+                ends[:, :, lv] = chain.transpose(1, 0, 2)
+                np.multiply(ends[owner, index, lv].T[:, :, None], new, out=new)
             else:
-                ends[1:, lv] = cum[:, :, N].T
-                np.add.accumulate(ends[:, lv], axis=0, out=ends[:, lv])
-                np.add(ends[:k, lv].T[:, :, None], new, out=new)
+                ends[owner, index + 1, lv] = cum[:, :, N].T
+                np.add.accumulate(ends[:, :, lv], axis=1, out=ends[:, :, lv])
+                np.add(ends[owner, index, lv].T[:, :, None], new, out=new)
             state = new.copy()
             del cum, new  # not held while the field computes the next level
-            finite &= np.isfinite(state).all(axis=(0, 2)) & np.isfinite(ends[1:, lv]).all(axis=1)
+            finite &= np.isfinite(state).all(axis=(0, 2)) & np.isfinite(ends[owner, index + 1, lv]).all(axis=1)
             if depth == 0:
                 base = state
             try:
-                level = levels.send(state.reshape(-1, k * N))
+                level = levels.send(state.reshape(-1, K * N))
             except StopIteration:
                 break
             lv = slice(lv.stop, lv.stop + len(level))
@@ -197,59 +235,28 @@ def integrate_fixed_interval(f, b0, y0):
     """integrate_loop over t in [0, 1], with w = t, dw = 1 and no
     polynomials: f(t) is the field on the nodes t."""
     unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
-    return integrate_loop(SimpleNamespace(segments=(unit,), label=None), b0, y0, [], lambda w, vals: f(w))[-1]
+    (ends,) = integrate_loop([SimpleNamespace(segments=(unit,), label=None)], b0, y0, [], lambda w, vals: f(w))
+    return unbroken(ends)[-1]
 
 
-def integrate_loop(loop, base0, integrals0, coeffs, field):
-    """Integrate a base state and a stack of integrals along a loop, at RTOL.
-
-    field is a generator function of the module's contract, called on the
-    nodes w of a block of consecutive pieces, which may span segments.
-    vals[k] = P_k(w) for the polynomial with the ascending coefficients
-    coeffs[k] (rows of unequal length are zero-padded), evaluated once per
-    block.
-    Every component gets its L1 mass, the integral of |derivative| against
-    |dw| (rate * base for the base), summed from the loop's start.
-
-    Returns (base, integrals, base_masses, masses) at the end of every
-    segment, in path order; [-1] is the loop's end.
-
-    ODEError names the segment of the first piece whose solved state is not
-    finite, once every piece before it has passed its tail test.
-    """
-    segments = loop.segments
-    start = np.concatenate((np.asarray(base0, dtype=complex).ravel(), np.asarray(integrals0, dtype=complex).ravel()))
-    nb, rows = np.size(base0), start.size
-    C = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)), dtype=complex)
-    for k, c in enumerate(coeffs):
-        C[k, : len(c)] = c
-    mass, seg_mass = np.zeros(rows), np.zeros(rows)
-    out = []  # (base, integrals, base_masses, masses) at the end of every segment
+def _loop_pass(loop, start, nb):
+    """One loop's share of a lockstep pass, as a generator: it yields its
+    next block of pending pieces with its accepted state, is sent the
+    block's solved ends, derivatives, finiteness and masses, takes the
+    accepted prefix and puts the other pieces back, every failing one
+    halved.  It returns its state and masses at the end of every segment,
+    and raises its breakdown, which ends the pass for this loop alone."""
 
     def error(piece, why):
         return ODEError(why if loop.label is None else f"loop {loop.label!r}, segment {piece[0]}: {why}")
 
     # pending pieces (segment, t at the start, length, depth, ends its segment), the next one last
-    todo = [(s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1) for s in range(len(segments)) for k in range(PIECES)][::-1]
+    todo = [(s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1) for s in range(len(loop.segments)) for k in range(PIECES)][::-1]
+    mass, seg_mass, out = np.zeros(start.size), np.zeros(start.size), []
     while todo:
         block = todo[-BLOCK:][::-1]
         del todo[-BLOCK:]
-        a = np.array([piece[1] for piece in block])
-        h = np.array([piece[2] for piece in block])
-        t = a[:, None] + h[:, None] * (_X + 1.0) / 2.0
-        parts, lo = [], 0
-        for s, run in groupby(piece[0] for piece in block):
-            hi = lo + len(list(run))
-            ts = t[lo:hi].ravel()
-            parts.append((segments[s].point(ts), np.broadcast_to(segments[s].velocity(ts), ts.shape)))
-            lo = hi
-        w, dw = (np.concatenate(x) for x in zip(*parts))
-        # one (K, n) @ (n, N) product per piece: over a whole block of
-        # nodes the product would be spread over BLAS threads (see _per_row);
-        # the powers of w are not held while the block is solved
-        vals = np.matmul(C, np.vander(w, C.shape[1], increasing=True).reshape(len(block), N, -1).transpose(0, 2, 1))
-        vals = vals.transpose(1, 0, 2).reshape(len(C), w.size)
-        base, ends, derivs, finite = _solve(field, w, vals, dw, h / 2.0, start, nb)
+        ends, derivs, finite, dmass = yield block, start
         with np.errstate(all="ignore"):  # a non-finite piece has no meaningful tail
             failed = _tail_above(derivs)
         bad = failed | ~finite
@@ -270,13 +277,75 @@ def integrate_loop(loop, base0, integrals0, coeffs, field):
             else:
                 rest.append(piece)
         todo += rest[::-1]
-        dmass = _masses(derivs[:, :p], base[:, :p], h[:p] / 2.0)
         for j, (*_, last) in enumerate(block[:p]):
             seg_mass += dmass[:, j]
             if last:
                 mass = mass + seg_mass
-                seg_mass = np.zeros(rows)
+                seg_mass = np.zeros(start.size)
                 out.append((ends[j + 1, :nb], ends[j + 1, nb:], mass[:nb], mass[nb:]))
-        start = ends[p]  # each block solves into arrays of its own
+        start = ends[p]  # each round solves into arrays of its own
     return out
 
+
+def integrate_loop(loops, base0, integrals0, coeffs, field):
+    """Integrate a base state and a stack of integrals along each of loops,
+    in one lockstep pass, at RTOL.
+
+    field is a generator function of the module's contract, called once per
+    round on the nodes w of the next BLOCK pending pieces of every
+    unfinished loop, which may span segments.  vals[k] = P_k(w) for the
+    polynomial with the ascending coefficients coeffs[k] (rows of unequal
+    length are zero-padded), evaluated once per round.  Every loop starts
+    from base0 and integrals0.  Every component gets its L1 mass, the
+    integral of |derivative| against |dw| (rate * base for the base),
+    summed from the loop's start.
+
+    Returns, per loop, (base, integrals, base_masses, masses) at the end of
+    every segment, in path order ([-1] is the loop's end); or, for a loop
+    that broke down, the ODEError naming its segment and the first piece
+    whose solved state is not finite, once every piece before it has
+    passed its tail test.  The other loops run on, so a caller raises each
+    breakdown where it first reads that loop (``unbroken``).
+    """
+    start = np.concatenate((np.asarray(base0, dtype=complex).ravel(), np.asarray(integrals0, dtype=complex).ravel()))
+    nb = np.size(base0)
+    C = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)), dtype=complex)
+    for k, c in enumerate(coeffs):
+        C[k, : len(c)] = c
+    results = [None] * len(loops)
+    passes = {i: _loop_pass(loop, start, nb) for i, loop in enumerate(loops)}
+    pending = {i: next(run) for i, run in passes.items()}  # loop index -> (its block, its accepted state)
+    while pending:
+        blocks = [block for block, _ in pending.values()]
+        pieces = [piece for block in blocks for piece in block]
+        a = np.array([piece[1] for piece in pieces])
+        h = np.array([piece[2] for piece in pieces])
+        t = a[:, None] + h[:, None] * (_X + 1.0) / 2.0
+        parts, lo = [], 0
+        for i, block in zip(pending, blocks):
+            for s, group in groupby(piece[0] for piece in block):
+                hi = lo + len(list(group))
+                ts = t[lo:hi].ravel()
+                segment = loops[i].segments[s]
+                parts.append((segment.point(ts), np.broadcast_to(segment.velocity(ts), ts.shape)))
+                lo = hi
+        w, dw = (np.concatenate(x) for x in zip(*parts))
+        # one (K, n) @ (n, N) product per piece: over a whole round of
+        # nodes the product would be spread over BLAS threads (see _per_row);
+        # the powers of w are not held while the round is solved
+        vals = np.matmul(C, np.vander(w, C.shape[1], increasing=True).reshape(len(pieces), N, -1).transpose(0, 2, 1))
+        vals = vals.transpose(1, 0, 2).reshape(len(C), w.size)
+        sizes = [len(block) for block in blocks]
+        starts = np.array([state for _, state in pending.values()])
+        base, ends, derivs, finite = _solve(field, w, vals, dw, h / 2.0, starts, sizes, nb)
+        with np.errstate(all="ignore"):  # the masses of pieces that are not accepted are not read
+            dmass = _masses(derivs, base, h / 2.0)
+        solved, pending = pending, {}
+        for l, (i, lo, hi) in enumerate(zip(solved, np.cumsum([0, *sizes]), np.cumsum(sizes))):
+            try:
+                pending[i] = passes[i].send((ends[l], derivs[:, lo:hi], finite[lo:hi], dmass[:, lo:hi]))
+            except StopIteration as done:
+                results[i] = done.value
+            except ODEError as exc:
+                results[i] = exc
+    return results

@@ -59,6 +59,13 @@ def random_generic_params(rng: random.Random) -> FoliationParams:
             return p
 
 
+def sweep_points(n: int) -> list[FoliationParams]:
+    """The first n points of the generic-point sweep, the draws of
+    random_generic_params from random.Random(11), counted from 0."""
+    rng = random.Random(11)
+    return [random_generic_params(rng) for _ in range(n)]
+
+
 # -- independent references the tests hold the package to ---------------------------
 
 
@@ -159,6 +166,24 @@ def rng() -> random.Random:
 # -- shared numeric fixtures (expensive, computed once per session) ----------------
 
 
+def one_loop(loop, base0, integrals0, coeffs, field):
+    """integrate_loop's lockstep pass over the one loop, its breakdown raised."""
+    from holocert.numerics import unbroken
+    from holocert.numerics.odepath import integrate_loop
+
+    (ends,) = integrate_loop([loop], base0, integrals0, coeffs, field)
+    return unbroken(ends)
+
+
+def one_jet(model, loop):
+    """integrate_variations' lockstep pass over the one loop, its breakdown raised."""
+    from holocert.numerics import unbroken
+    from holocert.numerics.holonomy import integrate_variations
+
+    (jet,) = integrate_variations(model, [loop])
+    return unbroken(jet)
+
+
 @pytest.fixture(scope="session")
 def tp_conditions(tp):
     from holocert.conditions import build_condition_set
@@ -182,12 +207,14 @@ def nmodel(tp):
 
 @pytest.fixture(scope="session")
 def loop_jets(nmodel, nloops):
+    """The jets of the generators, the commutators and the structural
+    loops, by name, from one lockstep pass, as the laboratory integrates them."""
+    from holocert.numerics import unbroken
+    from holocert.numerics.checks import structural_loops
     from holocert.numerics.holonomy import integrate_variations
 
-    return {
-        lp.label: integrate_variations(nmodel, lp)
-        for lp in (nloops.mu1, nloops.mu2, nloops.gamma1, nloops.gamma2)
-    }
+    lone = {lp.label: lp for lp in (nloops.mu1, nloops.mu2, nloops.gamma1, nloops.gamma2)} | structural_loops(nloops)
+    return {label: unbroken(jet) for label, jet in zip(lone, integrate_variations(nmodel, list(lone.values())))}
 
 
 @pytest.fixture(scope="session")

@@ -34,13 +34,12 @@ from holocert.numerics.holonomy import (
     float_model,
     integrate_quadratures,
     integrate_stack,
-    integrate_variations,
 )
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import build_loops
 from holocert.obstruction import GenericityError, apply_Ld, build_Md
 
-from conftest import divides, oracle_defects, random_gaussian, random_generic_params
+from conftest import divides, one_jet, oracle_defects, random_gaussian, random_generic_params
 
 
 def _ok(n, text):
@@ -138,7 +137,7 @@ def test_criterion_5_holonomy_formula_validation():
         model = float_model(p, expand_normal_form(p, DMAX))
         for loop in (loops.gamma1, loops.gamma2):
             # the jet alone, as the laboratory integrates it, and the bundle alone
-            jet = integrate_variations(model, loop)
+            jet = one_jet(model, loop)
             bundle = integrate_quadratures(integrate_stack(loop, [bundle_part(model)])[0][-1])
             for row in verify_variation_formulas(model, loop, jet, bundle):
                 worst[row.degree] = max(worst[row.degree], row.residual)
@@ -168,10 +167,10 @@ def test_criterion_7_structural_invariants(nmodel, nloops, loop_jets, tp):
     t0 = time.time()
     for label in ("gamma1", "gamma2"):
         assert abs(loop_jets[label].a1 - 1.0) < 1e-8, f"a1 defect on {label}"
-    rev = integrate_variations(nmodel, nloops.gamma1.inverse())
+    rev = one_jet(nmodel, nloops.gamma1.inverse())
     assert jet_distance(rev, invert(loop_jets["gamma1"])) < 1e-7
     alt = build_loops(1 / 3)
-    jet_alt = integrate_variations(nmodel, alt.gamma1)
+    jet_alt = one_jet(nmodel, alt.gamma1)
     assert jet_distance(loop_jets["gamma1"], jet_alt) < 1e-7
     for d in (3, 4, 5, 6):
         M = build_Md(d, tp.lambda1, tp.lambda2)

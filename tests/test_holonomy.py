@@ -19,10 +19,12 @@ from holocert.numerics.checks import formula_coefficients
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import Line, Loop
 
+from conftest import one_jet, one_loop, sweep_points
+
 
 def test_degenerate_point_loop_gives_identity_jet(nmodel):
     point = Loop((Line(0j, 0j),), label="point")
-    jet = integrate_variations(nmodel, point)
+    jet = one_jet(nmodel, point)
     assert np.allclose(jet.coeffs, [1, 0, 0, 0, 0, 0], atol=1e-14)
 
 
@@ -36,7 +38,7 @@ def test_null_homotopic_concat_gives_identity_jet(nmodel, nloops):
     from holocert.numerics.loops import concat
 
     null = concat(nloops.mu1, nloops.mu1.inverse(), label="null")
-    jet = integrate_variations(nmodel, null)
+    jet = one_jet(nmodel, null)
     assert jet_distance(jet, HolonomyJet([1, 0, 0, 0, 0, 0])) < 1e-7
 
 
@@ -88,7 +90,7 @@ def test_formula_coefficients_match_ode_route(nmodel, loop_jets, gamma_bundles):
 
 
 def test_reversed_loop_is_inverse_jet(nmodel, nloops, loop_jets):
-    rev = integrate_variations(nmodel, nloops.gamma1.inverse())
+    rev = one_jet(nmodel, nloops.gamma1.inverse())
     assert jet_distance(rev, invert(loop_jets["gamma1"])) < 1e-7
 
 
@@ -173,7 +175,7 @@ def test_overflowing_jet_raises():
 
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match="overflows double precision"):
-        integrate_variations(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).mu1)
+        one_jet(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).mu1)
 
 
 @pytest.mark.parametrize("rtol", [1e-12, 1e-6])
@@ -192,4 +194,67 @@ def test_breakdown_reason_does_not_depend_on_the_block(monkeypatch, block, rtol)
     monkeypatch.setattr(odepath, "RTOL", rtol)
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match=r"^loop 'gamma2', segment 10: non-finite state$"):
-        integrate_variations(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).gamma2)
+        one_jet(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).gamma2)
+
+
+def _seven_loops():
+    """The laboratory's seven jet loops, by name."""
+    from holocert.numerics.checks import structural_loops
+    from holocert.numerics.loops import build_loops
+
+    loops = build_loops(0.5)
+    return {lp.label: lp for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)} | structural_loops(loops)
+
+
+def _jet_point(name):
+    from holocert.normalform import FoliationParams
+
+    if name.startswith("sweep"):
+        return sweep_points(29)[int(name.split()[1])]
+    lambdas = {"bundled": ("2-1i", "0+2i"), "steep": ("1/2-3i", "1/3+5/2i"), "overflow": ("1/2+1i", "1/3-40i")}[name]
+    alpha = ["1", "0", "0"] if name == "bundled" else ["2-1i", "1/2", "-1+1i"]
+    return FoliationParams.from_dict({"lambda1": lambdas[0], "lambda2": lambdas[1], "alpha": alpha})
+
+
+@pytest.mark.parametrize("name", ["bundled", "steep", "sweep 3", "sweep 8", "sweep 28"])
+def test_the_seven_jets_in_one_pass_match_their_lone_passes_bit_for_bit(name):
+    # the jets share one lockstep pass, and each keeps the mesh and the
+    # arithmetic of its lone pass: at sweep point 8 the convention once
+    # flipped on a mesh moved by other rows, and at 3 and 28 a_6 sits near
+    # its rounding noise, so every end and mass must agree to the last bit
+    from holocert.numerics.odepath import integrate_loop
+
+    p = _jet_point(name)
+    part = variation_part(float_model(p, expand_normal_form(p, DMAX)), 6)
+    loops = list(_seven_loops().values())
+    together = integrate_loop(loops, [1.0], np.zeros(5), part.coeffs, part.field)
+    for loop, ends in zip(loops, together, strict=True):
+        alone = one_loop(loop, [1.0], np.zeros(5), part.coeffs, part.field)
+        assert len(ends) == len(alone) == len(loop.segments)
+        for got, want in zip(ends, alone):
+            for u, v in zip(got, want, strict=True):
+                assert np.array_equal(u, v), f"{name}, {loop.label}"
+
+
+def test_breakdowns_in_one_pass_surface_in_the_sequential_order():
+    # at this point six of the seven jet loops leave double precision; each
+    # place of the pass holds its lone pass's error, mu1's jet is its lone
+    # jet, and the laboratory raises the breakdown that integrating the
+    # loops one after another raised first: gamma1's, the first jet it reads
+    from holocert.conditions import build_condition_set
+    from holocert.numerics import ODEError
+    from holocert.numerics.checks import run_numeric_verification
+
+    p = _jet_point("overflow")
+    model = float_model(p, expand_normal_form(p, DMAX))
+    loops = _seven_loops()
+    jets = dict(zip(loops, integrate_variations(model, list(loops.values()))))
+    broken = {name: str(jet) for name, jet in jets.items() if isinstance(jet, ODEError)}
+    assert sorted(broken) == sorted(set(loops) - {"mu1"})
+    for name, why in broken.items():
+        with pytest.raises(ODEError) as caught:
+            one_jet(model, loops[name])
+        assert str(caught.value) == why
+    assert np.array_equal(jets["mu1"].coeffs, one_jet(model, loops["mu1"]).coeffs)
+    with pytest.raises(ODEError, match=r"^loop 'gamma1', segment 1: non-finite state$"):
+        run_numeric_verification(p, build_condition_set(p), seed=0, n_samples=0)

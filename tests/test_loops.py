@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from holocert.numerics.loops import Line, Loop, build_loops, concat
-from holocert.numerics.odepath import integrate_loop
+
+from conftest import one_loop
 
 
 def winding_number(loop, p):
@@ -13,7 +14,7 @@ def winding_number(loop, p):
         yield 0.0  # no base
         yield [1.0 / (w - p)]
 
-    _, y, *_ = integrate_loop(loop, np.zeros(0), [0.0], [], field)[-1]
+    _, y, *_ = one_loop(loop, np.zeros(0), [0.0], [], field)[-1]
     n = y[0] / (2j * math.pi)
     assert abs(n - round(n.real)) < 1e-9
     return round(n.real)

@@ -9,6 +9,8 @@ from holocert.numerics import odepath
 from holocert.numerics.loops import Arc, Line, Loop
 from holocert.numerics.odepath import ODEError, integrate_fixed_interval, integrate_loop
 
+from conftest import one_loop
+
 EMPTY = np.zeros(0)  # no base components, or no integrals
 # integrate_fixed_interval's path, t in [0, 1] with dw = 1, for _piece_by_piece
 UNIT = SimpleNamespace(segments=(SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0),), label=None)
@@ -54,7 +56,7 @@ def test_segment_pullback_line():
 def test_arclength_accumulator_does_not_cancel():
     # the mass weights by |dw|, so it measures length even over an out-and-back path
     out_back = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), "there-and-back")
-    _, y, _, mass = integrate_loop(out_back, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0]))[-1]
+    _, y, _, mass = one_loop(out_back, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0]))[-1]
     assert abs(y[0]) < 1e-10  # the analytic integral cancels
     assert abs(mass[0] - 2.0) < 1e-10  # the arclength does not
 
@@ -62,7 +64,7 @@ def test_arclength_accumulator_does_not_cancel():
 def test_residue_around_circle():
     # the closed integral of 1/w around the unit circle is 2 pi i
     circle = Loop((Arc(0j, 1.0, 0.0, 2 * math.pi),), "circle")
-    _, y, *_ = integrate_loop(circle, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0 / w]))[-1]
+    _, y, *_ = one_loop(circle, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0 / w]))[-1]
     assert abs(y[0] - 2j * math.pi) < 1e-9
 
 
@@ -77,7 +79,7 @@ def test_a_loop_without_polynomials_gets_empty_vals():
         shapes.add(vals.shape == (0, w.size))
         return one_level(1.0 / w, lambda b: b / w**2)
 
-    (b,), (y,), _, _ = integrate_loop(circle, [1.0], [0.0], [], field)[-1]
+    (b,), (y,), _, _ = one_loop(circle, [1.0], [0.0], [], field)[-1]
     assert shapes == {True}
     assert abs(b - 1.0) < 1e-10
     assert abs(y - 2j * math.pi) < 1e-9
@@ -88,7 +90,7 @@ def test_segment_ends_come_in_path_order(monkeypatch):
     # arclength from the loop's start
     loop = Loop((Line(0j, 1 + 0j), Line(1 + 0j, 0j)), "wedge")
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
-    ends = integrate_loop(loop, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0]))
+    ends = one_loop(loop, EMPTY, [0.0], [], lambda w, vals: one_level(0.0, lambda b: [1.0]))
     assert [y[0] for _, y, *_ in ends] == [pytest.approx(1 + 0j), pytest.approx(0j, abs=1e-12)]
     assert [mass[0] for *_, mass in ends] == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -235,7 +237,7 @@ def test_a_split_segment_leaves_its_neighbours_alone(monkeypatch):
         return one_level(rate, lambda b: [np.where(on, b[0], 0.0)])
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
-    b, *_ = integrate_loop(loop, [1.0], [0.0], [], field)[-1]
+    b, *_ = one_loop(loop, [1.0], [0.0], [], field)[-1]
     assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES
     assert len(nodes[1]) > odepath.PIECES
     phase = 0.9 + amp * width * math.sqrt(math.pi) * math.erf(0.5 / width)
@@ -256,7 +258,7 @@ def test_nonfinite_state_names_the_first_segment_that_overflows(monkeypatch):
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     with pytest.raises(ODEError, match=r"^loop 'line', segment 2: non-finite state$"):
-        integrate_loop(loop, [1.0], [0.0], [], field)
+        one_loop(loop, [1.0], [0.0], [], field)
 
 
 def _counted_pulse_field(m, fields, bindings, levels):
@@ -295,10 +297,25 @@ def test_the_field_and_each_level_run_once_per_block(monkeypatch):
     # blocks.
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, levels = [], [], []
-    integrate_loop(_line_loop(3), [1.0], [0.0, 0.0], [], _counted_pulse_field(2, fields, bindings, levels))
+    one_loop(_line_loop(3), [1.0], [0.0, 0.0], [], _counted_pulse_field(2, fields, bindings, levels))
     assert len(levels) > 1
     assert fields == bindings == list(range(len(levels)))
     assert levels == [2] * len(levels)
+
+
+def _counted_products(monkeypatch, levels):
+    """Record every _CUMSUM product and tail-test product of the engine's
+    np.matmul calls as (round, is the _CUMSUM product, shape of the left
+    operand), the round read off levels, one entry per field call."""
+    products, matmul = [], np.matmul
+
+    def counted(a, matrix, **kwargs):
+        if matrix is odepath._CUMSUM or matrix.shape == (odepath.N, odepath.N):
+            products.append((len(levels) - 1, matrix is odepath._CUMSUM, a.shape))
+        return matmul(a, matrix, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return products
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -306,17 +323,12 @@ def test_a_block_takes_one_product_per_level(m, monkeypatch):
     # a block takes one _CUMSUM product per level, the base the first; in a
     # block of several pieces each takes that level's rows only, the base's
     # nb = 1 and then one per level, so every row goes through exactly one
-    # product.  A lone piece's products take all rows (see _per_row).
-    products, per_row = [], odepath._per_row
-
-    def counted(a, matrix, out=None):
-        products.append((len(levels) - 1, matrix is odepath._CUMSUM, a.shape))
-        return per_row(a, matrix, out=out)
-
-    monkeypatch.setattr(odepath, "_per_row", counted)
+    # product.  A lone piece's products take all rows (see _per_row), as a
+    # (rows, N) product.
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, levels = [], [], []
-    integrate_loop(_line_loop(3), [1.0], [0.0] * m, [], _counted_pulse_field(m, fields, bindings, levels))
+    products = _counted_products(monkeypatch, levels)
+    one_loop(_line_loop(3), [1.0], [0.0] * m, [], _counted_pulse_field(m, fields, bindings, levels))
     assert len(levels) > 1
     assert levels == [m] * len(levels)
     several = 0
@@ -324,11 +336,11 @@ def test_a_block_takes_one_product_per_level(m, monkeypatch):
         cumsums = [shape for b, is_cumsum, shape in products if b == block and is_cumsum]
         assert len(cumsums) == 1 + levels[block]
         assert [b for b, is_cumsum, _ in products if not is_cumsum].count(block) == 1  # the tail test
-        if cumsums[0][1] > 1:
+        if len(cumsums[0]) == 3:
             several += 1
             assert [shape[0] for shape in cumsums] == [1] * (1 + m)
         else:
-            assert [shape[0] for shape in cumsums] == [1 + m] * (1 + m)
+            assert cumsums == [(1 + m, odepath.N)] * (1 + m)
     assert several
 
 
@@ -336,7 +348,7 @@ def test_a_base_alone_takes_no_sweep(monkeypatch):
     # with no integrals the field yields no level after the base
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, levels = [], [], []
-    integrate_loop(_line_loop(3), [1.0], EMPTY, [], _counted_pulse_field(0, fields, bindings, levels))
+    one_loop(_line_loop(3), [1.0], EMPTY, [], _counted_pulse_field(0, fields, bindings, levels))
     assert len(levels) > 1
     assert fields == bindings == list(range(len(levels)))
     assert not any(levels)
@@ -417,7 +429,7 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison, monkeypatc
     # those halves: they belong to the mesh, so that is a breakdown.
     loop = _line_loop(2)
 
-    def run(Y, rows, poison=False, integrate=integrate_loop):
+    def run(Y, rows, poison=False, integrate=one_loop):
         def field(w, vals):
             x, on = w.real, w.imag == 0
             starts, spans = x.reshape(-1, odepath.N).min(axis=1), np.ptp(x.reshape(-1, odepath.N), axis=1)
@@ -484,7 +496,7 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
     def run(integrate):
         return integrate(loop, np.linspace(1.0, 2.0, nb), [0.0, 0.5j], [], field)
 
-    blocks, pieces = run(integrate_loop), run(_piece_by_piece)
+    blocks, pieces = run(one_loop), run(_piece_by_piece)
     assert len(blocks) == len(pieces) == len(loop.segments)
     for got, want in zip(blocks, pieces):
         for u, v in zip(got, want):
@@ -532,7 +544,7 @@ def test_stack_on_a_circle_has_closed_forms():
         y = yield [rate, vals[0]]
         yield [y[1]]
 
-    ends = integrate_loop(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field)
+    ends = one_loop(circle, [1.0], [0.0, 0.0, 0.0], [[1.0]], field)
     assert len(ends) == 1  # one segment
     base, integrals, base_masses, masses = ends[-1]
     assert [x.shape for x in ends[-1]] == [(1,), (3,), (1,), (3,)]
@@ -543,3 +555,104 @@ def test_stack_on_a_circle_has_closed_forms():
     assert abs(masses[0] - 2 * math.pi) < 1e-10
     assert abs(masses[1] - 2 * math.pi * rho) < 1e-10
     assert abs(masses[2] - 8 * rho**2) < 1e-10
+
+
+def _lockstep_loops():
+    """Loops of unequal length for a lockstep pass: three along the real
+    axis with a pulse the pieces must split around, one that avoids it and
+    a circle about 1.5 off the axis."""
+    lines = [Loop(_line_loop(n).segments, f"line{n}") for n in (2, 3, 4)]
+    return lines + [Loop((Line(0j, 0.5 + 0j), Line(0.5 + 0j, 0j)), "short"), Loop((Arc(1.5j, 0.5, 0.0, 2 * math.pi),), "circle")]
+
+
+def _lockstep_field(w, vals):
+    # a base of two components, whose rate pulses at x = 1.5 on the axis,
+    # and three integrals in two levels that read the base, a polynomial
+    # and the first level
+    x = w.real
+    on = w.imag == 0
+    rates = np.array([1j * math.pi, -0.7 + 2.0j])[:, None]
+    b = yield rates * (1.0 + np.where(on, 20.0 * np.exp(-(((x - 1.5) / 0.05) ** 2)), 0.0))
+    y = yield [np.cos(3 * w) * b[1], vals[0] * b[0]]
+    yield [y[0] * b[0] + vals[1]]
+
+
+@pytest.mark.parametrize("block", [odepath.BLOCK, 1, 3])
+def test_a_lockstep_pass_matches_each_loop_alone_bit_for_bit(block, monkeypatch):
+    # the loops share every round's field call and elementwise work, but
+    # each keeps its own products, tail tests and splits, so every end and
+    # mass of every loop is that of its lone pass to the last bit, and a
+    # loop's rounds are its lone blocks: the pass takes as many rounds as
+    # the loop with the most blocks
+    monkeypatch.setattr(odepath, "BLOCK", block)
+    monkeypatch.setattr(odepath, "RTOL", 1e-11)
+    loops = _lockstep_loops()
+    start = ([1.0, 0.5j], [0.0, 0.5j, 1.0], [[1.0, 0.5j, -0.25], [0.0, 1.0]])
+    calls = []
+
+    def counted(w, vals):
+        calls.append(w.size)
+        return _lockstep_field(w, vals)
+
+    together = integrate_loop(loops, *start, counted)
+    rounds = len(calls)
+    assert len(together) == len(loops)
+    blocks = []
+    for loop, ends in zip(loops, together):
+        del calls[:]
+        alone = one_loop(loop, *start, counted)
+        blocks.append(len(calls))
+        assert len(ends) == len(alone) == len(loop.segments)
+        for got, want in zip(ends, alone):
+            for u, v in zip(got, want, strict=True):
+                assert np.array_equal(u, v)
+    assert rounds == max(blocks) < sum(blocks)
+
+
+def _overflow_field(w, vals):
+    # e^1000 across x in (2, 3) on the real axis, a tame rotation elsewhere
+    x = w.real
+    rate = np.where((w.imag == 0) & (x > 2.0) & (x < 3.0), 1000.0, 0.3j)
+    b = yield rate
+    yield [b[0]]
+
+
+def test_a_broken_loop_leaves_the_other_loops_alone():
+    # line5 leaves double precision in segment 2 and its place holds the
+    # error naming it; the loops that never reach x = 2 run on to their ends,
+    # bit for bit as alone
+    from holocert.numerics import unbroken
+
+    loops = [Loop(_line_loop(5).segments, "line5"), Loop(_line_loop(2).segments, "line2"), _lockstep_loops()[-1]]
+    results = integrate_loop(loops, [1.0], [0.0], [], _overflow_field)
+    assert isinstance(results[0], ODEError)
+    assert str(results[0]) == "loop 'line5', segment 2: non-finite state"
+    with pytest.raises(ODEError, match=r"^loop 'line5', segment 2: non-finite state$"):
+        unbroken(results[0])
+    for loop, ends in zip(loops[1:], results[1:]):
+        for got, want in zip(unbroken(ends), one_loop(loop, [1.0], [0.0], [], _overflow_field), strict=True):
+            for u, v in zip(got, want, strict=True):
+                assert np.array_equal(u, v)
+
+
+def test_each_broken_loop_keeps_its_own_breakdown():
+    # two loops break down, in different segments; each place holds the
+    # error its lone pass raises, so a caller that reads the loops in the
+    # order it would have integrated them one by one raises the breakdown
+    # that order raises: here line6's, the first
+    from holocert.numerics import unbroken
+
+    def lone_error(loop):
+        with pytest.raises(ODEError) as caught:
+            one_loop(loop, [1.0], [0.0], [], _overflow_field)
+        return str(caught.value)
+
+    late = Loop((Line(0j, 2 + 0j), Line(2 + 0j, 3 + 0j), Arc(1.5, 1.5, 0.0, -math.pi)), "late")
+    loops = [Loop(_line_loop(6).segments, "line6"), late, Loop(_line_loop(2).segments, "line2")]
+    results = integrate_loop(loops, [1.0], [0.0], [], _overflow_field)
+    assert [str(r) for r in results[:2]] == [lone_error(loop) for loop in loops[:2]]
+    assert [str(r) for r in results[:2]] == ["loop 'line6', segment 2: non-finite state", "loop 'late', segment 1: non-finite state"]
+    assert not isinstance(results[2], ODEError)
+    with pytest.raises(ODEError, match="^loop 'line6'"):
+        for result in results:
+            unbroken(result)

@@ -38,7 +38,6 @@ DEFAULTED = {
     ("cli.py", "main", "argv"): "the console entry point calls main() with none",
     ("gaussian.py", "__init__", "im"): "a real number is one argument, GaussianRational(x)",
     ("numerics/checks.py", "_row", "larger_is_better"): "both values are in use",
-    ("numerics/odepath.py", "_per_row", "out"): "both values are in use",
 }
 
 # command -> its flags, as build_parser reports them

@@ -2,13 +2,15 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs six commands at 48 points, once with this tree's src/ and once with
+Runs eight commands at 48 points, once with this tree's src/ and once with
 PARENT_CHECKOUT's src/ on PYTHONPATH, with the same command line in the
 same temporary directory:
 
     expand                                    (the c_d, S_d table)
     certify                                   (default flags)
     certify --skip-numeric                    (the exact certificate alone)
+    certify --samples 4 --seed 3              (the certify-bundled command line)
+    certify --samples 0                       (the numeric-steep command line)
     conditions                                (F_3..F_6)
     verify-numeric --samples 4 --seed 3
     verify-numeric --samples 0
@@ -16,7 +18,7 @@ same temporary directory:
 The points are the first 40 draws of tests/conftest.py::random_generic_params
 from random.Random(11), then lambda = (1/2 + k i, 1/3 - k i) at
 alpha = (2-1i, 1/2, -1+1i) for k = 1/7, 1, 2, 3, 5, 10, 20, 40, a ladder
-from tame multipliers to numerical breakdowns.  The six commands also run
+from tame multipliers to numerical breakdowns.  The eight commands also run
 at two inputs that exit 2, a nongeneric point (lambda1 = 1/3) and a file
 whose alpha is a string, so the error paths are compared as well.
 Each command runs once more at default flags without --params, so the
@@ -51,6 +53,8 @@ COMMANDS = {
     "expand": ["expand"],
     "certify": ["certify"],
     "exact": ["certify", "--skip-numeric"],
+    "certify-s4-seed3": ["certify", "--samples", "4", "--seed", "3"],
+    "certify-s0": ["certify", "--samples", "0"],
     "conditions": ["conditions"],
     "numeric-s4-seed3": ["verify-numeric", "--samples", "4", "--seed", "3"],
     "numeric-s0": ["verify-numeric", "--samples", "0"],
