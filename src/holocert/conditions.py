@@ -139,13 +139,11 @@ class ConditionSet:
 
     def at(self, beta) -> "ConditionSet":
         """Every polynomial at a concrete beta = (b0, b1, b2), substituted exactly."""
-        def sub(poly: MPoly) -> MPoly:
-            for name, value in zip(("b0", "b1", "b2"), beta):
-                poly = poly.substitute(name, value)
-            return poly
-
+        bindings = dict(zip(("b0", "b1", "b2"), beta))
         parts = (self.P, self.R, self.F)
-        return ConditionSet(self.e_alpha, *({d: sub(f) for d, f in part.items()} for part in parts))
+        return ConditionSet(
+            self.e_alpha, *({d: f.substitute_values(bindings) for d, f in part.items()} for part in parts)
+        )
 
 
 def build_condition_set(p: FoliationParams) -> ConditionSet:

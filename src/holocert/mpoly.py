@@ -26,10 +26,11 @@ The form is canonical: den > 0, the gcd of den and every re and im is
 1, and no stored term is zero.  Equal polynomials therefore have equal
 fields and equal hashes.  Ring operations work on the ints and divide
 out the content gcd once per result.  Powers square only up to the last
-bit.  Constructors take GaussianRational coefficients; ``vars`` is the
-variables that occur, in VARS order, and ``terms`` a read-only
-{exponents over vars: GaussianRational} in printing order, both built
-on each access.
+bit.  Constants replace several variables in one pass over the keys
+(substitute_values).  Constructors take GaussianRational coefficients;
+``vars`` is the variables that occur, in VARS order, and ``terms`` a
+read-only {exponents over vars: GaussianRational} in printing order,
+both built on each access.
 
 Resultants follow the subresultant polynomial remainder sequence: at
 most min(deg f, deg g) pseudo-remainder steps on the coefficient lists
@@ -276,6 +277,50 @@ class MPoly:
         for c in reversed(cs[:-1]):
             out = out * g + c
         return out
+
+    def substitute_values(self, bindings: Mapping[str, GaussianRational | int]) -> "MPoly":
+        """Replace each variable of bindings by its constant, exactly, in one
+        pass over the terms.  The values are taken over one common
+        denominator D, v = n / D; a term of degree e in the bound variables
+        gets the product of the powers of their n, times D^(top - e) for
+        the greatest such degree top, and the sum is divided by D^top."""
+        shifts = [_shift(v) for v in bindings]
+        values = [_parts(_as_gq(c)) for c in bindings.values()]
+        D = lcm(*(den for *_, den in values))
+        mask = sum(_MASK << s for s in shifts)  # the bound variables' fields of a key
+        # each monomial in the bound variables, by its fields: its exponents and degree
+        monomials = {}
+        for m in {key & mask for key in self.num}:
+            exps = [m >> s & _MASK for s in shifts]
+            monomials[m] = (exps, sum(exps))
+        top = max((e for _, e in monomials.values()), default=0)
+        powers = []  # powers[j][k] = n_j^k
+        for j, (re, im, den) in enumerate(values):
+            re, im = re * (D // den), im * (D // den)
+            table = [(1, 0)]
+            for _ in range(max((exps[j] for exps, _ in monomials.values()), default=0)):
+                a, b = table[-1]
+                table.append((a * re - b * im, a * im + b * re))
+            powers.append(table)
+        factors = {}  # bound fields -> (the product of the powers times D^(top - e), e in the degree field)
+        for m, (exps, e) in monomials.items():
+            fr, fi = D ** (top - e), 0
+            for table, k in zip(powers, exps):
+                a, b = table[k]
+                fr, fi = fr * a - fi * b, fr * b + fi * a
+            factors[m] = (fr, fi, e << _DEG)
+        acc: dict[int, tuple[int, int]] = {}
+        get = acc.get
+        for key, (cr, ci) in self.num.items():
+            m = key & mask
+            fr, fi, degree = factors[m]
+            rest = key - m - degree
+            t = get(rest)
+            if t is None:
+                acc[rest] = (cr * fr - ci * fi, cr * fi + ci * fr)
+            else:
+                acc[rest] = (t[0] + cr * fr - ci * fi, t[1] + cr * fi + ci * fr)
+        return _make({k: c for k, c in acc.items() if c[0] or c[1]}, self.den * D**top)
 
     def evaluate(self, bindings: Mapping[str, GaussianRational]) -> GaussianRational:
         """Full evaluation; every variable of the polynomial must be bound."""

@@ -197,7 +197,7 @@ _ANTIDERIVATIVE_DEGREES = (3, 4, 5, 6)
 
 @dataclass(frozen=True)
 class Lemmas:
-    """The integrands of the three lemma families, each a phi_field part:
+    """The integrands of the three lemma families, each a phi_part:
     along gamma1 every two-loop P and then every forward image L_d(R), along
     gamma2 the two-loop P alone, and the antiderivative stack of P_d + F_d
     for d = 3..6, with (R_d, C_d) for its closed forms."""
@@ -367,8 +367,11 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets:
 
     m1, m2 = jets["mu1"], jets["mu2"]
     with _jet_arithmetic_of("commutator-convention"):
-        cand_after = commutator(invert(m1), invert(m2))
-        cand_before = commutator(m2, m1)
+        # mu1 and mu2 inverted once, for both readings: commutator(m2, m1)
+        # is m2 m1 composed with the inverses of m2 and m1
+        inv1, inv2 = invert(m1), invert(m2)
+        cand_after = commutator(inv1, inv2)
+        cand_before = compose(compose(m2, m1), compose(inv2, inv1))
 
     def raw_dist(f, g):
         a, b = f.a(2), g.a(2)

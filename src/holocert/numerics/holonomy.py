@@ -17,29 +17,33 @@ The quadrature bundle integrates, along the same path, the thirteen
 iterated integrals that the degree 2..6 coefficient formulas are made of,
 with running psi2 and psi3 entering the deeper integrands.
 
-Both are fields on ``odepath.integrate_loop``, which evaluates the S_d
-and q_d at w, pulls the rows back by dw and keeps the L1 masses.  Under
-``odepath``'s field contract each is one generator per round: it yields
-the rate K1 of its base phi1 (phi1 = exp of the integral of K1), with
-r, K_d and r^d computed once, is sent phi1, and yields one level of
-integrands at a time, each read off the levels sent before it.  The jet
-stacks phi_2..phi_6 on phi1, one level per B_d, and the bundle its
-thirteen integrals in two levels, the five psi_d and then the eight
-products with psi2 and psi3.  ``phi_field`` is the phi1-weighted
-integrand P(w) phi1^(d-1) / r^d: the bundle's first level and the
-integrand of all three lemma families in ``checks``.
+Each family is a ``Part``: the rows of its integrals on the base phi1
+(phi1 = exp of the integral of the rate K1 = s/r), one level at a time,
+each read off the levels sent before it.  The jet stacks phi_2..phi_6 on
+phi1, one level per B_d, and the bundle its thirteen integrals in two
+levels, the five psi_d and then the eight products with psi2 and psi3.
+``phi_part`` integrates P(w) phi1^(d-1) / r^d, the integrand of all
+three lemma families in ``checks`` and of the bundle's first level.
 
-Every field's base is phi1, at the same rate, so the families that share
-a loop are integrated as one: ``integrate_stack`` zips their fields, each
-a ``Part``, into one field of one phi1 and one state, whose level j holds
-level j of every part, and hands each part back its own integrals.
-``checks`` stacks that way, on each commutator loop, the bundle, the
-order-2 jet at another alpha and the lemma stacks.  The jets are not
-stacked, so the samples drawn do not move their meshes; the seven jet
-loops share one lockstep pass instead (``integrate_variations``), in
-which each keeps its lone mesh.  So the laboratory's 9 loop integrations
-take 3 engine passes, and a bundled ``certify --samples 4 --seed 3``
-calls the fields 18 times, once per round (39 with one pass per loop).
+Every part's base is phi1, so the families that share a loop are
+integrated as one: ``integrate_stack`` zips their parts into one field
+of ``odepath.integrate_loop`` (which evaluates the S_d and q_d at w,
+pulls the rows back by dw and keeps the L1 masses), of one phi1 and one
+state, whose level j holds level j of every part, and hands each part
+back its own integrals.  A stack refuses parts whose lambdas differ,
+which would fix different bases.  Each round's terms in w alone are
+computed once for the whole stack (``_Round``): r, the rate K1 and, once
+phi1 is sent, one table of the weights phi1^(d-1) / r^d, a row for each
+degree the parts read, which every part reads its weights from.  A part
+alone is the stack of that one part (``Part.field``).
+
+``checks`` stacks, on each commutator loop, the bundle, the order-2 jet
+at another alpha and the lemma stacks.  The jets are not stacked, so
+the samples drawn do not move their meshes; the seven jet loops share
+one lockstep pass instead (``integrate_variations``), in which each
+keeps its lone mesh.  So the laboratory's 9 loop integrations take 3
+engine passes, and a bundled ``certify --samples 4 --seed 3`` calls the
+fields 18 times, once per round (39 with one pass per loop).
 """
 
 from __future__ import annotations
@@ -93,33 +97,86 @@ def float_model(p: FoliationParams, e: NormalFormExpansion) -> FloatModel:
 # -- stacked integration -----------------------------------------------------------
 
 
+class _Round:
+    """The terms in w alone of one round, computed once for every part of a
+    stack: r, the base's rate K1 = s/r and, once phi1 is solved, one table
+    of the weights phi1^(d-1) / r^d, a row for each degree the parts read."""
+
+    def __init__(self, lambdas, w, degrees):
+        self.r = r_of(w)
+        self.k1 = s_of(*lambdas, w) / self.r
+        self.row = {d: j for j, d in enumerate(degrees)}
+
+    def weigh(self, p1):
+        self.p1 = p1
+        # integer-array exponents: a scalar 2 takes numpy's square, which rounds otherwise
+        D = np.array(list(self.row), dtype=int)[:, None]
+        self.weights = p1 ** (D - 1) / self.r**D
+
+    def weighted(self, vals, degrees):
+        """vals[k] phi1^(d_k - 1) / r^d_k for d_k = degrees[k]."""
+        return vals * self.weights[[self.row[d] for d in degrees]]
+
+
 @dataclass(frozen=True)
 class Part:
-    """One family's share of a stacked loop integration: a field of
-    ``odepath``'s contract, the polynomials whose values it reads and the
-    number of integrals in each of its levels."""
+    """One family's share of a stacked loop integration, on the base phi1
+    whose rate K1 = s/r its lambdas fix.  rows(rnd, vals) is a generator
+    function: from the round's terms rnd (a ``_Round``) and the values vals
+    of the polynomials coeffs it yields the family's levels of integrals,
+    levels[j] integrals in level j, and is sent each level's solved
+    integrals.  degrees are those whose weights it reads off rnd."""
 
-    field: object
+    lambdas: tuple
+    rows: object
     coeffs: list
     levels: tuple
+    degrees: tuple
+
+    @property
+    def field(self):
+        """This part alone, as a field of ``odepath``'s contract."""
+        return _stacked_field([self])
 
 
-def _stacked_field(parts, shares):
-    """The parts' fields zipped into one: the first part's rate is the
-    stack's, and every other part's must equal it bitwise; level j of the
-    stack is level j of every part that has one, in part order, and
-    shares[j] holds (part, first row, end row) for each.  Each part reads
-    its own polynomials' values and is sent its own rows of each solved
-    level.  ValueError if the rates differ or a part's levels are not the
-    ones it declares."""
+def _layout(parts):
+    """Where the parts' integrals sit in the stacked state, level by level:
+    per level, (part, first row, end row) for each part that has one, in
+    part order; per part, the positions of its integrals in the state; and
+    the number of integrals."""
+    shares, index, n = [], [[] for _ in parts], 0
+    for j in range(max(len(part.levels) for part in parts)):
+        level_shares, a = [], 0
+        for k, part in enumerate(parts):
+            if j < len(part.levels):
+                level_shares.append((k, a, a + part.levels[j]))
+                index[k] += range(n + a, n + a + part.levels[j])
+                a += part.levels[j]
+        shares.append(level_shares)
+        n += a
+    return shares, index, n
+
+
+def _stacked_field(parts):
+    """The parts zipped into one field: each round's terms in w, the rate
+    and the weights of every degree a part reads, are computed once
+    (``_Round``) and read by every part; level j of the stack is level j
+    of every part that has one, in part order.  Each part reads its own
+    polynomials' values and is sent its own rows of each solved level.
+    ValueError if the parts' lambdas differ, since the stack has one base,
+    or if a part's levels are not the ones it declares."""
+    lambdas = parts[0].lambdas
+    if any(part.lambdas != lambdas for part in parts):
+        raise ValueError("the stacked parts integrate different bases")
+    shares, _, _ = _layout(parts)
+    degrees = sorted({d for part in parts for d in part.degrees})
     bounds = np.cumsum([0] + [len(part.coeffs) for part in parts])
 
     def field(w, vals):
-        fields = [part.field(w, vals[a:b]) for part, a, b in zip(parts, bounds, bounds[1:])]
-        rate = next(fields[0])
-        for other in fields[1:]:
-            if np.asarray(next(other)).tobytes() != np.asarray(rate).tobytes():
-                raise ValueError("the stacked parts integrate different bases")
+        rnd = _Round(lambdas, w, degrees)
+        (p1,) = yield rnd.k1
+        rnd.weigh(p1)
+        fields = [part.rows(rnd, vals[a:b]) for part, a, b in zip(parts, bounds, bounds[1:])]
 
         def own(k, a, b):
             try:
@@ -130,7 +187,7 @@ def _stacked_field(parts, shares):
                 raise ValueError(f"a stacked part yields {len(rows)} integrals where it declares {b - a}")
             return rows
 
-        solved = [(yield rate)] * len(parts)
+        solved = [None] * len(parts)  # None starts each part's generator
         for level_shares in shares:
             # the level's rows are not kept here once the engine has them
             level = yield [row for k, a, b in level_shares for row in own(k, a, b)]
@@ -152,56 +209,45 @@ def integrate_stack(loop: Loop, parts) -> list:
     every segment as ``integrate_loop`` gives them for that part alone,
     (base, integrals, base_masses, masses), the part's integrals in its own
     order although the stacked state holds them level by level."""
-    shares, index, n = [], [[] for _ in parts], 0  # index: per part, where its integrals sit in the state
-    for j in range(max(len(part.levels) for part in parts)):
-        level_shares, a = [], 0
-        for k, part in enumerate(parts):
-            if j < len(part.levels):
-                level_shares.append((k, a, a + part.levels[j]))
-                index[k] += range(n + a, n + a + part.levels[j])
-                a += part.levels[j]
-        shares.append(level_shares)
-        n += a
+    field = _stacked_field(parts)
+    _, index, n = _layout(parts)
     coeffs = [c for part in parts for c in part.coeffs]
-    ends = unbroken(integrate_loop([loop], [1.0], np.zeros(n), coeffs, _stacked_field(parts, shares))[0])
+    ends = unbroken(integrate_loop([loop], [1.0], np.zeros(n), coeffs, field)[0])
     return [[(b, y[i], mb, m[i]) for b, y, mb, m in ends] for i in index]
 
 
 # -- variational jets ------------------------------------------------------------
 
 
-def _variation_field(model: FloatModel, order: int):
-    """The base phi1 has the rate K1 and the integrals phi_2..phi_order the
-    integrands B_2..B_order, with K_d = c_d K1 + S_d / r^d; vals are
-    S_2..S_order at w.  Each B_d is a level of its own, read off phi1 and
-    the solved phi_2..phi_(d-1)."""
-    lam1, lam2 = model.lam1, model.lam2
+def _variation_rows(model: FloatModel, order: int):
+    """The integrals phi_2..phi_order on the base phi1 have the integrands
+    B_2..B_order, with K_d = c_d K1 + S_d / r^d; vals are S_2..S_order at
+    w.  Each B_d is a level of its own, read off phi1 and the solved
+    phi_2..phi_(d-1)."""
     D = np.arange(2, order + 1)[:, None]
     c = np.array([model.c[d] for d in range(2, order + 1)], dtype=complex)[:, None]
 
-    def field(w, vals):
-        r = r_of(w)
-        k1 = s_of(lam1, lam2, w) / r
-        K = [0j, k1, *(c * k1 + vals / r**D)]
-        (p1,) = yield k1
+    def rows(rnd, vals):
+        k1, p1 = rnd.k1, rnd.p1
+        K = [0j, k1, *(c * k1 + vals / rnd.r**D)]
         # the terms in w and phi1 alone, each as the sums below evaluate it
         pw = {1: p1} | {e: p1**e for e in range(2, order)}  # phi1^e
         eK = {e: e * K[e] for e in range(2, order)}  # a leading e K_e
-        last = {d: K[d] * pw[d - 1] for d in range(2, order + 1)}  # the trailing K_d phi1^(d-1)
         p = [p1]  # p[k] is phi_(k+1), one more per level
         for d in range(2, order + 1):
+            last = K[d] * pw[d - 1]  # the trailing K_d phi1^(d-1), built at its own level
             if d == 2:
-                B = last[2]
+                B = last
             elif d == 3:
-                B = eK[2] * p[1] * p1 + last[3]
+                B = eK[2] * p[1] * p1 + last
             elif d == 4:
-                B = K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last[4]
+                B = K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last
             elif d == 5:
                 B = (
                     eK[2] * (p[3] + p[2] * p[1]) * p1
                     + eK[3] * (p[2] + p[1] ** 2) * pw[2]
                     + eK[4] * p[1] * pw[3]
-                    + last[5]
+                    + last
                 )
             else:
                 B = (
@@ -209,17 +255,18 @@ def _variation_field(model: FloatModel, order: int):
                     + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * pw[2]
                     + K[4] * (4 * p[2] + 6 * p[1] ** 2) * pw[3]
                     + eK[5] * p[1] * pw[4]
-                    + last[6]
+                    + last
                 )
             (phi_d,) = yield [B]
             p.append(phi_d)
 
-    return field
+    return rows
 
 
 def variation_part(model: FloatModel, order: int) -> Part:
     """The jet of the given order as a part: phi_2..phi_order, one level each."""
-    return Part(_variation_field(model, order), [model.S[d] for d in range(2, order + 1)], (1,) * (order - 1))
+    coeffs = [model.S[d] for d in range(2, order + 1)]
+    return Part((model.lam1, model.lam2), _variation_rows(model, order), coeffs, (1,) * (order - 1), ())
 
 
 def variation_jet(label: str, end) -> HolonomyJet:
@@ -291,56 +338,42 @@ class QuadratureBundle:
         return max([1.0] + [self.norms[n] for n in names])
 
 
-def phi_field(model: FloatModel, degrees):
-    """Base phi1 (rate K1 = s/r) and one level of integrals, one per
-    degree: integral k has the integrand vals[k] phi1^(d_k - 1) / r^d_k.
-    It serves the bundle and all three lemma families."""
-    lam1, lam2 = model.lam1, model.lam2
-    D = np.asarray(degrees)[:, None]
-
-    def field(w, vals):
-        r = r_of(w)
-        base = yield s_of(lam1, lam2, w) / r
-        # in w and phi1 alone; r^d is not held while the engine solves the level
-        yield vals * (base[0] ** (D - 1) / r**D)
-
-    return field
-
-
 def phi_part(model: FloatModel, degrees, coeffs) -> Part:
-    """phi_field's integrals as a part, the polynomial coeffs[k] against degrees[k]."""
-    return Part(phi_field(model, degrees), list(coeffs), (len(degrees),))
+    """One level of integrals on the base phi1, the polynomial coeffs[k]
+    against degrees[k]: integral k has the integrand P_k(w) phi1^(d_k - 1)
+    / r^d_k.  It serves all three lemma families in ``checks``."""
+    degrees = tuple(degrees)
+
+    def rows(rnd, vals):
+        yield rnd.weighted(vals, degrees)
+
+    return Part((model.lam1, model.lam2), rows, list(coeffs), (len(degrees),), degrees)
 
 
-def _bundle_field(model: FloatModel):
-    """psi_d is the phi field of S_2, S_3, q_4, q_5, q_6, the first level;
-    the second weights those integrands by the solved psi2 and psi3."""
-    phi = phi_field(model, range(2, 7))
-
-    def field(w, vals):
-        heads = phi(w, vals)
-        base = yield next(heads)  # phi_field's rate
-        g = heads.send(base)  # the psi2..psi6 integrands g2..g6, phi_field's one level
-        psi = yield g
-        g3, g4, g5 = g[1], g[2], g[3]
-        psi2, psi3 = psi[0], psi[1]
-        yield [
-            g3 * psi2,  # delta1
-            g3 * psi2**2,  # delta2
-            g3 * psi2**3,  # delta3
-            g3 * psi2 * psi3,  # delta11
-            g4 * psi2,  # gamma1
-            g4 * psi2**2,  # gamma2
-            g4 * psi3,  # gamma01
-            g5 * psi2,  # b1
-        ]
-
-    return field
+def _bundle_rows(rnd, vals):
+    """psi_d integrates S_2, S_3, q_4, q_5, q_6 against the weights of degree
+    d = 2..6, the first level; the second weights those integrands by the
+    solved psi2 and psi3."""
+    g = rnd.weighted(vals, range(2, 7))  # the psi2..psi6 integrands g2..g6
+    psi = yield g
+    g3, g4, g5 = g[1], g[2], g[3]
+    psi2, psi3 = psi[0], psi[1]
+    yield [
+        g3 * psi2,  # delta1
+        g3 * psi2**2,  # delta2
+        g3 * psi2**3,  # delta3
+        g3 * psi2 * psi3,  # delta11
+        g4 * psi2,  # gamma1
+        g4 * psi2**2,  # gamma2
+        g4 * psi3,  # gamma01
+        g5 * psi2,  # b1
+    ]
 
 
 def bundle_part(model: FloatModel) -> Part:
     """The quadrature bundle as a part: the five psi_d, then the eight products."""
-    return Part(_bundle_field(model), [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]], (5, 8))
+    coeffs = [model.S[2], model.S[3], model.q[4], model.q[5], model.q[6]]
+    return Part((model.lam1, model.lam2), _bundle_rows, coeffs, (5, 8), (2, 3, 4, 5, 6))
 
 
 def integrate_quadratures(end) -> QuadratureBundle:

@@ -44,14 +44,18 @@ class HolonomyJet:
 
 
 def _trunc_mul(u, v):
-    """Product of two series with zero constant term, truncated at z^ORDER."""
-    out = np.zeros(ORDER, dtype=np.result_type(u, v))
+    """Product of two series with zero constant term, truncated at z^ORDER.
+    The products are taken on Python numbers, which round as numpy's
+    complex128 and float64 scalars do."""
+    dtype = np.result_type(u, v)
+    u, v = u.tolist(), v.tolist()
+    out = [0.0] * ORDER
     for i in range(ORDER):
         if u[i] == 0:
             continue
         for j in range(ORDER - i - 1):
             out[i + j + 1] += u[i] * v[j]
-    return out
+    return np.array(out, dtype=dtype)
 
 
 def _finite(jet: HolonomyJet, what: str) -> HolonomyJet:

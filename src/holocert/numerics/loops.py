@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +73,26 @@ class Loop:
     def inverse(self) -> "Loop":
         segs = tuple(s.reversed() for s in reversed(self.segments))
         return Loop(segs, label=f"{self.label}^-1")
+
+
+def nodes(segments, t):
+    """The points and velocities of segments[k] at the parameters t[k], for
+    a (len(segments), n) array t: one array expression per segment kind,
+    that kind's own point and velocity on one segment whose fields are
+    columns of the segments' fields.  So every node is the same elementwise
+    arithmetic as segments[k].point(t[k]), bit for bit."""
+    kinds = {}
+    for k, seg in enumerate(segments):
+        kinds.setdefault(type(seg), []).append(k)
+    batches = []
+    for kind, index in kinds.items():
+        batch = kind(*(np.array([getattr(segments[k], f.name) for k in index])[:, None] for f in fields(kind)))
+        batches.append((index, batch.point(t[index]), batch.velocity(t[index])))
+    w = np.empty(t.shape, np.result_type(*(point for _, point, _ in batches)))
+    dw = np.empty(t.shape, np.result_type(*(velocity for *_, velocity in batches)))
+    for index, point, velocity in batches:
+        w[index], dw[index] = point, velocity
+    return w, dw
 
 
 def concat(*loops: Loop, label: str) -> Loop:

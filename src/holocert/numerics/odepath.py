@@ -55,6 +55,12 @@ alone, bit for bit.  A loop that breaks down leaves the pass, which runs
 on for the others, and its place in the results holds its ODEError, for
 the caller to raise where it first reads that loop.
 
+A round's set-up is done once for all its pieces, with each node's
+arithmetic that of the piece alone: the nodes of every piece of one
+segment kind in one call of that kind's point and velocity
+(``loops.nodes``), and the powers of w as np.vander forms them
+(``_powers``), under one product per piece for the polynomial values.
+
 A loop's results are the state and the masses at the end of every
 segment, in path order, so a caller can compare mid-path values.
 ``integrate_loop`` is the one path-integration primitive of the
@@ -69,13 +75,14 @@ jets share one lockstep pass instead (``holonomy.integrate_variations``).
 
 from __future__ import annotations
 
-from itertools import count, groupby
+from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import ODEError, unbroken
+from .loops import Line, nodes
 
 N = 32  # Chebyshev nodes per piece
 PIECES = 2  # initial pieces per segment
@@ -109,6 +116,19 @@ def _per_row(a, m):
     if k > 1:
         return np.matmul(a, m)
     return np.matmul(a.reshape(rows, -1), m).reshape(rows, 1, -1)
+
+
+def _powers(w, n):
+    """w^0..w^(n-1) as the columns of a (w.size, n) array, as np.vander(w,
+    n, increasing=True) forms them: each column is the one before it times
+    w, into a strided column, since products into contiguous rows would
+    round otherwise.  (At n = 3 alone np.vander takes its one product
+    as a contiguous one; here a column is the same whatever n.)"""
+    V = np.ones((w.size, n), dtype=w.dtype)
+    V[:, 1:2] = w[:, None]
+    for k in range(2, n):
+        np.multiply(V[:, k - 1], w, out=V[:, k])
+    return V
 
 
 def _solve(field, w, vals, dw, half, starts, sizes, nb):
@@ -234,8 +254,8 @@ def _masses(derivs, base, half):
 def integrate_fixed_interval(f, b0, y0):
     """integrate_loop over t in [0, 1], with w = t, dw = 1 and no
     polynomials: f(t) is the field on the nodes t."""
-    unit = SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0)
-    (ends,) = integrate_loop([SimpleNamespace(segments=(unit,), label=None)], b0, y0, [], lambda w, vals: f(w))
+    unit = SimpleNamespace(segments=(Line(0.0, 1.0),), label=None)  # 0.0 + t * (1.0 - 0.0) is t
+    (ends,) = integrate_loop([unit], b0, y0, [], lambda w, vals: f(w))
     return unbroken(ends)[-1]
 
 
@@ -321,19 +341,12 @@ def integrate_loop(loops, base0, integrals0, coeffs, field):
         a = np.array([piece[1] for piece in pieces])
         h = np.array([piece[2] for piece in pieces])
         t = a[:, None] + h[:, None] * (_X + 1.0) / 2.0
-        parts, lo = [], 0
-        for i, block in zip(pending, blocks):
-            for s, group in groupby(piece[0] for piece in block):
-                hi = lo + len(list(group))
-                ts = t[lo:hi].ravel()
-                segment = loops[i].segments[s]
-                parts.append((segment.point(ts), np.broadcast_to(segment.velocity(ts), ts.shape)))
-                lo = hi
-        w, dw = (np.concatenate(x) for x in zip(*parts))
+        segments = [loops[i].segments[piece[0]] for i, block in zip(pending, blocks) for piece in block]
+        w, dw = (x.ravel() for x in nodes(segments, t))
         # one (K, n) @ (n, N) product per piece: over a whole round of
         # nodes the product would be spread over BLAS threads (see _per_row);
         # the powers of w are not held while the round is solved
-        vals = np.matmul(C, np.vander(w, C.shape[1], increasing=True).reshape(len(pieces), N, -1).transpose(0, 2, 1))
+        vals = np.matmul(C, _powers(w, C.shape[1]).reshape(len(pieces), N, -1).transpose(0, 2, 1))
         vals = vals.transpose(1, 0, 2).reshape(len(C), w.size)
         sizes = [len(block) for block in blocks]
         starts = np.array([state for _, state in pending.values()])

@@ -64,14 +64,14 @@ def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     from numpy.polynomial import Polynomial
 
     from holocert.normalform import L_d
-    from holocert.numerics.holonomy import phi_field
+    from holocert.numerics.holonomy import phi_part
 
     w = Polynomial([0.0, 1.0])
     P = L_d(3, nmodel.lam1, nmodel.lam2, Polynomial([1.0 + 0j]), w, Polynomial.deriv).coef
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
     B3 = 2 * (nmodel.lam1 + nmodel.lam2)
     assert np.allclose(P, [A3, B3 - 4.0])
-    _, values, _, masses = one_loop(nloops.gamma1, [1.0], [0.0], [P], phi_field(nmodel, [3]))[-1]
+    _, values, _, masses = one_loop(nloops.gamma1, [1.0], [0.0], [P], phi_part(nmodel, [3], [P]).field)[-1]
     assert abs(values[0]) / max(1.0, masses[0]) < 1e-9
 
 

@@ -122,6 +122,28 @@ def test_conditions_at_beta_alpha_all_zero(tp, rng):
         assert h2.is_zero() and h3.is_zero() and h4.is_zero()
 
 
+
+def test_at_is_the_successive_substitution(tp, tp_conditions, rng):
+    # ConditionSet.at substitutes b0, b1 and b2 in one pass over common
+    # denominators; it must give the canonical polynomial that substituting
+    # them one at a time gives, at the bundled point and at generic ones,
+    # for betas drawn as the laboratory draws them (dyadic denominators up
+    # to 2^60), small ones and betas with zero components
+    from holocert.numerics.checks import _random_beta
+
+    betas = [_random_beta(seed) for seed in (1, 4, 9)]
+    betas += [tuple(random_gaussian(rng) for _ in range(3)), (gq(0), gq(3, -1), gq(0)), (gq(0), gq(0), gq(0))]
+    for cs in [tp_conditions] + [build_condition_set(random_generic_params(rng)) for _ in range(6)]:
+        for beta in betas:
+            at = cs.at(beta)
+            for part in ("P", "R", "F"):
+                for d, poly in getattr(cs, part).items():
+                    want = poly
+                    for var, val in zip(BETA, beta):
+                        want = want.substitute(var, val)
+                    got = getattr(at, part)[d]
+                    assert (got.num, got.den) == (want.num, want.den), (part, d, beta)
+
 def test_symbolic_P_vanishes_under_beta_alpha_substitution(tp):
     cs = build_condition_set(tp)
     for d in (3, 4, 5, 6):

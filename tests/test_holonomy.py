@@ -154,12 +154,69 @@ def test_a_stack_of_two_bases_is_refused(nmodel, nloops, tp):
 def test_a_part_must_yield_the_levels_it_declares(nmodel, nloops, levels):
     # the split map is read off the declared levels, so a part that yields
     # other ones is refused instead of being split at the wrong rows
-    from holocert.numerics.holonomy import Part, phi_field
+    from dataclasses import replace
 
-    part = Part(phi_field(nmodel, [3, 4]), [np.ones(1), np.ones(1)], levels)
+    from holocert.numerics.holonomy import phi_part
+
+    part = replace(phi_part(nmodel, [3, 4], [np.ones(1), np.ones(1)]), levels=levels)
     with pytest.raises(ValueError):
         integrate_stack(nloops.gamma1, [variation_part(nmodel, 2), part])
 
+
+
+def test_a_stack_yields_each_part_s_own_rows_bit_for_bit(nmodel, nloops, tp):
+    # the stack computes r, K1 and the weights phi1^(d-1) / r^d once per
+    # round, in one table over the degrees its parts read; every part's
+    # rows must be those of its own formulas on the same nodes, written
+    # out here as each part computed them alone: the bundle's two levels,
+    # the order-2 jet at another alpha, the lemma samples and the
+    # antiderivative stack
+    from numpy.polynomial import polynomial as npp
+
+    from holocert.normalform import r_of, s_of
+    from holocert.numerics.holonomy import _stacked_field, phi_part
+    from holocert.numerics.loops import nodes
+
+    rng = np.random.default_rng(7)
+    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
+    other = float_model(p, expand_normal_form(p, 2))
+    samples = [3, 5, 4, 6, 6, 3, 5]
+    coeffs = [rng.standard_normal(7) + 1j * rng.standard_normal(7) for _ in samples]
+    anti = [rng.standard_normal(2 * d - 1) + 1j * rng.standard_normal(2 * d - 1) for d in (3, 4, 5, 6)]
+    parts = [
+        bundle_part(nmodel),
+        variation_part(other, 2),
+        phi_part(nmodel, samples, coeffs),
+        phi_part(nmodel, (3, 4, 5, 6), anti),
+    ]
+    t = np.arange(4)[:, None] / 4.0 + (np.polynomial.chebyshev.chebpts1(32) + 1.0) / 8.0
+    w, _ = nodes([seg for seg in nloops.gamma1.segments for _ in t], np.tile(t, (len(nloops.gamma1.segments), 1)))
+    w = w.ravel()
+    vals = np.array([npp.polyval(w, c) for part in parts for c in part.coeffs])
+    p1 = np.exp(0.3j * w) * (1.0 + w)
+
+    def phi(vals, degrees):
+        D = np.asarray(degrees)[:, None]
+        return vals * (p1 ** (D - 1) / r**D)
+
+    r = r_of(w)
+    k1 = s_of(nmodel.lam1, nmodel.lam2, w) / r
+    g = phi(vals[:5], range(2, 7))
+    beta = (np.array([[other.c[2]]]) * k1 + vals[5:6] / r ** np.arange(2, 3)[:, None])[0] * p1
+    first = [*g, beta, *phi(vals[6:13], samples), *phi(vals[13:], (3, 4, 5, 6))]
+    psi = rng.standard_normal((len(first), w.size)) + 1j * rng.standard_normal((len(first), w.size))
+    psi2, psi3 = psi[0], psi[1]
+    g3, g4, g5 = g[1], g[2], g[3]
+    second = [g3 * psi2, g3 * psi2**2, g3 * psi2**3, g3 * psi2 * psi3, g4 * psi2, g4 * psi2**2, g4 * psi3, g5 * psi2]
+
+    levels = _stacked_field(parts)(w, vals)
+    assert next(levels).tobytes() == k1.tobytes()
+    for got, want in ((levels.send(p1[None]), first), (levels.send(psi), second)):
+        assert len(got) == len(want)
+        for row, ref in zip(got, want):
+            assert row.tobytes() == ref.tobytes()
+    with pytest.raises(StopIteration):
+        levels.send(rng.standard_normal((8, w.size)) + 0j)
 
 def test_bundle_carries_error_estimates(gamma_bundles):
     b = gamma_bundles["gamma1"]

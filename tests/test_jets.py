@@ -3,7 +3,9 @@ import pytest
 
 from holocert.numerics import ODEError
 from holocert.numerics.jets import (
+    ORDER,
     HolonomyJet,
+    _trunc_mul,
     commutator,
     compose,
     invert,
@@ -98,3 +100,30 @@ def test_jet_arithmetic_that_leaves_double_precision_is_a_breakdown():
         compose(big, big)
     with pytest.raises(ODEError, match="overflows double precision"):
         invert(jet(1e-200, 1e200, 0, 0, 0, 0))
+
+
+def _numpy_trunc_mul(u, v):
+    """The truncated product on numpy scalars, the reference for _trunc_mul."""
+    out = np.zeros(ORDER, dtype=np.result_type(u, v))
+    for i in range(ORDER):
+        if u[i] == 0:
+            continue
+        for j in range(ORDER - i - 1):
+            out[i + j + 1] += u[i] * v[j]
+    return out
+
+
+def test_the_truncated_product_rounds_as_numpy_scalars_do():
+    # Python's complex and float products round as complex128 and float64
+    # scalars do: coefficients and masses from e^-300 to e^300, zeros among
+    # them, and products that overflow, which are not finite in both
+    rng = np.random.default_rng(0)
+    for k in range(3000):
+        x = rng.standard_normal((4, ORDER)) * np.exp(rng.uniform(-300, 300, (4, ORDER)))
+        x[:, rng.integers(0, ORDER, 2)] = 0.0 if k % 2 else -0.0
+        u, v = x[0] + 1j * x[1], x[2] + 1j * x[3]
+        for a, b in ((u, v), (np.abs(u), np.abs(v))):
+            with np.errstate(all="ignore"):
+                got, want = _trunc_mul(a, b), _numpy_trunc_mul(a, b)
+            assert got.dtype == want.dtype and np.array_equal(np.isfinite(got), np.isfinite(want))
+            assert got[np.isfinite(got)].tobytes() == want[np.isfinite(want)].tobytes()

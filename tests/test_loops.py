@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holocert.numerics.loops import Line, Loop, build_loops, concat
+from holocert.numerics.loops import RADIUS, Line, Loop, build_loops, concat, nodes
 
 from conftest import one_loop
 
@@ -86,3 +86,35 @@ def test_point_parameterizations():
     assert seg.point(0.0) == pytest.approx(-0.5 + 0j)
     assert seg.point(0.5) == pytest.approx(-1.5 + 0j)  # halfway around the circle
     assert seg.point(1.0) == pytest.approx(-0.5 + 0j)
+
+
+def _every_segment():
+    """Every segment of the laboratory's loops, of their inverses and of the
+    loops at 2/3 of the radius, and the unit interval."""
+    segments = []
+    for radius in (RADIUS, RADIUS * 2.0 / 3.0):
+        loops = build_loops(radius)
+        for lp in (loops.mu1, loops.mu2, loops.gamma1, loops.gamma2):
+            segments += [*lp.segments, *lp.inverse().segments]
+    return segments + [Line(0.0, 1.0)]
+
+
+def test_the_batched_nodes_match_each_segment_bit_for_bit():
+    # pieces of every segment, at every depth from 0 to 12, in a shuffled
+    # order, in one call; the unit interval alone keeps w = t and dw = 1.0
+    # real
+    x = np.polynomial.chebyshev.chebpts1(32)
+    rng = np.random.default_rng(0)
+    segments = _every_segment()
+    chosen = [segments[k] for k in rng.permutation(np.repeat(np.arange(len(segments)), 4))]
+    depth = rng.integers(0, 13, len(chosen))
+    a = np.array([rng.integers(0, 2**d) / 2**d for d in depth])
+    t = a[:, None] + (1.0 / 2**depth)[:, None] * (x + 1.0) / 2.0
+    w, dw = nodes(chosen, t)
+    for seg, tk, wk, dwk in zip(chosen, t, w, dw):
+        assert wk.tobytes() == np.asarray(seg.point(tk), dtype=complex).tobytes()
+        assert dwk.tobytes() == np.broadcast_to(np.asarray(seg.velocity(tk), dtype=complex), tk.shape).tobytes()
+    unit = t[:3]
+    w, dw = nodes([Line(0.0, 1.0)] * 3, unit)
+    assert w.dtype == dw.dtype == float
+    assert w.tobytes() == unit.tobytes() and np.all(dw == 1.0)

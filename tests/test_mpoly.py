@@ -206,6 +206,16 @@ def test_substitute_then_evaluate():
     assert p.substitute("b0", gq(1)).as_constant() == gq(0)
 
 
+
+@given(polys(vars=VARS, max_terms=6), st.dictionaries(st.sampled_from(VARS), small_gq, min_size=1))
+@settings(max_examples=80, deadline=None)
+def test_substituting_values_in_one_pass_is_substituting_them_one_by_one(p, bindings):
+    want = p
+    for var, value in bindings.items():
+        want = want.substitute(var, value)
+    got = p.substitute_values(bindings)
+    assert (got.num, got.den) == (want.num, want.den)
+
 def test_evaluate_missing_binding_errors():
     with pytest.raises(MPolyError):
         (W + B0).evaluate({"w": gq(1)})

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from holocert.numerics import odepath
-from holocert.numerics.loops import Arc, Line, Loop
+from holocert.numerics.loops import RADIUS, Arc, Line, Loop, build_loops, nodes
 from holocert.numerics.odepath import ODEError, integrate_fixed_interval, integrate_loop
 
 from conftest import one_loop
 
 EMPTY = np.zeros(0)  # no base components, or no integrals
 # integrate_fixed_interval's path, t in [0, 1] with dw = 1, for _piece_by_piece
-UNIT = SimpleNamespace(segments=(SimpleNamespace(point=lambda t: t, velocity=lambda t: 1.0),), label=None)
+UNIT = SimpleNamespace(segments=(Line(0.0, 1.0),), label=None)
 
 
 def no_levels(rate):
@@ -607,6 +607,46 @@ def test_a_lockstep_pass_matches_each_loop_alone_bit_for_bit(block, monkeypatch)
             for u, v in zip(got, want, strict=True):
                 assert np.array_equal(u, v)
     assert rounds == max(blocks) < sum(blocks)
+
+
+def test_a_round_evaluates_one_batch_per_segment_kind(monkeypatch):
+    # every piece of a round, of every loop and segment, gets its nodes from
+    # one call of each segment kind's point
+    loops = _lockstep_loops()
+    rounds, calls = [], []
+    for kind in (Line, Arc):
+        point = kind.point
+        monkeypatch.setattr(kind, "point", lambda seg, t, point=point, kind=kind: calls.append(kind) or point(seg, t))
+
+    def counted(w, vals):
+        rounds.append(w.size)
+        return _lockstep_field(w, vals)
+
+    integrate_loop(loops, [1.0, 0.5j], [0.0, 0.5j, 1.0], [[1.0, 0.5j, -0.25], [0.0, 1.0]], counted)
+    assert len(rounds) > 1
+    assert calls.count(Line) == len(rounds)  # every round has a line piece
+    assert 0 < calls.count(Arc) <= len(rounds)
+
+
+def test_the_powers_are_those_of_np_vander_bit_for_bit():
+    # the nodes of every piece of the laboratory's gamma1, of the unit
+    # interval, and points with signed zeros and powers that overflow, at
+    # up to 11 powers (q_6 has degree 10).  Only at 3 powers does np.vander
+    # take its one product another way, as a contiguous product, which
+    # rounds otherwise; each column of _powers is the same whatever the
+    # number of columns
+    x = np.polynomial.chebyshev.chebpts1(odepath.N)
+    t = np.arange(8)[:, None] / 8.0 + (x + 1.0) / 16.0
+    gamma1 = build_loops(RADIUS).gamma1.segments
+    w, _ = nodes([seg for seg in gamma1 for _ in t], np.tile(t, (len(gamma1), 1)))
+    odd = np.array([complex(-0.0, -1.0), complex(-0.0, 0.0), complex(0.0, -0.0), -1e200 + 1e200j, 3.0 - 1e-300j])
+    for points in (w.ravel(), t.ravel(), odd):
+        with np.errstate(all="ignore"):
+            powers = odepath._powers(points, 11)
+            for n in range(1, 12):
+                assert odepath._powers(points, n).tobytes() == powers[:, :n].copy().tobytes()
+                if n != 3:
+                    assert powers[:, :n].copy().tobytes() == np.vander(points, n, increasing=True).tobytes()
 
 
 def _overflow_field(w, vals):
