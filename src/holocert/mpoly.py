@@ -27,10 +27,11 @@ The form is canonical: den > 0, the gcd of den and every re and im is
 fields and equal hashes.  Ring operations work on the ints and divide
 out the content gcd once per result.  Powers square only up to the last
 bit.  Constants replace several variables in one pass over the keys
-(substitute_values).  Constructors take GaussianRational coefficients;
-``vars`` is the variables that occur, in VARS order, and ``terms`` a
-read-only {exponents over vars: GaussianRational} in printing order,
-both built on each access.
+(substitute_values), and a polynomial in one variable converts to
+floats straight off the ints (float_coeffs_in).  Constructors take
+GaussianRational coefficients; ``vars`` is the variables that occur, in
+VARS order, and ``terms`` a read-only {exponents over vars:
+GaussianRational} in printing order, both built on each access.
 
 Resultants follow the subresultant polynomial remainder sequence: at
 most min(deg f, deg g) pseudo-remainder steps on the coefficient lists
@@ -264,6 +265,21 @@ class MPoly:
             k = key >> s & _MASK
             buckets[k][key - k * step] = c
         return [_make(b, self.den) for b in buckets]
+
+    def float_coeffs_in(self, var: str) -> list[complex]:
+        """Coefficients [c0, c1, ...] of powers of var as complex floats, for a
+        polynomial in var alone.  Each part is its integer over den by int
+        true division, which rounds correctly: float(Fraction(re, den)) bit
+        for bit, without the fractions.  MPolyError if another variable occurs."""
+        s = _shift(var)
+        step = (1 << s) + (1 << _DEG)
+        out = [0j] * (self.degree(var) + 1)
+        for key, (re, im) in self.num.items():
+            k = key >> s & _MASK
+            if key != k * step:
+                raise MPolyError(f"not a polynomial in {var} alone: {self}")
+            out[k] = complex(re / self.den, im / self.den)
+        return out
 
     def substitute(self, var: str, value: "MPoly | GaussianRational | int") -> "MPoly":
         """Replace var by a polynomial (or constant), exactly."""

@@ -43,7 +43,8 @@ the samples drawn do not move their meshes; the seven jet loops share
 one lockstep pass instead (``integrate_variations``), in which each
 keeps its lone mesh.  So the laboratory's 9 loop integrations take 3
 engine passes, and a bundled ``certify --samples 4 --seed 3`` calls the
-fields 18 times, once per round (39 with one pass per loop).
+fields 9 times, once per round, each round a whole refinement
+generation (``odepath.BLOCK``).
 """
 
 from __future__ import annotations
@@ -64,10 +65,8 @@ from .odepath import integrate_loop
 
 
 def _to_coeff_array(poly: MPoly) -> np.ndarray:
-    cs = poly.coeffs_in("w")
-    if not cs:
-        return np.zeros(1, dtype=complex)
-    return np.array([c.as_constant().to_complex() for c in cs], dtype=complex)
+    """The ascending coefficients of a polynomial in w alone; [0] for zero."""
+    return np.array(poly.float_coeffs_in("w") or [0j], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -230,23 +229,23 @@ def _variation_rows(model: FloatModel, order: int):
     def rows(rnd, vals):
         k1, p1 = rnd.k1, rnd.p1
         K = [0j, k1, *(c * k1 + vals / rnd.r**D)]
-        # the terms in w and phi1 alone, each as the sums below evaluate it
+        # the powers of phi1, each as the sums below evaluate it; a leading
+        # e K_e is formed in the sum that reads it, and not kept past it
         pw = {1: p1} | {e: p1**e for e in range(2, order)}  # phi1^e
-        eK = {e: e * K[e] for e in range(2, order)}  # a leading e K_e
         p = [p1]  # p[k] is phi_(k+1), one more per level
         for d in range(2, order + 1):
             last = K[d] * pw[d - 1]  # the trailing K_d phi1^(d-1), built at its own level
             if d == 2:
                 B = last
             elif d == 3:
-                B = eK[2] * p[1] * p1 + last
+                B = 2 * K[2] * p[1] * p1 + last
             elif d == 4:
-                B = K[2] * (2 * p[2] + p[1] ** 2) * p1 + eK[3] * p[1] * pw[2] + last
+                B = K[2] * (2 * p[2] + p[1] ** 2) * p1 + 3 * K[3] * p[1] * pw[2] + last
             elif d == 5:
                 B = (
-                    eK[2] * (p[3] + p[2] * p[1]) * p1
-                    + eK[3] * (p[2] + p[1] ** 2) * pw[2]
-                    + eK[4] * p[1] * pw[3]
+                    2 * K[2] * (p[3] + p[2] * p[1]) * p1
+                    + 3 * K[3] * (p[2] + p[1] ** 2) * pw[2]
+                    + 4 * K[4] * p[1] * pw[3]
                     + last
                 )
             else:
@@ -254,7 +253,7 @@ def _variation_rows(model: FloatModel, order: int):
                     K[2] * (2 * p[4] + 2 * p[3] * p[1] + p[2] ** 2) * p1
                     + K[3] * (3 * p[3] + 6 * p[2] * p[1] + p[1] ** 3) * pw[2]
                     + K[4] * (4 * p[2] + 6 * p[1] ** 2) * pw[3]
-                    + eK[5] * p[1] * pw[4]
+                    + 5 * K[5] * p[1] * pw[4]
                     + last
                 )
             (phi_d,) = yield [B]

@@ -146,6 +146,29 @@ def oracle_defects(p: FoliationParams) -> dict[int, MPoly]:
     return out
 
 
+def a2_closed_form(p: FoliationParams) -> tuple[complex, complex]:
+    """a_2 of the commutator loops gamma1 and gamma2, in closed form at the
+    exact lambdas, to 30 digits (mpmath).  S_2 = r makes a_2 a single loop
+    integral of phi1 / r, which the Pochhammer Beta integral (DLMF 5.12.12)
+    gives as
+
+        a_2(gamma1) = -2^(l1+l2-1) (1-nu1)(1-nu2) Gamma(l1) Gamma(l2) / Gamma(l1+l2),
+        a_2(gamma2) = (1 + nu1) a_2(gamma1),
+
+    with nu_k = exp(2 pi i l_k) and Gamma(l1) Gamma(l2) / Gamma(l1+l2) the
+    Beta function B(l1, l2).  It is not itself integrated."""
+    import mpmath
+
+    def exact(x: Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(30):
+        l1, l2 = (mpmath.mpc(exact(lam.re), exact(lam.im)) for lam in (p.lambda1, p.lambda2))
+        nu1, nu2 = mpmath.expjpi(2 * l1), mpmath.expjpi(2 * l2)
+        gamma1 = -(2 ** (l1 + l2 - 1)) * (1 - nu1) * (1 - nu2) * mpmath.beta(l1, l2)
+        return complex(gamma1), complex((1 + nu1) * gamma1)
+
+
 small_rat = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4)
 small_gq = st.builds(GaussianRational, small_rat, small_rat)
 

@@ -179,6 +179,52 @@ def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monke
     ]
 
 
+@pytest.mark.parametrize(
+    "name, n_samples, seed, counts",
+    [("bundled", 4, 3, (9, 132, 25)), ("steep", 0, 0, (9, 144, 27))],
+)
+def test_each_round_takes_whole_refinement_generations(monkeypatch, name, n_samples, seed, counts):
+    # BLOCK exceeds every pending list of both workloads, so a round solves
+    # every pending piece of every loop in its pass, and a pass takes as
+    # many rounds as its deepest loop has refinement generations.  Counted
+    # per certify: field calls (one per round), _CUMSUM products (one per
+    # loop, round and level) and tail tests (one per loop and round).
+    import numpy
+    from holocert.conditions import build_condition_set
+    from holocert.normalform import FoliationParams, verification_point
+    from holocert.numerics import odepath
+
+    calls = {"field": 0, "products": 0, "tails": 0}
+    solve, tail_above = odepath._solve, odepath._tail_above
+
+    class CountingNumpy:
+        def __getattr__(self, attr):
+            return getattr(numpy, attr)
+
+        def matmul(self, a, b, **kwargs):
+            calls["products"] += b is odepath._CUMSUM
+            return numpy.matmul(a, b, **kwargs)
+
+    def counting_solve(field, *args):
+        def counted(*call):
+            calls["field"] += 1
+            return field(*call)
+
+        return solve(counted, *args)
+
+    def counting_tail(derivs):
+        calls["tails"] += 1
+        return tail_above(derivs)
+
+    monkeypatch.setattr(odepath, "np", CountingNumpy())
+    monkeypatch.setattr(odepath, "_solve", counting_solve)
+    monkeypatch.setattr(odepath, "_tail_above", counting_tail)
+    steep = {"lambda1": "1/2-3i", "lambda2": "1/3+5/2i", "alpha": ["2-1i", "1/2", "-1+1i"]}
+    p = verification_point() if name == "bundled" else FoliationParams.from_dict(steep)
+    run_numeric_verification(p, build_condition_set(p), seed=seed, n_samples=n_samples)
+    assert (calls["field"], calls["products"], calls["tails"]) == counts
+
+
 def test_the_jets_do_not_depend_on_the_samples():
     # the jets are integrated alone, so the samples drawn cannot move their
     # meshes: at this sweep point the convention is read off a_6 of gamma1

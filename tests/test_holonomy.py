@@ -19,7 +19,7 @@ from holocert.numerics.checks import formula_coefficients
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import Line, Loop
 
-from conftest import one_jet, one_loop, sweep_points
+from conftest import a2_closed_form, one_jet, one_loop, sweep_points
 
 
 def test_degenerate_point_loop_gives_identity_jet(nmodel):
@@ -135,6 +135,30 @@ def test_float_model_holds_only_the_expanded_degrees(tp, nloops):
         variation_part(model, 3)
     with pytest.raises(KeyError):
         bundle_part(model)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_float_coefficients_are_the_exact_fractions_rounded(k):
+    # the laboratory reads S_d, q_d and the antiderivative's P_d and R_d
+    # straight off the polynomials' ints; every bit must be that of the
+    # conversion through GaussianRational and Fraction
+    from holocert.conditions import build_condition_set, q_of
+    from holocert.numerics.checks import _random_beta
+    from holocert.numerics.holonomy import _to_coeff_array
+
+    def through_fractions(poly):
+        return np.array([c.as_constant().to_complex() for c in poly.coeffs_in("w")] or [0j], dtype=complex)
+
+    p = sweep_points(10)[k]
+    conditions = build_condition_set(p)
+    e = conditions.e_alpha
+    model = float_model(p, e)
+    at_beta = conditions.at(_random_beta(1))  # the antiderivative's beta at seed 0
+    pairs = [(model.S[d], e.S[d]) for d in range(2, DMAX + 1)] + [(model.q[d], q_of(e, d)) for d in (4, 5, 6)]
+    pairs += [(_to_coeff_array(at_beta.P[d]), at_beta.P[d]) for d in range(3, 7)]
+    pairs += [(_to_coeff_array(at_beta.R[d]), at_beta.R[d]) for d in range(3, 7)]
+    for got, poly in pairs:
+        assert np.array_equal(got, through_fractions(poly))
 
 
 def test_a_stack_of_two_bases_is_refused(nmodel, nloops, tp):
@@ -271,6 +295,18 @@ def _jet_point(name):
     lambdas = {"bundled": ("2-1i", "0+2i"), "steep": ("1/2-3i", "1/3+5/2i"), "overflow": ("1/2+1i", "1/3-40i")}[name]
     alpha = ["1", "0", "0"] if name == "bundled" else ["2-1i", "1/2", "-1+1i"]
     return FoliationParams.from_dict({"lambda1": lambdas[0], "lambda2": lambdas[1], "alpha": alpha})
+
+
+@pytest.mark.parametrize("name", ["bundled", "steep", *(f"sweep {k}" for k in range(10))])
+def test_a2_of_both_commutator_jets_matches_its_closed_form(name, nloops):
+    # the only reference here that is not itself integrated: each jet's a_2
+    # against the Beta-integral closed form, relative to a_2 itself and not
+    # to a mass (gamma1's reads 6.5e-15 at the bundled point, 6.9e-13 at the
+    # steep one and 7.1e-11 at sweep point 3, the worst of these points)
+    p = _jet_point(name)
+    jets = integrate_variations(float_model(p, expand_normal_form(p, DMAX)), [nloops.gamma1, nloops.gamma2])
+    for jet, want in zip(jets, a2_closed_form(p), strict=True):
+        assert abs(jet.a(2) - want) <= 1e-9 * abs(want), name
 
 
 @pytest.mark.parametrize("name", ["bundled", "steep", "sweep 3", "sweep 8", "sweep 28"])

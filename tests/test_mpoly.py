@@ -124,6 +124,18 @@ def test_stored_form_is_canonical(f, g, c):
         assert_canonical(p)
 
 
+@given(term_dicts(names=("w",), max_exp=6))
+@settings(max_examples=60, deadline=None)
+def test_float_coefficients_round_as_the_fractions_do(f):
+    # int true division rounds correctly, so each part is float(Fraction)
+    p = MPoly(*f)
+    want = [c.as_constant().to_complex() for c in p.coeffs_in("w")]
+    got = p.float_coeffs_in("w")
+    assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
+    with pytest.raises(MPolyError):
+        (p * W + B1).float_coeffs_in("w")
+
+
 @given(
     term_dicts(names=("w", "b1")),
     term_dicts(names=("b2", "b0")),
@@ -263,8 +275,9 @@ def test_a_product_past_the_exponent_fields_is_refused():
         lambda: W.degree("x"),
         lambda: W.derivative("x"),
         lambda: W.coeffs_in("x"),
+        lambda: W.float_coeffs_in("x"),
     ],
-    ids=["var", "constructor", "degree", "derivative", "coeffs_in"],
+    ids=["var", "constructor", "degree", "derivative", "coeffs_in", "float_coeffs_in"],
 )
 def test_a_variable_outside_VARS_is_refused(call):
     with pytest.raises(MPolyError):
