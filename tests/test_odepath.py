@@ -577,7 +577,7 @@ def _lockstep_field(w, vals):
     yield [y[0] * b[0] + vals[1]]
 
 
-@pytest.mark.parametrize("block", [odepath.BLOCK, 1, 3])
+@pytest.mark.parametrize("block", sorted({odepath.BLOCK, 16}, reverse=True) + [1, 3])
 def test_a_lockstep_pass_matches_each_loop_alone_bit_for_bit(block, monkeypatch):
     # the loops share every round's field call and elementwise work, but
     # each keeps its own products, tail tests and splits, so every end and
