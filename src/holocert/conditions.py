@@ -25,6 +25,11 @@ from .obstruction import build_Md, functional_Fd, solve_Rd
 
 _HALF = GaussianRational("1/2")
 _THIRD = GaussianRational("1/3")
+_SIXTH = GaussianRational("1/6")
+_EIGHTH = GaussianRational("1/8")
+_TWO_THIRDS = GaussianRational("2/3")
+_THREE_QUARTERS = GaussianRational("3/4")
+_THREE_HALVES = GaussianRational("3/2")
 
 
 def build_q(e: NormalFormExpansion, d: int) -> MPoly:
@@ -39,19 +44,19 @@ def build_q(e: NormalFormExpansion, d: int) -> MPoly:
             S[5]
             + 2 * c2 * S[4] * r
             + c2 * c2 * S[3] * r**2
-            - GaussianRational("2/3") * (c4 + c3 * c2) * S[2] * r**3
+            - _TWO_THIRDS * (c4 + c3 * c2) * S[2] * r**3
         )
     if d == 6:
         return (
             S[6]
             + 3 * c2 * S[5] * r
             + (_HALF * c3 + 3 * c2 * c2) * S[4] * r**2
-            + (-_THIRD * c4 + GaussianRational("1/6") * c3 * c2 + c2**3) * S[3] * r**3
+            + (-_THIRD * c4 + _SIXTH * c3 * c2 + c2**3) * S[3] * r**3
             + (
-                -GaussianRational("3/4") * c5
-                - GaussianRational("3/2") * c4 * c2
-                - GaussianRational("1/8") * c3 * c3
-                - GaussianRational("3/4") * c3 * c2 * c2
+                -_THREE_QUARTERS * c5
+                - _THREE_HALVES * c4 * c2
+                - _EIGHTH * c3 * c3
+                - _THREE_QUARTERS * c3 * c2 * c2
             )
             * S[2]
             * r**4
@@ -110,7 +115,7 @@ def h_jets(e_alpha: NormalFormExpansion, e_beta: NormalFormExpansion, R3: MPoly,
     h3 = h2 * h2 + _HALF * (_as_poly(t3) - c3) + r30
     h4 = (
         _THIRD * (_as_poly(t4) - c4)
-        - GaussianRational("1/6") * (_as_poly(t3) * t2 - _as_poly(c3) * c2)
+        - _SIXTH * (_as_poly(t3) * t2 - _as_poly(c3) * c2)
         - r40
         - _as_poly(t2) * r30
         + 3 * h3 * h2

@@ -28,7 +28,9 @@ fields and equal hashes.  Ring operations work on the ints and divide
 out the content gcd once per result.  Powers square only up to the last
 bit.  Constants replace several variables in one pass over the keys
 (substitute_values), and a polynomial in one variable converts to
-floats straight off the ints (float_coeffs_in).  Constructors take
+floats straight off the ints (float_coeffs_in).  A product by an int or
+a GaussianRational scales the terms, and poly_from_coeffs shifts each
+coefficient's keys by its power.  Constructors take
 GaussianRational coefficients; ``vars`` is the variables that occur, in
 VARS order, and ``terms`` a read-only {exponents over vars:
 GaussianRational} in printing order, both built on each access.
@@ -36,11 +38,15 @@ GaussianRational} in printing order, both built on each access.
 Resultants follow the subresultant polynomial remainder sequence: at
 most min(deg f, deg g) pseudo-remainder steps on the coefficient lists
 in the eliminated variable, each remainder divided exactly by the
-factor the sequence predicts.  Exact division is leading-term reduction
-in graded-lex order.  Both are exact, with no rounding.  The Sylvester
-determinant by fraction-free Bareiss elimination over Z[i] (bareiss_det,
-sylvester) gives the same resultant in O((deg f + deg g)^3) entry
-updates; the tests hold resultant to it.
+factor the sequence predicts.  The sequence runs on the integer
+numerators den(f) f and den(g) g, so every polynomial in it has
+denominator 1 and no content gcd runs on its growing Gaussian integers;
+the resultant is divided once by den(f)^deg g den(g)^deg f at the end.
+Exact division is leading-term reduction in graded-lex order.  Both are
+exact, with no rounding.  The Sylvester determinant by fraction-free
+Bareiss elimination over Z[i] (bareiss_det, sylvester) gives the same
+resultant in O((deg f + deg g)^3) entry updates; the tests hold
+resultant to it.
 """
 
 from __future__ import annotations
@@ -202,6 +208,10 @@ class MPoly:
         return _add(o, self, -1)
 
     def __mul__(self, other):
+        if type(other) is int:  # a scalar scales the terms, with no constant MPoly built
+            return _scale(self, other, 0, 1)
+        if isinstance(other, GaussianRational):
+            return _scale(self, *_parts(other))
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -343,10 +353,7 @@ class MPoly:
         missing = [v for v in self.vars if v not in bindings]
         if missing:
             raise MPolyError(f"evaluation missing bindings for {missing}")
-        p = self
-        for v in self.vars:
-            p = p.substitute(v, bindings[v])
-        return p.as_constant()
+        return self.substitute_values({v: bindings[v] for v in self.vars}).as_constant()
 
     # -- printing -----------------------------------------------------------
 
@@ -640,7 +647,10 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
         if g.is_zero():
             return MPoly.zero()
         return g**n
-    a, b = f.coeffs_in(var), g.coeffs_in(var)
+    # Res(f, g) = Res(F, G) / (den(f)^m den(g)^n) for the integer numerators
+    # F = den(f) f and G = den(g) g: the sequence on them stays in Z[i][vars]
+    scale = f.den**m * g.den**n
+    a, b = _raw(f.num, 1).coeffs_in(var), _raw(g.num, 1).coeffs_in(var)
     s = 1
     if n < m:  # Res(f, g) = (-1)^(deg f * deg g) Res(g, f)
         a, b = b, a
@@ -661,13 +671,28 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     # b is a nonzero constant in var, the last subresultant's leading coefficient
     da = len(a) - 1
     res = exact_div(b[0] ** da, h ** (da - 1))
-    return res if s == 1 else -res
+    return _make(_times(res.num, s), res.den * scale)
 
 
 def poly_from_coeffs(var: str, coeffs: Iterable) -> MPoly:
-    """Univariate helper: coeffs are ascending powers of var."""
-    x = MPoly.var(var)
-    out = MPoly.zero()
-    for k, c in enumerate(coeffs):
-        out = out + _coerce(c) * x**k
-    return out
+    """The polynomial sum coeffs[k] var^k, for coefficients free of var: each
+    coefficient's keys shifted by k in var, over one common denominator.
+    MPolyError for a coefficient in var, which the shift would alias."""
+    s = _shift(var)
+    step = (1 << s) + (1 << _DEG)
+    cs = []
+    for c in coeffs:
+        p = _coerce(c)
+        if p is None:
+            raise MPolyError(f"cannot use {type(c)!r} as a coefficient")
+        if p.degree(var) > 0:
+            raise MPolyError(f"a coefficient in {var} itself: {p}")
+        cs.append(p)
+    if max((max(p.num) + k * step for k, p in enumerate(cs) if p.num), default=0) >= _OVERFLOW:
+        raise MPolyError(f"a polynomial of degree {len(cs) - 1} in {var} overflows the {_BITS}-bit exponent fields")
+    den = lcm(*(p.den for p in cs))
+    num = {}
+    for k, p in enumerate(cs):
+        t = den // p.den
+        num.update({key + k * step: (re * t, im * t) for key, (re, im) in p.num.items()})
+    return _make(num, den)

@@ -10,8 +10,10 @@ one field contract stated in ``odepath``: a field is one generator that
 yields rows in w, the base's rate first and then one level of integrands
 at a time, and is sent each level's solved values.  The families that
 share a commutator loop, all but its jet, are zipped into one field
-(``holonomy.integrate_stack``); the seven jets share one lockstep pass,
-in which each keeps the mesh it has alone (``holonomy.integrate_variations``).
+(``holonomy.integrate_stack``); the seven jets share one lockstep pass of
+five loops, in which each keeps the mesh it has alone, and the jets of
+mu2 and mu2*mu1 are read off gamma1's, whose first segments they are
+(``holonomy.integrate_variations``).
 The engine cuts a loop into Chebyshev pieces and solves blocks of
 consecutive pieces at once, level by level over all their nodes, with the
 one cumulative-integral matrix and start states chained in path order.  It

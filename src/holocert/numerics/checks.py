@@ -421,11 +421,13 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed:
     model = float_model(p, conditions.e_alpha)
     loops = build_loops(RADIUS)
     lemmas = lemma_integrands(model, conditions, seed, n_samples)
-    # the seven loops' jets in one lockstep pass, each on the mesh it has
-    # alone; every other family on gamma1 and gamma2 is stacked on one
-    # integration of that loop.  A breakdown is raised where its jet is
-    # first read, as when the loops were integrated one after another: the
-    # commutators' and generators' here, the others' in structural_rows
+    # the seven loops' jets from one lockstep pass of five, each on the mesh
+    # it has alone (mu2 and mu2*mu1 are read off gamma1, whose first
+    # segments they are); every other family on gamma1 and gamma2 is
+    # stacked on one integration of that loop.  A breakdown is raised
+    # where its jet is first read, as when the loops were integrated one
+    # after another: the commutators' and generators' here, the others' in
+    # structural_rows
     lone = {lp.label: lp for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)} | structural_loops(loops)
     jets = dict(zip(lone, integrate_variations(model, list(lone.values()))))
     for label in ("gamma1", "gamma2", "mu1", "mu2"):

@@ -39,12 +39,15 @@ alone is the stack of that one part (``Part.field``).
 
 ``checks`` stacks, on each commutator loop, the bundle, the order-2 jet
 at another alpha and the lemma stacks.  The jets are not stacked, so
-the samples drawn do not move their meshes; the seven jet loops share
-one lockstep pass instead (``integrate_variations``), in which each
-keeps its lone mesh.  So the laboratory's 9 loop integrations take 3
-engine passes, and a bundled ``certify --samples 4 --seed 3`` calls the
-fields 9 times, once per round, each round a whole refinement
-generation (``odepath.BLOCK``).
+the samples drawn do not move their meshes; the seven jets come from
+one lockstep pass instead (``integrate_variations``), in which each loop
+keeps its lone mesh.  Five loops are integrated in it: mu2 and mu2*mu1
+are gamma1's first 3 and 6 segments, so their jets are read off
+gamma1's state at the end of those segments, bit for bit their lone
+jets.  So the laboratory's 7 loop integrations take 3 engine passes,
+and a bundled ``certify --samples 4 --seed 3`` calls the fields 9 times,
+once per round, each round a whole refinement generation
+(``odepath.BLOCK``).
 """
 
 from __future__ import annotations
@@ -287,20 +290,43 @@ def variation_jet(label: str, end) -> HolonomyJet:
     return HolonomyJet(coeffs, norms=norms)
 
 
+def _begins(loop: Loop, prefix: Loop) -> bool:
+    """Whether loop goes on past prefix's segments, which begin it as the same objects."""
+    n = len(prefix.segments)
+    return len(loop.segments) > n and all(a is b for a, b in zip(loop.segments, prefix.segments))
+
+
 def integrate_variations(model: FloatModel, loops) -> list:
     """Holonomy jets of loops from the variational equations, in one
     lockstep pass in which each loop keeps the mesh it has alone.  Per
     loop, its jet, or the ODEError that ended it (a breakdown, or a jet that
     overflows), for the caller to raise where it first reads that jet
-    (``unbroken``)."""
+    (``unbroken``).
+
+    A loop whose segments begin a longer loop of the list, as mu2 and
+    mu2*mu1 begin gamma1, is not integrated: from the same start state the
+    pass solves the longer loop's pieces over those segments as it solves
+    the shorter loop's, so the shorter loop's jet is read off the longer
+    loop's state at the end of them.  The read is keyed by the loop
+    objects, not by labels, which can repeat.  Loops read off a loop that
+    broke down are integrated in a pass of their own, so each place still
+    holds the loop's own result."""
     part = variation_part(model, ORDER)
-    jets = []
-    for loop, ends in zip(loops, integrate_loop(loops, [1.0], np.zeros(ORDER - 1), part.coeffs, part.field)):
+    whole = [lp for lp in loops if not any(_begins(other, lp) for other in loops)]
+    passed = dict(zip(map(id, whole), integrate_loop(whole, [1.0], np.zeros(ORDER - 1), part.coeffs, part.field)))
+    jets, orphans = {}, []
+    for lp in loops:
+        ends = passed[id(next(h for h in whole if h is lp or _begins(h, lp)))]
+        if isinstance(ends, ODEError) and id(lp) not in passed:
+            orphans.append(lp)
+            continue
         try:
-            jets.append(variation_jet(loop.label, unbroken(ends)[-1]))
+            jets[id(lp)] = variation_jet(lp.label, unbroken(ends)[len(lp.segments) - 1])
         except ODEError as exc:
-            jets.append(exc)
-    return jets
+            jets[id(lp)] = exc
+    if orphans:
+        jets.update(zip(map(id, orphans), integrate_variations(model, orphans)))
+    return [jets[id(lp)] for lp in loops]
 
 
 # -- quadrature bundle -------------------------------------------------------------

@@ -74,7 +74,11 @@ commutator loop, all but its jet, are zipped into one field
 (``holonomy.integrate_stack``).  The tail test reads every row, so a
 stack's mesh is shared by its parts: the jets are not stacked, and their
 meshes do not depend on which other families are checked.  The seven
-jets share one lockstep pass instead (``holonomy.integrate_variations``).
+jets come from one lockstep pass of five loops instead
+(``holonomy.integrate_variations``): the jets of mu2 and mu2*mu1 are
+read off gamma1's segment ends: a loop's pieces are solved in path
+order, so the pieces of its first segments are solved as those of a
+loop made of those segments alone.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ For each degree d the map
 
 sends polynomials of degree <= 2d-3 to polynomials of degree <= 2d-2.
 Its matrix M_d in the monomial bases is read off apply_Ld, normalform's
-one L_d; tests/test_obstruction.py states its three bands in closed
+one L_d, in three applications per degree: L_d(w^k) lives on
+w^(k-1)..w^(k+1), so the columns k of one residue class mod 3 share one
+application.  tests/test_obstruction.py states the three bands in closed
 form.  Dropping the first row leaves an upper-triangular square matrix
 whose scalar diagonal is nonzero under the exact genericity conditions.
 Solving against P_d - P_d(0) by back-substitution produces R_d, and the
@@ -54,18 +56,28 @@ class BandedMatrix:
 
 
 def build_Md(d: int, lambda1: GaussianRational, lambda2: GaussianRational) -> BandedMatrix:
-    """Assemble M_d column by column: column k holds the coefficients of apply_Ld(w^k).
+    """Assemble M_d from three applications of apply_Ld, one per residue class
+    c of k mod 3: L_d(w^k) lives on w^(k-1)..w^(k+1), so in L_d of the sum of
+    the w^k with k = c mod 3 the columns do not overlap, and column k is its
+    coefficients of w^(k-1)..w^(k+1).
 
     Raises GenericityError when a pivot rows[k+1][k] = B_d - (2d-2-k) vanishes,
     B_d = (d-1)(lambda1 + lambda2); equivalently lambda3 lies in (1/(d-1))Z.
+    The pivots are checked in column order, so the first one names the error.
     """
     if not 3 <= d <= 6:
         raise ValueError(f"degree must lie in 3..6, got {d}")
-    nrows = 2 * d - 1
+    nrows, ncols = 2 * d - 1, 2 * d - 2
+    images = []  # images[c][i]: the coefficient of w^i in L_d(sum of w^k, k = c mod 3)
+    for c in range(3):
+        f = poly_from_coeffs("w", [int(k % 3 == c) for k in range(ncols)])
+        image = [x.constant_term() for x in apply_Ld(d, lambda1, lambda2, f).coeffs_in("w")]
+        images.append(image + [ZERO] * (nrows - len(image)))
     cols = []
-    for k in range(2 * d - 2):
-        col = [c.constant_term() for c in apply_Ld(d, lambda1, lambda2, W**k).coeffs_in("w")]
-        col += [ZERO] * (nrows - len(col))
+    for k in range(ncols):
+        col = [ZERO] * nrows
+        lo = max(k - 1, 0)
+        col[lo : k + 2] = images[k % 3][lo : k + 2]
         if col[k + 1].is_zero():
             raise GenericityError(
                 f"B_{d} - {2 * d - 2 - k} = 0 (lambda3 in (1/{d-1})Z); the triangular system is singular"

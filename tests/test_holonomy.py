@@ -292,6 +292,10 @@ def _jet_point(name):
 
     if name.startswith("sweep"):
         return sweep_points(29)[int(name.split()[1])]
+    if name.startswith("ladder"):  # tools/compare_outputs.py's ladder, lambda = (1/2 + k i, 1/3 - k i)
+        k = name.split()[1]
+        ladder = {"lambda1": f"1/2+{k}i", "lambda2": f"1/3-{k}i", "alpha": ["2-1i", "1/2", "-1+1i"]}
+        return FoliationParams.from_dict(ladder)
     lambdas = {"bundled": ("2-1i", "0+2i"), "steep": ("1/2-3i", "1/3+5/2i"), "overflow": ("1/2+1i", "1/3-40i")}[name]
     alpha = ["1", "0", "0"] if name == "bundled" else ["2-1i", "1/2", "-1+1i"]
     return FoliationParams.from_dict({"lambda1": lambdas[0], "lambda2": lambdas[1], "alpha": alpha})
@@ -327,6 +331,38 @@ def test_the_seven_jets_in_one_pass_match_their_lone_passes_bit_for_bit(name):
         for got, want in zip(ends, alone):
             for u, v in zip(got, want, strict=True):
                 assert np.array_equal(u, v), f"{name}, {loop.label}"
+
+
+@pytest.mark.parametrize(
+    "name", ["bundled", "steep", *(f"sweep {k}" for k in range(10)), "ladder 3", "ladder 10"]
+)
+def test_jets_read_off_gamma1_match_their_lone_passes_bit_for_bit(name, monkeypatch):
+    # mu2 and mu2*mu1 are gamma1's first 3 and 6 segments, so the laboratory
+    # reads their jets off gamma1's state at the end of those segments
+    # instead of integrating them: the read must give every bit of the lone
+    # integration of each
+    from holocert.numerics import holonomy
+    from holocert.numerics.checks import structural_loops
+    from holocert.numerics.loops import build_loops
+    from holocert.numerics.odepath import integrate_loop
+
+    p = _jet_point(name)
+    model = float_model(p, expand_normal_form(p, DMAX))
+    loops = build_loops(0.5)
+    both = structural_loops(loops)["mu2*mu1"]
+    calls = []
+
+    def counting(run, *args):
+        calls.append([lp.label for lp in run])
+        return integrate_loop(run, *args)
+
+    monkeypatch.setattr(holonomy, "integrate_loop", counting)
+    read = integrate_variations(model, [loops.gamma1, loops.mu2, both])
+    assert calls == [["gamma1"]]
+    for loop, jet in zip((loops.mu2, both), read[1:]):
+        alone = one_jet(model, loop)
+        assert np.array_equal(jet.coeffs, alone.coeffs), f"{name}, {loop.label}"
+        assert np.array_equal(jet.norms, alone.norms), f"{name}, {loop.label}"
 
 
 def test_breakdowns_in_one_pass_surface_in_the_sequential_order():

@@ -267,6 +267,20 @@ def test_a_product_past_the_exponent_fields_is_refused():
         MPoly(("w",), {(1 << _BITS,): gq(1)})
 
 
+def test_poly_from_coeffs_shifts_coefficients_free_of_its_variable():
+    # each coefficient's keys are shifted by its power of the variable, so
+    # a coefficient in the variable itself would alias other terms: refused
+    coeffs = [B0 + 1, gq(1, 2), 0, B1 * B0 / 3, gq(0, 2) * B1]
+    assert poly_from_coeffs("w", coeffs) == sum((c * W**k for k, c in enumerate(coeffs)), MPoly.zero())
+    assert poly_from_coeffs("w", []) == MPoly.zero()
+    with pytest.raises(MPolyError):
+        poly_from_coeffs("w", [1, W])
+    with pytest.raises(MPolyError):
+        poly_from_coeffs("b0", [B1, B0 * W])
+    with pytest.raises(MPolyError):
+        poly_from_coeffs("w", [0, B0 ** ((1 << _BITS) - 1)])
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -120,11 +120,13 @@ def test_certify_builds_one_condition_set(tmp_path, capsys):
     # the laboratory takes the certificate's own condition set: one symbolic
     # build, whose six q polynomials (three at alpha, three at the symbols)
     # also feed the float model at alpha; the structural rows' model at
-    # another alpha expands only the degree 2 its order-2 jets read
+    # another alpha expands only the degree 2 its order-2 jets read.  Each
+    # degree's M_d takes three applications of L_d and its F_d one more
     import holocert.conditions
     import holocert.normalform
+    import holocert.obstruction
 
-    files = {holocert.conditions.__file__, holocert.normalform.__file__}
+    files = {holocert.conditions.__file__, holocert.normalform.__file__, holocert.obstruction.__file__}
     calls = []
     expanded = []
 
@@ -143,6 +145,7 @@ def test_certify_builds_one_condition_set(tmp_path, capsys):
     capsys.readouterr()
     assert calls.count("build_condition_set") == 1
     assert calls.count("build_q") == 6
+    assert calls.count("apply_Ld") == 16
     assert expanded == [6, 2]
 
 
