@@ -17,14 +17,12 @@ mu2 and mu2*mu1 are read off gamma1's, whose first segments they are
 The engine cuts a loop into Chebyshev pieces and solves blocks of
 consecutive pieces at once, level by level over all their nodes, with the
 one cumulative-integral matrix and start states chained in path order.  It
-halves every piece whose Chebyshev tail is too large, and reports a
-breakdown where the solved state leaves double precision: a lockstep pass
-hands back each loop's breakdown in that loop's place (``unbroken`` raises
-it).
+halves every piece whose Chebyshev tail is too large, and raises a
+breakdown where the solved state leaves double precision (the precedence
+of several is stated in ``odepath``).
 
 The package itself holds only ODEError, which the command line catches
-before any numeric work runs, and ``unbroken``, so that importing it
-loads no numpy;
+before any numeric work runs, so that importing it loads no numpy;
 ``checks`` is the laboratory's entry point, and the other modules are
 imported from where they live.
 """
@@ -34,11 +32,3 @@ class ODEError(RuntimeError):
     """A loop integration left double precision: a non-finite state, a
     Chebyshev tail that stays above RTOL, or an overflowing jet."""
 
-
-def unbroken(result):
-    """One loop's result of a lockstep pass (``odepath.integrate_loop``,
-    ``holonomy.integrate_variations``), or, if that loop broke down, its
-    ODEError raised."""
-    if isinstance(result, ODEError):
-        raise result
-    return result

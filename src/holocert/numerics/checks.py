@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as npp
 from ..conditions import ConditionSet
 from ..gaussian import GaussianRational
 from ..normalform import FoliationParams, L_d, expand_normal_form, r_of
-from . import ODEError, unbroken
+from . import ODEError
 from .holonomy import (
     FloatModel,
     Part,
@@ -328,13 +328,15 @@ def _jet_arithmetic_of(row: str):
 
 
 def structural_loops(loops: LoopSystem) -> dict:
-    """The loops whose jets only the structural rows read, by name: gamma1
-    reversed, mu2 then mu1, and gamma1 at 2/3 of the radius."""
+    """The loops whose jets only the structural rows read, each labelled by
+    its name: gamma1 reversed, mu2 then mu1, and gamma1 at 2/3 of the
+    radius."""
     alt_radius = loops.radius * 2.0 / 3.0
+    alt = f"gamma1@{alt_radius:g}"
     return {
         "gamma1^-1": loops.gamma1.inverse(),
         "mu2*mu1": concat(loops.mu2, loops.mu1, label="mu2*mu1"),
-        f"gamma1@{alt_radius:g}": build_loops(alt_radius).gamma1,
+        alt: concat(build_loops(alt_radius).gamma1, label=alt),
     }
 
 
@@ -343,10 +345,8 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets:
     group-word composition convention empirically and reports it.
 
     ``jets`` maps the labels of mu1, mu2, gamma1 and gamma2 to their jets,
-    and the names of ``structural_loops`` to theirs, each as
-    ``integrate_variations`` gives it: a breakdown is raised where its jet
-    is first read.  ``beta_jets`` maps gamma1 and gamma2 to their order-2
-    jets at another alpha.
+    and the names of ``structural_loops`` to theirs.  ``beta_jets`` maps
+    gamma1 and gamma2 to their order-2 jets at another alpha.
     """
     reversed_name, both_name, alt_name = structural_loops(loops)
     rows = []
@@ -355,12 +355,12 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets:
             _row(f"commutator-tangency[{label}]", label, 1, abs(jets[label].a1 - 1.0), A1_TOLERANCE)
         )
 
-    rev = unbroken(jets[reversed_name])
+    rev = jets[reversed_name]
     with _jet_arithmetic_of("reversed-loop-is-inverse-jet"):
         inverse = invert(jets["gamma1"])
     rows.append(_row("reversed-loop-is-inverse-jet", "gamma1", 0, jet_distance(rev, inverse), STRUCTURE_TOLERANCE))
 
-    seq = unbroken(jets[both_name])
+    seq = jets[both_name]
     with _jet_arithmetic_of("concatenation-composes-jets"):
         composed = compose(jets["mu1"], jets["mu2"])
     rows.append(_row("concatenation-composes-jets", both_name, 0, jet_distance(seq, composed), STRUCTURE_TOLERANCE))
@@ -391,7 +391,7 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets:
         _row("commutator-convention", "gamma1", 0, jet_distance(jets["gamma1"], winner), STRUCTURE_TOLERANCE)
     )
 
-    jet_alt = unbroken(jets[alt_name])
+    jet_alt = jets[alt_name]
     rows.append(_row("radius-independence", alt_name, 0, jet_distance(jets["gamma1"], jet_alt), STRUCTURE_TOLERANCE))
 
     a21 = jets["gamma1"].a(2)
@@ -421,17 +421,11 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed:
     model = float_model(p, conditions.e_alpha)
     loops = build_loops(RADIUS)
     lemmas = lemma_integrands(model, conditions, seed, n_samples)
-    # the seven loops' jets from one lockstep pass of five, each on the mesh
-    # it has alone (mu2 and mu2*mu1 are read off gamma1, whose first
-    # segments they are); every other family on gamma1 and gamma2 is
-    # stacked on one integration of that loop.  A breakdown is raised
-    # where its jet is first read, as when the loops were integrated one
-    # after another: the commutators' and generators' here, the others' in
-    # structural_rows
+    # the seven loops' jets from one lockstep pass, each on the mesh it has
+    # alone; every other family on gamma1 and gamma2 is stacked on one
+    # integration of that loop
     lone = {lp.label: lp for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)} | structural_loops(loops)
     jets = dict(zip(lone, integrate_variations(model, list(lone.values()))))
-    for label in ("gamma1", "gamma2", "mu1", "mu2"):
-        unbroken(jets[label])
     on = integrate_commutator_loops(model, loops, lemmas, seed)
     commutators = (loops.gamma1, loops.gamma2)
     rows = []

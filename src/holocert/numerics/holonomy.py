@@ -41,13 +41,9 @@ alone is the stack of that one part (``Part.field``).
 at another alpha and the lemma stacks.  The jets are not stacked, so
 the samples drawn do not move their meshes; the seven jets come from
 one lockstep pass instead (``integrate_variations``), in which each loop
-keeps its lone mesh.  Five loops are integrated in it: mu2 and mu2*mu1
-are gamma1's first 3 and 6 segments, so their jets are read off
-gamma1's state at the end of those segments, bit for bit their lone
-jets.  So the laboratory's 7 loop integrations take 3 engine passes,
-and a bundled ``certify --samples 4 --seed 3`` calls the fields 9 times,
-once per round, each round a whole refinement generation
-(``odepath.BLOCK``).
+keeps its lone mesh.  mu2 and mu2*mu1 are gamma1's first 3 and 6
+segments, so their jets are read off gamma1's state at the end of those
+segments, bit for bit their lone jets.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import numpy as np
 from ..conditions import q_of
 from ..mpoly import MPoly
 from ..normalform import FoliationParams, NormalFormExpansion, r_of, s_of
-from . import ODEError, unbroken
+from . import ODEError
 from .jets import ORDER, HolonomyJet
 from .loops import Loop
 from .odepath import integrate_loop
@@ -214,7 +210,7 @@ def integrate_stack(loop: Loop, parts) -> list:
     field = _stacked_field(parts)
     _, index, n = _layout(parts)
     coeffs = [c for part in parts for c in part.coeffs]
-    ends = unbroken(integrate_loop([loop], [1.0], np.zeros(n), coeffs, field)[0])
+    (ends,) = integrate_loop([loop], [1.0], np.zeros(n), coeffs, field)
     return [[(b, y[i], mb, m[i]) for b, y, mb, m in ends] for i in index]
 
 
@@ -297,36 +293,25 @@ def _begins(loop: Loop, prefix: Loop) -> bool:
 
 
 def integrate_variations(model: FloatModel, loops) -> list:
-    """Holonomy jets of loops from the variational equations, in one
-    lockstep pass in which each loop keeps the mesh it has alone.  Per
-    loop, its jet, or the ODEError that ended it (a breakdown, or a jet that
-    overflows), for the caller to raise where it first reads that jet
-    (``unbroken``).
+    """Holonomy jets of loops from the variational equations, in list order,
+    from one lockstep pass in which each loop keeps the mesh it has alone.
+    ODEError: the pass's breakdown (``integrate_loop``), else the overflow
+    of the first jet in list order that overflows.
 
     A loop whose segments begin a longer loop of the list, as mu2 and
     mu2*mu1 begin gamma1, is not integrated: from the same start state the
     pass solves the longer loop's pieces over those segments as it solves
     the shorter loop's, so the shorter loop's jet is read off the longer
-    loop's state at the end of them.  The read is keyed by the loop
-    objects, not by labels, which can repeat.  Loops read off a loop that
-    broke down are integrated in a pass of their own, so each place still
-    holds the loop's own result."""
+    loop's state at the end of them, and it raises the longer loop's
+    breakdown.  The read is keyed by the loop objects, not by labels."""
     part = variation_part(model, ORDER)
     whole = [lp for lp in loops if not any(_begins(other, lp) for other in loops)]
     passed = dict(zip(map(id, whole), integrate_loop(whole, [1.0], np.zeros(ORDER - 1), part.coeffs, part.field)))
-    jets, orphans = {}, []
+    jets = []
     for lp in loops:
-        ends = passed[id(next(h for h in whole if h is lp or _begins(h, lp)))]
-        if isinstance(ends, ODEError) and id(lp) not in passed:
-            orphans.append(lp)
-            continue
-        try:
-            jets[id(lp)] = variation_jet(lp.label, unbroken(ends)[len(lp.segments) - 1])
-        except ODEError as exc:
-            jets[id(lp)] = exc
-    if orphans:
-        jets.update(zip(map(id, orphans), integrate_variations(model, orphans)))
-    return [jets[id(lp)] for lp in loops]
+        host = next(h for h in whole if h is lp or _begins(h, lp))
+        jets.append(variation_jet(lp.label, passed[id(host)][len(lp.segments) - 1]))
+    return jets
 
 
 # -- quadrature bundle -------------------------------------------------------------

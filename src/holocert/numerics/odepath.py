@@ -42,22 +42,23 @@ one by one.  A breakdown is the first piece whose solved state is not
 finite, all pieces before it passing.  RTOL and ATOL are constants of
 the engine, like N, PIECES, BLOCK, MAX_DEPTH and TAIL.
 
-The lockstep contract.  ``integrate_loop`` integrates one field, with one
-list of polynomials and one start state, along a sequence of loops at
-once; one loop is the case of a sequence of one.  Each round takes the
-next block of every loop that is neither finished nor broken down, calls
-the field once on all their nodes and does each level's elementwise work
-once: the pull-back, the scaling, the base's exp, the chaining of start
-states, the finiteness test and the masses.  Everything that decides a
-mesh stays per loop: the tail test, the accepted prefix, the split
-pieces, the segment ends and the breakdown.  So does each level's
+The lockstep contract.  ``integrate_loop`` integrates one field, with
+one list of polynomials and one start state, along a sequence of loops
+at once; one loop is the case of a sequence of one.  Each round takes
+the next block of every loop still in the pass, calls the field once on
+all their nodes and does each level's elementwise work once: the
+pull-back, the scaling, the base's exp, the chaining of start states,
+the finiteness test and the masses.  Everything that decides a mesh
+stays per loop: the tail test, the accepted prefix, the split pieces,
+the segment ends and the breakdown.  So does each level's
 cumulative-integral product, one per loop with the shape of the loop's
 lone product: an entry of a BLAS product may round by the shape of the
 product it is part of (numpy takes a product of one row as a vector
 product, which does).  Every loop's results are then those of its pass
-alone, bit for bit.  A loop that breaks down leaves the pass, which runs
-on for the others, and its place in the results holds its ODEError, for
-the caller to raise where it first reads that loop.
+alone, bit for bit.  A breakdown ends the pass: it raises the ODEError
+of the first loop in list order that breaks down.  The loops after a
+broken one leave the pass in the round it breaks; those before it run to
+their ends, since a breakdown of theirs takes precedence.
 
 A round's set-up is done once for all its pieces, with each node's
 arithmetic that of the piece alone: the nodes of every piece of one
@@ -89,7 +90,7 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from . import ODEError, unbroken
+from . import ODEError
 from .loops import Line, nodes
 
 N = 32  # Chebyshev nodes per piece
@@ -97,10 +98,10 @@ PIECES = 2  # initial pieces per segment
 # Consecutive pending pieces of each loop solved in a round, one field
 # call for all loops.  It holds the longest pending list of the bundled
 # and steep laboratories, 54 pieces, so each of their rounds takes a
-# whole refinement generation (9 field calls per certify).  It is a
-# cap, not unbounded, for a round's memory where meshes grow: at
-# ladder point k = 40 (lambda = (1/2+40i, 1/3-40i)) the laboratory's
-# tracemalloc peak is 2.6 MB at 16, 8.8 MB at 64 and 16.9 MB with no cap.
+# whole refinement generation.  It is a cap, not unbounded, for a
+# round's memory where meshes grow: at ladder point k = 40 (lambda =
+# (1/2+40i, 1/3-40i)) the laboratory's tracemalloc peak is 2.6 MB at 16,
+# 8.8 MB at 64 and 16.9 MB with no cap.
 BLOCK = 64
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
@@ -271,7 +272,7 @@ def integrate_fixed_interval(f, b0, y0):
     polynomials: f(t) is the field on the nodes t."""
     unit = SimpleNamespace(segments=(Line(0.0, 1.0),), label=None)  # 0.0 + t * (1.0 - 0.0) is t
     (ends,) = integrate_loop([unit], b0, y0, [], lambda w, vals: f(w))
-    return unbroken(ends)[-1]
+    return ends[-1]
 
 
 def _loop_pass(loop, start, nb):
@@ -336,18 +337,18 @@ def integrate_loop(loops, base0, integrals0, coeffs, field):
     summed from the loop's start.
 
     Returns, per loop, (base, integrals, base_masses, masses) at the end of
-    every segment, in path order ([-1] is the loop's end); or, for a loop
-    that broke down, the ODEError naming its segment and the first piece
-    whose solved state is not finite, once every piece before it has
-    passed its tail test.  The other loops run on, so a caller raises each
-    breakdown where it first reads that loop (``unbroken``).
+    every segment, in path order ([-1] is the loop's end).  ODEError, naming
+    the loop and segment, for the first loop in list order that breaks
+    down: at the first piece whose solved state is not finite once every
+    piece before it has passed its tail test, or at a piece that still
+    fails it at MAX_DEPTH.
     """
     start = np.concatenate((np.asarray(base0, dtype=complex).ravel(), np.asarray(integrals0, dtype=complex).ravel()))
     nb = np.size(base0)
     C = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)), dtype=complex)
     for k, c in enumerate(coeffs):
         C[k, : len(c)] = c
-    results = [None] * len(loops)
+    results, broken = [None] * len(loops), {}
     passes = {i: _loop_pass(loop, start, nb) for i, loop in enumerate(loops)}
     pending = {i: next(run) for i, run in passes.items()}  # loop index -> (its block, its accepted state)
     while pending:
@@ -375,5 +376,9 @@ def integrate_loop(loops, base0, integrals0, coeffs, field):
             except StopIteration as done:
                 results[i] = done.value
             except ODEError as exc:
-                results[i] = exc
+                broken[i] = exc
+        if broken:  # only a loop before the first broken one can take precedence
+            pending = {i: pending[i] for i in pending if i < min(broken)}
+    if broken:
+        raise broken[min(broken)]
     return results

@@ -190,21 +190,19 @@ def rng() -> random.Random:
 
 
 def one_loop(loop, base0, integrals0, coeffs, field):
-    """integrate_loop's lockstep pass over the one loop, its breakdown raised."""
-    from holocert.numerics import unbroken
+    """integrate_loop's lockstep pass over the one loop."""
     from holocert.numerics.odepath import integrate_loop
 
     (ends,) = integrate_loop([loop], base0, integrals0, coeffs, field)
-    return unbroken(ends)
+    return ends
 
 
 def one_jet(model, loop):
-    """integrate_variations' lockstep pass over the one loop, its breakdown raised."""
-    from holocert.numerics import unbroken
+    """integrate_variations' lockstep pass over the one loop."""
     from holocert.numerics.holonomy import integrate_variations
 
     (jet,) = integrate_variations(model, [loop])
-    return unbroken(jet)
+    return jet
 
 
 @pytest.fixture(scope="session")
@@ -232,12 +230,11 @@ def nmodel(tp):
 def loop_jets(nmodel, nloops):
     """The jets of the generators, the commutators and the structural
     loops, by name, from one lockstep pass, as the laboratory integrates them."""
-    from holocert.numerics import unbroken
     from holocert.numerics.checks import structural_loops
     from holocert.numerics.holonomy import integrate_variations
 
     lone = {lp.label: lp for lp in (nloops.mu1, nloops.mu2, nloops.gamma1, nloops.gamma2)} | structural_loops(nloops)
-    return {label: unbroken(jet) for label, jet in zip(lone, integrate_variations(nmodel, list(lone.values())))}
+    return dict(zip(lone, integrate_variations(nmodel, list(lone.values()))))
 
 
 @pytest.fixture(scope="session")

@@ -339,6 +339,24 @@ def test_breakdown_names_the_segment_that_overflows(tmp_path, capsys):
     assert f"numerical breakdown: {reason}" in err
 
 
+@pytest.mark.parametrize(
+    "lambda1, lambda2, reason",
+    [
+        ("1/2-40i", "1/3+25i", "loop 'gamma1', segment 7: non-finite state"),
+        ("1/2-15i", "1/3-25i", "loop 'gamma1', segment 1: non-finite state"),
+    ],
+)
+def test_breakdown_names_the_first_broken_loop_in_list_order(tmp_path, capsys, lambda1, lambda2, reason):
+    # at these points a jet loop after gamma1 in the lockstep pass breaks
+    # down in an earlier round than gamma1 does; gamma1, the first in list
+    # order, names the breakdown
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, lambda1, lambda2)
+    assert rc == EXIT_INCONCLUSIVE == 1
+    assert doc["verdict"] == "UNIQUE"
+    assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
+    assert f"numerical breakdown: {reason}" in err
+
+
 def test_overflowing_jet_arithmetic_is_a_breakdown(tmp_path, capsys, recwarn):
     # every loop integration ends finite at (1/2+10i, 1/3-10i), but the
     # structural rows compose jets whose masses leave double precision:

@@ -657,42 +657,34 @@ def _overflow_field(w, vals):
     yield [b[0]]
 
 
-def test_a_broken_loop_leaves_the_other_loops_alone():
-    # line5 leaves double precision in segment 2 and its place holds the
-    # error naming it; the loops that never reach x = 2 run on to their ends,
-    # bit for bit as alone
-    from holocert.numerics import unbroken
-
-    loops = [Loop(_line_loop(5).segments, "line5"), Loop(_line_loop(2).segments, "line2"), _lockstep_loops()[-1]]
-    results = integrate_loop(loops, [1.0], [0.0], [], _overflow_field)
-    assert isinstance(results[0], ODEError)
-    assert str(results[0]) == "loop 'line5', segment 2: non-finite state"
-    with pytest.raises(ODEError, match=r"^loop 'line5', segment 2: non-finite state$"):
-        unbroken(results[0])
-    for loop, ends in zip(loops[1:], results[1:]):
-        for got, want in zip(unbroken(ends), one_loop(loop, [1.0], [0.0], [], _overflow_field), strict=True):
-            for u, v in zip(got, want, strict=True):
-                assert np.array_equal(u, v)
-
-
-def test_each_broken_loop_keeps_its_own_breakdown():
-    # two loops break down, in different segments; each place holds the
-    # error its lone pass raises, so a caller that reads the loops in the
-    # order it would have integrated them one by one raises the breakdown
-    # that order raises: here line6's, the first
-    from holocert.numerics import unbroken
-
-    def lone_error(loop):
-        with pytest.raises(ODEError) as caught:
-            one_loop(loop, [1.0], [0.0], [], _overflow_field)
-        return str(caught.value)
-
+def test_a_pass_raises_the_first_broken_loop_in_list_order(monkeypatch):
+    # line6 leaves double precision in segment 2 and late in segment 1; with
+    # BLOCK = 4, late breaks down a round before line6.  The pass raises
+    # line6's breakdown, the first in list order: line6 runs on to it, while
+    # line5, after late, leaves the pass in the round late breaks
+    monkeypatch.setattr(odepath, "BLOCK", 4)
     late = Loop((Line(0j, 2 + 0j), Line(2 + 0j, 3 + 0j), Arc(1.5, 1.5, 0.0, -math.pi)), "late")
-    loops = [Loop(_line_loop(6).segments, "line6"), late, Loop(_line_loop(2).segments, "line2")]
-    results = integrate_loop(loops, [1.0], [0.0], [], _overflow_field)
-    assert [str(r) for r in results[:2]] == [lone_error(loop) for loop in loops[:2]]
-    assert [str(r) for r in results[:2]] == ["loop 'line6', segment 2: non-finite state", "loop 'late', segment 1: non-finite state"]
-    assert not isinstance(results[2], ODEError)
-    with pytest.raises(ODEError, match="^loop 'line6'"):
-        for result in results:
-            unbroken(result)
+    loops = [Loop(_line_loop(6).segments, "line6"), late, Loop(_line_loop(5).segments, "line5")]
+
+    def rounds(run):
+        sizes = []
+
+        def counted(w, vals):
+            sizes.append(w.size)
+            return _overflow_field(w, vals)
+
+        with pytest.raises(ODEError) as caught:
+            integrate_loop(run, [1.0], [0.0], [], counted)
+        return str(caught.value), sizes
+
+    alone = {loop.label: rounds([loop]) for loop in loops}
+    assert {label: why for label, (why, _) in alone.items()} == {
+        "line6": "loop 'line6', segment 2: non-finite state",
+        "late": "loop 'late', segment 1: non-finite state",
+        "line5": "loop 'line5', segment 2: non-finite state",
+    }
+    broke = len(alone["late"][1])
+    assert broke < len(alone["line6"][1]) == len(alone["line5"][1])
+    why, sizes = rounds(loops)
+    assert why == "loop 'line6', segment 2: non-finite state"
+    assert sizes[broke:] == alone["line6"][1][broke:]
