@@ -657,34 +657,51 @@ def _overflow_field(w, vals):
     yield [b[0]]
 
 
-def test_a_pass_raises_the_first_broken_loop_in_list_order(monkeypatch):
+def _broken_loops():
     # line6 leaves double precision in segment 2 and late in segment 1; with
-    # BLOCK = 4, late breaks down a round before line6.  The pass raises
-    # line6's breakdown, the first in list order: line6 runs on to it, while
-    # line5, after late, leaves the pass in the round late breaks
-    monkeypatch.setattr(odepath, "BLOCK", 4)
+    # BLOCK = 4, late breaks down a round before line6.  line5 comes after late
     late = Loop((Line(0j, 2 + 0j), Line(2 + 0j, 3 + 0j), Arc(1.5, 1.5, 0.0, -math.pi)), "late")
-    loops = [Loop(_line_loop(6).segments, "line6"), late, Loop(_line_loop(5).segments, "line5")]
+    return [Loop(_line_loop(6).segments, "line6"), late, Loop(_line_loop(5).segments, "line5")]
 
-    def rounds(run):
-        sizes = []
 
-        def counted(w, vals):
-            sizes.append(w.size)
-            return _overflow_field(w, vals)
+def _breakdown_and_rounds(run):
+    # the text the pass raises and the node count of each field call
+    sizes = []
 
-        with pytest.raises(ODEError) as caught:
-            integrate_loop(run, [1.0], [0.0], [], counted)
-        return str(caught.value), sizes
+    def counted(w, vals):
+        sizes.append(w.size)
+        return _overflow_field(w, vals)
 
-    alone = {loop.label: rounds([loop]) for loop in loops}
+    with pytest.raises(ODEError) as caught:
+        integrate_loop(run, [1.0], [0.0], [], counted)
+    return str(caught.value), sizes
+
+
+def test_each_broken_loop_keeps_its_own_breakdown(monkeypatch):
+    # alone, each loop raises the breakdown naming itself; together, the pass
+    # raises line6's, the first in list order, although late, after it,
+    # breaks down a round earlier
+    monkeypatch.setattr(odepath, "BLOCK", 4)
+    loops = _broken_loops()
+    alone = {loop.label: _breakdown_and_rounds([loop]) for loop in loops}
     assert {label: why for label, (why, _) in alone.items()} == {
         "line6": "loop 'line6', segment 2: non-finite state",
         "late": "loop 'late', segment 1: non-finite state",
         "line5": "loop 'line5', segment 2: non-finite state",
     }
-    broke = len(alone["late"][1])
-    assert broke < len(alone["line6"][1]) == len(alone["line5"][1])
-    why, sizes = rounds(loops)
+    assert len(alone["late"][1]) < len(alone["line6"][1])
+    assert _breakdown_and_rounds(loops)[0] == "loop 'line6', segment 2: non-finite state"
+
+
+def test_a_broken_loop_leaves_the_other_loops_alone(monkeypatch):
+    # late's breakdown does not stop line6, before it in the list: line6 runs
+    # on to its own breakdown with the field calls it takes alone, while
+    # line5, after late, leaves the pass in the round late breaks
+    monkeypatch.setattr(odepath, "BLOCK", 4)
+    loops = _broken_loops()
+    alone = {loop.label: _breakdown_and_rounds([loop])[1] for loop in loops}
+    broke = len(alone["late"])
+    assert broke < len(alone["line6"]) == len(alone["line5"])
+    why, sizes = _breakdown_and_rounds(loops)
     assert why == "loop 'line6', segment 2: non-finite state"
-    assert sizes[broke:] == alone["line6"][1][broke:]
+    assert sizes[broke:] == alone["line6"][broke:]
