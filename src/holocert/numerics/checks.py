@@ -43,6 +43,8 @@ A1_TOLERANCE = 1e-8
 STRUCTURE_TOLERANCE = 1e-7
 LEMMA_TOLERANCE = 1e-6
 A21_FLOOR = 1e-6
+# loops.py walks a word leftmost first: over a path a.b, a's holonomy acts first
+CONVENTION = "word read leftmost-first; Delta over a path a.b is Delta_b o Delta_a"
 
 
 @dataclass
@@ -340,15 +342,16 @@ def structural_loops(loops: LoopSystem) -> dict:
     }
 
 
-def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets: dict) -> tuple[list[CheckRow], str]:
-    """Jet-level sanity of the loop construction; also pins down the
-    group-word composition convention empirically and reports it.
+def structural_rows(model: FloatModel, structural: dict, jets: dict, beta_jets: dict) -> list[CheckRow]:
+    """Jet-level sanity of the loop construction, under the composition
+    convention it fixes, ``CONVENTION``, which commutator-convention asserts.
 
     ``jets`` maps the labels of mu1, mu2, gamma1 and gamma2 to their jets,
-    and the names of ``structural_loops`` to theirs.  ``beta_jets`` maps
-    gamma1 and gamma2 to their order-2 jets at another alpha.
+    and the names of ``structural``, as ``structural_loops`` gives it, to
+    theirs.  ``beta_jets`` maps gamma1 and gamma2 to their order-2 jets at
+    another alpha.
     """
-    reversed_name, both_name, alt_name = structural_loops(loops)
+    reversed_name, both_name, alt_name = structural
     rows = []
     for label in ("gamma1", "gamma2"):
         rows.append(
@@ -370,26 +373,19 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets:
         # mu1 and mu2 inverted once, for both readings: commutator(m2, m1)
         # is m2 m1 composed with the inverses of m2 and m1
         inv1, inv2 = invert(m1), invert(m2)
-        cand_after = commutator(inv1, inv2)
-        cand_before = compose(compose(m2, m1), compose(inv2, inv1))
-
-    def raw_dist(f, g):
-        a, b = f.a(2), g.a(2)
-        return abs(a - b) / (max(abs(a), abs(b)) or 1.0)
-
-    # discriminate on a_2 alone, at a raw relative scale: the wrong reading
-    # misses it at O(1), while the degrees above it can lose every digit to
-    # rounding where their masses dwarf them; then grade the winner against
-    # the mass-aware tolerance
-    if raw_dist(jets["gamma1"], cand_after) <= raw_dist(jets["gamma1"], cand_before):
-        convention = "word read leftmost-first; Delta over a path a.b is Delta_b o Delta_a"
-        winner = cand_after
-    else:
-        convention = "word read leftmost-first; Delta over a path a.b is Delta_a o Delta_b"
-        winner = cand_before
-    rows.append(
-        _row("commutator-convention", "gamma1", 0, jet_distance(jets["gamma1"], winner), STRUCTURE_TOLERANCE)
-    )
+        fixed = commutator(inv1, inv2)
+        other = compose(compose(m2, m1), compose(inv2, inv1))
+    # assert the convention on a_2 alone, at a raw relative scale: the other
+    # reading misses it at O(1), while the degrees above it can lose every
+    # digit to rounding where their masses dwarf them; then grade the fixed
+    # reading against the mass-aware tolerance
+    a2 = jets["gamma1"].a(2)
+    miss, other_miss = (abs(a2 - c.a(2)) / (max(abs(a2), abs(c.a(2))) or 1.0) for c in (fixed, other))
+    if miss <= STRUCTURE_TOLERANCE * other_miss:
+        residual = jet_distance(jets["gamma1"], fixed)
+    else:  # the ratio of the misses, capped at 1 to stay finite
+        residual = miss / max(miss, other_miss)
+    rows.append(_row("commutator-convention", "gamma1", 0, residual, STRUCTURE_TOLERANCE))
 
     jet_alt = jets[alt_name]
     rows.append(_row("radius-independence", alt_name, 0, jet_distance(jets["gamma1"], jet_alt), STRUCTURE_TOLERANCE))
@@ -411,7 +407,7 @@ def structural_rows(model: FloatModel, loops: LoopSystem, jets: dict, beta_jets:
         rows.append(
             _row(f"a2-independent-of-beta[{label}]", label, 2, abs(tilde.a(2) - base.a(2)) / scale, LEMMA_TOLERANCE)
         )
-    return rows, convention
+    return rows
 
 
 def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed: int, n_samples: int) -> dict:
@@ -424,7 +420,8 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed:
     # the seven loops' jets from one lockstep pass, each on the mesh it has
     # alone; every other family on gamma1 and gamma2 is stacked on one
     # integration of that loop
-    lone = {lp.label: lp for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)} | structural_loops(loops)
+    structural = structural_loops(loops)
+    lone = {lp.label: lp for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)} | structural
     jets = dict(zip(lone, integrate_variations(model, list(lone.values()))))
     on = integrate_commutator_loops(model, loops, lemmas, seed)
     commutators = (loops.gamma1, loops.gamma2)
@@ -434,15 +431,14 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed:
         rows.extend(verify_variation_formulas(model, lp, jets[lp.label], bundle))
     rows.extend(verify_integral_lemmas(model, loops, lemmas, on))
     beta_jets = {lp.label: variation_jet(lp.label, on[lp.label]["beta"][-1]) for lp in commutators}
-    struct, convention = structural_rows(model, loops, jets, beta_jets)
-    rows.extend(struct)
+    rows.extend(structural_rows(model, structural, jets, beta_jets))
     return {
         "params": p.to_dict(),
         "radius": RADIUS,
         "rtol": RTOL,
         "atol": ATOL,
         "seed": seed,
-        "convention": convention,
+        "convention": CONVENTION,
         "checks": [r.to_dict() for r in rows],
         "n_checks": len(rows),
         "failed": [r.name for r in rows if not r.passed],

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from holocert.numerics.checks import (
+    CONVENTION,
     draw_lemma_samples,
     integrate_commutator_loops,
     lemma_integrands,
     numeric_summary,
     run_numeric_verification,
+    structural_loops,
     structural_rows,
     verify_integral_lemmas,
     verify_variation_formulas,
@@ -19,6 +21,8 @@ from holocert.numerics.jets import HolonomyJet
 from holocert.numerics.odepath import integrate_loop
 
 from conftest import one_loop, sweep_points
+
+STEEP = {"lambda1": "1/2-3i", "lambda2": "1/3+5/2i", "alpha": ["2-1i", "1/2", "-1+1i"]}  # the benchmark's steep point
 
 
 def _lemma_rows(model, loops, conditions, seed, n_samples):
@@ -228,9 +232,9 @@ def test_each_round_takes_whole_refinement_generations(monkeypatch, name, n_samp
 
 def test_the_jets_do_not_depend_on_the_samples():
     # the jets are integrated alone, so the samples drawn cannot move their
-    # meshes: at this sweep point the convention is read off a_6 of gamma1
-    # at about 1e-16 of its mass (ROADMAP item 2), and a jet stacked with the
-    # samples flipped it with --samples 0 and 4.  Every row that reads only
+    # meshes: at this sweep point a_6 of gamma1 sits at about 1e-16 of its
+    # mass (ROADMAP item 2), so a row read over every degree can move with
+    # a mesh that the samples move.  Every row that reads only
     # the jets must be the same bit for bit at every sample count and seed:
     # the structural rows but the two that read the order-2 jets at another
     # alpha, which follow the seed.
@@ -248,21 +252,24 @@ def test_the_jets_do_not_depend_on_the_samples():
     assert jet_rows[1] == jet_rows[0] and jet_rows[2] == jet_rows[0]
 
 
-def test_the_convention_is_read_off_a2_across_the_sweep():
+def test_the_convention_is_asserted_across_the_sweep():
     # the two readings of the commutator differ in a_2 at O(1), while a_6
-    # of gamma1 can sit at 1e-16 of its mass: read over every degree, the
-    # contest went to the wrong reading at sweep points 3 and 28 with every
-    # row passing.  Sweep points 0-19 and 28 (3 and 8 among them) and the
-    # steep point must each report the right reading with every row
-    # passing.  The jets do not depend on the samples, so none are drawn.
+    # of gamma1 can sit at 1e-16 of its mass: a contest over every degree
+    # went to the other reading at sweep points 3 and 28.  On a_2 the fixed
+    # reading's miss is at most 3.6e-10 of the other's, at ladder k = 5, so
+    # sweep points 0-19 and 28, the steep point and that ladder point must
+    # each report CONVENTION with every row passing.  The jets do not depend
+    # on the samples, so none are drawn.
     from holocert.conditions import build_condition_set
     from holocert.normalform import FoliationParams
 
     sweep = sweep_points(29)
-    steep = FoliationParams.from_dict({"lambda1": "1/2-3i", "lambda2": "1/3+5/2i", "alpha": ["2-1i", "1/2", "-1+1i"]})
-    for name, p in [(f"sweep {k}", sweep[k]) for k in (*range(20), 28)] + [("steep", steep)]:
+    ladder = {"lambda1": "1/2+5i", "lambda2": "1/3-5i", "alpha": ["2-1i", "1/2", "-1+1i"]}
+    points = [(f"sweep {k}", sweep[k]) for k in (*range(20), 28)]
+    points += [("steep", FoliationParams.from_dict(STEEP)), ("ladder 5", FoliationParams.from_dict(ladder))]
+    for name, p in points:
         report = run_numeric_verification(p, build_condition_set(p), seed=0, n_samples=0)
-        assert "Delta_b o Delta_a" in report["convention"], name
+        assert report["convention"] == CONVENTION, name
         assert report["all_pass"], f"{name}: {report['failed']}"
 
 
@@ -343,8 +350,7 @@ def test_variation_rows_report_every_degree(nmodel, nloops, loop_jets, gamma_bun
 
 
 def test_structural_rows_detect_convention(nmodel, nloops, loop_jets, beta_jets):
-    rows, convention = structural_rows(nmodel, nloops, loop_jets, beta_jets)
-    assert "Delta_b o Delta_a" in convention
+    rows = structural_rows(nmodel, structural_loops(nloops), loop_jets, beta_jets)
     by_name = {r.name: r for r in rows}
     assert by_name["commutator-convention"].passed
     assert by_name["a21-nonzero-proxy"].passed
@@ -363,32 +369,50 @@ def _planted(jets, label, d, defect):
 
 def test_a_perturbed_a2_of_gamma1_fails_exactly_the_rows_that_read_it(nmodel, nloops, loop_jets, beta_jets):
     planted = _planted(loop_jets, "gamma1", 2, lambda a: 1e-3 * abs(a))
-    rows, convention = structural_rows(nmodel, nloops, planted, beta_jets)
+    rows = structural_rows(nmodel, structural_loops(nloops), planted, beta_jets)
     assert [r.name for r in rows if not r.passed] == [
         "reversed-loop-is-inverse-jet",
+        "commutator-convention",
         "radius-independence",
         "a22-ratio-is-1-plus-nu1",
         "a2-independent-of-beta[gamma1]",
     ]
-    assert "Delta_b o Delta_a" in convention
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 2: jet rows are graded against propagated masses, under which a 10 % defect passes",
 )
-@pytest.mark.parametrize("label, d", [("mu1", 2), ("gamma1", 6)])
+@pytest.mark.parametrize("label, d", [("gamma1", 6)])
 def test_a_ten_percent_defect_fails_a_structural_row(nmodel, nloops, loop_jets, beta_jets, label, d):
-    # +10 % on a_2 of mu1 also flips the reported convention
-    rows, convention = structural_rows(nmodel, nloops, _planted(loop_jets, label, d, lambda a: 0.1 * a), beta_jets)
-    assert "Delta_b o Delta_a" in convention
+    rows = structural_rows(nmodel, structural_loops(nloops), _planted(loop_jets, label, d, lambda a: 0.1 * a), beta_jets)
     assert not all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("point", [None, STEEP], ids=["bundled", "steep"])
+def test_a_ten_percent_defect_on_a2_of_mu1_fails_the_convention_row(point, monkeypatch):
+    # +10 % on a_2 of mu1 passes every row graded against propagated masses
+    # at both points; commutator-convention reads a_2 at raw scale and fails
+    from holocert.conditions import build_condition_set
+    from holocert.normalform import FoliationParams, verification_point
+    from holocert.numerics import checks
+
+    integrate = checks.integrate_variations
+
+    def planted(model, loops):
+        jets = dict(zip([lp.label for lp in loops], integrate(model, loops)))
+        return list(_planted(jets, "mu1", 2, lambda a: 0.1 * a).values())
+
+    monkeypatch.setattr(checks, "integrate_variations", planted)
+    p = verification_point() if point is None else FoliationParams.from_dict(point)
+    report = run_numeric_verification(p, build_condition_set(p), seed=0, n_samples=0)
+    assert report["failed"] == ["commutator-convention"]
 
 
 def test_commutator_tangency_is_near_rounding(nmodel, nloops, loop_jets, beta_jets):
     # at the default tolerance a1 = 1 holds to a few ulps on gamma1, five
     # orders of magnitude under the row's 1e-8 budget
-    rows, _ = structural_rows(nmodel, nloops, loop_jets, beta_jets)
+    rows = structural_rows(nmodel, structural_loops(nloops), loop_jets, beta_jets)
     by_name = {r.name: r for r in rows}
     assert by_name["commutator-tangency[gamma1]"].residual <= 1e-13
 

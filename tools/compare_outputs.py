@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs eight commands at 48 points, once with this tree's src/ and once with
+Runs eight commands at 49 points, once with this tree's src/ and once with
 PARENT_CHECKOUT's src/ on PYTHONPATH, with the same command line in the
 same temporary directory:
 
@@ -18,9 +18,11 @@ same temporary directory:
 The points are the first 40 draws of tests/conftest.py::random_generic_params
 from random.Random(11), then lambda = (1/2 + k i, 1/3 - k i) at
 alpha = (2-1i, 1/2, -1+1i) for k = 1/7, 1, 2, 3, 5, 10, 20, 40, a ladder
-from tame multipliers to numerical breakdowns.  The eight commands also run
-at two inputs that exit 2, a nongeneric point (lambda1 = 1/3) and a file
-whose alpha is a string, so the error paths are compared as well.
+from tame multipliers to numerical breakdowns, and last the steep point
+that perfbench's numeric-steep workload certifies, lambda = (1/2-3i,
+1/3+5/2i) at the same alpha.  The eight commands also run at two inputs
+that exit 2, a nongeneric point (lambda1 = 1/3) and a file whose alpha is
+a string, so the error paths are compared as well.
 Each command runs once more at default flags without --params, so the
 default point is loaded as the command line loads it.
 
@@ -67,6 +69,7 @@ REFUSED = {
     "misshapen": '{"lambda1": "2-1i", "lambda2": "2i", "alpha": "100"}',
 }
 LADDER = (Fraction(1, 7), 1, 2, 3, 5, 10, 20, 40)
+STEEP = {"lambda1": "1/2-3i", "lambda2": "1/3+5/2i", "alpha": ["2-1i", "1/2", "-1+1i"]}  # numeric-steep's point
 WORKERS = 2  # each worker runs one command at a time, the two trees in turn
 
 
@@ -78,7 +81,7 @@ def points() -> list[dict]:
                                      GaussianRational(Fraction(1, 3), -Fraction(k)), "2-1i", "1/2", "-1+1i").to_dict()
         for k in LADDER
     ]
-    return drawn + ladder
+    return drawn + ladder + [FoliationParams.from_dict(STEEP).to_dict()]
 
 
 def run(src: Path, argv: list[str], out: Path, cwd: Path) -> tuple:
