@@ -35,7 +35,9 @@ which would fix different bases.  Each round's terms in w alone are
 computed once for the whole stack (``_Round``): r, the rate K1 and, once
 phi1 is sent, one table of the weights phi1^(d-1) / r^d, a row for each
 degree the parts read, which every part reads its weights from.  A part
-alone is the stack of that one part (``Part.field``).
+alone is the stack of that one part.  ``integrate_stack(loops, parts)``
+is the one call that runs parts along one or more loops, in one lockstep
+pass, and the one owner of the start state, phi1 = 1 and zero integrals.
 
 ``checks`` stacks, on each commutator loop, the bundle, the order-2 jet
 at another alpha and the lemma stacks.  The jets are not stacked, so
@@ -131,11 +133,6 @@ class Part:
     levels: tuple
     degrees: tuple
 
-    @property
-    def field(self):
-        """This part alone, as a field of ``odepath``'s contract."""
-        return _stacked_field([self])
-
 
 def _layout(parts):
     """Where the parts' integrals sit in the stacked state, level by level:
@@ -201,17 +198,18 @@ def _stacked_field(parts):
     return field
 
 
-def integrate_stack(loop: Loop, parts) -> list:
-    """Integrate the parts along loop in one ``integrate_loop`` call, on their
-    one base phi1.  Returns, per part, the state and masses at the end of
-    every segment as ``integrate_loop`` gives them for that part alone,
-    (base, integrals, base_masses, masses), the part's integrals in its own
-    order although the stacked state holds them level by level."""
+def integrate_stack(loops, parts) -> list:
+    """Integrate the parts along each of loops in one lockstep
+    ``integrate_loop`` pass, on their one base phi1, from phi1 = 1 and zero
+    integrals.  Returns, per loop and per part, the state and masses at the
+    end of every segment as ``integrate_loop`` gives them for that part
+    alone, (base, integrals, base_masses, masses), the part's integrals in
+    its own order although the stacked state holds them level by level."""
     field = _stacked_field(parts)
     _, index, n = _layout(parts)
     coeffs = [c for part in parts for c in part.coeffs]
-    (ends,) = integrate_loop([loop], [1.0], np.zeros(n), coeffs, field)
-    return [[(b, y[i], mb, m[i]) for b, y, mb, m in ends] for i in index]
+    passed = integrate_loop(loops, [1.0], np.zeros(n), coeffs, field)
+    return [[[(b, y[i], mb, m[i]) for b, y, mb, m in ends] for i in index] for ends in passed]
 
 
 # -- variational jets ------------------------------------------------------------
@@ -304,9 +302,8 @@ def integrate_variations(model: FloatModel, loops) -> list:
     the shorter loop's, so the shorter loop's jet is read off the longer
     loop's state at the end of them, and it raises the longer loop's
     breakdown.  The read is keyed by the loop objects, not by labels."""
-    part = variation_part(model, ORDER)
     whole = [lp for lp in loops if not any(_begins(other, lp) for other in loops)]
-    passed = dict(zip(map(id, whole), integrate_loop(whole, [1.0], np.zeros(ORDER - 1), part.coeffs, part.field)))
+    passed = {id(lp): ends for lp, (ends,) in zip(whole, integrate_stack(whole, [variation_part(model, ORDER)]))}
     jets = []
     for lp in loops:
         host = next(h for h in whole if h is lp or _begins(h, lp))

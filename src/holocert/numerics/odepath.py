@@ -22,11 +22,14 @@ the velocity dw of the nodes.  So the rate depends on w alone, every term
 in w and b alone is computed once per round, and a level reads only the
 levels before it.
 
-A loop's pieces form one list in path order, solved BLOCK at a time:
-each level evaluates its rows once on the nodes of all pieces of a block
-and takes one cumulative-integral product, and its start states are
-chained in path order (a product for the base, a sum for the integrals),
-the same arithmetic in the same order as solving the pieces one by one.
+A loop's pieces form one list in path order, solved a block at a time
+off its front: BLOCK pieces, or the whole list where that would leave one
+piece behind.  Since PIECES = 2 and a failing piece is always halved,
+every block holds at least 2 pieces.  Each level evaluates its rows once
+on the nodes of all pieces of a block and takes one cumulative-integral
+product, and its start states are chained in path order (a product for
+the base, a sum for the integrals), the same arithmetic in the same order
+as solving the pieces one by one.
 Where BLOCK holds a loop's whole pending list, as in the bundled and
 the steep laboratory, a round is one refinement generation of every
 loop, and a pass takes as many rounds as its deepest loop takes
@@ -53,8 +56,7 @@ stays per loop: the tail test, the accepted prefix, the split pieces,
 the segment ends and the breakdown.  So does each level's
 cumulative-integral product, one per loop with the shape of the loop's
 lone product: an entry of a BLAS product may round by the shape of the
-product it is part of (numpy takes a product of one row as a vector
-product, which does).  Every loop's results are then those of its pass
+product it is part of.  Every loop's results are then those of its pass
 alone, bit for bit.  A breakdown ends the pass: it raises the ODEError
 of the first loop in list order that breaks down.  The loops after a
 broken one leave the pass in the round it breaks; those before it run to
@@ -119,21 +121,6 @@ _TO_COEFFS = cheb.chebvander(_X, N - 1).T * np.where(np.arange(N) == 0, 1.0, 2.0
 _CUMSUM = cheb.chebval(np.append(_X, 1.0), cheb.chebint(_TO_COEFFS, lbnd=-1))
 
 
-def _per_row(a, m):
-    """a @ m for a (rows, k, N) array, one (k, N) BLAS product per row.
-
-    OpenBLAS would spread one product of rows * k rows over threads, and on
-    a small shared machine the wait for the second thread costs more than
-    the product.  Every entry rounds as in the (rows, N) product of a lone
-    piece, which goes through as that product: numpy takes (1, N) products
-    as vector products, which round differently.
-    """
-    rows, k, _ = a.shape
-    if k > 1:
-        return np.matmul(a, m)
-    return np.matmul(a.reshape(rows, -1), m).reshape(rows, 1, -1)
-
-
 def _powers(w, n):
     """w^0..w^(n-1) as the columns of a (w.size, n) array, as np.vander(w,
     n, increasing=True) forms them: each column is the one before it times
@@ -193,19 +180,14 @@ def _solve(field, w, vals, dw, half, starts, sizes, nb):
             del level  # the field's rows are held in derivs from here on
             # Each loop's pieces take a product of their own, shaped as in
             # the loop's lone pass, so the lockstep cannot change how an
-            # entry rounds.  A lone piece's product takes all rows: a
-            # product of fewer rows can round otherwise (a lone piece's
-            # base alone is a vector product).  Each is scaled first, exactly (h/2 is a
-            # power of two), so a sum overflows only with its integral.  cum
+            # entry rounds.  Each is scaled first, exactly (h/2 is a power
+            # of two), so a sum overflows only with its integral.  cum
             # holds the level's integrals over each piece at the nodes and,
             # last, at the piece's end; the new state overwrites the first N.
             scaled = derivs[lv] * half[:, None]
             cum = np.empty((lv.stop - lv.start, K, N + 1), dtype=complex)
             for a, b in zip(bounds, bounds[1:]):
-                if b - a > 1:
-                    np.matmul(scaled[:, a:b], _CUMSUM, out=cum[:, a:b])
-                else:
-                    cum[:, a:b] = _per_row(derivs[:, a:b] * half[a:b, None], _CUMSUM)[lv]
+                np.matmul(scaled[:, a:b], _CUMSUM, out=cum[:, a:b])
             del scaled
             new = cum[:, :, :N]
             if depth == 0:
@@ -254,8 +236,11 @@ def _solve(field, w, vals, dw, half, starts, sizes, nb):
 
 def _tail_above(derivs):
     """Per piece, whether some integrand's Chebyshev tail exceeds RTOL times
-    its largest coefficient plus ATOL."""
-    coeffs = np.abs(_per_row(derivs, _TO_COEFFS.T))
+    its largest coefficient plus ATOL.  The (rows, k, N) derivatives take
+    one (k, N) product per row: OpenBLAS would spread one product of
+    rows * k rows over threads, and on a small shared machine the wait for
+    the second thread costs more than the product."""
+    coeffs = np.abs(np.matmul(derivs, _TO_COEFFS.T))
     return np.any(coeffs[:, :, -TAIL:].max(axis=2, initial=0.0) > RTOL * coeffs.max(axis=2, initial=0.0) + ATOL, axis=0)
 
 
@@ -286,12 +271,12 @@ def _loop_pass(loop, start, nb):
     def error(piece, why):
         return ODEError(why if loop.label is None else f"loop {loop.label!r}, segment {piece[0]}: {why}")
 
-    # pending pieces (segment, t at the start, length, depth, ends its segment), the next one last
-    todo = [(s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1) for s in range(len(loop.segments)) for k in range(PIECES)][::-1]
+    # pending pieces (segment, t at the start, length, depth, ends its segment), in path order
+    todo = [(s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1) for s in range(len(loop.segments)) for k in range(PIECES)]
     mass, seg_mass, out = np.zeros(start.size), np.zeros(start.size), []
     while todo:
-        block = todo[-BLOCK:][::-1]
-        del todo[-BLOCK:]
+        # the whole list where a block would leave one piece behind
+        block, todo = (todo, []) if len(todo) == BLOCK + 1 else (todo[:BLOCK], todo[BLOCK:])
         ends, derivs, finite, dmass = yield block, start
         with np.errstate(all="ignore"):  # a non-finite piece has no meaningful tail
             failed = _tail_above(derivs)
@@ -312,7 +297,7 @@ def _loop_pass(loop, start, nb):
                 rest += [(s, a0, h0 / 2.0, depth + 1, False), (s, a0 + h0 / 2.0, h0 / 2.0, depth + 1, last)]
             else:
                 rest.append(piece)
-        todo += rest[::-1]
+        todo = rest + todo
         for j, (*_, last) in enumerate(block[:p]):
             seg_mass += dmass[:, j]
             if last:
@@ -360,8 +345,8 @@ def integrate_loop(loops, base0, integrals0, coeffs, field):
         segments = [loops[i].segments[piece[0]] for i, block in zip(pending, blocks) for piece in block]
         w, dw = (x.ravel() for x in nodes(segments, t))
         # one (K, n) @ (n, N) product per piece: over a whole round of
-        # nodes the product would be spread over BLAS threads (see _per_row);
-        # the powers of w are not held while the round is solved
+        # nodes the product would be spread over BLAS threads (see
+        # _tail_above); the powers of w are not held while the round is solved
         vals = np.matmul(C, _powers(w, C.shape[1]).reshape(len(pieces), N, -1).transpose(0, 2, 1))
         vals = vals.transpose(1, 0, 2).reshape(len(C), w.size)
         sizes = [len(block) for block in blocks]

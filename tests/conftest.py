@@ -241,21 +241,20 @@ def loop_jets(nmodel, nloops):
 def gamma_bundles(nmodel, nloops):
     from holocert.numerics.holonomy import bundle_part, integrate_quadratures, integrate_stack
 
-    return {
-        lp.label: integrate_quadratures(integrate_stack(lp, [bundle_part(nmodel)])[0][-1])
-        for lp in (nloops.gamma1, nloops.gamma2)
-    }
+    loops = [nloops.gamma1, nloops.gamma2]
+    passed = integrate_stack(loops, [bundle_part(nmodel)])
+    return {lp.label: integrate_quadratures(bundle[-1]) for lp, (bundle,) in zip(loops, passed)}
 
 
 @pytest.fixture(scope="session")
 def beta_jets(tp, nloops):
-    """The order-2 jets of gamma1 and gamma2 at another alpha, each integrated alone."""
+    """The order-2 jets of gamma1 and gamma2 at another alpha, from one
+    lockstep pass, each on the mesh it has alone."""
     from holocert.gaussian import GaussianRational as gq
     from holocert.numerics.holonomy import float_model, integrate_stack, variation_jet, variation_part
 
     p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
     model = float_model(p, expand_normal_form(p, 2))
-    return {
-        lp.label: variation_jet(lp.label, integrate_stack(lp, [variation_part(model, 2)])[0][-1])
-        for lp in (nloops.gamma1, nloops.gamma2)
-    }
+    loops = [nloops.gamma1, nloops.gamma2]
+    passed = integrate_stack(loops, [variation_part(model, 2)])
+    return {lp.label: variation_jet(lp.label, jet[-1]) for lp, (jet,) in zip(loops, passed)}

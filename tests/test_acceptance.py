@@ -138,7 +138,8 @@ def test_criterion_5_holonomy_formula_validation():
         for loop in (loops.gamma1, loops.gamma2):
             # the jet alone, as the laboratory integrates it, and the bundle alone
             jet = one_jet(model, loop)
-            bundle = integrate_quadratures(integrate_stack(loop, [bundle_part(model)])[0][-1])
+            ((ends,),) = integrate_stack([loop], [bundle_part(model)])
+            bundle = integrate_quadratures(ends[-1])
             for row in verify_variation_formulas(model, loop, jet, bundle):
                 worst[row.degree] = max(worst[row.degree], row.residual)
                 assert row.passed, f"{row.name} at {loop.label}: residual {row.residual:.3e}"

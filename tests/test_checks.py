@@ -68,14 +68,15 @@ def test_forward_vanishing_with_constant_preimage(nmodel, nloops):
     from numpy.polynomial import Polynomial
 
     from holocert.normalform import L_d
-    from holocert.numerics.holonomy import phi_part
+    from holocert.numerics.holonomy import integrate_stack, phi_part
 
     w = Polynomial([0.0, 1.0])
     P = L_d(3, nmodel.lam1, nmodel.lam2, Polynomial([1.0 + 0j]), w, Polynomial.deriv).coef
     A3 = 2 * (nmodel.lam2 - nmodel.lam1)
     B3 = 2 * (nmodel.lam1 + nmodel.lam2)
     assert np.allclose(P, [A3, B3 - 4.0])
-    _, values, _, masses = one_loop(nloops.gamma1, [1.0], [0.0], [P], phi_part(nmodel, [3], [P]).field)[-1]
+    ((ends,),) = integrate_stack([nloops.gamma1], [phi_part(nmodel, [3], [P])])
+    _, values, _, masses = ends[-1]
     assert abs(values[0]) / max(1.0, masses[0]) < 1e-9
 
 
@@ -230,6 +231,31 @@ def test_each_round_takes_whole_refinement_generations(monkeypatch, name, n_samp
     assert (calls["field"], calls["products"], calls["tails"]) == counts
 
 
+@pytest.mark.parametrize("name, n_samples, seed", [("bundled", 4, 3), ("steep", 0, 0), ("sweep 28", 0, 0)])
+def test_every_block_holds_at_least_two_pieces(monkeypatch, name, n_samples, seed):
+    # a block takes BLOCK pieces off the front of a loop's pending list, or
+    # the whole list where one piece would be left behind; with PIECES = 2
+    # and every failing piece halved, no block is a lone piece.  At sweep
+    # point 28 gamma2's stack has BLOCK + 1 pieces pending, solved in one
+    # round instead of a full block and a lone piece
+    from holocert.conditions import build_condition_set
+    from holocert.normalform import FoliationParams, verification_point
+    from holocert.numerics import odepath
+
+    sizes, solve = [], odepath._solve
+
+    def recording(field, w, vals, dw, half, starts, blocks, nb):
+        sizes.extend(blocks)
+        return solve(field, w, vals, dw, half, starts, blocks, nb)
+
+    monkeypatch.setattr(odepath, "_solve", recording)
+    p = {"bundled": verification_point(), "steep": FoliationParams.from_dict(STEEP)}.get(name) or sweep_points(29)[28]
+    run_numeric_verification(p, build_condition_set(p), seed=seed, n_samples=n_samples)
+    assert min(sizes) >= 2
+    if name == "sweep 28":
+        assert odepath.BLOCK + 1 in sizes
+
+
 def test_the_jets_do_not_depend_on_the_samples():
     # the jets are integrated alone, so the samples drawn cannot move their
     # meshes: at this sweep point a_6 of gamma1 sits at about 1e-16 of its
@@ -302,10 +328,10 @@ def test_each_stacked_part_matches_its_lone_integration(point, monkeypatch):
     model, loops = float_model(p, conditions.e_alpha), build_loops(RADIUS)
     stacks = []
 
-    def recording(loop, parts):
-        ends = integrate_stack(loop, parts)
-        stacks.append((loop, parts, ends))
-        return ends
+    def recording(loops, parts):
+        passed = integrate_stack(loops, parts)
+        stacks.extend((loop, parts, ends) for loop, ends in zip(loops, passed))
+        return passed
 
     monkeypatch.setattr(checks, "integrate_stack", recording)
     integrate_commutator_loops(model, loops, lemma_integrands(model, conditions, seed=3, n_samples=4), seed=3)
@@ -313,10 +339,10 @@ def test_each_stacked_part_matches_its_lone_integration(point, monkeypatch):
         ("gamma1", [(5, 8), (1,), (8,), (4,)]),
         ("gamma2", [(5, 8), (1,), (4,)]),
     ]
-    recording(loops.mu1, [variation_part(model, ORDER), bundle_part(model)])
+    recording([loops.mu1], [variation_part(model, ORDER), bundle_part(model)])
     for loop, parts, stacked in stacks:
         for part, ends in zip(parts, stacked):
-            lone = one_loop(loop, [1.0], np.zeros(sum(part.levels)), part.coeffs, part.field)
+            ((lone,),) = integrate_stack([loop], [part])
             assert len(ends) == len(lone) == len(loop.segments)
             for (b, y, mb, m), (lone_b, lone_y, _, lone_m) in zip(ends, lone):
                 assert abs(b[0] - lone_b[0]) <= 1e-12 * max(1.0, mb[0])

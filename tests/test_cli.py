@@ -358,14 +358,27 @@ def test_breakdown_names_the_first_broken_loop_in_list_order(tmp_path, capsys, l
 
 
 def test_overflowing_jet_arithmetic_is_a_breakdown(tmp_path, capsys, recwarn):
-    # every loop integration ends finite at (1/2+10i, 1/3-10i), but the
-    # structural rows compose jets whose masses leave double precision:
-    # that is a breakdown naming the row that gave up, not rows graded
-    # against an infinite scale
-    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+10i", "1/3-10i")
+    # every loop integration ends finite at (1/2+15i, 1/3-15i), but the
+    # commutator that commutator-convention grades composes jets whose
+    # masses leave double precision: that is a breakdown naming the row
+    # that gave up, not rows graded against an infinite scale
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+15i", "1/3-15i")
     assert rc == EXIT_INCONCLUSIVE
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     reason = "row 'commutator-convention': jet composition overflows double precision"
     assert doc["verdict"] == "UNIQUE"
     assert doc["numeric"] == {"all_pass": False, "breakdown": reason}
     assert f"INCONCLUSIVE: numerical breakdown: {reason}" in err
+
+
+@pytest.mark.parametrize("k", [9, 14])
+def test_the_other_convention_reading_does_not_overflow(tmp_path, capsys, recwarn, k):
+    # at ladder k = 9 to 14 the commutator that commutator-convention grades
+    # stays finite; the other reading is read to degree 2 alone, so the
+    # rows are graded, and the convention row fails there, with no breakdown
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, f"1/2+{k}i", f"1/3-{k}i")
+    assert rc == EXIT_INCONCLUSIVE
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert "breakdown" not in doc["numeric"]
+    assert "commutator-convention" in doc["numeric"]["failed"]
+    assert "numerical breakdown" not in err

@@ -19,7 +19,7 @@ from holocert.numerics.checks import formula_coefficients
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import Line, Loop
 
-from conftest import a2_closed_form, one_jet, one_loop, sweep_points
+from conftest import a2_closed_form, one_jet, sweep_points
 
 
 def test_degenerate_point_loop_gives_identity_jet(nmodel):
@@ -97,7 +97,8 @@ def test_reversed_loop_is_inverse_jet(nmodel, nloops, loop_jets):
 def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
     p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
     other = float_model(p, expand_normal_form(p, DMAX))
-    tilde = variation_jet("gamma1", integrate_stack(nloops.gamma1, [variation_part(other, 2)])[0][-1])
+    ((jet,),) = integrate_stack([nloops.gamma1], [variation_part(other, 2)])
+    tilde = variation_jet("gamma1", jet[-1])
     base = loop_jets["gamma1"]
     scale = max(1.0, abs(base.a(2)), base.norms[1])
     assert abs(tilde.a(2) - base.a(2)) / scale < 1e-9
@@ -106,7 +107,8 @@ def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
 def test_psi2_independent_of_alpha(nmodel, nloops, gamma_bundles, tp):
     p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
     other = float_model(p, expand_normal_form(p, DMAX))
-    b = integrate_quadratures(integrate_stack(nloops.gamma1, [bundle_part(other)])[0][-1])
+    ((bundle,),) = integrate_stack([nloops.gamma1], [bundle_part(other)])
+    b = integrate_quadratures(bundle[-1])
     base = gamma_bundles["gamma1"]
     scale = max(1.0, abs(base.values["psi2"]), base.norms["psi2"])
     assert abs(b.values["psi2"] - base.values["psi2"]) / scale < 1e-9
@@ -130,7 +132,7 @@ def test_float_model_holds_only_the_expanded_degrees(tp, nloops):
     assert (sorted(model.c), sorted(model.S), model.q) == ([1, 2], [2], {})
     full = float_model(p, expand_normal_form(p, DMAX))
     assert model.c[2] == full.c[2] and np.array_equal(model.S[2], full.S[2])
-    integrate_stack(nloops.gamma1, [variation_part(model, 2)])
+    integrate_stack([nloops.gamma1], [variation_part(model, 2)])
     with pytest.raises(KeyError):
         variation_part(model, 3)
     with pytest.raises(KeyError):
@@ -171,7 +173,7 @@ def test_a_stack_of_two_bases_is_refused(nmodel, nloops, tp):
     other = FoliationParams.from_dict({**d, "lambda2": "1/7+2i"})
     parts = [variation_part(nmodel, 2), variation_part(float_model(other, expand_normal_form(other, 2)), 2)]
     with pytest.raises(ValueError, match="different bases"):
-        integrate_stack(nloops.gamma1, parts)
+        integrate_stack([nloops.gamma1], parts)
 
 
 @pytest.mark.parametrize("levels", [(1,), (2, 1), ()])
@@ -184,7 +186,7 @@ def test_a_part_must_yield_the_levels_it_declares(nmodel, nloops, levels):
 
     part = replace(phi_part(nmodel, [3, 4], [np.ones(1), np.ones(1)]), levels=levels)
     with pytest.raises(ValueError):
-        integrate_stack(nloops.gamma1, [variation_part(nmodel, 2), part])
+        integrate_stack([nloops.gamma1], [variation_part(nmodel, 2), part])
 
 
 
@@ -260,12 +262,12 @@ def test_overflowing_jet_raises():
 
 
 @pytest.mark.parametrize("rtol", [1e-12, 1e-6])
-@pytest.mark.parametrize("block", [1, None])  # None: the default BLOCK
+@pytest.mark.parametrize("block", [2, None])  # None: the default BLOCK
 def test_breakdown_reason_does_not_depend_on_the_block(monkeypatch, block, rtol):
-    # with BLOCK = 1 every piece is solved alone from its accepted start
-    # state; in a longer block the later pieces are solved from the
-    # inexact ends of the pieces before them, but the reason names the same
-    # first non-finite piece, at the laboratory's RTOL and at a looser one
+    # at BLOCK = 2, the smallest block the engine forms, a block chains its
+    # later pieces from the inexact ends of fewer pieces before them than
+    # a longer block does, but the reason names the same first non-finite
+    # piece, at the laboratory's RTOL and at a looser one
     from holocert.normalform import FoliationParams
     from holocert.numerics import ODEError, odepath
     from holocert.numerics.loops import build_loops
@@ -319,14 +321,12 @@ def test_the_seven_jets_in_one_pass_match_their_lone_passes_bit_for_bit(name):
     # arithmetic of its lone pass: at sweep point 8 the convention once
     # flipped on a mesh moved by other rows, and at 3 and 28 a_6 sits near
     # its rounding noise, so every end and mass must agree to the last bit
-    from holocert.numerics.odepath import integrate_loop
-
     p = _jet_point(name)
     part = variation_part(float_model(p, expand_normal_form(p, DMAX)), 6)
     loops = list(_seven_loops().values())
-    together = integrate_loop(loops, [1.0], np.zeros(5), part.coeffs, part.field)
-    for loop, ends in zip(loops, together, strict=True):
-        alone = one_loop(loop, [1.0], np.zeros(5), part.coeffs, part.field)
+    together = integrate_stack(loops, [part])
+    for loop, (ends,) in zip(loops, together, strict=True):
+        ((alone,),) = integrate_stack([loop], [part])
         assert len(ends) == len(alone) == len(loop.segments)
         for got, want in zip(ends, alone):
             for u, v in zip(got, want, strict=True):

@@ -320,28 +320,20 @@ def _counted_products(monkeypatch, levels):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_a_block_takes_one_product_per_level(m, monkeypatch):
-    # a block takes one _CUMSUM product per level, the base the first; in a
-    # block of several pieces each takes that level's rows only, the base's
-    # nb = 1 and then one per level, so every row goes through exactly one
-    # product.  A lone piece's products take all rows (see _per_row), as a
-    # (rows, N) product.
+    # a block takes one _CUMSUM product per level, the base the first, each
+    # of that level's rows only, the base's nb = 1 and then one per level,
+    # so every row goes through exactly one product
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     fields, bindings, levels = [], [], []
     products = _counted_products(monkeypatch, levels)
     one_loop(_line_loop(3), [1.0], [0.0] * m, [], _counted_pulse_field(m, fields, bindings, levels))
     assert len(levels) > 1
     assert levels == [m] * len(levels)
-    several = 0
     for block in range(len(levels)):
         cumsums = [shape for b, is_cumsum, shape in products if b == block and is_cumsum]
         assert len(cumsums) == 1 + levels[block]
         assert [b for b, is_cumsum, _ in products if not is_cumsum].count(block) == 1  # the tail test
-        if len(cumsums[0]) == 3:
-            several += 1
-            assert [shape[0] for shape in cumsums] == [1] * (1 + m)
-        else:
-            assert cumsums == [(1 + m, odepath.N)] * (1 + m)
-    assert several
+        assert [shape[0] for shape in cumsums] == [1] * (1 + m)
 
 
 def test_a_base_alone_takes_no_sweep(monkeypatch):
@@ -471,17 +463,16 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "nb, block", [(1, odepath.BLOCK), (3, odepath.BLOCK), (1, 1), (3, 1)], ids=["1", "3", "1-block1", "3-block1"]
+    "nb, block", [(1, odepath.BLOCK), (3, odepath.BLOCK), (1, 2), (3, 2)], ids=["1", "3", "1-block2", "3-block2"]
 )
 def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
     # solving BLOCK pieces at once chains their start states in path order
     # with the arithmetic of solving them one by one (_piece_by_piece), so
     # every result and every mid-path value agrees to the last bit; the
     # pulse makes pieces split, and a block then holds pieces of several
-    # segments.  A block of one piece takes the (rows, N) product of a lone
-    # piece, which a product of the base's rows alone, or of one level's,
-    # would not round like.  The reference iterates Picard sweeps to their
-    # fixed point, which the two levels reach without iterating.
+    # segments.  BLOCK = 2 is the smallest block the engine forms.  The
+    # reference iterates Picard sweeps to their fixed point, which the two
+    # levels reach without iterating.
     monkeypatch.setattr(odepath, "BLOCK", block)
     monkeypatch.setattr(odepath, "RTOL", 1e-11)
     loop = _line_loop(4)
@@ -577,7 +568,7 @@ def _lockstep_field(w, vals):
     yield [y[0] * b[0] + vals[1]]
 
 
-@pytest.mark.parametrize("block", sorted({odepath.BLOCK, 16}, reverse=True) + [1, 3])
+@pytest.mark.parametrize("block", sorted({odepath.BLOCK, 16}, reverse=True) + [2, 3])
 def test_a_lockstep_pass_matches_each_loop_alone_bit_for_bit(block, monkeypatch):
     # the loops share every round's field call and elementwise work, but
     # each keeps its own products, tail tests and splits, so every end and

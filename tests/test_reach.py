@@ -86,7 +86,7 @@ def _commands(tmp_path):
         (["certify", "--samples", "1", *out], EXIT_OK),
         (["verify-numeric", "--samples", "0", *out], EXIT_OK),
         # jet arithmetic that overflows, and a loop integration that does
-        (["certify", "--samples", "0", *params("jets", "1/2+10i", "1/3-10i"), *out], EXIT_INCONCLUSIVE),
+        (["certify", "--samples", "0", *params("jets", "1/2+15i", "1/3-15i"), *out], EXIT_INCONCLUSIVE),
         (["certify", "--samples", "0", *params("loop", "1/2+1i", "1/3-40i"), *out], EXIT_INCONCLUSIVE),
         (["certify", "--skip-numeric", *params("nongeneric", "1/3", "2i", ["1", "0", "0"]), *out], EXIT_CONFIG),
         (["certify", "--skip-numeric", "--params", str(misshapen), *out], EXIT_CONFIG),
@@ -147,6 +147,45 @@ def test_certify_builds_one_condition_set(tmp_path, capsys):
     assert calls.count("build_q") == 6
     assert calls.count("apply_Ld") == 16
     assert expanded == [6, 2]
+
+
+def test_certify_composes_the_jets_it_grades(tmp_path, capsys):
+    # per bundled certify --samples 4 --seed 3: the structural rows invert
+    # mu1 and mu2 once and read the other convention reading to degree 2
+    # alone, not through three full compositions.  Each composition takes
+    # 10 truncated products
+    from holocert.numerics import jets
+
+    codes = {jets.compose.__code__: "compose", jets._trunc_mul.__code__: "_trunc_mul"}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        code = main(["certify", "--samples", "4", "--seed", "3", "--out", str(tmp_path / "cert.json")])
+    finally:
+        sys.setprofile(None)
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert (calls.count("compose"), calls.count("_trunc_mul")) == (34, 340)
+
+
+def test_integrate_loop_has_two_callers():
+    # integrate_stack owns the start state of every laboratory pass, the
+    # jets' included; integrate_fixed_interval is the engine's own [0, 1]
+    root = Path(holocert.__file__).resolve().parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "integrate_loop"
+                for call in ast.walk(node)
+            ):
+                callers.add((path.relative_to(root).as_posix(), node.name))
+    assert callers == {("numerics/holonomy.py", "integrate_stack"), ("numerics/odepath.py", "integrate_fixed_interval")}
 
 
 def test_every_default_is_kept_for_a_reason():

@@ -2,7 +2,7 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs eight commands at 49 points, once with this tree's src/ and once with
+Runs eight commands at 53 points, once with this tree's src/ and once with
 PARENT_CHECKOUT's src/ on PYTHONPATH, with the same command line in the
 same temporary directory:
 
@@ -17,8 +17,11 @@ same temporary directory:
 
 The points are the first 40 draws of tests/conftest.py::random_generic_params
 from random.Random(11), then lambda = (1/2 + k i, 1/3 - k i) at
-alpha = (2-1i, 1/2, -1+1i) for k = 1/7, 1, 2, 3, 5, 10, 20, 40, a ladder
-from tame multipliers to numerical breakdowns, and last the steep point
+alpha = (2-1i, 1/2, -1+1i) for k = 1/7, 1, 2, 3, 5, 7, 9, 10, 14, 15, 20,
+40, a ladder from tame multipliers to numerical breakdowns (k = 7 is the
+first point where commutator-convention fails, 9 and 14 bound the points
+where its other reading, composed to order 6, would overflow, and 15 is
+the first where the reading it grades overflows), and last the steep point
 that perfbench's numeric-steep workload certifies, lambda = (1/2-3i,
 1/3+5/2i) at the same alpha.  The eight commands also run at two inputs
 that exit 2, a nongeneric point (lambda1 = 1/3) and a file whose alpha is
@@ -68,7 +71,7 @@ REFUSED = {
     "nongeneric": '{"lambda1": "1/3", "lambda2": "2i", "alpha": ["1", "0", "0"]}',
     "misshapen": '{"lambda1": "2-1i", "lambda2": "2i", "alpha": "100"}',
 }
-LADDER = (Fraction(1, 7), 1, 2, 3, 5, 10, 20, 40)
+LADDER = (Fraction(1, 7), 1, 2, 3, 5, 7, 9, 10, 14, 15, 20, 40)
 STEEP = {"lambda1": "1/2-3i", "lambda2": "1/3+5/2i", "alpha": ["2-1i", "1/2", "-1+1i"]}  # numeric-steep's point
 WORKERS = 2  # each worker runs one command at a time, the two trees in turn
 
