@@ -34,7 +34,7 @@ from .holonomy import (
     variation_jet,
     variation_part,
 )
-from .jets import HolonomyJet, commutator, compose, invert, jet_distance
+from .jets import HolonomyJet, _compose, commutator, compose, invert, jet_distance
 from .loops import RADIUS, Loop, LoopSystem, build_loops, concat
 from .odepath import ATOL, RTOL
 
@@ -342,14 +342,6 @@ def structural_loops(loops: LoopSystem) -> dict:
     }
 
 
-def _degree_2(f, g):
-    """a_1 and a_2 of f o g from the arrays of those of f and g, with the
-    products ``compose`` forms for them: a_1 = f_1 g_1 and a_2 = f_1 g_2 +
-    f_2 (g_1 g_1), g_1 g_1 on Python numbers and the rest on arrays, since
-    numpy's array products round otherwise than its scalar ones."""
-    return f[0] * g + f[1] * np.array([0.0, complex(g[0]) * complex(g[0])])
-
-
 def structural_rows(model: FloatModel, structural: dict, jets: dict, beta_jets: dict) -> list[CheckRow]:
     """Jet-level sanity of the loop construction, under the composition
     convention it fixes, ``CONVENTION``, which commutator-convention asserts.
@@ -382,7 +374,7 @@ def structural_rows(model: FloatModel, structural: dict, jets: dict, beta_jets: 
         inv1, inv2 = invert(m1), invert(m2)
         fixed = commutator(inv1, inv2)
     # the other reading, (m2 o m1) o (inv2 o inv1), to degree 2 alone
-    other_a2 = _degree_2(_degree_2(m2.coeffs[:2], m1.coeffs[:2]), _degree_2(inv2.coeffs[:2], inv1.coeffs[:2]))[1]
+    other_a2 = _compose(_compose(m2.coeffs[:2], m1.coeffs[:2]), _compose(inv2.coeffs[:2], inv1.coeffs[:2]))[1]
     # assert the convention on a_2 alone, at a raw relative scale: the other
     # reading misses it at O(1), while the degrees above it can lose every
     # digit to rounding where their masses dwarf them; then grade the fixed

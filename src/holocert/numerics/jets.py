@@ -6,6 +6,10 @@ through the same arithmetic as the coefficients (for composed ones).
 The masses are a jet's only error scale: distances between jets are
 measured relative to them, which is the honest scale after the heavy
 cancellations inside commutators.
+
+One routine composes series, ``_compose(f, g) = f @ _power_table(g)``:
+the coefficients of ``compose``, the steps of ``invert`` and the masses
+all go through it, so they round alike.
 """
 
 from __future__ import annotations
@@ -43,19 +47,21 @@ class HolonomyJet:
         return np.abs(self.coeffs) + self.norms
 
 
-def _trunc_mul(u, v):
-    """Product of two series with zero constant term, truncated at z^ORDER.
-    The products are taken on Python numbers, which round as numpy's
-    complex128 and float64 scalars do."""
-    dtype = np.result_type(u, v)
-    u, v = u.tolist(), v.tolist()
-    out = [0.0] * ORDER
-    for i in range(ORDER):
-        if u[i] == 0:
-            continue
-        for j in range(ORDER - i - 1):
-            out[i + j + 1] += u[i] * v[j]
-    return np.array(out, dtype=dtype)
+def _power_table(g: np.ndarray) -> np.ndarray:
+    """Rows g, g^2, ..., g^n of a series with zero constant term, truncated
+    at z^n, for the n coefficients of g; each row is one convolution of the
+    row before it with g."""
+    n = len(g)
+    table = np.zeros((n, n), dtype=g.dtype)
+    table[0] = g
+    for k in range(1, n):
+        table[k, 1:] = np.convolve(table[k - 1], g)[: n - 1]
+    return table
+
+
+def _compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficients of f(g(z)), truncated at the common length of f and g."""
+    return f @ _power_table(g)
 
 
 def _finite(jet: HolonomyJet, what: str) -> HolonomyJet:
@@ -66,31 +72,25 @@ def _finite(jet: HolonomyJet, what: str) -> HolonomyJet:
 
 def compose(f: HolonomyJet, g: HolonomyJet) -> HolonomyJet:
     """Jet of f(g(z)), i.e. g acts first; masses follow the same algebra."""
-    out, mass = np.zeros(ORDER, dtype=complex), np.zeros(ORDER)
     with np.errstate(all="ignore"):  # checked by _finite
-        fm, gm = f.magnitude(), g.magnitude()
-        powers, powers_m = g.coeffs, gm
-        for k in range(ORDER):
-            out += f.coeffs[k] * powers
-            mass += fm[k] * powers_m
-            if k < ORDER - 1:
-                powers, powers_m = _trunc_mul(powers, g.coeffs), _trunc_mul(powers_m, gm)
+        out = _compose(f.coeffs, g.coeffs)
+        mass = _compose(f.magnitude(), g.magnitude())
         return _finite(HolonomyJet(out, norms=np.maximum(mass - np.abs(out), 0.0)), "composition")
 
 
 def invert(f: HolonomyJet) -> HolonomyJet:
-    """Series reversion: g with f(g(z)) = z + O(z^7).  Needs a1 != 0."""
+    """Series reversion: g with f(g(z)) = z + O(z^7).  Needs a1 != 0.
+    Each step fixes one coefficient of g; the masses are composed once,
+    from the finished g."""
     if f.coeffs[0] == 0:
         raise ZeroDivisionError("jet with a1 = 0 is not invertible")
     g = np.zeros(ORDER, dtype=complex)
     with np.errstate(all="ignore"):  # checked by _finite
         g[0] = 1.0 / f.coeffs[0]
-        inv = HolonomyJet(g)
         for n in range(1, ORDER):
-            c = compose(f, inv).coeffs
-            inv.coeffs[n] -= c[n] / f.coeffs[0]
-        inv.norms = compose(f, inv).norms / max(abs(f.coeffs[0]), 1e-300)
-    return _finite(inv, "inversion")
+            g[n] -= _compose(f.coeffs, g)[n] / f.coeffs[0]
+        norms = compose(f, HolonomyJet(g)).norms / max(abs(f.coeffs[0]), 1e-300)
+    return _finite(HolonomyJet(g, norms=norms), "inversion")
 
 
 def commutator(f: HolonomyJet, g: HolonomyJet) -> HolonomyJet:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from holocert.numerics import ODEError
 from holocert.numerics.jets import (
     ORDER,
     HolonomyJet,
-    _trunc_mul,
+    _compose,
+    _power_table,
     commutator,
     compose,
     invert,
@@ -102,28 +105,84 @@ def test_jet_arithmetic_that_leaves_double_precision_is_a_breakdown():
         invert(jet(1e-200, 1e200, 0, 0, 0, 0))
 
 
-def _numpy_trunc_mul(u, v):
-    """The truncated product on numpy scalars, the reference for _trunc_mul."""
-    out = np.zeros(ORDER, dtype=np.result_type(u, v))
-    for i in range(ORDER):
-        if u[i] == 0:
-            continue
-        for j in range(ORDER - i - 1):
-            out[i + j + 1] += u[i] * v[j]
+# exact truncated series arithmetic on complex numbers held as pairs of
+# Fractions, the oracle for compose and invert
+_ZERO = (Fraction(0), Fraction(0))
+
+
+def _exact(values):
+    return [(Fraction(complex(z).real), Fraction(complex(z).imag)) for z in values]
+
+
+def _to_float(series):
+    return np.array([complex(float(re), float(im)) for re, im in series])
+
+
+def _mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _exact_compose(f, g):
+    out, power = [_ZERO] * ORDER, g
+    for k in range(ORDER):
+        out = [_add(o, _mul(f[k], p)) for o, p in zip(out, power)]
+        following = [_ZERO] * ORDER
+        for i in range(ORDER):
+            for j in range(ORDER - i - 1):
+                following[i + j + 1] = _add(following[i + j + 1], _mul(power[i], g[j]))
+        power = following
     return out
 
 
-def test_the_truncated_product_rounds_as_numpy_scalars_do():
-    # Python's complex and float products round as complex128 and float64
-    # scalars do: coefficients and masses from e^-300 to e^300, zeros among
-    # them, and products that overflow, which are not finite in both
+def _exact_invert(f):
+    norm = f[0][0] ** 2 + f[0][1] ** 2
+    reciprocal = (f[0][0] / norm, -f[0][1] / norm)
+    g = [reciprocal] + [_ZERO] * (ORDER - 1)
+    for n in range(1, ORDER):
+        step = _mul(_exact_compose(f, g)[n], reciprocal)
+        g[n] = (g[n][0] - step[0], g[n][1] - step[1])
+    return g
+
+
+def _random_jet(rng, a1_exponents=(-30, 30)):
+    # real and imaginary parts from about 1e-30 to 1e30 in size
+    x = rng.standard_normal((2, ORDER)) * 10.0 ** rng.uniform(-30, 30, (2, ORDER))
+    x[:, 0] = rng.standard_normal(2) * 10.0 ** rng.uniform(*a1_exponents, 2)
+    return HolonomyJet(x[0] + 1j * x[1])
+
+
+def test_compose_and_invert_match_exact_series_arithmetic():
+    # every coefficient within 1e-13 of its mass, the composition of the
+    # magnitudes (coefficients' moduli plus masses), and the masses within
+    # 1e-13 of that composition taken exactly; invert's a1 stays within
+    # 1e-3..1e3 in size, so that every reversion fits in double precision
     rng = np.random.default_rng(0)
-    for k in range(3000):
-        x = rng.standard_normal((4, ORDER)) * np.exp(rng.uniform(-300, 300, (4, ORDER)))
-        x[:, rng.integers(0, ORDER, 2)] = 0.0 if k % 2 else -0.0
-        u, v = x[0] + 1j * x[1], x[2] + 1j * x[3]
-        for a, b in ((u, v), (np.abs(u), np.abs(v))):
-            with np.errstate(all="ignore"):
-                got, want = _trunc_mul(a, b), _numpy_trunc_mul(a, b)
-            assert got.dtype == want.dtype and np.array_equal(np.isfinite(got), np.isfinite(want))
-            assert got[np.isfinite(got)].tobytes() == want[np.isfinite(want)].tobytes()
+    for _ in range(40):
+        f, g = _random_jet(rng), _random_jet(rng)
+        for h in (f, g):
+            h.norms = np.abs(rng.standard_normal(ORDER)) * 10.0 ** rng.uniform(-30, 30, ORDER)
+        got = compose(f, g)
+        want = _to_float(_exact_compose(_exact(f.coeffs), _exact(g.coeffs)))
+        mass = _to_float(_exact_compose(_exact(f.magnitude()), _exact(g.magnitude()))).real
+        assert np.all(np.abs(got.coeffs - want) <= 1e-13 * mass)
+        assert np.all(np.abs(got.magnitude() - mass) <= 1e-13 * mass)
+
+        f = _random_jet(rng, a1_exponents=(-3, 3))
+        inv = invert(f)
+        want = _to_float(_exact_invert(_exact(f.coeffs)))
+        assert np.all(np.abs(inv.coeffs - want) <= 1e-13 * inv.magnitude())
+
+
+def test_composing_two_coefficients_gives_the_first_two_of_the_full_composition():
+    # the other convention reading composes 2-coefficient slices; their a1
+    # and a2 are the full composition's up to the order of the sums
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        f, g = _random_jet(rng), _random_jet(rng)
+        for u, v in ((f.coeffs, g.coeffs), (f.magnitude(), g.magnitude())):
+            scale = (np.abs(u) @ _power_table(np.abs(v)))[:2]
+            assert np.all(np.abs(_compose(u[:2], v[:2]) - _compose(u, v)[:2]) <= 1e-15 * scale)

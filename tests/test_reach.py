@@ -151,12 +151,14 @@ def test_certify_builds_one_condition_set(tmp_path, capsys):
 
 def test_certify_composes_the_jets_it_grades(tmp_path, capsys):
     # per bundled certify --samples 4 --seed 3: the structural rows invert
-    # mu1 and mu2 once and read the other convention reading to degree 2
-    # alone, not through three full compositions.  Each composition takes
-    # 10 truncated products
+    # 5 jets (gamma1, mu1, mu2, and their inverses in the commutator), compose
+    # 4 times and read the other convention reading to degree 2 alone.  A
+    # composition takes 2 power tables, one of coefficients and one of
+    # masses; an inversion composes once and takes one table of coefficients
+    # per step; the other reading takes 3 tables: 9 * 2 + 5 * 5 + 3 = 46
     from holocert.numerics import jets
 
-    codes = {jets.compose.__code__: "compose", jets._trunc_mul.__code__: "_trunc_mul"}
+    codes = {jets.compose.__code__: "compose", jets._power_table.__code__: "_power_table"}
     calls = []
 
     def profile(frame, event, arg):
@@ -170,7 +172,7 @@ def test_certify_composes_the_jets_it_grades(tmp_path, capsys):
         sys.setprofile(None)
     assert code == EXIT_OK
     capsys.readouterr()
-    assert (calls.count("compose"), calls.count("_trunc_mul")) == (34, 340)
+    assert (calls.count("compose"), calls.count("_power_table")) == (9, 46)
 
 
 def test_integrate_loop_has_two_callers():

@@ -30,8 +30,10 @@ Each command runs once more at default flags without --params, so the
 default point is loaded as the command line loads it.
 
 Every run's exit code, stdout, stderr and written file are compared; each
-run that differs is listed with what differs.  Exits 1 if any run differs,
-0 if none does.
+run that differs is listed with what differs.  Where a differing stdout or
+file is JSON, the listing names the fields that differ, a check row by its
+name: "output (checks[commutator-convention].residual)".  Exits 1 if any
+run differs, 0 if none does.
 """
 
 from __future__ import annotations
@@ -97,6 +99,28 @@ def run(src: Path, argv: list[str], out: Path, cwd: Path) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, written
 
 
+def json_fields(a, b, path: str = "") -> list[str]:
+    """The fields at which two JSON values differ; list items that carry a
+    "name", as check rows do, are labelled by it."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [field for key in sorted(a.keys() | b.keys())
+                for field in json_fields(a.get(key), b.get(key), f"{path}.{key}" if path else key)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        labels = [x["name"] if isinstance(x, dict) and "name" in x else i for i, x in enumerate(a)]
+        return [field for label, x, y in zip(labels, a, b) for field in json_fields(x, y, f"{path}[{label}]")]
+    return [] if a == b else [path]
+
+
+def what_differs(part: str, a, b) -> str:
+    """``part``, followed by the differing fields where both sides are JSON
+    objects or lists of one shape."""
+    try:
+        fields = [field for field in json_fields(json.loads(a), json.loads(b)) if field]
+    except (TypeError, ValueError):
+        return part
+    return f"{part} ({', '.join(fields)})" if fields else part
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -118,7 +142,8 @@ def main(argv: list[str]) -> int:
             name, command = job
             out = tmp / f"{name}.out"
             want, got = (run(src, command, out, tmp) for src in (parent, ROOT / "src"))
-            return name, [part for part, a, b in zip(("exit code", "stdout", "stderr", "output"), want, got) if a != b]
+            return name, [what_differs(part, a, b)
+                          for part, a, b in zip(("exit code", "stdout", "stderr", "output"), want, got) if a != b]
 
         with ThreadPoolExecutor(WORKERS) as pool:
             results = list(pool.map(compare, jobs))
