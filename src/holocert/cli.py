@@ -4,6 +4,7 @@ Commands
     expand          print the c_d / S_d table
     conditions      print the obstruction polynomials F_3..F_6
     verify-numeric  run the holonomy cross-checks, emit the report JSON
+                    (at a numerical breakdown: params, seed and reason)
     certify         everything; exit 0 only for verdict UNIQUE with all
                     numeric checks passing.  A numerical breakdown still
                     emits the certificate, with the reason in its numeric
@@ -105,7 +106,11 @@ def cmd_conditions(args) -> int:
 
 def cmd_verify_numeric(args) -> int:
     p = _load_params(args.params)
-    report = run_numeric_verification(p, build_condition_set(p), seed=args.seed, n_samples=args.samples)
+    try:
+        report = run_numeric_verification(p, build_condition_set(p), seed=args.seed, n_samples=args.samples)
+    except ODEError as exc:  # main reports the breakdown
+        emit_report({"params": p.to_dict(), "seed": args.seed, "all_pass": False, "breakdown": str(exc)}, args.out)
+        raise
     emit_report(report, args.out)
     return EXIT_OK if report["all_pass"] else EXIT_INCONCLUSIVE
 
@@ -116,8 +121,7 @@ def cmd_certify(args) -> int:
     if not args.skip_numeric:
         try:
             report = run_numeric_verification(p, cert.conditions, seed=args.seed, n_samples=args.samples)
-        except ODEError as exc:
-            # the finished exact half is still worth a certificate; main reports the breakdown
+        except ODEError as exc:  # the exact half still makes a certificate; main reports the breakdown
             cert.numeric = {"all_pass": False, "breakdown": str(exc)}
             emit_report(cert.to_dict(), args.out)
             raise

@@ -24,12 +24,12 @@ levels before it.
 
 A loop's pieces form one list in path order, solved a block at a time
 off its front: BLOCK pieces, or the whole list where that would leave one
-piece behind.  Since PIECES = 2 and a failing piece is always halved,
-every block holds at least 2 pieces.  Each level evaluates its rows once
-on the nodes of all pieces of a block and takes one cumulative-integral
-product, and its start states are chained in path order (a product for
-the base, a sum for the integrals), the same arithmetic in the same order
-as solving the pieces one by one.
+piece behind.  Every segment starts with at least 2 pieces (PIECES) and a
+failing piece is always halved, so every block holds at least 2 pieces.
+Each level evaluates its rows once on the nodes of all pieces of a block
+and takes one cumulative-integral product, and its start states are
+chained in path order (a product for the base, a sum for the integrals),
+the same arithmetic in the same order as solving the pieces one by one.
 Where BLOCK holds a loop's whole pending list, as in the bundled and
 the steep laboratory, a round is one refinement generation of every
 loop, and a pass takes as many rounds as its deepest loop takes
@@ -93,17 +93,20 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import ODEError
-from .loops import Line, nodes
+from .loops import Arc, Line, nodes
 
 N = 32  # Chebyshev nodes per piece
-PIECES = 2  # initial pieces per segment
+# Initial pieces per segment, by kind: on an arc the degree-d integrands go
+# as exp(i((d-1) lambda - d) theta), and with |lambda| up to about 3, N
+# nodes resolve a sixth of a turn at RTOL but not a half.
+PIECES = {Line: 2, Arc: 6}
 # Consecutive pending pieces of each loop solved in a round, one field
 # call for all loops.  It holds the longest pending list of the bundled
-# and steep laboratories, 54 pieces, so each of their rounds takes a
-# whole refinement generation.  It is a cap, not unbounded, for a
-# round's memory where meshes grow: at ladder point k = 40 (lambda =
-# (1/2+40i, 1/3-40i)) the laboratory's tracemalloc peak is 2.6 MB at 16,
-# 8.8 MB at 64 and 16.9 MB with no cap.
+# and steep laboratories, gamma2's 60 initial pieces, so each of their
+# rounds takes a whole refinement generation.  It is a cap, not unbounded,
+# for a round's memory where meshes grow: at ladder point k = 40 (lambda =
+# (1/2+40i, 1/3-40i)) the laboratory's tracemalloc peak is 1.9 MB at 16,
+# 6.4 MB at 64 and 14.1 MB with no cap.
 BLOCK = 64
 MAX_DEPTH = 12  # a piece is halved at most this often
 TAIL = 2  # trailing coefficients that estimate a piece's error
@@ -272,7 +275,8 @@ def _loop_pass(loop, start, nb):
         return ODEError(why if loop.label is None else f"loop {loop.label!r}, segment {piece[0]}: {why}")
 
     # pending pieces (segment, t at the start, length, depth, ends its segment), in path order
-    todo = [(s, k / PIECES, 1.0 / PIECES, 0, k == PIECES - 1) for s in range(len(loop.segments)) for k in range(PIECES)]
+    todo = [(s, k / n, 1.0 / n, 0, k == n - 1)
+            for s, n in enumerate(PIECES[type(seg)] for seg in loop.segments) for k in range(n)]
     mass, seg_mass, out = np.zeros(start.size), np.zeros(start.size), []
     while todo:
         # the whole list where a block would leave one piece behind

@@ -187,12 +187,14 @@ def test_every_family_integrates_through_integrate_loop(tp, tp_conditions, monke
 
 @pytest.mark.parametrize(
     "name, n_samples, seed, counts",
-    [("bundled", 4, 3, (9, 108, 21)), ("steep", 0, 0, (9, 108, 21))],
+    [("bundled", 4, 3, (3, 36, 7)), ("steep", 0, 0, (3, 36, 7))],
 )
 def test_each_round_takes_whole_refinement_generations(monkeypatch, name, n_samples, seed, counts):
     # BLOCK exceeds every pending list of both workloads, so a round solves
     # every pending piece of every loop in its pass, and a pass takes as
-    # many rounds as its deepest loop has refinement generations.  Counted
+    # many rounds as its deepest loop has refinement generations.  On the
+    # initial mesh of odepath.PIECES no piece of either workload fails its
+    # tail test, so each of the three passes takes one round.  Counted
     # per certify: field calls (one per round), _CUMSUM products (one per
     # loop, round and level) and tail tests (one per loop and round).
     import numpy
@@ -234,10 +236,10 @@ def test_each_round_takes_whole_refinement_generations(monkeypatch, name, n_samp
 @pytest.mark.parametrize("name, n_samples, seed", [("bundled", 4, 3), ("steep", 0, 0), ("sweep 28", 0, 0)])
 def test_every_block_holds_at_least_two_pieces(monkeypatch, name, n_samples, seed):
     # a block takes BLOCK pieces off the front of a loop's pending list, or
-    # the whole list where one piece would be left behind; with PIECES = 2
-    # and every failing piece halved, no block is a lone piece.  At sweep
-    # point 28 gamma2's stack has BLOCK + 1 pieces pending, solved in one
-    # round instead of a full block and a lone piece
+    # the whole list where one piece would be left behind; with at least 2
+    # initial pieces per segment and every failing piece halved, no block
+    # is a lone piece.  A pending list of BLOCK + 1 pieces is
+    # tests/test_odepath.py::test_a_block_that_would_leave_one_piece_takes_the_whole_list
     from holocert.conditions import build_condition_set
     from holocert.normalform import FoliationParams, verification_point
     from holocert.numerics import odepath
@@ -252,8 +254,32 @@ def test_every_block_holds_at_least_two_pieces(monkeypatch, name, n_samples, see
     p = {"bundled": verification_point(), "steep": FoliationParams.from_dict(STEEP)}.get(name) or sweep_points(29)[28]
     run_numeric_verification(p, build_condition_set(p), seed=seed, n_samples=n_samples)
     assert min(sizes) >= 2
-    if name == "sweep 28":
-        assert odepath.BLOCK + 1 in sizes
+
+
+def test_some_pass_halves_pieces_at_ladder_5(monkeypatch):
+    # at ladder k = 5 (lambda = (1/2+5i, 1/3-5i)) some loop's pieces still
+    # fail the tail test on the initial mesh, so halving runs at a point of
+    # the laboratory: some pass takes more than one round
+    from holocert.conditions import build_condition_set
+    from holocert.normalform import FoliationParams
+    from holocert.numerics import holonomy, odepath
+
+    rounds, solve = [], odepath._solve
+
+    def counting_pass(loops, *args):
+        rounds.append(0)
+        return integrate_loop(loops, *args)
+
+    def counting_solve(*args):
+        rounds[-1] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(holonomy, "integrate_loop", counting_pass)
+    monkeypatch.setattr(odepath, "_solve", counting_solve)
+    p = FoliationParams.from_dict({"lambda1": "1/2+5i", "lambda2": "1/3-5i", "alpha": ["2-1i", "1/2", "-1+1i"]})
+    run_numeric_verification(p, build_condition_set(p), seed=0, n_samples=0)
+    assert len(rounds) == 3
+    assert max(rounds) > 1, rounds
 
 
 def test_the_jets_do_not_depend_on_the_samples():

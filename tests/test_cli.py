@@ -371,6 +371,17 @@ def test_overflowing_jet_arithmetic_is_a_breakdown(tmp_path, capsys, recwarn):
     assert f"INCONCLUSIVE: numerical breakdown: {reason}" in err
 
 
+def test_verify_numeric_writes_a_report_at_a_breakdown(tmp_path, capsys):
+    # at ladder k = 15 the laboratory breaks down; verify-numeric still
+    # writes its report, with the reason that certify's numeric section gives
+    rc, err, doc = _certify_breakdown(tmp_path, capsys, "1/2+15i", "1/3-15i")
+    out = tmp_path / "report.json"
+    assert main(["verify-numeric", "--params", str(tmp_path / "steep.json"), "--samples", "0", "--out", str(out)]) == rc
+    assert capsys.readouterr().err == err
+    report = json.loads(out.read_text())
+    assert report == {"params": doc["params"], "seed": 0, "all_pass": False, "breakdown": doc["numeric"]["breakdown"]}
+
+
 @pytest.mark.parametrize("k", [9, 14])
 def test_the_other_convention_reading_does_not_overflow(tmp_path, capsys, recwarn, k):
     # at ladder k = 9 to 14 the commutator that commutator-convention grades

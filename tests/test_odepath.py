@@ -172,7 +172,7 @@ def test_each_level_is_sent_its_own_integrals():
     sent = []
     _, y, *_ = integrate_fixed_interval(_levels_of((2, 3, 1), sent), EMPTY, np.arange(6.0))
     assert np.allclose(y, np.arange(6.0) + 1.0, rtol=1e-15, atol=0.0)
-    nodes = odepath.PIECES * odepath.N  # one block of the initial pieces
+    nodes = odepath.PIECES[Line] * odepath.N  # one block of the initial pieces
     assert [x.shape for x in sent] == [(2, nodes), (3, nodes), (1, nodes)]
     for x, start in zip(sent, ([0.0, 1.0], [2.0, 3.0, 4.0], [5.0])):
         assert np.allclose(x, np.array(start)[:, None], rtol=0.0, atol=1e-14)
@@ -202,7 +202,7 @@ def _pulse_run(monkeypatch, rtol):
 
 def test_split_pieces_keep_the_closed_form(monkeypatch):
     pieces, err = _pulse_run(monkeypatch, 1e-10)
-    assert pieces > odepath.PIECES
+    assert pieces > odepath.PIECES[Line]
     assert err < 1e-9
 
 
@@ -238,8 +238,8 @@ def test_a_split_segment_leaves_its_neighbours_alone(monkeypatch):
 
     monkeypatch.setattr(odepath, "RTOL", 1e-10)
     b, *_ = one_loop(loop, [1.0], [0.0], [], field)[-1]
-    assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES
-    assert len(nodes[1]) > odepath.PIECES
+    assert len(nodes[0]) == len(nodes[2]) == odepath.PIECES[Line]
+    assert len(nodes[1]) > odepath.PIECES[Line]
     phase = 0.9 + amp * width * math.sqrt(math.pi) * math.erf(0.5 / width)
     assert abs(b[0] - cmath.exp(1j * phase)) < 1e-9
 
@@ -366,12 +366,13 @@ def _picard_rows(levels, base, guess):
 
 def _piece_by_piece(loop, b0, y0, coeffs, field):
     """The reference for integrate_loop, for fields that read no
-    polynomials: each piece solved alone from its accepted start state,
-    split while its tail test at odepath.RTOL fails, with the arithmetic
-    that the blocks must reproduce bit for bit.  Its integrals are Picard
-    sweeps from the start state, m + 1 of them for m integrals, as the
-    engine solved them before it solved level by level; the last sweep
-    must return the rows of the one before it, a fixed point."""
+    polynomials: each segment cut into the initial pieces of its kind,
+    odepath.PIECES, and each piece solved alone from its accepted start
+    state, split while its tail test at odepath.RTOL fails, with the
+    arithmetic that the blocks must reproduce bit for bit.  Its integrals
+    are Picard sweeps from the start state, m + 1 of them for m integrals,
+    as the engine solved them before it solved level by level; the last
+    sweep must return the rows of the one before it, a fixed point."""
     assert not coeffs
     N, X, C = odepath.N, np.polynomial.chebyshev.chebpts1(odepath.N), odepath._CUMSUM
     b, y = np.asarray(b0, dtype=complex), np.asarray(y0, dtype=complex)
@@ -379,7 +380,8 @@ def _piece_by_piece(loop, b0, y0, coeffs, field):
     mass, ends = np.zeros(nb + m), []
     for seg in loop.segments:
         seg_mass = np.zeros(nb + m)
-        todo = [(k / odepath.PIECES, 1.0 / odepath.PIECES) for k in reversed(range(odepath.PIECES))]
+        n = odepath.PIECES[type(seg)]
+        todo = [(k / n, 1.0 / n) for k in reversed(range(n))]
         while todo:
             a, h = todo.pop()
             t = a + h * (X + 1.0) / 2.0
@@ -450,8 +452,8 @@ def test_a_piece_failing_only_from_an_inexact_start_is_halved(poison, monkeypatc
     blocks = run(Y, block_rows)
     pieces = run(Y, piece_rows, integrate=_piece_by_piece)
     on_segment_1 = lambda rows: sorted(r for r in rows if 1.0 <= r[0] < 2.0)
-    assert len(on_segment_1(piece_rows)) == odepath.PIECES
-    assert len(on_segment_1(block_rows)) > odepath.PIECES  # the halves were solved
+    assert len(on_segment_1(piece_rows)) == odepath.PIECES[Line]
+    assert len(on_segment_1(block_rows)) > odepath.PIECES[Line]  # the halves were solved
     # the states agree to rounding; the masses, Fejer sums of |cos 3w|,
     # whose kinks no piece resolves, differ by the quadrature error of the
     # two meshes
@@ -492,6 +494,29 @@ def test_blocks_match_single_pieces_bit_for_bit(nb, block, monkeypatch):
     for got, want in zip(blocks, pieces):
         for u, v in zip(got, want):
             assert np.array_equal(u, v)
+
+
+def test_a_block_that_would_leave_one_piece_takes_the_whole_list(monkeypatch):
+    # n lines and a closing arc start with BLOCK pieces, solved in one block.
+    # The rate oscillates on the first piece alone, too fast for a piece of
+    # half a segment but not for a quarter: that piece is halved once, and
+    # the BLOCK + 1 pieces left pending are solved in one block, not in a
+    # full block and a lone piece
+    n = (odepath.BLOCK - odepath.PIECES[Arc]) // odepath.PIECES[Line]
+    assert n * odepath.PIECES[Line] + odepath.PIECES[Arc] == odepath.BLOCK
+    sizes, solve = [], odepath._solve
+
+    def recording(field, w, vals, dw, half, starts, blocks, nb):
+        sizes.extend(blocks)
+        return solve(field, w, vals, dw, half, starts, blocks, nb)
+
+    def field(w, vals):
+        return no_levels(np.where((w.imag == 0) & (w.real < 0.5), 1j * np.cos(60.0 * w.real), 0.0))
+
+    monkeypatch.setattr(odepath, "_solve", recording)
+    b, *_ = one_loop(_line_loop(n), [1.0], EMPTY, [], field)[-1]
+    assert sizes == [odepath.BLOCK, odepath.BLOCK + 1]
+    assert abs(b[0] - cmath.exp(1j * math.sin(30.0) / 60.0)) < 1e-12
 
 
 @pytest.mark.parametrize("n, k", [(1, 2), (1, 8), (2, 4)])
