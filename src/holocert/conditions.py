@@ -2,8 +2,9 @@
 
 Everything here compares two expansions: the reference one (parameters
 alpha, always numeric) and a second one whose parameters are the symbols
-b0, b1, b2.  A concrete beta is substituted into the resulting set
-exactly (ConditionSet.at).
+b0, b1, b2.  The reference is the symbolic one taken at beta = alpha,
+q_d included (NormalFormExpansion.at).  A concrete beta is substituted
+into the resulting set exactly (ConditionSet.at).
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from dataclasses import dataclass, field
 
 from .gaussian import GaussianRational
 from .mpoly import MPoly
-from .normalform import (
-    DMAX,
-    FoliationParams,
-    NormalFormExpansion,
-    W,
-    expand_normal_form,
-    expand_with_beta,
-    r_of,
-)
+from .normalform import BETA_VARS, FoliationParams, NormalFormExpansion, W, expand_with_beta, r_of
 from .obstruction import build_Md, functional_Fd, solve_Rd
 
 _HALF = GaussianRational("1/2")
@@ -65,8 +58,8 @@ def build_q(e: NormalFormExpansion, d: int) -> MPoly:
 
 
 def q_of(e: NormalFormExpansion, d: int) -> MPoly:
-    """build_q(e, d), built once per expansion: P_4 and P_6 both use ~q4, and
-    the laboratory's float model reads the q_d at alpha."""
+    """build_q(e, d), built once per table and kept in e.q: P_4 and P_6 both
+    use ~q4, and a table taken at alpha carries the symbolic table's."""
     if d not in e.q:
         e.q[d] = build_q(e, d)
     return e.q[d]
@@ -111,13 +104,13 @@ def h_jets(e_alpha: NormalFormExpansion, e_beta: NormalFormExpansion, R3: MPoly,
     t2, t3, t4 = (e_beta.c[k] for k in (2, 3, 4))
     r30 = R3.substitute("w", 0)
     r40 = R4.substitute("w", 0)
-    h2 = _as_poly(t2) - c2
-    h3 = h2 * h2 + _HALF * (_as_poly(t3) - c3) + r30
+    h2 = t2 - c2
+    h3 = h2 * h2 + _HALF * (t3 - c3) + r30
     h4 = (
-        _THIRD * (_as_poly(t4) - c4)
-        - _SIXTH * (_as_poly(t3) * t2 - _as_poly(c3) * c2)
+        _THIRD * (t4 - c4)
+        - _SIXTH * (t3 * t2 - c3 * c2)
         - r40
-        - _as_poly(t2) * r30
+        - t2 * r30
         + 3 * h3 * h2
         - 2 * h2**3
         + _HALF * c3 * h2
@@ -125,16 +118,14 @@ def h_jets(e_alpha: NormalFormExpansion, e_beta: NormalFormExpansion, R3: MPoly,
     return h2, h3, h4
 
 
-def _as_poly(x) -> MPoly:
-    return x if isinstance(x, MPoly) else MPoly.const(x)
-
-
 @dataclass
 class ConditionSet:
     """Per-degree bundle of the exact pipeline outputs, symbolic in beta, with
-    the expansion at alpha they compare against (and its memoised q_d)."""
+    the two tables they compare: the symbolic one, e_beta, and its value at
+    alpha, e_alpha, each with its q_4..q_6."""
 
     e_alpha: NormalFormExpansion
+    e_beta: NormalFormExpansion
     P: dict[int, MPoly] = field(default_factory=dict)
     R: dict[int, MPoly] = field(default_factory=dict)
     F: dict[int, MPoly] = field(default_factory=dict)
@@ -144,18 +135,21 @@ class ConditionSet:
 
     def at(self, beta) -> "ConditionSet":
         """Every polynomial at a concrete beta = (b0, b1, b2), substituted exactly."""
-        bindings = dict(zip(("b0", "b1", "b2"), beta))
+        bindings = dict(zip(BETA_VARS, beta))
         parts = (self.P, self.R, self.F)
         return ConditionSet(
-            self.e_alpha, *({d: f.substitute_values(bindings) for d, f in part.items()} for part in parts)
+            self.e_alpha, self.e_beta, *({d: f.substitute_values(bindings) for d, f in part.items()} for part in parts)
         )
 
 
 def build_condition_set(p: FoliationParams) -> ConditionSet:
     """Run the full degree 3..6 pipeline at alpha versus the symbols b0, b1, b2:
-    P_d and R_d come out as polynomials in w and beta, F_d in beta."""
-    e_alpha, e_beta = expand_normal_form(p, DMAX), expand_with_beta(p)
-    cs = ConditionSet(e_alpha)
+    P_d and R_d come out as polynomials in w and beta, F_d in beta.  The
+    table and its q_4..q_6 are built once, symbolic, and taken at alpha."""
+    e_beta = expand_with_beta(p)
+    e_beta.q.update((d, build_q(e_beta, d)) for d in (4, 5, 6))
+    e_alpha = e_beta.at(p.alpha)
+    cs = ConditionSet(e_alpha, e_beta)
     for d in (3, 4, 5, 6):
         P = build_P(d, e_alpha, e_beta, cs.R)
         M = build_Md(d, p.lambda1, p.lambda2)

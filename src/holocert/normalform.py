@@ -9,9 +9,10 @@ normal-form parameters alpha0, alpha1, alpha2.  The right-hand side
                   / (r(w)(1 + a0 sigma z) + p(w) z^2)
 
 expands as sum K_d(w) z^d with K_d = c_d K1 + S_d / r^d.  This module
-provides the closed-form table of c_d, S_d (d <= 6).  It also holds the
-one definition of the geometry r, s, p and L_d, which the exact and the
-float code share.
+provides the closed-form table of c_d, S_d (d <= 6), evaluated once with
+the normal-form parameters symbolic and taken at a concrete point
+exactly.  It also holds the one definition of the geometry r, s, p and
+L_d, which the exact and the float code share.
 """
 
 from __future__ import annotations
@@ -109,9 +110,6 @@ class FoliationParams:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def with_alpha(self, alpha0, alpha1, alpha2) -> "FoliationParams":
-        return FoliationParams(self.lambda1, self.lambda2, alpha0, alpha1, alpha2)
-
 
 def verification_point() -> FoliationParams:
     """The bundled verification point lambda = (2-i, 2i), alpha = (1, 0, 0)."""
@@ -170,71 +168,67 @@ def validate_genericity(p: FoliationParams) -> GenericityReport:
 
 @dataclass(frozen=True)
 class NormalFormExpansion:
-    """Closed-form splitting data K_d = c_d K1 + S_d / r^d for d <= dmax <= 6.
+    """Closed-form splitting data K_d = c_d K1 + S_d / r^d for d <= 6.
 
-    For a plain parameter point the c_d are Gaussian rationals and the S_d
-    live in Q(i)[w].  When the normal-form parameters are left symbolic
-    (beta pipeline) both pick up the variables b0, b1, b2.
+    The one table evaluated from the formulas is expand_with_beta's, whose
+    c_d and S_d carry the symbols b0, b1, b2.  Its value at a concrete beta
+    (``at``) has Gaussian-rational c_d and S_d in Q(i)[w]; the table at a
+    parameter point is the symbolic one at beta = alpha.
     """
 
     c: dict  # degree -> GaussianRational | MPoly
     S: dict  # degree -> MPoly
     q: dict = field(default_factory=dict, compare=False, repr=False)  # degree -> q_d, once built
 
-
-def _closed_form_table(lambda1, lambda2, a0, a1, a2, dmax: int):
-    """The table of c_d and S_d for d <= dmax (at most 6); a0, a1, a2 may be symbols."""
-    if not 1 <= dmax <= DMAX:
-        raise ValueError(f"dmax must lie in 1..{DMAX}, got {dmax}")
-    r = r_of(W)
-    s = s_of(lambda1, lambda2, W)
-    p = p_of(a1, a2, W)
-    sigma = lambda1 + lambda2
-    eta = a1 + a2
-    one_minus = 1 - sigma
-
-    # each entry is built only when its degree is asked for
-    c = {
-        1: MPoly.one,
-        2: lambda: a0 * one_minus,
-        3: lambda: -(a0**2) * sigma * one_minus,
-        4: lambda: a0**3 * sigma**2 * one_minus,
-        5: lambda: -(a0**4) * sigma**3 * one_minus,
-        6: lambda: a0**5 * sigma**4 * one_minus,
-    }
-    S = {
-        2: lambda: r,
-        3: lambda: -s * p * r + (eta - a0 * sigma) * r**2,
-        4: lambda: -p * r**2 + a0 * (2 * sigma - 1) * s * p * r**2 + a0 * sigma * (a0 * sigma - eta) * r**3,
-        5: lambda: (
-            s * p**2 * r**2
-            + (2 * a0 * sigma - eta) * p * r**3
-            + a0**2 * sigma * (2 - 3 * sigma) * s * p * r**3
-            + a0**2 * sigma**2 * (eta - a0 * sigma) * r**4
-        ),
-        6: lambda: (
-            p**2 * r**3
-            + a0 * (1 - 3 * sigma) * s * p**2 * r**3
-            + (2 * a0 * sigma * eta - 3 * a0**2 * sigma**2) * p * r**4
-            - a0**3 * sigma**2 * (3 - 4 * sigma) * s * p * r**4
-            + a0**3 * sigma**3 * (a0 * sigma - eta) * r**5
-        ),
-    }
-    return {d: f() for d, f in c.items() if d <= dmax}, {d: f() for d, f in S.items() if d <= dmax}
-
-
-def expand_normal_form(p: FoliationParams, dmax: int) -> NormalFormExpansion:
-    """Exact c_d and S_d at a parameter point, d = 1..dmax (c) and 2..dmax (S)."""
-    a0 = MPoly.const(p.alpha0)
-    a1 = MPoly.const(p.alpha1)
-    a2 = MPoly.const(p.alpha2)
-    c, S = _closed_form_table(p.lambda1, p.lambda2, a0, a1, a2, dmax)
-    c_vals = {d: cd.as_constant() for d, cd in c.items()}
-    return NormalFormExpansion(c_vals, S)
+    def at(self, beta) -> "NormalFormExpansion":
+        """The symbolic table at beta = (b0, b1, b2), substituted exactly, one
+        pass per entry, with every q_d built so far."""
+        bindings = dict(zip(BETA_VARS, beta))
+        c = {d: cd.substitute_values(bindings).as_constant() for d, cd in self.c.items()}
+        S, q = ({d: f.substitute_values(bindings) for d, f in part.items()} for part in (self.S, self.q))
+        return NormalFormExpansion(c, S, q)
 
 
 def expand_with_beta(p: FoliationParams) -> NormalFormExpansion:
-    """The whole table with the normal-form parameters replaced by symbols b0, b1, b2."""
-    b0, b1, b2 = (MPoly.var(name) for name in BETA_VARS)
-    c, S = _closed_form_table(p.lambda1, p.lambda2, b0, b1, b2, DMAX)
+    """The whole table, c_1..c_6 and S_2..S_6, at p's lambdas with the
+    normal-form parameters replaced by the symbols b0, b1, b2."""
+    a0, a1, a2 = (MPoly.var(name) for name in BETA_VARS)
+    r = r_of(W)
+    s = s_of(p.lambda1, p.lambda2, W)
+    pw = p_of(a1, a2, W)
+    sigma = p.sigma
+    eta = a1 + a2
+    one_minus = 1 - sigma
+
+    c = {
+        1: MPoly.one(),
+        2: a0 * one_minus,
+        3: -(a0**2) * sigma * one_minus,
+        4: a0**3 * sigma**2 * one_minus,
+        5: -(a0**4) * sigma**3 * one_minus,
+        6: a0**5 * sigma**4 * one_minus,
+    }
+    S = {
+        2: r,
+        3: -s * pw * r + (eta - a0 * sigma) * r**2,
+        4: -pw * r**2 + a0 * (2 * sigma - 1) * s * pw * r**2 + a0 * sigma * (a0 * sigma - eta) * r**3,
+        5: (
+            s * pw**2 * r**2
+            + (2 * a0 * sigma - eta) * pw * r**3
+            + a0**2 * sigma * (2 - 3 * sigma) * s * pw * r**3
+            + a0**2 * sigma**2 * (eta - a0 * sigma) * r**4
+        ),
+        6: (
+            pw**2 * r**3
+            + a0 * (1 - 3 * sigma) * s * pw**2 * r**3
+            + (2 * a0 * sigma * eta - 3 * a0**2 * sigma**2) * pw * r**4
+            - a0**3 * sigma**2 * (3 - 4 * sigma) * s * pw * r**4
+            + a0**3 * sigma**3 * (a0 * sigma - eta) * r**5
+        ),
+    }
     return NormalFormExpansion(c, S)
+
+
+def expand_normal_form(p: FoliationParams) -> NormalFormExpansion:
+    """Exact c_1..c_6 and S_2..S_6 at a parameter point: the symbolic table at beta = alpha."""
+    return expand_with_beta(p).at(p.alpha)

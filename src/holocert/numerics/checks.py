@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as npp
 
 from ..conditions import ConditionSet
 from ..gaussian import GaussianRational
-from ..normalform import FoliationParams, L_d, expand_normal_form, r_of
+from ..normalform import FoliationParams, L_d, NormalFormExpansion, r_of
 from . import ODEError
 from .holonomy import (
     FloatModel,
@@ -238,18 +238,24 @@ def lemma_integrands(model: FloatModel, conditions: ConditionSet, seed: int, n_s
     )
 
 
-def integrate_commutator_loops(model: FloatModel, loops: LoopSystem, lemmas: Lemmas, seed: int) -> dict:
+def beta_model(p: FoliationParams, conditions: ConditionSet, seed: int) -> FloatModel:
+    """The order-2 jets' model at another alpha, drawn from seed + 2: c_1, c_2
+    and S_2, all they read, of the certificate's own symbolic table there."""
+    e = conditions.e_beta
+    head = NormalFormExpansion({d: e.c[d] for d in (1, 2)}, {2: e.S[2]})
+    return float_model(p, head.at(_random_beta(seed + 2)))
+
+
+def integrate_commutator_loops(model: FloatModel, loops: LoopSystem, lemmas: Lemmas, model_beta: FloatModel) -> dict:
     """Every family but the jet along gamma1 and along gamma2, one stacked
-    integration per loop: the quadrature bundle, the order-2 jet at another
-    alpha drawn from seed + 2 (it reads c_2 and S_2 only, so only those are
-    expanded), the lemma samples and, along gamma1, the antiderivative
-    stack.  The jets are not stacked (``integrate_variations``), so their
-    meshes do not depend on the samples drawn.
+    integration per loop: the quadrature bundle, the order-2 jet of
+    model_beta, the model at another alpha (``beta_model``), the lemma
+    samples and, along gamma1, the antiderivative stack.  The jets are not
+    stacked (``integrate_variations``), so their meshes do not depend on
+    the samples drawn.
 
     Returns loop label -> family -> the family's ends, as ``integrate_stack``
     gives them."""
-    p_beta = model.params.with_alpha(*_random_beta(seed + 2))
-    model_beta = float_model(p_beta, expand_normal_form(p_beta, 2))
     shared = {"bundle": bundle_part(model), "beta": variation_part(model_beta, 2)}
     stacks = (
         (loops.gamma1, shared | {"samples": lemmas.gamma1, "antiderivative": lemmas.antiderivative}),
@@ -413,7 +419,8 @@ def structural_rows(model: FloatModel, structural: dict, jets: dict, beta_jets: 
 def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed: int, n_samples: int) -> dict:
     """Full numeric report on p and its symbolic condition set, the one its
     certificate rests on: deterministic given (params, seed, n_samples).  The
-    float model is read off the set's own expansion at alpha."""
+    float models, at alpha and at another alpha, are read off the set's own
+    tables."""
     model = float_model(p, conditions.e_alpha)
     loops = build_loops(RADIUS)
     lemmas = lemma_integrands(model, conditions, seed, n_samples)
@@ -423,7 +430,7 @@ def run_numeric_verification(p: FoliationParams, conditions: ConditionSet, seed:
     structural = structural_loops(loops)
     lone = {lp.label: lp for lp in (loops.gamma1, loops.gamma2, loops.mu1, loops.mu2)} | structural
     jets = dict(zip(lone, integrate_variations(model, list(lone.values()))))
-    on = integrate_commutator_loops(model, loops, lemmas, seed)
+    on = integrate_commutator_loops(model, loops, lemmas, beta_model(p, conditions, seed))
     commutators = (loops.gamma1, loops.gamma2)
     rows = []
     for lp in commutators:

@@ -72,9 +72,8 @@ def _to_coeff_array(poly: MPoly) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FloatModel:
-    """Float view of one parameter set's expansion data, to the degree it was expanded."""
+    """Float view of one table of expansion data, at the degrees it holds."""
 
-    params: FoliationParams
     lam1: complex
     lam2: complex
     c: dict  # degree -> complex, c[1] = 1
@@ -86,12 +85,13 @@ class FloatModel:
 
 
 def float_model(p: FoliationParams, e: NormalFormExpansion) -> FloatModel:
-    """The float view of e, the expansion of p: the model holds the c_d and S_d
-    of the degrees e holds and the q_d those reach, so reading another fails."""
+    """The float view of e, a table at p's lambdas taken at a concrete point:
+    the c_d and S_d of the degrees e holds and the q_d those reach, so
+    reading another fails.  The q_d that e carries are not built again."""
     c = {d: cd.to_complex() for d, cd in e.c.items()}
     S = {d: _to_coeff_array(Sd) for d, Sd in e.S.items()}
     q = {d: _to_coeff_array(q_of(e, d)) for d in (4, 5, 6) if d in e.S}
-    return FloatModel(p, p.lambda1.to_complex(), p.lambda2.to_complex(), c, S, q)
+    return FloatModel(p.lambda1.to_complex(), p.lambda2.to_complex(), c, S, q)
 
 
 # -- stacked integration -----------------------------------------------------------

@@ -59,6 +59,11 @@ def random_generic_params(rng: random.Random) -> FoliationParams:
             return p
 
 
+def with_alpha(p: FoliationParams, alpha0, alpha1, alpha2) -> FoliationParams:
+    """p's lambdas at other normal-form parameters."""
+    return FoliationParams(p.lambda1, p.lambda2, alpha0, alpha1, alpha2)
+
+
 def sweep_points(n: int) -> list[FoliationParams]:
     """The first n points of the generic-point sweep, the draws of
     random_generic_params from random.Random(11), counted from 0."""
@@ -136,7 +141,7 @@ def series_oracle(p: FoliationParams, dmax: int) -> dict[int, MPoly]:
 
 def oracle_defects(p: FoliationParams) -> dict[int, MPoly]:
     """A_d - c_d r^(d-1) s - S_d for d = 2..DMAX; all zero iff table and oracle agree."""
-    exp = expand_normal_form(p, DMAX)
+    exp = expand_normal_form(p)
     A = series_oracle(p, DMAX)
     r = r_of(W)
     s = s_of(p.lambda1, p.lambda2, W)
@@ -223,7 +228,7 @@ def nloops():
 def nmodel(tp):
     from holocert.numerics.holonomy import float_model
 
-    return float_model(tp, expand_normal_form(tp, DMAX))
+    return float_model(tp, expand_normal_form(tp))
 
 
 @pytest.fixture(scope="session")
@@ -253,8 +258,8 @@ def beta_jets(tp, nloops):
     from holocert.gaussian import GaussianRational as gq
     from holocert.numerics.holonomy import float_model, integrate_stack, variation_jet, variation_part
 
-    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
-    model = float_model(p, expand_normal_form(p, 2))
+    p = with_alpha(tp, gq(3, 1), gq(0, 2), gq(-1))
+    model = float_model(p, expand_normal_form(p))
     loops = [nloops.gamma1, nloops.gamma2]
     passed = integrate_stack(loops, [variation_part(model, 2)])
     return {lp.label: variation_jet(lp.label, jet[-1]) for lp, (jet,) in zip(loops, passed)}

@@ -16,7 +16,6 @@ from holocert.elimination import certify, linear_system_solve, resultant_chain
 from holocert.gaussian import GaussianRational
 from holocert.mpoly import MPoly
 from holocert.normalform import (
-    DMAX,
     FoliationParams,
     expand_normal_form,
     validate_genericity,
@@ -24,6 +23,7 @@ from holocert.normalform import (
 )
 from holocert.numerics.checks import (
     DEGREE_TOLERANCES,
+    beta_model,
     integrate_commutator_loops,
     lemma_integrands,
     verify_integral_lemmas,
@@ -134,7 +134,7 @@ def test_criterion_5_holonomy_formula_validation():
     loops = build_loops(0.5)
     worst = {d: 0.0 for d in range(2, 7)}
     for p in params:
-        model = float_model(p, expand_normal_form(p, DMAX))
+        model = float_model(p, expand_normal_form(p))
         for loop in (loops.gamma1, loops.gamma2):
             # the jet alone, as the laboratory integrates it, and the bundle alone
             jet = one_jet(model, loop)
@@ -149,10 +149,11 @@ def test_criterion_5_holonomy_formula_validation():
     _ok(5, f"variation formulas at 4 parameter sets x 2 loops ({summary}; {elapsed:.1f}s)")
 
 
-def test_criterion_6_integral_lemmas(nmodel, nloops, tp_conditions, loop_jets):
+def test_criterion_6_integral_lemmas(tp, nmodel, nloops, tp_conditions, loop_jets):
     t0 = time.time()
     lemmas = lemma_integrands(nmodel, tp_conditions, seed=606, n_samples=20)
-    rows = verify_integral_lemmas(nmodel, nloops, lemmas, integrate_commutator_loops(nmodel, nloops, lemmas, seed=606))
+    on = integrate_commutator_loops(nmodel, nloops, lemmas, beta_model(tp, tp_conditions, seed=606))
+    rows = verify_integral_lemmas(nmodel, nloops, lemmas, on)
     for row in rows:
         assert row.passed, f"{row.name}: residual {row.residual:.3e}"
     nu1 = nmodel.nu1()

@@ -7,6 +7,7 @@ import pytest
 
 from holocert.numerics.checks import (
     CONVENTION,
+    beta_model,
     draw_lemma_samples,
     integrate_commutator_loops,
     lemma_integrands,
@@ -25,40 +26,40 @@ from conftest import one_loop, sweep_points
 STEEP = {"lambda1": "1/2-3i", "lambda2": "1/3+5/2i", "alpha": ["2-1i", "1/2", "-1+1i"]}  # the benchmark's steep point
 
 
-def _lemma_rows(model, loops, conditions, seed, n_samples):
-    """The three lemma families' rows, read off the commutator loops' stacked integrations."""
+def _lemma_rows(p, model, loops, conditions, seed, n_samples):
+    """The three lemma families' rows at p, read off the commutator loops' stacked integrations."""
     lemmas = lemma_integrands(model, conditions, seed, n_samples)
-    return verify_integral_lemmas(model, loops, lemmas, integrate_commutator_loops(model, loops, lemmas, seed))
+    on = integrate_commutator_loops(model, loops, lemmas, beta_model(p, conditions, seed))
+    return verify_integral_lemmas(model, loops, lemmas, on)
 
 
-def _antiderivative_rows(model, loops, conditions, seed):
+def _antiderivative_rows(p, model, loops, conditions, seed):
     """With no samples, the lemma rows are the antiderivative rows alone."""
-    return _lemma_rows(model, loops, conditions, seed, n_samples=0)
+    return _lemma_rows(p, model, loops, conditions, seed, n_samples=0)
 
 
-def test_integral_lemma_rows_pass(nmodel, nloops, tp_conditions):
-    rows = _lemma_rows(nmodel, nloops, tp_conditions, seed=3, n_samples=3)
+def test_integral_lemma_rows_pass(tp, nmodel, nloops, tp_conditions):
+    rows = _lemma_rows(tp, nmodel, nloops, tp_conditions, seed=3, n_samples=3)
     assert len(rows) == 3 + 3 + 4
     for row in rows:
         assert row.passed, f"{row.name}: residual {row.residual:.3e}"
 
 
-def test_antiderivative_rows_cover_all_degrees(nmodel, nloops, tp_conditions):
-    rows = _antiderivative_rows(nmodel, nloops, tp_conditions, seed=0)
+def test_antiderivative_rows_cover_all_degrees(tp, nmodel, nloops, tp_conditions):
+    rows = _antiderivative_rows(tp, nmodel, nloops, tp_conditions, seed=0)
     assert [r.degree for r in rows] == [3, 4, 5, 6]
     assert all(r.passed for r in rows)
 
 
 @pytest.mark.parametrize("part, d", [("P", 3), ("R", 4), ("F", 5)])
-def test_antiderivative_rows_check_the_given_condition_set(nmodel, nloops, tp_conditions, part, d):
+def test_antiderivative_rows_check_the_given_condition_set(tp, nmodel, nloops, tp_conditions, part, d):
     # the rows read the condition set they are given, the certificate's own:
     # a defect planted in one of its P_d, R_d or F_d fails that degree's row
-    from holocert.conditions import ConditionSet
     from holocert.mpoly import MPoly
 
-    planted = ConditionSet(tp_conditions.e_alpha, dict(tp_conditions.P), dict(tp_conditions.R), dict(tp_conditions.F))
+    planted = replace(tp_conditions, P=dict(tp_conditions.P), R=dict(tp_conditions.R), F=dict(tp_conditions.F))
     getattr(planted, part)[d] = getattr(planted, part)[d] + MPoly.var("b1")
-    rows = _antiderivative_rows(nmodel, nloops, planted, seed=0)
+    rows = _antiderivative_rows(tp, nmodel, nloops, planted, seed=0)
     assert [r.degree for r in rows if not r.passed] == [d]
 
 
@@ -120,7 +121,7 @@ def test_lemma_samples_keep_their_degrees(seed, n_samples, two_loop, forward):
     assert all(len(R) == 2 * d - 2 for d, R in drawn_forward)
 
 
-def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions):
+def test_planted_defect_fails_only_its_own_row(tp, nmodel, nloops, tp_conditions):
     # corrupt one two-loop polynomial of the samples part on gamma2 only,
     # and one forward image of the samples part on gamma1, which holds the
     # two-loop polynomials first; both parts ride in the stacked integrations
@@ -135,7 +136,7 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions):
     corrupted = replace(
         lemmas, gamma1=planted(lemmas.gamma1, n_samples + bad_forward), gamma2=planted(lemmas.gamma2, bad_two_loop)
     )
-    on = integrate_commutator_loops(nmodel, nloops, corrupted, seed=3)
+    on = integrate_commutator_loops(nmodel, nloops, corrupted, beta_model(tp, tp_conditions, seed=3))
     rows = verify_integral_lemmas(nmodel, nloops, lemmas, on)
     failed = [r.name for r in rows if not r.passed]
     assert failed == [f"integral-lemma-two-loops[{bad_two_loop}]", f"forward-vanishing[{bad_forward}]"]
@@ -144,14 +145,14 @@ def test_planted_defect_fails_only_its_own_row(nmodel, nloops, tp_conditions):
     assert [r.degree for r in rows[n_samples : 2 * n_samples]] == [d for d, _ in forward]
 
 
-def test_a_defect_in_the_rate_of_phi1_fails_a_two_loop_row(nmodel, nloops, tp_conditions, monkeypatch):
+def test_a_defect_in_the_rate_of_phi1_fails_a_two_loop_row(tp, nmodel, nloops, tp_conditions, monkeypatch):
     # the two-loop rows integrate the phi1 that the other families share, so
     # a rate read at lambda1 + 1e-2 fails them against the exact factor
     from holocert.normalform import s_of
     from holocert.numerics import holonomy
 
     monkeypatch.setattr(holonomy, "s_of", lambda lam1, lam2, w: s_of(lam1 + 1e-2, lam2, w))
-    rows = _lemma_rows(nmodel, nloops, tp_conditions, seed=3, n_samples=4)
+    rows = _lemma_rows(tp, nmodel, nloops, tp_conditions, seed=3, n_samples=4)
     assert any(not r.passed for r in rows if r.name.startswith("integral-lemma-two-loops"))
 
 
@@ -360,7 +361,8 @@ def test_each_stacked_part_matches_its_lone_integration(point, monkeypatch):
         return passed
 
     monkeypatch.setattr(checks, "integrate_stack", recording)
-    integrate_commutator_loops(model, loops, lemma_integrands(model, conditions, seed=3, n_samples=4), seed=3)
+    lemmas = lemma_integrands(model, conditions, seed=3, n_samples=4)
+    integrate_commutator_loops(model, loops, lemmas, beta_model(p, conditions, seed=3))
     assert [(loop.label, [part.levels for part in parts]) for loop, parts, _ in stacks] == [
         ("gamma1", [(5, 8), (1,), (8,), (4,)]),
         ("gamma2", [(5, 8), (1,), (4,)]),
@@ -391,6 +393,21 @@ def test_a_planted_discretization_defect_fails_the_variation_formula_rows(tp, tp
     for loop in ("gamma1", "gamma2"):
         for d in (2, 3):
             assert (f"variation-formula-deg{d}", loop) in failed
+
+
+def test_a_beta_dependent_S2_in_the_symbolic_table_fails_the_a2_rows(tp, tp_conditions):
+    # the order-2 jets at another alpha read c_2 and S_2 off the condition
+    # set's own symbolic table, taken at the drawn beta: an S_2 that moves
+    # with b1, planted in that table alone, with P_d, R_d and F_d untouched,
+    # fails exactly the two rows that compare those jets with alpha's
+    from holocert.mpoly import MPoly
+    from holocert.normalform import NormalFormExpansion
+
+    e = tp_conditions.e_beta
+    moved = e.S[2] + (MPoly.var("b1") - tp.alpha1) * MPoly.var("w")
+    planted = replace(tp_conditions, e_beta=NormalFormExpansion(e.c, {**e.S, 2: moved}))
+    report = run_numeric_verification(tp, planted, seed=3, n_samples=4)
+    assert report["failed"] == ["a2-independent-of-beta[gamma1]", "a2-independent-of-beta[gamma2]"]
 
 
 def test_variation_rows_report_every_degree(nmodel, nloops, loop_jets, gamma_bundles):

@@ -5,10 +5,10 @@ import pytest
 from holocert.conditions import build_P, build_condition_set, build_q, h_jets
 from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import MPoly
-from holocert.normalform import DMAX, expand_normal_form, expand_with_beta
+from holocert.normalform import expand_normal_form, expand_with_beta
 from holocert.obstruction import build_Md, functional_Fd, solve_Rd
 
-from conftest import divides, random_gaussian, random_generic_params
+from conftest import divides, random_gaussian, random_generic_params, with_alpha
 
 W = MPoly.var("w")
 R = W * W - 1
@@ -17,8 +17,8 @@ BETA = ("b0", "b1", "b2")
 
 def _h(p, cs, beta=None):
     """h_jets of a condition set taken at beta (symbolic when None)."""
-    e_beta = expand_with_beta(p) if beta is None else expand_normal_form(p.with_alpha(*beta), DMAX)
-    return h_jets(expand_normal_form(p, DMAX), e_beta, cs.R[3], cs.R[4])
+    e_beta = expand_with_beta(p) if beta is None else expand_normal_form(with_alpha(p, *beta))
+    return h_jets(expand_normal_form(p), e_beta, cs.R[3], cs.R[4])
 
 
 def _subst_beta(poly, p):
@@ -32,15 +32,15 @@ def _subst_beta(poly, p):
 
 
 def test_q4_vanishes_for_zero_alpha(tp):
-    p = tp.with_alpha(gq(0), gq(0), gq(0))
-    e = expand_normal_form(p, DMAX)
+    p = with_alpha(tp, gq(0), gq(0), gq(0))
+    e = expand_normal_form(p)
     assert e.c[2] == gq(0) and e.c[3] == gq(0)
     assert build_q(e, 4).is_zero()
 
 
 def test_q4_at_test_point(tp):
     # hand expansion: q4 = (3+4i) r^3 + (-1-i)(-2-i) r^3 - (1+3i)/2 r^3
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     q4 = build_q(e, 4)
     assert q4 == gq("7/2", "11/2") * R**3
     assert q4.degree("w") == 6
@@ -48,13 +48,15 @@ def test_q4_at_test_point(tp):
 
 
 def test_q_rejects_bad_degree(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     with pytest.raises(ValueError):
         build_q(e, 3)
 
 
 def test_condition_set_builds_each_q_once(tp, monkeypatch):
-    # P_4 and P_6 share ~q4: six q polynomials per condition set, not seven
+    # P_4 and P_6 share ~q4, and the q_d at alpha are the symbolic ones taken
+    # there: three q polynomials per condition set, not seven, and each q_d
+    # at alpha is the one built from the table at alpha
     from holocert import conditions
 
     built = []
@@ -64,25 +66,26 @@ def test_condition_set_builds_each_q_once(tp, monkeypatch):
         return build_q(e, d)
 
     monkeypatch.setattr(conditions, "build_q", counting)
-    conditions.build_condition_set(tp)
-    assert sorted(built) == [4, 4, 5, 5, 6, 6]
+    cs = conditions.build_condition_set(tp)
+    assert sorted(built) == [4, 5, 6]
+    assert cs.e_alpha.q == {d: build_q(expand_normal_form(tp), d) for d in (4, 5, 6)}
 
 
 # -- P polynomials -----------------------------------------------------------------
 
 
 def test_P3_vanishes_at_beta_alpha(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     assert build_P(3, e, e, {}).is_zero()
 
 
 def test_P4_vanishes_at_beta_alpha_with_R3_zero(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     assert build_P(4, e, e, {3: MPoly.zero()}).is_zero()
 
 
 def test_P3_is_linear_in_beta(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     sym = expand_with_beta(tp)
     P3 = build_P(3, e, sym, {})
     for b in BETA:
@@ -97,7 +100,7 @@ def _beta_terms(poly):
 
 
 def test_P_missing_prerequisites_error(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     sym = expand_with_beta(tp)
     with pytest.raises(KeyError):
         build_P(4, e, sym, {})
@@ -197,7 +200,7 @@ def test_defect_is_wfree_for_symbolic_and_numeric(tp, tp_conditions, rng):
 def _pipeline_at(p, beta):
     """The degree 3..6 pipeline run from the expansion at a concrete beta,
     the reference for the symbolic set taken at that beta."""
-    e_alpha, e_beta = expand_normal_form(p, DMAX), expand_normal_form(p.with_alpha(*beta), DMAX)
+    e_alpha, e_beta = expand_normal_form(p), expand_normal_form(with_alpha(p, *beta))
     P, R, F = {}, {}, {}
     for d in (3, 4, 5, 6):
         P[d] = build_P(d, e_alpha, e_beta, R)
@@ -242,13 +245,13 @@ def test_h2_ignores_b1_b2(tp):
 
 
 def test_h_jets_zero_at_identity(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     h2, h3, h4 = h_jets(e, e, MPoly.zero(), MPoly.zero())
     assert h2.is_zero() and h3.is_zero() and h4.is_zero()
 
 
 def test_h3_h4_depend_on_R_constants(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     sym = expand_with_beta(tp)
     h2a, h3a, h4a = h_jets(e, sym, MPoly.zero(), MPoly.zero())
     h2b, h3b, h4b = h_jets(e, sym, MPoly.one(), MPoly.zero())

@@ -19,7 +19,7 @@ from holocert.numerics.checks import formula_coefficients
 from holocert.numerics.jets import invert, jet_distance
 from holocert.numerics.loops import Line, Loop
 
-from conftest import a2_closed_form, one_jet, sweep_points
+from conftest import a2_closed_form, one_jet, sweep_points, with_alpha
 
 
 def test_degenerate_point_loop_gives_identity_jet(nmodel):
@@ -95,8 +95,8 @@ def test_reversed_loop_is_inverse_jet(nmodel, nloops, loop_jets):
 
 
 def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
-    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
-    other = float_model(p, expand_normal_form(p, DMAX))
+    p = with_alpha(tp, gq(3, 1), gq(0, 2), gq(-1))
+    other = float_model(p, expand_normal_form(p))
     ((jet,),) = integrate_stack([nloops.gamma1], [variation_part(other, 2)])
     tilde = variation_jet("gamma1", jet[-1])
     base = loop_jets["gamma1"]
@@ -105,8 +105,8 @@ def test_beta_does_not_move_a2(nmodel, nloops, loop_jets, tp):
 
 
 def test_psi2_independent_of_alpha(nmodel, nloops, gamma_bundles, tp):
-    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
-    other = float_model(p, expand_normal_form(p, DMAX))
+    p = with_alpha(tp, gq(3, 1), gq(0, 2), gq(-1))
+    other = float_model(p, expand_normal_form(p))
     ((bundle,),) = integrate_stack([nloops.gamma1], [bundle_part(other)])
     b = integrate_quadratures(bundle[-1])
     base = gamma_bundles["gamma1"]
@@ -124,13 +124,17 @@ def test_float_model_coefficients(nmodel, tp):
     assert np.allclose(nmodel.q[4], (3.5 + 5.5j) * r3)
 
 
-def test_float_model_holds_only_the_expanded_degrees(tp, nloops):
-    # the structural rows' model at another alpha is expanded to degree 2,
-    # which its order-2 jets read; any higher degree is missing, not stale
-    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
-    model = float_model(p, expand_normal_form(p, 2))
+def test_float_model_holds_only_the_expanded_degrees(tp, tp_conditions, nloops):
+    # the structural rows' model at another alpha takes c_1, c_2 and S_2,
+    # which its order-2 jets read, off the symbolic table at the drawn beta;
+    # they are the table expanded there, and any higher degree is missing,
+    # not stale
+    from holocert.numerics.checks import _random_beta, beta_model
+
+    model = beta_model(tp, tp_conditions, seed=0)
     assert (sorted(model.c), sorted(model.S), model.q) == ([1, 2], [2], {})
-    full = float_model(p, expand_normal_form(p, DMAX))
+    p = with_alpha(tp, *_random_beta(2))
+    full = float_model(p, expand_normal_form(p))
     assert model.c[2] == full.c[2] and np.array_equal(model.S[2], full.S[2])
     integrate_stack([nloops.gamma1], [variation_part(model, 2)])
     with pytest.raises(KeyError):
@@ -171,7 +175,7 @@ def test_a_stack_of_two_bases_is_refused(nmodel, nloops, tp):
 
     d = tp.to_dict()
     other = FoliationParams.from_dict({**d, "lambda2": "1/7+2i"})
-    parts = [variation_part(nmodel, 2), variation_part(float_model(other, expand_normal_form(other, 2)), 2)]
+    parts = [variation_part(nmodel, 2), variation_part(float_model(other, expand_normal_form(other)), 2)]
     with pytest.raises(ValueError, match="different bases"):
         integrate_stack([nloops.gamma1], parts)
 
@@ -204,8 +208,8 @@ def test_a_stack_yields_each_part_s_own_rows_bit_for_bit(nmodel, nloops, tp):
     from holocert.numerics.loops import nodes
 
     rng = np.random.default_rng(7)
-    p = tp.with_alpha(gq(3, 1), gq(0, 2), gq(-1))
-    other = float_model(p, expand_normal_form(p, 2))
+    p = with_alpha(tp, gq(3, 1), gq(0, 2), gq(-1))
+    other = float_model(p, expand_normal_form(p))
     samples = [3, 5, 4, 6, 6, 3, 5]
     coeffs = [rng.standard_normal(7) + 1j * rng.standard_normal(7) for _ in samples]
     anti = [rng.standard_normal(2 * d - 1) + 1j * rng.standard_normal(2 * d - 1) for d in (3, 4, 5, 6)]
@@ -258,7 +262,7 @@ def test_overflowing_jet_raises():
 
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match="overflows double precision"):
-        one_jet(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).mu1)
+        one_jet(float_model(p, expand_normal_form(p)), build_loops(0.5).mu1)
 
 
 @pytest.mark.parametrize("rtol", [1e-12, 1e-6])
@@ -277,7 +281,7 @@ def test_breakdown_reason_does_not_depend_on_the_block(monkeypatch, block, rtol)
     monkeypatch.setattr(odepath, "RTOL", rtol)
     p = FoliationParams.from_dict({"lambda1": "1/2-20i", "lambda2": "1/3+18i", "alpha": ["2-1i", "1/2", "-1+1i"]})
     with pytest.raises(ODEError, match=r"^loop 'gamma2', segment 10: non-finite state$"):
-        one_jet(float_model(p, expand_normal_form(p, DMAX)), build_loops(0.5).gamma2)
+        one_jet(float_model(p, expand_normal_form(p)), build_loops(0.5).gamma2)
 
 
 def _seven_loops():
@@ -310,7 +314,7 @@ def test_a2_of_both_commutator_jets_matches_its_closed_form(name, nloops):
     # to a mass (gamma1's reads 6.5e-15 at the bundled point, 6.9e-13 at the
     # steep one and 7.1e-11 at sweep point 3, the worst of these points)
     p = _jet_point(name)
-    jets = integrate_variations(float_model(p, expand_normal_form(p, DMAX)), [nloops.gamma1, nloops.gamma2])
+    jets = integrate_variations(float_model(p, expand_normal_form(p)), [nloops.gamma1, nloops.gamma2])
     for jet, want in zip(jets, a2_closed_form(p), strict=True):
         assert abs(jet.a(2) - want) <= 1e-9 * abs(want), name
 
@@ -322,7 +326,7 @@ def test_the_seven_jets_in_one_pass_match_their_lone_passes_bit_for_bit(name):
     # flipped on a mesh moved by other rows, and at 3 and 28 a_6 sits near
     # its rounding noise, so every end and mass must agree to the last bit
     p = _jet_point(name)
-    part = variation_part(float_model(p, expand_normal_form(p, DMAX)), 6)
+    part = variation_part(float_model(p, expand_normal_form(p)), 6)
     loops = list(_seven_loops().values())
     together = integrate_stack(loops, [part])
     for loop, (ends,) in zip(loops, together, strict=True):
@@ -347,7 +351,7 @@ def test_jets_read_off_gamma1_match_their_lone_passes_bit_for_bit(name, monkeypa
     from holocert.numerics.odepath import integrate_loop
 
     p = _jet_point(name)
-    model = float_model(p, expand_normal_form(p, DMAX))
+    model = float_model(p, expand_normal_form(p))
     loops = build_loops(0.5)
     both = structural_loops(loops)["mu2*mu1"]
     calls = []
@@ -377,7 +381,7 @@ def test_breakdowns_in_one_pass_surface_in_the_sequential_order(monkeypatch):
     from holocert.numerics.odepath import integrate_loop
 
     p = _jet_point("overflow")
-    model = float_model(p, expand_normal_form(p, DMAX))
+    model = float_model(p, expand_normal_form(p))
     loops = _seven_loops()
     lone = {}
     for name, loop in loops.items():

@@ -8,7 +8,6 @@ from numpy.polynomial import Polynomial
 from holocert.gaussian import GaussianRational as gq
 from holocert.mpoly import MPoly, poly_from_coeffs
 from holocert.normalform import (
-    DMAX,
     FoliationParams,
     L_d,
     expand_normal_form,
@@ -18,7 +17,7 @@ from holocert.normalform import (
     validate_genericity,
 )
 
-from conftest import divides, oracle_defects, random_gaussian, random_generic_params, series_oracle
+from conftest import divides, oracle_defects, random_gaussian, random_generic_params, series_oracle, with_alpha
 
 W = MPoly.var("w")
 R = W * W - 1
@@ -77,11 +76,11 @@ def test_ordering_convention_compares_the_exact_real_parts():
 
 def test_S2_is_r_always(tp, rng):
     for p in [tp] + [random_generic_params(rng) for _ in range(3)]:
-        assert expand_normal_form(p, DMAX).S[2] == R
+        assert expand_normal_form(p).S[2] == R
 
 
 def test_c_values_at_test_point(tp):
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     assert e.c[1] == gq(1)
     assert e.c[2] == gq(-1, -1)
     assert e.c[3] == gq(1, 3)
@@ -90,20 +89,20 @@ def test_c_values_at_test_point(tp):
 
 def test_S3_at_test_point(tp):
     # alpha1 = alpha2 = 0 kills p(w) and eta, leaving -alpha0 sigma r^2
-    e = expand_normal_form(tp, DMAX)
+    e = expand_normal_form(tp)
     assert e.S[3] == gq(-2, -1) * R**2
 
 
 def test_S_divisible_by_r(tp, rng):
     for p in [tp, random_generic_params(rng)]:
-        e = expand_normal_form(p, DMAX)
+        e = expand_normal_form(p)
         for d in range(2, 7):
             assert divides(R, e.S[d]), f"S_{d} not divisible by r"
 
 
 def test_symbolic_expansion_specializes_to_numeric(tp):
     sym = expand_with_beta(tp)
-    num = expand_normal_form(tp, DMAX)
+    num = expand_normal_form(tp)
     binds = {"b0": tp.alpha0, "b1": tp.alpha1, "b2": tp.alpha2}
     for d in range(2, 7):
         spec = sym.S[d]
@@ -123,10 +122,10 @@ def test_K1_is_s_over_r(tp):
 
 def test_oracle_with_alpha_zero(tp):
     # Psi = z(s + z)/r, so K2 = 1/r exactly: numerator r, c2 = 0, S2 = r
-    p = tp.with_alpha(gq(0), gq(0), gq(0))
+    p = with_alpha(tp, gq(0), gq(0), gq(0))
     A = series_oracle(p, dmax=2)
     assert A[2] == R
-    e = expand_normal_form(p, DMAX)
+    e = expand_normal_form(p)
     assert e.c[2] == gq(0)
     assert e.S[2] == R
 
@@ -147,17 +146,6 @@ def test_oracle_rejects_bad_dmax(tp):
         series_oracle(tp, dmax=7)
     with pytest.raises(ValueError):
         series_oracle(tp, dmax=0)
-
-
-def test_table_to_a_lower_degree_is_its_head(tp):
-    for dmax in (0, DMAX + 1):
-        with pytest.raises(ValueError):
-            expand_normal_form(tp, dmax)
-    full = expand_normal_form(tp, DMAX)
-    for dmax in range(1, DMAX):
-        e = expand_normal_form(tp, dmax)
-        assert e.c == {d: full.c[d] for d in range(1, dmax + 1)}
-        assert e.S == {d: full.S[d] for d in range(2, dmax + 1)}
 
 
 # -- the geometry: one definition, exact and float views -------------------------

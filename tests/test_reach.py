@@ -21,7 +21,6 @@ from holocert.cli import EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, build_parser, 
 # function -> why it stays although no command calls it
 KEPT = {
     ("conditions.py", "h_jets"): "perfbench/layertrace.py traces it by name",
-    ("conditions.py", "_as_poly"): "h_jets' own helper",
     ("numerics/odepath.py", "integrate_fixed_interval"): (
         "perfbench/layertrace.py traces it by name; one call of integrate_loop on [0, 1]"
     ),
@@ -118,23 +117,21 @@ def test_every_function_is_reached_by_a_command(tmp_path, capsys):
 
 def test_certify_builds_one_condition_set(tmp_path, capsys):
     # the laboratory takes the certificate's own condition set: one symbolic
-    # build, whose six q polynomials (three at alpha, three at the symbols)
-    # also feed the float model at alpha; the structural rows' model at
-    # another alpha expands only the degree 2 its order-2 jets read.  Each
-    # degree's M_d takes three applications of L_d and its F_d one more
+    # table, whose three q polynomials are built once and taken at alpha
+    # with it; the float model at alpha and the structural rows' order-2
+    # model at another alpha both read that one table, so nothing is
+    # expanded again.  Each degree's M_d takes three applications of L_d
+    # and its F_d one more
     import holocert.conditions
     import holocert.normalform
     import holocert.obstruction
 
     files = {holocert.conditions.__file__, holocert.normalform.__file__, holocert.obstruction.__file__}
     calls = []
-    expanded = []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename in files:
             calls.append(frame.f_code.co_name)
-            if frame.f_code.co_name == "expand_normal_form":
-                expanded.append(frame.f_locals.get("dmax"))
 
     sys.setprofile(profile)
     try:
@@ -144,9 +141,10 @@ def test_certify_builds_one_condition_set(tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     assert calls.count("build_condition_set") == 1
-    assert calls.count("build_q") == 6
+    assert calls.count("expand_with_beta") == 1
+    assert calls.count("expand_normal_form") == 0
+    assert calls.count("build_q") == 3
     assert calls.count("apply_Ld") == 16
-    assert expanded == [6, 2]
 
 
 def test_certify_composes_the_jets_it_grades(tmp_path, capsys):

@@ -5,7 +5,7 @@
 The points are the first 12 draws of tests/conftest.py::random_generic_params
 from random.Random(0).  Each run times, summed over the 12 points:
 
-    expand       expand_normal_form(p, 6) and expand_with_beta(p)
+    expand       expand_with_beta(p) and its table at alpha, .at(p.alpha)
     conditions   build_condition_set(p), and within it
       build_Md, solve_Rd, functional_Fd
     F(alpha)     the four F_d(alpha) tests of certify
@@ -32,7 +32,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from conftest import random_generic_params  # noqa: E402
 
 from holocert import conditions, elimination, obstruction  # noqa: E402
-from holocert.normalform import DMAX, expand_normal_form, expand_with_beta  # noqa: E402
+from holocert.normalform import expand_with_beta  # noqa: E402
 
 POINTS = 12
 INNER = ("build_Md", "solve_Rd", "functional_Fd")
@@ -58,8 +58,7 @@ def one_run(points) -> dict:
     try:
         for p in points:
             t0 = time.perf_counter()
-            expand_normal_form(p, DMAX)
-            expand_with_beta(p)
+            expand_with_beta(p).at(p.alpha)
             t1 = time.perf_counter()
             cs = conditions.build_condition_set(p)
             t2 = time.perf_counter()
